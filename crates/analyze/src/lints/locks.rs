@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Solver entry points and blocking operations that must not run under a
 /// lock (per-database serialization being the one deliberate exception,
 /// annotated at the site).
-const BLOCKING_CALLS: [&str; 24] = [
+const BLOCKING_CALLS: [&str; 23] = [
     "recv",
     "recv_timeout",
     "join",
@@ -42,12 +42,11 @@ const BLOCKING_CALLS: [&str; 24] = [
     "write_all",
     "flush",
     "solve",
-    "solve_with_cut",
-    "solve_with_cut_using",
-    "solve_batch",
-    "solve_traced",
-    "solve_incremental",
-    "solve_incremental_traced",
+    "solve_with",
+    "solve_with_cut_traced",
+    "route",
+    "route_batch",
+    "route_incremental",
     "prepare",
     "get_or_prepare",
 ];
@@ -413,10 +412,11 @@ mod tests {
     #[test]
     fn blocking_call_under_guard_fires() {
         let src = "fn f(&self) { let db = handle.lock().unwrap(); \
-                   prepared.solve_incremental_traced(a, b); }";
+                   prepared.route_incremental(a, b); prepared.route(a, c); }";
         let scan = run("store", src);
-        assert_eq!(scan.findings.len(), 1);
-        assert!(scan.findings[0].message.contains("store.database"));
+        assert_eq!(scan.findings.len(), 2);
+        assert!(scan.findings.iter().all(|f| f.message.contains("store.database")));
+        assert!(scan.findings[1].message.contains("`route`"));
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl FiniteLanguage {
     }
 
     /// Extracts the explicit word list of a finite [`Language`]. Errors with
-    /// [`AutomataError::InfiniteLanguage`] when the language is infinite.
+    /// [`crate::AutomataError::InfiniteLanguage`] when the language is infinite.
     ///
     /// For chain languages this is the explicit-list computation of Lemma 7.7
     /// (our implementation enumerates from the minimal DFA, which is

@@ -6,7 +6,7 @@
 //!
 //! * regular-expression parsing and Thompson construction ([`regex`]),
 //! * ε-NFAs, NFAs and DFAs with the usual closure operations ([`enfa`], [`nfa`], [`dfa`]),
-//! * a high-level [`Language`](language::Language) handle (membership, finiteness,
+//! * a high-level [`Language`] handle (membership, finiteness,
 //!   infix-free sublanguage `IF(L)`, mirror, Boolean operations),
 //! * **local languages** and their equivalent letter-Cartesian characterization
 //!   ([`local`], Definition 3.1 / Proposition 3.5 of the paper),

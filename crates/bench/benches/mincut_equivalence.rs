@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::flow_db_of_size;
 use rpq_flow::{Capacity, FlowNetwork};
 use rpq_graphdb::GraphDb;
-use rpq_resilience::algorithms::solve;
+use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -52,12 +52,12 @@ fn mincut_equivalence(c: &mut Criterion) {
         let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
 
         // Consistency check outside the timed region.
-        let resilience = solve(&query, &db).unwrap().value.finite().unwrap();
+        let resilience = Engine::new().solve(&query, &db).unwrap().value.finite().unwrap();
         let mincut = rpq_flow::min_cut(&classical_network(&db)).value.finite().unwrap();
         assert_eq!(resilience, mincut, "resilience must equal the classical min cut");
 
         group.bench_with_input(BenchmarkId::new("rpq_resilience", db.num_facts()), &db, |b, db| {
-            b.iter(|| solve(&query, db).unwrap().value)
+            b.iter(|| Engine::new().solve(&query, db).unwrap().value)
         });
         group.bench_with_input(
             BenchmarkId::new("classical_mincut", db.num_facts()),

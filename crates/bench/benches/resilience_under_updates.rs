@@ -3,7 +3,7 @@
 //! The monitoring workload behind `rpq-store`: a 512-fact database receives
 //! a delta, and the resilience must be re-answered. The `incremental` arm
 //! patches the retained flow network and warm-starts the min-cut
-//! (`PreparedQuery::solve_incremental`); the `recompute` arm rebuilds from
+//! (`PreparedQuery::route_incremental`); the `recompute` arm rebuilds from
 //! scratch (`PreparedQuery::solve`). Both arms solve the *same* alternating
 //! pair of snapshots (remove a group of facts, put it back), so one
 //! iteration is two solves and the retained state always returns to its
@@ -21,7 +21,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rpq_bench::{flow_db_of_size, local_db_of_size};
 use rpq_graphdb::delta::{changes_from_db, materialize, FactChange};
 use rpq_graphdb::GraphDb;
-use rpq_resilience::engine::Engine;
+use rpq_resilience::engine::{Engine, IncrementalSolver, SolveCall};
+use rpq_resilience::obs::Trace;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -86,33 +87,29 @@ fn updates_benchmarks(c: &mut Criterion) {
             // fresh solves on both snapshots of the ring.
             let full_value = prepared.solve(&pair.full).unwrap().value;
             let reduced_value = prepared.solve(&pair.reduced).unwrap().value;
-            let mut solver = prepared.incremental_solver();
-            let (outcome, _) =
-                prepared.solve_incremental(&mut solver, &pair.full, None, false).unwrap();
-            assert_eq!(outcome.value, full_value);
-            let (outcome, _) = prepared
-                .solve_incremental(&mut solver, &pair.reduced, Some(&pair.del), false)
-                .unwrap();
+            let call = SolveCall::new(false);
+            let incremental = |solver: &mut IncrementalSolver,
+                               db: &GraphDb,
+                               delta: Option<&[FactChange]>| {
+                let routed =
+                    prepared.route_incremental(solver, db, delta, &call, &mut Trace::disabled());
+                routed.unwrap().0.outcome
+            };
+            let mut solver = IncrementalSolver::new();
+            assert_eq!(incremental(&mut solver, &pair.full, None).value, full_value);
+            let outcome = incremental(&mut solver, &pair.reduced, Some(&pair.del));
             assert_eq!(outcome.value, reduced_value, "{family}/{size}");
-            let (outcome, _) = prepared
-                .solve_incremental(&mut solver, &pair.full, Some(&pair.ins), false)
-                .unwrap();
+            let outcome = incremental(&mut solver, &pair.full, Some(&pair.ins));
             assert_eq!(outcome.value, full_value, "{family}/{size}");
 
             // Incremental: the retained network absorbs del + ins per
             // iteration (two solves), ending back at the full snapshot.
             group.bench_with_input(BenchmarkId::new("incremental", size), &pair, |b, pair| {
-                let mut solver = prepared.incremental_solver();
-                prepared.solve_incremental(&mut solver, &pair.full, None, false).unwrap();
+                let mut solver = IncrementalSolver::new();
+                incremental(&mut solver, &pair.full, None);
                 b.iter(|| {
-                    let down = prepared
-                        .solve_incremental(&mut solver, &pair.reduced, Some(&pair.del), false)
-                        .unwrap();
-                    black_box(down);
-                    let up = prepared
-                        .solve_incremental(&mut solver, &pair.full, Some(&pair.ins), false)
-                        .unwrap();
-                    black_box(up);
+                    black_box(incremental(&mut solver, &pair.reduced, Some(&pair.del)));
+                    black_box(incremental(&mut solver, &pair.full, Some(&pair.ins)));
                 });
             });
 

@@ -29,8 +29,9 @@ use rpq_bench::workloads::{
     chain_db_of_size, flow_db_of_size, local_db_of_size, one_dangling_db_of_size,
 };
 use rpq_graphdb::GraphDb;
-use rpq_resilience::engine::Engine;
-use rpq_resilience::router::{RouteBudget, Router};
+use rpq_resilience::engine::{Engine, SolveCall};
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::RouteBudget;
 use rpq_resilience::rpq::{ResilienceValue, Rpq};
 
 /// The budget sweep, in microseconds: from far below any planned cost to
@@ -58,21 +59,24 @@ fn corpus() -> Vec<(&'static str, &'static str, Vec<GraphDb>)> {
 
 fn bench_router(c: &mut Criterion) {
     let engine = Engine::new();
-    let router = Router::new();
     let corpus = corpus();
+    let value_only = |budget_us| SolveCall {
+        budget: RouteBudget::with_cost_budget_us(budget_us),
+        ..SolveCall::new(false)
+    };
 
     // Decision quality across the sweep: certified sandwich asserted on
     // every degraded answer, then summarized per budget.
     println!("router decision quality ({} solves per budget):", corpus.len() * SIZES.len());
     println!("  budget_us  exact_rate  degraded_rate  mean_rel_width");
     for budget_us in BUDGETS_US {
-        let budget = RouteBudget::with_cost_budget_us(budget_us);
+        let call = value_only(budget_us);
         let (mut exact, mut degraded, mut widths) = (0u32, 0u32, Vec::new());
         for (name, pattern, dbs) in &corpus {
             let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
             for db in dbs {
                 let truth = prepared.solve(db).unwrap().value;
-                let tiered = prepared.route_with_cut(db, false, &budget, &router).unwrap();
+                let tiered = prepared.route(db, &call, &mut Trace::disabled()).unwrap();
                 if tiered.degraded {
                     degraded += 1;
                 } else {
@@ -117,11 +121,10 @@ fn bench_router(c: &mut Criterion) {
         let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
         let db = &dbs[1]; // the 512-fact step
         for budget_us in BUDGETS_US {
-            let budget = RouteBudget::with_cost_budget_us(budget_us);
             group.bench_with_input(
                 BenchmarkId::new(format!("route_{name}"), budget_us),
-                &budget,
-                |b, budget| b.iter(|| prepared.route_with_cut(db, false, budget, &router)),
+                &value_only(budget_us),
+                |b, call| b.iter(|| prepared.route(db, call, &mut Trace::disabled())),
             );
         }
     }
@@ -133,12 +136,13 @@ fn bench_router(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
     let db = flow_db_of_size(512);
+    let unlimited = SolveCall::new(true);
     assert_eq!(
-        prepared.route(&db, &RouteBudget::UNLIMITED).unwrap().outcome,
+        prepared.route(&db, &unlimited, &mut Trace::disabled()).unwrap().outcome,
         prepared.solve(&db).unwrap()
     );
     group.bench_function("overhead/route_unlimited", |b| {
-        b.iter(|| prepared.route(&db, &RouteBudget::UNLIMITED))
+        b.iter(|| prepared.route(&db, &unlimited, &mut Trace::disabled()))
     });
     group.bench_function("overhead/solve_direct", |b| b.iter(|| prepared.solve(&db)));
     group.finish();

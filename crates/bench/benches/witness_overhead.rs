@@ -6,7 +6,8 @@
 //! the κ / negative-credit accounting (and, for mirrored decompositions,
 //! through the database reversal). This benchmark measures what that costs:
 //! the same prepared plan solves the same batch with
-//! `PreparedQuery::solve_with_cut(db, true)` and `(db, false)`, so the delta
+//! `PreparedQuery::solve_with_cut_traced(db, true, …)` and `(db, false, …)`
+//! under a disabled trace, so the delta
 //! is purely the per-database witness work. One group per tractable family,
 //! with the mirrored one-dangling orientation measured separately (it adds a
 //! database reversal per solve).
@@ -19,6 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rpq_bench::batch_dbs;
 use rpq_graphdb::GraphDb;
 use rpq_resilience::engine::Engine;
+use rpq_resilience::obs::Trace;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
 
@@ -51,8 +53,9 @@ fn witness_overhead_benchmarks(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, BATCH_SIZE), &dbs, |b, dbs| {
                 b.iter(|| {
                     for db in dbs {
-                        let outcome =
-                            prepared.solve_with_cut(db, want_cut).expect("tractable workload");
+                        let outcome = prepared
+                            .solve_with_cut_traced(db, want_cut, &mut Trace::disabled())
+                            .expect("tractable workload");
                         debug_assert_eq!(outcome.contingency_set.is_some(), want_cut);
                         black_box(outcome);
                     }

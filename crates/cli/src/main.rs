@@ -40,9 +40,10 @@ use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::{text, GraphDb};
 use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_resilience::classify::{classify, figure1_rows};
-use rpq_resilience::engine::{Engine, SolveOptions};
+use rpq_resilience::engine::{Engine, SolveCall, SolveOptions};
 use rpq_resilience::gadgets::families::find_gadget;
-use rpq_resilience::router::{RouteBudget, Router, TieredOutcome};
+use rpq_resilience::obs::Trace;
+use rpq_resilience::router::{RouteBudget, TieredOutcome};
 use rpq_resilience::rpq::Rpq;
 use rpq_server::{
     run_pipe, Client, Json, QuerySpec, Request, Server, ServerConfig, ServerState, SnapshotSel,
@@ -295,12 +296,12 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
             }
         }
     };
-    let router = Router::new();
+    let call = SolveCall { budget, ..SolveCall::new(options.want_cut) };
     if jobs > 1 {
         // `--jobs n`: load everything, solve the whole batch on scoped
         // threads, then print in file order.
         let dbs = paths.iter().map(|path| load_database(path)).collect::<Result<Vec<_>, _>>()?;
-        let outcomes = prepared.route_batch_parallel(&dbs, jobs, &budget, &router);
+        let outcomes = prepared.route_batch(&dbs, jobs, &call, &mut Trace::disabled());
         for ((path, db), outcome) in paths.iter().zip(&dbs).zip(outcomes) {
             report(path, db, &outcome.map_err(|e| e.to_string())?);
         }
@@ -309,9 +310,8 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
         // solved (earlier results survive a later file failing to load).
         for path in paths {
             let db = load_database(path)?;
-            let tiered = prepared
-                .route_with_cut(&db, options.want_cut, &budget, &router)
-                .map_err(|e| e.to_string())?;
+            let tiered =
+                prepared.route(&db, &call, &mut Trace::disabled()).map_err(|e| e.to_string())?;
             report(path, &db, &tiered);
         }
     }

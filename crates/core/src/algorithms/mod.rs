@@ -18,19 +18,20 @@
 //!    [`crate::engine::PreparedQuery`]; its
 //!    [`plan()`](crate::engine::PreparedQuery::plan) report says which
 //!    algorithm will run and why.
-//! 2. **Solve (per database, many times).**
-//!    [`crate::engine::PreparedQuery::solve`] (or
-//!    [`solve_batch`](crate::engine::PreparedQuery::solve_batch)) performs
-//!    only the per-database half of the chosen reduction: building and
-//!    cutting one flow network with the configured
-//!    [`rpq_flow::FlowAlgorithm`], or running the exact / approximate
-//!    solvers. Batch workloads over a fixed query never reclassify. All
-//!    three flow-based reductions also extract an **optimal contingency
-//!    set** from their minimum cut (for the one-dangling rewriting, by
-//!    mapping cut edges of the rewritten instance back to original facts);
-//!    value-only callers skip the extraction via `SolveOptions::want_cut`
-//!    or the per-call
-//!    [`solve_with_cut`](crate::engine::PreparedQuery::solve_with_cut).
+//! 2. **Solve (per database, many times).** One entry point per shape —
+//!    [`route`](crate::engine::PreparedQuery::route) for one database,
+//!    [`route_batch`](crate::engine::PreparedQuery::route_batch) for many,
+//!    [`route_incremental`](crate::engine::PreparedQuery::route_incremental)
+//!    for successive snapshots, each taking one
+//!    [`SolveCall`](crate::engine::SolveCall) — performs only the
+//!    per-database half of the chosen reduction: building and cutting one
+//!    flow network with the configured [`rpq_flow::FlowAlgorithm`], or
+//!    running the exact / approximate solvers. Batch workloads over a fixed
+//!    query never reclassify. All three flow-based reductions also extract
+//!    an **optimal contingency set** from their minimum cut (for the
+//!    one-dangling rewriting, by mapping cut edges of the rewritten instance
+//!    back to original facts); value-only callers skip the extraction via
+//!    `SolveOptions::want_cut` or the per-call `SolveCall::want_cut`.
 //!
 //! # Scratch reuse across solves
 //!
@@ -46,25 +47,25 @@
 //!
 //! The scratch's lifetime is tied to the prepared plan: every
 //! [`crate::engine::PreparedQuery`] owns a pool of `SolveScratch` buffers,
-//! checked out once per [`solve`](crate::engine::PreparedQuery::solve) call
+//! checked out once per [`route`](crate::engine::PreparedQuery::route) call
 //! (or once per worker thread in
-//! [`solve_batch_parallel`](crate::engine::PreparedQuery::solve_batch_parallel),
-//! where each chunk reuses one scratch across all its databases). After a
-//! warm-up solve sizes the buffers, a batch over same-shaped databases
-//! performs **zero** further allocations in the flow core — the engine's
-//! tests assert this via [`SolveScratch::capacity_signature`].
+//! [`route_batch`](crate::engine::PreparedQuery::route_batch), where each
+//! chunk reuses one scratch across all its databases). After a warm-up solve
+//! sizes the buffers, a batch over same-shaped databases performs **zero**
+//! further allocations in the flow core — the engine's tests assert this via
+//! [`SolveScratch::capacity_signature`].
 //!
 //! **The engine is the single entry point for computing resilience.** The
-//! CLI, the integration tests, and the benchmarks all go through it — either
-//! directly or via the thin compatibility wrappers [`solve`] (automatic
-//! backend choice) and [`solve_with`] (explicit backend, including the exact
-//! oracles of [`crate::exact`] and the certified approximations of
-//! [`crate::approx`], see [`Algorithm`]), which delegate to a default
-//! [`crate::engine::Engine`]. The per-module functions are implementation
-//! details: call them directly only from the engine and from their own unit
-//! tests, so every consumer benefits from dispatch-level invariants
-//! (ε-handling, infix-free reduction, outcome normalization) and backends can
-//! be swapped without touching call sites.
+//! CLI, the server, the integration tests and the benchmarks all go through
+//! it: [`Engine::solve`](crate::engine::Engine::solve) for automatic backend
+//! choice, [`Engine::solve_with`](crate::engine::Engine::solve_with) for an
+//! explicit backend (including the exact oracles of [`crate::exact`] and the
+//! certified approximations of [`crate::approx`], see [`Algorithm`]), or a
+//! prepared plan for repeated solves. The per-module functions are
+//! implementation details: call them directly only from the engine and from
+//! their own unit tests, so every consumer benefits from dispatch-level
+//! invariants (ε-handling, infix-free reduction, outcome normalization) and
+//! backends can be swapped without touching call sites.
 
 pub mod chain;
 pub(crate) mod incremental;
@@ -72,11 +73,10 @@ pub mod local;
 pub mod one_dangling;
 
 use crate::approx::{ApproxError, ApproximateResilience};
-use crate::engine::Engine;
-use crate::rpq::{ResilienceValue, Rpq};
+use crate::rpq::ResilienceValue;
 use rpq_automata::AutomataError;
 use rpq_flow::{CsrFlow, FlowScratch};
-use rpq_graphdb::{FactId, GraphDb};
+use rpq_graphdb::FactId;
 use std::fmt;
 
 /// Reusable per-solve buffers of the flow-based reductions (see the
@@ -114,7 +114,7 @@ pub struct SolveScratch {
     /// merged by ε-contraction share a slot.
     pub(crate) node_slot: Vec<u8>,
     /// Retained network + flow of the incremental local solver (`None` until
-    /// a [`crate::engine::PreparedQuery::solve_incremental`] call builds it).
+    /// a [`crate::engine::PreparedQuery::route_incremental`] call builds it).
     /// Boxed so plain solves don't pay for it; **plain solves clobber the
     /// `csr` arena this state describes**, which is why incremental solves
     /// run on a dedicated [`crate::engine::IncrementalSolver`]-owned scratch
@@ -244,7 +244,8 @@ impl Algorithm {
         Algorithm::TrivialBounds,
     ];
 
-    /// The stable command-line name of the backend (see [`Algorithm::from_str`]).
+    /// The stable command-line name of the backend (parsed back by the
+    /// [`FromStr`](std::str::FromStr) impl).
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Local => "local",
@@ -367,36 +368,6 @@ impl ResilienceOutcome {
     }
 }
 
-/// Computes the resilience of `rpq` on `db`, picking the best applicable
-/// algorithm for the query's infix-free sublanguage:
-///
-/// 1. `IF(L)` local → [`local`] (Theorem 3.13);
-/// 2. `IF(L)` a bipartite chain language → [`chain`] (Proposition 7.6);
-/// 3. `IF(L)` one-dangling → [`one_dangling`] (Proposition 7.9);
-/// 4. otherwise → exponential exact branch and bound (the problem is NP-hard
-///    for every language known to escape 1–3, see Sections 4–6).
-///
-/// This is a thin compatibility wrapper over a default
-/// [`Engine`](crate::engine::Engine): batch workloads should call
-/// [`Engine::prepare`](crate::engine::Engine::prepare) once and reuse the
-/// [`PreparedQuery`](crate::engine::PreparedQuery) instead.
-pub fn solve(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
-    Engine::new().solve(rpq, db)
-}
-
-/// Computes the resilience with an explicitly chosen algorithm, failing with
-/// [`ResilienceError::NotApplicable`] when the language does not qualify.
-///
-/// Thin compatibility wrapper over a default [`Engine`](crate::engine::Engine)
-/// (see [`solve`]).
-pub fn solve_with(
-    algorithm: Algorithm,
-    rpq: &Rpq,
-    db: &GraphDb,
-) -> Result<ResilienceOutcome, ResilienceError> {
-    Engine::new().solve_with(algorithm, rpq, db)
-}
-
 /// Lifts an approximation result into the engine's outcome type: cases where
 /// the resilience is provably `+∞` (ε ∈ L, or a match made of exogenous facts
 /// only) become regular infinite outcomes, and only a genuinely inapplicable
@@ -417,40 +388,36 @@ pub(crate) fn normalize_approximation(
     }
 }
 
-/// Computes the resilience of the mirror query on the mirror database
-/// (Proposition 6.3): the value always equals `solve(rpq, db)`.
-pub fn solve_mirrored(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
-    solve(&rpq.mirror(), &db.reversed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::rpq::Rpq;
     use rpq_automata::Word;
     use rpq_graphdb::generate::word_path;
 
     #[test]
     fn dispatcher_picks_the_right_algorithm() {
         let db = word_path(&Word::from_str_word("axb"));
-        let out = solve(&Rpq::parse("ax*b").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("ax*b").unwrap(), &db).unwrap();
         assert_eq!(out.algorithm, Algorithm::Local);
 
         let db = word_path(&Word::from_str_word("abc"));
-        let out = solve(&Rpq::parse("ab|bc").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("ab|bc").unwrap(), &db).unwrap();
         assert_eq!(out.algorithm, Algorithm::BipartiteChain);
 
-        let out = solve(&Rpq::parse("abc|be").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("abc|be").unwrap(), &db).unwrap();
         assert_eq!(out.algorithm, Algorithm::OneDangling);
 
         let db = word_path(&Word::from_str_word("aa"));
-        let out = solve(&Rpq::parse("aa").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("aa").unwrap(), &db).unwrap();
         assert_eq!(out.algorithm, Algorithm::ExactBranchAndBound);
     }
 
     #[test]
     fn epsilon_queries_are_infinite() {
         let db = word_path(&Word::from_str_word("ab"));
-        let out = solve(&Rpq::parse("a*").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("a*").unwrap(), &db).unwrap();
         assert!(out.value.is_infinite());
     }
 
@@ -458,7 +425,7 @@ mod tests {
     fn infix_free_reduction_is_applied_by_the_dispatcher() {
         // L = a | aa: IF(L) = a, which is local, even though L itself is not.
         let db = word_path(&Word::from_str_word("aaa"));
-        let out = solve(&Rpq::parse("a|aa").unwrap(), &db).unwrap();
+        let out = Engine::new().solve(&Rpq::parse("a|aa").unwrap(), &db).unwrap();
         assert_eq!(out.algorithm, Algorithm::Local);
         // Every a-fact must go: resilience 3.
         assert_eq!(out.value, ResilienceValue::Finite(3));
@@ -469,8 +436,8 @@ mod tests {
         let db = word_path(&Word::from_str_word("axxb"));
         for pattern in ["ax*b", "ab|bc", "aa", "axb"] {
             let q = Rpq::parse(pattern).unwrap();
-            let direct = solve(&q, &db).unwrap().value;
-            let mirrored = solve_mirrored(&q, &db).unwrap().value;
+            let direct = Engine::new().solve(&q, &db).unwrap().value;
+            let mirrored = Engine::new().solve(&q.mirror(), &db.reversed()).unwrap().value;
             assert_eq!(direct, mirrored, "{pattern}");
         }
     }
@@ -480,19 +447,19 @@ mod tests {
         let db = word_path(&Word::from_str_word("aa"));
         let q = Rpq::parse("aa").unwrap();
         assert!(matches!(
-            solve_with(Algorithm::Local, &q, &db),
+            Engine::new().solve_with(Algorithm::Local, &q, &db),
             Err(ResilienceError::NotApplicable { .. })
         ));
         assert!(matches!(
-            solve_with(Algorithm::BipartiteChain, &q, &db),
+            Engine::new().solve_with(Algorithm::BipartiteChain, &q, &db),
             Err(ResilienceError::NotApplicable { .. })
         ));
         assert!(matches!(
-            solve_with(Algorithm::OneDangling, &q, &db),
+            Engine::new().solve_with(Algorithm::OneDangling, &q, &db),
             Err(ResilienceError::NotApplicable { .. })
         ));
-        assert!(solve_with(Algorithm::ExactBranchAndBound, &q, &db).is_ok());
-        let err = solve_with(Algorithm::Local, &q, &db).unwrap_err();
+        assert!(Engine::new().solve_with(Algorithm::ExactBranchAndBound, &q, &db).is_ok());
+        let err = Engine::new().solve_with(Algorithm::Local, &q, &db).unwrap_err();
         assert!(err.to_string().contains("does not apply"));
     }
 
@@ -500,8 +467,8 @@ mod tests {
     fn exact_backends_agree_through_the_dispatcher() {
         let db = word_path(&Word::from_str_word("aaaa"));
         let q = Rpq::parse("aa").unwrap();
-        let bb = solve_with(Algorithm::ExactBranchAndBound, &q, &db).unwrap();
-        let enumerated = solve_with(Algorithm::ExactEnumeration, &q, &db).unwrap();
+        let bb = Engine::new().solve_with(Algorithm::ExactBranchAndBound, &q, &db).unwrap();
+        let enumerated = Engine::new().solve_with(Algorithm::ExactEnumeration, &q, &db).unwrap();
         assert_eq!(bb.value, enumerated.value);
         assert_eq!(enumerated.algorithm, Algorithm::ExactEnumeration);
         assert!(enumerated.contingency_set.is_none());
@@ -512,9 +479,10 @@ mod tests {
     fn approximation_backends_report_certified_bounds() {
         let db = word_path(&Word::from_str_word("aaaa"));
         let q = Rpq::parse("aa").unwrap();
-        let exact = solve_with(Algorithm::ExactBranchAndBound, &q, &db).unwrap().value;
+        let exact =
+            Engine::new().solve_with(Algorithm::ExactBranchAndBound, &q, &db).unwrap().value;
         for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            let out = solve_with(algorithm, &q, &db).unwrap();
+            let out = Engine::new().solve_with(algorithm, &q, &db).unwrap();
             let (lower, upper) = out.bounds.expect("approximations certify bounds");
             assert_eq!(out.value, ResilienceValue::Finite(upper));
             let exact = exact.finite().unwrap();
@@ -529,7 +497,7 @@ mod tests {
         // ε ∈ L: the resilience is +∞, not an error.
         let q = Rpq::parse("a*").unwrap();
         for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            assert!(solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
+            assert!(Engine::new().solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
         }
         // Every matched fact exogenous: also +∞.
         let mut db = word_path(&Word::from_str_word("aa"));
@@ -538,13 +506,13 @@ mod tests {
         }
         let q = Rpq::parse("aa").unwrap();
         for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            assert!(solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
+            assert!(Engine::new().solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
         }
         // An infinite language stays genuinely inapplicable.
         let q = Rpq::parse("ax*b").unwrap();
         for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
             assert!(matches!(
-                solve_with(algorithm, &q, &db),
+                Engine::new().solve_with(algorithm, &q, &db),
                 Err(ResilienceError::NotApplicable { .. })
             ));
         }

@@ -13,7 +13,7 @@
 //!   must be hit separately), and removing *all* facts of those matches gives
 //!   an upper bound within a factor `k`, the maximum word length of the
 //!   (infix-free) language. This mirrors the classical LP-duality argument
-//!   used in the ILP/LP line of work on resilience for CQs [30].
+//!   used in the ILP/LP line of work on resilience for CQs \[30\].
 //!
 //! Both are only used for finite languages (where matches can be enumerated)
 //! and report certified lower and upper bounds.

@@ -5,11 +5,11 @@
 //! ε-check, the locality test and its RO-εNFA, the finiteness / bipartite
 //! chain analysis, the one-dangling decomposition — that is independent of
 //! the database. [`Engine::prepare`] runs that analysis exactly once and
-//! caches the result in a [`PreparedQuery`]; [`PreparedQuery::solve`] and
-//! [`PreparedQuery::solve_batch`] then only perform the per-database half of
-//! the chosen reduction (building and cutting one flow network, or running
-//! the exact/approximate solvers). Server-style workloads that evaluate one
-//! query over many databases skip all reclassification:
+//! caches the result in a [`PreparedQuery`], whose solves then only perform
+//! the per-database half of the chosen reduction (building and cutting one
+//! flow network, or running the exact/approximate solvers). Server-style
+//! workloads that evaluate one query over many databases skip all
+//! reclassification:
 //!
 //! ```
 //! use rpq_resilience::engine::Engine;
@@ -28,15 +28,20 @@
 //! assert_eq!(outcome.value.finite(), Some(1));
 //! ```
 //!
+//! Every solve is routed (see [`crate::router`]), and there is one entry
+//! point per shape, each taking the per-call values as one [`SolveCall`]:
+//! [`PreparedQuery::route`] (one database), [`PreparedQuery::route_batch`]
+//! (many databases on worker threads) and [`PreparedQuery::route_incremental`]
+//! (successive snapshots of one database). [`PreparedQuery::solve`] and
+//! [`PreparedQuery::solve_with_cut_traced`] are unbudgeted shorthands for
+//! `route`, and [`Engine::solve`] / [`Engine::solve_with`] prepare and solve
+//! in one call.
+//!
 //! [`SolveOptions`] configures the engine: every MinCut backend of
 //! [`rpq_flow`] ([`FlowAlgorithm`]) is selectable end to end, the exponential
 //! exact fallback can be disabled for latency-sensitive callers, the
 //! subset-enumeration oracle gets a typed size limit, and contingency-set
 //! extraction can be switched off when only the value is needed.
-//!
-//! The legacy entry points [`crate::algorithms::solve`] and
-//! [`crate::algorithms::solve_with`] are thin wrappers over a default
-//! `Engine` and return identical outcomes.
 
 use crate::algorithms::chain::ChainPlan;
 use crate::algorithms::one_dangling::OneDanglingPlan;
@@ -226,7 +231,7 @@ impl ScratchPool {
     }
 }
 
-/// How a [`PreparedQuery::solve_incremental`] call was satisfied: by patching
+/// How a [`PreparedQuery::route_incremental`] call was satisfied: by patching
 /// the retained flow network of the previous snapshot, or by a full
 /// per-database build (first solve, unsupported plan family, oversized or
 /// missing delta, fallback guards). Surfaced so callers — the store's
@@ -236,11 +241,11 @@ pub enum SolveMode {
     /// The retained network was patched and the min-cut warm-started.
     Incremental,
     /// The solve rebuilt from the database (equivalent to a fresh
-    /// [`PreparedQuery::solve`]).
+    /// [`PreparedQuery::route`]), or degraded to a cheaper certified tier.
     Full,
 }
 
-/// Drives [`PreparedQuery::solve_incremental`]: owns the [`SolveScratch`]
+/// Drives [`PreparedQuery::route_incremental`]: owns the [`SolveScratch`]
 /// whose retained flow network survives between solves. A dedicated owner —
 /// rather than the plan's pool — because pooled scratches are clobbered by
 /// ordinary solves, which would silently invalidate the retained per-edge
@@ -266,6 +271,34 @@ impl IncrementalSolver {
     /// incremental resume; tests call this between churn rounds.
     pub fn check_consistency(&self) -> Result<(), String> {
         crate::algorithms::incremental::check_consistency(&self.scratch)
+    }
+}
+
+/// The per-call inputs shared by every solve shape ([`PreparedQuery::route`],
+/// [`PreparedQuery::route_batch`], [`PreparedQuery::route_incremental`]).
+/// Whether a witness is wanted is a per-call flag, not a plan input: one
+/// cached `PreparedQuery` serves value-only and with-cut callers alike (the
+/// server's query cache relies on this to keep one entry per language).
+#[derive(Debug, Clone, Copy)]
+pub struct SolveCall<'r> {
+    /// Whether to extract an optimal contingency set (when the answering
+    /// backend can produce one), overriding [`SolveOptions::want_cut`].
+    pub want_cut: bool,
+    /// The caller's deadline / cost budget.
+    pub budget: RouteBudget,
+    /// The router resolving the budget (the server's carries an overload
+    /// probe that tightens it while the ready queue is deep).
+    pub router: &'r Router,
+}
+
+/// The router of [`SolveCall::new`]: budgets pass through untightened.
+static SHED_FREE: Router = Router::new();
+
+impl SolveCall<'static> {
+    /// An unbudgeted call through a shed-free router: the planned backend
+    /// always runs.
+    pub fn new(want_cut: bool) -> SolveCall<'static> {
+        SolveCall { want_cut, budget: RouteBudget::UNLIMITED, router: &SHED_FREE }
     }
 }
 
@@ -313,7 +346,7 @@ impl Engine {
 
     /// Runs the full query-only analysis and caches the resulting plan.
     /// Picks the best applicable algorithm for the query's infix-free
-    /// sublanguage, in the same order as the legacy `algorithms::solve`:
+    /// sublanguage, in this order:
     ///
     /// 1. `ε ∈ IF(L)` → the resilience is `+∞` on every database;
     /// 2. `IF(L)` local → Theorem 3.13;
@@ -422,8 +455,7 @@ impl Engine {
     }
 
     /// Prepares a query with an explicitly chosen algorithm, failing with
-    /// [`ResilienceError::NotApplicable`] when the language does not qualify
-    /// (mirrors the legacy `algorithms::solve_with`).
+    /// [`ResilienceError::NotApplicable`] when the language does not qualify.
     pub fn prepare_with(
         &self,
         algorithm: Algorithm,
@@ -475,7 +507,8 @@ impl Engine {
     }
 
     /// Prepares and solves in one call (one-shot convenience; prefer
-    /// [`Engine::prepare`] + [`PreparedQuery::solve`] for batch workloads).
+    /// [`Engine::prepare`] + [`PreparedQuery::route_batch`] for batch
+    /// workloads).
     pub fn solve(&self, rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
         self.prepare(rpq)?.solve(db)
     }
@@ -507,109 +540,177 @@ impl PreparedQuery {
         &self.report
     }
 
-    /// Solves one database using the cached plan: no language analysis is
-    /// re-derived. Returns outcomes identical to the legacy
-    /// `algorithms::solve` / `solve_with` on the same query and database.
+    /// Solves one database using the cached plan, with the plan's default
+    /// contingency-set choice ([`SolveOptions::want_cut`]) and no budget: no
+    /// language analysis is re-derived. Returns outcomes identical to
+    /// [`Engine::solve`] on the same query and database.
     pub fn solve(&self, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
-        self.solve_with_cut(db, self.options.want_cut)
+        self.solve_with_cut_traced(db, self.options.want_cut, &mut Trace::disabled())
     }
 
-    /// Solves one database with an explicit per-call choice of contingency-set
-    /// extraction, overriding [`SolveOptions::want_cut`]. Whether a witness is
-    /// wanted is a solve-time flag, not a plan input: one cached
-    /// `PreparedQuery` serves both value-only and with-cut callers (the
-    /// server's `QueryCache` relies on this to keep one entry per language).
-    pub fn solve_with_cut(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-    ) -> Result<ResilienceOutcome, ResilienceError> {
-        self.solve_with_cut_traced(db, want_cut, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::solve_with_cut`] with phase tracing: when `trace` is
-    /// enabled the solve records per-phase spans (`product_build`,
-    /// `csr_freeze`, the flow backend, `cut_extract`, `witness_extract`, …).
-    /// A disabled trace skips every clock read, making this identical to
-    /// [`PreparedQuery::solve_with_cut`].
+    /// [`PreparedQuery::solve`] with an explicit per-call contingency-set
+    /// choice and phase tracing: when `trace` is enabled the solve records
+    /// per-phase spans (`product_build`, `csr_freeze`, the flow backend,
+    /// `cut_extract`, `witness_extract`, …); a disabled trace skips every
+    /// clock read. Shorthand for [`PreparedQuery::route`] with
+    /// [`SolveCall::new`].
     pub fn solve_with_cut_traced(
         &self,
         db: &GraphDb,
         want_cut: bool,
         trace: &mut Trace,
     ) -> Result<ResilienceOutcome, ResilienceError> {
-        // Every solve dispatches through the router; an unlimited budget
-        // always runs the planned backend, so the answer is bit-identical
-        // to pre-router behavior.
-        self.route_with_cut_traced(db, want_cut, &RouteBudget::UNLIMITED, &Router::new(), trace)
-            .map(|tiered| tiered.outcome)
+        self.route(db, &SolveCall::new(want_cut), trace).map(|tiered| tiered.outcome)
     }
 
-    /// Routes one solve under the caller's [`RouteBudget`] with the plan's
-    /// default contingency-set choice and a shed-free [`Router`]: the planned
-    /// backend runs when its projected cost fits (bit-identical to
-    /// [`PreparedQuery::solve`]); otherwise the router degrades to a cheaper
-    /// *certified* tier instead of blowing the budget (see [`crate::router`]).
+    /// Routes one solve under `call`'s budget and router: the planned backend
+    /// runs when its projected cost fits (an unlimited budget always fits, so
+    /// the answer is bit-identical to [`PreparedQuery::solve`]); otherwise
+    /// the router degrades to a cheaper *certified* tier instead of blowing
+    /// the budget (see [`crate::router`]).
     pub fn route(
         &self,
         db: &GraphDb,
-        budget: &RouteBudget,
-    ) -> Result<TieredOutcome, ResilienceError> {
-        self.route_with_cut(db, self.options.want_cut, budget, &Router::new())
-    }
-
-    /// [`PreparedQuery::route`] with explicit contingency-set choice and
-    /// router (the server threads its overload-probing router through here).
-    pub fn route_with_cut(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<TieredOutcome, ResilienceError> {
-        self.route_with_cut_traced(db, want_cut, budget, router, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::route_with_cut`] with phase tracing.
-    pub fn route_with_cut_traced(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
+        call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<TieredOutcome, ResilienceError> {
         let mut scratch = self.scratch.take();
-        let result = self.route_using(db, want_cut, budget, router, &mut scratch, trace);
+        let result = self.route_using(db, call, &mut scratch, trace);
         self.scratch.put(scratch);
         result
     }
 
-    /// The routing core every solve entry point funnels through: projects the
-    /// planned backend's cost onto `db`, resolves the effective budget
-    /// (overload shedding included), and either runs the plan or degrades
-    /// down the certified ladder (greedy bounds, then trivial bounds). Never
-    /// refuses: a budget too small for any solver still gets the linear-time
-    /// trivial sandwich.
+    /// Routes every database of a batch with up to `jobs` worker threads,
+    /// returning results in database order. Each database gets its own
+    /// result, cost projection and (if needed) certified degradation, so one
+    /// failing or oversized database does not drag its siblings down.
+    ///
+    /// The per-database work of every strategy is read-only with respect to
+    /// the plan (`PreparedQuery` is `Send + Sync`), so the batch splits into
+    /// contiguous chunks solved on scoped threads; `jobs <= 1` (or a single
+    /// database) solves sequentially. Each worker checks one scratch out of
+    /// the plan's pool for its whole chunk, so after the first (warm-up)
+    /// database the flow core allocates nothing. The router is shared across
+    /// workers, so an overload probe tightens every in-flight chunk as soon
+    /// as it trips. Each worker records into its own trace, merged into
+    /// `trace` after the batch: with more than one job the phase totals are
+    /// summed CPU time across workers (they can exceed the wall-clock).
+    pub fn route_batch(
+        &self,
+        dbs: &[GraphDb],
+        jobs: usize,
+        call: &SolveCall,
+        trace: &mut Trace,
+    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
+        let jobs = jobs.max(1).min(dbs.len().max(1));
+        if jobs <= 1 {
+            let mut scratch = self.scratch.take();
+            let results =
+                dbs.iter().map(|db| self.route_using(db, call, &mut scratch, trace)).collect();
+            self.scratch.put(scratch);
+            return results;
+        }
+        let chunk_size = dbs.len().div_ceil(jobs);
+        let num_chunks = dbs.len().div_ceil(chunk_size);
+        let mut worker_traces: Vec<Trace> = (0..num_chunks)
+            .map(|_| if trace.is_enabled() { Trace::enabled() } else { Trace::disabled() })
+            .collect();
+        let mut results: Vec<Option<Result<TieredOutcome, ResilienceError>>> =
+            (0..dbs.len()).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            for ((db_chunk, out_chunk), worker_trace) in dbs
+                .chunks(chunk_size)
+                .zip(results.chunks_mut(chunk_size))
+                .zip(worker_traces.iter_mut())
+            {
+                scope.spawn(move || {
+                    let mut scratch = self.scratch.take();
+                    for (db, out) in db_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *out = Some(self.route_using(db, call, &mut scratch, worker_trace));
+                    }
+                    self.scratch.put(scratch);
+                });
+            }
+        });
+        for worker_trace in &worker_traces {
+            trace.merge(worker_trace);
+        }
+        // lint: allow(panic-freedom, the scoped workers above fill every chunk slot before joining)
+        results.into_iter().map(|r| r.expect("every chunk slot is filled")).collect()
+    }
+
+    /// Routes `db` — the materialization of the *current* snapshot — reusing
+    /// the flow network and maximum flow the `solver` retained from the
+    /// previous snapshot when possible.
+    ///
+    /// `delta` is the fact-change log between the previously solved snapshot
+    /// and this one (`None` when unknown, e.g. on the first solve or after a
+    /// snapshot rollback). When the plan is the Theorem 3.13 local reduction
+    /// and the delta is small relative to the database, the solve applies the
+    /// changes as edge-capacity patches and warm-starts the min-cut from the
+    /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
+    /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
+    /// Outcomes always match a fresh [`PreparedQuery::route`] of the same
+    /// database. The patch path records `patch_apply` / `rebuild`,
+    /// `csr_freeze`, `flow_resume` and `witness_extract` spans.
+    ///
+    /// The budget projection is the *full-build* cost of the planned backend
+    /// — an upper bound on the warm-start cost, so a fitting estimate never
+    /// risks the deadline. When the estimate does not fit, the solve degrades
+    /// down the certified ladder **without touching the solver's retained
+    /// state**: a later unlimited solve still warm-starts from the last full
+    /// answer.
+    pub fn route_incremental(
+        &self,
+        solver: &mut IncrementalSolver,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        call: &SolveCall,
+        trace: &mut Trace,
+    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
+        self.route_or_degrade(db, call, trace, |trace| {
+            self.solve_incremental_using(solver, db, delta, call.want_cut, trace)
+        })
+    }
+
+    /// [`PreparedQuery::route`] over an explicit scratch, so batch workers
+    /// reuse one warm scratch across all their databases.
     fn route_using(
         &self,
         db: &GraphDb,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
+        call: &SolveCall,
         scratch: &mut SolveScratch,
         trace: &mut Trace,
     ) -> Result<TieredOutcome, ResilienceError> {
+        self.route_or_degrade(db, call, trace, |trace| {
+            Ok((self.solve_using(db, call.want_cut, scratch, trace)?, SolveMode::Full))
+        })
+        .map(|(tiered, _)| tiered)
+    }
+
+    /// The routing core every solve shape funnels through: projects the
+    /// planned backend's cost onto `db`, resolves the effective budget
+    /// (overload shedding included), and either runs the plan (`run`) or
+    /// degrades down the certified ladder (greedy bounds, then trivial
+    /// bounds). Never refuses: a budget too small for any solver still gets
+    /// the linear-time trivial sandwich.
+    fn route_or_degrade(
+        &self,
+        db: &GraphDb,
+        call: &SolveCall,
+        trace: &mut Trace,
+        run: impl FnOnce(&mut Trace) -> Result<(ResilienceOutcome, SolveMode), ResilienceError>,
+    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
         let planned = self.report.algorithm;
         // ε ∈ IF(L) plans answer in constant time whatever the model says.
         let estimated = match &self.strategy {
             Strategy::EpsilonInfinite { .. } => 0,
             _ => self.report.cost.estimate_us_for(db),
         };
-        let (limit, shed) = router.effective_limit_us(budget);
+        let (limit, shed) = call.router.effective_limit_us(&call.budget);
         let fits = limit.is_none_or(|l| estimated <= l);
         if fits {
-            let outcome = self.solve_with_cut_using(db, want_cut, scratch, trace)?;
+            let (outcome, mode) = run(trace)?;
             let reason = match limit {
                 None => "no deadline or cost budget: planned backend ran".to_string(),
                 Some(l) => format!(
@@ -617,7 +718,7 @@ impl PreparedQuery {
                     if shed { " (overload-shed)" } else { "" }
                 ),
             };
-            return Ok(TieredOutcome {
+            let tiered = TieredOutcome {
                 tier: outcome.algorithm.tier(),
                 outcome,
                 planned,
@@ -625,18 +726,19 @@ impl PreparedQuery {
                 shed,
                 reason,
                 estimated_cost_us: estimated,
-            });
+            };
+            return Ok((tiered, mode));
         }
         // lint: allow(panic-freedom, !fits implies the limit is present)
         let limit_us = limit.expect("a budget the estimate exceeds must be finite");
-        Ok(self.degrade_using(db, want_cut, limit_us, shed, estimated, trace))
+        Ok((self.degrade(db, call.want_cut, limit_us, shed, estimated, trace), SolveMode::Full))
     }
 
-    /// The certified degradation ladder shared by the single-solve, batch and
-    /// incremental routes: the greedy `O(log m)` bounds when the language is
-    /// finite and the approximation itself fits, else the always-applicable
-    /// linear-time trivial sandwich. Infallible — the router never refuses.
-    fn degrade_using(
+    /// The certified degradation ladder of [`PreparedQuery::route_or_degrade`]:
+    /// the greedy `O(log m)` bounds when the language is finite and the
+    /// approximation itself fits, else the always-applicable linear-time
+    /// trivial sandwich. Infallible — the router never refuses.
+    fn degrade(
         &self,
         db: &GraphDb,
         want_cut: bool,
@@ -700,11 +802,9 @@ impl PreparedQuery {
         }
     }
 
-    /// [`PreparedQuery::solve_with_cut`] over an explicit scratch, so batch
-    /// paths (and each worker thread of a parallel batch) can reuse one warm
-    /// scratch across all their databases instead of round-tripping the pool
-    /// per solve.
-    fn solve_with_cut_using(
+    /// Runs the planned backend on one database over an explicit scratch:
+    /// the per-database half of the chosen reduction, with no routing.
+    fn solve_using(
         &self,
         db: &GraphDb,
         want_cut: bool,
@@ -799,311 +899,6 @@ impl PreparedQuery {
         }
     }
 
-    /// Solves every database of a batch with the cached plan, in order. Each
-    /// database gets its own result; one failure does not abort the batch.
-    /// One scratch is checked out for the whole batch, so after the first
-    /// (warm-up) database the flow core allocates nothing.
-    pub fn solve_batch(&self, dbs: &[GraphDb]) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.route_batch(dbs, &RouteBudget::UNLIMITED, &Router::new())
-            .into_iter()
-            .map(|r| r.map(|tiered| tiered.outcome))
-            .collect()
-    }
-
-    /// [`PreparedQuery::solve_batch`] under a [`RouteBudget`]: the budget is
-    /// applied to every database of the batch independently (each database
-    /// gets its own cost projection and, if needed, its own certified
-    /// degradation), so one oversized database degrades without dragging its
-    /// siblings down a tier.
-    pub fn route_batch(
-        &self,
-        dbs: &[GraphDb],
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        let mut scratch = self.scratch.take();
-        let mut trace = Trace::disabled();
-        let results = dbs
-            .iter()
-            .map(|db| {
-                self.route_using(
-                    db,
-                    self.options.want_cut,
-                    budget,
-                    router,
-                    &mut scratch,
-                    &mut trace,
-                )
-            })
-            .collect();
-        self.scratch.put(scratch);
-        results
-    }
-
-    /// Solves a batch with up to `jobs` worker threads, returning results in
-    /// database order. The per-database work of every strategy is read-only
-    /// with respect to the plan (`PreparedQuery` is `Send + Sync`), so the
-    /// batch splits into contiguous chunks solved on scoped threads —
-    /// `jobs <= 1` (or a single database) degrades to the sequential
-    /// [`PreparedQuery::solve_batch`]. This is the engine-level half of the
-    /// server's parallel `solve_batch`; wall-clock improves with cores as
-    /// long as the databases are large enough to amortize a thread spawn.
-    pub fn solve_batch_parallel(
-        &self,
-        dbs: &[GraphDb],
-        jobs: usize,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.solve_batch_parallel_with_cut(dbs, self.options.want_cut, jobs)
-    }
-
-    /// [`PreparedQuery::solve_batch_parallel`] with an explicit per-call
-    /// contingency-set choice (see [`PreparedQuery::solve_with_cut`]).
-    pub fn solve_batch_parallel_with_cut(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.solve_batch_parallel_with_cut_traced(dbs, want_cut, jobs, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::solve_batch_parallel_with_cut`] with phase tracing.
-    /// Each worker thread records into its own trace; the per-chunk traces
-    /// are merged into `trace` after the batch, so with more than one job the
-    /// phase totals are summed CPU time across workers (they can exceed the
-    /// batch's wall-clock). A disabled trace skips every clock read.
-    pub fn solve_batch_parallel_with_cut_traced(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-        trace: &mut Trace,
-    ) -> Vec<Result<ResilienceOutcome, ResilienceError>> {
-        self.route_batch_parallel_with_cut_traced(
-            dbs,
-            want_cut,
-            jobs,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .into_iter()
-        .map(|r| r.map(|tiered| tiered.outcome))
-        .collect()
-    }
-
-    /// [`PreparedQuery::route_batch`] with worker threads: the parallel-batch
-    /// core every server `solve_batch` funnels through. The budget applies
-    /// per database (see [`PreparedQuery::route_batch`]); the router is
-    /// shared across workers, so an overload probe tightens every in-flight
-    /// chunk as soon as it trips.
-    pub fn route_batch_parallel(
-        &self,
-        dbs: &[GraphDb],
-        jobs: usize,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        self.route_batch_parallel_with_cut_traced(
-            dbs,
-            self.options.want_cut,
-            jobs,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`PreparedQuery::route_batch_parallel`] with explicit contingency-set
-    /// choice and phase tracing (trace semantics as in
-    /// [`PreparedQuery::solve_batch_parallel_with_cut_traced`]).
-    pub fn route_batch_parallel_with_cut_traced(
-        &self,
-        dbs: &[GraphDb],
-        want_cut: bool,
-        jobs: usize,
-        budget: &RouteBudget,
-        router: &Router,
-        trace: &mut Trace,
-    ) -> Vec<Result<TieredOutcome, ResilienceError>> {
-        let jobs = jobs.max(1).min(dbs.len().max(1));
-        if jobs <= 1 {
-            let mut scratch = self.scratch.take();
-            let results = dbs
-                .iter()
-                .map(|db| self.route_using(db, want_cut, budget, router, &mut scratch, trace))
-                .collect();
-            self.scratch.put(scratch);
-            return results;
-        }
-        let chunk_size = dbs.len().div_ceil(jobs);
-        let num_chunks = dbs.len().div_ceil(chunk_size);
-        let mut worker_traces: Vec<Trace> = (0..num_chunks)
-            .map(|_| if trace.is_enabled() { Trace::enabled() } else { Trace::disabled() })
-            .collect();
-        let mut results: Vec<Option<Result<TieredOutcome, ResilienceError>>> =
-            (0..dbs.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for ((db_chunk, out_chunk), worker_trace) in dbs
-                .chunks(chunk_size)
-                .zip(results.chunks_mut(chunk_size))
-                .zip(worker_traces.iter_mut())
-            {
-                // Each worker checks one scratch out of the plan's pool and
-                // reuses it across every database of its chunk.
-                scope.spawn(move || {
-                    let mut scratch = self.scratch.take();
-                    for (db, out) in db_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(self.route_using(
-                            db,
-                            want_cut,
-                            budget,
-                            router,
-                            &mut scratch,
-                            worker_trace,
-                        ));
-                    }
-                    self.scratch.put(scratch);
-                });
-            }
-        });
-        for worker_trace in &worker_traces {
-            trace.merge(worker_trace);
-        }
-        // lint: allow(panic-freedom, the scoped workers above fill every chunk slot before joining)
-        results.into_iter().map(|r| r.expect("every chunk slot is filled")).collect()
-    }
-
-    /// A fresh [`IncrementalSolver`] for this plan (see
-    /// [`PreparedQuery::solve_incremental`]).
-    pub fn incremental_solver(&self) -> IncrementalSolver {
-        IncrementalSolver::new()
-    }
-
-    /// Solves `db` — the materialization of the *current* snapshot — reusing
-    /// the flow network and maximum flow the `solver` retained from the
-    /// previous snapshot when possible.
-    ///
-    /// `delta` is the fact-change log between the previously solved snapshot
-    /// and this one (`None` when unknown, e.g. on the first solve or after a
-    /// snapshot rollback). When the plan is the Theorem 3.13 local reduction
-    /// and the delta is small relative to the database, the solve applies the
-    /// changes as edge-capacity patches and warm-starts the min-cut from the
-    /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
-    /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
-    /// Outcomes always match a fresh [`PreparedQuery::solve_with_cut`] on the
-    /// same database.
-    pub fn solve_incremental(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
-        self.solve_incremental_traced(solver, db, delta, want_cut, &mut Trace::disabled())
-    }
-
-    /// [`PreparedQuery::solve_incremental`] with phase tracing: the patch
-    /// path records `patch_apply` / `rebuild`, `csr_freeze`, `flow_resume`
-    /// and `witness_extract` spans; fallbacks record the batch-path phases.
-    /// A disabled trace skips every clock read.
-    pub fn solve_incremental_traced(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_traced(
-            solver,
-            db,
-            delta,
-            want_cut,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .map(|(tiered, mode)| (tiered.outcome, mode))
-    }
-
-    /// [`PreparedQuery::solve_incremental`] under a [`RouteBudget`]. The
-    /// projection is the *full-build* cost of the planned backend — an upper
-    /// bound on the warm-start cost, so a fitting estimate never risks the
-    /// deadline. When the estimate does not fit, the solve degrades down the
-    /// certified ladder **without touching the solver's retained state**: a
-    /// later unlimited solve still warm-starts from the last full answer.
-    pub fn route_incremental(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_traced(
-            solver,
-            db,
-            delta,
-            want_cut,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`PreparedQuery::route_incremental`] with phase tracing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_incremental_traced(
-        &self,
-        solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-        trace: &mut Trace,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        let planned = self.report.algorithm;
-        // ε ∈ IF(L) plans answer in constant time whatever the model says.
-        let estimated = match &self.strategy {
-            Strategy::EpsilonInfinite { .. } => 0,
-            _ => self.report.cost.estimate_us_for(db),
-        };
-        let (limit, shed) = router.effective_limit_us(budget);
-        let fits = limit.is_none_or(|l| estimated <= l);
-        if fits {
-            let (outcome, mode) =
-                self.solve_incremental_using(solver, db, delta, want_cut, trace)?;
-            let reason = match limit {
-                None => "no deadline or cost budget: planned backend ran".to_string(),
-                Some(l) => format!(
-                    "estimated {estimated}µs fits the {l}µs budget{}",
-                    if shed { " (overload-shed)" } else { "" }
-                ),
-            };
-            return Ok((
-                TieredOutcome {
-                    tier: outcome.algorithm.tier(),
-                    outcome,
-                    planned,
-                    degraded: false,
-                    shed,
-                    reason,
-                    estimated_cost_us: estimated,
-                },
-                mode,
-            ));
-        }
-        // lint: allow(panic-freedom, !fits implies the limit is present)
-        let limit_us = limit.expect("a budget the estimate exceeds must be finite");
-        // The degraded rungs never touch `solver.scratch`, so the retained
-        // flow survives for the next unlimited solve.
-        let tiered = self.degrade_using(db, want_cut, limit_us, shed, estimated, trace);
-        Ok((tiered, SolveMode::Full))
-    }
-
     fn solve_incremental_using(
         &self,
         solver: &mut IncrementalSolver,
@@ -1131,8 +926,7 @@ impl PreparedQuery {
                 // Non-local plans rebuild per database; drop any retained
                 // state so the scratch is safe to reuse as a plain one.
                 solver.scratch.incremental = None;
-                let outcome =
-                    self.solve_with_cut_using(db, want_cut, &mut solver.scratch, trace)?;
+                let outcome = self.solve_using(db, want_cut, &mut solver.scratch, trace)?;
                 Ok((outcome, SolveMode::Full))
             }
         }
@@ -1181,6 +975,32 @@ mod tests {
     use super::*;
     use rpq_automata::Word;
     use rpq_graphdb::generate::word_path;
+
+    /// An unbudgeted incremental solve, unwrapped to its outcome and mode.
+    fn incremental(
+        prepared: &PreparedQuery,
+        solver: &mut IncrementalSolver,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        want_cut: bool,
+    ) -> (ResilienceOutcome, SolveMode) {
+        let call = SolveCall::new(want_cut);
+        let (tiered, mode) =
+            prepared.route_incremental(solver, db, delta, &call, &mut Trace::disabled()).unwrap();
+        (tiered.outcome, mode)
+    }
+
+    /// An unbudgeted batch on `jobs` workers, unwrapped to its outcomes.
+    fn batch(
+        prepared: &PreparedQuery,
+        dbs: &[GraphDb],
+        jobs: usize,
+        want_cut: bool,
+    ) -> Vec<ResilienceOutcome> {
+        let call = SolveCall::new(want_cut);
+        let results = prepared.route_batch(dbs, jobs, &call, &mut Trace::disabled());
+        results.into_iter().map(|r| r.unwrap().outcome).collect()
+    }
 
     #[test]
     fn prepared_queries_report_their_plan() {
@@ -1246,21 +1066,22 @@ mod tests {
     }
 
     #[test]
-    fn solve_batch_reuses_one_plan_across_databases() {
+    fn batches_reuse_one_plan_across_databases() {
         let engine = Engine::new();
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
         let dbs: Vec<_> = ["axb", "axxb", "ab", "ba"]
             .iter()
             .map(|w| word_path(&Word::from_str_word(w)))
             .collect();
-        let results = prepared.solve_batch(&dbs);
-        let values: Vec<_> =
-            results.into_iter().map(|r| r.unwrap().value.finite().unwrap()).collect();
+        let values: Vec<_> = batch(&prepared, &dbs, 1, true)
+            .into_iter()
+            .map(|o| o.value.finite().unwrap())
+            .collect();
         assert_eq!(values, vec![1, 1, 1, 0]);
     }
 
     #[test]
-    fn solve_batch_parallel_agrees_with_sequential_for_any_job_count() {
+    fn parallel_batches_agree_with_sequential_for_any_job_count() {
         let engine = Engine::new();
         let dbs: Vec<_> = ["axb", "axxb", "ab", "ba", "axxxb", "xx", "aab", "axbxb"]
             .iter()
@@ -1269,22 +1090,19 @@ mod tests {
         for pattern in ["ax*b", "ab|bc", "abc|be", "aa"] {
             let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
             let sequential: Vec<_> =
-                prepared.solve_batch(&dbs).into_iter().map(|r| r.unwrap().value).collect();
+                dbs.iter().map(|db| prepared.solve(db).unwrap().value).collect();
             // jobs = 0 and 1 take the sequential path; 3 leaves a ragged tail
             // chunk; 16 exceeds the batch size and is clamped.
             for jobs in [0, 1, 2, 3, 16] {
-                let parallel: Vec<_> = prepared
-                    .solve_batch_parallel(&dbs, jobs)
-                    .into_iter()
-                    .map(|r| r.unwrap().value)
-                    .collect();
+                let parallel: Vec<_> =
+                    batch(&prepared, &dbs, jobs, true).into_iter().map(|o| o.value).collect();
                 assert_eq!(parallel, sequential, "{pattern} with {jobs} jobs");
             }
         }
         // want_cut is honored per call on the parallel path too.
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        for result in prepared.solve_batch_parallel_with_cut(&dbs, false, 4) {
-            assert!(result.unwrap().contingency_set.is_none());
+        for outcome in batch(&prepared, &dbs, 4, false) {
+            assert!(outcome.contingency_set.is_none());
         }
     }
 
@@ -1298,13 +1116,13 @@ mod tests {
         let mut trace = Trace::disabled();
         // Warm-up pass: sizes every buffer to the batch's shape.
         for db in &dbs {
-            prepared.solve_with_cut_using(db, true, &mut scratch, &mut trace).unwrap();
+            prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
         }
         let signature = scratch.capacity_signature();
         // Post-warmup: one PreparedQuery solving 32 databases must perform
         // zero scratch reallocations (the capacities stay bit-identical).
         for db in &dbs {
-            prepared.solve_with_cut_using(db, true, &mut scratch, &mut trace).unwrap();
+            prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
         }
         assert_eq!(
             scratch.capacity_signature(),
@@ -1340,7 +1158,8 @@ mod tests {
 
             let mut trace = Trace::enabled();
             let traced = prepared.solve_with_cut_traced(&db, true, &mut trace).unwrap();
-            let untraced = prepared.solve_with_cut(&db, true).unwrap();
+            let untraced =
+                prepared.solve_with_cut_traced(&db, true, &mut Trace::disabled()).unwrap();
             assert_eq!(traced.value, untraced.value, "{pattern}");
             assert!(!trace.spans().is_empty(), "{pattern}: a traced solve must record phases");
             let accounted: u64 = trace.spans().iter().map(|(_, us)| *us).sum();
@@ -1364,7 +1183,7 @@ mod tests {
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
         let dbs: Vec<GraphDb> = (0..8).map(|seed| flow_instance(4, 4, 2, 3, seed)).collect();
         let mut trace = Trace::enabled();
-        let results = prepared.solve_batch_parallel_with_cut_traced(&dbs, false, 4, &mut trace);
+        let results = prepared.route_batch(&dbs, 4, &SolveCall::new(false), &mut trace);
         assert_eq!(results.len(), dbs.len());
         for result in results {
             result.unwrap();
@@ -1417,15 +1236,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_cut_overrides_the_plan_options_per_call() {
+    fn want_cut_is_overridden_per_call() {
         // One prepared plan serves both value-only and with-cut callers: the
         // flag is applied at solve time, not baked into the plan.
         let engine = Engine::new();
         let db = word_path(&Word::from_str_word("axb"));
         for pattern in ["ax*b", "ab|bc", "abc|be", "aa"] {
             let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
-            let with = prepared.solve_with_cut(&db, true).unwrap();
-            let without = prepared.solve_with_cut(&db, false).unwrap();
+            let with = prepared.solve_with_cut_traced(&db, true, &mut Trace::disabled()).unwrap();
+            let without =
+                prepared.solve_with_cut_traced(&db, false, &mut Trace::disabled()).unwrap();
             assert_eq!(with.value, without.value, "{pattern}");
             assert!(without.contingency_set.is_none(), "{pattern}");
             if !with.value.is_infinite() {
@@ -1461,7 +1281,7 @@ mod tests {
         db.set_exogenous(f, true);
         let engine = Engine::new();
         let query = Rpq::parse("abc|be").unwrap();
-        // Forced: NotApplicable, like the legacy `solve_with`.
+        // Forced: NotApplicable, like `Engine::solve_with`.
         let err = engine.solve_with(Algorithm::OneDangling, &query, &db).unwrap_err();
         assert!(matches!(err, ResilienceError::NotApplicable { .. }));
         // Automatic dispatch: falls back to the exact solver, like `solve`.
@@ -1474,11 +1294,11 @@ mod tests {
         use rpq_graphdb::delta::{materialize, parse_patch};
         let engine = Engine::new();
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u\n+ u x v\n+ v x w\n+ w b t\n").unwrap();
         let db = materialize(&log);
         // First solve: nothing retained yet, full build.
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, ResilienceValue::Finite(1));
         // Single-fact deltas ride the incremental path and agree with a
@@ -1487,8 +1307,7 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) =
-                prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();
             assert_eq!(out.value, fresh.value, "{patch}");
@@ -1509,8 +1328,7 @@ mod tests {
         let delta = parse_patch(&big).unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) =
-            prepared.solve_incremental(&mut solver, &db, Some(&delta), false).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), false);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         assert!(out.contingency_set.is_none());
@@ -1518,14 +1336,14 @@ mod tests {
         let delta = parse_patch("- a3 x a4").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         // ...and the one after that patches it incrementally again.
         let delta = parse_patch("- a5 x a6\n+ a5 x a6").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
     }
@@ -1537,10 +1355,10 @@ mod tests {
         // Bag semantics: multiplicities are capacities; exogenous facts can
         // never be cut, so a fully exogenous path means +∞.
         let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap().with_bag_semantics()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u 5\n+ u x v 3\n+ v b t 7\n").unwrap();
         let db = materialize(&log);
-        let (out, _) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, _) = incremental(&prepared, &mut solver, &db, None, true);
         assert_eq!(out.value, ResilienceValue::Finite(3));
         for (patch, expected) in [
             ("+ u x v 9", ResilienceValue::Finite(5)),
@@ -1553,23 +1371,22 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) =
-                prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
             assert_eq!(out.value, prepared.solve(&db).unwrap().value, "{patch}");
         }
         // ε ∈ L: constant +∞, no network at all.
         let prepared = engine.prepare(&Rpq::parse("x*").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
         assert_eq!(mode, SolveMode::Incremental);
         assert!(out.value.is_infinite());
         // Non-local plans run the batch path and report Full.
         let prepared = engine.prepare(&Rpq::parse("ab|bc").unwrap()).unwrap();
-        let mut solver = prepared.incremental_solver();
+        let mut solver = IncrementalSolver::new();
         let db = materialize(&parse_patch("+ 1 a 2\n+ 2 b 3\n+ 3 c 4\n").unwrap());
-        let (out, mode) = prepared.solve_incremental(&mut solver, &db, None, true).unwrap();
+        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.algorithm, Algorithm::BipartiteChain);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
@@ -1593,7 +1410,7 @@ mod tests {
                 q = q.with_bag_semantics();
             }
             let prepared = engine.prepare(&q).unwrap();
-            let mut solver = prepared.incremental_solver();
+            let mut solver = IncrementalSolver::new();
             let mut rng = 0x0DDB1A5E5BAD5EEDu64 ^ pattern.len() as u64 ^ (bag as u64) << 32;
             let labels = ['a', 'x', 'b', 'd'];
             let mut log: Vec<FactChange> = Vec::new();
@@ -1616,8 +1433,7 @@ mod tests {
                 let delta = [change];
                 log.extend(delta.iter().cloned());
                 let db = materialize(&log);
-                let (out, mode) =
-                    prepared.solve_incremental(&mut solver, &db, Some(&delta), true).unwrap();
+                let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
                 incremental_seen += (mode == SolveMode::Incremental) as usize;
                 let fresh = prepared.solve(&db).unwrap();
                 assert_eq!(out.value, fresh.value, "{pattern} bag={bag} round {round}");

@@ -9,7 +9,7 @@
 //! from minimum vertex cover (Proposition 4.11): the input graph is encoded by
 //! replacing each edge with a copy of the gadget (Definition 4.5).
 //!
-//! This module is the analogue of the paper's companion implementation [3]: it
+//! This module is the analogue of the paper's companion implementation \[3\]: it
 //! mechanically re-verifies the gadgets (the concrete ones from the paper's
 //! figures live in [`library`]) and provides the graph-encoding machinery used
 //! to validate the reduction end to end on small instances.

@@ -19,12 +19,11 @@
 //!   truth on small instances.
 //! * [`algorithms`] — the paper's polynomial algorithms:
 //!   [`algorithms::local`] (Theorem 3.13), [`algorithms::chain`]
-//!   (Proposition 7.6), [`algorithms::one_dangling`] (Proposition 7.9), and a
-//!   [`algorithms::solve`] dispatcher.
+//!   (Proposition 7.6) and [`algorithms::one_dangling`] (Proposition 7.9).
 //! * [`engine`] — the prepared-query engine ([`engine::Engine`],
 //!   [`engine::PreparedQuery`], [`engine::SolveOptions`]): the query-only
 //!   classification is computed once and reused across databases, with a
-//!   configurable MinCut backend; the entry point for batch workloads.
+//!   configurable MinCut backend; the single entry point for solving.
 //! * [`hypergraph`] — the hypergraph of matches, condensation rules and
 //!   minimum hitting sets (Section 4.3).
 //! * [`gadgets`] — hardness gadgets (Definitions 4.3–4.9), the graph encoding
@@ -51,7 +50,7 @@
 //!
 //! // The RPQ a x* b holds; its resilience is 1 (cut any single edge).
 //! let query = Rpq::new(Language::parse("a x* b").unwrap());
-//! let result = solve(&query, &db).unwrap();
+//! let result = Engine::new().solve(&query, &db).unwrap();
 //! assert_eq!(result.value, ResilienceValue::Finite(1));
 //! ```
 
@@ -69,12 +68,10 @@ pub mod rpq;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::algorithms::{
-        solve, solve_mirrored, solve_with, Algorithm, ResilienceError, ResilienceOutcome,
-    };
+    pub use crate::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
     pub use crate::classify::{classify, Classification};
     pub use crate::engine::{
-        Engine, IncrementalSolver, PlanReport, PreparedQuery, SolveMode, SolveOptions,
+        Engine, IncrementalSolver, PlanReport, PreparedQuery, SolveCall, SolveMode, SolveOptions,
     };
     pub use crate::rpq::{ResilienceValue, Rpq, Semantics};
     pub use rpq_flow::FlowAlgorithm;

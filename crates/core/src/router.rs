@@ -5,9 +5,10 @@
 //! approximations (`"approx"`). This module turns tier choice into a
 //! cost-model decision instead of a per-call flag: every prepared plan
 //! carries a [`CostModel`] calibrated against the committed `BENCH_scaling` /
-//! `BENCH_flow_ablation` artifacts, and
-//! [`route`](crate::engine::PreparedQuery::route) compares the projected cost
-//! of the planned backend against the caller's [`RouteBudget`].
+//! `BENCH_flow_ablation` artifacts, and every routed solve
+//! ([`crate::engine::PreparedQuery::route`] and its batch and incremental
+//! siblings) compares the projected cost of the planned backend against the
+//! caller's [`RouteBudget`].
 //!
 //! * The estimate fits (or no budget was given) → the planned backend runs
 //!   and the answer is **bit-identical** to an unrouted solve.
@@ -238,8 +239,8 @@ pub const DEFAULT_SHED_COST_BUDGET_US: u64 = 10_000;
 
 impl Router {
     /// A router that never sheds: budgets pass through untightened.
-    pub fn new() -> Router {
-        Router::default()
+    pub const fn new() -> Router {
+        Router { shed_queue_depth: None, shed_cost_budget_us: 0, probe: None }
     }
 
     /// Installs an overload probe (e.g. the server's ready-queue depth) with

@@ -1,6 +1,6 @@
 //! Dinic's maximum-flow algorithm.
 //!
-//! The paper cites near-linear-time min-cut algorithms [21]; we implement
+//! The paper cites near-linear-time min-cut algorithms \[21\]; we implement
 //! Dinic's algorithm (`O(V²E)` worst case, much faster in practice on the
 //! sparse product networks produced by the resilience reductions), which
 //! preserves every PTIME claim. Infinite capacities are handled by capping

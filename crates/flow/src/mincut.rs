@@ -36,7 +36,7 @@ impl FlowAlgorithm {
     pub const ALL: [FlowAlgorithm; 3] =
         [FlowAlgorithm::Dinic, FlowAlgorithm::EdmondsKarp, FlowAlgorithm::PushRelabel];
 
-    /// Every selectable mode, as accepted by [`FlowAlgorithm::from_str`]
+    /// Every selectable mode, as accepted by the [`FromStr`](std::str::FromStr) impl
     /// (the concrete algorithms plus `auto`).
     pub const SELECTABLE: [FlowAlgorithm; 4] = [
         FlowAlgorithm::Dinic,
@@ -65,8 +65,8 @@ impl FlowAlgorithm {
         }
     }
 
-    /// The stable command-line name of the backend (see
-    /// [`FlowAlgorithm::from_str`]).
+    /// The stable command-line name of the backend (parsed back by the
+    /// [`FromStr`](std::str::FromStr) impl).
     pub fn name(self) -> &'static str {
         match self {
             FlowAlgorithm::Dinic => "dinic",

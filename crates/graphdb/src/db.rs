@@ -111,6 +111,8 @@ impl GraphDb {
 
     /// Adds a fact with an explicit multiplicity (bag semantics). If the fact
     /// is already present its multiplicity is **increased** by `multiplicity`.
+    /// Panics if the accumulated multiplicity overflows `u64` (see
+    /// [`GraphDb::try_add_fact_with_multiplicity`] for untrusted input).
     pub fn add_fact_with_multiplicity(
         &mut self,
         source: NodeId,
@@ -118,16 +120,31 @@ impl GraphDb {
         target: NodeId,
         multiplicity: u64,
     ) -> FactId {
+        self.try_add_fact_with_multiplicity(source, label, target, multiplicity)
+            .expect("accumulated bag multiplicity overflows u64")
+    }
+
+    /// [`GraphDb::add_fact_with_multiplicity`], except that it returns `None`
+    /// and leaves the database unchanged when accumulating onto an existing
+    /// fact would overflow `u64`.
+    pub fn try_add_fact_with_multiplicity(
+        &mut self,
+        source: NodeId,
+        label: Letter,
+        target: NodeId,
+        multiplicity: u64,
+    ) -> Option<FactId> {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
         let fact = Fact { source, label, target };
         if let Some(&id) = self.fact_index.get(&fact) {
             // The fact is already present: bag semantics accumulates the
             // multiplicity (except that add_fact keeps set semantics at 1 by
             // only ever passing multiplicity 1 for a fresh fact).
-            if multiplicity > 1 || self.multiplicities[id.index()] > 1 {
-                self.multiplicities[id.index()] += multiplicity;
+            let current = &mut self.multiplicities[id.index()];
+            if multiplicity > 1 || *current > 1 {
+                *current = current.checked_add(multiplicity)?;
             }
-            return id;
+            return Some(id);
         }
         let id = FactId(self.facts.len() as u32);
         self.facts.push(fact);
@@ -136,7 +153,7 @@ impl GraphDb {
         self.fact_index.insert(fact, id);
         self.out_edges[source.0 as usize].push(id);
         self.in_edges[target.0 as usize].push(id);
-        id
+        Some(id)
     }
 
     /// Sets the multiplicity of an existing fact.
@@ -407,6 +424,25 @@ mod tests {
         let fr = rev.find_fact(v, Letter('a'), u).unwrap();
         assert_eq!(rev.multiplicity(fr), 4);
         assert!(rev.find_fact(u, Letter('a'), v).is_none());
+    }
+
+    #[test]
+    fn overflowing_accumulation_is_refused() {
+        let mut db = GraphDb::new();
+        let (u, v) = (db.node("u"), db.node("v"));
+        let f = db.add_fact_with_multiplicity(u, Letter('a'), v, u64::MAX);
+        assert_eq!(db.try_add_fact_with_multiplicity(u, Letter('a'), v, 2), None);
+        assert_eq!(db.multiplicity(f), u64::MAX, "a refused add leaves the fact unchanged");
+        assert_eq!(db.num_facts(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn overflowing_add_panics_instead_of_wrapping() {
+        let mut db = GraphDb::new();
+        let (u, v) = (db.node("u"), db.node("v"));
+        db.add_fact_with_multiplicity(u, Letter('a'), v, u64::MAX);
+        db.add_fact_with_multiplicity(u, Letter('a'), v, 2);
     }
 
     #[test]

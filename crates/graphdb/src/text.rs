@@ -78,12 +78,16 @@ pub fn parse(input: &str) -> Result<GraphDb, ParseError> {
         }
         let s = db.node(parts[0]);
         let t = db.node(parts[2]);
-        let id = db.add_fact_with_multiplicity(
-            s,
-            rpq_automata::alphabet::Letter(label[0]),
-            t,
-            multiplicity,
-        );
+        let label = rpq_automata::alphabet::Letter(label[0]);
+        let Some(id) = db.try_add_fact_with_multiplicity(s, label, t, multiplicity) else {
+            return Err(ParseError {
+                line: line_no,
+                message: format!(
+                    "the accumulated multiplicity of `{} {label} {}` overflows u64",
+                    parts[0], parts[2]
+                ),
+            });
+        };
         if exogenous {
             db.set_exogenous(id, true);
         }
@@ -143,6 +147,18 @@ mod tests {
         assert!(parse("u a v 0").is_err());
         assert!(parse("u a v x").is_err());
         assert!(parse("u a").is_err());
+    }
+
+    #[test]
+    fn overflowing_bag_multiplicities_are_parse_errors() {
+        // Wrapping would turn 2^64 - 1 + 2 into 1 and silently answer
+        // resilience 1 for `ab` on this database instead of 5.
+        let err = parse("s a u 18446744073709551615\ns a u 2\nu b t 5\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("overflows u64"), "{err}");
+        // Up to the limit the multiplicities still accumulate.
+        let db = parse("s a u 18446744073709551614\ns a u 1\n").unwrap();
+        assert_eq!(db.total_multiplicity(), u64::MAX);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! forced algorithm; the same language prepared under a different flow
 //! backend is a different entry. `SolveOptions::want_cut` is deliberately
 //! **not** part of the key: whether a contingency set is extracted is a
-//! solve-time flag (`PreparedQuery::solve_with_cut`), so value-only and
+//! solve-time flag (`SolveCall::want_cut`), so value-only and
 //! with-cut requests for the same language share one entry. Eviction is
 //! least-recently-used with a fixed capacity.
 //!

@@ -56,7 +56,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
         parser.skip_whitespace();
-        let value = parser.parse_value()?;
+        let value = parser.parse_value(0)?;
         parser.skip_whitespace();
         if parser.pos != parser.bytes.len() {
             return Err(parser.error("trailing characters after the JSON value"));
@@ -172,6 +172,12 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent, so an unbounded depth lets one request line of
+/// brackets overflow the worker's stack; protocol messages nest about 4
+/// levels deep, so 128 leaves ample headroom.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -201,10 +207,12 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, JsonError> {
+    /// Parses the value at `pos`, which sits inside `depth` open arrays and
+    /// objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.parse_object(depth + 1),
+            Some(b'[') => self.parse_array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Json::Bool(true)),
             Some(b'f') => self.parse_literal("false", Json::Bool(false)),
@@ -385,7 +393,18 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn parse_array(&mut self) -> Result<Json, JsonError> {
+    /// Fails once `depth` passes [`MAX_NESTING_DEPTH`].
+    fn check_depth(&self, depth: usize) -> Result<(), JsonError> {
+        if depth > MAX_NESTING_DEPTH {
+            return Err(
+                self.error(format!("nesting deeper than {MAX_NESTING_DEPTH} arrays/objects"))
+            );
+        }
+        Ok(())
+    }
+
+    fn parse_array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.check_depth(depth)?;
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_whitespace();
@@ -395,7 +414,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -408,7 +427,8 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Json, JsonError> {
+    fn parse_object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.check_depth(depth)?;
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_whitespace();
@@ -422,7 +442,7 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             pairs.push((key, value));
             self.skip_whitespace();
             match self.peek() {
@@ -482,6 +502,20 @@ mod tests {
         }
         let err = Json::parse("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_NESTING_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert_eq!(err.offset, MAX_NESTING_DEPTH);
+        // Objects count too, and sibling containers do not accumulate depth.
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_NESTING_DEPTH + 1), "}".repeat(129));
+        assert!(Json::parse(&objects).is_err());
+        let wide = format!("[{}]", vec![nested(MAX_NESTING_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use rpq_automata::Language;
 use rpq_graphdb::{text, GraphDb};
 use rpq_obs::{prom, MetricsRegistry, RouteCounters, Trace};
 use rpq_resilience::algorithms::Algorithm;
-use rpq_resilience::engine::{Engine, SolveMode, SolveOptions};
+use rpq_resilience::engine::{Engine, SolveCall, SolveMode, SolveOptions};
 use rpq_resilience::router::{
     RouteBudget, Router, DEFAULT_SHED_COST_BUDGET_US, DEFAULT_SHED_QUEUE_DEPTH,
 };
@@ -285,11 +285,20 @@ impl ServerState {
         Engine::with_options(options)
     }
 
-    /// Whether this request wants a contingency set: the per-request
-    /// `want_cut` override, or the server default. Applied per solve call
-    /// (`PreparedQuery::solve_with_cut`), never part of the cache key.
-    fn want_cut_for(&self, spec: &QuerySpec) -> bool {
-        spec.want_cut.unwrap_or(self.options.want_cut)
+    /// The per-call solve inputs of a solve-family request: the per-request
+    /// `want_cut` override (or the server default; applied per solve call,
+    /// never part of the cache key), the `deadline_ms`/`cost_budget_us`
+    /// budget (unlimited when neither is set, which makes the routed path
+    /// bit-identical to an unbudgeted solve) and the overload-probing router.
+    fn call_for(&self, spec: &QuerySpec) -> SolveCall<'_> {
+        SolveCall {
+            want_cut: spec.want_cut.unwrap_or(self.options.want_cut),
+            budget: RouteBudget {
+                deadline_ms: spec.deadline_ms,
+                cost_budget_us: spec.cost_budget_us,
+            },
+            router: &self.router,
+        }
     }
 
     fn parse_query(&self, spec: &QuerySpec) -> Result<Rpq, String> {
@@ -323,13 +332,6 @@ impl ServerState {
         } else {
             Trace::disabled()
         }
-    }
-
-    /// The route budget of a solve-family request: the per-request
-    /// `deadline_ms`/`cost_budget_us` knobs, unlimited when neither is set
-    /// (which makes the routed path bit-identical to the pre-router solve).
-    fn budget_for(spec: &QuerySpec) -> RouteBudget {
-        RouteBudget { deadline_ms: spec.deadline_ms, cost_budget_us: spec.cost_budget_us }
     }
 
     /// Stamps a finished solve-family request: seals the trace, appends the
@@ -409,14 +411,7 @@ impl ServerState {
             Err(message) => return with_elapsed(error_response(message), started),
         };
         trace.end(parse_timer, "parse_db");
-        let budget = Self::budget_for(spec);
-        match prepared.route_with_cut_traced(
-            &db,
-            self.want_cut_for(spec),
-            &budget,
-            &self.router,
-            &mut trace,
-        ) {
+        match prepared.route(&db, &self.call_for(spec), &mut trace) {
             Ok(tiered) => {
                 self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
                 let mut fields = vec![
@@ -449,7 +444,6 @@ impl ServerState {
                 Ok(p) => p,
                 Err(message) => return with_elapsed(error_response(message), started),
             };
-        let want_cut = self.want_cut_for(spec);
         // The per-request override is untrusted input: clamp it, or one
         // request could ask for an OS thread per database.
         let jobs = spec.jobs.unwrap_or(self.jobs).clamp(1, MAX_BATCH_JOBS);
@@ -468,15 +462,7 @@ impl ServerState {
             })
             .collect();
         trace.end(parse_timer, "parse_db");
-        let budget = Self::budget_for(spec);
-        let outcomes = prepared.route_batch_parallel_with_cut_traced(
-            &parsed,
-            want_cut,
-            jobs,
-            &budget,
-            &self.router,
-            &mut trace,
-        );
+        let outcomes = prepared.route_batch(&parsed, jobs, &self.call_for(spec), &mut trace);
         let mut failures: u64 = 0;
         let results: Vec<Json> = slots
             .into_iter()
@@ -580,19 +566,16 @@ impl ServerState {
                 Ok(p) => p,
                 Err(message) => return with_elapsed(error_response(message), started),
             };
-        let want_cut = self.want_cut_for(spec);
-        let budget = Self::budget_for(spec);
+        let call = self.call_for(spec);
         let Some(refs) = snapshots else {
             // The inline form: the solve result fields merge into the
             // response envelope, like a plain `solve`.
-            return match self.store.route_traced(
+            return match self.store.solve(
                 name,
                 &snapshot_ref(snapshot),
                 &prepared,
                 fingerprint,
-                want_cut,
-                &budget,
-                &self.router,
+                &call,
                 &mut trace,
             ) {
                 Ok(route) => {
@@ -631,14 +614,12 @@ impl ServerState {
         let results: Vec<Json> = refs
             .iter()
             .map(|sel| {
-                match self.store.route_traced(
+                match self.store.solve(
                     name,
                     &snapshot_ref(Some(sel)),
                     &prepared,
                     fingerprint,
-                    want_cut,
-                    &budget,
-                    &self.router,
+                    &call,
                     &mut trace,
                 ) {
                     Ok(route) => {
@@ -2024,6 +2005,29 @@ mod tests {
         let first = Json::parse(lines[0]).unwrap();
         assert_eq!(first.get("ok"), Some(&Json::Bool(false)));
         assert!(first.get("error").and_then(Json::as_str).unwrap().contains("invalid encoding"));
+        let second = Json::parse(lines[1]).unwrap();
+        assert_eq!(second.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(second.get("errors"), Some(&Json::Int(1)));
+    }
+
+    #[test]
+    fn pipe_mode_rejects_deeply_nested_requests_and_keeps_serving() {
+        // 200,000 nested arrays once overflowed the parser's stack and
+        // aborted the process; past the depth limit they are a parse error.
+        let state = state();
+        let depth = 200_000;
+        let input = format!(
+            "{{\"op\":\"solve\",\"x\":{}{}}}\n{{\"op\":\"stats\"}}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let mut output = Vec::new();
+        run_pipe(&state, input.as_bytes(), &mut output).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().trim().lines().collect();
+        assert_eq!(lines.len(), 2, "the pipe keeps serving after the deep line");
+        let first = Json::parse(lines[0]).unwrap();
+        assert_eq!(first.get("ok"), Some(&Json::Bool(false)));
+        assert!(first.get("error").and_then(Json::as_str).unwrap().contains("nesting"), "{first}");
         let second = Json::parse(lines[1]).unwrap();
         assert_eq!(second.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(second.get("errors"), Some(&Json::Int(1)));

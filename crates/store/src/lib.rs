@@ -32,9 +32,9 @@ use rpq_graphdb::text::{self, ParseError};
 use rpq_graphdb::GraphDb;
 use rpq_obs::Trace;
 use rpq_resilience::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
-use rpq_resilience::engine::{IncrementalSolver, PreparedQuery, SolveMode};
+use rpq_resilience::engine::{IncrementalSolver, PreparedQuery, SolveCall, SolveMode};
 use rpq_resilience::prelude::FlowAlgorithm;
-use rpq_resilience::router::{RouteBudget, Router, TieredOutcome};
+use rpq_resilience::router::TieredOutcome;
 use rpq_resilience::rpq::Semantics;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -279,18 +279,6 @@ pub struct AppendResult {
 /// The result of a [`Store::solve`]: per-snapshot engine errors are carried
 /// *inside* (with the resolved snapshot id), so a batch over several
 /// snapshots can report each failure against the snapshot that caused it.
-pub struct StoreSolve {
-    /// The resolved snapshot id the solve bound to.
-    pub snapshot: usize,
-    /// The materialized database the solve ran against (needed to render
-    /// contingency-set facts).
-    pub graph: Arc<GraphDb>,
-    /// The engine outcome, or the engine error for this snapshot.
-    pub result: Result<(ResilienceOutcome, SolveMode), ResilienceError>,
-}
-
-/// The result of a [`Store::route`]: [`StoreSolve`] plus the routing
-/// decision and whether the cross-snapshot result cache answered.
 pub struct StoreRoute {
     /// The resolved snapshot id the solve bound to.
     pub snapshot: usize,
@@ -506,54 +494,15 @@ impl Store {
         Ok((offset, graph))
     }
 
-    /// Solves `prepared` against one snapshot of `name`, riding the
-    /// database's retained incremental state when the solve continues the
-    /// same plan at the same or a later snapshot. Engine errors come back
-    /// *inside* the [`StoreSolve`] together with the resolved snapshot id;
-    /// only store-level problems (unknown database / snapshot) are `Err`.
-    pub fn solve(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        want_cut: bool,
-    ) -> Result<StoreSolve, StoreError> {
-        self.solve_traced(name, snapshot, prepared, want_cut, &mut Trace::disabled())
-    }
-
-    /// [`Store::solve`] with phase tracing: when `trace` is enabled the
-    /// snapshot resolution + materialization is recorded as a `materialize`
-    /// span and the engine records its own solve phases. A disabled trace
-    /// makes this identical to [`Store::solve`].
-    pub fn solve_traced(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<StoreSolve, StoreError> {
-        let fingerprint = prepared.rpq().language().language_fingerprint();
-        self.route_traced(
-            name,
-            snapshot,
-            prepared,
-            fingerprint,
-            want_cut,
-            &RouteBudget::UNLIMITED,
-            &Router::new(),
-            trace,
-        )
-        .map(|routed| StoreSolve {
-            snapshot: routed.snapshot,
-            graph: routed.graph,
-            result: routed.result.map(|(tiered, mode)| (tiered.outcome, mode)),
-        })
-    }
-
-    /// [`Store::solve`] under a [`RouteBudget`] (see
-    /// [`rpq_resilience::router`]), with the cross-snapshot result cache in
-    /// front of the engine.
+    /// Solves `prepared` against one snapshot of `name` under `call`'s
+    /// budget (see [`rpq_resilience::router`]), riding the database's
+    /// retained incremental state when the solve continues the same plan at
+    /// the same or a later snapshot, with the cross-snapshot result cache in
+    /// front of the engine. Engine errors come back *inside* the
+    /// [`StoreRoute`] together with the resolved snapshot id; only
+    /// store-level problems (unknown database / snapshot) are `Err`. When
+    /// `trace` is enabled, snapshot resolution + materialization is recorded
+    /// as a `materialize` span and the engine records its own solve phases.
     ///
     /// `fingerprint` is the query's
     /// [`language_fingerprint`](rpq_automata::Language::language_fingerprint)
@@ -565,48 +514,22 @@ impl Store {
     /// satisfies any deadline and is never degraded). Only full-fidelity
     /// (non-degraded) outcomes are cached; degraded bounds depend on the
     /// caller's budget and are recomputed per request.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route(
+    pub fn solve(
         &self,
         name: &str,
         snapshot: &SnapshotRef,
         prepared: &Arc<PreparedQuery>,
         fingerprint: u64,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
-    ) -> Result<StoreRoute, StoreError> {
-        self.route_traced(
-            name,
-            snapshot,
-            prepared,
-            fingerprint,
-            want_cut,
-            budget,
-            router,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// [`Store::route`] with phase tracing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_traced(
-        &self,
-        name: &str,
-        snapshot: &SnapshotRef,
-        prepared: &Arc<PreparedQuery>,
-        fingerprint: u64,
-        want_cut: bool,
-        budget: &RouteBudget,
-        router: &Router,
+        call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<StoreRoute, StoreError> {
+        let want_cut = call.want_cut;
         let handle = self.database(name)?;
         let tick = self.next_tick();
         let planned = prepared.plan().algorithm;
         let flow = prepared.options().flow_backend;
         let semantics = prepared.rpq().semantics();
-        let (offset, graph, built, result, result_cached) = {
+        let (offset, graph, built, result) = {
             let materialize_timer = trace.begin();
             let mut db = handle
                 .lock()
@@ -653,17 +576,10 @@ impl Store {
             let result = match session {
                 Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
                     // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
-                    let delta = &log[s.offset..offset];
+                    let delta = Some(&log[s.offset..offset]);
+                    let solver = &mut s.solver;
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental_traced(
-                        &mut s.solver,
-                        &graph,
-                        Some(delta),
-                        want_cut,
-                        budget,
-                        router,
-                        trace,
-                    );
+                    let result = prepared.route_incremental(solver, &graph, delta, call, trace);
                     // A degraded answer leaves the retained flow parked at
                     // its old frontier — do not advance past facts the
                     // network never saw.
@@ -676,9 +592,8 @@ impl Store {
                     // A solve *behind* the session's frontier (an old
                     // snapshot): answer one-shot, keep the retained state
                     // parked at its frontier for the next forward solve.
-                    prepared
-                        .route_with_cut_traced(&graph, want_cut, budget, router, trace)
-                        .map(|t| (t, SolveMode::Full))
+                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
+                    prepared.route(&graph, call, trace).map(|t| (t, SolveMode::Full))
                 }
                 _ => {
                     let mut s = SolveSession {
@@ -686,16 +601,9 @@ impl Store {
                         offset,
                         solver: IncrementalSolver::new(),
                     };
+                    let solver = &mut s.solver;
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental_traced(
-                        &mut s.solver,
-                        &graph,
-                        None,
-                        want_cut,
-                        budget,
-                        router,
-                        trace,
-                    );
+                    let result = prepared.route_incremental(solver, &graph, None, call, trace);
                     *session = Some(s);
                     result
                 }
@@ -734,7 +642,7 @@ impl Store {
                     });
                 }
             }
-            (offset, graph, built, result, false)
+            (offset, graph, built, result)
         };
         if built {
             self.materializations.fetch_add(1, Ordering::Relaxed);
@@ -748,7 +656,7 @@ impl Store {
                 self.full_solves.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(StoreRoute { snapshot: offset, graph, result, result_cached })
+        Ok(StoreRoute { snapshot: offset, graph, result, result_cached: false })
     }
 
     /// Summaries of every hosted database, in name order.
@@ -850,15 +758,40 @@ impl Store {
 mod tests {
     use super::*;
     use rpq_resilience::engine::Engine;
+    use rpq_resilience::router::RouteBudget;
     use rpq_resilience::rpq::{ResilienceValue, Rpq};
 
     fn prepared(pattern: &str) -> Arc<PreparedQuery> {
         Arc::new(Engine::new().prepare(&Rpq::parse(pattern).unwrap()).unwrap())
     }
 
+    /// An untraced [`Store::solve`] under `call`.
+    fn routed(
+        store: &Store,
+        name: &str,
+        at: &SnapshotRef,
+        plan: &Arc<PreparedQuery>,
+        call: &SolveCall,
+    ) -> StoreRoute {
+        let fingerprint = plan.rpq().language().language_fingerprint();
+        store.solve(name, at, plan, fingerprint, call, &mut Trace::disabled()).unwrap()
+    }
+
+    /// An unbudgeted solve, unwrapped to its outcome and mode.
+    fn solve(
+        store: &Store,
+        name: &str,
+        at: &SnapshotRef,
+        plan: &Arc<PreparedQuery>,
+        want_cut: bool,
+    ) -> (ResilienceOutcome, SolveMode) {
+        let (tiered, mode) =
+            routed(store, name, at, plan, &SolveCall::new(want_cut)).result.unwrap();
+        (tiered.outcome, mode)
+    }
+
     fn value(store: &Store, name: &str, at: SnapshotRef, plan: &Arc<PreparedQuery>) -> u128 {
-        let solve = store.solve(name, &at, plan, false).unwrap();
-        match solve.result.unwrap().0.value {
+        match solve(store, name, &at, plan, false).0.value {
             ResilienceValue::Finite(v) => v,
             ResilienceValue::Infinite => u128::MAX,
         }
@@ -909,10 +842,9 @@ mod tests {
         // A different plan replaces the session (full solve), then resumes
         // incrementally.
         let other = prepared("ab|ad");
-        store.solve("g", &SnapshotRef::Head, &other, false).unwrap();
+        solve(&store, "g", &SnapshotRef::Head, &other, false);
         store.patch("g", "+ s a z\n").unwrap();
-        let solve = store.solve("g", &SnapshotRef::Head, &other, false).unwrap();
-        assert_eq!(solve.result.unwrap().1, SolveMode::Incremental);
+        assert_eq!(solve(&store, "g", &SnapshotRef::Head, &other, false).1, SolveMode::Incremental);
     }
 
     #[test]
@@ -942,8 +874,7 @@ mod tests {
         assert_eq!(store.stats().result_hits, 2);
         // A different language is a different key.
         let other = prepared("ab|ad");
-        let solve = store.solve("g", &pin, &other, false).unwrap();
-        assert!(solve.result.is_ok());
+        assert!(routed(&store, "g", &pin, &other, &SolveCall::new(false)).result.is_ok());
         assert_eq!(store.stats().result_misses, 2);
         // `db_put` rewrites the log, so every cached result is dropped.
         store.put("g", "s a u\nu b t\n").unwrap();
@@ -958,22 +889,13 @@ mod tests {
         let plan = prepared("ax*b");
         store.put("g", "s a u\nu x v\nv b t\n").unwrap();
         // Cached without a cut: a want_cut solve must recompute…
-        assert!(store
-            .solve("g", &SnapshotRef::Head, &plan, false)
-            .unwrap()
-            .result
-            .unwrap()
-            .0
-            .contingency_set
-            .is_none());
-        let cut = store.solve("g", &SnapshotRef::Head, &plan, true).unwrap();
-        assert!(cut.result.unwrap().0.contingency_set.is_some());
+        let head = SnapshotRef::Head;
+        assert!(solve(&store, "g", &head, &plan, false).0.contingency_set.is_none());
+        assert!(solve(&store, "g", &head, &plan, true).0.contingency_set.is_some());
         assert_eq!(store.stats().result_misses, 2);
         // …after which the upgraded entry serves both shapes from the cache.
-        let with_cut = store.solve("g", &SnapshotRef::Head, &plan, true).unwrap();
-        assert!(with_cut.result.unwrap().0.contingency_set.is_some());
-        let without = store.solve("g", &SnapshotRef::Head, &plan, false).unwrap();
-        assert!(without.result.unwrap().0.contingency_set.is_none());
+        assert!(solve(&store, "g", &head, &plan, true).0.contingency_set.is_some());
+        assert!(solve(&store, "g", &head, &plan, false).0.contingency_set.is_none());
         assert_eq!(store.stats().result_hits, 2);
     }
 
@@ -982,28 +904,18 @@ mod tests {
         let store = Store::new(StoreConfig::default());
         let plan = prepared("ax*b");
         store.put("g", "s a u\nu x v\nv b t\n").unwrap();
-        let fingerprint = plan.rpq().language().language_fingerprint();
         // A zero-microsecond budget cannot fit any backend: the store must
         // still answer, with certified bounds and the degradation reported.
-        let routed = store
-            .route(
-                "g",
-                &SnapshotRef::Head,
-                &plan,
-                fingerprint,
-                false,
-                &RouteBudget::with_cost_budget_us(0),
-                &Router::new(),
-            )
-            .unwrap();
-        let (tiered, _) = routed.result.unwrap();
+        let call =
+            SolveCall { budget: RouteBudget::with_cost_budget_us(0), ..SolveCall::new(false) };
+        let route = routed(&store, "g", &SnapshotRef::Head, &plan, &call);
+        let (tiered, _) = route.result.unwrap();
         assert!(tiered.degraded);
         assert_eq!(tiered.tier, "approx");
-        assert!(!routed.result_cached);
+        assert!(!route.result_cached);
         // Degraded answers are budget-dependent: they must not poison the
         // cache for an unlimited caller.
-        let full = store.solve("g", &SnapshotRef::Head, &plan, false).unwrap();
-        let (outcome, _) = full.result.unwrap();
+        let (outcome, _) = solve(&store, "g", &SnapshotRef::Head, &plan, false);
         assert_eq!(outcome.value, ResilienceValue::Finite(1));
         assert_eq!(store.stats().result_hits, 0);
         // And the unlimited answer is cached as usual.
@@ -1107,8 +1019,7 @@ mod tests {
                     let name = format!("t{i}");
                     store.put(&name, "s a u\nu x v\nv b t\n").unwrap();
                     store.patch(&name, "- u x v\n").unwrap();
-                    let solve = store.solve(&name, &SnapshotRef::Head, &plan, true).unwrap();
-                    let (outcome, _) = solve.result.unwrap();
+                    let (outcome, _) = solve(&store, &name, &SnapshotRef::Head, &plan, true);
                     assert_eq!(outcome.value, ResilienceValue::Finite(0));
                     assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 1);
                 })

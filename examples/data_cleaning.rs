@@ -20,8 +20,8 @@
 //! Run with `cargo run --example data_cleaning`.
 
 use rpq::graphdb::GraphDb;
-use rpq::resilience::algorithms::solve;
 use rpq::resilience::classify::classify;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::Rpq;
 
 fn main() {
@@ -55,7 +55,8 @@ fn main() {
     println!("violation present: {}", query.holds_on(&db));
     println!("classification: {}", classify(query.language()).label());
 
-    let outcome = solve(&query, &db).expect("resilience computation");
+    let engine = Engine::new();
+    let outcome = engine.solve(&query, &db).expect("resilience computation");
     println!("\nminimum total revocation cost (bag resilience) = {}", outcome.value);
     if let Some(repair) = &outcome.contingency_set {
         println!("cheapest repair (an optimal contingency set):");
@@ -74,7 +75,7 @@ fn main() {
     // Set semantics instead answers: how many *edges* must be wrong for the
     // violation to disappear? (All costs are treated as 1.)
     let set_query = Rpq::parse("g d* r").unwrap();
-    let set_outcome = solve(&set_query, &db).expect("resilience computation");
+    let set_outcome = engine.solve(&set_query, &db).expect("resilience computation");
     println!("\nset-semantics resilience (number of facts) = {}", set_outcome.value);
 
     // A higher resilience means the violation is more entrenched: compare the
@@ -85,7 +86,7 @@ fn main() {
     let infra = hardened.node("data_infra");
     hardened.add_fact_with_multiplicity(eng, 'd'.into(), shadow, 1);
     hardened.add_fact_with_multiplicity(shadow, 'd'.into(), infra, 1);
-    let hardened_outcome = solve(&query, &hardened).expect("resilience computation");
+    let hardened_outcome = engine.solve(&query, &hardened).expect("resilience computation");
     println!(
         "after adding a shadow delegation path the repair cost grows: {} → {}",
         outcome.value, hardened_outcome.value

@@ -5,7 +5,8 @@
 //! Run with `cargo run --example gadget_explorer`.
 
 use rpq::automata::Language;
-use rpq::resilience::algorithms::{solve_with, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::gadgets::library;
 use rpq::resilience::reductions::{subdivision_vertex_cover_number, UndirectedGraph};
 use rpq::resilience::rpq::Rpq;
@@ -47,8 +48,9 @@ fn main() {
         encoding.num_nodes(),
         encoding.num_facts()
     );
-    let resilience =
-        solve_with(Algorithm::ExactBranchAndBound, &Rpq::new(language), &encoding).unwrap();
+    let resilience = Engine::new()
+        .solve_with(Algorithm::ExactBranchAndBound, &Rpq::new(language), &encoding)
+        .unwrap();
     let predicted = subdivision_vertex_cover_number(&graph, ell);
     println!("  vertex cover number of C5      = {}", graph.vertex_cover_number());
     println!("  predicted resilience (Prp 4.2) = {predicted}");

@@ -1,8 +1,9 @@
-//! The unified engine dispatcher: `algorithms::solve` must route each
-//! tractable family (local, bipartite chain, one-dangling) to its polynomial
-//! algorithm and agree with the exact branch-and-bound backend on small random
+//! The unified engine dispatcher: `Engine::solve` must route each tractable
+//! family (local, bipartite chain, one-dangling) to its polynomial algorithm
+//! and agree with the exact branch-and-bound backend on small random
 //! instances — the workspace-level contract behind funneling the CLI, tests,
-//! and benches through `solve` / `solve_with`.
+//! and benches through the engine — and every solve shape (single, batch,
+//! incremental) must route identically under any budget.
 
 mod common;
 
@@ -10,9 +11,10 @@ use common::FAMILIES;
 use rpq::automata::{Alphabet, Language, Word};
 use rpq::flow::FlowAlgorithm;
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
-use rpq::resilience::algorithms::{solve, solve_with, Algorithm, ResilienceError};
-use rpq::resilience::engine::{Engine, SolveOptions};
-use rpq::resilience::router::{RouteBudget, Router};
+use rpq::resilience::algorithms::{Algorithm, ResilienceError};
+use rpq::resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveOptions};
+use rpq::resilience::obs::Trace;
+use rpq::resilience::router::RouteBudget;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
 #[test]
@@ -23,14 +25,16 @@ fn solve_routes_each_family_to_its_algorithm_and_matches_exact() {
             let query = Rpq::new(Language::parse(pattern).unwrap());
             for seed in 0..6 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let outcome = solve(&query, &db).unwrap();
+                let outcome = Engine::new().solve(&query, &db).unwrap();
                 assert_eq!(
                     outcome.algorithm, expected,
                     "{pattern} must dispatch to {expected}, got {}",
                     outcome.algorithm
                 );
-                let reference =
-                    solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
+                let reference = Engine::new()
+                    .solve_with(Algorithm::ExactBranchAndBound, &query, &db)
+                    .unwrap()
+                    .value;
                 assert_eq!(outcome.value, reference, "{pattern}, seed {seed}");
                 // Exact outcomes never carry approximation bounds.
                 assert!(outcome.bounds.is_none());
@@ -42,9 +46,9 @@ fn solve_routes_each_family_to_its_algorithm_and_matches_exact() {
 
 #[test]
 fn prepared_queries_agree_with_the_legacy_dispatcher_on_the_corpus() {
-    // `PreparedQuery::solve` must return outcomes identical to the legacy
-    // `solve` on the full corpus: same value, same chosen algorithm, same
-    // bounds — the plan-once/solve-many contract of the engine redesign.
+    // `PreparedQuery::solve` must return outcomes identical to the one-shot
+    // `Engine::solve` on the full corpus: same value, same chosen algorithm,
+    // same bounds — the plan-once/solve-many contract of the engine.
     let engine = Engine::new();
     for &(alphabet, patterns, expected) in FAMILIES {
         let alphabet = Alphabet::from_chars(alphabet);
@@ -54,9 +58,9 @@ fn prepared_queries_agree_with_the_legacy_dispatcher_on_the_corpus() {
             assert_eq!(prepared.plan().algorithm, expected, "{pattern}");
             for seed in 0..6 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let legacy = solve(&query, &db).unwrap();
+                let one_shot = Engine::new().solve(&query, &db).unwrap();
                 let fresh = prepared.solve(&db).unwrap();
-                assert_eq!(fresh, legacy, "{pattern}, seed {seed}");
+                assert_eq!(fresh, one_shot, "{pattern}, seed {seed}");
             }
         }
     }
@@ -71,9 +75,13 @@ fn prepared_forced_backends_agree_with_legacy_solve_with() {
         let prepared = match engine.prepare_with(algorithm, &query) {
             Ok(prepared) => prepared,
             Err(e) => {
-                // The legacy path must refuse the language identically.
+                // The one-shot path must refuse the language identically.
                 let db = random_labeled_graph(4, 7, &alphabet, 0);
-                assert_eq!(solve_with(algorithm, &query, &db).unwrap_err(), e, "{algorithm}");
+                assert_eq!(
+                    Engine::new().solve_with(algorithm, &query, &db).unwrap_err(),
+                    e,
+                    "{algorithm}"
+                );
                 continue;
             }
         };
@@ -81,7 +89,7 @@ fn prepared_forced_backends_agree_with_legacy_solve_with() {
             let db = random_labeled_graph(4, 7, &alphabet, seed);
             assert_eq!(
                 prepared.solve(&db).unwrap(),
-                solve_with(algorithm, &query, &db).unwrap(),
+                Engine::new().solve_with(algorithm, &query, &db).unwrap(),
                 "{algorithm}, seed {seed}"
             );
         }
@@ -95,7 +103,7 @@ fn oversized_enumeration_is_a_typed_error_not_a_panic() {
     let word = Word::from_letters(std::iter::repeat_n('a'.into(), 30));
     let db = word_path(&word);
     let query = Rpq::parse("aa").unwrap();
-    match solve_with(Algorithm::ExactEnumeration, &query, &db) {
+    match Engine::new().solve_with(Algorithm::ExactEnumeration, &query, &db) {
         Err(ResilienceError::InstanceTooLarge { facts: 30, limit: 24 }) => {}
         other => panic!("expected InstanceTooLarge, got {other:?}"),
     }
@@ -168,16 +176,72 @@ fn routing_with_an_unlimited_budget_agrees_with_exact_enumeration() {
             let prepared = engine.prepare(&query).unwrap();
             for seed in 0..4 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let tiered = prepared.route(&db, &RouteBudget::UNLIMITED).unwrap();
+                let tiered = prepared.route(&db, &SolveCall::new(true), &mut Trace::disabled());
+                let tiered = tiered.unwrap();
                 assert!(!tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
                 assert_eq!(tiered.tier, expected.tier(), "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome.algorithm, expected, "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome, prepared.solve(&db).unwrap(), "{pattern}, seed {seed}");
-                let oracle = solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap().value;
+                let oracle = Engine::new()
+                    .solve_with(Algorithm::ExactEnumeration, &query, &db)
+                    .unwrap()
+                    .value;
                 assert_eq!(tiered.outcome.value, oracle, "{pattern}, seed {seed}");
             }
         }
     }
+}
+
+#[test]
+fn every_solve_shape_routes_identically_under_each_budget() {
+    // `route`, `route_batch` (sequential and on worker threads) and a fresh
+    // `route_incremental` share one estimate → fit → run-or-degrade path, so
+    // they must return the same `TieredOutcome` field for field: value,
+    // bounds, contingency set, tier, `degraded`, `reason` and the estimate.
+    // The mid-range budget splits the corpus: the cheap flow plans fit it,
+    // while the exact plans degrade to the greedy rung of the ladder (the
+    // zero budget takes every plan to the trivial rung).
+    let engine = Engine::new();
+    let budgets = [
+        RouteBudget::UNLIMITED,
+        RouteBudget::with_cost_budget_us(0),
+        RouteBudget::with_cost_budget_us(110),
+    ];
+    let (mut mid_fits, mut mid_greedy) = (0, 0);
+    for &(alphabet, patterns, _) in FAMILIES {
+        let alphabet = Alphabet::from_chars(alphabet);
+        let dbs: Vec<_> = (0..4).map(|seed| random_labeled_graph(5, 16, &alphabet, seed)).collect();
+        for pattern in patterns {
+            let prepared = engine.prepare(&Rpq::new(Language::parse(pattern).unwrap())).unwrap();
+            for budget in budgets {
+                let call = SolveCall { budget, ..SolveCall::new(true) };
+                let single: Vec<_> = dbs
+                    .iter()
+                    .map(|db| prepared.route(db, &call, &mut Trace::disabled()).unwrap())
+                    .collect();
+                for jobs in [1, 4] {
+                    let batch = prepared.route_batch(&dbs, jobs, &call, &mut Trace::disabled());
+                    let batch: Vec<_> = batch.into_iter().map(Result::unwrap).collect();
+                    assert_eq!(batch, single, "{pattern}, {budget:?}, {jobs} jobs");
+                }
+                for (db, expected) in dbs.iter().zip(&single) {
+                    let mut solver = IncrementalSolver::new();
+                    let (tiered, _) = prepared
+                        .route_incremental(&mut solver, db, None, &call, &mut Trace::disabled())
+                        .unwrap();
+                    assert_eq!(&tiered, expected, "{pattern}, {budget:?}, incremental");
+                }
+                if budget.cost_budget_us == Some(110) {
+                    mid_fits += single.iter().filter(|t| !t.degraded).count();
+                    mid_greedy += single
+                        .iter()
+                        .filter(|t| t.outcome.algorithm == Algorithm::ApproxGreedy)
+                        .count();
+                }
+            }
+        }
+    }
+    assert!(mid_fits > 0 && mid_greedy > 0, "fits {mid_fits}, greedy {mid_greedy}");
 }
 
 #[test]
@@ -186,8 +250,7 @@ fn an_impossible_budget_degrades_to_certified_bounds_with_the_tier_reported() {
     // still answer — with certified bounds that sandwich the true value and
     // an explicit approx-tier verdict, never a refusal.
     let engine = Engine::new();
-    let router = Router::new();
-    let budget = RouteBudget::with_cost_budget_us(0);
+    let call = SolveCall { budget: RouteBudget::with_cost_budget_us(0), ..SolveCall::new(true) };
     for &(alphabet, patterns, _) in FAMILIES {
         let alphabet = Alphabet::from_chars(alphabet);
         for pattern in patterns {
@@ -195,7 +258,7 @@ fn an_impossible_budget_degrades_to_certified_bounds_with_the_tier_reported() {
             let prepared = engine.prepare(&query).unwrap();
             for seed in 0..4 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let tiered = prepared.route_with_cut(&db, true, &budget, &router).unwrap();
+                let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
                 assert!(tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
                 assert_eq!(tiered.tier, "approx", "{pattern}, seed {seed}");
                 // Degraded answers stay *certified*: either trivially exact
@@ -229,9 +292,10 @@ fn every_applicable_backend_agrees_or_sandwiches_the_exact_value() {
     let query = Rpq::new(Language::parse("aa").unwrap());
     for seed in 0..4 {
         let db = random_labeled_graph(4, 7, &alphabet, seed);
-        let exact = solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
+        let exact =
+            Engine::new().solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap().value;
         for algorithm in Algorithm::ALL {
-            let Ok(outcome) = solve_with(algorithm, &query, &db) else {
+            let Ok(outcome) = Engine::new().solve_with(algorithm, &query, &db) else {
                 continue; // backend legitimately refuses the language
             };
             match outcome.bounds {

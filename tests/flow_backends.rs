@@ -17,8 +17,9 @@ use rpq::flow::FlowAlgorithm;
 use rpq::graphdb::generate::random_labeled_graph;
 use rpq::graphdb::FactId;
 use rpq::resilience::algorithms::Algorithm;
-use rpq::resilience::engine::{Engine, SolveOptions};
+use rpq::resilience::engine::{Engine, SolveCall, SolveOptions};
 use rpq::resilience::exact::resilience_exact;
+use rpq::resilience::obs::Trace;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 use std::collections::BTreeSet;
 
@@ -96,15 +97,13 @@ fn prepared_batches_agree_across_flow_backends_and_with_the_default() {
     let alphabet = Alphabet::from_chars("abx");
     let query = Rpq::new(Language::parse("ax*b").unwrap()).with_bag_semantics();
     let dbs: Vec<_> = (0..6).map(|seed| random_labeled_graph(5, 12, &alphabet, seed)).collect();
-    let baseline: Vec<_> = dbs
-        .iter()
-        .map(|db| rpq::resilience::algorithms::solve(&query, db).unwrap().value)
-        .collect();
+    let baseline: Vec<_> =
+        dbs.iter().map(|db| Engine::new().solve(&query, db).unwrap().value).collect();
     for flow_backend in FlowAlgorithm::SELECTABLE {
         let engine = Engine::with_options(SolveOptions { flow_backend, ..Default::default() });
         let prepared = engine.prepare(&query).unwrap();
-        let values: Vec<_> =
-            prepared.solve_batch(&dbs).into_iter().map(|r| r.unwrap().value).collect();
+        let batch = prepared.route_batch(&dbs, 1, &SolveCall::new(true), &mut Trace::disabled());
+        let values: Vec<_> = batch.into_iter().map(|r| r.unwrap().outcome.value).collect();
         assert_eq!(values, baseline, "{flow_backend}");
     }
 }

@@ -2,7 +2,8 @@
 //! end to end on small graphs, for the gadgets transcribed from the paper.
 
 use rpq::automata::Language;
-use rpq::resilience::algorithms::{solve_with, Algorithm};
+use rpq::resilience::algorithms::Algorithm;
+use rpq::resilience::engine::Engine;
 use rpq::resilience::gadgets::library;
 use rpq::resilience::gadgets::PreGadget;
 use rpq::resilience::reductions::{subdivision_vertex_cover_number, UndirectedGraph};
@@ -17,8 +18,10 @@ fn check_reduction(gadget: &PreGadget, pattern: &str, graphs: &[UndirectedGraph]
     let query = Rpq::new(language);
     for graph in graphs {
         let encoding = gadget.encode_graph(graph);
-        let resilience =
-            solve_with(Algorithm::ExactBranchAndBound, &query, &encoding).unwrap().value;
+        let resilience = Engine::new()
+            .solve_with(Algorithm::ExactBranchAndBound, &query, &encoding)
+            .unwrap()
+            .value;
         let expected = subdivision_vertex_cover_number(graph, ell) as u128;
         assert_eq!(
             resilience,
@@ -75,8 +78,10 @@ fn random_graphs_through_the_aa_reduction() {
     for seed in 0..4 {
         let graph = UndirectedGraph::random(5, 0.45, seed);
         let encoding = gadget.encode_graph(&graph);
-        let resilience =
-            solve_with(Algorithm::ExactBranchAndBound, &query, &encoding).unwrap().value;
+        let resilience = Engine::new()
+            .solve_with(Algorithm::ExactBranchAndBound, &query, &encoding)
+            .unwrap()
+            .value;
         let expected = subdivision_vertex_cover_number(&graph, ell) as u128;
         assert_eq!(resilience, ResilienceValue::Finite(expected), "seed {seed}");
     }
