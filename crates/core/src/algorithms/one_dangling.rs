@@ -41,10 +41,10 @@
 //! removed by the negative-credit accounting) or because the minimum cut cut
 //! the `z`-fact at `v` — deleting all `x`-facts into those nodes instead;
 //! cut `x`-facts and cut local facts map to their original facts directly.
-//! Both [`GraphDb::reversed`] (the mirrored orientation) and the
-//! unit-multiplicity copy taken under set semantics preserve fact
-//! identifiers, so the extracted identifiers are valid in the caller's
-//! database as-is. The cost bookkeeping telescopes:
+//! The rewriting never copies the caller's database: it reads it by
+//! identifier, with every fact reversed in the mirrored orientation and with
+//! unit multiplicities under set semantics, so the extracted identifiers are
+//! valid in the caller's database as-is. The cost bookkeeping telescopes:
 //! `cost(witness) = κ + Σ_(non-positive z) + cost(cut) = value`.
 
 use super::{Algorithm, ResilienceError, ResilienceOutcome, SolveScratch};
@@ -54,7 +54,7 @@ use rpq_automata::finite::{one_dangling_decomposition, OneDanglingDecomposition}
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_automata::Language;
 use rpq_flow::FlowAlgorithm;
-use rpq_graphdb::{FactId, GraphDb, NodeId};
+use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
 use rpq_obs::Trace;
 use std::collections::BTreeSet;
 
@@ -161,40 +161,20 @@ impl OneDanglingPlan {
             });
         }
 
-        // Work on a database whose multiplicities reflect the query's
-        // semantics, so that the rewriting below can always reason in bag
-        // terms. Fact identifiers are preserved by the copy (and by
-        // `reversed` below), so witness facts need no id translation.
-        let rewrite_timer = trace.begin();
-        let bag_db = match rpq.semantics() {
-            Semantics::Bag => db.clone(),
-            Semantics::Set => {
-                let mut copy = GraphDb::new();
-                // Rebuild with unit multiplicities, preserving node names.
-                for node in db.nodes() {
-                    copy.node(db.node_name(node));
-                }
-                for (_, fact) in db.facts() {
-                    copy.add_fact(fact.source, fact.label, fact.target);
-                }
-                copy
-            }
-        };
-        #[cfg(debug_assertions)]
-        let original_bag_db = bag_db.clone();
-        let bag_db = if self.mirrored { bag_db.reversed() } else { bag_db };
-        trace.end(rewrite_timer, "rewrite");
-
+        // The rewriting reads `db` through a view: in mirrored orientation
+        // and, under set semantics, with unit multiplicities. Witness facts
+        // are therefore `db`'s own identifiers.
+        let view = View { db, mirrored: self.mirrored, unit: rpq.semantics() == Semantics::Set };
         let (value, witness) =
-            rewrite_and_solve(&self.decomposition, ro, &bag_db, flow, want_cut, scratch, trace)?;
+            rewrite_and_solve(&self.decomposition, ro, view, flow, want_cut, scratch, trace)?;
         #[cfg(debug_assertions)]
         debug_assert!(
             {
                 // Cross-check against the exact solver on small instances only.
-                original_bag_db.num_facts() > 14 || {
+                db.num_facts() > 14 || {
                     let exact = crate::exact::resilience_exact(
-                        &Rpq::new(self.language.clone()).with_bag_semantics(),
-                        &original_bag_db,
+                        &Rpq::new(self.language.clone()).with_semantics(rpq.semantics()),
+                        db,
                     );
                     exact.value == value
                 }
@@ -247,28 +227,62 @@ enum Provenance {
     Exchange(NodeId),
 }
 
+/// The database as the rewriting sees it: every fact reversed when the plan
+/// mirrored the query (Proposition 6.3), and every multiplicity 1 under set
+/// semantics. Node and fact identifiers are the underlying database's.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    db: &'a GraphDb,
+    mirrored: bool,
+    unit: bool,
+}
+
+impl View<'_> {
+    /// The `(source, target)` of a fact in the view's orientation.
+    fn ends(&self, fact: Fact) -> (NodeId, NodeId) {
+        if self.mirrored {
+            (fact.target, fact.source)
+        } else {
+            (fact.source, fact.target)
+        }
+    }
+
+    /// The multiplicity of a fact under the view's semantics.
+    fn multiplicity(&self, id: FactId) -> u64 {
+        if self.unit {
+            1
+        } else {
+            self.db.multiplicity(id)
+        }
+    }
+}
+
 /// Performs steps 2–4 of the rewriting for a decomposition with `y ∉ Σ`, whose
 /// local part is recognized by the prepared RO-εNFA `ro`. Returns the value
 /// and, when `want_cut` is set and the value is finite, an optimal
-/// contingency set in `db`'s fact identifiers.
+/// contingency set in the viewed database's fact identifiers.
 #[allow(clippy::too_many_arguments)]
 fn rewrite_and_solve(
     decomposition: &OneDanglingDecomposition,
     ro: &RoEnfa,
-    db: &GraphDb,
+    view: View<'_>,
     flow: FlowAlgorithm,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
 ) -> Result<(ResilienceValue, Option<BTreeSet<FactId>>), ResilienceError> {
     let rewrite_timer = trace.begin();
+    let db = view.db;
     let x = decomposition.x;
     let y = decomposition.y;
     let local_part = &decomposition.local_part;
 
     // κ = total multiplicity of y-facts.
-    let kappa: i128 =
-        db.facts().filter(|(_, f)| f.label == y).map(|(id, _)| db.multiplicity(id) as i128).sum();
+    let kappa: i128 = db
+        .facts()
+        .filter(|(_, f)| f.label == y)
+        .map(|(id, _)| i128::from(view.multiplicity(id)))
+        .sum();
 
     // Fresh letter z and the rewritten automaton A' (x ↦ xz). When x does not
     // occur in the local part, the language is unchanged.
@@ -280,33 +294,28 @@ fn rewrite_and_solve(
         ro.clone()
     };
 
-    // Twin-node names must be fresh: grow the suffix until no original node
-    // name collides with any twin name (otherwise a node literally named
-    // `v__in` would alias the twin of `v` and corrupt the rewriting).
-    let mut suffix = String::from("__in");
-    while db.nodes().any(|v| db.find_node(&format!("{}{suffix}", db.node_name(v))).is_some()) {
-        suffix.push('_');
-    }
-    let twin_name = |db: &GraphDb, v: NodeId| format!("{}{suffix}", db.node_name(v));
-
     // Rewrite the database, recording what each rewritten fact stands for.
-    let mut rewritten = GraphDb::new();
-    for node in db.nodes() {
-        rewritten.node(db.node_name(node));
-    }
+    // Original nodes keep their identifiers; each twin `(v, in)` is a fresh
+    // node (whose name can never alias an original one), created once.
+    let mut rewritten = db.nodes_only();
+    let mut twins: Vec<Option<NodeId>> = vec![None; db.num_nodes()];
+    let mut twin_of = |rewritten: &mut GraphDb, v: NodeId| {
+        *twins[v.0 as usize].get_or_insert_with(|| rewritten.fresh_node())
+    };
     // Per-node bookkeeping for the z-fact multiplicities, dense by node id
     // (`touched` marks nodes with at least one incident x- or y-fact).
     let mut incoming_x: Vec<i128> = vec![0; db.num_nodes()];
     let mut outgoing_y: Vec<i128> = vec![0; db.num_nodes()];
     let mut touched: Vec<bool> = vec![false; db.num_nodes()];
     for (id, fact) in db.facts() {
+        let (source, target) = view.ends(fact);
         if fact.label == x {
-            incoming_x[fact.target.0 as usize] += db.multiplicity(id) as i128;
-            touched[fact.target.0 as usize] = true;
+            incoming_x[target.0 as usize] += i128::from(view.multiplicity(id));
+            touched[target.0 as usize] = true;
         }
         if fact.label == y {
-            outgoing_y[fact.source.0 as usize] += db.multiplicity(id) as i128;
-            touched[fact.source.0 as usize] = true;
+            outgoing_y[source.0 as usize] += i128::from(view.multiplicity(id));
+            touched[source.0 as usize] = true;
         }
     }
 
@@ -315,26 +324,18 @@ fn rewrite_and_solve(
     // sequentially and `provenance` is a dense push-indexed Vec.
     let mut provenance: Vec<Provenance> = Vec::with_capacity(db.num_facts());
     for (id, fact) in db.facts() {
-        match fact.label {
-            l if l == y => {
-                // y-facts are erased.
-            }
-            l if l == x => {
-                // Redirect to the twin (v, in).
-                let twin = rewritten.node(&twin_name(db, fact.target));
-                let src = rewritten.node(db.node_name(fact.source));
-                let new = rewritten.add_fact_with_multiplicity(src, x, twin, db.multiplicity(id));
-                debug_assert_eq!(new.index(), provenance.len());
-                provenance.push(Provenance::Original(id));
-            }
-            l => {
-                let src = rewritten.node(db.node_name(fact.source));
-                let dst = rewritten.node(db.node_name(fact.target));
-                let new = rewritten.add_fact_with_multiplicity(src, l, dst, db.multiplicity(id));
-                debug_assert_eq!(new.index(), provenance.len());
-                provenance.push(Provenance::Original(id));
-            }
-        }
+        let (source, target) = view.ends(fact);
+        let target = match fact.label {
+            // y-facts are erased.
+            l if l == y => continue,
+            // x-facts are redirected to the twin (v, in).
+            l if l == x => twin_of(&mut rewritten, target),
+            _ => target,
+        };
+        let new =
+            rewritten.add_fact_with_multiplicity(source, fact.label, target, view.multiplicity(id));
+        debug_assert_eq!(new.index(), provenance.len());
+        provenance.push(Provenance::Original(id));
     }
 
     // z-facts (extended bag semantics): multiplicity may be ≤ 0, in which case
@@ -349,9 +350,8 @@ fn rewrite_and_solve(
         }
         let mult = incoming_x[v.0 as usize] - outgoing_y[v.0 as usize];
         if mult > 0 {
-            let twin = rewritten.node(&twin_name(db, v));
-            let main = rewritten.node(db.node_name(v));
-            let new = rewritten.add_fact_with_multiplicity(twin, z, main, mult as u64);
+            let twin = twin_of(&mut rewritten, v);
+            let new = rewritten.add_fact_with_multiplicity(twin, z, v, mult as u64);
             debug_assert_eq!(new.index(), provenance.len());
             provenance.push(Provenance::Exchange(v));
         } else {
@@ -400,10 +400,11 @@ fn rewrite_and_solve(
         }
     }
     for (id, fact) in db.facts() {
-        if fact.label == x && restored[fact.target.0 as usize] {
+        let (source, target) = view.ends(fact);
+        if fact.label == x && restored[target.0 as usize] {
             witness.insert(id);
         }
-        if fact.label == y && !restored[fact.source.0 as usize] {
+        if fact.label == y && !restored[source.0 as usize] {
             witness.insert(id);
         }
     }
@@ -414,7 +415,7 @@ fn rewrite_and_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::resilience_exact;
+    use crate::exact::{resilience_by_enumeration, resilience_exact};
     use rpq_automata::alphabet::Letter;
     use rpq_automata::{Alphabet, Language, Word};
     use rpq_graphdb::generate::{one_dangling_instance, random_labeled_graph, word_path};
@@ -633,6 +634,37 @@ mod tests {
             .unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(1));
         assert!(out.contingency_set.is_none());
+    }
+
+    #[test]
+    fn random_instances_match_the_enumeration_oracle() {
+        // 100 random databases, each solved for abc|be and its mirror cba|eb
+        // (which reads the database reversed) under set and bag semantics.
+        let alphabet = Alphabet::from_chars("abce");
+        let mut instances = 0;
+        for seed in 0..100u64 {
+            let nodes = 3 + (seed % 3) as usize;
+            let facts = 5 + (seed % 5) as usize;
+            let mut db = random_labeled_graph(nodes, facts, &alphabet, seed);
+            for pattern in ["abc|be", "cba|eb"] {
+                instances += 1;
+                for bag in [false, true] {
+                    if bag {
+                        let ids: Vec<_> = db.fact_ids().collect();
+                        for (i, id) in ids.into_iter().enumerate() {
+                            db.set_multiplicity(id, 1 + (seed + i as u64) % 4);
+                        }
+                    }
+                    let q = Rpq::parse(pattern).unwrap();
+                    let q = if bag { q.with_bag_semantics() } else { q };
+                    let fast = resilience_one_dangling(&q, &db).unwrap();
+                    let oracle = resilience_by_enumeration(&q, &db);
+                    assert_eq!(fast.value, oracle, "{pattern}, bag {bag}, seed {seed}");
+                    assert_witness(&q, &db, &fast);
+                }
+            }
+        }
+        assert!(instances >= 200);
     }
 
     #[test]

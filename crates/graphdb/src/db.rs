@@ -1,7 +1,16 @@
 //! The graph-database store.
+//!
+//! Node names and facts are interned through two hash indexes, so building a
+//! database costs one hash probe per node mention and per fact. Both indexes
+//! keep std's randomly keyed [`RandomState`](std::collections::hash_map::RandomState):
+//! node names come from requests, and an unkeyed hasher would let a client
+//! choose names that all collide (HashDoS). Nothing iterates either index,
+//! so their order never shows: identifiers are assigned in first-appearance
+//! order.
 
 use rpq_automata::alphabet::{Alphabet, Letter};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Identifier of a node (domain element) of a graph database.
@@ -37,14 +46,14 @@ pub struct Fact {
 #[derive(Debug, Clone, Default)]
 pub struct GraphDb {
     node_names: Vec<String>,
-    node_index: BTreeMap<String, NodeId>,
+    node_index: HashMap<Box<str>, NodeId>,
     facts: Vec<Fact>,
     multiplicities: Vec<u64>,
     /// Facts declared **exogenous**: they can never be part of a contingency
     /// set (equivalently, they carry weight `+∞`). This is the "exogenous
     /// relations" setting discussed in Sections 2 and 8 of the paper.
     exogenous: Vec<bool>,
-    fact_index: BTreeMap<Fact, FactId>,
+    fact_index: HashMap<Fact, FactId>,
     /// Outgoing adjacency, indexed by node id (`NodeId`s are dense u32s).
     out_edges: Vec<Vec<FactId>>,
     /// Incoming adjacency, indexed by node id.
@@ -64,7 +73,7 @@ impl GraphDb {
         }
         let id = NodeId(self.node_names.len() as u32);
         self.node_names.push(name.to_string());
-        self.node_index.insert(name.to_string(), id);
+        self.node_index.insert(name.into(), id);
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
         id
@@ -75,9 +84,13 @@ impl GraphDb {
         self.node_index.get(name).copied()
     }
 
-    /// Creates a fresh anonymous node.
+    /// Creates a fresh anonymous node, named `_n<k>` (with `_` appended
+    /// until the name is unused, so it never aliases an existing node).
     pub fn fresh_node(&mut self) -> NodeId {
-        let name = format!("_n{}", self.node_names.len());
+        let mut name = format!("_n{}", self.node_names.len());
+        while self.node_index.contains_key(name.as_str()) {
+            name.push('_');
+        }
         self.node(&name)
     }
 
@@ -136,21 +149,26 @@ impl GraphDb {
     ) -> Option<FactId> {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
         let fact = Fact { source, label, target };
-        if let Some(&id) = self.fact_index.get(&fact) {
-            // The fact is already present: bag semantics accumulates the
-            // multiplicity (except that add_fact keeps set semantics at 1 by
-            // only ever passing multiplicity 1 for a fresh fact).
-            let current = &mut self.multiplicities[id.index()];
-            if multiplicity > 1 || *current > 1 {
-                *current = current.checked_add(multiplicity)?;
-            }
-            return Some(id);
-        }
         let id = FactId(self.facts.len() as u32);
+        match self.fact_index.entry(fact) {
+            Entry::Occupied(entry) => {
+                // The fact is already present: bag semantics accumulates the
+                // multiplicity (except that add_fact keeps set semantics at 1
+                // by only ever passing multiplicity 1 for a fresh fact).
+                let existing = *entry.get();
+                let current = &mut self.multiplicities[existing.index()];
+                if multiplicity > 1 || *current > 1 {
+                    *current = current.checked_add(multiplicity)?;
+                }
+                return Some(existing);
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(id);
+            }
+        }
         self.facts.push(fact);
         self.multiplicities.push(multiplicity);
         self.exogenous.push(false);
-        self.fact_index.insert(fact, id);
         self.out_edges[source.0 as usize].push(id);
         self.in_edges[target.0 as usize].push(id);
         Some(id)
@@ -211,9 +229,10 @@ impl GraphDb {
         self.multiplicities[id.index()]
     }
 
-    /// Sum of the multiplicities of all facts.
-    pub fn total_multiplicity(&self) -> u64 {
-        self.multiplicities.iter().sum()
+    /// Sum of the multiplicities of all facts. It is a `u128`: each
+    /// multiplicity may be up to `u64::MAX`, so their sum may not fit a `u64`.
+    pub fn total_multiplicity(&self) -> u128 {
+        self.multiplicities.iter().map(|&m| u128::from(m)).sum()
     }
 
     /// Iterator over all fact identifiers.
@@ -246,16 +265,22 @@ impl GraphDb {
         Alphabet::from_letters(self.facts.iter().map(|f| f.label))
     }
 
-    /// Returns a copy of the database with the given facts removed (their
-    /// multiplicities removed entirely). Node identifiers are preserved.
-    pub fn without_facts(&self, removed: &BTreeSet<FactId>) -> GraphDb {
-        let mut out = GraphDb {
+    /// A database with the same nodes (same identifiers and names) and no
+    /// facts.
+    pub fn nodes_only(&self) -> GraphDb {
+        GraphDb {
             node_names: self.node_names.clone(),
             node_index: self.node_index.clone(),
             out_edges: vec![Vec::new(); self.node_names.len()],
             in_edges: vec![Vec::new(); self.node_names.len()],
             ..GraphDb::default()
-        };
+        }
+    }
+
+    /// Returns a copy of the database with the given facts removed (their
+    /// multiplicities removed entirely). Node identifiers are preserved.
+    pub fn without_facts(&self, removed: &BTreeSet<FactId>) -> GraphDb {
+        let mut out = self.nodes_only();
         for (id, fact) in self.facts() {
             if !removed.contains(&id) {
                 let new_id = out.add_fact_with_multiplicity(
@@ -274,13 +299,7 @@ impl GraphDb {
     /// the paper uses this to relate the resilience of a language and of its
     /// mirror). Fact identifiers are preserved.
     pub fn reversed(&self) -> GraphDb {
-        let mut out = GraphDb {
-            node_names: self.node_names.clone(),
-            node_index: self.node_index.clone(),
-            out_edges: vec![Vec::new(); self.node_names.len()],
-            in_edges: vec![Vec::new(); self.node_names.len()],
-            ..GraphDb::default()
-        };
+        let mut out = self.nodes_only();
         for (id, fact) in self.facts() {
             let new_id = out.add_fact_with_multiplicity(
                 fact.target,
@@ -333,6 +352,24 @@ mod tests {
         let w = db.fresh_node();
         assert_eq!(db.num_nodes(), 3);
         assert_ne!(w, u);
+    }
+
+    #[test]
+    fn fresh_nodes_never_alias_named_nodes() {
+        // `_n1` is the name the first fresh node of a one-node database
+        // would get: it must not be handed out again as if it were new.
+        let mut db = GraphDb::new();
+        let named = db.node("_n1");
+        let fresh = db.fresh_node();
+        assert_ne!(fresh, named);
+        assert_eq!(db.num_nodes(), 2);
+        assert_eq!(db.node_name(fresh), "_n1_");
+        // Longer collisions keep growing the name.
+        db.node("_n4");
+        db.node("_n4_");
+        let third = db.fresh_node();
+        assert_eq!(db.node_name(third), "_n4__");
+        assert_eq!(db.num_nodes(), 5);
     }
 
     #[test]
@@ -434,6 +471,16 @@ mod tests {
         assert_eq!(db.try_add_fact_with_multiplicity(u, Letter('a'), v, 2), None);
         assert_eq!(db.multiplicity(f), u64::MAX, "a refused add leaves the fact unchanged");
         assert_eq!(db.num_facts(), 1);
+    }
+
+    #[test]
+    fn total_multiplicity_does_not_overflow() {
+        // Each fact is within u64, but their sum is not.
+        let mut db = GraphDb::new();
+        let (u, v) = (db.node("u"), db.node("v"));
+        db.add_fact_with_multiplicity(u, Letter('a'), v, u64::MAX);
+        db.add_fact_with_multiplicity(u, Letter('b'), v, u64::MAX);
+        assert_eq!(db.total_multiplicity(), 2 * u128::from(u64::MAX));
     }
 
     #[test]

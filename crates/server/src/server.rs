@@ -1086,6 +1086,9 @@ fn store_error(e: &StoreError) -> Json {
 struct Connection {
     stream: TcpStream,
     buffer: Vec<u8>,
+    /// How many leading bytes of `buffer` are known to hold no `\n`, so a
+    /// line arriving in many reads is scanned once, not once per read.
+    scanned: usize,
     requests: u64,
     state: Arc<ServerState>,
 }
@@ -1099,7 +1102,34 @@ impl Connection {
         stream.set_nonblocking(true)?;
         state.connections.accepted.fetch_add(1, Ordering::Relaxed);
         state.connections.open.fetch_add(1, Ordering::Relaxed);
-        Ok(Connection { stream, buffer: Vec::new(), requests: 0, state: Arc::clone(state) })
+        Ok(Connection {
+            stream,
+            buffer: Vec::new(),
+            scanned: 0,
+            requests: 0,
+            state: Arc::clone(state),
+        })
+    }
+
+    /// Takes the next non-blank `\n`-terminated line out of the buffer,
+    /// without its newline. Only bytes not scanned before are searched.
+    fn next_buffered_line(&mut self) -> Option<Vec<u8>> {
+        loop {
+            let unscanned = self.buffer.get(self.scanned..).unwrap_or_default();
+            let Some(pos) = unscanned.iter().position(|&b| b == b'\n') else {
+                self.scanned = self.buffer.len();
+                return None;
+            };
+            // The buffer up to the newline becomes the line (no copy); the
+            // bytes after it stay buffered.
+            let rest = self.buffer.split_off(self.scanned + pos + 1);
+            let mut line = std::mem::replace(&mut self.buffer, rest);
+            self.scanned = 0;
+            line.pop(); // the newline
+            if !line.iter().all(u8::is_ascii_whitespace) {
+                return Some(line);
+            }
+        }
     }
 
     /// Records one served request on this connection (keep-alive metrics).
@@ -1133,8 +1163,10 @@ struct ReadyRequest {
 enum Polled {
     /// A complete request line (plus whether the connection hit EOF).
     Request { line: Vec<u8>, eof: bool },
-    /// No complete line yet; keep the connection parked.
-    Idle,
+    /// No complete line yet; keep the connection parked. `read` says whether
+    /// the pass read any bytes: a large line arriving piece by piece is
+    /// progress, so the poller must not back off while it streams in.
+    Idle { read: bool },
     /// Peer closed (or the connection errored) with nothing left to serve.
     Closed,
 }
@@ -1144,31 +1176,30 @@ enum Polled {
 /// ignores them). A non-empty buffer at EOF is served as a final request —
 /// a trailing newline-less `{"op":"shutdown"}` must still be honored.
 fn poll_connection(conn: &mut Connection) -> Polled {
-    loop {
-        if let Some(pos) = conn.buffer.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = conn.buffer.drain(..=pos).collect();
-            line.pop(); // the newline
-            if line.iter().all(u8::is_ascii_whitespace) {
-                continue;
-            }
-            return Polled::Request { line, eof: false };
-        }
-        let mut chunk = [0u8; 4096];
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                let line = std::mem::take(&mut conn.buffer);
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    return Polled::Closed;
-                }
-                return Polled::Request { line, eof: true };
-            }
-            // lint: allow(panic-freedom, read never returns more than the buffer length)
-            Ok(n) => conn.buffer.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Polled::Idle,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Polled::Closed, // reset mid-line: drop the client
-        }
+    if let Some(line) = conn.next_buffered_line() {
+        return Polled::Request { line, eof: false };
     }
+    // `read_to_end` reads straight into the buffer's spare capacity until the
+    // socket would block (keeping every byte it read) or hits EOF; it
+    // retries `Interrupted` itself.
+    let before = conn.buffer.len();
+    let eof = match conn.stream.read_to_end(&mut conn.buffer) {
+        Ok(_) => true,
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+        Err(_) => return Polled::Closed, // reset mid-line: drop the client
+    };
+    if let Some(line) = conn.next_buffered_line() {
+        return Polled::Request { line, eof: false };
+    }
+    if eof {
+        let line = std::mem::take(&mut conn.buffer);
+        conn.scanned = 0;
+        if line.iter().all(u8::is_ascii_whitespace) {
+            return Polled::Closed;
+        }
+        return Polled::Request { line, eof: true };
+    }
+    Polled::Idle { read: conn.buffer.len() > before }
 }
 
 /// The poller's longest sleep between no-progress passes. Sleeps back off
@@ -1233,7 +1264,10 @@ fn poller_loop(
                     }
                     progress = true;
                 }
-                Polled::Idle => i += 1,
+                Polled::Idle { read } => {
+                    progress |= read;
+                    i += 1;
+                }
                 Polled::Closed => {
                     parked.swap_remove(i);
                     progress = true;

@@ -134,6 +134,80 @@ fn pipelined_requests_on_one_connection_are_answered_in_order() {
     running.join().unwrap();
 }
 
+#[test]
+fn a_line_arriving_in_many_pieces_is_answered_before_the_requests_behind_it() {
+    use rpq_graphdb::generate::flow_instance;
+    use std::io::{BufRead, BufReader, Write};
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let running = server.spawn().unwrap();
+
+    // A ~87 KB `solve_batch` line (16 flow networks of ~400 facts each),
+    // written in 40 pieces with pauses, so the poller sees dozens of
+    // partial reads before the newline.
+    let engine = Engine::new();
+    let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap().with_bag_semantics()).unwrap();
+    let dbs: Vec<String> =
+        (0..16).map(|seed| text::serialize(&flow_instance(8, 16, 3, 9, seed))).collect();
+    let expected: Vec<Json> = dbs
+        .iter()
+        .map(|t| {
+            let db = text::parse(t).unwrap();
+            Json::Int(prepared.solve(&db).unwrap().value.finite().unwrap() as i128)
+        })
+        .collect();
+    let query = QuerySpec { bag: true, ..QuerySpec::new("ax*b") };
+    let mut batch = Request::SolveBatch { query, dbs }.to_json().to_string();
+    batch.push('\n');
+    assert!(batch.len() > 64 * 1024, "the batch line is only {} bytes", batch.len());
+
+    let mut stream = std::net::TcpStream::connect(running.addr).unwrap();
+    stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // The last piece goes out in one write with two small requests, so the
+    // poller finds both behind the large line's newline in its buffer.
+    let small = Request::Solve {
+        query: QuerySpec::new("ax*b"),
+        db: text::serialize(&word_path(&Word::from_str_word("axxb"))),
+    };
+    let piece = batch.len().div_ceil(40);
+    let mut pieces: Vec<Vec<u8>> = batch.as_bytes().chunks(piece).map(<[u8]>::to_vec).collect();
+    assert!(pieces.len() >= 32);
+    if let Some(last) = pieces.last_mut() {
+        let behind = format!("{}\n{}\n", small.to_json(), Request::Stats.to_json());
+        last.extend_from_slice(behind.as_bytes());
+    }
+    for piece in &pieces {
+        std::thread::sleep(Duration::from_millis(2));
+        stream.write_all(piece).unwrap();
+    }
+
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response");
+        Json::parse(line.trim()).unwrap()
+    };
+    let response = next();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
+    let values: Vec<Json> = response
+        .get("results")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| r.get("value").unwrap().clone())
+        .collect();
+    assert_eq!(values, expected);
+    let response = next();
+    assert_eq!(response.get("value"), Some(&Json::Int(1)), "{response}");
+    let response = next();
+    assert!(response.get("requests_by_verb").is_some(), "{response}");
+
+    let mut closer = connect(running.addr);
+    closer.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
+}
+
 /// The stress corpus: word paths for `ax*b` with known resilience values.
 fn corpus() -> Vec<String> {
     let mut dbs = Vec::new();

@@ -85,7 +85,7 @@ proptest! {
         match (set_value, bag_value) {
             (ResilienceValue::Finite(s), ResilienceValue::Finite(b)) => {
                 prop_assert!(s <= b, "{}: set {} > bag {}", pattern, s, b);
-                prop_assert!(b <= db.total_multiplicity() as u128);
+                prop_assert!(b <= db.total_multiplicity());
             }
             (s, b) => prop_assert_eq!(s.is_infinite(), b.is_infinite()),
         }
