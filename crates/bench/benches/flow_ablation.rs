@@ -16,13 +16,15 @@
 //!
 //! Benchmark series per family and size `|N| = |V| + |E|`:
 //!
-//! * `Csr{Dinic,EdmondsKarp,PushRelabel}` — the concrete backends over a
-//!   frozen [`CsrFlow`] with one reused [`FlowScratch`];
+//! * `Csr{Dinic,PushRelabel}` — the concrete backends over a frozen
+//!   [`CsrFlow`] with one reused [`FlowScratch`];
 //! * `CsrAuto` — [`FlowAlgorithm::Auto`], which should track the per-size
 //!   winner (its thresholds in `rpq_flow::auto` are re-derived from this
-//!   bench's recorded medians, committed as `BENCH_flow_ablation.json`);
-//! * `LegacyDinic` — the pre-CSR `min_cut_with` path, which rebuilds its
-//!   adjacency structures per call, as a reference for the CSR speedup.
+//!   bench's recorded medians, committed as `BENCH_flow_ablation.json`).
+//!
+//! Before any timing, every instance is checked: Dinic and push–relabel
+//! must agree on the value, and each backend's cut must disconnect the
+//! network at exactly that cost (the max-flow/min-cut certificate).
 //!
 //! **Quick mode** (`FLOW_ABLATION_QUICK=1`, run as a CI smoke step): skips
 //! the criterion sweep and instead times Dinic vs push–relabel directly on
@@ -32,9 +34,8 @@
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpq_flow::{
-    min_cut_with, Capacity, CsrFlow, FlowAlgorithm, FlowNetwork, FlowScratch, VertexId,
-};
+use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowAlgorithm, FlowNetwork, FlowScratch, VertexId};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// A layered random network: `layers` layers of `width` vertices, edges only
@@ -121,6 +122,25 @@ fn families() -> Vec<(&'static str, Vec<FlowNetwork>)> {
     ]
 }
 
+/// Freezes `net` and checks it before timing: every selectable backend
+/// returns the same value (`Auto` resolves to one of the two independent
+/// concrete ones), and every finite cut disconnects the network at exactly
+/// that cost.
+fn checked_csr(net: &FlowNetwork, scratch: &mut FlowScratch) -> CsrFlow {
+    let csr = CsrFlow::from_network(net);
+    let reference = csr.min_cut(FlowAlgorithm::Dinic, scratch).value;
+    for algorithm in FlowAlgorithm::SELECTABLE {
+        let cut = csr.min_cut(algorithm, scratch);
+        assert_eq!(cut.value, reference, "{algorithm} disagrees with Dinic");
+        if !cut.value.is_infinite() {
+            let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
+            assert!(net.is_cut(&set), "{algorithm}: the cut must disconnect the network");
+            assert_eq!(net.cost(&set), cut.value, "{algorithm}: the cut must cost the value");
+        }
+    }
+    csr
+}
+
 fn flow_ablation(c: &mut Criterion) {
     for (family, nets) in families() {
         let mut group = c.benchmark_group(format!("flow_ablation/{family}"));
@@ -130,13 +150,7 @@ fn flow_ablation(c: &mut Criterion) {
             .warm_up_time(Duration::from_millis(200));
         let mut scratch = FlowScratch::new();
         for net in &nets {
-            let csr = CsrFlow::from_network(net);
-            // Sanity: every selectable backend agrees with the legacy path
-            // before being timed (Auto resolves to one of the concrete ones).
-            let reference = min_cut_with(net, FlowAlgorithm::Dinic).value;
-            for algorithm in FlowAlgorithm::SELECTABLE {
-                assert_eq!(csr.min_cut(algorithm, &mut scratch).value, reference);
-            }
+            let csr = checked_csr(net, &mut scratch);
             let size = net.size();
             for algorithm in FlowAlgorithm::SELECTABLE {
                 group.bench_with_input(
@@ -145,9 +159,6 @@ fn flow_ablation(c: &mut Criterion) {
                     |b, csr| b.iter(|| csr.min_cut(algorithm, &mut scratch).value),
                 );
             }
-            group.bench_with_input(BenchmarkId::new("LegacyDinic", size), net, |b, net| {
-                b.iter(|| min_cut_with(net, FlowAlgorithm::Dinic).value)
-            });
         }
         group.finish();
     }
@@ -182,7 +193,7 @@ fn quick_smoke() {
     for (family, nets) in families() {
         // Smallest and largest sweep size: one instance per crossover side.
         for net in [&nets[0], &nets[nets.len() - 1]] {
-            let csr = CsrFlow::from_network(net);
+            let csr = checked_csr(net, &mut scratch);
             let dinic = measure_median_ns(&csr, FlowAlgorithm::Dinic, &mut scratch, 15);
             let push_relabel =
                 measure_median_ns(&csr, FlowAlgorithm::PushRelabel, &mut scratch, 15);

@@ -74,7 +74,7 @@ usage:
 algorithms: local (Thm 3.13), chain (Prp 7.6), one-dangling (Prp 7.9),
             exact (branch & bound), enumeration (subset oracle, tiny inputs),
             greedy / k-approx (certified polynomial bounds, finite languages)
-flow backends: dinic (default), edmonds-karp, push-relabel,
+flow backends: dinic (default), push-relabel,
                auto (per-instance choice from measured size thresholds)
 database format: one fact per line, `source label target [multiplicity] [!]`\n(a trailing `!` declares the fact exogenous / un-removable)
 with several database files, the query plan is prepared once and reused
@@ -696,9 +696,10 @@ mod tests {
             ])
             .is_ok());
         }
-        assert!(run(&["resilience".into(), "ax*b".into(), path, "--flow".into(), "bogus".into(),])
-            .unwrap_err()
-            .contains("unknown flow algorithm"));
+        for retired in ["bogus", "edmonds-karp"] {
+            let args = ["resilience", "ax*b", &path, "--flow", retired].map(String::from);
+            assert!(run(&args).unwrap_err().contains("unknown flow algorithm"), "{retired}");
+        }
     }
 
     #[test]

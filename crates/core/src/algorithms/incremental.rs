@@ -471,7 +471,6 @@ pub(crate) fn solve_incremental_local(
     trace.end(freeze_timer, "csr_freeze");
     let resume_timer = trace.begin();
     let cut = csr.min_cut_resume(
-        flow,
         flow_scratch,
         &mut state.edge_flows,
         &mut state.total_flow,

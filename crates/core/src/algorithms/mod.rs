@@ -287,7 +287,6 @@ impl Algorithm {
 pub(crate) fn flow_phase(backend: rpq_flow::FlowAlgorithm) -> &'static str {
     match backend {
         rpq_flow::FlowAlgorithm::Dinic => "flow_solve_dinic",
-        rpq_flow::FlowAlgorithm::EdmondsKarp => "flow_solve_edmonds_karp",
         rpq_flow::FlowAlgorithm::PushRelabel => "flow_solve_push_relabel",
         rpq_flow::FlowAlgorithm::Auto => "flow_solve",
     }

@@ -382,7 +382,7 @@ impl Engine {
                 reason,
                 infix_free: infix_free.clone(),
                 forced: false,
-                cost: CostModel::for_plan(algorithm, self.options.flow_backend),
+                cost: CostModel::for_plan(algorithm),
             },
             scratch: ScratchPool::default(),
         };
@@ -471,7 +471,7 @@ impl Engine {
                 reason: format!("algorithm `{algorithm}` requested by the caller"),
                 infix_free: if_language.description().to_string(),
                 forced: true,
-                cost: CostModel::for_plan(algorithm, self.options.flow_backend),
+                cost: CostModel::for_plan(algorithm),
             },
             scratch: ScratchPool::default(),
         };
@@ -755,7 +755,7 @@ impl PreparedQuery {
             self.strategy,
             Strategy::ApproxGreedy | Strategy::ApproxKDisjoint | Strategy::TrivialBounds
         ) {
-            let greedy = CostModel::for_plan(Algorithm::ApproxGreedy, self.options.flow_backend);
+            let greedy = CostModel::for_plan(Algorithm::ApproxGreedy);
             if greedy.estimate_us_for(db) <= limit_us {
                 let timer = trace.begin();
                 let result = normalize_approximation(
@@ -1035,7 +1035,7 @@ mod tests {
             reason: "say \"hi\" \\ bye\n".to_string(),
             infix_free: "IF".to_string(),
             forced: true,
-            cost: CostModel::for_plan(Algorithm::Local, rpq_flow::FlowAlgorithm::Dinic),
+            cost: CostModel::for_plan(Algorithm::Local),
         };
         assert_eq!(
             report.to_json(),

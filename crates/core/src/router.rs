@@ -26,7 +26,6 @@
 
 use crate::algorithms::{Algorithm, ResilienceOutcome};
 use crate::rpq::{ResilienceValue, Rpq};
-use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::{FactId, GraphDb};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -116,25 +115,16 @@ impl CostModel {
     /// benchmark artifacts: `BENCH_scaling` puts the Theorem 3.13 local
     /// reduction at ≈4.2 µs/fact (Dinic), the Proposition 7.6 chain
     /// reduction at ≈1.3 µs/fact and the Proposition 7.9 rewriting at
-    /// ≈2.1 µs/fact; `BENCH_flow_ablation` shows Edmonds–Karp trailing the
-    /// other MinCut backends by ≈8× on dense instances; the branch and bound
+    /// ≈2.1 µs/fact (the MinCut backend does not enter: `BENCH_flow_ablation`
+    /// puts Dinic and push–relabel within ≈2.3× of each other at every
+    /// measured size, and `Auto` picks the faster one); the branch and bound
     /// roughly doubles every 2 facts (101 µs at 10 → 1.06 ms at 18) and the
     /// subset enumeration every fact.
-    pub fn for_plan(algorithm: Algorithm, flow_backend: FlowAlgorithm) -> CostModel {
-        let flow_mult = match flow_backend {
-            FlowAlgorithm::EdmondsKarp => 8,
-            FlowAlgorithm::Dinic | FlowAlgorithm::PushRelabel | FlowAlgorithm::Auto => 1,
-        };
+    pub fn for_plan(algorithm: Algorithm) -> CostModel {
         let class = match algorithm {
-            Algorithm::Local => {
-                CostClass::Linear { base_ns: 2_000, ns_per_fact: 4_200 * flow_mult }
-            }
-            Algorithm::BipartiteChain => {
-                CostClass::Linear { base_ns: 2_000, ns_per_fact: 1_300 * flow_mult }
-            }
-            Algorithm::OneDangling => {
-                CostClass::Linear { base_ns: 2_000, ns_per_fact: 2_100 * flow_mult }
-            }
+            Algorithm::Local => CostClass::Linear { base_ns: 2_000, ns_per_fact: 4_200 },
+            Algorithm::BipartiteChain => CostClass::Linear { base_ns: 2_000, ns_per_fact: 1_300 },
+            Algorithm::OneDangling => CostClass::Linear { base_ns: 2_000, ns_per_fact: 2_100 },
             Algorithm::ExactBranchAndBound => {
                 CostClass::Exponential { base_ns: 2_000, facts_per_doubling: 2 }
             }
@@ -374,13 +364,10 @@ mod tests {
 
     #[test]
     fn cost_models_scale_with_the_calibrated_coefficients() {
-        let local = CostModel::for_plan(Algorithm::Local, FlowAlgorithm::Dinic);
+        let local = CostModel::for_plan(Algorithm::Local);
         assert_eq!(local.estimate_ns(1_000), 2_000 + 4_200 * 1_000);
-        // Edmonds–Karp carries the measured ≈8× ablation penalty.
-        let ek = CostModel::for_plan(Algorithm::Local, FlowAlgorithm::EdmondsKarp);
-        assert!(ek.estimate_ns(1_000) > 8 * 4_200 * 1_000 / 2);
         // The exponential models saturate instead of overflowing.
-        let exact = CostModel::for_plan(Algorithm::ExactBranchAndBound, FlowAlgorithm::Dinic);
+        let exact = CostModel::for_plan(Algorithm::ExactBranchAndBound);
         assert!(exact.estimate_ns(10) < exact.estimate_ns(18));
         assert!(exact.estimate_ns(10_000) >= exact.estimate_ns(200));
         // JSON renderings carry the class and its coefficients.

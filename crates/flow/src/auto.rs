@@ -1,11 +1,10 @@
 //! Measured backend auto-selection (`FlowAlgorithm::Auto`).
 //!
 //! The `flow_ablation` bench (committed as `BENCH_flow_ablation.json`, see
-//! EXPERIMENTS.md) measures all three max-flow backends over the CSR path on
-//! two network families — sparse layered networks and dense random networks —
-//! at several sizes. The measurements show a stable crossover: **Dinic wins
-//! on small instances, push–relabel wins on large ones**, and Edmonds–Karp
-//! wins nowhere (its `O(VE²)` bound bites early), so `Auto` never selects it.
+//! EXPERIMENTS.md) measures both max-flow backends over the CSR path on two
+//! network families — sparse layered networks and dense random networks — at
+//! several sizes. The measurements show a stable crossover: **Dinic wins on
+//! small instances, push–relabel wins on large ones**.
 //!
 //! [`select`] encodes that crossover as two thresholds on the instance size
 //! `|N| = |V| + |E|` (the size measure used throughout the paper): a sparse
@@ -71,7 +70,7 @@ pub const DENSE_PUSH_RELABEL_MIN_SIZE: usize = 512;
 
 /// Picks the measured-winner backend for an instance with `num_vertices`
 /// vertices and `num_edges` edges. Always returns a concrete backend (never
-/// [`FlowAlgorithm::Auto`], never [`FlowAlgorithm::EdmondsKarp`]).
+/// [`FlowAlgorithm::Auto`]).
 pub fn select(num_vertices: usize, num_edges: usize) -> FlowAlgorithm {
     let size = num_vertices + num_edges;
     let dense = num_edges >= DENSE_AVG_DEGREE * num_vertices.max(1);
@@ -107,7 +106,6 @@ mod tests {
         for (v, e) in [(0, 0), (10, 30), (1000, 3000), (1000, 20000), (100, 5000)] {
             let picked = select(v, e);
             assert_ne!(picked, FlowAlgorithm::Auto);
-            assert_ne!(picked, FlowAlgorithm::EdmondsKarp);
         }
     }
 

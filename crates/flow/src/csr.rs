@@ -1,14 +1,14 @@
-//! Cache-friendly CSR flow networks solved over reusable scratch buffers.
+//! Cache-friendly CSR flow networks solved over reusable scratch buffers:
+//! the crate's one flow core.
 //!
 //! [`crate::network::FlowNetwork`] is the construction-friendly API: an edge
-//! list with `Option` source/target, solved by building a fresh residual
-//! graph (`Vec<Vec<usize>>` adjacency — one heap allocation per vertex) on
-//! every call. That is fine for one-off solves, but the resilience engine
-//! solves the *same shape* of network once per database, thousands of times
-//! per prepared query, and the per-solve allocation and pointer-chasing cost
-//! dominates at the sizes the benches exercise.
+//! list with `Option` source/target, solved by copying it into a fresh
+//! [`CsrFlow`] (see [`crate::mincut::min_cut_with`]). That is fine for
+//! one-off solves, but the resilience engine solves the *same shape* of
+//! network once per database, thousands of times per prepared query, so it
+//! builds into a reused `CsrFlow` arena directly.
 //!
-//! [`CsrFlow`] is the hot-path representation:
+//! [`CsrFlow`] is the representation every solve runs on:
 //!
 //! * edges are appended into a flat **arena** (`edge_from`/`edge_to`/
 //!   `edge_cap` arrays of `u32`/`u128`) that is `clear()`ed — never freed —
@@ -17,15 +17,15 @@
 //!   row) adjacency by counting sort: `adj_start[v]..adj_start[v+1]` indexes
 //!   the contiguous arc slice of vertex `v`, with forward and reverse
 //!   residual arcs interleaved in the same arrays and paired through an
-//!   explicit `arc_twin` index (the `ai ^ 1` twin trick of the edge-list
-//!   solvers does not survive the CSR permutation);
-//! * [`CsrFlow::min_cut`] runs Dinic, Edmonds–Karp, or push–relabel over a
-//!   caller-provided [`FlowScratch`], whose buffers are reset — never
-//!   reallocated — across solves (see [`crate::scratch`]).
+//!   explicit `arc_twin` index (an `ai ^ 1` pairing of adjacent arcs does
+//!   not survive the CSR permutation);
+//! * [`CsrFlow::min_cut`] runs Dinic or push–relabel over a caller-provided
+//!   [`FlowScratch`], whose buffers are reset — never reallocated — across
+//!   solves (see [`crate::scratch`]).
 //!
-//! Infinite capacities use the same certification scheme as the edge-list
-//! solvers: they are capped internally at `total_finite_capacity + 1`, so a
-//! flow reaching the cap proves that every cut uses an infinite edge.
+//! Infinite capacities are capped internally at the total finite capacity
+//! plus one (saturating), so a flow reaching the cap proves that every cut
+//! uses an infinite edge.
 //! Passing [`FlowAlgorithm::Auto`] selects the backend per instance from the
 //! measured size thresholds in [`crate::auto`].
 
@@ -360,22 +360,8 @@ impl CsrFlow {
         algorithm: FlowAlgorithm,
         scratch: &'s mut FlowScratch,
     ) -> CsrCut<'s> {
-        assert!(self.frozen, "CsrFlow::min_cut requires freeze()");
-        let algorithm = algorithm.resolve(self.num_vertices, self.num_edges());
-        scratch.prepare(self.num_vertices);
-        scratch.residual.clear();
-        scratch.residual.extend_from_slice(&self.arc_cap);
-
-        let flow = match algorithm {
-            FlowAlgorithm::Dinic => dinic(self, scratch, None),
-            FlowAlgorithm::EdmondsKarp => edmonds_karp(self, scratch, None),
-            FlowAlgorithm::PushRelabel => {
-                scratch.prepare_push_relabel(self.num_vertices);
-                push_relabel(self, scratch)
-            }
-            // lint: allow(panic-freedom, resolve never returns Auto)
-            FlowAlgorithm::Auto => unreachable!("Auto resolves to a concrete backend"),
-        };
+        let backend = algorithm.resolve(self.num_vertices, self.num_edges());
+        let flow = self.load_and_solve(backend, scratch);
         self.extract_cut(scratch, flow, self.infinite_cap)
     }
 
@@ -389,27 +375,33 @@ impl CsrFlow {
         algorithm: FlowAlgorithm,
         scratch: &'s mut FlowScratch,
     ) -> (CsrCut<'s>, CutTimings) {
-        assert!(self.frozen, "CsrFlow::min_cut_timed requires freeze()");
         let backend = algorithm.resolve(self.num_vertices, self.num_edges());
         let solve_start = std::time::Instant::now();
+        let flow = self.load_and_solve(backend, scratch);
+        let solve_us = solve_start.elapsed().as_micros() as u64;
+        let extract_start = std::time::Instant::now();
+        let cut = self.extract_cut(scratch, flow, self.infinite_cap);
+        let extract_us = extract_start.elapsed().as_micros() as u64;
+        (cut, CutTimings { backend, solve_us, extract_us })
+    }
+
+    /// The residual load and max-flow solve shared by
+    /// [`min_cut`](CsrFlow::min_cut) and
+    /// [`min_cut_timed`](CsrFlow::min_cut_timed), over a resolved backend.
+    fn load_and_solve(&self, backend: FlowAlgorithm, scratch: &mut FlowScratch) -> u128 {
+        assert!(self.frozen, "CsrFlow::min_cut requires freeze()");
         scratch.prepare(self.num_vertices);
         scratch.residual.clear();
         scratch.residual.extend_from_slice(&self.arc_cap);
-        let flow = match backend {
+        match backend {
             FlowAlgorithm::Dinic => dinic(self, scratch, None),
-            FlowAlgorithm::EdmondsKarp => edmonds_karp(self, scratch, None),
             FlowAlgorithm::PushRelabel => {
                 scratch.prepare_push_relabel(self.num_vertices);
                 push_relabel(self, scratch)
             }
             // lint: allow(panic-freedom, resolve never returns Auto)
             FlowAlgorithm::Auto => unreachable!("Auto resolves to a concrete backend"),
-        };
-        let solve_us = solve_start.elapsed().as_micros() as u64;
-        let extract_start = std::time::Instant::now();
-        let cut = self.extract_cut(scratch, flow, self.infinite_cap);
-        let extract_us = extract_start.elapsed().as_micros() as u64;
-        (cut, CutTimings { backend, solve_us, extract_us })
+        }
     }
 
     /// Verifies that a persistent flow assignment (as maintained by
@@ -491,8 +483,8 @@ impl CsrFlow {
     /// incremental solver instead encodes structural edges as a fixed huge
     /// finite capacity and passes that).
     ///
-    /// Preflow-push cannot start from a feasible flow, so `PushRelabel` (and
-    /// `Auto` resolutions picking it) run Dinic instead.
+    /// The augmentation always runs Dinic: preflow-push cannot start from a
+    /// feasible flow.
     ///
     /// When `want_cut` is `false` the residual-reachability pass and cut-edge
     /// scan are skipped — the returned `cut_edges` slice is empty and only
@@ -508,10 +500,8 @@ impl CsrFlow {
     ///   every edge whose capacity was patched since the last resume;
     ///   [`cancel_flow`](CsrFlow::cancel_flow) keeps the residuals of the
     ///   paths it drains consistent on its own.
-    #[allow(clippy::too_many_arguments)]
     pub fn min_cut_resume<'s>(
         &self,
-        algorithm: FlowAlgorithm,
         scratch: &'s mut FlowScratch,
         edge_flows: &mut [u128],
         total_flow: &mut u128,
@@ -521,10 +511,6 @@ impl CsrFlow {
     ) -> CsrCut<'s> {
         assert!(self.frozen, "CsrFlow::min_cut_resume requires freeze()");
         assert_eq!(edge_flows.len(), self.num_edges(), "one retained flow per arena edge");
-        let algorithm = match algorithm.resolve(self.num_vertices, self.num_edges()) {
-            FlowAlgorithm::PushRelabel => FlowAlgorithm::Dinic,
-            resolved => resolved,
-        };
         scratch.prepare(self.num_vertices);
         match dirty {
             None => {
@@ -577,13 +563,7 @@ impl CsrFlow {
                 }
             }
         }
-        let added = match algorithm {
-            FlowAlgorithm::Dinic => dinic(self, scratch, Some(edge_flows)),
-            FlowAlgorithm::EdmondsKarp => edmonds_karp(self, scratch, Some(edge_flows)),
-            // lint: allow(panic-freedom, resume_policy only returns augmenting-path backends)
-            _ => unreachable!("resume runs an augmenting-path backend"),
-        };
-        *total_flow += added;
+        *total_flow += dinic(self, scratch, Some(edge_flows));
         if !want_cut {
             scratch.cut_edges.clear();
             let value = if *total_flow >= infinite_threshold {
@@ -802,8 +782,7 @@ impl CsrFlow {
 
         // Original edges crossing reachable → unreachable form a minimum cut.
         // Zero-capacity edges crossing it are included so the returned set is
-        // a genuine separator (they cost nothing) — same contract as
-        // `crate::mincut::min_cut_with`.
+        // a genuine separator (they cost nothing).
         scratch.cut_edges.clear();
         for i in 0..self.edge_from.len() {
             if scratch.reachable[self.edge_from[i] as usize]
@@ -913,68 +892,6 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>
     total
 }
 
-/// Edmonds–Karp over the frozen CSR arrays: repeated BFS augmenting paths,
-/// with `pred` holding the arc used to reach each vertex.
-fn edmonds_karp(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>) -> u128 {
-    let n = csr.num_vertices;
-    let source = csr.source as usize;
-    let target = csr.target as usize;
-    let mut total: u128 = 0;
-    loop {
-        for p in s.pred[..n].iter_mut() {
-            *p = NO_ARC;
-        }
-        for l in s.level[..n].iter_mut() {
-            *l = UNVISITED; // `level` doubles as the visited marker here
-        }
-        s.level[source] = 0;
-        s.queue.clear();
-        s.queue.push(source as u32);
-        let mut head = 0;
-        let mut found = false;
-        'bfs: while head < s.queue.len() {
-            let v = s.queue[head] as usize;
-            head += 1;
-            for ai in csr.arc_range(v) {
-                if s.residual[ai] > 0 {
-                    let to = csr.arc_head[ai] as usize;
-                    if s.level[to] == UNVISITED {
-                        s.level[to] = 0;
-                        s.pred[to] = ai as u32;
-                        if to == target {
-                            found = true;
-                            break 'bfs;
-                        }
-                        s.queue.push(to as u32);
-                    }
-                }
-            }
-        }
-        if !found {
-            break;
-        }
-        let mut bottleneck = u128::MAX;
-        let mut v = target;
-        while v != source {
-            let ai = s.pred[v] as usize;
-            bottleneck = bottleneck.min(s.residual[ai]);
-            v = csr.arc_head[csr.arc_twin[ai] as usize] as usize;
-        }
-        let mut v = target;
-        while v != source {
-            let ai = s.pred[v] as usize;
-            s.residual[ai] -= bottleneck;
-            s.residual[csr.arc_twin[ai] as usize] += bottleneck;
-            if let Some(flows) = edge_flows.as_deref_mut() {
-                apply_augment(csr, &[ai as u32], bottleneck, flows);
-            }
-            v = csr.arc_head[csr.arc_twin[ai] as usize] as usize;
-        }
-        total += bottleneck;
-    }
-    total
-}
-
 /// Folds one augmenting path's `bottleneck` units into the per-edge flow
 /// array (the retained state a resumable solve keeps): a forward arc carries
 /// its arena edge directly, a reverse arc cancels flow on its twin's edge.
@@ -991,9 +908,8 @@ fn apply_augment(csr: &CsrFlow, path_arcs: &[u32], bottleneck: u128, flows: &mut
     }
 }
 
-/// Push–relabel (FIFO selection, gap heuristic) over the frozen CSR arrays —
-/// the same algorithm as `crate::push_relabel`, with heights/excess/queues
-/// living in the scratch.
+/// Push–relabel (FIFO selection, gap heuristic) over the frozen CSR arrays,
+/// with heights/excess/queues living in the scratch.
 fn push_relabel(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
     let n = csr.num_vertices;
     let source = csr.source as usize;
@@ -1087,7 +1003,6 @@ fn push_relabel(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mincut::min_cut_with;
     use std::collections::BTreeSet;
 
     fn simple_network(edges: &[(u32, u32, u64)], n: u32, s: u32, t: u32) -> FlowNetwork {
@@ -1154,14 +1069,21 @@ mod tests {
     }
 
     #[test]
-    fn csr_backends_match_legacy_solvers_on_value_and_cut_validity() {
+    fn backends_agree_and_certify_their_cuts() {
+        // Every backend reaches each instance's hand-computed min-cut value,
+        // and each cut disconnects the network at exactly that cost (the
+        // max-flow/min-cut certificate).
+        let finite = [5, 0, 0, 3, 5, 3, 5, 3, 3, 2 * u64::MAX as u128, 23].map(Capacity::Finite);
+        let expected: Vec<Capacity> =
+            finite.into_iter().chain([Capacity::Infinite, Capacity::Finite(4)]).collect();
+        let nets = instances();
+        assert_eq!(nets.len(), expected.len());
         let mut scratch = FlowScratch::new();
-        for net in instances() {
-            let csr = CsrFlow::from_network(&net);
+        for (i, (net, value)) in nets.iter().zip(expected).enumerate() {
+            let csr = CsrFlow::from_network(net);
             for algorithm in FlowAlgorithm::ALL {
-                let legacy = min_cut_with(&net, algorithm);
                 let cut = csr.min_cut(algorithm, &mut scratch);
-                assert_eq!(cut.value, legacy.value, "{algorithm} value");
+                assert_eq!(cut.value, value, "instance {i}: {algorithm} value");
                 if let Capacity::Finite(_) = cut.value {
                     let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
                     assert!(net.is_cut(&set), "{algorithm}: CSR cut must disconnect");
@@ -1214,6 +1136,7 @@ mod tests {
     fn arena_reuse_after_clear_keeps_results_correct() {
         let mut csr = CsrFlow::new();
         let mut scratch = FlowScratch::new();
+        let mut fresh = FlowScratch::new();
         for net in instances() {
             csr.clear();
             csr.add_vertices(net.num_vertices());
@@ -1223,8 +1146,10 @@ mod tests {
                 csr.add_edge(e.from, e.to, e.capacity);
             }
             csr.freeze();
-            let expected = min_cut_with(&net, FlowAlgorithm::Dinic).value;
-            assert_eq!(csr.min_cut(FlowAlgorithm::Dinic, &mut scratch).value, expected);
+            let expected = CsrFlow::from_network(&net).min_cut(FlowAlgorithm::Dinic, &mut fresh);
+            let expected = (expected.value, expected.cut_edges.to_vec());
+            let cut = csr.min_cut(FlowAlgorithm::Dinic, &mut scratch);
+            assert_eq!((cut.value, cut.cut_edges.to_vec()), expected);
         }
     }
 
@@ -1237,15 +1162,7 @@ mod tests {
             let mut flows = vec![0u128; csr.num_edges()];
             let mut total = 0u128;
             let warm = csr
-                .min_cut_resume(
-                    FlowAlgorithm::Auto,
-                    &mut scratch,
-                    &mut flows,
-                    &mut total,
-                    csr.infinite_cap,
-                    true,
-                    None,
-                )
+                .min_cut_resume(&mut scratch, &mut flows, &mut total, csr.infinite_cap, true, None)
                 .value;
             assert_eq!(warm, cold);
             if let Capacity::Finite(f) = cold {
@@ -1311,15 +1228,7 @@ mod tests {
             csr.freeze();
             let mut flows = vec![0u128; csr.num_edges()];
             let mut total = 0u128;
-            csr.min_cut_resume(
-                FlowAlgorithm::Dinic,
-                &mut scratch,
-                &mut flows,
-                &mut total,
-                u128::MAX,
-                true,
-                None,
-            );
+            csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
 
             // Churn: raise, lower, zero, and restore capacities; occasionally
             // append a brand-new edge. Cross-check each warm resume against a
@@ -1363,7 +1272,6 @@ mod tests {
                 csr.freeze();
                 let warm = csr
                     .min_cut_resume(
-                        FlowAlgorithm::Auto,
                         &mut scratch,
                         &mut flows,
                         &mut total,
@@ -1396,59 +1304,26 @@ mod tests {
         let mut flows = vec![0u128; 3];
         let mut total = 0u128;
         assert_eq!(
-            csr.min_cut_resume(
-                FlowAlgorithm::Dinic,
-                &mut scratch,
-                &mut flows,
-                &mut total,
-                u128::MAX,
-                true,
-                None
-            )
-            .value,
+            csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None).value,
             Capacity::Finite(8)
         );
         // Deleting the direct s->t edge: pure value decrease on both sides.
         assert!(csr.cancel_flow(st, 0, &mut scratch, &mut flows, &mut total));
         csr.set_edge_capacity(st, Capacity::Finite(0));
         csr.freeze();
-        let cut = csr.min_cut_resume(
-            FlowAlgorithm::Dinic,
-            &mut scratch,
-            &mut flows,
-            &mut total,
-            u128::MAX,
-            true,
-            None,
-        );
+        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
         assert_eq!(cut.value, Capacity::Finite(5));
         // Lowering the source-adjacent edge below its flow.
         assert!(csr.cancel_flow(sm, 2, &mut scratch, &mut flows, &mut total));
         csr.set_edge_capacity(sm, Capacity::Finite(2));
         csr.freeze();
-        let cut = csr.min_cut_resume(
-            FlowAlgorithm::Dinic,
-            &mut scratch,
-            &mut flows,
-            &mut total,
-            u128::MAX,
-            true,
-            None,
-        );
+        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
         assert_eq!(cut.value, Capacity::Finite(2));
         // And the target-adjacent edge all the way to zero.
         assert!(csr.cancel_flow(mt, 0, &mut scratch, &mut flows, &mut total));
         csr.set_edge_capacity(mt, Capacity::Finite(0));
         csr.freeze();
-        let cut = csr.min_cut_resume(
-            FlowAlgorithm::Dinic,
-            &mut scratch,
-            &mut flows,
-            &mut total,
-            u128::MAX,
-            true,
-            None,
-        );
+        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
         assert_eq!(cut.value, Capacity::Finite(0));
         assert_eq!(total, 0);
     }
@@ -1466,15 +1341,7 @@ mod tests {
         let mut scratch = FlowScratch::new();
         let mut flows = vec![0u128];
         let mut total = 0u128;
-        let cut = csr.min_cut_resume(
-            FlowAlgorithm::Dinic,
-            &mut scratch,
-            &mut flows,
-            &mut total,
-            BIG,
-            true,
-            None,
-        );
+        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, BIG, true, None);
         assert_eq!(cut.value, Capacity::Infinite);
         assert!(cut.cut_edges.is_empty());
     }

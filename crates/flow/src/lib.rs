@@ -8,14 +8,15 @@
 //! * [`network::FlowNetwork`] — directed networks with a single source and
 //!   target and [`network::Capacity`] values that are either finite (`u64`) or
 //!   `+∞` (a dedicated variant, so saturation bugs are impossible);
-//! * [`dinic`] — Dinic's max-flow algorithm;
-//! * [`mincut`] — min-cut values and cut-edge extraction via residual
-//!   reachability, with certification that the returned cut is finite and
-//!   actually disconnects the network;
-//! * [`csr`] + [`scratch`] — the hot-path representation: networks frozen
-//!   into contiguous CSR arrays inside a reusable arena, solved over
-//!   [`scratch::FlowScratch`] buffers that are reset, never reallocated,
-//!   across solves (this is what the resilience engine's batch path uses);
+//! * [`csr`] + [`scratch`] — the one flow core: networks frozen into
+//!   contiguous CSR arrays inside a reusable arena, solved by Dinic or
+//!   push–relabel over [`scratch::FlowScratch`] buffers that are reset,
+//!   never reallocated, across solves (every resilience solve runs here);
+//! * [`mincut`] — the backend choice [`mincut::FlowAlgorithm`] and the
+//!   one-off [`min_cut`]/[`min_cut_with`] wrappers, which copy a
+//!   [`network::FlowNetwork`] into the CSR core and return an owned cut,
+//!   certified (in debug builds) to disconnect the network at the cost of
+//!   the max-flow value;
 //! * [`auto`] — measured size/density thresholds backing
 //!   [`mincut::FlowAlgorithm::Auto`], which picks the winning backend per
 //!   instance (Dinic on small networks, push–relabel on large ones).
@@ -23,11 +24,8 @@
 #![forbid(unsafe_code)]
 pub mod auto;
 pub mod csr;
-pub mod dinic;
-pub mod edmonds_karp;
 pub mod mincut;
 pub mod network;
-pub mod push_relabel;
 pub mod scratch;
 
 pub use csr::{CsrCut, CsrFlow, CutTimings};

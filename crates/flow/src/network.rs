@@ -196,11 +196,6 @@ impl FlowNetwork {
         self.edges.iter().enumerate().map(|(i, &e)| (EdgeId(i as u32), e))
     }
 
-    /// Sum of all finite capacities (used to bound flows internally).
-    pub fn total_finite_capacity(&self) -> u128 {
-        self.edges.iter().filter_map(|e| e.capacity.finite()).sum()
-    }
-
     /// Checks whether removing the given edge set disconnects the source from
     /// the target (i.e. the set is a *cut* in the sense of the paper).
     pub fn is_cut(&self, removed: &std::collections::BTreeSet<EdgeId>) -> bool {
@@ -282,7 +277,6 @@ mod tests {
         assert_eq!(n.num_edges(), 4);
         assert_eq!(n.size(), 8);
         assert_eq!(n.edge(edges[3]).capacity, Capacity::Infinite);
-        assert_eq!(n.total_finite_capacity(), 6);
     }
 
     #[test]

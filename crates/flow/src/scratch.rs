@@ -11,11 +11,10 @@
 //! allocations of every previous solve.
 //!
 //! The scratch is backend-agnostic: Dinic uses `level`/`queue`/`current_arc`/
-//! `path`, Edmonds–Karp uses `level`/`queue`/`pred`, push–relabel uses
-//! `excess`/`height`/`height_count`/`active`/`in_queue`, and the residual
-//! array plus the cut-extraction buffers are shared. One scratch therefore
-//! serves [`crate::FlowAlgorithm::Auto`], which may pick a different backend
-//! per instance.
+//! `path`, push–relabel uses `excess`/`height`/`height_count`/`active`/
+//! `in_queue`, and the residual array plus the cut-extraction buffers are
+//! shared. One scratch therefore serves [`crate::FlowAlgorithm::Auto`],
+//! which may pick a different backend per instance.
 
 use crate::network::EdgeId;
 use std::collections::VecDeque;
@@ -49,7 +48,8 @@ pub struct FlowScratch {
     pub(crate) in_queue: Vec<bool>,
     /// FIFO queue of active vertices (push–relabel).
     pub(crate) active: VecDeque<u32>,
-    /// Per-vertex predecessor arc for Edmonds–Karp ([`NO_ARC`] = none).
+    /// Per-vertex predecessor arc of the flow-cancellation path search in
+    /// [`crate::csr::CsrFlow::cancel_flow`] ([`NO_ARC`] = none).
     pub(crate) pred: Vec<u32>,
     /// Source-side reachability in the residual graph (cut extraction).
     pub(crate) reachable: Vec<bool>,

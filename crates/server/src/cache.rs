@@ -308,16 +308,16 @@ mod tests {
         let bag = Rpq::parse("ax*b").unwrap().with_bag_semantics();
         assert!(!cache.get_or_prepare(&engine, &bag, None).unwrap().hit);
         // Different flow backend: different key.
-        let ek = Engine::with_options(SolveOptions {
-            flow_backend: rpq_flow::FlowAlgorithm::EdmondsKarp,
+        let push_relabel = Engine::with_options(SolveOptions {
+            flow_backend: rpq_flow::FlowAlgorithm::PushRelabel,
             ..Default::default()
         });
-        assert!(!cache.get_or_prepare(&ek, &q, None).unwrap().hit);
+        assert!(!cache.get_or_prepare(&push_relabel, &q, None).unwrap().hit);
         // Forced algorithm: different key.
         assert!(!cache.get_or_prepare(&engine, &q, Some(Algorithm::Local)).unwrap().hit);
         // And each of those now hits.
         assert!(cache.get_or_prepare(&engine, &q, None).unwrap().hit);
-        assert!(cache.get_or_prepare(&ek, &q, None).unwrap().hit);
+        assert!(cache.get_or_prepare(&push_relabel, &q, None).unwrap().hit);
         assert_eq!(cache.stats().entries, 4);
     }
 

@@ -635,6 +635,7 @@ mod tests {
             (r#"{"op":"solve_batch","query":"ab"}"#, "`dbs`"),
             (r#"{"op":"solve_batch","query":"ab","dbs":[1]}"#, "must be strings"),
             (r#"{"op":"prepare","query":"ab","flow":"bogus"}"#, "unknown flow algorithm"),
+            (r#"{"op":"prepare","query":"ab","flow":"edmonds-karp"}"#, "unknown flow algorithm"),
             (r#"{"op":"prepare","query":"ab","algorithm":"bogus"}"#, "unknown algorithm"),
             (r#"{"op":"prepare","query":"ab","enumeration_limit":-3}"#, "non-negative"),
             (r#"{"op":"prepare","query":"ab","bag":"yes"}"#, "boolean"),

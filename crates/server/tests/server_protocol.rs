@@ -232,3 +232,44 @@ fn solve_over_tcp_matches_solve_via_pipe_mode() {
     client.request(&Request::Shutdown).unwrap();
     running.join().unwrap();
 }
+
+/// Replaces the digits after every `"elapsed_us":` and `"uptime_secs":` key
+/// with `X`: wall-clock readings are the only part of a response that may
+/// differ between two runs of the same requests.
+fn mask_timings(output: &str) -> String {
+    let mut masked = String::with_capacity(output.len());
+    let mut rest = output;
+    while let Some((at, key)) = ["\"elapsed_us\":", "\"uptime_secs\":"]
+        .into_iter()
+        .filter_map(|key| rest.find(key).map(|at| (at, key)))
+        .min()
+    {
+        let value = at + key.len();
+        masked.push_str(&rest[..value]);
+        masked.push('X');
+        rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    masked.push_str(rest);
+    masked
+}
+
+/// The golden wire transcript: `scripts/pipe_transcript.ndjson` (prepare,
+/// solve with and without cut and budgets, `solve_batch` at 1 and 4 jobs,
+/// the `db_*` verbs, `stats`, `shutdown`) fed through the stdio front end
+/// must answer byte for byte as recorded in `scripts/pipe_transcript.expected`
+/// once the timings are masked. Re-record the expected file only for an
+/// intended wire change, with this same default `ServerConfig`.
+#[test]
+fn pipe_transcript_matches_the_recorded_responses() {
+    let input = include_str!("../../../scripts/pipe_transcript.ndjson");
+    let expected = include_str!("../../../scripts/pipe_transcript.expected");
+    let state = rpq_server::ServerState::new(ServerConfig::default());
+    let mut output = Vec::new();
+    rpq_server::run_pipe(&state, input.as_bytes(), &mut output).unwrap();
+    let masked = mask_timings(std::str::from_utf8(&output).unwrap());
+    assert_eq!(masked.lines().count(), expected.lines().count());
+    for (i, (got, want)) in masked.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "response {} differs from the recording", i + 1);
+    }
+    assert_eq!(masked, expected);
+}

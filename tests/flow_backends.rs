@@ -1,8 +1,7 @@
 //! Flow-backend agreement: every MinCut backend of `rpq-flow` (Dinic,
-//! Edmonds–Karp, push–relabel, and the measured `Auto` selector) is
-//! selectable end to end through `SolveOptions::flow_backend`, and all of
-//! them must return the same resilience value on every tractable family —
-//! the engine-level contract behind plumbing `FlowAlgorithm` through
+//! push–relabel, and the measured `Auto` selector) is selectable end to end
+//! through `SolveOptions::flow_backend`, and all of them must return the
+//! same resilience value on every tractable family — the engine-level contract behind plumbing `FlowAlgorithm` through
 //! `algorithms/{local,chain,one_dangling}.rs` down to the CSR arena solvers
 //! of `rpq_flow::CsrFlow`. The corpus-wide test additionally pins every
 //! selectable backend to the exact-enumeration oracle, value and witness
