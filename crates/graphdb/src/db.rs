@@ -1,17 +1,44 @@
 //! The graph-database store.
 //!
-//! Node names and facts are interned through two hash indexes, so building a
-//! database costs one hash probe per node mention and per fact. Both indexes
-//! keep std's randomly keyed [`RandomState`](std::collections::hash_map::RandomState):
-//! node names come from requests, and an unkeyed hasher would let a client
-//! choose names that all collide (HashDoS). Nothing iterates either index,
-//! so their order never shows: identifiers are assigned in first-appearance
-//! order.
+//! Storage is columnar, so building a database allocates a bounded number of
+//! buffers instead of a few per node:
+//!
+//! * **Names.** Every node name lives in one arena `String`, in id order, and
+//!   `name_ends[i]` marks where node `i`'s name ends (it starts where node
+//!   `i - 1`'s ends). [`GraphDb::node_name`] returns a slice of the arena.
+//! * **Id tables.** Node names and facts are interned through one private
+//!   open-addressing table type, `IdTable`, that stores `u32` ids and no
+//!   keys: the node table recognizes a probed id by comparing its arena slice
+//!   with the looked-up name, the fact table by comparing `facts[id]`. A name
+//!   is therefore stored once, not once more as an owned map key. Tables are
+//!   kept at most half full and are pre-sized by the bulk builders
+//!   ([`crate::text::parse`], [`crate::delta::materialize`]).
+//! * **Keyed hashing.** Both tables hash with std's randomly keyed
+//!   [`RandomState`]: node names come from requests, and an unkeyed hasher
+//!   would let a client choose names that all collide (HashDoS). A fact is
+//!   hashed as one `u128` packing `(source, label, target)`. A `char` has 21
+//!   significant bits, so the triple needs 85 bits, and a `u64` packing would
+//!   make distinct facts alias.
+//! * **Nothing iterates a table**, so the random hash order never shows:
+//!   identifiers are assigned in first-appearance order, and every iteration
+//!   goes through the dense id-indexed vectors.
+//! * **Lazy adjacency.** [`GraphDb::out_facts`] and [`GraphDb::in_facts`]
+//!   read CSR offset/id arrays built by one counting pass on first use and
+//!   cached in a [`OnceLock`], which is `Sync` because databases are shared
+//!   through `Arc`. Adding a node or a fact drops the cache (multiplicities
+//!   and exogenous flags are not part of it). Each node lists its facts in
+//!   ascending id order. The local-language product build (Theorem 3.13)
+//!   iterates [`GraphDb::facts`] and never reads adjacency, so solving a
+//!   parsed database with it never builds the cache.
 
 use rpq_automata::alphabet::{Alphabet, Letter};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasher, Hasher};
+use std::num::NonZeroU32;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Identifier of a node (domain element) of a graph database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,25 +66,62 @@ pub struct Fact {
     pub target: NodeId,
 }
 
+impl Fact {
+    /// The lossless hash key of the fact: 32 + 32 + 32 bits (see the module
+    /// docs for why not a `u64`).
+    fn key(self) -> u128 {
+        (u128::from(self.source.0) << 64)
+            | (u128::from(u32::from(self.label.0)) << 32)
+            | u128::from(self.target.0)
+    }
+}
+
 /// An edge-labeled graph database with bag-semantics multiplicities.
 ///
 /// Set-semantics databases are simply databases in which every fact has
 /// multiplicity 1 (the default of [`GraphDb::add_fact`]).
 #[derive(Debug, Clone, Default)]
 pub struct GraphDb {
-    node_names: Vec<String>,
-    node_index: HashMap<Box<str>, NodeId>,
+    /// Every node name, concatenated in id order.
+    names: String,
+    /// `name_ends[i]` is where node `i`'s name ends in `names`.
+    name_ends: Vec<usize>,
+    /// Node ids, keyed by name.
+    node_index: IdTable,
     facts: Vec<Fact>,
     multiplicities: Vec<u64>,
     /// Facts declared **exogenous**: they can never be part of a contingency
     /// set (equivalently, they carry weight `+∞`). This is the "exogenous
     /// relations" setting discussed in Sections 2 and 8 of the paper.
     exogenous: Vec<bool>,
-    fact_index: HashMap<Fact, FactId>,
-    /// Outgoing adjacency, indexed by node id (`NodeId`s are dense u32s).
-    out_edges: Vec<Vec<FactId>>,
-    /// Incoming adjacency, indexed by node id.
-    in_edges: Vec<Vec<FactId>>,
+    /// Fact ids, keyed by [`Fact::key`].
+    fact_index: IdTable,
+    /// The keyed hasher of both tables.
+    hasher: RandomState,
+    /// Out- and in-adjacency, built on first use.
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// Where node `id`'s name lies in the name arena.
+fn name_span(name_ends: &[usize], id: u32) -> Range<usize> {
+    let i = id as usize;
+    let start = if i == 0 { 0 } else { name_ends[i - 1] };
+    start..name_ends[i]
+}
+
+/// Whether node `id` is named `name`. Comparing bytes skips the char
+/// boundary checks of a `str` slice: spans only ever end at name ends.
+fn is_named(names: &str, name_ends: &[usize], id: u32, name: &str) -> bool {
+    names.as_bytes()[name_span(name_ends, id)] == *name.as_bytes()
+}
+
+/// The id the next node or fact gets. Ids are dense `u32`s, and `u32::MAX`
+/// stays unused so that an id plus one always fits.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id < u32::MAX)
+        .expect("a graph database holds fewer than 2^32 - 1 nodes and facts")
 }
 
 impl GraphDb {
@@ -66,47 +130,95 @@ impl GraphDb {
         GraphDb::default()
     }
 
+    /// An empty database whose tables hold `nodes` nodes and `facts` facts
+    /// without growing.
+    pub(crate) fn with_capacity(nodes: usize, facts: usize) -> Self {
+        let mut db = GraphDb::default();
+        db.name_ends.reserve(nodes);
+        db.node_index.reserve(nodes);
+        db.reserve_facts(facts);
+        db
+    }
+
+    fn reserve_facts(&mut self, facts: usize) {
+        self.facts.reserve(facts);
+        self.multiplicities.reserve(facts);
+        self.exogenous.reserve(facts);
+        self.fact_index.reserve(facts);
+    }
+
+    /// The hash of a node name: its bytes in one write. SipHash's padding
+    /// encodes the length, so a lone key needs no terminator.
+    fn name_hash(&self, name: &str) -> u64 {
+        let mut hasher = self.hasher.build_hasher();
+        hasher.write(name.as_bytes());
+        hasher.finish()
+    }
+
     /// Returns the node with the given name, creating it if necessary.
     pub fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.node_index.get(name) {
-            return id;
+        let hash = self.name_hash(name);
+        let id = next_id(self.name_ends.len());
+        let (names, name_ends) = (&self.names, &self.name_ends);
+        let found = self
+            .node_index
+            .find_or_insert(hash, id, |probe| is_named(names, name_ends, probe, name));
+        if let Some(existing) = found {
+            return NodeId(existing);
         }
-        let id = NodeId(self.node_names.len() as u32);
-        self.node_names.push(name.to_string());
-        self.node_index.insert(name.into(), id);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
-        id
+        self.names.push_str(name);
+        self.close_new_node(id)
+    }
+
+    /// Records that the new node `id`'s name ends at the arena's end.
+    fn close_new_node(&mut self, id: u32) -> NodeId {
+        self.name_ends.push(self.names.len());
+        self.adjacency.take();
+        NodeId(id)
     }
 
     /// Returns the node with the given name if it exists.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_index.get(name).copied()
+        let hash = self.name_hash(name);
+        self.node_index
+            .find(hash, |probe| is_named(&self.names, &self.name_ends, probe, name))
+            .map(NodeId)
     }
 
     /// Creates a fresh anonymous node, named `_n<k>` (with `_` appended
     /// until the name is unused, so it never aliases an existing node).
     pub fn fresh_node(&mut self) -> NodeId {
-        let mut name = format!("_n{}", self.node_names.len());
-        while self.node_index.contains_key(name.as_str()) {
-            name.push('_');
+        // The candidate name is written straight into the arena.
+        let start = self.names.len();
+        let id = next_id(self.name_ends.len());
+        let _ = write!(self.names, "_n{id}");
+        loop {
+            let (names, name_ends) = (&self.names, &self.name_ends);
+            let candidate = &names[start..];
+            let hash = self.name_hash(candidate);
+            let found = self
+                .node_index
+                .find_or_insert(hash, id, |probe| is_named(names, name_ends, probe, candidate));
+            if found.is_none() {
+                return self.close_new_node(id);
+            }
+            self.names.push('_');
         }
-        self.node(&name)
     }
 
     /// The display name of a node.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0 as usize]
+        &self.names[name_span(&self.name_ends, node.0)]
     }
 
     /// Number of nodes in the domain.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.name_ends.len()
     }
 
     /// Iterator over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_names.len() as u32).map(NodeId)
+        (0..self.name_ends.len() as u32).map(NodeId)
     }
 
     /// Adds a fact with multiplicity 1 (set semantics). If the fact already
@@ -148,32 +260,32 @@ impl GraphDb {
         multiplicity: u64,
     ) -> Option<FactId> {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
+        let nodes = self.name_ends.len();
+        assert!(
+            (source.0 as usize) < nodes && (target.0 as usize) < nodes,
+            "a fact must join two nodes of its database"
+        );
         let fact = Fact { source, label, target };
-        let id = FactId(self.facts.len() as u32);
-        match self.fact_index.entry(fact) {
-            Entry::Occupied(entry) => {
-                // The fact is already present: bag semantics accumulates the
-                // multiplicity (except that add_fact keeps set semantics at 1
-                // by only ever passing multiplicity 1 for a fresh fact).
-                let existing = *entry.get();
-                let current = &mut self.multiplicities[existing.index()];
-                if multiplicity > 1 || *current > 1 {
-                    *current = current.checked_add(multiplicity)?;
-                }
-                return Some(existing);
+        let hash = self.hasher.hash_one(fact.key());
+        let id = next_id(self.facts.len());
+        let facts = &self.facts;
+        let found = self.fact_index.find_or_insert(hash, id, |probe| facts[probe as usize] == fact);
+        if let Some(existing) = found {
+            // The fact is already present: bag semantics accumulates the
+            // multiplicity (except that add_fact keeps set semantics at 1
+            // by only ever passing multiplicity 1 for a fresh fact).
+            let current = &mut self.multiplicities[existing as usize];
+            if multiplicity > 1 || *current > 1 {
+                *current = current.checked_add(multiplicity)?;
             }
-            Entry::Vacant(entry) => {
-                entry.insert(id);
-            }
+            return Some(FactId(existing));
         }
         self.facts.push(fact);
         self.multiplicities.push(multiplicity);
         self.exogenous.push(false);
-        self.out_edges[source.0 as usize].push(id);
-        self.in_edges[target.0 as usize].push(id);
-        Some(id)
+        self.adjacency.take();
+        Some(FactId(id))
     }
-
     /// Sets the multiplicity of an existing fact.
     pub fn set_multiplicity(&mut self, fact: FactId, multiplicity: u64) {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
@@ -247,17 +359,26 @@ impl GraphDb {
 
     /// Looks up a fact identifier by its content.
     pub fn find_fact(&self, source: NodeId, label: Letter, target: NodeId) -> Option<FactId> {
-        self.fact_index.get(&Fact { source, label, target }).copied()
+        let fact = Fact { source, label, target };
+        let hash = self.hasher.hash_one(fact.key());
+        self.fact_index.find(hash, |probe| self.facts[probe as usize] == fact).map(FactId)
     }
 
-    /// The facts leaving a node.
+    /// The facts leaving a node, in ascending id order.
     pub fn out_facts(&self, node: NodeId) -> impl Iterator<Item = FactId> + '_ {
-        self.out_edges[node.0 as usize].iter().copied()
+        self.adjacency().outgoing.of(node).iter().copied()
     }
 
-    /// The facts entering a node.
+    /// The facts entering a node, in ascending id order.
     pub fn in_facts(&self, node: NodeId) -> impl Iterator<Item = FactId> + '_ {
-        self.in_edges[node.0 as usize].iter().copied()
+        self.adjacency().incoming.of(node).iter().copied()
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency {
+            outgoing: Csr::group(self.num_nodes(), &self.facts, |fact| fact.source),
+            incoming: Csr::group(self.num_nodes(), &self.facts, |fact| fact.target),
+        })
     }
 
     /// The alphabet of labels occurring on facts.
@@ -269,10 +390,11 @@ impl GraphDb {
     /// facts.
     pub fn nodes_only(&self) -> GraphDb {
         GraphDb {
-            node_names: self.node_names.clone(),
+            names: self.names.clone(),
+            name_ends: self.name_ends.clone(),
             node_index: self.node_index.clone(),
-            out_edges: vec![Vec::new(); self.node_names.len()],
-            in_edges: vec![Vec::new(); self.node_names.len()],
+            // The node table's hashes were taken with this hasher.
+            hasher: self.hasher.clone(),
             ..GraphDb::default()
         }
     }
@@ -281,6 +403,7 @@ impl GraphDb {
     /// multiplicities removed entirely). Node identifiers are preserved.
     pub fn without_facts(&self, removed: &BTreeSet<FactId>) -> GraphDb {
         let mut out = self.nodes_only();
+        out.reserve_facts(self.num_facts().saturating_sub(removed.len()));
         for (id, fact) in self.facts() {
             if !removed.contains(&id) {
                 let new_id = out.add_fact_with_multiplicity(
@@ -300,6 +423,7 @@ impl GraphDb {
     /// mirror). Fact identifiers are preserved.
     pub fn reversed(&self) -> GraphDb {
         let mut out = self.nodes_only();
+        out.reserve_facts(self.num_facts());
         for (id, fact) in self.facts() {
             let new_id = out.add_fact_with_multiplicity(
                 fact.target,
@@ -331,6 +455,146 @@ impl fmt::Display for GraphDb {
             }
         }
         Ok(())
+    }
+}
+
+/// The out- and in-adjacency of a database.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    outgoing: Csr,
+    incoming: Csr,
+}
+
+/// Fact ids grouped by node: node `v`'s facts are
+/// `ids[start[v]..start[v + 1]]`, in ascending id order.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<u32>,
+    ids: Vec<FactId>,
+}
+
+impl Csr {
+    /// Groups the facts by the node `end` picks: one counting pass, then
+    /// one placing pass in id order. Offsets fit a `u32` because fact ids do.
+    fn group(num_nodes: usize, facts: &[Fact], end: impl Fn(&Fact) -> NodeId) -> Csr {
+        let mut start = vec![0u32; num_nodes + 1];
+        for fact in facts {
+            start[end(fact).0 as usize + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            start[v + 1] += start[v];
+        }
+        let mut cursor = start.clone();
+        let mut ids = vec![FactId(0); facts.len()];
+        for (id, fact) in facts.iter().enumerate() {
+            let next = &mut cursor[end(fact).0 as usize];
+            ids[*next as usize] = FactId(id as u32);
+            *next += 1;
+        }
+        Csr { start, ids }
+    }
+
+    fn of(&self, node: NodeId) -> &[FactId] {
+        let v = node.0 as usize;
+        &self.ids[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+/// An open-addressing hash table of `u32` ids with linear probing.
+///
+/// It stores no keys: the caller hashes its key and recognizes a probed id
+/// through an `eq` callback. Each slot also keeps the low 32 bits of its
+/// id's hash as a tag, so most mismatches are rejected without touching a
+/// key, and growing re-places slots from their tags alone. The home slot of
+/// a hash is its tag masked to the table size.
+#[derive(Debug, Clone, Default)]
+struct IdTable {
+    /// A power-of-two number of slots (or none), at most half of them full.
+    slots: Vec<Slot>,
+    /// The number of full slots.
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// The low 32 bits of the id's hash.
+    tag: u32,
+    /// The id plus one; `None` marks an empty slot.
+    id: Option<NonZeroU32>,
+}
+
+/// The smallest non-empty table.
+const MIN_SLOTS: usize = 8;
+
+impl IdTable {
+    /// Makes room for `additional` more ids without growing past half full.
+    fn reserve(&mut self, additional: usize) {
+        let wanted = (self.len + additional).saturating_mul(2).next_power_of_two().max(MIN_SLOTS);
+        if wanted > self.slots.len() {
+            self.resize(wanted);
+        }
+    }
+
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); slots]);
+        for slot in old.into_iter().filter(|slot| slot.id.is_some()) {
+            let i = self.vacancy(slot.tag);
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The first empty slot from `tag`'s home slot on.
+    fn vacancy(&self, tag: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        while self.slots[i].id.is_some() {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The id whose key has hash `hash` and satisfies `eq`, if any.
+    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash as u32, eq).ok()
+    }
+
+    /// Walks `tag`'s probe sequence: the id satisfying `eq`, or the first
+    /// empty slot.
+    fn probe(&self, tag: u32, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            let Some(id) = slot.id else { return Err(i) };
+            let id = id.get() - 1;
+            if slot.tag == tag && eq(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// [`IdTable::find`], except that a missing key is entered with id `id`
+    /// (and `None` is returned).
+    fn find_or_insert(&mut self, hash: u64, id: u32, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            self.resize(MIN_SLOTS);
+        }
+        let tag = hash as u32;
+        let mut vacant = match self.probe(tag, eq) {
+            Ok(found) => return Some(found),
+            Err(vacant) => vacant,
+        };
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.resize(self.slots.len() * 2);
+            vacant = self.vacancy(tag);
+        }
+        self.slots[vacant] = Slot { tag, id: NonZeroU32::new(id + 1) };
+        self.len += 1;
+        None
     }
 }
 

@@ -23,8 +23,9 @@
 //! upsert semantics.
 
 use crate::db::GraphDb;
-use crate::text::ParseError;
+use crate::text::{self, ParseError};
 use rpq_automata::alphabet::Letter;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One entry of a database's append-only fact log.
@@ -73,44 +74,38 @@ impl FactChange {
     }
 }
 
+/// The most tokens a patch line can have: `op source label target multiplicity !`.
+const MAX_TOKENS: usize = 6;
+
 /// Parses a patch in the line-based text format (see the [module docs](self)).
 pub fn parse_patch(input: &str) -> Result<Vec<FactChange>, ParseError> {
     let mut changes = Vec::new();
     for (i, raw_line) in input.lines().enumerate() {
         let line_no = i + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let (parts, mut count) = text::tokens::<MAX_TOKENS>(raw_line);
+        if count == 0 {
             continue;
         }
-        let mut parts: Vec<&str> = line.split_whitespace().collect();
-        let op = parts.remove(0);
-        let exogenous = parts.last() == Some(&"!");
+        // A trailing `!` after the op marks an exogenous fact.
+        let exogenous = (2..=MAX_TOKENS).contains(&count) && parts[count - 1] == "!";
         if exogenous {
-            parts.pop();
+            count -= 1;
         }
-        let fields = |expected: &str| ParseError {
+        let [op, source, label, target, multiplicity, _] = parts;
+        let fields = count - 1;
+        let wrong_shape = |expected: &str| ParseError {
             line: line_no,
-            message: format!("expected `{expected}`, got {line:?}"),
-        };
-        let single_letter = |s: &str| -> Result<Letter, ParseError> {
-            let chars: Vec<char> = s.chars().collect();
-            if chars.len() != 1 {
-                return Err(ParseError {
-                    line: line_no,
-                    message: format!("label must be a single character, got {s:?}"),
-                });
-            }
-            Ok(Letter(chars[0]))
+            message: format!("expected `{expected}`, got {:?}", text::content(raw_line)),
         };
         match op {
             "+" => {
-                if parts.len() != 3 && parts.len() != 4 {
-                    return Err(fields("+ source label target [multiplicity] [!]"));
+                if fields != 3 && fields != 4 {
+                    return Err(wrong_shape("+ source label target [multiplicity] [!]"));
                 }
-                let multiplicity: u64 = if parts.len() == 4 {
-                    parts[3].parse().map_err(|_| ParseError {
+                let multiplicity: u64 = if fields == 4 {
+                    multiplicity.parse().map_err(|_| ParseError {
                         line: line_no,
-                        message: format!("invalid multiplicity {:?}", parts[3]),
+                        message: format!("invalid multiplicity {multiplicity:?}"),
                     })?
                 } else {
                     1
@@ -122,21 +117,21 @@ pub fn parse_patch(input: &str) -> Result<Vec<FactChange>, ParseError> {
                     });
                 }
                 changes.push(FactChange::Put {
-                    source: parts[0].to_string(),
-                    label: single_letter(parts[1])?,
-                    target: parts[2].to_string(),
+                    source: source.to_string(),
+                    label: text::single_letter(label, line_no)?,
+                    target: target.to_string(),
                     multiplicity,
                     exogenous,
                 });
             }
             "-" => {
-                if exogenous || parts.len() != 3 {
-                    return Err(fields("- source label target"));
+                if exogenous || fields != 3 {
+                    return Err(wrong_shape("- source label target"));
                 }
                 changes.push(FactChange::Delete {
-                    source: parts[0].to_string(),
-                    label: single_letter(parts[1])?,
-                    target: parts[2].to_string(),
+                    source: source.to_string(),
+                    label: text::single_letter(label, line_no)?,
+                    target: target.to_string(),
                 });
             }
             other => {
@@ -171,29 +166,39 @@ pub fn changes_from_db(db: &GraphDb) -> Vec<FactChange> {
 /// and fact numbering as long as their first-put orders agree — in particular
 /// `materialize(&log[..n])` followed by the remaining changes always agrees
 /// with `materialize(&log[..m])` for `n <= m` on the shared facts.
+///
+/// Each log entry costs one hash probe: a single map sends every key ever
+/// put to its first-put rank, and `slots[rank]` holds the key with its
+/// current state (`None` once deleted). The head is then built through a
+/// `GraphDb` whose tables are sized for the surviving facts up front.
 pub fn materialize(changes: &[FactChange]) -> GraphDb {
-    // Last-write-wins state per key, plus first-put order for determinism.
-    let mut alive: HashMap<(&str, Letter, &str), (u64, bool)> = HashMap::new();
-    let mut ever_put: HashMap<(&str, Letter, &str), ()> = HashMap::new();
-    let mut order: Vec<(&str, Letter, &str)> = Vec::new();
+    type Key<'a> = (&'a str, Letter, &'a str);
+    let mut rank: HashMap<Key<'_>, usize> = HashMap::new();
+    let mut slots: Vec<(Key<'_>, Option<(u64, bool)>)> = Vec::new();
     for change in changes {
+        let key = change.key();
         match change {
-            FactChange::Put { source, label, target, multiplicity, exogenous } => {
-                let key = (source.as_str(), *label, target.as_str());
-                alive.insert(key, (*multiplicity, *exogenous));
-                if ever_put.insert(key, ()).is_none() {
-                    order.push(key);
+            FactChange::Put { multiplicity, exogenous, .. } => {
+                let state = Some((*multiplicity, *exogenous));
+                match rank.entry(key) {
+                    Entry::Occupied(entry) => slots[*entry.get()].1 = state,
+                    Entry::Vacant(entry) => {
+                        entry.insert(slots.len());
+                        slots.push((key, state));
+                    }
                 }
             }
-            FactChange::Delete { source, label, target } => {
-                alive.remove(&(source.as_str(), *label, target.as_str()));
+            FactChange::Delete { .. } => {
+                if let Some(&at) = rank.get(&key) {
+                    slots[at].1 = None;
+                }
             }
         }
     }
-    let mut db = GraphDb::new();
-    for key in order {
-        if let Some(&(multiplicity, exogenous)) = alive.get(&key) {
-            let (source, label, target) = key;
+    let live = slots.iter().filter(|(_, state)| state.is_some()).count();
+    let mut db = GraphDb::with_capacity(live, live);
+    for ((source, label, target), state) in slots {
+        if let Some((multiplicity, exogenous)) = state {
             let s = db.node(source);
             let t = db.node(target);
             let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
@@ -209,6 +214,193 @@ pub fn materialize(changes: &[FactChange]) -> GraphDb {
 mod tests {
     use super::*;
     use crate::text;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The replay as it was written before it hashed each entry once: two
+    /// maps, `alive` and `ever_put`, and a `GraphDb` grown from empty. It is
+    /// the reference [`materialize`] must match id for id.
+    fn materialize_reference(changes: &[FactChange]) -> GraphDb {
+        let mut alive: HashMap<(&str, Letter, &str), (u64, bool)> = HashMap::new();
+        let mut ever_put: HashMap<(&str, Letter, &str), ()> = HashMap::new();
+        let mut order: Vec<(&str, Letter, &str)> = Vec::new();
+        for change in changes {
+            match change {
+                FactChange::Put { source, label, target, multiplicity, exogenous } => {
+                    let key = (source.as_str(), *label, target.as_str());
+                    alive.insert(key, (*multiplicity, *exogenous));
+                    if ever_put.insert(key, ()).is_none() {
+                        order.push(key);
+                    }
+                }
+                FactChange::Delete { source, label, target } => {
+                    alive.remove(&(source.as_str(), *label, target.as_str()));
+                }
+            }
+        }
+        let mut db = GraphDb::new();
+        for key in order {
+            if let Some(&(multiplicity, exogenous)) = alive.get(&key) {
+                let (source, label, target) = key;
+                let s = db.node(source);
+                let t = db.node(target);
+                let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
+                if exogenous {
+                    db.set_exogenous(id, true);
+                }
+            }
+        }
+        db
+    }
+
+    /// A random log over a few names and labels: puts, overwrites (new
+    /// multiplicities, exogenous toggles), deletes of live and absent
+    /// keys, and re-inserts after deletes.
+    fn random_log(seed: u64) -> Vec<FactChange> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names = ["u", "v", "w", "é", "_n1", "node_5"];
+        let mut log = Vec::new();
+        for _ in 0..rng.gen_range(0..60usize) {
+            let source = names[rng.gen_range(0..names.len())].to_string();
+            let target = names[rng.gen_range(0..names.len())].to_string();
+            let label = Letter(['a', 'b', 'x'][rng.gen_range(0..3usize)]);
+            if rng.gen_bool(0.3) {
+                log.push(FactChange::Delete { source, label, target });
+            } else {
+                let multiplicity = if rng.gen_bool(0.5) { 1 } else { rng.gen_range(2..6u64) };
+                let exogenous = rng.gen_bool(0.25);
+                log.push(FactChange::Put { source, label, target, multiplicity, exogenous });
+            }
+        }
+        log
+    }
+
+    #[test]
+    fn materialize_matches_the_two_map_reference_on_random_logs() {
+        for seed in 0..600 {
+            let log = random_log(seed);
+            for end in [log.len() / 2, log.len()] {
+                let (got, want) = (materialize(&log[..end]), materialize_reference(&log[..end]));
+                assert_eq!(got.num_nodes(), want.num_nodes(), "seed {seed}");
+                for node in want.nodes() {
+                    assert_eq!(got.node_name(node), want.node_name(node), "seed {seed}");
+                    assert_eq!(got.find_node(want.node_name(node)), Some(node), "seed {seed}");
+                }
+                assert_eq!(got.facts().collect::<Vec<_>>(), want.facts().collect::<Vec<_>>());
+                for id in want.fact_ids() {
+                    assert_eq!(got.multiplicity(id), want.multiplicity(id), "seed {seed}");
+                    assert_eq!(got.is_exogenous(id), want.is_exogenous(id), "seed {seed}");
+                }
+            }
+        }
+    }
+
+    /// The patch parser as it was written before it shared the tokenizer of
+    /// [`crate::text`]: a `Vec` of tokens per line. Errors must match it byte
+    /// for byte.
+    fn parse_patch_reference(input: &str) -> Result<Vec<FactChange>, ParseError> {
+        let mut changes = Vec::new();
+        for (i, raw_line) in input.lines().enumerate() {
+            let line_no = i + 1;
+            let line = raw_line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let mut parts: Vec<&str> = line.split_whitespace().collect();
+            let op = parts.remove(0);
+            let exogenous = parts.last() == Some(&"!");
+            if exogenous {
+                parts.pop();
+            }
+            let fields = |expected: &str| ParseError {
+                line: line_no,
+                message: format!("expected `{expected}`, got {line:?}"),
+            };
+            let single_letter = |s: &str| -> Result<Letter, ParseError> {
+                let chars: Vec<char> = s.chars().collect();
+                if chars.len() != 1 {
+                    return Err(ParseError {
+                        line: line_no,
+                        message: format!("label must be a single character, got {s:?}"),
+                    });
+                }
+                Ok(Letter(chars[0]))
+            };
+            match op {
+                "+" => {
+                    if parts.len() != 3 && parts.len() != 4 {
+                        return Err(fields("+ source label target [multiplicity] [!]"));
+                    }
+                    let multiplicity: u64 = if parts.len() == 4 {
+                        parts[3].parse().map_err(|_| ParseError {
+                            line: line_no,
+                            message: format!("invalid multiplicity {:?}", parts[3]),
+                        })?
+                    } else {
+                        1
+                    };
+                    if multiplicity == 0 {
+                        return Err(ParseError {
+                            line: line_no,
+                            message: "multiplicity must be positive".into(),
+                        });
+                    }
+                    changes.push(FactChange::Put {
+                        source: parts[0].to_string(),
+                        label: single_letter(parts[1])?,
+                        target: parts[2].to_string(),
+                        multiplicity,
+                        exogenous,
+                    });
+                }
+                "-" => {
+                    if exogenous || parts.len() != 3 {
+                        return Err(fields("- source label target"));
+                    }
+                    changes.push(FactChange::Delete {
+                        source: parts[0].to_string(),
+                        label: single_letter(parts[1])?,
+                        target: parts[2].to_string(),
+                    });
+                }
+                other => {
+                    return Err(ParseError {
+                        line: line_no,
+                        message: format!("expected `+` or `-` as the first field, got {other:?}"),
+                    });
+                }
+            }
+        }
+        Ok(changes)
+    }
+
+    #[test]
+    fn patch_parsing_matches_the_vec_tokenizer_reference() {
+        let tokens = ["+", "-", "*", "!", "u", "é", "ab", "x", "3", "0", "-1", "#", "# c"];
+        let gaps = [" ", "\t", "  ", " \u{a0}"];
+        for seed in 0..2000 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(1..4usize) {
+                // Mostly well-formed lines, so later lines are reached too.
+                if rng.gen_bool(0.7) {
+                    let op = if rng.gen_bool(0.5) { "+" } else { "-" };
+                    text.push_str(op);
+                    text.push_str(" u a v");
+                    if op == "+" && rng.gen_bool(0.5) {
+                        text.push_str(" 2 !");
+                    }
+                } else {
+                    for _ in 0..rng.gen_range(0..8usize) {
+                        text.push_str(tokens[rng.gen_range(0..tokens.len())]);
+                        text.push_str(gaps[rng.gen_range(0..gaps.len())]);
+                    }
+                }
+                text.push_str(if rng.gen_bool(0.5) { "\n" } else { "\r\n" });
+            }
+            assert_eq!(parse_patch(&text), parse_patch_reference(&text), "{text:?}");
+        }
+    }
 
     #[test]
     fn patches_parse_and_replay() {

@@ -4,8 +4,9 @@
 //! (facts) `v --a--> v'` over an alphabet `Σ`, possibly with multiplicities
 //! (bag semantics). This crate provides:
 //!
-//! * the [`GraphDb`] store itself ([`db`]), with interned node names, fact
-//!   identifiers, multiplicities and label-indexed adjacency;
+//! * the [`GraphDb`] store itself ([`db`]): node names interned into one
+//!   arena, fact identifiers, multiplicities, and adjacency built on first
+//!   use;
 //! * Boolean RPQ evaluation `Q_L(D)` and witness-walk extraction ([`eval`]),
 //!   used both by the resilience definition and by the exact solvers;
 //! * match (hyperedge) enumeration for finite languages, feeding the
