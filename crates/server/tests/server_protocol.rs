@@ -255,7 +255,10 @@ fn mask_timings(output: &str) -> String {
 
 /// The golden wire transcript: `scripts/pipe_transcript.ndjson` (prepare,
 /// solve with and without cut and budgets, `solve_batch` at 1 and 4 jobs,
-/// the `db_*` verbs, `stats`, `shutdown`) fed through the stdio front end
+/// the `db_*` verbs, the error paths of the solve family — unparsable
+/// queries and databases, enumeration-limit failures inline and per entry,
+/// unknown snapshots — malformed lines, `stats`, `shutdown`) fed through the
+/// stdio front end
 /// must answer byte for byte as recorded in `scripts/pipe_transcript.expected`
 /// once the timings are masked. Re-record the expected file only for an
 /// intended wire change, with this same default `ServerConfig`.
