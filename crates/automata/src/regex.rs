@@ -6,12 +6,23 @@
 //! and `∅` for the empty language. Whitespace is ignored, so `a x* b` and
 //! `ax*b` denote the same language. Any other non-reserved character is a
 //! letter.
+//!
+//! Nesting is bounded by [`MAX_REGEX_DEPTH`]: every group and every postfix
+//! operator adds one level, and a deeper expression is a parse error rather
+//! than a stack overflow in the parser or in a later pass over the tree.
 
 use crate::alphabet::{Alphabet, Letter};
 use crate::enfa::Enfa;
 use crate::error::{AutomataError, Result};
 use crate::word::Word;
 use std::fmt;
+
+/// The deepest nesting [`Regex::parse`] accepts, counting one level per
+/// group and per postfix operator (`((a))` and `a**` are both 2 deep). The
+/// parser and the passes over the tree recurse once per level, so the bound
+/// keeps a short hostile pattern from overflowing the stack; it matches the
+/// JSON nesting bound of the server protocol.
+pub const MAX_REGEX_DEPTH: usize = 128;
 
 /// Abstract syntax tree of a regular expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,15 +239,22 @@ impl fmt::Display for Regex {
 }
 
 /// Recursive-descent parser for the regex syntax described in the module docs.
+///
+/// Each `parse_*` method returns its subexpression with the subexpression's
+/// *height*: the groups and postfix operators on its deepest path. `groups`
+/// counts the groups open around the current position, so `groups + height`
+/// is how deep a node ends up; it is checked against [`MAX_REGEX_DEPTH`]
+/// whenever a group opens or a postfix operator applies.
 struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
+    groups: usize,
     input: &'a str,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { chars: input.chars().collect(), pos: 0, input }
+        Parser { chars: input.chars().collect(), pos: 0, groups: 0, input }
     }
 
     fn parse(mut self) -> Result<Regex> {
@@ -246,7 +264,7 @@ impl<'a> Parser<'a> {
             // that an empty concatenation is ε.
             return Ok(Regex::Epsilon);
         }
-        let r = self.parse_union()?;
+        let (r, _) = self.parse_union()?;
         self.skip_ws();
         if self.pos < self.chars.len() {
             return Err(self.error(format!("unexpected character {:?}", self.chars[self.pos])));
@@ -257,6 +275,17 @@ impl<'a> Parser<'a> {
     fn error(&self, message: String) -> AutomataError {
         let _ = self.input;
         AutomataError::RegexParse { position: self.pos, message }
+    }
+
+    /// Fails at the current position if a node of `height` inside the open
+    /// groups would lie deeper than [`MAX_REGEX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<()> {
+        if self.groups + height > MAX_REGEX_DEPTH {
+            let message =
+                format!("nesting deeper than {MAX_REGEX_DEPTH} groups and postfix operators");
+            return Err(self.error(message));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -270,72 +299,78 @@ impl<'a> Parser<'a> {
         self.chars.get(self.pos).copied()
     }
 
-    fn parse_union(&mut self) -> Result<Regex> {
-        let mut branches = vec![self.parse_concat()?];
+    fn parse_union(&mut self) -> Result<(Regex, usize)> {
+        let (first, mut height) = self.parse_concat()?;
+        let mut branches = vec![first];
         while self.peek() == Some('|') {
             self.pos += 1;
-            branches.push(self.parse_concat()?);
+            let (branch, h) = self.parse_concat()?;
+            branches.push(branch);
+            height = height.max(h);
         }
         if branches.len() == 1 {
-            Ok(branches.pop().unwrap())
+            Ok((branches.pop().unwrap(), height))
         } else {
-            Ok(Regex::Union(branches))
+            Ok((Regex::Union(branches), height))
         }
     }
 
-    fn parse_concat(&mut self) -> Result<Regex> {
+    fn parse_concat(&mut self) -> Result<(Regex, usize)> {
         let mut parts = Vec::new();
+        let mut height = 0;
         loop {
             match self.peek() {
                 None | Some('|') | Some(')') => break,
-                _ => parts.push(self.parse_postfix()?),
+                _ => {
+                    let (part, h) = self.parse_postfix()?;
+                    parts.push(part);
+                    height = height.max(h);
+                }
             }
         }
         match parts.len() {
-            0 => Ok(Regex::Epsilon),
-            1 => Ok(parts.pop().unwrap()),
-            _ => Ok(Regex::Concat(parts)),
+            0 => Ok((Regex::Epsilon, height)),
+            1 => Ok((parts.pop().unwrap(), height)),
+            _ => Ok((Regex::Concat(parts), height)),
         }
     }
 
-    fn parse_postfix(&mut self) -> Result<Regex> {
-        let mut base = self.parse_atom()?;
+    fn parse_postfix(&mut self) -> Result<(Regex, usize)> {
+        let (mut base, mut height) = self.parse_atom()?;
         loop {
-            match self.peek() {
-                Some('*') => {
-                    self.pos += 1;
-                    base = Regex::Star(Box::new(base));
-                }
-                Some('+') => {
-                    self.pos += 1;
-                    base = Regex::Plus(Box::new(base));
-                }
-                Some('?') => {
-                    self.pos += 1;
-                    base = Regex::Optional(Box::new(base));
-                }
+            let wrap: fn(Box<Regex>) -> Regex = match self.peek() {
+                Some('*') => Regex::Star,
+                Some('+') => Regex::Plus,
+                Some('?') => Regex::Optional,
                 _ => break,
-            }
+            };
+            height += 1;
+            self.check_depth(height)?;
+            self.pos += 1;
+            base = wrap(Box::new(base));
         }
-        Ok(base)
+        Ok((base, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Regex> {
+    fn parse_atom(&mut self) -> Result<(Regex, usize)> {
         match self.peek() {
             None => Err(self.error("unexpected end of input".into())),
             Some('(') => {
+                self.check_depth(1)?;
                 self.pos += 1;
                 // Allow "()" as ε.
                 if self.peek() == Some(')') {
                     self.pos += 1;
-                    return Ok(Regex::Epsilon);
+                    return Ok((Regex::Epsilon, 1));
                 }
-                let inner = self.parse_union()?;
+                self.groups += 1;
+                let (inner, height) = self.parse_union()?;
+                self.groups -= 1;
                 if self.peek() != Some(')') {
                     return Err(self.error("expected ')'".into()));
                 }
                 self.pos += 1;
-                Ok(inner)
+                Ok((inner, height + 1))
             }
             Some(')') => Err(self.error("unexpected ')'".into())),
             Some('*') | Some('+') | Some('?') => {
@@ -343,15 +378,15 @@ impl<'a> Parser<'a> {
             }
             Some('ε') | Some('_') => {
                 self.pos += 1;
-                Ok(Regex::Epsilon)
+                Ok((Regex::Epsilon, 0))
             }
             Some('∅') => {
                 self.pos += 1;
-                Ok(Regex::Empty)
+                Ok((Regex::Empty, 0))
             }
             Some(c) if c.is_alphanumeric() => {
                 self.pos += 1;
-                Ok(Regex::Letter(Letter(c)))
+                Ok((Regex::Letter(Letter(c)), 0))
             }
             Some(c) => Err(self.error(format!("unexpected character {c:?}"))),
         }
@@ -390,6 +425,35 @@ mod tests {
         assert!(Regex::parse("ab)").is_err());
         assert!(Regex::parse("*a").is_err());
         assert!(Regex::parse("a!b").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        let postfix = |depth: usize| format!("a{}", "*".repeat(depth));
+        assert!(Regex::parse(&groups(MAX_REGEX_DEPTH)).is_ok());
+        assert!(Regex::parse(&postfix(MAX_REGEX_DEPTH)).is_ok());
+        for (pattern, position) in [
+            (groups(MAX_REGEX_DEPTH + 1), MAX_REGEX_DEPTH),
+            (postfix(MAX_REGEX_DEPTH + 1), MAX_REGEX_DEPTH + 1),
+            (groups(6_000), MAX_REGEX_DEPTH),
+            (postfix(100_000), MAX_REGEX_DEPTH + 1),
+        ] {
+            match Regex::parse(&pattern) {
+                Err(AutomataError::RegexParse { position: at, message }) => {
+                    assert_eq!(at, position);
+                    assert!(message.contains("nesting deeper than 128"), "{message}");
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
+        // Groups and postfix operators add up along one path; siblings and
+        // concatenations do not accumulate depth.
+        let mixed = format!("{}a{}", "(".repeat(64), ")*".repeat(64));
+        assert!(Regex::parse(&mixed).is_ok());
+        assert!(Regex::parse(&format!("{mixed}*")).is_err());
+        let wide = vec![groups(MAX_REGEX_DEPTH); 4].join("|");
+        assert!(Regex::parse(&format!("{wide}{}", postfix(MAX_REGEX_DEPTH))).is_ok());
     }
 
     #[test]

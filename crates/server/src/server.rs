@@ -11,18 +11,37 @@
 //! that pipelines many requests shares the workers fairly with everyone
 //! else (its connection re-enters the queue after every response).
 //!
-//! This replaces the original one-connection-per-worker pool, which pinned a
-//! worker for a connection's entire lifetime — `threads` idle persistent
-//! connections starved every subsequent client indefinitely (see the
-//! starvation regression test in `tests/server_concurrency.rs`).
-//!
 //! Every connection speaks the newline-delimited JSON protocol of
 //! [`crate::protocol`], and all workers share one [`QueryCache`], so a query
 //! language prepared by any connection is reused by every other one
 //! ([`Arc`]-shared `PreparedQuery` plans — the engine layer is `Send + Sync`
 //! by construction). [`run_pipe`] serves the same protocol over an arbitrary
-//! reader/writer pair (stdin/stdout in `rpq-cli serve --pipe`), which is also
-//! how the unit tests below drive the handler without sockets.
+//! reader/writer pair (stdin/stdout in `rpq-cli serve --pipe`).
+//!
+//! # One request pipeline
+//!
+//! Both front ends hand every request line to one writer, which calls
+//! [`ServerState::answer`], writes the response line and flushes. `answer`
+//! decodes the line (UTF-8, JSON, verb), counts it, dispatches on the verb
+//! and counts a failed response as one error. The three solve-family verbs
+//! share one path, whose stages run in order:
+//!
+//! 1. **prepare**: parse the query and look its plan up in the cache
+//!    (`cache_lookup`, `plan` spans);
+//! 2. **route** every target: `solve` and `solve_batch` parse their graph
+//!    texts (`parse_db` span) and route them as one engine batch; `db_solve`
+//!    solves each snapshot through the store (`materialize` span);
+//! 3. **entries**: one result per target, or its error object;
+//! 4. **envelope**: `ok`, `cached`, then `name` for hosted databases. The
+//!    *inline* verbs — `solve` and single-snapshot `db_solve` — merge their
+//!    one entry into the envelope, and a failed entry fails the request.
+//!    `solve_batch` and `db_solve` with `snapshots` return a `results` array
+//!    in which failed entries ride along and count as errors;
+//! 5. **stamp**: `elapsed_us`, the opt-in `timings`, the latency histogram
+//!    and the slow-query log line.
+//!
+//! Hostile input costs one error response: JSON and regex nesting are
+//! bounded, and so is a TCP request line (`line_too_long`).
 //!
 //! A `shutdown` request stops the accept loop and the poller; parked idle
 //! connections are dropped, requests already in the ready-queue are answered,
@@ -38,14 +57,16 @@ use rpq_automata::Language;
 use rpq_graphdb::{text, GraphDb};
 use rpq_obs::{prom, MetricsRegistry, RouteCounters, Trace};
 use rpq_resilience::algorithms::Algorithm;
-use rpq_resilience::engine::{Engine, SolveCall, SolveMode, SolveOptions};
+use rpq_resilience::engine::{Engine, PreparedQuery, SolveCall, SolveMode, SolveOptions};
 use rpq_resilience::router::{
-    RouteBudget, Router, DEFAULT_SHED_COST_BUDGET_US, DEFAULT_SHED_QUEUE_DEPTH,
+    RouteBudget, Router, TieredOutcome, DEFAULT_SHED_COST_BUDGET_US, DEFAULT_SHED_QUEUE_DEPTH,
 };
 use rpq_resilience::rpq::Rpq;
-use rpq_store::{SnapshotRef, Store, StoreConfig, StoreError, StoreRoute, StoreStats};
+use rpq_store::{
+    AppendResult, SnapshotRef, Store, StoreConfig, StoreError, StoreRoute, StoreStats,
+};
 use std::io::{self, BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -71,7 +92,9 @@ pub struct ServerConfig {
     /// Default solve options; the baseline for per-request overrides.
     pub options: SolveOptions,
     /// Hosted-database store geometry: database/materialization capacity and
-    /// the `db_put`/`db_patch` body-size limit (see [`StoreConfig`]).
+    /// the `db_put`/`db_patch` body-size limit (see [`StoreConfig`]). The
+    /// body limit also caps TCP request lines, at six times the limit plus
+    /// 1 MiB: any accepted body still fits with every byte JSON-escaped.
     pub store: StoreConfig,
     /// Log solve-family requests slower than this many microseconds to
     /// stderr, with their phase breakdown (`None` disables the log — and
@@ -159,6 +182,10 @@ pub struct ServerState {
     /// The bound address, once known — used to self-connect and wake the
     /// accept loop on shutdown.
     addr: Mutex<Option<SocketAddr>>,
+    /// The longest request line a TCP connection may buffer: room for the
+    /// largest `db_put`/`db_patch` body the store accepts with every byte
+    /// JSON-escaped as `\u00XX`, plus 1 MiB for the rest of the request.
+    max_line_bytes: usize,
 }
 
 impl ServerState {
@@ -188,6 +215,7 @@ impl ServerState {
             shed_cost_budget_us: config.shed_cost_budget_us.max(1),
             route_counters: RouteCounters::default(),
             addr: Mutex::new(None),
+            max_line_bytes: config.store.max_body_bytes.saturating_mul(6).saturating_add(1 << 20),
         }
     }
 
@@ -206,83 +234,90 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Handles one raw request line (undecoded bytes). Invalid UTF-8 is an
-    /// explicit protocol error — the bytes are never lossily replaced and
-    /// forwarded, which used to surface as a confusing downstream JSON parse
-    /// error on mangled text.
-    pub fn handle_raw_line(&self, line: &[u8]) -> (String, bool) {
-        match std::str::from_utf8(line) {
-            Ok(text) => self.handle_line(text),
-            Err(e) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                let message = format!(
+    /// Answers one request line (undecoded bytes) and returns the response
+    /// line plus whether the request asked the server to shut down — the one
+    /// entry point of both front ends. Never panics on malformed input:
+    /// invalid UTF-8 (never lossily replaced), bad JSON and unknown verbs all
+    /// become `{"ok":false,…}` responses, and every response that is not
+    /// `"ok": true` counts once in the `errors` stat.
+    pub fn answer(&self, line: &[u8]) -> (String, bool) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| {
+                format!(
                     "invalid encoding: request line is not UTF-8 (first invalid byte at \
                      offset {})",
                     e.valid_up_to()
-                );
-                (error_response(message).to_string(), false)
-            }
-        }
-    }
-
-    /// Handles one request line and returns the response line plus whether
-    /// the request asked the server to shut down. Never panics on malformed
-    /// input: every failure becomes an `{"ok":false,…}` response.
-    pub fn handle_line(&self, line: &str) -> (String, bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        match Request::parse(line) {
+                )
+            })
+            .and_then(Request::parse);
+        let (response, shutdown) = match parsed {
             Ok(request) => {
-                if let Some(count) = self.by_verb.get(verb_slot(verb_of(&request))) {
+                let verb = verb_of(&request);
+                // The wire-protocol lint keeps `VERBS` in sync with the parser.
+                let slot = VERBS.iter().position(|v| *v == verb);
+                if let Some(count) = slot.and_then(|i| self.by_verb.get(i)) {
                     count.fetch_add(1, Ordering::Relaxed);
                 }
-                if matches!(request, Request::Shutdown) {
-                    return (Json::object([("ok", Json::Bool(true))]).to_string(), true);
-                }
-                let response = self.handle_request(&request);
-                if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                (response.to_string(), false)
+                (self.dispatch(verb, request), verb == "shutdown")
             }
-            Err(message) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                (error_response(message).to_string(), false)
-            }
+            Err(message) => (error_response(message), false),
+        };
+        if response.get("ok").and_then(Json::as_bool) != Some(true) {
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
+        (response.to_string(), shutdown)
     }
 
-    /// Handles one parsed, non-`shutdown` request.
-    pub fn handle_request(&self, request: &Request) -> Json {
+    /// Handles one parsed request of wire verb `verb`.
+    fn dispatch(&self, verb: &'static str, request: Request) -> Json {
         match request {
-            Request::Prepare { query } => self.handle_prepare(query),
-            Request::Solve { query, db } => self.handle_solve(query, db),
-            Request::SolveBatch { query, dbs } => self.handle_solve_batch(query, dbs),
-            Request::DbPut { name, db } => self.handle_db_put(name, db),
-            Request::DbPatch { name, patch } => self.handle_db_patch(name, patch),
-            Request::DbSnapshot { name, snapshot_name, at } => {
-                self.handle_db_snapshot(name, snapshot_name, at.as_ref())
+            Request::Prepare { query } => self.handle_prepare(&query),
+            Request::Solve { query, db } => self.handle_solve_family(
+                verb,
+                &query,
+                Targets::Texts(std::slice::from_ref(&db)),
+                true,
+            ),
+            Request::SolveBatch { query, dbs } => {
+                self.handle_solve_family(verb, &query, Targets::Texts(&dbs), false)
             }
-            Request::DbSolve { query, name, snapshot, snapshots } => {
-                self.handle_db_solve(query, name, snapshot.as_ref(), snapshots.as_deref())
+            Request::DbSolve { query, name, snapshot, snapshots: None } => {
+                let target = vec![snapshot.as_ref().map_or(SnapshotRef::Head, snapshot_ref)];
+                self.handle_solve_family(verb, &query, Targets::Snapshots(&name, target), true)
+            }
+            Request::DbSolve { query, name, snapshots: Some(refs), .. } => {
+                let targets = refs.iter().map(snapshot_ref).collect();
+                self.handle_solve_family(verb, &query, Targets::Snapshots(&name, targets), false)
+            }
+            Request::DbPut { name, db } => appended(&name, "facts", self.store.put(&name, &db)),
+            Request::DbPatch { name, patch } => {
+                appended(&name, "applied", self.store.patch(&name, &patch))
+            }
+            Request::DbSnapshot { name, snapshot_name, at } => {
+                match self.store.snapshot(&name, &snapshot_name, at.as_ref().map(snapshot_ref)) {
+                    Ok(offset) => Json::object([
+                        ("ok", Json::Bool(true)),
+                        ("name", Json::Str(name)),
+                        ("snapshot_name", Json::Str(snapshot_name)),
+                        ("snapshot", Json::Int(offset as i128)),
+                    ]),
+                    Err(e) => store_error(&e),
+                }
             }
             Request::DbList => self.handle_db_list(),
-            Request::DbDrop { name } => self.handle_db_drop(name),
+            Request::DbDrop { name } => {
+                let dropped = self.store.drop_database(&name);
+                Json::object([
+                    ("ok", Json::Bool(true)),
+                    ("name", Json::Str(name)),
+                    ("dropped", Json::Bool(dropped)),
+                ])
+            }
             Request::Stats => self.handle_stats(),
             Request::Metrics => self.handle_metrics(),
             Request::Shutdown => Json::object([("ok", Json::Bool(true))]),
         }
-    }
-
-    fn engine_for(&self, spec: &QuerySpec) -> Engine {
-        let mut options = self.options;
-        if let Some(flow) = spec.flow {
-            options.flow_backend = flow;
-        }
-        if let Some(limit) = spec.enumeration_limit {
-            options.enumeration_limit = limit;
-        }
-        Engine::with_options(options)
     }
 
     /// The per-call solve inputs of a solve-family request: the per-request
@@ -301,25 +336,21 @@ impl ServerState {
         }
     }
 
-    fn parse_query(&self, spec: &QuerySpec) -> Result<Rpq, String> {
+    /// Parses the query and looks its plan up in the shared cache, preparing
+    /// it under the request's `flow`/`enumeration_limit` overrides on a miss
+    /// (`cache_lookup` and `plan` spans when `trace` is enabled).
+    fn prepare(&self, spec: &QuerySpec, trace: &mut Trace) -> Result<CacheLookup, String> {
         let language = Language::parse(&spec.pattern)
             .map_err(|e| format!("cannot parse query `{}`: {e}", spec.pattern))?;
         let mut rpq = Rpq::new(language);
         if spec.bag {
             rpq = rpq.with_bag_semantics();
         }
-        Ok(rpq)
-    }
-
-    fn prepare(&self, spec: &QuerySpec) -> Result<CacheLookup, String> {
-        self.prepare_traced(spec, &mut Trace::disabled())
-    }
-
-    fn prepare_traced(&self, spec: &QuerySpec, trace: &mut Trace) -> Result<CacheLookup, String> {
-        let rpq = self.parse_query(spec)?;
-        let engine = self.engine_for(spec);
+        let mut options = self.options;
+        options.flow_backend = spec.flow.unwrap_or(options.flow_backend);
+        options.enumeration_limit = spec.enumeration_limit.unwrap_or(options.enumeration_limit);
         self.cache
-            .get_or_prepare_traced(&engine, &rpq, spec.algorithm, trace)
+            .get_or_prepare_traced(&Engine::with_options(options), &rpq, spec.algorithm, trace)
             .map_err(|e| e.to_string())
     }
 
@@ -334,56 +365,8 @@ impl ServerState {
         }
     }
 
-    /// Stamps a finished solve-family request: seals the trace, appends the
-    /// always-on `elapsed_us` (and, when the request asked to trace, the
-    /// `timings` phase object) to the response fields, records the latency
-    /// histogram under `(verb, family, tier, backend)`, and writes the
-    /// slow-query log line if the request was over threshold. `algorithm` is
-    /// the backend that *answered* (after any routing degradation) for the
-    /// single-solve verbs, and the planned backend for batch verbs whose
-    /// entries may mix tiers.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_solve(
-        &self,
-        verb: &'static str,
-        spec: &QuerySpec,
-        algorithm: Algorithm,
-        fingerprint: u64,
-        started: Instant,
-        mut trace: Trace,
-        fields: &mut Vec<(String, Json)>,
-    ) {
-        trace.seal();
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let family = algorithm.name();
-        let tier = algorithm.tier();
-        let backend = spec.flow.unwrap_or(self.options.flow_backend).name();
-        self.metrics.histogram([verb, family, tier, backend]).record(elapsed_us);
-        fields.push(("elapsed_us".to_string(), Json::Int(elapsed_us as i128)));
-        if spec.trace == Some(true) {
-            let timings: Vec<(String, Json)> = trace
-                .spans()
-                .iter()
-                .map(|&(phase, us)| (phase.to_string(), Json::Int(us as i128)))
-                .collect();
-            fields.push(("timings".to_string(), Json::Object(timings)));
-        }
-        if let Some(threshold) = self.slow_query_log_us {
-            if elapsed_us >= threshold {
-                let phases: Vec<String> =
-                    trace.spans().iter().map(|&(phase, us)| format!("{phase}={us}us")).collect();
-                eprintln!(
-                    "rpq-server: slow query: verb={verb} query={fingerprint:016x} \
-                     family={family} tier={tier} backend={backend} elapsed={elapsed_us}us \
-                     phases=[{}]",
-                    phases.join(" ")
-                );
-            }
-        }
-    }
-
     fn handle_prepare(&self, spec: &QuerySpec) -> Json {
-        let lookup = match self.prepare(spec) {
+        let lookup = match self.prepare(spec, &mut Trace::disabled()) {
             Ok(p) => p,
             Err(message) => return error_response(message),
         };
@@ -397,291 +380,168 @@ impl ServerState {
         ])
     }
 
-    fn handle_solve(&self, spec: &QuerySpec, db_text: &str) -> Json {
-        let started = Instant::now();
-        let mut trace = self.trace_for(spec);
-        let CacheLookup { prepared, hit: cached, fingerprint } =
-            match self.prepare_traced(spec, &mut trace) {
-                Ok(p) => p,
-                Err(message) => return with_elapsed(error_response(message), started),
-            };
-        let parse_timer = trace.begin();
-        let db = match parse_db(db_text) {
-            Ok(db) => db,
-            Err(message) => return with_elapsed(error_response(message), started),
-        };
-        trace.end(parse_timer, "parse_db");
-        match prepared.route(&db, &self.call_for(spec), &mut trace) {
-            Ok(tiered) => {
-                self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
-                let mut fields = vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("cached".to_string(), Json::Bool(cached)),
-                ];
-                if let Json::Object(rest) = tiered_outcome_json(&tiered, &db) {
-                    fields.extend(rest);
-                }
-                self.finish_solve(
-                    "solve",
-                    spec,
-                    tiered.outcome.algorithm,
-                    fingerprint,
-                    started,
-                    trace,
-                    &mut fields,
-                );
-                Json::Object(fields)
-            }
-            Err(e) => with_elapsed(error_response(e.to_string()), started),
-        }
-    }
-
-    fn handle_solve_batch(&self, spec: &QuerySpec, dbs: &[String]) -> Json {
-        let started = Instant::now();
-        let mut trace = self.trace_for(spec);
-        let CacheLookup { prepared, hit: cached, fingerprint } =
-            match self.prepare_traced(spec, &mut trace) {
-                Ok(p) => p,
-                Err(message) => return with_elapsed(error_response(message), started),
-            };
-        // The per-request override is untrusted input: clamp it, or one
-        // request could ask for an OS thread per database.
-        let jobs = spec.jobs.unwrap_or(self.jobs).clamp(1, MAX_BATCH_JOBS);
-        // Parse every database up front (cheap, per-entry failures recorded),
-        // then run the per-database solves through the engine's scoped-thread
-        // batch path — `jobs` worker threads over the parsed databases.
-        let parse_timer = trace.begin();
-        let mut parsed: Vec<GraphDb> = Vec::with_capacity(dbs.len());
-        let slots: Vec<Result<usize, String>> = dbs
-            .iter()
-            .map(|db_text| {
-                parse_db(db_text).map(|db| {
-                    parsed.push(db);
-                    parsed.len() - 1
-                })
-            })
-            .collect();
-        trace.end(parse_timer, "parse_db");
-        let outcomes = prepared.route_batch(&parsed, jobs, &self.call_for(spec), &mut trace);
-        let mut failures: u64 = 0;
-        let results: Vec<Json> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Err(message) => {
-                    failures += 1;
-                    error_response(message)
-                }
-                // lint: allow(panic-freedom, slots index the same vectors they were built from)
-                Ok(i) => match &outcomes[i] {
-                    Ok(tiered) => {
-                        self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
-                        // lint: allow(panic-freedom, slots index the same vectors they were built from)
-                        tiered_outcome_json(tiered, &parsed[i])
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        error_response(e.to_string())
-                    }
-                },
-            })
-            .collect();
-        // Per-database failures ride inside an `"ok": true` envelope; count
-        // them here or the `errors` stat undercounts mixed batches.
-        if failures > 0 {
-            self.errors.fetch_add(failures, Ordering::Relaxed);
-        }
-        let mut fields = vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("cached".to_string(), Json::Bool(cached)),
-            ("results".to_string(), Json::Array(results)),
-        ];
-        self.finish_solve(
-            "solve_batch",
-            spec,
-            prepared.plan().algorithm,
-            fingerprint,
-            started,
-            trace,
-            &mut fields,
-        );
-        Json::Object(fields)
-    }
-
-    fn handle_db_put(&self, name: &str, body: &str) -> Json {
-        match self.store.put(name, body) {
-            Ok(appended) => Json::object([
-                ("ok", Json::Bool(true)),
-                ("name", Json::Str(name.to_string())),
-                ("snapshot", Json::Int(appended.snapshot as i128)),
-                ("facts", Json::Int(appended.entries as i128)),
-            ]),
-            Err(e) => store_error(&e),
-        }
-    }
-
-    fn handle_db_patch(&self, name: &str, body: &str) -> Json {
-        match self.store.patch(name, body) {
-            Ok(appended) => Json::object([
-                ("ok", Json::Bool(true)),
-                ("name", Json::Str(name.to_string())),
-                ("snapshot", Json::Int(appended.snapshot as i128)),
-                ("applied", Json::Int(appended.entries as i128)),
-            ]),
-            Err(e) => store_error(&e),
-        }
-    }
-
-    fn handle_db_snapshot(
+    /// The solve-family pipeline (`solve`, `solve_batch`, `db_solve`; see
+    /// the module docs): prepare, route every target, build the envelope,
+    /// stamp. `inline` requests have exactly one target whose entry merges
+    /// into the envelope — a failed entry fails the request. Other requests
+    /// answer a `results` array whose failed entries ride inside an
+    /// `"ok": true` envelope and are counted into `errors` here.
+    fn handle_solve_family(
         &self,
-        name: &str,
-        snapshot_name: &str,
-        at: Option<&SnapshotSel>,
-    ) -> Json {
-        match self.store.snapshot(name, snapshot_name, at.map(|sel| snapshot_ref(Some(sel)))) {
-            Ok(offset) => Json::object([
-                ("ok", Json::Bool(true)),
-                ("name", Json::Str(name.to_string())),
-                ("snapshot_name", Json::Str(snapshot_name.to_string())),
-                ("snapshot", Json::Int(offset as i128)),
-            ]),
-            Err(e) => store_error(&e),
-        }
-    }
-
-    /// `db_solve`: one snapshot answered inline, or a `snapshots` array
-    /// answered as per-snapshot `results` entries. Per-snapshot failures
-    /// (engine errors, unresolvable references) become entries naming the
-    /// offending snapshot instead of failing the whole request.
-    fn handle_db_solve(
-        &self,
+        verb: &'static str,
         spec: &QuerySpec,
-        name: &str,
-        snapshot: Option<&SnapshotSel>,
-        snapshots: Option<&[SnapshotSel]>,
+        targets: Targets<'_>,
+        inline: bool,
     ) -> Json {
         let started = Instant::now();
         let mut trace = self.trace_for(spec);
         let CacheLookup { prepared, hit: cached, fingerprint } =
-            match self.prepare_traced(spec, &mut trace) {
+            match self.prepare(spec, &mut trace) {
                 Ok(p) => p,
                 Err(message) => return with_elapsed(error_response(message), started),
             };
         let call = self.call_for(spec);
-        let Some(refs) = snapshots else {
-            // The inline form: the solve result fields merge into the
-            // response envelope, like a plain `solve`.
-            return match self.store.solve(
-                name,
-                &snapshot_ref(snapshot),
-                &prepared,
-                fingerprint,
-                &call,
-                &mut trace,
-            ) {
-                Ok(route) => {
-                    let answered = match &route.result {
-                        Ok((tiered, _)) => tiered.outcome.algorithm,
-                        Err(_) => prepared.plan().algorithm,
-                    };
-                    let entry = self.db_route_entry(&route);
-                    if route.result.is_err() {
-                        // Already `"ok": false` with the snapshot id.
-                        return with_elapsed(entry, started);
-                    }
-                    let mut fields = vec![
-                        ("ok".to_string(), Json::Bool(true)),
-                        ("cached".to_string(), Json::Bool(cached)),
-                        ("name".to_string(), Json::Str(name.to_string())),
-                    ];
-                    if let Json::Object(rest) = entry {
-                        fields.extend(rest);
-                    }
-                    self.finish_solve(
-                        "db_solve",
-                        spec,
-                        answered,
-                        fingerprint,
-                        started,
-                        trace,
-                        &mut fields,
-                    );
-                    Json::Object(fields)
-                }
-                Err(e) => with_elapsed(store_error(&e), started),
-            };
+        let mut fields =
+            vec![("ok".to_string(), Json::Bool(true)), ("cached".to_string(), Json::Bool(cached))];
+        let mut entries: Vec<Entry> = match targets {
+            Targets::Texts(texts) => self.route_texts(&prepared, texts, spec, &call, &mut trace),
+            Targets::Snapshots(name, refs) => {
+                fields.push(("name".to_string(), Json::Str(name.to_string())));
+                let mut solve =
+                    |sel| self.store.solve(name, sel, &prepared, fingerprint, &call, &mut trace);
+                refs.iter().map(|sel| self.snapshot_entry(solve(sel))).collect()
+            }
         };
-        let mut failures: u64 = 0;
-        let results: Vec<Json> = refs
-            .iter()
-            .map(|sel| {
-                match self.store.solve(
-                    name,
-                    &snapshot_ref(Some(sel)),
-                    &prepared,
-                    fingerprint,
-                    &call,
-                    &mut trace,
-                ) {
-                    Ok(route) => {
-                        if route.result.is_err() {
-                            failures += 1;
-                        }
-                        self.db_route_entry(&route)
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        store_error(&e)
-                    }
-                }
-            })
-            .collect();
-        // Like `solve_batch`: per-snapshot failures ride inside an
-        // `"ok": true` envelope, so count them into the errors stat here.
-        if failures > 0 {
-            self.errors.fetch_add(failures, Ordering::Relaxed);
+        // Inline verbs label the latency histogram with the backend that
+        // answered (after any routing degradation); array verbs, whose
+        // entries may mix tiers, with the planned one.
+        let algorithm = if inline {
+            let (answered, rest) = match entries.pop() {
+                Some(Ok(entry)) => entry,
+                Some(Err(error)) => return with_elapsed(error, started),
+                None => (prepared.plan().algorithm, Vec::new()),
+            };
+            fields.extend(rest);
+            answered
+        } else {
+            let failures = entries.iter().filter(|entry| entry.is_err()).count() as u64;
+            let results = entries
+                .into_iter()
+                .map(|entry| entry.map_or_else(|error| error, |(_, rest)| Json::Object(rest)))
+                .collect();
+            if failures > 0 {
+                self.errors.fetch_add(failures, Ordering::Relaxed);
+            }
+            fields.push(("results".to_string(), Json::Array(results)));
+            prepared.plan().algorithm
+        };
+        // The stamp: seal the trace, append the always-on `elapsed_us` (and
+        // the opt-in `timings`), record the latency histogram under
+        // `(verb, family, tier, backend)` and log the request if slow.
+        trace.seal();
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        let family = algorithm.name();
+        let tier = algorithm.tier();
+        let backend = spec.flow.unwrap_or(self.options.flow_backend).name();
+        self.metrics.histogram([verb, family, tier, backend]).record(elapsed_us);
+        fields.push(("elapsed_us".to_string(), Json::Int(elapsed_us as i128)));
+        if spec.trace == Some(true) {
+            let timings = trace
+                .spans()
+                .iter()
+                .map(|&(phase, us)| (phase.to_string(), Json::Int(us as i128)))
+                .collect();
+            fields.push(("timings".to_string(), Json::Object(timings)));
         }
-        let mut fields = vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("cached".to_string(), Json::Bool(cached)),
-            ("name".to_string(), Json::Str(name.to_string())),
-            ("results".to_string(), Json::Array(results)),
-        ];
-        self.finish_solve(
-            "db_solve",
-            spec,
-            prepared.plan().algorithm,
-            fingerprint,
-            started,
-            trace,
-            &mut fields,
-        );
+        if self.slow_query_log_us.is_some_and(|threshold| elapsed_us >= threshold) {
+            let phases: Vec<String> =
+                trace.spans().iter().map(|&(phase, us)| format!("{phase}={us}us")).collect();
+            eprintln!(
+                "rpq-server: slow query: verb={verb} query={fingerprint:016x} family={family} \
+                 tier={tier} backend={backend} elapsed={elapsed_us}us phases=[{}]",
+                phases.join(" ")
+            );
+        }
         Json::Object(fields)
     }
 
-    /// One per-snapshot `db_solve` result: the resolved snapshot id, the
-    /// `incremental` and `result_cached` markers and the routed outcome
-    /// fields — or, for an engine failure, an `"ok": false` entry that still
-    /// names the offending snapshot. Routed entries feed the tier counters.
-    fn db_route_entry(&self, route: &StoreRoute) -> Json {
+    /// Parses every graph text (one `parse_db` span, per-text failures kept)
+    /// and routes the parsed databases through the engine's batch path —
+    /// `jobs` scoped threads, one pooled scratch each — returning one entry
+    /// per text, in order.
+    fn route_texts(
+        &self,
+        prepared: &PreparedQuery,
+        texts: &[String],
+        spec: &QuerySpec,
+        call: &SolveCall,
+        trace: &mut Trace,
+    ) -> Vec<Entry> {
+        // The per-request override is untrusted input: clamp it, or one
+        // request could ask for an OS thread per database.
+        let jobs = spec.jobs.unwrap_or(self.jobs).clamp(1, MAX_BATCH_JOBS);
+        let parse_timer = trace.begin();
+        let mut parsed: Vec<GraphDb> = Vec::with_capacity(texts.len());
+        let slots: Vec<Result<usize, String>> = texts
+            .iter()
+            .map(|text| {
+                let db = text::parse(text).map_err(|e| format!("cannot parse database: {e}"))?;
+                parsed.push(db);
+                Ok(parsed.len() - 1)
+            })
+            .collect();
+        trace.end(parse_timer, "parse_db");
+        let outcomes = prepared.route_batch(&parsed, jobs, call, trace);
+        slots
+            .into_iter()
+            .map(|slot| {
+                let i = slot.map_err(error_response)?;
+                // lint: allow(panic-freedom, slots index the same vectors they were built from)
+                let (outcome, db) = (&outcomes[i], &parsed[i]);
+                let tiered = outcome.as_ref().map_err(|e| error_response(e.to_string()))?;
+                Ok(self.routed_entry(tiered, db, Vec::new()))
+            })
+            .collect()
+    }
+
+    /// One hosted-snapshot entry: the resolved snapshot id, the
+    /// `incremental` and `result_cached` markers and the routed outcome — or
+    /// a store error, or, for an engine failure, an `"ok": false` entry that
+    /// still names the offending snapshot.
+    fn snapshot_entry(&self, route: Result<StoreRoute, StoreError>) -> Entry {
+        let route = route.map_err(|e| store_error(&e))?;
+        let snapshot = ("snapshot".to_string(), Json::Int(route.snapshot as i128));
         match &route.result {
-            Ok((tiered, mode)) => {
-                self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
-                let mut fields = vec![
-                    ("snapshot".to_string(), Json::Int(route.snapshot as i128)),
+            Ok((tiered, mode)) => Ok(self.routed_entry(
+                tiered,
+                &route.graph,
+                vec![
+                    snapshot,
                     ("incremental".to_string(), Json::Bool(*mode == SolveMode::Incremental)),
                     ("result_cached".to_string(), Json::Bool(route.result_cached)),
-                ];
-                if let Json::Object(rest) = tiered_outcome_json(tiered, &route.graph) {
-                    fields.extend(rest);
-                }
-                Json::Object(fields)
-            }
-            Err(e) => Json::object([
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str(e.to_string())),
-                ("snapshot", Json::Int(route.snapshot as i128)),
-            ]),
+                ],
+            )),
+            Err(e) => Err(Json::Object(vec![
+                ("ok".to_string(), Json::Bool(false)),
+                ("error".to_string(), Json::Str(e.to_string())),
+                snapshot,
+            ])),
         }
+    }
+
+    /// A routed outcome as entry fields after `fields`, recorded in the
+    /// per-tier counters.
+    fn routed_entry(
+        &self,
+        tiered: &TieredOutcome,
+        db: &GraphDb,
+        mut fields: Vec<(String, Json)>,
+    ) -> (Algorithm, Vec<(String, Json)>) {
+        self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
+        if let Json::Object(rest) = tiered_outcome_json(tiered, db) {
+            fields.extend(rest);
+        }
+        (tiered.outcome.algorithm, fields)
     }
 
     fn handle_db_list(&self) -> Json {
@@ -707,15 +567,6 @@ impl ServerState {
             })
             .collect();
         Json::object([("ok", Json::Bool(true)), ("databases", Json::Array(databases))])
-    }
-
-    fn handle_db_drop(&self, name: &str) -> Json {
-        let dropped = self.store.drop_database(name);
-        Json::object([
-            ("ok", Json::Bool(true)),
-            ("name", Json::Str(name.to_string())),
-            ("dropped", Json::Bool(dropped)),
-        ])
     }
 
     fn handle_stats(&self) -> Json {
@@ -985,6 +836,15 @@ impl ServerState {
         Json::object([("ok", Json::Bool(true)), ("metrics", Json::Str(out))])
     }
 
+    /// The response line (newline included) to a TCP request line longer
+    /// than `max_line_bytes`, counted as one request and one error.
+    fn line_too_long(&self) -> String {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        let message = format!("request line longer than {} bytes", self.max_line_bytes);
+        coded_error_response(message, "line_too_long").to_string() + "\n"
+    }
+
     /// Sets the shutdown flag and wakes the accept loop with a self-connect.
     fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -1037,23 +897,26 @@ fn verb_of(request: &Request) -> &'static str {
     }
 }
 
-/// The [`VERBS`] index of a verb name. `verb_of` only produces [`VERBS`]
-/// entries (the wire-protocol lint keeps the table in sync with the parser),
-/// but an unknown verb degrades to an out-of-range slot — callers index with
-/// `get`, so the counter bump is skipped rather than panicking.
-fn verb_slot(verb: &str) -> usize {
-    VERBS.iter().position(|v| *v == verb).unwrap_or(VERBS.len())
-}
-
 /// The Prometheus label list of one latency-histogram key.
 fn latency_labels(key: &rpq_obs::MetricsKey) -> String {
     let [verb, family, tier, backend] = key;
     format!("verb=\"{verb}\",family=\"{family}\",tier=\"{tier}\",backend=\"{backend}\"")
 }
 
-/// Appends the always-on `elapsed_us` field to a response object (error
-/// paths of the solve-family verbs; success paths go through
-/// `ServerState::finish_solve`).
+/// The databases a solve-family request runs against.
+enum Targets<'a> {
+    /// Graph texts sent with the request (`solve`, `solve_batch`).
+    Texts(&'a [String]),
+    /// Snapshots of the named hosted database (`db_solve`).
+    Snapshots(&'a str, Vec<SnapshotRef>),
+}
+
+/// One solve-family target's result: the algorithm that answered and the
+/// entry's response fields, or its `"ok": false` error object.
+type Entry = Result<(Algorithm, Vec<(String, Json)>), Json>;
+
+/// Appends the always-on `elapsed_us` field to a response object (the
+/// failure paths of the solve-family pipeline).
 fn with_elapsed(mut json: Json, started: Instant) -> Json {
     if let Json::Object(fields) = &mut json {
         fields.push(("elapsed_us".to_string(), Json::Int(started.elapsed().as_micros() as i128)));
@@ -1061,16 +924,26 @@ fn with_elapsed(mut json: Json, started: Instant) -> Json {
     json
 }
 
-fn parse_db(db_text: &str) -> Result<GraphDb, String> {
-    text::parse(db_text).map_err(|e| format!("cannot parse database: {e}"))
+/// The response to a `db_put` (`count_key` = `facts`) or `db_patch`
+/// (`applied`): the new snapshot id and the appended entry count.
+fn appended(name: &str, count_key: &'static str, result: Result<AppendResult, StoreError>) -> Json {
+    match result {
+        Ok(appended) => Json::object([
+            ("ok", Json::Bool(true)),
+            ("name", Json::Str(name.to_string())),
+            ("snapshot", Json::Int(appended.snapshot as i128)),
+            (count_key, Json::Int(appended.entries as i128)),
+        ]),
+        Err(e) => store_error(&e),
+    }
 }
 
-/// Maps a wire snapshot reference onto the store's (`None` = head).
-fn snapshot_ref(sel: Option<&SnapshotSel>) -> SnapshotRef {
+/// Maps a wire snapshot reference onto the store's (an omitted reference is
+/// the head, [`SnapshotRef::Head`]).
+fn snapshot_ref(sel: &SnapshotSel) -> SnapshotRef {
     match sel {
-        None => SnapshotRef::Head,
-        Some(SnapshotSel::Offset(offset)) => SnapshotRef::Offset(*offset),
-        Some(SnapshotSel::Named(name)) => SnapshotRef::Named(name.clone()),
+        SnapshotSel::Offset(offset) => SnapshotRef::Offset(*offset),
+        SnapshotSel::Named(name) => SnapshotRef::Named(name.clone()),
     }
 }
 
@@ -1167,6 +1040,9 @@ enum Polled {
     /// the pass read any bytes: a large line arriving piece by piece is
     /// progress, so the poller must not back off while it streams in.
     Idle { read: bool },
+    /// The buffered line outgrew the cap without ending: answer
+    /// `line_too_long` and close.
+    TooLong,
     /// Peer closed (or the connection errored) with nothing left to serve.
     Closed,
 }
@@ -1180,16 +1056,20 @@ fn poll_connection(conn: &mut Connection) -> Polled {
         return Polled::Request { line, eof: false };
     }
     // `read_to_end` reads straight into the buffer's spare capacity until the
-    // socket would block (keeping every byte it read) or hits EOF; it
-    // retries `Interrupted` itself.
+    // socket would block (keeping every byte it read), hits EOF or fills the
+    // buffer to one byte past the line cap; it retries `Interrupted` itself.
     let before = conn.buffer.len();
-    let eof = match conn.stream.read_to_end(&mut conn.buffer) {
-        Ok(_) => true,
+    let room = conn.state.max_line_bytes.saturating_add(1).saturating_sub(before) as u64;
+    let eof = match (&mut conn.stream).take(room).read_to_end(&mut conn.buffer) {
+        Ok(read) => (read as u64) < room, // stopped short of the cap: EOF
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
         Err(_) => return Polled::Closed, // reset mid-line: drop the client
     };
     if let Some(line) = conn.next_buffered_line() {
         return Polled::Request { line, eof: false };
+    }
+    if conn.buffer.len() > conn.state.max_line_bytes {
+        return Polled::TooLong;
     }
     if eof {
         let line = std::mem::take(&mut conn.buffer);
@@ -1268,6 +1148,15 @@ fn poller_loop(
                     progress |= read;
                     i += 1;
                 }
+                Polled::TooLong => {
+                    let mut conn = parked.swap_remove(i);
+                    conn.note_request();
+                    // Still non-blocking: one short line fits the fresh send
+                    // buffer, and a peer that cannot take it is dropped anyway.
+                    let _ = conn.stream.write_all(state.line_too_long().as_bytes());
+                    let _ = conn.stream.shutdown(Shutdown::Write);
+                    progress = true;
+                }
                 Polled::Closed => {
                     parked.swap_remove(i);
                     progress = true;
@@ -1321,11 +1210,7 @@ fn serve_one(
     // Counted before handling so a `stats` request sees itself, matching the
     // top-level `requests` counter's semantics.
     conn.note_request();
-    let (response, shutdown) = state.handle_raw_line(&line);
-    conn.stream.write_all(response.as_bytes())?;
-    conn.stream.write_all(b"\n")?;
-    conn.stream.flush()?;
-    if shutdown {
+    if respond(state, &line, &mut conn.stream)? {
         state.initiate_shutdown();
         return Ok(()); // connection drops: the client saw its response
     }
@@ -1451,11 +1336,22 @@ impl SpawnedServer {
     }
 }
 
+/// The one response writer of both front ends: answers `line`, writes the
+/// response and its `\n` to `out` and flushes. Returns whether the request
+/// asked the server to shut down.
+fn respond(state: &ServerState, line: &[u8], out: &mut impl Write) -> io::Result<bool> {
+    let (mut response, shutdown) = state.answer(line);
+    response.push('\n');
+    out.write_all(response.as_bytes())?;
+    out.flush()?;
+    Ok(shutdown)
+}
+
 /// Serves the protocol over a reader/writer pair — `rpq-cli serve --pipe`
 /// uses stdin/stdout. Returns at EOF or after a `shutdown` request. The pipe
-/// front end is single-threaded but shares the same [`ServerState`] handler
-/// (and cache semantics) as the TCP front end, including the strict UTF-8
-/// decoding of [`ServerState::handle_raw_line`].
+/// front end is single-threaded but answers through the same
+/// [`ServerState::answer`] as the TCP front end. It reads the operator's own
+/// input, so unlike a TCP connection its lines are not length-capped.
 pub fn run_pipe(
     state: &ServerState,
     mut input: impl BufRead,
@@ -1473,11 +1369,7 @@ pub fn run_pipe(
         if buffer.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let (response, shutdown) = state.handle_raw_line(&buffer);
-        output.write_all(response.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
-        if shutdown {
+        if respond(state, &buffer, &mut output)? {
             state.shutdown.store(true, Ordering::SeqCst);
             break;
         }
@@ -1494,7 +1386,7 @@ mod tests {
     }
 
     fn request(state: &ServerState, line: &str) -> Json {
-        let (response, _) = state.handle_line(line);
+        let (response, _) = state.answer(line.as_bytes());
         Json::parse(&response).expect("responses are valid JSON")
     }
 
@@ -1692,7 +1584,7 @@ mod tests {
         let mut line = br#"{"op":"prepare","query":""#.to_vec();
         line.extend([0xFF, 0xFE]); // not UTF-8
         line.extend(br#""}"#);
-        let (response, shutdown) = state.handle_raw_line(&line);
+        let (response, shutdown) = state.answer(&line);
         assert!(!shutdown);
         let json = Json::parse(&response).unwrap();
         assert_eq!(json.get("ok"), Some(&Json::Bool(false)));

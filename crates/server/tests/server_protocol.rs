@@ -12,6 +12,11 @@ use rpq_graphdb::text;
 use rpq_resilience::engine::Engine;
 use rpq_resilience::rpq::Rpq;
 use rpq_server::{Client, Json, QuerySpec, Request, Server, ServerConfig};
+use std::time::Duration;
+
+/// Bound on any single round trip, so a hung server fails a test instead of
+/// stalling the run.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// 32 small databases exercising the `ax*b` local-language plan: paths
 /// labeled `a x^k b` (resilience 1), plus some negatives (no match,
@@ -275,4 +280,75 @@ fn pipe_transcript_matches_the_recorded_responses() {
         assert_eq!(got, want, "response {} differs from the recording", i + 1);
     }
     assert_eq!(masked, expected);
+}
+
+/// A query nested far past `MAX_REGEX_DEPTH` (~12 KB of parentheses, deep
+/// enough to overflow a worker's stack and abort the whole server without
+/// the bound) is an ordinary error response, and the same connection keeps
+/// being served.
+#[test]
+fn a_deeply_nested_query_is_an_error_response_not_a_crash() {
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig { threads: 2, ..ServerConfig::default() })
+            .unwrap();
+    let running = server.spawn().unwrap();
+    let mut client = Client::connect(running.addr).unwrap();
+    client.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    let pattern = format!("{}a{}", "(".repeat(6_000), ")".repeat(6_000));
+    let response = client.request(&Request::Prepare { query: QuerySpec::new(pattern) }).unwrap();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let error = response.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("nesting deeper than 128"), "{error}");
+    let stats = client.request(&Request::Stats).unwrap();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    assert_eq!(stats.get("errors").and_then(Json::as_int), Some(1), "{stats}");
+    client.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
+}
+
+/// A TCP request line that never ends stops being buffered past
+/// `6 × max_body_bytes + 1 MiB`: the peer gets one `line_too_long` error,
+/// then the connection closes, and the server counts one failed request.
+#[test]
+fn an_endless_request_line_is_cut_off_with_a_typed_error() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let store = rpq_store::StoreConfig { max_body_bytes: 1024, ..Default::default() };
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig { store, ..ServerConfig::default() }).unwrap();
+    let running = server.spawn().unwrap();
+    let stream = std::net::TcpStream::connect(running.addr).unwrap();
+    stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    // 2 MiB without a newline, twice the cap; the writes fail once the
+    // server has given up on the line and closed the connection.
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let chunk = [b'x'; 64 * 1024];
+        for _ in 0..32 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a response before the close");
+    let response = Json::parse(line.trim_end()).unwrap();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    assert_eq!(response.get("code").and_then(Json::as_str), Some("line_too_long"), "{response}");
+    // Nothing follows the error: the server closed its end. The close may
+    // reach the client as a reset, since the rest of the line went unread.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "{} more bytes", rest.len()),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    sender.join().unwrap();
+
+    let mut client = Client::connect(running.addr).unwrap();
+    client.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    let stats = client.request(&Request::Stats).unwrap();
+    assert_eq!(stats.get("errors").and_then(Json::as_int), Some(1), "{stats}");
+    assert_eq!(stats.get("requests").and_then(Json::as_int), Some(2), "{stats}");
+    client.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
 }
