@@ -12,7 +12,7 @@
 //!   with the looked-up name, the fact table by comparing `facts[id]`. A name
 //!   is therefore stored once, not once more as an owned map key. Tables are
 //!   kept at most half full and are pre-sized by the bulk builders
-//!   ([`crate::text::parse`], [`crate::delta::materialize`]).
+//!   ([`crate::text::parse`], [`crate::delta::Replay::build`]).
 //! * **Keyed hashing.** Both tables hash with std's randomly keyed
 //!   [`RandomState`]: node names come from requests, and an unkeyed hasher
 //!   would let a client choose names that all collide (HashDoS). A fact is

@@ -3,8 +3,9 @@
 //! `rpq-store` models a hosted database as a log of [`FactChange`] entries; a
 //! *snapshot* is simply a log offset, so taking one is O(1) and immutable by
 //! construction. This module owns the change vocabulary, the text format for
-//! patches, and the replay that [materializes](materialize) a log prefix into
-//! a concrete [`GraphDb`].
+//! patches, and the [`Replay`] that [materializes](materialize) a log prefix
+//! into a concrete [`GraphDb`] — once from scratch, or entry by entry as the
+//! log grows.
 //!
 //! A patch is line-based, mirroring [`crate::text`]:
 //!
@@ -22,11 +23,9 @@
 //! makes replay order-insensitive per key (last write wins) and gives patches
 //! upsert semantics.
 
-use crate::db::GraphDb;
+use crate::db::{GraphDb, NodeId};
 use crate::text::{self, ParseError};
 use rpq_automata::alphabet::Letter;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One entry of a database's append-only fact log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,55 +158,105 @@ pub fn changes_from_db(db: &GraphDb) -> Vec<FactChange> {
         .collect()
 }
 
-/// Replays a change log into a concrete [`GraphDb`].
+/// Replays a change log into a concrete [`GraphDb`]: `Replay::default()`,
+/// [extended](Replay::extend) over `changes`, then [built](Replay::build).
 ///
-/// Surviving facts are inserted in the order their key was **first put**, so
-/// two logs with the same net effect produce databases with identical node
-/// and fact numbering as long as their first-put orders agree — in particular
+/// Surviving facts are inserted in the order their key was **first put**, and
+/// nodes in the order they first appear among the surviving facts, so two
+/// logs with the same net effect produce databases with identical node and
+/// fact numbering as long as their first-put orders agree — in particular
 /// `materialize(&log[..n])` followed by the remaining changes always agrees
 /// with `materialize(&log[..m])` for `n <= m` on the shared facts.
 ///
-/// Each log entry costs one hash probe: a single map sends every key ever
-/// put to its first-put rank, and `slots[rank]` holds the key with its
-/// current state (`None` once deleted). The head is then built through a
-/// `GraphDb` whose tables are sized for the surviving facts up front.
+/// **The numbering is a contract.** `rpq-store`'s result cache keeps the
+/// [`FactId`](crate::FactId)s of a solved snapshot and renders them against
+/// whichever materialization of that snapshot exists when the cache hits:
+/// the cut may have been computed on a head built from an extended
+/// [`Replay`] and be rendered against a from-scratch rebuild after an
+/// eviction. Every materialization of one log prefix must therefore number
+/// facts and nodes exactly as this function does.
 pub fn materialize(changes: &[FactChange]) -> GraphDb {
-    type Key<'a> = (&'a str, Letter, &'a str);
-    let mut rank: HashMap<Key<'_>, usize> = HashMap::new();
-    let mut slots: Vec<(Key<'_>, Option<(u64, bool)>)> = Vec::new();
-    for change in changes {
-        let key = change.key();
-        match change {
-            FactChange::Put { multiplicity, exogenous, .. } => {
-                let state = Some((*multiplicity, *exogenous));
-                match rank.entry(key) {
-                    Entry::Occupied(entry) => slots[*entry.get()].1 = state,
-                    Entry::Vacant(entry) => {
-                        entry.insert(slots.len());
-                        slots.push((key, state));
+    let mut replay = Replay::default();
+    replay.extend(changes);
+    replay.build()
+}
+
+/// The replay state of a change log, kept so a growing log can be replayed
+/// by its new entries alone.
+///
+/// `keys` holds every node name and every `(source, label, target)` key ever
+/// put, interned once (a `GraphDb` used for its id tables only): its node
+/// ids are the replay's name ids and its fact ids are the keys' first-put
+/// ranks. `states[rank]` is the key's current
+/// multiplicity and exogenous flag (`None` once deleted). Extending costs one
+/// hash probe per name and one per key of each new entry; [`Replay::build`]
+/// then hashes each surviving node name once.
+#[derive(Debug, Clone, Default)]
+pub struct Replay {
+    keys: GraphDb,
+    states: Vec<Option<(u64, bool)>>,
+    live: usize,
+}
+
+impl Replay {
+    /// Applies `changes` after the entries replayed so far.
+    pub fn extend(&mut self, changes: &[FactChange]) {
+        for change in changes {
+            match change {
+                FactChange::Put { source, label, target, multiplicity, exogenous } => {
+                    let s = self.keys.node(source);
+                    let t = self.keys.node(target);
+                    let rank = self.keys.add_fact(s, *label, t).index();
+                    if rank == self.states.len() {
+                        self.states.push(None);
+                    }
+                    let state = &mut self.states[rank];
+                    self.live += usize::from(state.is_none());
+                    *state = Some((*multiplicity, *exogenous));
+                }
+                FactChange::Delete { source, label, target } => {
+                    let (Some(s), Some(t)) =
+                        (self.keys.find_node(source), self.keys.find_node(target))
+                    else {
+                        continue;
+                    };
+                    if let Some(rank) = self.keys.find_fact(s, *label, t) {
+                        let state = &mut self.states[rank.index()];
+                        self.live -= usize::from(state.is_some());
+                        *state = None;
                     }
                 }
             }
-            FactChange::Delete { .. } => {
-                if let Some(&at) = rank.get(&key) {
-                    slots[at].1 = None;
+        }
+    }
+
+    /// The number of facts alive after the entries replayed so far.
+    pub fn live_facts(&self) -> usize {
+        self.live
+    }
+
+    /// The database the entries replayed so far describe, numbered exactly as
+    /// [`materialize`] numbers it.
+    pub fn build(&self) -> GraphDb {
+        let nodes = self.keys.num_nodes().min(2 * self.live);
+        let mut db = GraphDb::with_capacity(nodes, self.live);
+        // Name id -> node id of `db`, assigned on the name's first use.
+        let mut node_of: Vec<Option<NodeId>> = vec![None; self.keys.num_nodes()];
+        let mut node = |db: &mut GraphDb, name: NodeId| {
+            *node_of[name.0 as usize].get_or_insert_with(|| db.node(self.keys.node_name(name)))
+        };
+        for ((_, key), state) in self.keys.facts().zip(&self.states) {
+            if let Some((multiplicity, exogenous)) = *state {
+                let s = node(&mut db, key.source);
+                let t = node(&mut db, key.target);
+                let id = db.add_fact_with_multiplicity(s, key.label, t, multiplicity);
+                if exogenous {
+                    db.set_exogenous(id, true);
                 }
             }
         }
+        db
     }
-    let live = slots.iter().filter(|(_, state)| state.is_some()).count();
-    let mut db = GraphDb::with_capacity(live, live);
-    for ((source, label, target), state) in slots {
-        if let Some((multiplicity, exogenous)) = state {
-            let s = db.node(source);
-            let t = db.node(target);
-            let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
-            if exogenous {
-                db.set_exogenous(id, true);
-            }
-        }
-    }
-    db
 }
 
 #[cfg(test)]
@@ -216,6 +265,7 @@ mod tests {
     use crate::text;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     /// The replay as it was written before it hashed each entry once: two
     /// maps, `alive` and `ever_put`, and a `GraphDb` grown from empty. It is
@@ -275,24 +325,72 @@ mod tests {
         log
     }
 
+    /// Asserts that `got` numbers nodes and facts exactly as `want` does,
+    /// with the same names, multiplicities and exogenous flags.
+    fn assert_same_numbering(got: &GraphDb, want: &GraphDb, context: &str) {
+        assert_eq!(got.num_nodes(), want.num_nodes(), "{context}");
+        for node in want.nodes() {
+            assert_eq!(got.node_name(node), want.node_name(node), "{context}");
+            assert_eq!(got.find_node(want.node_name(node)), Some(node), "{context}");
+        }
+        assert_eq!(got.facts().collect::<Vec<_>>(), want.facts().collect::<Vec<_>>(), "{context}");
+        for id in want.fact_ids() {
+            assert_eq!(got.multiplicity(id), want.multiplicity(id), "{context}");
+            assert_eq!(got.is_exogenous(id), want.is_exogenous(id), "{context}");
+        }
+    }
+
     #[test]
     fn materialize_matches_the_two_map_reference_on_random_logs() {
         for seed in 0..600 {
             let log = random_log(seed);
             for end in [log.len() / 2, log.len()] {
                 let (got, want) = (materialize(&log[..end]), materialize_reference(&log[..end]));
-                assert_eq!(got.num_nodes(), want.num_nodes(), "seed {seed}");
-                for node in want.nodes() {
-                    assert_eq!(got.node_name(node), want.node_name(node), "seed {seed}");
-                    assert_eq!(got.find_node(want.node_name(node)), Some(node), "seed {seed}");
-                }
-                assert_eq!(got.facts().collect::<Vec<_>>(), want.facts().collect::<Vec<_>>());
-                for id in want.fact_ids() {
-                    assert_eq!(got.multiplicity(id), want.multiplicity(id), "seed {seed}");
-                    assert_eq!(got.is_exogenous(id), want.is_exogenous(id), "seed {seed}");
-                }
+                assert_same_numbering(&got, &want, &format!("seed {seed}"));
             }
         }
+    }
+
+    #[test]
+    fn replay_extended_in_chunks_builds_every_prefix_materialization() {
+        for seed in 0..300 {
+            let log = random_log(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut replay = Replay::default();
+            let mut at = 0;
+            loop {
+                let want = materialize(&log[..at]);
+                assert_same_numbering(&replay.build(), &want, &format!("seed {seed} at {at}"));
+                assert_eq!(replay.live_facts(), want.num_facts(), "seed {seed} at {at}");
+                if at == log.len() {
+                    break;
+                }
+                let end = (at + rng.gen_range(0..8usize)).min(log.len());
+                replay.extend(&log[at..end]);
+                at = end;
+            }
+        }
+    }
+
+    #[test]
+    fn replay_renumbers_nodes_when_the_fact_that_introduced_them_is_deleted_and_reput() {
+        // `s a u` introduces `s` and `u`; deleting it makes `u` (then `s`)
+        // first appear in later facts, and re-putting it keeps rank 0.
+        let log = parse_patch("+ s a u\n+ u x v\n+ v b s\n- s a u\n+ s a u 2\n").unwrap();
+        let mut replay = Replay::default();
+        for (at, change) in log.iter().enumerate() {
+            replay.extend(std::slice::from_ref(change));
+            let want = materialize(&log[..=at]);
+            assert_same_numbering(&replay.build(), &want, &format!("after entry {at}"));
+        }
+        let deleted = materialize(&log[..4]);
+        let names: Vec<&str> = deleted.nodes().map(|n| deleted.node_name(n)).collect();
+        assert_eq!(names, ["u", "v", "s"]);
+        let reput = replay.build();
+        let names: Vec<&str> = reput.nodes().map(|n| reput.node_name(n)).collect();
+        assert_eq!(names, ["s", "u", "v"]);
+        assert_eq!(reput.display_fact(crate::FactId(0)), "s -a-> u");
+        assert_eq!(reput.multiplicity(crate::FactId(0)), 2);
     }
 
     /// The patch parser as it was written before it shared the tokenizer of

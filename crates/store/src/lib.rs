@@ -14,7 +14,13 @@
 //! * concrete [`GraphDb`] **materializations are derived state**, built
 //!   lazily per requested snapshot and cached with LRU eviction — *named*
 //!   snapshots and each database's head are pinned, unnamed historical
-//!   materializations are evicted first;
+//!   materializations are evicted first. Each database keeps a replay index
+//!   ([`Replay`]) at the latest offset it materialized, so a new head costs
+//!   an O(Δ) replay of the entries appended since plus one build of the
+//!   head, while an older snapshot replays its log prefix from offset 0.
+//!   Both number nodes and facts exactly as [`materialize`] does: the result
+//!   cache keeps `FactId`s per offset and renders them against whichever
+//!   materialization of that offset exists when it hits;
 //! * `db_solve` binds a query to `(name, snapshot)` and reuses the
 //!   [`IncrementalSolver`] retained per database: consecutive solves at
 //!   advancing snapshots hand the engine exactly the fact delta between
@@ -27,7 +33,7 @@
 //! registry → database, never the reverse.
 
 #![forbid(unsafe_code)]
-use rpq_graphdb::delta::{changes_from_db, materialize, parse_patch, FactChange};
+use rpq_graphdb::delta::{changes_from_db, materialize, parse_patch, FactChange, Replay};
 use rpq_graphdb::text::{self, ParseError};
 use rpq_graphdb::GraphDb;
 use rpq_obs::Trace;
@@ -36,7 +42,7 @@ use rpq_resilience::engine::{IncrementalSolver, PreparedQuery, SolveCall, SolveM
 use rpq_resilience::prelude::FlowAlgorithm;
 use rpq_resilience::router::TieredOutcome;
 use rpq_resilience::rpq::Semantics;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -213,6 +219,10 @@ struct Database {
     named: BTreeMap<String, usize>,
     /// Cached materializations, at most one per offset.
     materialized: Vec<Materialization>,
+    /// The replay index: `log[..replayed]` replayed, ready to be extended
+    /// by the entries since and built into a head materialization.
+    replay: Replay,
+    replayed: usize,
     /// Cross-snapshot result cache (see [`CachedResult`]).
     results: Vec<CachedResult>,
     session: Option<SolveSession>,
@@ -234,14 +244,21 @@ impl Database {
     }
 
     /// Returns the (cached) materialization at `offset`, and whether this
-    /// call had to build it (a cache miss — counted by the store).
+    /// call had to build it (a cache miss — counted by the store). An offset
+    /// at or past the replay index's frontier is built from the index,
+    /// extended by the entries since; an older one replays its log prefix.
     fn materialize_at(&mut self, offset: usize, tick: u64) -> (Arc<GraphDb>, bool) {
         if let Some(m) = self.materialized.iter_mut().find(|m| m.offset == offset) {
             m.last_used = tick;
             return (Arc::clone(&m.graph), false);
         }
-        // lint: allow(panic-freedom, resolve checks every offset against the log length)
-        let graph = Arc::new(materialize(&self.log[..offset]));
+        let graph = Arc::new(if offset >= self.replayed {
+            self.replay_to(offset);
+            self.replay.build()
+        } else {
+            // lint: allow(panic-freedom, resolve checks every offset against the log length)
+            materialize(&self.log[..offset])
+        });
         self.materialized.push(Materialization {
             offset,
             graph: Arc::clone(&graph),
@@ -250,20 +267,27 @@ impl Database {
         (graph, true)
     }
 
-    /// The number of facts alive at the head, without materializing.
-    fn live_facts(&self) -> usize {
-        let mut alive = HashSet::new();
-        for change in &self.log {
-            match change {
-                FactChange::Put { .. } => {
-                    alive.insert(change.key());
-                }
-                FactChange::Delete { .. } => {
-                    alive.remove(&change.key());
-                }
-            }
+    /// Extends the replay index from its frontier to `offset` (at or past
+    /// it). The index is taken out while it extends, so a panic leaves an
+    /// empty index at frontier 0 rather than a half-applied one.
+    fn replay_to(&mut self, offset: usize) {
+        let mut replay = std::mem::take(&mut self.replay);
+        let from = std::mem::take(&mut self.replayed);
+        // lint: allow(panic-freedom, callers pass offsets from the frontier up to the log length)
+        replay.extend(&self.log[from..offset]);
+        self.replay = replay;
+        self.replayed = offset;
+    }
+
+    /// The number of facts alive at the head: read from its cached
+    /// materialization, or from the replay index brought up to the head.
+    fn head_facts(&mut self) -> usize {
+        let head = self.log.len();
+        if let Some(m) = self.materialized.iter().find(|m| m.offset == head) {
+            return m.graph.num_facts();
         }
-        alive.len()
+        self.replay_to(head);
+        self.replay.live_facts()
     }
 }
 
@@ -430,8 +454,10 @@ impl Store {
             db.materialized =
                 vec![Materialization { offset: snapshot, graph: Arc::new(graph), last_used: tick }];
             // A put rewrites the log, so old offsets no longer mean the same
-            // snapshots: cached results are stale, drop them all.
+            // snapshots: cached results and the replay index are stale.
             db.results.clear();
+            db.replay = Replay::default();
+            db.replayed = 0;
             db.session = None;
         }
         self.evict_materializations();
@@ -668,14 +694,9 @@ impl Store {
         let mut infos: Vec<DatabaseInfo> = handles
             .into_iter()
             .map(|(name, handle)| {
-                let db = handle.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut db = handle.lock().unwrap_or_else(PoisonError::into_inner);
                 DatabaseInfo {
-                    facts: db
-                        .materialized
-                        .iter()
-                        .find(|m| m.offset == db.log.len())
-                        .map(|m| m.graph.num_facts())
-                        .unwrap_or_else(|| db.live_facts()),
+                    facts: db.head_facts(),
                     name,
                     snapshot: db.log.len(),
                     log_entries: db.log.len(),
@@ -757,6 +778,9 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rpq_graphdb::Fact;
     use rpq_resilience::engine::Engine;
     use rpq_resilience::router::RouteBudget;
     use rpq_resilience::rpq::{ResilienceValue, Rpq};
@@ -1029,5 +1053,128 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.stats().databases, 5);
+    }
+
+    /// A copy of `name`'s fact log.
+    fn log_of(store: &Store, name: &str) -> Vec<FactChange> {
+        store.database(name).unwrap().lock().unwrap().log.clone()
+    }
+
+    /// A database's node names and its facts with their states, in id order.
+    fn numbering(db: &GraphDb) -> (Vec<&str>, Vec<(Fact, u64, bool)>) {
+        let nodes = db.nodes().map(|n| db.node_name(n)).collect();
+        let facts = db
+            .fact_ids()
+            .map(|id| (db.fact(id), db.multiplicity(id), db.is_exogenous(id)))
+            .collect();
+        (nodes, facts)
+    }
+
+    /// A random patch of one to three changes over a few node names and the
+    /// letters `labels`.
+    fn random_patch(rng: &mut StdRng, labels: &[char]) -> String {
+        let names = ["s", "u", "v", "w", "t"];
+        let mut patch = String::new();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let source = names[rng.gen_range(0..names.len())];
+            let target = names[rng.gen_range(0..names.len())];
+            let label = labels[rng.gen_range(0..labels.len())];
+            if rng.gen_bool(0.4) {
+                patch.push_str(&format!("- {source} {label} {target}\n"));
+            } else {
+                let multiplicity = rng.gen_range(1..4u64);
+                let exogenous = if rng.gen_bool(0.1) { " !" } else { "" };
+                patch.push_str(&format!("+ {source} {label} {target} {multiplicity}{exogenous}\n"));
+            }
+        }
+        patch
+    }
+
+    #[test]
+    fn head_solves_match_fresh_solves_and_enumeration_on_random_patch_sequences() {
+        let queries =
+            [("ax*b", ['a', 'x', 'b']), ("ab|ad|cd", ['a', 'b', 'd']), ("ab|bc", ['a', 'b', 'c'])];
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (pattern, labels) = queries[seed as usize % queries.len()];
+            let semantics = if seed % 2 == 0 { Semantics::Set } else { Semantics::Bag };
+            let rpq = Rpq::parse(pattern).unwrap().with_semantics(semantics);
+            let plan = Arc::new(Engine::new().prepare(&rpq).unwrap());
+            // A small capacity evicts older materializations, so revisited
+            // offsets are rebuilt by the from-scratch replay.
+            let store = Store::new(StoreConfig { capacity: 3, max_body_bytes: 1 << 20 });
+            store.put("g", "s a u\nu x v\nv b t\n").unwrap();
+            for step in 0..40 {
+                if rng.gen_bool(0.05) {
+                    store.put("g", "u a v\nv b w\n").unwrap();
+                }
+                let head = store.patch("g", &random_patch(&mut rng, &labels)).unwrap().snapshot;
+                let log = log_of(&store, "g");
+                // The new head is not materialized yet: `list` counts its
+                // facts through the replay index.
+                assert_eq!(store.list()[0].facts, materialize(&log).num_facts());
+                let at = if rng.gen_bool(0.2) { rng.gen_range(0..=head) } else { head };
+                let want_cut = rng.gen_bool(0.5);
+                let route =
+                    routed(&store, "g", &SnapshotRef::Offset(at), &plan, &SolveCall::new(want_cut));
+                let context = format!("seed {seed} step {step} at {at} of {head}");
+                let fresh = materialize(&log[..at]);
+                assert_eq!(numbering(&route.graph), numbering(&fresh), "{context}");
+                let (tiered, _) = route.result.unwrap();
+                let want = plan.solve(&fresh).unwrap();
+                assert_eq!(tiered.outcome.value, want.value, "{context}");
+                assert_eq!(tiered.outcome.algorithm, want.algorithm, "{context}");
+                if fresh.num_facts() <= 12 {
+                    let enumerated = Engine::new()
+                        .solve_with(Algorithm::ExactEnumeration, &rpq, &fresh)
+                        .unwrap();
+                    assert_eq!(tiered.outcome.value, enumerated.value, "{context}");
+                }
+                if let (Some(cut), ResilienceValue::Finite(value)) =
+                    (&tiered.outcome.contingency_set, tiered.outcome.value)
+                {
+                    let cost: u128 = match semantics {
+                        Semantics::Set => cut.len() as u128,
+                        Semantics::Bag => {
+                            cut.iter().map(|&f| u128::from(fresh.multiplicity(f))).sum()
+                        }
+                    };
+                    assert_eq!(cost, value, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn result_cache_hits_after_an_eviction_render_the_same_facts() {
+        // Deleting `s a u` makes `u` the first node and `u x v` fact 0, and
+        // re-putting it restores the original numbering: a cached cut is
+        // only printable if every rebuild of an offset numbers it alike.
+        let store = Store::new(StoreConfig { capacity: 2, max_body_bytes: 1 << 20 });
+        let plan = prepared("ax*b");
+        let put = store.put("g", "s a u\nu x v\nv b t\nq a u\n").unwrap().snapshot;
+        let rendered = |route: &StoreRoute| -> Vec<String> {
+            let (tiered, _) = route.result.as_ref().unwrap();
+            let cut = tiered.outcome.contingency_set.as_ref().unwrap();
+            cut.iter().map(|&f| route.graph.display_fact(f)).collect()
+        };
+        let solve_cut =
+            |at: usize| routed(&store, "g", &SnapshotRef::Offset(at), &plan, &SolveCall::new(true));
+        let mut offsets = vec![put];
+        let mut first = vec![rendered(&solve_cut(put))];
+        for patch in ["- s a u\n", "+ s a u\n", "- q a u\n"] {
+            let head = store.patch("g", patch).unwrap().snapshot;
+            offsets.push(head);
+            first.push(rendered(&solve_cut(head)));
+        }
+        let before = store.stats();
+        assert!(before.evictions > 0, "{before:?}");
+        for (&offset, first) in offsets.iter().zip(&first) {
+            let route = solve_cut(offset);
+            assert!(route.result_cached, "offset {offset}");
+            assert_eq!(&rendered(&route), first, "offset {offset}");
+        }
+        // The hits had to rebuild the evicted offsets from the log.
+        assert!(store.stats().materializations > before.materializations);
     }
 }
