@@ -9,8 +9,11 @@
 //!   ([`accepts`]) — used as an *independent cross-check* of the ε-NFA /
 //!   DFA pipeline in property tests;
 //! * a direct DFA construction ([`derivative_dfa`]) whose states are
-//!   derivative expressions, cross-checked for language equality against the
-//!   Thompson-construction DFA.
+//!   derivative expressions. It is the oracle of the
+//!   [`crate::language::Language`] pipeline (Thompson ε-NFA → subset
+//!   construction → Hopcroft minimization): on generated regexes, the
+//!   minimized derivative DFA must *equal* the language's DFA, state
+//!   numbering included (`tests/properties.rs`).
 //!
 //! Left quotients by letters are exactly what the paper's analyses manipulate
 //! (left/right contexts of a letter in the four-legged test, residuals of

@@ -7,6 +7,7 @@
 //! keeps complementation and product constructions simple and bug-free.
 
 use crate::alphabet::{Alphabet, Letter};
+use crate::enfa::Enfa;
 use crate::error::{AutomataError, Result};
 use crate::word::Word;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -305,92 +306,96 @@ impl Dfa {
         Alphabet::from_letters(letters)
     }
 
-    /// Minimization by partition refinement (Moore's algorithm). The result
-    /// only keeps reachable states and is the canonical minimal complete DFA.
+    /// Minimization by Hopcroft's partition refinement, in
+    /// O(n·|Σ|·log n). The result only keeps reachable states and is the
+    /// canonical minimal complete DFA. Its states are numbered in the order
+    /// of each class's smallest state, so a DFA whose states are numbered
+    /// breadth-first (as [`Enfa::determinize`] and [`Dfa::product`] number
+    /// them) minimizes to its breadth-first numbering.
     pub fn minimize(&self) -> Dfa {
-        // Restrict to reachable states first.
+        // Restrict to reachable states, keeping their relative order.
         let reachable: Vec<usize> = self.reachable_states().into_iter().collect();
-        let remap: BTreeMap<usize, usize> =
-            reachable.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let mut remap = vec![usize::MAX; self.num_states()];
+        for (i, &s) in reachable.iter().enumerate() {
+            remap[s] = i;
+        }
         let n = reachable.len();
         let width = self.alphabet.len();
-        let trans: Vec<Vec<usize>> = reachable
-            .iter()
-            .map(|&s| self.transitions[s].iter().map(|t| remap[t]).collect())
-            .collect();
-        let finals: Vec<bool> = reachable.iter().map(|&s| self.finals[s]).collect();
-        let initial = remap[&self.initial];
 
-        // Partition refinement.
-        let mut class: Vec<usize> = finals.iter().map(|&f| usize::from(f)).collect();
-        loop {
-            let mut signature_index: BTreeMap<(usize, Vec<usize>), usize> = BTreeMap::new();
-            let mut new_class = vec![0usize; n];
-            for s in 0..n {
-                let sig: Vec<usize> = trans[s].iter().map(|&t| class[t]).collect();
-                let key = (class[s], sig);
-                let next_id = signature_index.len();
-                let id = *signature_index.entry(key).or_insert(next_id);
-                new_class[s] = id;
+        // `preds[li * n + t]`: the states with `li`-successor `t`.
+        let mut preds = vec![Vec::new(); width * n];
+        for (i, &s) in reachable.iter().enumerate() {
+            for (li, &t) in self.transitions[s].iter().enumerate() {
+                preds[li * n + remap[t]].push(i);
             }
-            if new_class == class {
-                break;
-            }
-            class = new_class;
         }
 
-        let num_classes = class.iter().copied().max().map_or(0, |m| m + 1);
-        let mut min_finals = vec![false; num_classes];
-        let mut min_trans = vec![vec![usize::MAX; width]; num_classes];
-        for s in 0..n {
-            let c = class[s];
-            min_finals[c] = finals[s];
+        let mut partition = Partition::new(n);
+        let mut work = Vec::new();
+        for i in (0..n).filter(|&i| self.finals[reachable[i]]) {
+            partition.mark(i);
+        }
+        partition.split(&mut work);
+        let mut splitter = Vec::new();
+        while let Some(block) = work.pop() {
+            splitter.clear();
+            splitter.extend_from_slice(partition.block(block));
             for li in 0..width {
-                min_trans[c][li] = class[trans[s][li]];
+                for &t in &splitter {
+                    for &p in &preds[li * n + t] {
+                        partition.mark(p);
+                    }
+                }
+                partition.split(&mut work);
             }
         }
+
+        // Number the classes in the order of their smallest state.
+        let mut class_of_block = vec![usize::MAX; partition.num_blocks()];
+        let mut representatives = Vec::new();
+        for (i, &s) in reachable.iter().enumerate() {
+            let b = partition.block_of[i];
+            if class_of_block[b] == usize::MAX {
+                class_of_block[b] = representatives.len();
+                representatives.push(s);
+            }
+        }
+        let class = |s: usize| class_of_block[partition.block_of[remap[s]]];
         Dfa {
             alphabet: self.alphabet.clone(),
-            initial: class[initial],
-            finals: min_finals,
-            transitions: min_trans,
+            initial: class(self.initial),
+            finals: representatives.iter().map(|&s| self.finals[s]).collect(),
+            transitions: representatives
+                .iter()
+                .map(|&s| self.transitions[s].iter().map(|&t| class(t)).collect())
+                .collect(),
         }
     }
 
-    /// Whether the recognized language is finite.
+    /// Whether the recognized language is finite, i.e. no cycle runs
+    /// through useful states. Kahn's algorithm peels the useful subgraph
+    /// from its sources; the language is finite iff it peels away entirely.
     pub fn is_finite_language(&self) -> bool {
-        // The language is infinite iff some useful state lies on a cycle of
-        // useful states. We detect cycles by DFS with colors.
-        let useful = self.useful_states();
-        let mut color: BTreeMap<usize, u8> = useful.iter().map(|&s| (s, 0u8)).collect();
-        fn dfs(
-            s: usize,
-            dfa: &Dfa,
-            useful: &BTreeSet<usize>,
-            color: &mut BTreeMap<usize, u8>,
-        ) -> bool {
-            color.insert(s, 1);
-            for &t in &dfa.transitions[s] {
-                if !useful.contains(&t) {
-                    continue;
-                }
-                match color.get(&t).copied().unwrap_or(0) {
-                    1 => return true, // back edge: cycle
-                    0 if dfs(t, dfa, useful, color) => {
-                        return true;
-                    }
-                    _ => {}
-                }
-            }
-            color.insert(s, 2);
-            false
-        }
-        for &s in &useful {
-            if color[&s] == 0 && dfs(s, self, &useful, &mut color) {
-                return false;
+        let useful = self.useful_flags();
+        let mut in_degree = vec![0usize; self.num_states()];
+        for s in (0..self.num_states()).filter(|&s| useful[s]) {
+            for &t in self.transitions[s].iter().filter(|&&t| useful[t]) {
+                in_degree[t] += 1;
             }
         }
-        true
+        let mut sources: Vec<usize> =
+            (0..self.num_states()).filter(|&s| useful[s] && in_degree[s] == 0).collect();
+        let mut peeled = 0;
+        while let Some(s) = sources.pop() {
+            peeled += 1;
+            for &t in self.transitions[s].iter().filter(|&&t| useful[t]) {
+                in_degree[t] -= 1;
+                if in_degree[t] == 0 {
+                    sources.push(t);
+                }
+            }
+        }
+        peeled == useful.iter().filter(|&&u| u).count()
     }
 
     /// Enumerates all words of a finite language, sorted (by length then
@@ -400,38 +405,48 @@ impl Dfa {
         if !self.is_finite_language() {
             return Err(AutomataError::InfiniteLanguage);
         }
-        let useful = self.useful_states();
+        let useful = self.useful_flags();
         let mut out = Vec::new();
-        if useful.is_empty() {
+        if !useful[self.initial] {
             return Ok(out);
         }
-        // DFS over the DAG of useful states; the DAG has no cycles so path
-        // length is bounded by |useful|.
-        let mut stack: Vec<Letter> = Vec::new();
-        fn dfs(
-            s: usize,
-            dfa: &Dfa,
-            useful: &BTreeSet<usize>,
-            stack: &mut Vec<Letter>,
-            out: &mut Vec<Word>,
-        ) {
-            if dfa.finals[s] {
-                out.push(Word::from_letters(stack.iter().copied()));
-            }
-            for (li, &t) in dfa.transitions[s].iter().enumerate() {
-                if useful.contains(&t) {
-                    stack.push(dfa.alphabet.letter_at(li));
-                    dfs(t, dfa, useful, stack, out);
-                    stack.pop();
-                }
-            }
+        // Depth-first over the DAG of useful states with an explicit stack:
+        // each frame is a state and the next letter index to try from it,
+        // and `letters` spells the path to the top frame.
+        let mut letters: Vec<Letter> = Vec::new();
+        let mut frames = vec![(self.initial, 0usize)];
+        if self.finals[self.initial] {
+            out.push(Word::epsilon());
         }
-        if useful.contains(&self.initial) {
-            dfs(self.initial, self, &useful, &mut stack, &mut out);
+        while let Some(frame) = frames.last_mut() {
+            let (s, li) = *frame;
+            if li == self.alphabet.len() {
+                frames.pop();
+                letters.pop();
+                continue;
+            }
+            frame.1 += 1;
+            let t = self.transitions[s][li];
+            if useful[t] {
+                letters.push(self.alphabet.letter_at(li));
+                if self.finals[t] {
+                    out.push(Word::from_letters(letters.iter().copied()));
+                }
+                frames.push((t, 0));
+            }
         }
         out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         out.dedup();
         Ok(out)
+    }
+
+    /// [`Dfa::useful_states`] as one flag per state.
+    fn useful_flags(&self) -> Vec<bool> {
+        let mut flags = vec![false; self.num_states()];
+        for s in self.useful_states() {
+            flags[s] = true;
+        }
+        flags
     }
 
     /// All accepted words of length at most `max_len`, sorted.
@@ -546,21 +561,103 @@ impl Dfa {
         out
     }
 
-    /// The mirror language `L^R`, as a DFA (via NFA reversal + determinization).
+    /// The mirror language `L^R`, as a DFA (by reversing every transition
+    /// and determinizing).
     pub fn mirror(&self) -> Dfa {
-        use crate::nfa::Nfa;
-        let n = self.num_states();
-        let mut nfa = Nfa::with_states(n);
-        for s in 0..n {
-            for (li, &t) in self.transitions[s].iter().enumerate() {
-                nfa.add_transition(t, self.alphabet.letter_at(li), s);
+        let mut reversed = Enfa::new();
+        reversed.add_states(self.num_states());
+        for (s, row) in self.transitions.iter().enumerate() {
+            for (li, &t) in row.iter().enumerate() {
+                reversed.add_transition(t, self.alphabet.letter_at(li), s);
             }
             if self.finals[s] {
-                nfa.set_initial(s);
+                reversed.set_initial(s);
             }
         }
-        nfa.set_final(self.initial);
-        nfa.determinize(&self.alphabet)
+        reversed.set_final(self.initial);
+        reversed.determinize(&self.alphabet)
+    }
+}
+
+/// A partition of the states `0..n` into blocks, refined Hopcroft-style:
+/// mark some states, then split the marked states of each block off.
+struct Partition {
+    /// The states, block by block: block `b` is `elements[start[b]..end[b]]`,
+    /// with its marked states first.
+    elements: Vec<usize>,
+    /// The index of each state in `elements`.
+    position: Vec<usize>,
+    block_of: Vec<usize>,
+    start: Vec<usize>,
+    end: Vec<usize>,
+    /// How many states of each block are marked.
+    marked: Vec<usize>,
+    /// The blocks with a marked state, in marking order.
+    touched: Vec<usize>,
+}
+
+impl Partition {
+    /// One block holding every state.
+    fn new(n: usize) -> Self {
+        Partition {
+            elements: (0..n).collect(),
+            position: (0..n).collect(),
+            block_of: vec![0; n],
+            start: vec![0],
+            end: vec![n],
+            marked: vec![0],
+            touched: Vec::new(),
+        }
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.start.len()
+    }
+
+    fn block(&self, b: usize) -> &[usize] {
+        &self.elements[self.start[b]..self.end[b]]
+    }
+
+    /// Marks a state; each state is marked at most once between splits.
+    fn mark(&mut self, s: usize) {
+        let b = self.block_of[s];
+        let front = self.start[b] + self.marked[b];
+        let displaced = self.elements[front];
+        self.elements.swap(front, self.position[s]);
+        self.position[displaced] = self.position[s];
+        self.position[s] = front;
+        if self.marked[b] == 0 {
+            self.touched.push(b);
+        }
+        self.marked[b] += 1;
+    }
+
+    /// Splits each partly marked block in two and unmarks everything. The
+    /// smaller half of each split becomes a new block, pushed onto `work`;
+    /// the larger half keeps the old id, and so its place in `work`.
+    fn split(&mut self, work: &mut Vec<usize>) {
+        for b in std::mem::take(&mut self.touched) {
+            let (start, end, mid) = (self.start[b], self.end[b], self.start[b] + self.marked[b]);
+            self.marked[b] = 0;
+            if mid == end {
+                continue;
+            }
+            let new_block = self.num_blocks();
+            let (new_start, new_end) = if mid - start <= end - mid {
+                self.start[b] = mid;
+                (start, mid)
+            } else {
+                self.end[b] = mid;
+                (mid, end)
+            };
+            self.start.push(new_start);
+            self.end.push(new_end);
+            self.marked.push(0);
+            for &s in &self.elements[new_start..new_end] {
+                self.block_of[s] = new_block;
+            }
+            work.push(new_block);
+        }
     }
 }
 
@@ -575,10 +672,8 @@ mod tests {
     }
 
     fn dfa_for(pattern: &str) -> Dfa {
-        let enfa = Regex::parse(pattern).unwrap().to_enfa();
-        let nfa = enfa.to_nfa();
-        let alphabet = Regex::parse(pattern).unwrap().letters();
-        nfa.determinize(&alphabet)
+        let regex = Regex::parse(pattern).unwrap();
+        regex.to_enfa().determinize(&regex.letters())
     }
 
     #[test]
@@ -668,6 +763,24 @@ mod tests {
         assert!(dfa_for("ax*b").enumerate_words().is_err());
         assert_eq!(dfa_for("∅").enumerate_words().unwrap(), Vec::<Word>::new());
         assert_eq!(dfa_for("ε").enumerate_words().unwrap(), vec![Word::epsilon()]);
+    }
+
+    #[test]
+    fn finiteness_and_enumeration_are_stack_safe_on_long_chains() {
+        // a^(n-1) as a chain of n states plus a sink: recursing once per
+        // state would overflow a default-sized (2 MiB) thread stack.
+        let n = 50_000;
+        let finals = (0..=n).map(|s| s == n - 1).collect();
+        let transitions = (0..=n).map(|s| vec![(s + 1).min(n)]).collect();
+        let chain = Dfa::from_parts(Alphabet::from_chars("a"), 0, finals, transitions);
+        let (finite, words) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (chain.is_finite_language(), chain.enumerate_words()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(finite);
+        assert_eq!(words.unwrap(), vec![Word::from_str_word("a").repeat(n - 1)]);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! `|A|` is the total number of states plus transitions.
 
 use crate::alphabet::{Alphabet, Letter};
-use crate::nfa::Nfa;
+use crate::dfa::Dfa;
 use crate::word::Word;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A transition of an ε-NFA: `(source, label, target)` where `label = None`
 /// denotes an ε-transition.
@@ -241,30 +241,83 @@ impl Enfa {
         out
     }
 
-    /// Removes ε-transitions, producing an equivalent [`Nfa`].
-    pub fn to_nfa(&self) -> Nfa {
-        // Standard construction: a state q has an a-transition to q' in the NFA
-        // iff some state in the ε-closure of {q} has an a-transition to q'.
-        // A state is final iff its ε-closure contains a final state; initial
-        // states are kept as-is.
-        let mut nfa = Nfa::with_states(self.num_states);
-        for s in 0..self.num_states {
-            let closure = self.epsilon_closure(&BTreeSet::from([s]));
-            if closure.iter().any(|q| self.finals.contains(q)) {
-                nfa.set_final(s);
-            }
-            for t in &self.transitions {
-                if let Some(l) = t.label {
-                    if closure.contains(&t.from) {
-                        nfa.add_transition(s, l, t.to);
+    /// Subset construction: a complete DFA over `alphabet` recognizing the
+    /// automaton's language restricted to words over `alphabet` (transitions
+    /// on other letters are dropped).
+    ///
+    /// Each DFA state is an ε-closed set of states, kept as a sorted `Vec`.
+    /// States are discovered breadth-first with letters in alphabet order, so
+    /// state 0 is the closure of the initial states and the empty set, when
+    /// reachable, is the rejecting sink.
+    pub fn determinize(&self, alphabet: &Alphabet) -> Dfa {
+        let state_id = |s: usize| u32::try_from(s).expect("ε-NFA state ids fit in u32");
+        let mut epsilon: Vec<Vec<u32>> = vec![Vec::new(); self.num_states];
+        let mut moves: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.num_states];
+        for t in &self.transitions {
+            match t.label {
+                None => epsilon[t.from].push(state_id(t.to)),
+                Some(letter) => {
+                    if let Some(li) = alphabet.index_of(letter) {
+                        moves[t.from].push((li, state_id(t.to)));
                     }
                 }
             }
         }
-        for &s in &self.initial {
-            nfa.set_initial(s);
+        // Closes `set` under ε-transitions, dropping duplicates, and sorts
+        // it. `seen` must be all false on entry, and is all false again on exit.
+        let close = |set: &mut Vec<u32>, seen: &mut [bool]| {
+            set.retain(|&s| !std::mem::replace(&mut seen[s as usize], true));
+            let mut next = 0;
+            while next < set.len() {
+                let s = set[next] as usize;
+                next += 1;
+                for &t in &epsilon[s] {
+                    if !std::mem::replace(&mut seen[t as usize], true) {
+                        set.push(t);
+                    }
+                }
+            }
+            for &s in set.iter() {
+                seen[s as usize] = false;
+            }
+            set.sort_unstable();
+        };
+
+        let width = alphabet.len();
+        let accepting: Vec<bool> = (0..self.num_states).map(|s| self.is_final(s)).collect();
+        let mut seen = vec![false; self.num_states];
+        let mut start: Vec<u32> = self.initial.iter().map(|&s| state_id(s)).collect();
+        close(&mut start, &mut seen);
+        let mut index: HashMap<Vec<u32>, usize> = HashMap::from([(start.clone(), 0)]);
+        let mut finals = vec![start.iter().any(|&s| accepting[s as usize])];
+        let mut pending = VecDeque::from([start]);
+        let mut transitions: Vec<Vec<usize>> = Vec::new();
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); width];
+        while let Some(set) = pending.pop_front() {
+            for &s in &set {
+                for &(li, t) in &moves[s as usize] {
+                    buckets[li].push(t);
+                }
+            }
+            let mut row = Vec::with_capacity(width);
+            for bucket in &mut buckets {
+                close(bucket, &mut seen);
+                let target = match index.get(bucket.as_slice()) {
+                    Some(&i) => i,
+                    None => {
+                        let i = finals.len();
+                        finals.push(bucket.iter().any(|&s| accepting[s as usize]));
+                        index.insert(bucket.clone(), i);
+                        pending.push_back(bucket.clone());
+                        i
+                    }
+                };
+                row.push(target);
+                bucket.clear();
+            }
+            transitions.push(row);
         }
-        nfa
+        Dfa::from_parts(alphabet.clone(), 0, finals, transitions)
     }
 
     /// Builds an ε-NFA recognizing exactly the given finite set of words.
@@ -369,20 +422,66 @@ mod tests {
     }
 
     #[test]
-    fn to_nfa_preserves_language() {
+    fn determinize_preserves_language() {
         for pattern in ["ax*b", "ab|ad|cd", "b(aa)*d", "a?b+c*"] {
             let e = enfa_for(pattern);
-            let n = e.to_nfa();
+            let d = e.determinize(&e.letters());
             for word in
                 ["", "a", "ab", "ad", "cd", "axb", "axxb", "bd", "baad", "b", "bc", "abc", "abbcc"]
             {
                 assert_eq!(
                     e.accepts(&w(word)),
-                    n.accepts(&w(word)),
+                    d.accepts(&w(word)),
                     "pattern {pattern}, word {word}"
                 );
             }
         }
+        for pattern in ["ax*b", "ab|ad|cd", "(a|b)*abb", "a(b|c)*d"] {
+            let e = enfa_for(pattern);
+            let alphabet = e.letters();
+            let d = e.determinize(&alphabet);
+            for word in [
+                "", "a", "ab", "ad", "cd", "axb", "axxb", "abb", "babb", "aabb", "ad", "abcd",
+                "acbd", "abd",
+            ] {
+                let word = w(word);
+                // Only compare on words over the DFA's alphabet.
+                if word.iter().all(|l| alphabet.contains(l)) {
+                    assert_eq!(e.accepts(&word), d.accepts(&word), "{pattern} on {word}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn determinize_epsilon_free_automaton() {
+        // Language: words over {a,b} ending in "ab".
+        let mut e = Enfa::new();
+        e.add_states(3);
+        e.set_initial(0);
+        e.set_final(2);
+        e.add_transition(0, Letter('a'), 0);
+        e.add_transition(0, Letter('b'), 0);
+        e.add_transition(0, Letter('a'), 1);
+        e.add_transition(1, Letter('b'), 2);
+        assert!(e.accepts(&w("ab")));
+        assert!(e.accepts(&w("aab")));
+        assert!(e.accepts(&w("bbab")));
+        assert!(!e.accepts(&w("ba")));
+        assert!(!e.accepts(&w("")));
+        let dfa = e.determinize(&e.letters());
+        assert!(dfa.accepts(&w("bbab")));
+        assert!(!dfa.accepts(&w("aba")));
+    }
+
+    #[test]
+    fn determinize_drops_letters_outside_the_alphabet() {
+        let e = enfa_for("ab|cd");
+        let d = e.determinize(&Alphabet::from_chars("ab"));
+        assert!(d.accepts(&w("ab")));
+        assert!(!d.accepts(&w("cd")));
+        // {closure of the initial states, after a, after ab, the empty sink}.
+        assert_eq!(d.num_states(), 4);
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub enum AutomataError {
     InfiniteLanguage,
     /// An operation requiring a non-empty language was applied to the empty one.
     EmptyLanguage,
-    /// An analysis exceeded its configured resource budget (e.g. the transition
-    /// monoid grew too large during an aperiodicity test).
+    /// An analysis exceeded its configured resource budget (e.g. the
+    /// transition-monoid enumeration of [`crate::star_free`] grew too large).
     BudgetExceeded {
         /// Which analysis hit the budget.
         analysis: &'static str,

@@ -45,7 +45,7 @@ impl Language {
 
     fn from_regex_with_description(regex: &Regex, description: String) -> Language {
         let alphabet = regex.letters();
-        let dfa = regex.to_enfa().to_nfa().determinize(&alphabet).minimize();
+        let dfa = regex.to_enfa().determinize(&alphabet).minimize();
         Language { alphabet, dfa, description }
     }
 
@@ -56,7 +56,7 @@ impl Language {
             Some(a) => a.union(&enfa.letters()),
             None => enfa.letters(),
         };
-        let dfa = enfa.to_nfa().determinize(&alphabet).minimize();
+        let dfa = enfa.determinize(&alphabet).minimize();
         Language { alphabet, dfa, description: "<from εNFA>".to_string() }
     }
 
@@ -254,17 +254,16 @@ impl Language {
     /// having no strict infix in `L`. The RPQs `Q_L` and `Q_{IF(L)}` are the
     /// same query, so resilience analyses always reduce to `IF(L)`.
     ///
-    /// Implemented as `IF(L) = L \ (Σ⁺ L Σ* ∪ Σ* L Σ⁺)`.
+    /// Implemented as `IF(L) = L \ (F·Σ ∪ Σ·F)` with `F = Σ*LΣ*`, the words
+    /// having an infix in `L`: `F·Σ ∪ Σ·F` is `Σ*LΣ⁺ ∪ Σ⁺LΣ*`, built with one
+    /// (quadratic) `Σ*·L` subset construction.
     pub fn infix_free(&self) -> Language {
         let sigma_star = Language::universal(self.alphabet.clone());
-        let sigma_plus = {
-            // Σ⁺ = Σ* \ {ε}
-            let eps = Language::from_words([Word::epsilon()].iter());
-            sigma_star.difference(&eps).with_alphabet(&self.alphabet)
-        };
-        let left = sigma_plus.concatenation(self).concatenation(&sigma_star);
-        let right = sigma_star.concatenation(self).concatenation(&sigma_plus);
-        let strictly_containing = left.union(&right);
+        let letters: Vec<Word> = self.alphabet.iter().map(Word::single).collect();
+        let sigma = Language::from_words(letters.iter());
+        let containing = sigma_star.concatenation(self).concatenation(&sigma_star);
+        let strictly_containing =
+            containing.concatenation(&sigma).union(&sigma.concatenation(&containing));
         let mut result = self.difference(&strictly_containing);
         result.alphabet = self.alphabet.clone();
         result.dfa = result.dfa.with_alphabet(&self.alphabet).minimize();

@@ -5,9 +5,11 @@
 //! (PODS 2025):
 //!
 //! * regular-expression parsing and Thompson construction ([`regex`]),
-//! * ε-NFAs, NFAs and DFAs with the usual closure operations ([`enfa`], [`nfa`], [`dfa`]),
+//! * ε-NFAs and complete DFAs with the usual closure operations ([`enfa`], [`dfa`]),
 //! * a high-level [`Language`] handle (membership, finiteness,
 //!   infix-free sublanguage `IF(L)`, mirror, Boolean operations),
+//! * Brzozowski derivatives ([`derivative`]), the independent oracle of the
+//!   automaton pipeline,
 //! * **local languages** and their equivalent letter-Cartesian characterization
 //!   ([`local`], Definition 3.1 / Proposition 3.5 of the paper),
 //! * **read-once ε-NFAs** ([`ro_enfa`], Definition 3.15 / Lemma 3.17),
@@ -17,6 +19,13 @@
 //! * finite-language utilities: repeated letters, maximal-gap words, chain
 //!   languages and bipartiteness, one-dangling decompositions ([`finite`],
 //!   Sections 6 and 7).
+//!
+//! Every language takes one path to its canonical automaton: regex →
+//! Thompson ε-NFA ([`regex::Regex::to_enfa`]) → subset construction
+//! ([`enfa::Enfa::determinize`]) → Hopcroft minimization
+//! ([`dfa::Dfa::minimize`]). Concatenation, mirrors and `IF(L)` go through
+//! the same subset construction, and every [`Language`] DFA through the same
+//! minimizer.
 //!
 //! The crate has no dependencies and is deliberately self-contained: the other
 //! crates of the workspace (graph databases, flow networks, resilience
@@ -47,9 +56,7 @@ pub mod finite;
 pub mod four_legged;
 pub mod language;
 pub mod local;
-pub mod monoid;
 pub mod neutral;
-pub mod nfa;
 pub mod regex;
 pub mod ro_enfa;
 pub mod star_free;

@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn finite_languages_are_star_free() {
-        for pattern in ["aa", "ab|cd", "abc|bcd", "axb|cxd", "abcd|be|ef"] {
+        for pattern in ["aa", "ab|cd", "abc|bcd", "axb|cxd", "abcd|be|ef", "abca|cab", "ab|ad|cd"] {
             assert!(is_star_free(&lang(pattern)).unwrap(), "{pattern}");
         }
     }
@@ -121,7 +121,15 @@ mod tests {
     #[test]
     fn star_free_infinite_languages() {
         // Languages with stars can still be star-free (aperiodic).
-        for pattern in ["ax*b", "a*", "ax*b|cxd", "e*be*ce*|e*de*fe*", "(a|b)*abb"] {
+        for pattern in [
+            "ax*b",
+            "a*",
+            "ax*b|cxd",
+            "e*be*ce*|e*de*fe*",
+            "(a|b)*abb",
+            "e*(a|c)e*(a|d)e*",
+            "a(b|d)*x",
+        ] {
             assert!(is_star_free(&lang(pattern)).unwrap(), "{pattern}");
         }
     }

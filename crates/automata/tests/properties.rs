@@ -2,6 +2,7 @@
 //! generated regular expressions over a two-letter alphabet.
 
 use proptest::prelude::*;
+use rpq_automata::derivative::derivative_dfa;
 use rpq_automata::four_legged::{cartesian_violation, four_legged_witness};
 use rpq_automata::local::is_local;
 use rpq_automata::regex::Regex;
@@ -52,6 +53,15 @@ proptest! {
         for word in words_up_to(4) {
             prop_assert_eq!(enfa.accepts(&word), language.contains(&word), "{} on {}", regex, word);
         }
+    }
+
+    #[test]
+    fn dfa_pipeline_equals_the_minimized_derivative_dfa(regex in small_regex()) {
+        // Exact equality, state numbering included: the subset construction
+        // plus minimization must land on the same automaton as Brzozowski's.
+        let language = Language::from_regex(&regex);
+        let oracle = derivative_dfa(&regex, Some(language.alphabet().clone()), 10_000).minimize();
+        prop_assert_eq!(language.dfa(), &oracle, "{}", regex);
     }
 
     #[test]
