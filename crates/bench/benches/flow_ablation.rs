@@ -10,17 +10,16 @@
 //!
 //! * `layered` — sparse layered product-style networks (~3 out-arcs per
 //!   vertex; the shape of the Theorem 3.13 reduction networks), and
-//! * `dense` — random networks with average out-degree ≥
-//!   `rpq_flow::auto::DENSE_AVG_DEGREE`, where push–relabel's locality is
-//!   expected to pay off earlier.
+//! * `dense` — random networks with ~10 out-arcs per vertex.
 //!
 //! Benchmark series per family and size `|N| = |V| + |E|`:
 //!
 //! * `Csr{Dinic,PushRelabel}` — the concrete backends over a frozen
 //!   [`CsrFlow`] with one reused [`FlowScratch`];
 //! * `CsrAuto` — [`FlowAlgorithm::Auto`], which should track the per-size
-//!   winner (its thresholds in `rpq_flow::auto` are re-derived from this
-//!   bench's recorded medians, committed as `BENCH_flow_ablation.json`).
+//!   winner (`rpq_flow::auto::select` is re-derived from this bench's
+//!   recorded medians, committed as `BENCH_flow_ablation.json`; Dinic wins
+//!   at every recorded size, so it picks Dinic).
 //!
 //! Before any timing, every instance is checked: Dinic and push–relabel
 //! must agree on the value, and each backend's cut must disconnect the
@@ -28,7 +27,7 @@
 //!
 //! **Quick mode** (`FLOW_ABLATION_QUICK=1`, run as a CI smoke step): skips
 //! the criterion sweep and instead times Dinic vs push–relabel directly on
-//! one instance on each side of each family's crossover, asserting that the
+//! the smallest and largest instance of each family, asserting that the
 //! auto-selector picks the measured winner (with a noise margin).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
@@ -72,10 +71,9 @@ fn layered_network(layers: usize, width: usize, seed: u64) -> FlowNetwork {
 }
 
 /// A dense random network: `width` internal vertices each with 10 random
-/// out-arcs (average degree comfortably above `auto::DENSE_AVG_DEGREE` even
-/// counting the source/target), the first `width/8` vertices fed from a
-/// super-source and the last `width/8` feeding a super-target with infinite
-/// capacities (the multi-source/multi-sink MinCut shape of the introduction).
+/// out-arcs, the first `width/8` vertices fed from a super-source and the
+/// last `width/8` feeding a super-target with infinite capacities (the
+/// multi-source/multi-sink MinCut shape of the introduction).
 fn dense_network(width: usize, seed: u64) -> FlowNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = FlowNetwork::new();
@@ -183,7 +181,7 @@ fn measure_median_ns(
     samples[samples.len() / 2]
 }
 
-/// CI smoke check: on one instance per side of each family's crossover, the
+/// CI smoke check: on the smallest and largest instance of each family, the
 /// auto-selector must pick whichever of Dinic / push–relabel measures faster
 /// here and now. Near-ties (within `MARGIN`) accept either choice so timing
 /// noise on loaded CI machines cannot flake the step.
@@ -191,7 +189,7 @@ fn quick_smoke() {
     const MARGIN: f64 = 1.30;
     let mut scratch = FlowScratch::new();
     for (family, nets) in families() {
-        // Smallest and largest sweep size: one instance per crossover side.
+        // Smallest and largest sweep size.
         for net in [&nets[0], &nets[nets.len() - 1]] {
             let csr = checked_csr(net, &mut scratch);
             let dinic = measure_median_ns(&csr, FlowAlgorithm::Dinic, &mut scratch, 15);

@@ -75,7 +75,7 @@ algorithms: local (Thm 3.13), chain (Prp 7.6), one-dangling (Prp 7.9),
             exact (branch & bound), enumeration (subset oracle, tiny inputs),
             greedy / k-approx (certified polynomial bounds, finite languages)
 flow backends: dinic (default), push-relabel,
-               auto (per-instance choice from measured size thresholds)
+               auto (per-instance choice from measured benchmarks)
 database format: one fact per line, `source label target [multiplicity] [!]`\n(a trailing `!` declares the fact exogenous / un-removable)
 with several database files, the query plan is prepared once and reused
 serve: NDJSON protocol (prepare/solve/solve_batch/db_*/stats/metrics/shutdown)

@@ -23,11 +23,22 @@
 //!   [`FlowScratch`], whose buffers are reset — never reallocated — across
 //!   solves (see [`crate::scratch`]).
 //!
+//! Dinic labels each phase by residual distance **to the target** (a BFS
+//! from the target over reverse residual arcs), so its blocking-flow search
+//! only follows arcs that lead to the target. The product networks of the
+//! reductions have large parts that the source reaches but that never reach
+//! the target; levels counted from the source would send the search into
+//! each of them. The cut does not depend on the backend: it is read off the
+//! vertices the source reaches in the final residual graph, and for every
+//! maximum flow that set is the same, namely the unique minimal source side
+//! of a minimum cut. Dinic, push–relabel and a resumed solve therefore
+//! return the same cut edges, not only the same value.
+//!
 //! Infinite capacities are capped internally at the total finite capacity
 //! plus one (saturating), so a flow reaching the cap proves that every cut
 //! uses an infinite edge.
 //! Passing [`FlowAlgorithm::Auto`] selects the backend per instance from the
-//! measured size thresholds in [`crate::auto`].
+//! measured table in [`crate::auto`].
 
 use crate::mincut::FlowAlgorithm;
 use crate::network::{Capacity, EdgeId, FlowNetwork, VertexId};
@@ -143,7 +154,7 @@ impl CsrFlow {
     }
 
     /// The size `|N| = |V| + |E|` (the measure used by the auto-selection
-    /// thresholds and the `flow_ablation` bench).
+    /// table and the `flow_ablation` bench).
     pub fn size(&self) -> usize {
         self.num_vertices + self.edge_from.len()
     }
@@ -353,7 +364,7 @@ impl CsrFlow {
 
     /// Computes a minimum source–target cut with the requested backend
     /// ([`FlowAlgorithm::Auto`] resolves per instance from the measured
-    /// thresholds in [`crate::auto`]). All solver state lives in `scratch`,
+    /// table in [`crate::auto`]). All solver state lives in `scratch`,
     /// which is resized (growing only) and reused across calls.
     pub fn min_cut<'s>(
         &self,
@@ -749,7 +760,9 @@ impl CsrFlow {
 
     /// Residual-reachability BFS plus cut extraction, shared by
     /// [`min_cut`](CsrFlow::min_cut) and
-    /// [`min_cut_resume`](CsrFlow::min_cut_resume).
+    /// [`min_cut_resume`](CsrFlow::min_cut_resume). The BFS starts at the
+    /// source: Dinic's last level BFS starts at the target, so its labels
+    /// are not the source side.
     fn extract_cut<'s>(
         &self,
         scratch: &'s mut FlowScratch,
@@ -795,39 +808,53 @@ impl CsrFlow {
     }
 }
 
-/// Dinic's algorithm over the frozen CSR arrays: BFS level graph, then an
-/// iterative blocking-flow DFS driven by an explicit arc-path stack and the
-/// per-vertex current-arc pointers.
+/// Dinic's algorithm over the frozen CSR arrays, with **sink-rooted** levels:
+/// each phase labels every vertex by its residual distance *to the target*
+/// (a BFS from the target over reverse residual arcs), then runs an
+/// iterative blocking-flow DFS from the source, driven by an explicit
+/// arc-path stack and the per-vertex current-arc pointers, along arcs that
+/// step one level down.
+///
+/// Every admissible arc leads to the target when the phase starts, so the
+/// DFS meets a dead end only where an arc saturated during the phase. Levels
+/// from the source would instead admit every arc into the parts of a product
+/// network that cannot reach the target, and the DFS would walk each of them
+/// before pruning it. The run ends when the BFS no longer reaches the source.
 fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>) -> u128 {
     let n = csr.num_vertices;
     let source = csr.source as usize;
     let target = csr.target as usize;
     let mut total: u128 = 0;
     loop {
-        // BFS to build the level graph (`level` may be longer than `n` after
-        // a bigger instance; only this instance's prefix is live).
+        // BFS from the target (`level` may be longer than `n` after a bigger
+        // instance; only this instance's prefix is live). Arc `ai` out of `w`
+        // runs w → to, so its twin runs to → w: `to` is one step further from
+        // the target when the twin has residual capacity. The search stops
+        // once the source is labeled: the DFS only ever visits vertices below
+        // the source's level, and those are all labeled by then.
         for l in s.level[..n].iter_mut() {
             *l = UNVISITED;
         }
-        s.level[source] = 0;
+        s.level[target] = 0;
         s.queue.clear();
-        s.queue.push(source as u32);
+        s.queue.push(target as u32);
         let mut head = 0;
-        while head < s.queue.len() {
-            let v = s.queue[head] as usize;
+        'bfs: while head < s.queue.len() {
+            let w = s.queue[head] as usize;
             head += 1;
-            let next_level = s.level[v] + 1;
-            for ai in csr.arc_range(v) {
-                if s.residual[ai] > 0 {
-                    let to = csr.arc_head[ai] as usize;
-                    if s.level[to] == UNVISITED {
-                        s.level[to] = next_level;
-                        s.queue.push(to as u32);
+            let next_level = s.level[w] + 1;
+            for ai in csr.arc_range(w) {
+                let to = csr.arc_head[ai] as usize;
+                if s.level[to] == UNVISITED && s.residual[csr.arc_twin[ai] as usize] > 0 {
+                    s.level[to] = next_level;
+                    if to == source {
+                        break 'bfs;
                     }
+                    s.queue.push(to as u32);
                 }
             }
         }
-        if s.level[target] == UNVISITED {
+        if s.level[source] == UNVISITED {
             break;
         }
         s.current_arc[..n].copy_from_slice(&csr.adj_start[..n]);
@@ -864,11 +891,13 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>
                 continue;
             }
             let end = csr.adj_start[v + 1];
+            // `v` is not the target, so its level is at least 1.
+            let down = s.level[v] - 1;
             let mut advanced = false;
             while s.current_arc[v] < end {
                 let ai = s.current_arc[v] as usize;
                 let to = csr.arc_head[ai] as usize;
-                if s.residual[ai] > 0 && s.level[to] == s.level[v] + 1 {
+                if s.residual[ai] > 0 && s.level[to] == down {
                     s.path.push(ai as u32);
                     v = to;
                     advanced = true;
@@ -1071,19 +1100,24 @@ mod tests {
     #[test]
     fn backends_agree_and_certify_their_cuts() {
         // Every backend reaches each instance's hand-computed min-cut value,
-        // and each cut disconnects the network at exactly that cost (the
-        // max-flow/min-cut certificate).
+        // each cut disconnects the network at exactly that cost (the
+        // max-flow/min-cut certificate), and the backends return the same
+        // cut edges (the unique minimal source side). Each backend has a
+        // scratch of its own, so none reads another's leftovers.
         let finite = [5, 0, 0, 3, 5, 3, 5, 3, 3, 2 * u64::MAX as u128, 23].map(Capacity::Finite);
         let expected: Vec<Capacity> =
             finite.into_iter().chain([Capacity::Infinite, Capacity::Finite(4)]).collect();
         let nets = instances();
         assert_eq!(nets.len(), expected.len());
-        let mut scratch = FlowScratch::new();
+        let mut scratch: [FlowScratch; 2] = Default::default();
         for (i, (net, value)) in nets.iter().zip(expected).enumerate() {
             let csr = CsrFlow::from_network(net);
-            for algorithm in FlowAlgorithm::ALL {
-                let cut = csr.min_cut(algorithm, &mut scratch);
+            let mut first_cut_edges: Option<Vec<EdgeId>> = None;
+            for (algorithm, scratch) in FlowAlgorithm::ALL.into_iter().zip(&mut scratch) {
+                let cut = csr.min_cut(algorithm, scratch);
                 assert_eq!(cut.value, value, "instance {i}: {algorithm} value");
+                let edges = first_cut_edges.get_or_insert_with(|| cut.cut_edges.to_vec());
+                assert_eq!(cut.cut_edges, &edges[..], "instance {i}: {algorithm} cut edges");
                 if let Capacity::Finite(_) = cut.value {
                     let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
                     assert!(net.is_cut(&set), "{algorithm}: CSR cut must disconnect");
@@ -1155,20 +1189,128 @@ mod tests {
 
     #[test]
     fn resume_from_zero_flow_matches_cold_solve() {
-        let mut scratch = FlowScratch::new();
+        // Same value and same cut edges as a cold Dinic solve; the two solves
+        // use separate scratches.
+        let mut cold_scratch = FlowScratch::new();
+        let mut warm_scratch = FlowScratch::new();
         for net in instances() {
             let csr = CsrFlow::from_network(&net);
-            let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut scratch).value;
+            let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut cold_scratch);
+            let cold = (cold.value, cold.cut_edges.to_vec());
             let mut flows = vec![0u128; csr.num_edges()];
             let mut total = 0u128;
-            let warm = csr
-                .min_cut_resume(&mut scratch, &mut flows, &mut total, csr.infinite_cap, true, None)
-                .value;
-            assert_eq!(warm, cold);
-            if let Capacity::Finite(f) = cold {
+            let warm = csr.min_cut_resume(
+                &mut warm_scratch,
+                &mut flows,
+                &mut total,
+                csr.infinite_cap,
+                true,
+                None,
+            );
+            assert_eq!((warm.value, warm.cut_edges.to_vec()), cold);
+            if let Capacity::Finite(f) = cold.0 {
                 assert_eq!(total, f);
             }
         }
+    }
+
+    /// The `(value, cut_edges)` of a Dinic solve, a push–relabel solve and a
+    /// from-zero [`CsrFlow::min_cut_resume`] of `csr`, in that order. Each
+    /// solve has a scratch of its own, so none reads another's leftovers.
+    fn three_cuts(csr: &CsrFlow, scratch: &mut [FlowScratch; 3]) -> [(Capacity, Vec<EdgeId>); 3] {
+        let [dinic, push_relabel, resume] = scratch;
+        let dinic = csr.min_cut(FlowAlgorithm::Dinic, dinic);
+        let dinic = (dinic.value, dinic.cut_edges.to_vec());
+        let push_relabel = csr.min_cut(FlowAlgorithm::PushRelabel, push_relabel);
+        let push_relabel = (push_relabel.value, push_relabel.cut_edges.to_vec());
+        let mut flows = vec![0u128; csr.num_edges()];
+        let mut total = 0u128;
+        let resume =
+            csr.min_cut_resume(resume, &mut flows, &mut total, csr.infinite_cap, true, None);
+        [dinic, push_relabel, (resume.value, resume.cut_edges.to_vec())]
+    }
+
+    #[test]
+    fn every_backend_extracts_the_same_cut() {
+        // The cut is read off the vertices the source still reaches in the
+        // residual graph, and that set is the same for every maximum flow
+        // (the unique minimal source side). So the backends, and a resume
+        // from zero flow, must agree on the cut edges, not just the value,
+        // here on seeded random small networks with parallel, zero-capacity,
+        // infinite and target-to-source edges.
+        let mut scratch: [FlowScratch; 3] = Default::default();
+        let mut rng: u64 = 0x2545F4914F6CDD1D;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for round in 0..3_000 {
+            let n = 2 + (next() % 7) as usize;
+            let mut csr = CsrFlow::new();
+            csr.add_vertices(n);
+            let source = (next() % n as u64) as u32;
+            let target = (source + 1 + (next() % (n as u64 - 1)) as u32) % n as u32;
+            csr.set_source(VertexId(source));
+            csr.set_target(VertexId(target));
+            for _ in 0..next() % (3 * n as u64) {
+                let from = VertexId((next() % n as u64) as u32);
+                let to = VertexId((next() % n as u64) as u32);
+                let capacity = match next() % 8 {
+                    0 | 1 => Capacity::Finite(0),
+                    2 => Capacity::Infinite,
+                    _ => Capacity::Finite((next() % 5) as u128),
+                };
+                csr.add_edge(from, to, capacity);
+            }
+            csr.freeze();
+            let [dinic, push_relabel, resume] = three_cuts(&csr, &mut scratch);
+            assert_eq!(dinic, push_relabel, "round {round}: push-relabel");
+            assert_eq!(dinic, resume, "round {round}: resume");
+        }
+    }
+
+    #[test]
+    fn dead_end_fan_out_beside_real_paths() {
+        // The source fans out into 1,200 branches that run into a region
+        // with no route to the target, beside three real paths. Levels
+        // counted from the source would admit every branch; the min cut is
+        // the real paths' bottlenecks 2 + 3 + 1 = 6.
+        const BRANCHES: u32 = 1_200;
+        let mut net = FlowNetwork::new();
+        let s = net.add_vertex();
+        let t = net.add_vertex();
+        net.set_source(s);
+        net.set_target(t);
+        let dead = net.add_vertex();
+        let dead_loop = net.add_vertex();
+        net.add_edge(dead, dead_loop, Capacity::Infinite);
+        net.add_edge(dead_loop, dead, Capacity::Finite(4));
+        for _ in 0..BRANCHES {
+            let a = net.add_vertex();
+            let b = net.add_vertex();
+            net.add_edge(s, a, Capacity::Finite(3));
+            net.add_edge(a, b, Capacity::Infinite);
+            net.add_edge(b, dead, Capacity::Finite(2));
+        }
+        let mut real = Vec::new();
+        for (first, second) in [(5u128, 2u128), (3, 7), (1, 1)] {
+            let p = net.add_vertex();
+            let q = net.add_vertex();
+            real.push(net.add_edge(s, p, Capacity::Finite(first)));
+            real.push(net.add_edge(p, q, Capacity::Infinite));
+            real.push(net.add_edge(q, t, Capacity::Finite(second)));
+            // A side exit into the dead region from every real path.
+            net.add_edge(p, dead, Capacity::Finite(9));
+        }
+        let csr = CsrFlow::from_network(&net);
+        let mut scratch: [FlowScratch; 3] = Default::default();
+        let [dinic, push_relabel, resume] = three_cuts(&csr, &mut scratch);
+        assert_eq!(dinic.0, Capacity::Finite(6));
+        assert_eq!(dinic.1, vec![real[2], real[3], real[6]]);
+        assert_eq!(dinic, push_relabel);
+        assert_eq!(dinic, resume);
     }
 
     #[test]
@@ -1270,20 +1412,23 @@ mod tests {
                 // `set_edge_capacity`) forces the full residual reload.
                 let warm_ok = csr.is_frozen();
                 csr.freeze();
-                let warm = csr
-                    .min_cut_resume(
-                        &mut scratch,
-                        &mut flows,
-                        &mut total,
-                        u128::MAX,
-                        step % 2 == 0, // both resume paths: with and without cut extraction
-                        if warm_ok { Some(&dirty) } else { None },
-                    )
-                    .value;
+                let want_cut = step % 2 == 0; // both resume paths: with and without a cut
+                let warm = csr.min_cut_resume(
+                    &mut scratch,
+                    &mut flows,
+                    &mut total,
+                    u128::MAX,
+                    want_cut,
+                    if warm_ok { Some(&dirty) } else { None },
+                );
+                let (warm_value, warm_cut) = (warm.value, warm.cut_edges.to_vec());
                 // The retained flows must stay feasible and sum to `total`.
-                let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut cold_scratch).value;
-                assert_eq!(warm, cold, "round {round} step {step}");
-                assert_eq!(warm, Capacity::Finite(total), "round {round} step {step}");
+                let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut cold_scratch);
+                assert_eq!(warm_value, cold.value, "round {round} step {step}");
+                assert_eq!(warm_value, Capacity::Finite(total), "round {round} step {step}");
+                if want_cut {
+                    assert_eq!(warm_cut, cold.cut_edges, "round {round} step {step}: cut edges");
+                }
             }
         }
     }

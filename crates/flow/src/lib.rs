@@ -9,17 +9,20 @@
 //!   target and [`network::Capacity`] values that are either finite (`u64`) or
 //!   `+∞` (a dedicated variant, so saturation bugs are impossible);
 //! * [`csr`] + [`scratch`] — the one flow core: networks frozen into
-//!   contiguous CSR arrays inside a reusable arena, solved by Dinic or
-//!   push–relabel over [`scratch::FlowScratch`] buffers that are reset,
-//!   never reallocated, across solves (every resilience solve runs here);
+//!   contiguous CSR arrays inside a reusable arena, solved by Dinic (levels
+//!   are residual distances to the target) or push–relabel over
+//!   [`scratch::FlowScratch`] buffers that are reset, never reallocated,
+//!   across solves (every resilience solve runs here). Both backends return
+//!   the same cut edges: the cut is the unique minimal source side of the
+//!   final residual graph, whichever maximum flow produced it;
 //! * [`mincut`] — the backend choice [`mincut::FlowAlgorithm`] and the
 //!   one-off [`min_cut`]/[`min_cut_with`] wrappers, which copy a
 //!   [`network::FlowNetwork`] into the CSR core and return an owned cut,
 //!   certified (in debug builds) to disconnect the network at the cost of
 //!   the max-flow value;
-//! * [`auto`] — measured size/density thresholds backing
+//! * [`auto`] — the measured table backing
 //!   [`mincut::FlowAlgorithm::Auto`], which picks the winning backend per
-//!   instance (Dinic on small networks, push–relabel on large ones).
+//!   instance (Dinic, which wins at every measured size).
 
 #![forbid(unsafe_code)]
 pub mod auto;

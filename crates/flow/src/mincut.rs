@@ -15,12 +15,12 @@ use std::collections::BTreeSet;
 
 /// Which maximum-flow algorithm to use for a min-cut computation.
 ///
-/// The two concrete backends produce the same cut value (they are exact
-/// algorithms); they are kept side by side because each wins on part of the
-/// `flow_ablation` bench, and each cross-checks the other in the tests.
-/// [`FlowAlgorithm::Auto`] is not a third algorithm: it resolves per
-/// instance to the measured winner (Dinic on small networks, push–relabel
-/// on large ones — see [`crate::auto`]).
+/// The two concrete backends produce the same cut value and the same cut
+/// edges (they are exact algorithms, and the cut is the unique minimal
+/// source side of any maximum flow); they are kept side by side so each
+/// cross-checks the other in the tests. [`FlowAlgorithm::Auto`] is not a
+/// third algorithm: it resolves per instance to the measured winner (Dinic,
+/// which wins at every measured size — see [`crate::auto`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FlowAlgorithm {
     /// Dinic's algorithm (the default used by the resilience reductions).
@@ -28,8 +28,8 @@ pub enum FlowAlgorithm {
     Dinic,
     /// Push–relabel with FIFO selection and the gap heuristic.
     PushRelabel,
-    /// Pick the backend per instance from the measured size/density
-    /// thresholds of [`crate::auto`].
+    /// Pick the backend per instance from the measured table of
+    /// [`crate::auto`].
     Auto,
 }
 

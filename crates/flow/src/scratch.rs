@@ -30,7 +30,9 @@ pub(crate) const UNVISITED: u32 = u32::MAX;
 pub struct FlowScratch {
     /// Per-arc residual capacity (working copy of the frozen capacities).
     pub(crate) residual: Vec<u128>,
-    /// Per-vertex BFS level ([`UNVISITED`] = not reached).
+    /// Per-vertex BFS level ([`UNVISITED`] = not reached). For Dinic this is
+    /// the residual distance to the target; the flow-cancellation search of
+    /// [`crate::csr::CsrFlow::cancel_flow`] uses it as a visited mark.
     pub(crate) level: Vec<u32>,
     /// Flat BFS queue (head index kept locally by the solvers).
     pub(crate) queue: Vec<u32>,

@@ -231,24 +231,35 @@ pub fn enumerate_matches_regular(
 
 /// Whether the database has a directed cycle.
 pub fn has_directed_cycle(db: &GraphDb) -> bool {
-    // DFS with colors over nodes.
-    let n = db.num_nodes();
-    let mut color = vec![0u8; n];
-    fn dfs(v: NodeId, db: &GraphDb, color: &mut [u8]) -> bool {
-        color[v.0 as usize] = 1;
-        for f in db.out_facts(v) {
-            let t = db.fact(f).target;
-            let state = color[t.0 as usize];
-            if state == 1 || (state == 0 && dfs(t, db, color)) {
-                return true;
-            }
+    // Three-colour DFS over nodes with an explicit stack of (node, its
+    // unexplored out-facts), so a long path costs heap, not call stack.
+    const WHITE: u8 = 0;
+    const GREY: u8 = 1;
+    const BLACK: u8 = 2;
+    let mut color = vec![WHITE; db.num_nodes()];
+    let mut stack = Vec::new();
+    for root in db.nodes() {
+        if color[root.0 as usize] != WHITE {
+            continue;
         }
-        color[v.0 as usize] = 2;
-        false
-    }
-    for v in db.nodes() {
-        if color[v.0 as usize] == 0 && dfs(v, db, &mut color) {
-            return true;
+        color[root.0 as usize] = GREY;
+        stack.push((root, db.out_facts(root)));
+        while let Some((v, facts)) = stack.last_mut() {
+            let (v, next) = (*v, facts.next());
+            let Some(f) = next else {
+                color[v.0 as usize] = BLACK;
+                stack.pop();
+                continue;
+            };
+            let t = db.fact(f).target;
+            match color[t.0 as usize] {
+                GREY => return true,
+                WHITE => {
+                    color[t.0 as usize] = GREY;
+                    stack.push((t, db.out_facts(t)));
+                }
+                _ => {}
+            }
         }
     }
     false
@@ -257,6 +268,7 @@ pub fn has_directed_cycle(db: &GraphDb) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_automata::alphabet::Letter;
     use rpq_automata::Language;
 
     #[test]
@@ -267,6 +279,39 @@ mod tests {
         assert!(!has_directed_cycle(&db));
         db.add_fact_by_names("w", 'a', "u");
         assert!(has_directed_cycle(&db));
+        // A self-loop, and a cycle reachable only from a later root.
+        let mut db = GraphDb::new();
+        db.add_fact_by_names("u", 'a', "u");
+        assert!(has_directed_cycle(&db));
+        let mut db = GraphDb::new();
+        db.add_fact_by_names("u", 'a', "v");
+        db.add_fact_by_names("w", 'a', "v");
+        db.add_fact_by_names("v", 'a', "x");
+        assert!(!has_directed_cycle(&db));
+        db.add_fact_by_names("x", 'a', "w");
+        assert!(has_directed_cycle(&db));
+    }
+
+    #[test]
+    fn cycle_detection_is_stack_safe_on_long_chains() {
+        // A 200,000-node path: recursing once per node would overflow a
+        // default-sized (2 MiB) thread stack.
+        let n = 200_000;
+        let mut db = GraphDb::new();
+        let nodes: Vec<NodeId> = (0..n).map(|_| db.fresh_node()).collect();
+        for pair in nodes.windows(2) {
+            db.add_fact(pair[0], Letter('a'), pair[1]);
+        }
+        let mut cyclic = db.clone();
+        cyclic.add_fact(nodes[n - 1], Letter('a'), nodes[0]);
+        let (acyclic_answer, cyclic_answer) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (has_directed_cycle(&db), has_directed_cycle(&cyclic)))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(!acyclic_answer);
+        assert!(cyclic_answer);
     }
 
     #[test]
