@@ -262,8 +262,9 @@ fn mask_timings(output: &str) -> String {
 /// solve with and without cut and budgets, `solve_batch` at 1 and 4 jobs,
 /// the `db_*` verbs, the error paths of the solve family — unparsable
 /// queries and databases, enumeration-limit failures inline and per entry,
-/// unknown snapshots — malformed lines, `stats`, `shutdown`) fed through the
-/// stdio front end
+/// unknown snapshots — malformed lines, cut-carrying solves over small local,
+/// chain and one-dangling databases (set and bag semantics, exogenous facts,
+/// an infinite value), `stats`, `shutdown`) fed through the stdio front end
 /// must answer byte for byte as recorded in `scripts/pipe_transcript.expected`
 /// once the timings are masked. Re-record the expected file only for an
 /// intended wire change, with this same default `ServerConfig`.
