@@ -15,6 +15,14 @@
 //! Because `A` is read-once, finite-capacity edges are in one-to-one
 //! correspondence with facts, so minimum cuts correspond to minimum
 //! contingency sets.
+//!
+//! The network actually built is smaller but cuts the same facts: product
+//! vertices no source→target path crosses are pruned, ε-chains are
+//! contracted, and vertices reached only from the source (or leading only to
+//! the target) are merged into it. See the *Terminal contraction* section of
+//! `resilience_via_ro_enfa` for why the cut edges stay identical, and the
+//! `textbook_networks` integration test, which checks them against this
+//! definition.
 
 use super::{Algorithm, ResilienceError, ResilienceOutcome, SolveScratch};
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
@@ -116,7 +124,48 @@ pub(crate) fn solve_prepared(
 /// one edge at a time without increasing the cut. On automata in the shape
 /// the locality construction produces (entry/exit state pairs linked by ε),
 /// this collapses most product nodes to a single vertex, roughly halving the
-/// network again on top of the mask pruning.
+/// network again on top of the mask pruning. Both conditions are needed: in
+/// the network `s→a (1), a→t (∞), a→w (∞), w→b (∞), s→b (∞), b→t (5)` the
+/// minimum cut is 6 (`s→a` and `b→t`), but merging `w` into `a` (its only
+/// in-edge) and into `b` (its only out-edge) fuses `a` with `b`, which the
+/// source and the target both reach through infinite edges: the cut becomes
+/// infinite.
+///
+/// # Terminal contraction
+///
+/// Source and target attachments are merged away as well. An ε-contracted
+/// class **is the source** when it has an initial member and nothing else
+/// enters it: no fact enters a member at that node and no cross-class
+/// ε-edge enters the class. Then its every in-edge is an infinite edge from
+/// the source. Mirror-wise, a class **is the target** when it has a final
+/// member and no fact or cross-class ε-edge leaves it. A class qualifying for
+/// both stays a vertex (attached to both terminals, so the value is `+∞`).
+///
+/// These whole-in-edge-set and whole-out-edge-set merges keep the cut edges
+/// identical, not just the value. A vertex whose in-edges all come from the
+/// source with infinite capacity is reached by the source in every residual
+/// graph of a finite maximum flow, so it lies in the unique minimal source
+/// side, the set [`rpq_flow::CsrFlow::min_cut`] extracts the cut from. A
+/// vertex whose out-edges all go to the target never does, or the source
+/// would reach the target. The fact edges are the same edges, emitted first
+/// in fact order under the same pruning, so their arena ids, the infinity
+/// threshold (one more than the sum of the finite capacities) and the
+/// extracted cut edges do not change. On the `ab|ad|cd` layered database of
+/// the `engine_solve` benchmark, the network shrinks from 30,942 vertices /
+/// 38,631 edges to 10,074 / 17,763.
+///
+/// # One analysis per node signature
+///
+/// Every decision above — used states, ε-classes, terminal merges, emitted
+/// ε / source / target edges — depends only on the node's signature
+/// `(fact_in, fact_out)`: the masks of the states its facts enter and leave
+/// it at. Real databases have few distinct signatures, so each one is
+/// analysed once into a template held in a direct-mapped cache in
+/// [`SolveScratch`]; each node stores its template id, and its structural
+/// edges are emitted from the template. The cache's buckets are never reset:
+/// an entry counts only if it names a template of the current solve with the
+/// same signature, and a collision only re-runs the analysis, so adversarial
+/// signatures cost no more than analysing every node.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resilience_via_ro_enfa(
     ro: &RoEnfa,
@@ -135,7 +184,8 @@ pub(crate) fn resilience_via_ro_enfa(
         node_in,
         node_out,
         node_base,
-        node_slot,
+        node_template,
+        signatures,
         ..
     } = scratch;
     let num_states = ro.num_states();
@@ -154,37 +204,7 @@ pub(crate) fn resilience_via_ro_enfa(
     };
 
     if num_states <= 64 {
-        let eps: Vec<(usize, usize)> = ro.epsilon_transitions().collect();
-        // ε-closures on the state graph: fwd[s] = states ε-reachable from
-        // `s`, bwd[s] = states that ε-reach `s` (both include `s`).
-        let mut fwd = [0u64; 64];
-        let mut bwd = [0u64; 64];
-        for s in 0..num_states {
-            fwd[s] = 1 << s;
-            bwd[s] = 1 << s;
-        }
-        loop {
-            let mut changed = false;
-            for &(s, s_prime) in &eps {
-                let f = fwd[s] | fwd[s_prime];
-                changed |= f != fwd[s];
-                fwd[s] = f;
-                let b = bwd[s_prime] | bwd[s];
-                changed |= b != bwd[s_prime];
-                bwd[s_prime] = b;
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut init_mask: u64 = 0;
-        for s in ro.initial_states() {
-            init_mask |= 1 << s;
-        }
-        let mut final_mask: u64 = 0;
-        for s in ro.final_states() {
-            final_mask |= 1 << s;
-        }
+        let shape = ProductShape::new(ro);
 
         // Pass 1: which states do facts enter / leave each node at?
         node_in.clear();
@@ -201,95 +221,19 @@ pub(crate) fn resilience_via_ro_enfa(
             }
         }
 
-        // Close per node (the source attaches at initial states and the
-        // target at final states, so those seed the masks), ε-contract, and
-        // assign compact slots to the surviving product-vertex classes. An
-        // ε-edge `(s, s')` is emitted at `v` iff both endpoints are used:
-        // tail enterable and head exitable are the emission conditions, and
-        // the ε-edge itself supplies the tail's exit and the head's entry.
-        // The same equivalence makes "slot assigned" the single emission test
-        // for fact, ε, source, and target edges below.
-        let close = |mask: u64, table: &[u64; 64]| {
-            let mut m = mask;
-            let mut acc = 0u64;
-            while m != 0 {
-                acc |= table[m.trailing_zeros() as usize];
-                m &= m - 1;
-            }
-            acc
-        };
-        fn find(parent: &mut [u8; 64], mut s: usize) -> usize {
-            while parent[s] as usize != s {
-                let p = parent[s] as usize;
-                parent[s] = parent[p];
-                s = p;
-            }
-            s
-        }
+        // Pass 2: one template per node signature, and compact vertex ids
+        // for the classes that stay vertices.
+        signatures.clear();
+        node_template.clear();
+        node_template.reserve(num_nodes);
         node_base.clear();
         node_base.reserve(num_nodes);
-        node_slot.clear();
-        node_slot.resize(num_nodes * num_states, u8::MAX);
         let mut next: u32 = 0;
-        for v in 0..num_nodes {
-            let fact_in = node_in[v];
-            let fact_out = node_out[v];
+        for (&fact_in, &fact_out) in node_in.iter().zip(node_out.iter()) {
+            let template = signatures.template_for(&shape, fact_in, fact_out);
+            node_template.push(template);
             node_base.push(next);
-            let used = close(fact_in | init_mask, &fwd) & close(fact_out | final_mask, &bwd);
-            if used == 0 {
-                continue;
-            }
-            // Union-find over this node's states: merge the endpoints of
-            // every contractible ε-edge (see the module-level soundness
-            // argument). An edge qualifies when it is its tail's only
-            // out-edge (no fact leaves there, the state is not final, no
-            // other emitted ε shares the tail) and its head's only in-edge.
-            let mut parent = [0u8; 64];
-            for (s, p) in parent.iter_mut().enumerate().take(num_states) {
-                *p = s as u8;
-            }
-            if !eps.is_empty() {
-                let mut out_deg = [0u8; 64];
-                let mut in_deg = [0u8; 64];
-                for &(s, s_prime) in &eps {
-                    if used >> s & 1 == 1 && used >> s_prime & 1 == 1 {
-                        out_deg[s] = out_deg[s].saturating_add(1);
-                        in_deg[s_prime] = in_deg[s_prime].saturating_add(1);
-                    }
-                }
-                for &(s, s_prime) in &eps {
-                    if used >> s & 1 == 1
-                        && used >> s_prime & 1 == 1
-                        && out_deg[s] == 1
-                        && fact_out >> s & 1 == 0
-                        && final_mask >> s & 1 == 0
-                        && in_deg[s_prime] == 1
-                        && fact_in >> s_prime & 1 == 0
-                        && init_mask >> s_prime & 1 == 0
-                    {
-                        let ra = find(&mut parent, s);
-                        let rb = find(&mut parent, s_prime);
-                        if ra != rb {
-                            parent[ra] = rb as u8;
-                        }
-                    }
-                }
-            }
-            // One slot per union-find class among the used states.
-            let base = v * num_states;
-            let mut count = 0u32;
-            let mut m = used;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let r = find(&mut parent, s);
-                if node_slot[base + r] == u8::MAX {
-                    node_slot[base + r] = count as u8;
-                    count += 1;
-                }
-                node_slot[base + s] = node_slot[base + r];
-            }
-            next += count;
+            next += signatures.templates[template as usize].vertices;
         }
 
         let first = csr.add_vertices(next as usize);
@@ -299,13 +243,21 @@ pub(crate) fn resilience_via_ro_enfa(
         csr.set_source(source);
         csr.set_target(target);
 
+        let signatures = &*signatures;
+        let node_template = &*node_template;
         let node_base = &*node_base;
-        let node_slot = &*node_slot;
-        let slot = |v: usize, state: usize| -> u8 { node_slot[v * num_states + state] };
-        let product = |v: usize, state: usize| -> VertexId {
-            let s = slot(v, state);
-            debug_assert_ne!(s, u8::MAX, "product vertex must be used");
-            VertexId(node_base[v] + s as u32)
+        let slot = |v: usize, state: usize| -> u8 {
+            signatures.slots[node_template[v] as usize * num_states + state]
+        };
+        let vertex = |v: usize, slot: u8| -> VertexId {
+            match slot {
+                AT_SOURCE => source,
+                AT_TARGET => target,
+                _ => {
+                    debug_assert_ne!(slot, PRUNED, "product vertex must be used");
+                    VertexId(node_base[v] + slot as u32)
+                }
+            }
         };
 
         // Fact edges (finite capacity) — emitted first, so edge id == index
@@ -318,38 +270,19 @@ pub(crate) fn resilience_via_ro_enfa(
             if let Some((s, s_prime)) = ro.letter_transition(fact.label) {
                 let sv = fact.source.0 as usize;
                 let tv = fact.target.0 as usize;
-                if slot(sv, s) != u8::MAX && slot(tv, s_prime) != u8::MAX {
-                    let edge =
-                        csr.add_edge(product(sv, s), product(tv, s_prime), capacity_of(fact_id));
+                let (a, b) = (slot(sv, s), slot(tv, s_prime));
+                if a != PRUNED && b != PRUNED {
+                    let edge = csr.add_edge(vertex(sv, a), vertex(tv, b), capacity_of(fact_id));
                     debug_assert_eq!(edge.index(), edge_fact.len());
                     edge_fact.push(fact_id.0);
                 }
             }
         }
-        // ε-transition edges (infinite capacity); contracted edges collapse
-        // to self-loops of the merged vertex and are skipped.
-        for &(s, s_prime) in &eps {
-            for v in 0..num_nodes {
-                let a = slot(v, s);
-                let b = slot(v, s_prime);
-                if a != u8::MAX && b != u8::MAX && a != b {
-                    csr.add_edge(product(v, s), product(v, s_prime), Capacity::Infinite);
-                }
-            }
-        }
-        // Source and target attachments (infinite capacity).
-        for s in ro.initial_states() {
-            for v in 0..num_nodes {
-                if slot(v, s) != u8::MAX {
-                    csr.add_edge(source, product(v, s), Capacity::Infinite);
-                }
-            }
-        }
-        for s in ro.final_states() {
-            for v in 0..num_nodes {
-                if slot(v, s) != u8::MAX {
-                    csr.add_edge(product(v, s), target, Capacity::Infinite);
-                }
+        // Structural edges (infinite capacity): each node's cross-class ε
+        // edges and terminal attachments, from its template.
+        for (v, &template) in node_template.iter().enumerate() {
+            for &(a, b) in signatures.edges_of(template) {
+                csr.add_edge(vertex(v, a), vertex(v, b), Capacity::Infinite);
             }
         }
     } else {
@@ -418,6 +351,278 @@ pub(crate) fn resilience_via_ro_enfa(
         .collect();
     trace.end(witness_timer, "witness_extract");
     (ResilienceValue::from(cut.value), facts)
+}
+
+/// Local slot codes of a node template. A node's product vertices are
+/// numbered `0..vertices`; these three codes mark a state that is pruned,
+/// merged into the source, or merged into the target.
+const PRUNED: u8 = u8::MAX;
+const AT_SOURCE: u8 = u8::MAX - 1;
+const AT_TARGET: u8 = u8::MAX - 2;
+
+/// log2 of the number of buckets of the direct-mapped signature cache.
+const SIGNATURE_BUCKET_BITS: u32 = 10;
+
+/// The automaton-wide half of the ≤ 64-state product analysis: state masks
+/// and ε-closures shared by every node signature.
+struct ProductShape {
+    num_states: usize,
+    eps: Vec<(usize, usize)>,
+    /// `fwd[s]`: states ε-reachable from `s`; `bwd[s]`: states that ε-reach
+    /// `s` (both include `s`).
+    fwd: [u64; 64],
+    bwd: [u64; 64],
+    init_mask: u64,
+    final_mask: u64,
+}
+
+impl ProductShape {
+    fn new(ro: &RoEnfa) -> ProductShape {
+        let num_states = ro.num_states();
+        let eps: Vec<(usize, usize)> = ro.epsilon_transitions().collect();
+        let mut fwd = [0u64; 64];
+        let mut bwd = [0u64; 64];
+        for s in 0..num_states {
+            fwd[s] = 1 << s;
+            bwd[s] = 1 << s;
+        }
+        loop {
+            let mut changed = false;
+            for &(s, s_prime) in &eps {
+                let f = fwd[s] | fwd[s_prime];
+                changed |= f != fwd[s];
+                fwd[s] = f;
+                let b = bwd[s_prime] | bwd[s];
+                changed |= b != bwd[s_prime];
+                bwd[s_prime] = b;
+            }
+            if !changed {
+                break;
+            }
+        }
+        let init_mask = ro.initial_states().fold(0, |m, s| m | 1 << s);
+        let final_mask = ro.final_states().fold(0, |m, s| m | 1 << s);
+        ProductShape { num_states, eps, fwd, bwd, init_mask, final_mask }
+    }
+}
+
+/// The ε-closure of `mask` under `table` (`fwd` or `bwd`).
+fn close(mask: u64, table: &[u64; 64]) -> u64 {
+    let mut m = mask;
+    let mut acc = 0u64;
+    while m != 0 {
+        acc |= table[m.trailing_zeros() as usize];
+        m &= m - 1;
+    }
+    acc
+}
+
+fn find(parent: &mut [u8; 64], mut s: usize) -> usize {
+    while parent[s] as usize != s {
+        let p = parent[s] as usize;
+        parent[s] = parent[p];
+        s = p;
+    }
+    s
+}
+
+/// The analysis of one node signature `(fact_in, fact_out)`.
+#[derive(Debug)]
+struct NodeTemplate {
+    fact_in: u64,
+    fact_out: u64,
+    /// Product vertices a node of this signature contributes.
+    vertices: u32,
+    /// Its structural edges: `SignatureCache::edges[edges_start..edges_end]`.
+    edges_start: u32,
+    edges_end: u32,
+}
+
+/// Per-solve node templates of the Theorem 3.13 builder, behind a
+/// direct-mapped cache keyed by node signature (see *One analysis per node
+/// signature* on [`resilience_via_ro_enfa`]). Lives in [`SolveScratch`], so
+/// its buffers are reused across solves.
+#[derive(Debug, Default)]
+pub(crate) struct SignatureCache {
+    /// Bucket → template id. Never reset: an entry is trusted only when it
+    /// names a template of the current solve with the looked-up signature.
+    buckets: Vec<u32>,
+    templates: Vec<NodeTemplate>,
+    /// Local slot of every state, laid out as `template * num_states + state`.
+    slots: Vec<u8>,
+    /// Structural edges between local slots, grouped by template.
+    edges: Vec<(u8, u8)>,
+}
+
+impl SignatureCache {
+    /// Forgets the previous solve's templates. The bucket table keeps its
+    /// stale entries (see `buckets`), so this costs nothing per bucket.
+    fn clear(&mut self) {
+        if self.buckets.is_empty() {
+            self.buckets.resize(1 << SIGNATURE_BUCKET_BITS, u32::MAX);
+        }
+        self.templates.clear();
+        self.slots.clear();
+        self.edges.clear();
+    }
+
+    /// The capacities of the cache's buffers.
+    pub(crate) fn capacity_signature(&self) -> [usize; 4] {
+        [
+            self.buckets.capacity(),
+            self.templates.capacity(),
+            self.slots.capacity(),
+            self.edges.capacity(),
+        ]
+    }
+
+    fn edges_of(&self, template: u32) -> &[(u8, u8)] {
+        let t = &self.templates[template as usize];
+        &self.edges[t.edges_start as usize..t.edges_end as usize]
+    }
+
+    /// The template of signature `(fact_in, fact_out)`, analysed on a miss.
+    /// A collision evicts the bucket's previous entry, so it costs one more
+    /// analysis and nothing else.
+    fn template_for(&mut self, shape: &ProductShape, fact_in: u64, fact_out: u64) -> u32 {
+        let hash = fact_in.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ fact_out.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        let bucket = (hash >> (64 - SIGNATURE_BUCKET_BITS)) as usize;
+        let cached = self.buckets[bucket];
+        if let Some(t) = self.templates.get(cached as usize) {
+            if t.fact_in == fact_in && t.fact_out == fact_out {
+                return cached;
+            }
+        }
+        let id = self.analyse(shape, fact_in, fact_out);
+        self.buckets[bucket] = id;
+        id
+    }
+
+    /// Prunes, ε-contracts and terminal-merges the product vertices of one
+    /// node signature, and records the result as a new template.
+    fn analyse(&mut self, shape: &ProductShape, fact_in: u64, fact_out: u64) -> u32 {
+        let num_states = shape.num_states;
+        // The source attaches at initial states and the target at final
+        // states, so those seed the closures. An ε-edge `(s, s')` is emitted
+        // iff both endpoints are used: tail enterable and head exitable are
+        // the emission conditions, and the ε-edge itself supplies the tail's
+        // exit and the head's entry.
+        let used = close(fact_in | shape.init_mask, &shape.fwd)
+            & close(fact_out | shape.final_mask, &shape.bwd);
+        let is_used = |s: usize| used >> s & 1 == 1;
+
+        // Union-find over the used states: merge the endpoints of every
+        // contractible ε-edge. An edge qualifies when it is its tail's only
+        // out-edge (no fact leaves there, the state is not final, no other
+        // emitted ε shares the tail) and its head's only in-edge.
+        let mut parent = [0u8; 64];
+        for (s, p) in parent.iter_mut().enumerate().take(num_states) {
+            *p = s as u8;
+        }
+        let mut out_deg = [0u8; 64];
+        let mut in_deg = [0u8; 64];
+        for &(s, s_prime) in &shape.eps {
+            if is_used(s) && is_used(s_prime) {
+                out_deg[s] = out_deg[s].saturating_add(1);
+                in_deg[s_prime] = in_deg[s_prime].saturating_add(1);
+            }
+        }
+        for &(s, s_prime) in &shape.eps {
+            if is_used(s)
+                && is_used(s_prime)
+                && out_deg[s] == 1
+                && fact_out >> s & 1 == 0
+                && shape.final_mask >> s & 1 == 0
+                && in_deg[s_prime] == 1
+                && fact_in >> s_prime & 1 == 0
+                && shape.init_mask >> s_prime & 1 == 0
+            {
+                let ra = find(&mut parent, s);
+                let rb = find(&mut parent, s_prime);
+                if ra != rb {
+                    parent[ra] = rb as u8;
+                }
+            }
+        }
+
+        // Number the classes and collect their member states.
+        let mut class_of = [0u8; 64];
+        let mut class_of_root = [u8::MAX; 64];
+        let mut members = [0u64; 64];
+        let mut classes = 0usize;
+        let mut m = used;
+        while m != 0 {
+            let s = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let r = find(&mut parent, s);
+            if class_of_root[r] == u8::MAX {
+                class_of_root[r] = classes as u8;
+                classes += 1;
+            }
+            class_of[s] = class_of_root[r];
+            members[class_of[s] as usize] |= 1 << s;
+        }
+        let cross_eps = |&(s, s_prime): &(usize, usize)| {
+            (is_used(s) && is_used(s_prime) && class_of[s] != class_of[s_prime])
+                .then(|| (class_of[s] as usize, class_of[s_prime] as usize))
+        };
+        let (mut eps_in, mut eps_out) = (0u64, 0u64);
+        for (a, b) in shape.eps.iter().filter_map(cross_eps) {
+            eps_out |= 1 << a;
+            eps_in |= 1 << b;
+        }
+
+        // Terminal merges: a class whose only in-edges are source
+        // attachments is the source, one whose only out-edges are target
+        // attachments is the target; a class qualifying for both stays.
+        let mut local = [PRUNED; 64];
+        let mut vertices = 0u32;
+        for (c, slot) in local.iter_mut().enumerate().take(classes) {
+            let members = members[c];
+            let to_source =
+                members & shape.init_mask != 0 && members & fact_in == 0 && eps_in >> c & 1 == 0;
+            let to_target =
+                members & shape.final_mask != 0 && members & fact_out == 0 && eps_out >> c & 1 == 0;
+            *slot = match (to_source, to_target) {
+                (true, false) => AT_SOURCE,
+                (false, true) => AT_TARGET,
+                _ => {
+                    vertices += 1;
+                    (vertices - 1) as u8
+                }
+            };
+        }
+
+        self.slots.extend((0..num_states).map(|s| {
+            if is_used(s) {
+                local[class_of[s] as usize]
+            } else {
+                PRUNED
+            }
+        }));
+        let edges_start = self.edges.len() as u32;
+        for (a, b) in shape.eps.iter().filter_map(cross_eps) {
+            self.edges.push((local[a], local[b]));
+        }
+        for (c, &slot) in local.iter().enumerate().take(classes) {
+            if members[c] & shape.init_mask != 0 && slot != AT_SOURCE {
+                self.edges.push((AT_SOURCE, slot));
+            }
+            if members[c] & shape.final_mask != 0 && slot != AT_TARGET {
+                self.edges.push((slot, AT_TARGET));
+            }
+        }
+        let id = self.templates.len() as u32;
+        self.templates.push(NodeTemplate {
+            fact_in,
+            fact_out,
+            vertices,
+            edges_start,
+            edges_end: self.edges.len() as u32,
+        });
+        id
+    }
 }
 
 /// Convenience entry point matching the paper's combined-complexity statement:
@@ -521,6 +726,72 @@ mod tests {
                 assert_eq!(fast.value, slow.value, "pattern {pattern}, seed {seed}");
             }
         }
+    }
+
+    /// The network of `ab|ad|cd` on `s -a-> m`, `c0 -c-> m`, `m -b-> t`,
+    /// `m -d-> u`, checked by hand against the automaton of
+    /// `RoEnfa::for_local_language` (`q0`, and `s'_x → q_x` per letter `x`):
+    ///
+    /// * `s` and `c0` use `{q0, s'_a}` / `{q0, s'_c}`: one ε-contracted class
+    ///   with an initial member and nothing entering it, so the source;
+    /// * `t` and `u` use `{q_b}` / `{q_d}`: final, nothing leaving, so the
+    ///   target;
+    /// * `m` uses `q_a, q_c, s'_b, s'_d`: four vertices (`q_a` has two
+    ///   ε-successors and `s'_d` two ε-predecessors, so nothing contracts).
+    ///
+    /// That is 4 + 2 vertices and 4 fact + 3 ε edges. Without the terminal
+    /// merges it would be 8 + 2 vertices and 4 + 3 + 2 + 2 edges.
+    #[test]
+    fn terminal_merges_shrink_a_hand_checked_network() {
+        let mut db = GraphDb::new();
+        db.add_fact_by_names("s", 'a', "m");
+        db.add_fact_by_names("c0", 'c', "m");
+        db.add_fact_by_names("m", 'b', "t");
+        db.add_fact_by_names("m", 'd', "u");
+        let q = Rpq::parse("ab|ad|cd").unwrap();
+        let ro = RoEnfa::for_local_language(&q.infix_free_language()).unwrap();
+        let mut scratch = SolveScratch::new();
+        let (value, cut) = resilience_via_ro_enfa(
+            &ro,
+            &db,
+            Semantics::Set,
+            FlowAlgorithm::default(),
+            &mut scratch,
+            &mut Trace::disabled(),
+            |_| true,
+        );
+        assert_eq!(value, ResilienceValue::Finite(2));
+        assert!(q.is_contingency_set(&db, &cut.into_iter().collect()));
+        assert_eq!(scratch.csr.num_vertices(), 6);
+        assert_eq!(scratch.csr.num_edges(), 7);
+    }
+
+    /// For the single-letter words of `a|b`, the tail of every fact is the
+    /// source and its head the target: each fact edge joins the terminals
+    /// directly, and an exogenous one makes the value infinite.
+    #[test]
+    fn facts_of_single_letter_words_join_the_terminals() {
+        let mut db = GraphDb::new();
+        db.add_fact_by_names("u", 'a', "v");
+        let f = db.add_fact_by_names("v", 'b', "w");
+        let q = Rpq::parse("a|b").unwrap();
+        let ro = RoEnfa::for_local_language(&q.infix_free_language()).unwrap();
+        let mut scratch = SolveScratch::new();
+        let solve = |db: &GraphDb, scratch: &mut SolveScratch| {
+            resilience_via_ro_enfa(
+                &ro,
+                db,
+                Semantics::Set,
+                FlowAlgorithm::default(),
+                scratch,
+                &mut Trace::disabled(),
+                |_| true,
+            )
+        };
+        assert_eq!(solve(&db, &mut scratch).0, ResilienceValue::Finite(2));
+        assert_eq!((scratch.csr.num_vertices(), scratch.csr.num_edges()), (2, 2));
+        db.set_exogenous(f, true);
+        assert!(solve(&db, &mut scratch).0.is_infinite());
     }
 
     #[test]

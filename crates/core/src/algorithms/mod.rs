@@ -97,22 +97,30 @@ pub struct SolveScratch {
     /// below `edge_fact.len()`; later (wiring) edges have no fact.
     pub(crate) edge_fact: Vec<u32>,
     /// Fact → start-vertex lookup of the chain reduction, indexed by
-    /// `FactId`; `u32::MAX` marks facts absent from the network. The end
-    /// vertex of a fact is always `start + 1`.
+    /// `FactId`; `u32::MAX` marks facts absent from the network. A start
+    /// vertex may be the source itself (see the chain module's letter roles).
     pub(crate) fact_vertex: Vec<u32>,
-    /// Per-node bitmask of *enterable* automaton states (states a query path
-    /// can be in when arriving at the node), used by the local reduction's
-    /// product pruning. Indexed by `NodeId`; valid for automata ≤ 64 states.
+    /// Fact → end-vertex lookup of the chain reduction, indexed like
+    /// `fact_vertex`. An end vertex may be the target itself.
+    pub(crate) fact_end: Vec<u32>,
+    /// Per-node bitmask of the automaton states that facts *enter* the node
+    /// at, used by the local reduction's ≤ 64-state product build. Indexed
+    /// by `NodeId`.
     pub(crate) node_in: Vec<u64>,
-    /// Per-node bitmask of *exitable* automaton states (see `node_in`).
+    /// Per-node bitmask of the states that facts *leave* the node from.
+    /// `(node_in, node_out)` is the node's signature: every product decision
+    /// at the node depends on it alone.
     pub(crate) node_out: Vec<u64>,
     /// Per-node first compacted product-vertex id of the local reduction
-    /// (prefix sums of used-state counts).
+    /// (prefix sums of the templates' vertex counts).
     pub(crate) node_base: Vec<u32>,
-    /// Per-(node, state) compacted local vertex slot of the local reduction
-    /// (`u8::MAX` = pruned), laid out as `node * num_states + state`. States
-    /// merged by ε-contraction share a slot.
-    pub(crate) node_slot: Vec<u8>,
+    /// Per-node template id into `signatures`: the node's state → vertex
+    /// slots and its structural edges.
+    pub(crate) node_template: Vec<u32>,
+    /// The local reduction's per-signature analyses: a direct-mapped cache
+    /// from node signature to template, reused (never reset per bucket)
+    /// across solves.
+    pub(crate) signatures: local::SignatureCache,
     /// Retained network + flow of the incremental local solver (`None` until
     /// a [`crate::engine::PreparedQuery::route_incremental`] call builds it).
     /// Boxed so plain solves don't pay for it; **plain solves clobber the
@@ -131,17 +139,23 @@ impl SolveScratch {
     /// The capacities of every internal buffer. Used to assert the reuse
     /// contract: once warmed up on a batch's shape, further solves must not
     /// change the signature (zero reallocations).
-    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 13], [usize; 6]) {
+    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 13], [usize; 11]) {
+        let [buckets, templates, slots, edges] = self.signatures.capacity_signature();
         (
             self.csr.capacity_signature(),
             self.flow.capacity_signature(),
             [
                 self.edge_fact.capacity(),
                 self.fact_vertex.capacity(),
+                self.fact_end.capacity(),
                 self.node_in.capacity(),
                 self.node_out.capacity(),
                 self.node_base.capacity(),
-                self.node_slot.capacity(),
+                self.node_template.capacity(),
+                buckets,
+                templates,
+                slots,
+                edges,
             ],
         )
     }

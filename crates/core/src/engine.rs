@@ -117,7 +117,7 @@ enum Strategy {
     /// Proposition 7.9 with a prepared (normalized) decomposition. When
     /// `fallback_to_exact` is set (automatic dispatch), databases with
     /// exogenous facts are routed to the exact solver instead of erroring.
-    OneDangling { plan: OneDanglingPlan, fallback_to_exact: bool },
+    OneDangling { plan: Box<OneDanglingPlan>, fallback_to_exact: bool },
     /// Exponential branch and bound over witness walks.
     ExactBranchAndBound,
     /// Subset enumeration (size-limited reference oracle).
@@ -431,7 +431,7 @@ impl Engine {
                 );
                 trace.end(plan_timer, "plan");
                 return Ok(prepared(
-                    Strategy::OneDangling { plan, fallback_to_exact: true },
+                    Strategy::OneDangling { plan: Box::new(plan), fallback_to_exact: true },
                     Algorithm::OneDangling,
                     reason,
                 ));
@@ -495,7 +495,7 @@ impl Engine {
             }
             Algorithm::OneDangling => {
                 let plan = OneDanglingPlan::from_infix_free(&if_language, rpq.language())?;
-                Strategy::OneDangling { plan, fallback_to_exact: false }
+                Strategy::OneDangling { plan: Box::new(plan), fallback_to_exact: false }
             }
             Algorithm::ExactBranchAndBound => Strategy::ExactBranchAndBound,
             Algorithm::ExactEnumeration => Strategy::ExactEnumeration,
@@ -1108,27 +1108,39 @@ mod tests {
 
     #[test]
     fn batch_solves_do_not_reallocate_scratch_after_warmup() {
-        use rpq_graphdb::generate::flow_instance;
+        use rpq_automata::Alphabet;
+        use rpq_graphdb::generate::{flow_instance, layered_instance, random_labeled_graph};
         let engine = Engine::new();
-        let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        let dbs: Vec<GraphDb> = (0..32).map(|seed| flow_instance(4, 4, 2, 3, seed)).collect();
-        let mut scratch = SolveScratch::new();
-        let mut trace = Trace::disabled();
-        // Warm-up pass: sizes every buffer to the batch's shape.
-        for db in &dbs {
-            prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
+        // One batch per product builder: Theorem 3.13 on two local languages,
+        // Proposition 7.6, and Theorem 3.13 on the Proposition 7.9 rewriting.
+        let [abc, abcd, abce] = ["abc", "abcd", "abce"].map(Alphabet::from_chars);
+        let batch = |build: &dyn Fn(u64) -> GraphDb| (0..32).map(build).collect::<Vec<GraphDb>>();
+        let batches = [
+            ("ax*b", batch(&|seed| flow_instance(4, 4, 2, 3, seed))),
+            ("ab|ad|cd", batch(&|seed| layered_instance(&abcd, 4, 6, 2, seed))),
+            ("ab|bc", batch(&|seed| random_labeled_graph(12, 40, &abc, seed))),
+            ("abc|be", batch(&|seed| random_labeled_graph(12, 40, &abce, seed))),
+        ];
+        for (pattern, dbs) in &batches {
+            let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
+            let mut scratch = SolveScratch::new();
+            let mut trace = Trace::disabled();
+            // Warm-up pass: sizes every buffer to the batch's shape.
+            for db in dbs {
+                prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
+            }
+            let signature = scratch.capacity_signature();
+            // Post-warmup: one PreparedQuery solving 32 databases must perform
+            // zero scratch reallocations (the capacities stay bit-identical).
+            for db in dbs {
+                prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
+            }
+            assert_eq!(
+                scratch.capacity_signature(),
+                signature,
+                "{pattern}: post-warmup solves must not reallocate scratch buffers"
+            );
         }
-        let signature = scratch.capacity_signature();
-        // Post-warmup: one PreparedQuery solving 32 databases must perform
-        // zero scratch reallocations (the capacities stay bit-identical).
-        for db in &dbs {
-            prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
-        }
-        assert_eq!(
-            scratch.capacity_signature(),
-            signature,
-            "post-warmup solves must not reallocate scratch buffers"
-        );
     }
 
     #[test]
