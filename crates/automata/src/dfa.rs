@@ -485,53 +485,50 @@ impl Dfa {
     /// produce the same string iff they recognize the same set of words,
     /// regardless of their state numbering or ambient alphabet.
     ///
-    /// The form is computed by restricting the alphabet to the letters that
-    /// actually occur in some word ([`Dfa::used_letters`]), minimizing, and
-    /// renumbering states by BFS from the initial state in alphabet order
-    /// (minimal complete DFAs of equal languages are isomorphic, and BFS
-    /// discovery order is preserved by any isomorphism fixing the initial
-    /// state). The result encodes the alphabet, the finality vector and the
-    /// transition table; it is the collision-free key behind
-    /// [`crate::language::Language::language_fingerprint`].
+    /// **Precondition:** `self` is minimal (every state reachable, no two
+    /// states equivalent), as every [`crate::language::Language`] DFA is.
+    /// Debug builds assert it.
+    ///
+    /// The form restricts the alphabet to the letters that actually occur in
+    /// some word ([`Dfa::used_letters`]) and renumbers states by BFS from the
+    /// initial state in alphabet order. The restriction keeps the DFA
+    /// minimal once the states it can no longer reach are dropped, and the
+    /// BFS drops them: a letter outside the used ones leads to the dead state
+    /// from every state, so no word that tells two states apart contains one,
+    /// and every state but the dead one is reached along a prefix of an
+    /// accepted word. Minimal complete DFAs of equal languages are
+    /// isomorphic, and BFS discovery order is preserved by any isomorphism
+    /// fixing the initial state. The result encodes the alphabet, the
+    /// finality vector and the transition table; it is the collision-free
+    /// key behind [`crate::language::Language::language_fingerprint`].
     pub fn canonical_form(&self) -> String {
+        debug_assert_eq!(
+            self.minimize().num_states(),
+            self.num_states(),
+            "Dfa::canonical_form requires a minimal DFA"
+        );
         // Restrict to the letters occurring in accepted words, so the form
         // depends only on the set of words (e.g. a language handled over a
         // larger ambient alphabet keys the same as over its own letters).
         let used = self.used_letters();
-        let restricted = if used == self.alphabet {
-            self.clone()
-        } else {
-            let n = self.num_states();
-            let mut transitions = Vec::with_capacity(n);
-            for state in 0..n {
-                let row = used
-                    .iter()
-                    .map(|letter| {
-                        let li = self.alphabet.index_of(letter).expect("used letter in alphabet");
-                        self.transitions[state][li]
-                    })
-                    .collect();
-                transitions.push(row);
-            }
-            // Dropping letter columns can only remove words, and the removed
-            // columns never carried an accepted word by definition of
-            // `used_letters`; minimization below merges any dead states.
-            Dfa { alphabet: used, initial: self.initial, finals: self.finals.clone(), transitions }
-        };
-        let minimal = restricted.minimize();
+        let columns: Vec<usize> = used
+            .iter()
+            .map(|letter| self.alphabet.index_of(letter).expect("used letter in alphabet"))
+            .collect();
 
         // BFS renumbering: state ids in discovery order from the initial
         // state, exploring letters in alphabet order.
-        let n = minimal.num_states();
+        let n = self.num_states();
         let mut order: Vec<usize> = vec![usize::MAX; n];
         let mut bfs: Vec<usize> = Vec::with_capacity(n);
-        order[minimal.initial] = 0;
-        bfs.push(minimal.initial);
+        order[self.initial] = 0;
+        bfs.push(self.initial);
         let mut head = 0;
         while head < bfs.len() {
             let s = bfs[head];
             head += 1;
-            for &t in &minimal.transitions[s] {
+            for &li in &columns {
+                let t = self.transitions[s][li];
                 if order[t] == usize::MAX {
                     order[t] = bfs.len();
                     bfs.push(t);
@@ -541,19 +538,19 @@ impl Dfa {
 
         let mut out = String::new();
         out.push_str("alphabet=");
-        for letter in minimal.alphabet.iter() {
+        for letter in used.iter() {
             out.push(letter.0);
         }
         out.push_str(";states=");
         out.push_str(&bfs.len().to_string());
         out.push_str(";finals=");
         for &s in &bfs {
-            out.push(if minimal.finals[s] { '1' } else { '0' });
+            out.push(if self.finals[s] { '1' } else { '0' });
         }
         out.push_str(";delta=");
         for &s in &bfs {
-            for &t in &minimal.transitions[s] {
-                out.push_str(&order[t].to_string());
+            for &li in &columns {
+                out.push_str(&order[self.transitions[s][li]].to_string());
                 out.push(',');
             }
             out.push(';');

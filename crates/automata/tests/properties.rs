@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use rpq_automata::derivative::derivative_dfa;
+use rpq_automata::dfa::Dfa;
 use rpq_automata::four_legged::{cartesian_violation, four_legged_witness};
 use rpq_automata::local::is_local;
 use rpq_automata::regex::Regex;
-use rpq_automata::{Language, Letter, Word};
+use rpq_automata::{Alphabet, Language, Letter, Word};
 
 /// Strategy for small regular expressions over {a, b}.
 fn small_regex() -> impl Strategy<Value = Regex> {
@@ -39,6 +40,43 @@ fn words_up_to(n: usize) -> Vec<Word> {
             }
         }
         frontier = next;
+    }
+    out
+}
+
+/// The canonical form by its original formula, which assumes nothing about
+/// its input: restrict the alphabet to the used letters, minimize, then
+/// number the states by BFS from the initial state in alphabet order.
+fn reference_canonical_form(dfa: &Dfa) -> String {
+    let used = dfa.used_letters();
+    let rows = (0..dfa.num_states())
+        .map(|s| used.iter().map(|letter| dfa.successor(s, letter).unwrap()).collect())
+        .collect();
+    let finals = (0..dfa.num_states()).map(|s| dfa.is_final(s)).collect();
+    let minimal = Dfa::from_parts(used.clone(), dfa.initial_state(), finals, rows).minimize();
+    let mut bfs = vec![minimal.initial_state()];
+    let mut head = 0;
+    while head < bfs.len() {
+        for letter in used.iter() {
+            let t = minimal.successor(bfs[head], letter).unwrap();
+            if !bfs.contains(&t) {
+                bfs.push(t);
+            }
+        }
+        head += 1;
+    }
+    let order = |t: usize| bfs.iter().position(|&s| s == t).unwrap();
+    let letters: String = used.iter().map(|letter| letter.0).collect();
+    let mut out = format!("alphabet={letters};states={};finals=", bfs.len());
+    for &s in &bfs {
+        out.push(if minimal.is_final(s) { '1' } else { '0' });
+    }
+    out.push_str(";delta=");
+    for &s in &bfs {
+        for letter in used.iter() {
+            out.push_str(&format!("{},", order(minimal.successor(s, letter).unwrap())));
+        }
+        out.push(';');
     }
     out
 }
@@ -113,6 +151,27 @@ proptest! {
             let stable = rpq_automata::four_legged::stabilize_legs(&language, &witness);
             prop_assert!(stable.verify(&language));
             prop_assert!(rpq_automata::four_legged::legs_are_stable(&language, &stable));
+        }
+    }
+
+    #[test]
+    fn canonical_form_of_a_minimal_dfa_matches_the_reference(
+        r1 in small_regex(),
+        r2 in small_regex(),
+    ) {
+        // Languages whose DFAs carry letters no word uses: an ambient letter
+        // `c`, and the letters an intersection or difference can strand.
+        let l1 = Language::from_regex(&r1);
+        let l2 = Language::from_regex(&r2);
+        let languages = [
+            l1.with_alphabet(&Alphabet::from_chars("abc")),
+            l1.intersection(&l2),
+            l1.difference(&l2),
+            l1,
+        ];
+        for language in &languages {
+            let dfa = language.dfa();
+            prop_assert_eq!(dfa.canonical_form(), reference_canonical_form(dfa), "{}", r1);
         }
     }
 

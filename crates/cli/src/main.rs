@@ -3,7 +3,7 @@
 //! ```text
 //! rpq-cli classify  '<regex>'                 classify RES(L) (Figure 1 engine)
 //! rpq-cli resilience '<regex>' <db.txt>...    compute the resilience on databases
-//!            [--bag] [--algorithm <name>] [--flow <name>] [--enumeration-limit <n>] [--show-cut]
+//!            [--bag] [--algorithm <name>] [--enumeration-limit <n>] [--show-cut]
 //! rpq-cli gadget    '<regex>'                 derive a verified hardness gadget
 //! rpq-cli figure1                             re-derive the Figure 1 classification map
 //! rpq-cli serve                               run the resilience service (TCP or --pipe)
@@ -23,9 +23,8 @@
 //! ([`rpq_resilience::engine::Engine`]): the query is classified **once**
 //! (`Engine::prepare`) and the cached plan is reused for every database file
 //! on the command line, so batch invocations never re-derive the language
-//! analysis. `--algorithm` accepts every backend name of [`Algorithm`] and
-//! `--flow` every MinCut backend of [`FlowAlgorithm`] (`rpq-cli --help` shows
-//! both lists).
+//! analysis. `--algorithm` accepts every backend name of [`Algorithm`]
+//! (`rpq-cli --help` shows the list).
 //!
 //! Databases use the line-based text format of `rpq-graphdb::text`: one fact
 //! per line, `source label target [multiplicity] [!]` (a trailing `!` marks
@@ -36,7 +35,6 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use rpq_automata::Language;
-use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::{text, GraphDb};
 use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_resilience::classify::{classify, figure1_rows};
@@ -52,13 +50,13 @@ use rpq_server::{
 const USAGE: &str = "\
 usage:
   rpq-cli classify '<regex>'
-  rpq-cli resilience '<regex>' <db.txt>... [--bag] [--algorithm <name>] [--flow <name>]
+  rpq-cli resilience '<regex>' <db.txt>... [--bag] [--algorithm <name>]
           [--enumeration-limit <n>] [--show-cut] [--no-cut] [--jobs <n>]
           [--deadline-ms <n>] [--cost-budget-us <n>]
   rpq-cli gadget '<regex>'
   rpq-cli figure1
   rpq-cli serve [--port <p>] [--pipe] [--threads <n>] [--cache-capacity <n>]
-          [--cache-shards <n>] [--jobs <n>] [--flow <name>] [--enumeration-limit <n>]
+          [--cache-shards <n>] [--jobs <n>] [--enumeration-limit <n>]
           [--store-capacity <n>] [--store-body-limit <bytes>] [--slow-query-log <us>]
           [--shed-queue-depth <n>] [--shed-cost-budget <us>]
   rpq-cli client [--addr <host:port>] prepare '<regex>' [query options]
@@ -74,8 +72,6 @@ usage:
 algorithms: local (Thm 3.13), chain (Prp 7.6), one-dangling (Prp 7.9),
             exact (branch & bound), enumeration (subset oracle, tiny inputs),
             greedy / k-approx (certified polynomial bounds, finite languages)
-flow backends: dinic (default), push-relabel,
-               auto (per-instance choice from measured benchmarks)
 database format: one fact per line, `source label target [multiplicity] [!]`\n(a trailing `!` declares the fact exogenous / un-removable)
 with several database files, the query plan is prepared once and reused
 serve: NDJSON protocol (prepare/solve/solve_batch/db_*/stats/metrics/shutdown)
@@ -93,7 +89,7 @@ show-cut: `contingency set : {}` means the optimal cut is empty (resilience 0);
           an explicit `(…)` note says why no witness is available instead
 no-cut: value-only solving (skips witness extraction; with --show-cut, the
         contingency set line reports the cut as not extracted)
-client query options: [--bag] [--algorithm <name>] [--flow <name>] [--enumeration-limit <n>]
+client query options: [--bag] [--algorithm <name>] [--enumeration-limit <n>]
                       [--no-cut] (value-only response: sends want_cut=false)
                       [--jobs <n>] (parallel per-database solving server-side)
                       [--trace] (per-phase timings in the response: sends trace=true)
@@ -232,10 +228,6 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
                 let name = iter.next().ok_or("--algorithm requires a value")?;
                 algorithm = Some(name.parse::<Algorithm>()?);
             }
-            "--flow" => {
-                let name = iter.next().ok_or("--flow requires a value")?;
-                options.flow_backend = name.parse::<FlowAlgorithm>()?;
-            }
             "--enumeration-limit" => {
                 options.enumeration_limit = parse_number("--enumeration-limit", iter.next())?;
             }
@@ -265,9 +257,6 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
     outln!("query           : {query}");
     outln!("classification  : {}", classify(query.language()).label());
     outln!("plan            : {}", prepared.plan());
-    if options.flow_backend != FlowAlgorithm::default() {
-        outln!("flow backend    : {}", options.flow_backend);
-    }
     let budgeted = budget.deadline_ms.is_some() || budget.cost_budget_us.is_some();
     let report = |path: &str, db: &GraphDb, tiered: &TieredOutcome| {
         let outcome = &tiered.outcome;
@@ -395,10 +384,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 config.cache_shards = parse_number("--cache-shards", iter.next())?;
             }
             "--jobs" => config.jobs = parse_number("--jobs", iter.next())?,
-            "--flow" => {
-                let name = iter.next().ok_or("--flow requires a value")?;
-                config.options.flow_backend = name.parse::<FlowAlgorithm>()?;
-            }
             "--enumeration-limit" => {
                 config.options.enumeration_limit =
                     parse_number("--enumeration-limit", iter.next())?;
@@ -461,7 +446,7 @@ fn parse_snapshot_sel(value: &str) -> SnapshotSel {
     }
 }
 
-/// Parses the shared query options (`--bag`, `--flow`, `--algorithm`,
+/// Parses the shared query options (`--bag`, `--algorithm`,
 /// `--enumeration-limit`, `--no-cut`, `--jobs`, `--deadline-ms`,
 /// `--cost-budget-us`) plus the snapshot options of the `db-*` verbs out of
 /// `args`.
@@ -474,10 +459,6 @@ fn parse_query_options(args: &[String]) -> Result<ClientArgs, String> {
     while let Some(option) = iter.next() {
         match option.as_str() {
             "--bag" => spec.bag = true,
-            "--flow" => {
-                let name = iter.next().ok_or("--flow requires a value")?;
-                spec.flow = Some(name.parse::<FlowAlgorithm>()?);
-            }
             "--algorithm" => {
                 let name = iter.next().ok_or("--algorithm requires a value")?;
                 spec.algorithm = Some(name.parse::<Algorithm>()?);
@@ -680,29 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn every_flow_backend_is_reachable_from_the_command_line() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("rpq_cli_flow_db.txt");
-        std::fs::write(&path, "s a u\nu x v\nv b t\n").unwrap();
-        let path = path.to_string_lossy().to_string();
-        // SELECTABLE = the concrete backends plus `auto`.
-        for flow in FlowAlgorithm::SELECTABLE {
-            assert!(run(&[
-                "resilience".into(),
-                "ax*b".into(),
-                path.clone(),
-                "--flow".into(),
-                flow.name().into(),
-            ])
-            .is_ok());
-        }
-        for retired in ["bogus", "edmonds-karp"] {
-            let args = ["resilience", "ax*b", &path, "--flow", retired].map(String::from);
-            assert!(run(&args).unwrap_err().contains("unknown flow algorithm"), "{retired}");
-        }
-    }
-
-    #[test]
     fn several_databases_reuse_one_prepared_query() {
         let dir = std::env::temp_dir();
         let path_1 = dir.join("rpq_cli_batch_1.txt");
@@ -836,7 +794,7 @@ mod tests {
             run(&full)
         };
         assert!(client(&["prepare", "ax*b"]).is_ok());
-        assert!(client(&["prepare", "a(x)*b", "--flow", "push-relabel"]).is_ok());
+        assert!(client(&["prepare", "a(x)*b"]).is_ok());
         assert!(client(&["solve", "ax*b", &db1.to_string_lossy()]).is_ok());
         assert!(client(&[
             "solve",

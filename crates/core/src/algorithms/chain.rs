@@ -25,7 +25,7 @@ use rpq_automata::alphabet::Letter;
 use rpq_automata::finite::FiniteLanguage;
 use rpq_automata::word::Word;
 use rpq_automata::Language;
-use rpq_flow::{Capacity, FlowAlgorithm, VertexId};
+use rpq_flow::{Capacity, VertexId};
 use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
 use std::collections::BTreeSet;
@@ -161,12 +161,10 @@ impl ChainPlan {
     /// arena (fact edges first, so arena ids index the dense `edge_fact`
     /// provenance; per-fact vertices live in the dense `fact_vertex` and
     /// `fact_end` lookups).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve(
         &self,
         rpq: &Rpq,
         db: &GraphDb,
-        flow: FlowAlgorithm,
         want_cut: bool,
         scratch: &mut SolveScratch,
         trace: &mut Trace,
@@ -267,12 +265,12 @@ impl ChainPlan {
         csr.freeze();
         trace.end(freeze_timer, "csr_freeze");
         let cut = if trace.is_enabled() {
-            let (cut, timings) = csr.min_cut_timed(flow, flow_scratch);
-            trace.add(super::flow_phase(timings.backend), timings.solve_us);
+            let (cut, timings) = csr.min_cut_timed(flow_scratch);
+            trace.add(super::FLOW_PHASE, timings.solve_us);
             trace.add("cut_extract", timings.extract_us);
             cut
         } else {
-            csr.min_cut(flow, flow_scratch)
+            csr.min_cut(flow_scratch)
         };
         let witness_timer = trace.begin();
         let value = match cut.value {
@@ -308,14 +306,7 @@ pub fn resilience_bipartite_chain(
     db: &GraphDb,
 ) -> Result<ResilienceOutcome, ResilienceError> {
     let plan = ChainPlan::from_infix_free(&rpq.infix_free_language(), rpq.language())?;
-    Ok(plan.solve(
-        rpq,
-        db,
-        FlowAlgorithm::default(),
-        true,
-        &mut SolveScratch::new(),
-        &mut Trace::disabled(),
-    ))
+    Ok(plan.solve(rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled()))
 }
 
 #[cfg(test)]
@@ -429,14 +420,7 @@ mod tests {
         let q = Rpq::parse("ab|bc").unwrap();
         let plan = ChainPlan::from_infix_free(&q.infix_free_language(), q.language()).unwrap();
         let mut scratch = SolveScratch::new();
-        let out = plan.solve(
-            &q,
-            &db,
-            FlowAlgorithm::default(),
-            true,
-            &mut scratch,
-            &mut Trace::disabled(),
-        );
+        let out = plan.solve(&q, &db, true, &mut scratch, &mut Trace::disabled());
         assert_eq!(out.value, ResilienceValue::Finite(1));
         assert_eq!(scratch.csr.num_vertices(), 5);
         assert_eq!(scratch.csr.num_edges(), 5);

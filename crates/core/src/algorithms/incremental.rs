@@ -50,7 +50,7 @@ use crate::engine::SolveMode;
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
 use rpq_automata::alphabet::Letter;
 use rpq_automata::ro_enfa::RoEnfa;
-use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowAlgorithm, FlowScratch, VertexId};
+use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowScratch, VertexId};
 use rpq_graphdb::delta::FactChange;
 use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
@@ -388,13 +388,11 @@ impl IncrementalLocalState {
 /// retained network with `delta` (the changes since the previous solved
 /// snapshot) when one is available and small enough, rebuilding otherwise.
 /// Returns the outcome and whether the patch path ran.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_incremental_local(
     ro: &RoEnfa,
     rpq: &Rpq,
     db: &GraphDb,
     delta: Option<&[FactChange]>,
-    flow: FlowAlgorithm,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
@@ -439,7 +437,7 @@ pub(crate) fn solve_incremental_local(
             state.edge_flows.clear();
             state.residual_warm = false;
             return (
-                super::local::solve_prepared(ro, rpq, db, flow, want_cut, scratch, trace),
+                super::local::solve_prepared(ro, rpq, db, want_cut, scratch, trace),
                 SolveMode::Full,
             );
         } else {
@@ -453,7 +451,7 @@ pub(crate) fn solve_incremental_local(
         // certifies its infinity bound against the actual capacity total.
         scratch.incremental = None;
         return (
-            super::local::solve_prepared(ro, rpq, db, flow, want_cut, scratch, trace),
+            super::local::solve_prepared(ro, rpq, db, want_cut, scratch, trace),
             SolveMode::Full,
         );
     }

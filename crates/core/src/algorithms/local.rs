@@ -29,7 +29,7 @@ use crate::rpq::{ResilienceValue, Rpq, Semantics};
 use rpq_automata::local::is_local;
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_automata::Language;
-use rpq_flow::{Capacity, FlowAlgorithm, VertexId};
+use rpq_flow::{Capacity, VertexId};
 use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
 
@@ -47,15 +47,7 @@ pub fn resilience_local(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, Re
         return Ok(ResilienceOutcome::new(ResilienceValue::Infinite, Algorithm::Local, None));
     }
     let ro = RoEnfa::for_local_language(&language)?;
-    Ok(solve_prepared(
-        &ro,
-        rpq,
-        db,
-        FlowAlgorithm::default(),
-        true,
-        &mut SolveScratch::new(),
-        &mut Trace::disabled(),
-    ))
+    Ok(solve_prepared(&ro, rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled()))
 }
 
 /// Runs the Theorem 3.13 reduction for an already-prepared RO-εNFA: the
@@ -63,18 +55,15 @@ pub fn resilience_local(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, Re
 /// been done by the caller, so this is the per-database half of the algorithm.
 /// Used by [`crate::engine::PreparedQuery`] to solve batches without
 /// re-deriving the plan.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_prepared(
     ro: &RoEnfa,
     rpq: &Rpq,
     db: &GraphDb,
-    flow: FlowAlgorithm,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
 ) -> ResilienceOutcome {
-    let (value, cut) =
-        resilience_via_ro_enfa(ro, db, rpq.semantics(), flow, scratch, trace, |_| true);
+    let (value, cut) = resilience_via_ro_enfa(ro, db, rpq.semantics(), scratch, trace, |_| true);
     debug_assert!(
         value.is_infinite() || rpq.is_contingency_set(db, &cut.iter().copied().collect()),
         "the extracted cut must be a contingency set"
@@ -166,12 +155,10 @@ pub(crate) fn solve_prepared(
 /// an entry counts only if it names a template of the current solve with the
 /// same signature, and a collision only re-runs the analysis, so adversarial
 /// signatures cost no more than analysing every node.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn resilience_via_ro_enfa(
     ro: &RoEnfa,
     db: &GraphDb,
     semantics: Semantics,
-    flow: FlowAlgorithm,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
     fact_filter: impl Fn(FactId) -> bool,
@@ -335,12 +322,12 @@ pub(crate) fn resilience_via_ro_enfa(
     csr.freeze();
     trace.end(freeze_timer, "csr_freeze");
     let cut = if trace.is_enabled() {
-        let (cut, timings) = csr.min_cut_timed(flow, flow_scratch);
-        trace.add(super::flow_phase(timings.backend), timings.solve_us);
+        let (cut, timings) = csr.min_cut_timed(flow_scratch);
+        trace.add(super::FLOW_PHASE, timings.solve_us);
         trace.add("cut_extract", timings.extract_us);
         cut
     } else {
-        csr.min_cut(flow, flow_scratch)
+        csr.min_cut(flow_scratch)
     };
     let witness_timer = trace.begin();
     let facts: Vec<FactId> = cut
@@ -755,7 +742,6 @@ mod tests {
             &ro,
             &db,
             Semantics::Set,
-            FlowAlgorithm::default(),
             &mut scratch,
             &mut Trace::disabled(),
             |_| true,
@@ -778,15 +764,9 @@ mod tests {
         let ro = RoEnfa::for_local_language(&q.infix_free_language()).unwrap();
         let mut scratch = SolveScratch::new();
         let solve = |db: &GraphDb, scratch: &mut SolveScratch| {
-            resilience_via_ro_enfa(
-                &ro,
-                db,
-                Semantics::Set,
-                FlowAlgorithm::default(),
-                scratch,
-                &mut Trace::disabled(),
-                |_| true,
-            )
+            resilience_via_ro_enfa(&ro, db, Semantics::Set, scratch, &mut Trace::disabled(), |_| {
+                true
+            })
         };
         assert_eq!(solve(&db, &mut scratch).0, ResilienceValue::Finite(2));
         assert_eq!((scratch.csr.num_vertices(), scratch.csr.num_edges()), (2, 2));

@@ -25,9 +25,9 @@
 //!    for successive snapshots, each taking one
 //!    [`SolveCall`](crate::engine::SolveCall) — performs only the
 //!    per-database half of the chosen reduction: building and cutting one
-//!    flow network with the configured [`rpq_flow::FlowAlgorithm`], or
-//!    running the exact / approximate solvers. Batch workloads over a fixed
-//!    query never reclassify. All three flow-based reductions also extract
+//!    flow network (Dinic, see [`rpq_flow::csr`]), or running the exact /
+//!    approximate solvers. Batch workloads over a fixed query never
+//!    reclassify. All three flow-based reductions also extract
 //!    an **optimal contingency set** from their minimum cut (for the
 //!    one-dangling rewriting, by mapping cut edges of the rewritten instance
 //!    back to original facts); value-only callers skip the extraction via
@@ -38,7 +38,7 @@
 //! The flow-based reductions do not allocate a fresh network per database.
 //! Each solve builds its edges into the [`rpq_flow::CsrFlow`] arena of a
 //! [`SolveScratch`] (cleared, never freed, between databases), freezes it
-//! into CSR adjacency, and runs the configured backend over the scratch's
+//! into CSR adjacency, and runs Dinic over the scratch's
 //! [`rpq_flow::FlowScratch`] buffers — which are reset by `clear()` +
 //! `resize()`, so their capacity only ever grows. Edge → fact provenance is
 //! a dense `Vec` in the same scratch: fact edges are emitted **first**, so
@@ -139,7 +139,7 @@ impl SolveScratch {
     /// The capacities of every internal buffer. Used to assert the reuse
     /// contract: once warmed up on a batch's shape, further solves must not
     /// change the signature (zero reallocations).
-    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 13], [usize; 11]) {
+    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 8], [usize; 11]) {
         let [buckets, templates, slots, edges] = self.signatures.capacity_signature();
         (
             self.csr.capacity_signature(),
@@ -296,15 +296,9 @@ impl Algorithm {
     }
 }
 
-/// The trace phase name for a resolved flow backend (see
-/// [`rpq_flow::CutTimings`]).
-pub(crate) fn flow_phase(backend: rpq_flow::FlowAlgorithm) -> &'static str {
-    match backend {
-        rpq_flow::FlowAlgorithm::Dinic => "flow_solve_dinic",
-        rpq_flow::FlowAlgorithm::PushRelabel => "flow_solve_push_relabel",
-        rpq_flow::FlowAlgorithm::Auto => "flow_solve",
-    }
-}
+/// The trace phase of the max-flow solve (see [`rpq_flow::CutTimings`]).
+/// Trace readers match its `flow_solve` prefix.
+pub(crate) const FLOW_PHASE: &str = "flow_solve_dinic";
 
 impl std::str::FromStr for Algorithm {
     type Err = String;

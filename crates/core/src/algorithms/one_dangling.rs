@@ -53,7 +53,6 @@ use crate::rpq::{ResilienceValue, Rpq, Semantics};
 use rpq_automata::finite::{one_dangling_decomposition, OneDanglingDecomposition};
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_automata::Language;
-use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
 use rpq_obs::Trace;
 use std::collections::BTreeSet;
@@ -137,12 +136,10 @@ impl OneDanglingPlan {
     /// with [`ResilienceError::NotApplicable`] on databases with exogenous
     /// facts (the κ-offset rewriting assumes finite fact weights); callers
     /// decide whether to fall back to an exact solver.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve(
         &self,
         rpq: &Rpq,
         db: &GraphDb,
-        flow: FlowAlgorithm,
         want_cut: bool,
         scratch: &mut SolveScratch,
         trace: &mut Trace,
@@ -166,7 +163,7 @@ impl OneDanglingPlan {
         // are therefore `db`'s own identifiers.
         let view = View { db, mirrored: self.mirrored, unit: rpq.semantics() == Semantics::Set };
         let (value, witness) =
-            rewrite_and_solve(&self.decomposition, ro, view, flow, want_cut, scratch, trace)?;
+            rewrite_and_solve(&self.decomposition, ro, view, want_cut, scratch, trace)?;
         #[cfg(debug_assertions)]
         debug_assert!(
             {
@@ -207,14 +204,7 @@ pub fn resilience_one_dangling(
     db: &GraphDb,
 ) -> Result<ResilienceOutcome, ResilienceError> {
     let plan = OneDanglingPlan::from_infix_free(&rpq.infix_free_language(), rpq.language())?;
-    plan.solve(
-        rpq,
-        db,
-        FlowAlgorithm::default(),
-        true,
-        &mut SolveScratch::new(),
-        &mut Trace::disabled(),
-    )
+    plan.solve(rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled())
 }
 
 /// What a fact of the rewritten database stands for in the original one.
@@ -261,12 +251,10 @@ impl View<'_> {
 /// local part is recognized by the prepared RO-εNFA `ro`. Returns the value
 /// and, when `want_cut` is set and the value is finite, an optimal
 /// contingency set in the viewed database's fact identifiers.
-#[allow(clippy::too_many_arguments)]
 fn rewrite_and_solve(
     decomposition: &OneDanglingDecomposition,
     ro: &RoEnfa,
     view: View<'_>,
-    flow: FlowAlgorithm,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
@@ -363,15 +351,8 @@ fn rewrite_and_solve(
     // Solve the rewritten (positive-multiplicity) instance with the local
     // algorithm in bag semantics.
     trace.end(rewrite_timer, "rewrite");
-    let (local_value, cut) = resilience_via_ro_enfa(
-        &ro_rewritten,
-        &rewritten,
-        Semantics::Bag,
-        flow,
-        scratch,
-        trace,
-        |_| true,
-    );
+    let (local_value, cut) =
+        resilience_via_ro_enfa(&ro_rewritten, &rewritten, Semantics::Bag, scratch, trace, |_| true);
     let local_value = match local_value {
         ResilienceValue::Infinite => return Ok((ResilienceValue::Infinite, None)),
         ResilienceValue::Finite(v) => v as i128,
@@ -622,16 +603,8 @@ mod tests {
         let q = Rpq::parse("abc|be").unwrap();
         let plan =
             OneDanglingPlan::from_infix_free(&q.infix_free_language(), q.language()).unwrap();
-        let out = plan
-            .solve(
-                &q,
-                &db,
-                FlowAlgorithm::default(),
-                false,
-                &mut SolveScratch::new(),
-                &mut Trace::disabled(),
-            )
-            .unwrap();
+        let out =
+            plan.solve(&q, &db, false, &mut SolveScratch::new(), &mut Trace::disabled()).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(1));
         assert!(out.contingency_set.is_none());
     }

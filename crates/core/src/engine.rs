@@ -37,11 +37,11 @@
 //! `route`, and [`Engine::solve`] / [`Engine::solve_with`] prepare and solve
 //! in one call.
 //!
-//! [`SolveOptions`] configures the engine: every MinCut backend of
-//! [`rpq_flow`] ([`FlowAlgorithm`]) is selectable end to end, the exponential
-//! exact fallback can be disabled for latency-sensitive callers, the
-//! subset-enumeration oracle gets a typed size limit, and contingency-set
-//! extraction can be switched off when only the value is needed.
+//! [`SolveOptions`] configures the engine: the exponential exact fallback can
+//! be disabled for latency-sensitive callers, the subset-enumeration oracle
+//! gets a typed size limit, and contingency-set extraction can be switched
+//! off when only the value is needed. Every flow-based reduction cuts its
+//! network with the one MinCut solver of [`rpq_flow`] (Dinic).
 
 use crate::algorithms::chain::ChainPlan;
 use crate::algorithms::one_dangling::OneDanglingPlan;
@@ -58,7 +58,6 @@ use crate::router::{trivial_bounds, CostModel, RouteBudget, Router, TieredOutcom
 use crate::rpq::{ResilienceValue, Rpq};
 use rpq_automata::local::is_local;
 use rpq_automata::ro_enfa::RoEnfa;
-use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::{FactChange, GraphDb};
 use rpq_obs::Trace;
 use std::fmt;
@@ -67,9 +66,6 @@ use std::sync::Mutex;
 /// Configuration of a resilience [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// The MinCut backend used by every flow-based reduction (Theorem 3.13,
-    /// Propositions 7.6 and 7.9).
-    pub flow_backend: FlowAlgorithm,
     /// Whether queries outside every known tractable family may fall back to
     /// the exponential exact branch and bound. When `false`, preparing such a
     /// query fails with [`ResilienceError::ExactFallbackDisabled`] instead of
@@ -88,7 +84,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            flow_backend: FlowAlgorithm::default(),
             exact_fallback: true,
             enumeration_limit: DEFAULT_ENUMERATION_LIMIT,
             want_cut: true,
@@ -550,7 +545,7 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::solve`] with an explicit per-call contingency-set
     /// choice and phase tracing: when `trace` is enabled the solve records
-    /// per-phase spans (`product_build`, `csr_freeze`, the flow backend,
+    /// per-phase spans (`product_build`, `csr_freeze`, `flow_solve_dinic`,
     /// `cut_extract`, `witness_extract`, …); a disabled trace skips every
     /// clock read. Shorthand for [`PreparedQuery::route`] with
     /// [`SolveCall::new`].
@@ -816,31 +811,16 @@ impl PreparedQuery {
             Strategy::EpsilonInfinite { tag } => {
                 Ok(ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None))
             }
-            Strategy::Local { ro } => Ok(local::solve_prepared(
-                ro,
-                &self.rpq,
-                db,
-                options.flow_backend,
-                want_cut,
-                scratch,
-                trace,
-            )),
-            Strategy::Chain { plan } => {
-                Ok(plan.solve(&self.rpq, db, options.flow_backend, want_cut, scratch, trace))
+            Strategy::Local { ro } => {
+                Ok(local::solve_prepared(ro, &self.rpq, db, want_cut, scratch, trace))
             }
+            Strategy::Chain { plan } => Ok(plan.solve(&self.rpq, db, want_cut, scratch, trace)),
             Strategy::OneDangling { plan, fallback_to_exact } => {
                 if db.has_exogenous_facts() {
                     // The κ-offset rewriting assumes finite fact weights
                     // (Proposition 7.9): route around it or report why not.
                     if !fallback_to_exact {
-                        return plan.solve(
-                            &self.rpq,
-                            db,
-                            options.flow_backend,
-                            want_cut,
-                            scratch,
-                            trace,
-                        );
+                        return plan.solve(&self.rpq, db, want_cut, scratch, trace);
                     }
                     if !options.exact_fallback {
                         return Err(ResilienceError::ExactFallbackDisabled {
@@ -849,7 +829,7 @@ impl PreparedQuery {
                     }
                     return Ok(self.solve_exact_branch_and_bound(db, want_cut, trace));
                 }
-                plan.solve(&self.rpq, db, options.flow_backend, want_cut, scratch, trace)
+                plan.solve(&self.rpq, db, want_cut, scratch, trace)
             }
             Strategy::ExactBranchAndBound => {
                 Ok(self.solve_exact_branch_and_bound(db, want_cut, trace))
@@ -917,7 +897,6 @@ impl PreparedQuery {
                 &self.rpq,
                 db,
                 delta,
-                self.options.flow_backend,
                 want_cut,
                 &mut solver.scratch,
                 trace,
@@ -1144,17 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn every_flow_backend_returns_the_same_value() {
-        let db = word_path(&Word::from_str_word("axxb"));
-        let query = Rpq::parse("ax*b").unwrap();
-        for flow_backend in FlowAlgorithm::ALL {
-            let engine = Engine::with_options(SolveOptions { flow_backend, ..Default::default() });
-            let outcome = engine.solve(&query, &db).unwrap();
-            assert_eq!(outcome.value, ResilienceValue::Finite(1), "{flow_backend}");
-        }
-    }
-
-    #[test]
     fn traced_solves_record_phase_spans_that_sum_to_the_sealed_total() {
         let engine = Engine::new();
         let db = word_path(&Word::from_str_word("axxb"));
@@ -1205,7 +1173,7 @@ mod tests {
         assert!(phases.contains(&"csr_freeze"), "{phases:?}");
         assert!(
             phases.iter().any(|p| p.starts_with("flow_solve")),
-            "{phases:?} must include a flow backend phase"
+            "{phases:?} must include the max-flow phase"
         );
     }
 

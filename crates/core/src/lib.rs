@@ -74,7 +74,6 @@ pub mod prelude {
         Engine, IncrementalSolver, PlanReport, PreparedQuery, SolveCall, SolveMode, SolveOptions,
     };
     pub use crate::rpq::{ResilienceValue, Rpq, Semantics};
-    pub use rpq_flow::FlowAlgorithm;
     pub use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
 }
 

@@ -4,8 +4,8 @@
 //! (`"poly"`), the exponential ground truths (`"exact"`), and the certified
 //! approximations (`"approx"`). This module turns tier choice into a
 //! cost-model decision instead of a per-call flag: every prepared plan
-//! carries a [`CostModel`] calibrated against the committed `BENCH_scaling` /
-//! `BENCH_flow_ablation` artifacts, and every routed solve
+//! carries a [`CostModel`] calibrated against the committed `BENCH_scaling`
+//! artifact, and every routed solve
 //! ([`crate::engine::PreparedQuery::route`] and its batch and incremental
 //! siblings) compares the projected cost of the planned backend against the
 //! caller's [`RouteBudget`].
@@ -100,8 +100,8 @@ pub enum CostClass {
 
 /// A per-plan structural cost estimate: which algorithm family the plan
 /// classified into and how its solve time scales with the database, with
-/// coefficients calibrated against the committed `BENCH_scaling` and
-/// `BENCH_flow_ablation` artifacts (medians on the corpus generators).
+/// coefficients calibrated against the committed `BENCH_scaling` artifact
+/// (medians on the corpus generators).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// The backend the model projects.
@@ -113,11 +113,9 @@ pub struct CostModel {
 impl CostModel {
     /// The calibrated model for a plan. Coefficients come from the committed
     /// benchmark artifacts: `BENCH_scaling` puts the Theorem 3.13 local
-    /// reduction at ≈4.2 µs/fact (Dinic), the Proposition 7.6 chain
-    /// reduction at ≈1.3 µs/fact and the Proposition 7.9 rewriting at
-    /// ≈2.1 µs/fact (the MinCut backend does not enter: `BENCH_flow_ablation`
-    /// puts Dinic and push–relabel within ≈2.3× of each other at every
-    /// measured size, and `Auto` picks the faster one); the branch and bound
+    /// reduction at ≈4.2 µs/fact, the Proposition 7.6 chain reduction at
+    /// ≈1.3 µs/fact and the Proposition 7.9 rewriting at ≈2.1 µs/fact (all
+    /// three cut with Dinic, the one max-flow algorithm); the branch and bound
     /// roughly doubles every 2 facts (101 µs at 10 → 1.06 ms at 18) and the
     /// subset enumeration every fact.
     pub fn for_plan(algorithm: Algorithm) -> CostModel {

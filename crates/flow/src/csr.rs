@@ -3,10 +3,10 @@
 //!
 //! [`crate::network::FlowNetwork`] is the construction-friendly API: an edge
 //! list with `Option` source/target, solved by copying it into a fresh
-//! [`CsrFlow`] (see [`crate::mincut::min_cut_with`]). That is fine for
-//! one-off solves, but the resilience engine solves the *same shape* of
-//! network once per database, thousands of times per prepared query, so it
-//! builds into a reused `CsrFlow` arena directly.
+//! [`CsrFlow`] (see [`crate::mincut::min_cut`]). That is fine for one-off
+//! solves, but the resilience engine solves the *same shape* of network once
+//! per database, thousands of times per prepared query, so it builds into a
+//! reused `CsrFlow` arena directly.
 //!
 //! [`CsrFlow`] is the representation every solve runs on:
 //!
@@ -19,28 +19,26 @@
 //!   residual arcs interleaved in the same arrays and paired through an
 //!   explicit `arc_twin` index (an `ai ^ 1` pairing of adjacent arcs does
 //!   not survive the CSR permutation);
-//! * [`CsrFlow::min_cut`] runs Dinic or push–relabel over a caller-provided
-//!   [`FlowScratch`], whose buffers are reset — never reallocated — across
-//!   solves (see [`crate::scratch`]).
+//! * [`CsrFlow::min_cut`] runs Dinic over a caller-provided [`FlowScratch`],
+//!   whose buffers are reset — never reallocated — across solves (see
+//!   [`crate::scratch`]).
 //!
 //! Dinic labels each phase by residual distance **to the target** (a BFS
 //! from the target over reverse residual arcs), so its blocking-flow search
 //! only follows arcs that lead to the target. The product networks of the
 //! reductions have large parts that the source reaches but that never reach
 //! the target; levels counted from the source would send the search into
-//! each of them. The cut does not depend on the backend: it is read off the
-//! vertices the source reaches in the final residual graph, and for every
-//! maximum flow that set is the same, namely the unique minimal source side
-//! of a minimum cut. Dinic, push–relabel and a resumed solve therefore
-//! return the same cut edges, not only the same value.
+//! each of them. The cut does not depend on which maximum flow the solver
+//! finds: it is read off the vertices the source reaches in the final
+//! residual graph, and for every maximum flow that set is the same, namely
+//! the unique minimal source side of a minimum cut. A cold solve and a
+//! resumed solve therefore return the same cut edges, not only the same
+//! value.
 //!
 //! Infinite capacities are capped internally at the total finite capacity
 //! plus one (saturating), so a flow reaching the cap proves that every cut
 //! uses an infinite edge.
-//! Passing [`FlowAlgorithm::Auto`] selects the backend per instance from the
-//! measured table in [`crate::auto`].
 
-use crate::mincut::FlowAlgorithm;
 use crate::network::{Capacity, EdgeId, FlowNetwork, VertexId};
 use crate::scratch::{FlowScratch, NO_ARC, UNVISITED};
 
@@ -85,8 +83,6 @@ pub struct CsrFlow {
 /// Per-phase wall-clock timings of a [`CsrFlow::min_cut_timed`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutTimings {
-    /// The concrete backend that ran ([`FlowAlgorithm::Auto`] resolved).
-    pub backend: FlowAlgorithm,
     /// Residual load + max-flow solve, in µs.
     pub solve_us: u64,
     /// Residual-reachability pass + cut-edge scan, in µs.
@@ -151,12 +147,6 @@ impl CsrFlow {
     /// between a warm resume and a full residual reload.
     pub fn is_frozen(&self) -> bool {
         self.frozen
-    }
-
-    /// The size `|N| = |V| + |E|` (the measure used by the auto-selection
-    /// table and the `flow_ablation` bench).
-    pub fn size(&self) -> usize {
-        self.num_vertices + self.edge_from.len()
     }
 
     /// Declares the source vertex.
@@ -362,57 +352,38 @@ impl CsrFlow {
         self.adj_start[v] as usize..self.adj_start[v + 1] as usize
     }
 
-    /// Computes a minimum source–target cut with the requested backend
-    /// ([`FlowAlgorithm::Auto`] resolves per instance from the measured
-    /// table in [`crate::auto`]). All solver state lives in `scratch`,
-    /// which is resized (growing only) and reused across calls.
-    pub fn min_cut<'s>(
-        &self,
-        algorithm: FlowAlgorithm,
-        scratch: &'s mut FlowScratch,
-    ) -> CsrCut<'s> {
-        let backend = algorithm.resolve(self.num_vertices, self.num_edges());
-        let flow = self.load_and_solve(backend, scratch);
+    /// Computes a minimum source–target cut with Dinic. All solver state
+    /// lives in `scratch`, which is resized (growing only) and reused across
+    /// calls.
+    pub fn min_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
+        let flow = self.load_and_solve(scratch);
         self.extract_cut(scratch, flow, self.infinite_cap)
     }
 
-    /// [`CsrFlow::min_cut`] with per-phase wall-clock timings: the resolved
-    /// concrete backend, the µs spent in the max-flow solve (including the
-    /// residual load), and the µs spent extracting the cut. A separate entry
-    /// point — rather than an always-on measurement inside `min_cut` — so
-    /// untraced solves pay no clock reads at all.
-    pub fn min_cut_timed<'s>(
-        &self,
-        algorithm: FlowAlgorithm,
-        scratch: &'s mut FlowScratch,
-    ) -> (CsrCut<'s>, CutTimings) {
-        let backend = algorithm.resolve(self.num_vertices, self.num_edges());
+    /// [`CsrFlow::min_cut`] with per-phase wall-clock timings: the µs spent
+    /// in the max-flow solve (including the residual load) and the µs spent
+    /// extracting the cut. A separate entry point — rather than an always-on
+    /// measurement inside `min_cut` — so untraced solves pay no clock reads
+    /// at all.
+    pub fn min_cut_timed<'s>(&self, scratch: &'s mut FlowScratch) -> (CsrCut<'s>, CutTimings) {
         let solve_start = std::time::Instant::now();
-        let flow = self.load_and_solve(backend, scratch);
+        let flow = self.load_and_solve(scratch);
         let solve_us = solve_start.elapsed().as_micros() as u64;
         let extract_start = std::time::Instant::now();
         let cut = self.extract_cut(scratch, flow, self.infinite_cap);
         let extract_us = extract_start.elapsed().as_micros() as u64;
-        (cut, CutTimings { backend, solve_us, extract_us })
+        (cut, CutTimings { solve_us, extract_us })
     }
 
     /// The residual load and max-flow solve shared by
     /// [`min_cut`](CsrFlow::min_cut) and
-    /// [`min_cut_timed`](CsrFlow::min_cut_timed), over a resolved backend.
-    fn load_and_solve(&self, backend: FlowAlgorithm, scratch: &mut FlowScratch) -> u128 {
+    /// [`min_cut_timed`](CsrFlow::min_cut_timed).
+    fn load_and_solve(&self, scratch: &mut FlowScratch) -> u128 {
         assert!(self.frozen, "CsrFlow::min_cut requires freeze()");
         scratch.prepare(self.num_vertices);
         scratch.residual.clear();
         scratch.residual.extend_from_slice(&self.arc_cap);
-        match backend {
-            FlowAlgorithm::Dinic => dinic(self, scratch, None),
-            FlowAlgorithm::PushRelabel => {
-                scratch.prepare_push_relabel(self.num_vertices);
-                push_relabel(self, scratch)
-            }
-            // lint: allow(panic-freedom, resolve never returns Auto)
-            FlowAlgorithm::Auto => unreachable!("Auto resolves to a concrete backend"),
-        }
+        dinic(self, scratch, None)
     }
 
     /// Verifies that a persistent flow assignment (as maintained by
@@ -493,9 +464,6 @@ impl CsrFlow {
     /// here, since it may shrink below a retained flow after deletions — the
     /// incremental solver instead encodes structural edges as a fixed huge
     /// finite capacity and passes that).
-    ///
-    /// The augmentation always runs Dinic: preflow-push cannot start from a
-    /// feasible flow.
     ///
     /// When `want_cut` is `false` the residual-reachability pass and cut-edge
     /// scan are skipped — the returned `cut_edges` slice is empty and only
@@ -937,98 +905,6 @@ fn apply_augment(csr: &CsrFlow, path_arcs: &[u32], bottleneck: u128, flows: &mut
     }
 }
 
-/// Push–relabel (FIFO selection, gap heuristic) over the frozen CSR arrays,
-/// with heights/excess/queues living in the scratch.
-fn push_relabel(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
-    let n = csr.num_vertices;
-    let source = csr.source as usize;
-    let target = csr.target as usize;
-
-    s.height[source] = n as u32;
-    s.height_count[0] = n.saturating_sub(1) as u32;
-    s.height_count[n] += 1;
-
-    // Saturate all source arcs (reverse arcs start with zero residual, so
-    // only genuine forward arcs push).
-    for ai in csr.arc_range(source) {
-        let d = s.residual[ai];
-        if d > 0 {
-            let to = csr.arc_head[ai] as usize;
-            s.residual[ai] -= d;
-            s.residual[csr.arc_twin[ai] as usize] += d;
-            s.excess[to] += d;
-            if to != target && to != source && !s.in_queue[to] {
-                s.active.push_back(to as u32);
-                s.in_queue[to] = true;
-            }
-        }
-    }
-
-    while let Some(v) = s.active.pop_front() {
-        let v = v as usize;
-        s.in_queue[v] = false;
-        if v == source || v == target {
-            continue;
-        }
-        let begin = csr.adj_start[v] as usize;
-        let end = csr.adj_start[v + 1] as usize;
-        let mut ai = begin;
-        while s.excess[v] > 0 {
-            if ai == end {
-                // Relabel: 1 + the minimum height over residual arcs.
-                let old_height = s.height[v] as usize;
-                let mut min_height = usize::MAX;
-                for a in begin..end {
-                    if s.residual[a] > 0 {
-                        min_height = min_height.min(s.height[csr.arc_head[a] as usize] as usize);
-                    }
-                }
-                if min_height == usize::MAX {
-                    break; // no residual arc: the remaining excess is stuck (cannot happen)
-                }
-                let new_height = (min_height + 1).min(2 * n);
-                s.height_count[old_height] -= 1;
-                // Gap heuristic: if no vertex remains at `old_height`, every
-                // vertex strictly above it (up to `n`) can no longer reach
-                // the target and is lifted past `n` in one go.
-                if s.height_count[old_height] == 0 && old_height < n {
-                    for u in 0..n {
-                        if u == source || u == target {
-                            continue;
-                        }
-                        let h = s.height[u] as usize;
-                        if h > old_height && h <= n {
-                            s.height_count[h] -= 1;
-                            s.height[u] = (n + 1) as u32;
-                            s.height_count[n + 1] += 1;
-                        }
-                    }
-                }
-                s.height[v] = new_height as u32;
-                s.height_count[new_height] += 1;
-                ai = begin;
-                continue;
-            }
-            let to = csr.arc_head[ai] as usize;
-            if s.residual[ai] > 0 && s.height[v] == s.height[to] + 1 {
-                let d = s.excess[v].min(s.residual[ai]);
-                s.residual[ai] -= d;
-                s.residual[csr.arc_twin[ai] as usize] += d;
-                s.excess[v] -= d;
-                s.excess[to] += d;
-                if to != source && to != target && !s.in_queue[to] {
-                    s.active.push_back(to as u32);
-                    s.in_queue[to] = true;
-                }
-            } else {
-                ai += 1;
-            }
-        }
-    }
-
-    s.excess[target]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1098,51 +974,34 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_and_certify_their_cuts() {
-        // Every backend reaches each instance's hand-computed min-cut value,
-        // each cut disconnects the network at exactly that cost (the
-        // max-flow/min-cut certificate), and the backends return the same
-        // cut edges (the unique minimal source side). Each backend has a
-        // scratch of its own, so none reads another's leftovers.
+    fn solves_certify_their_cuts() {
+        // Each instance reaches its hand-computed min-cut value, and each cut
+        // disconnects the network at exactly that cost (the max-flow/min-cut
+        // certificate). One scratch serves every instance, so each solve also
+        // runs over the previous one's leftovers.
         let finite = [5, 0, 0, 3, 5, 3, 5, 3, 3, 2 * u64::MAX as u128, 23].map(Capacity::Finite);
         let expected: Vec<Capacity> =
             finite.into_iter().chain([Capacity::Infinite, Capacity::Finite(4)]).collect();
         let nets = instances();
         assert_eq!(nets.len(), expected.len());
-        let mut scratch: [FlowScratch; 2] = Default::default();
+        let mut scratch = FlowScratch::new();
         for (i, (net, value)) in nets.iter().zip(expected).enumerate() {
             let csr = CsrFlow::from_network(net);
-            let mut first_cut_edges: Option<Vec<EdgeId>> = None;
-            for (algorithm, scratch) in FlowAlgorithm::ALL.into_iter().zip(&mut scratch) {
-                let cut = csr.min_cut(algorithm, scratch);
-                assert_eq!(cut.value, value, "instance {i}: {algorithm} value");
-                let edges = first_cut_edges.get_or_insert_with(|| cut.cut_edges.to_vec());
-                assert_eq!(cut.cut_edges, &edges[..], "instance {i}: {algorithm} cut edges");
-                if let Capacity::Finite(_) = cut.value {
-                    let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
-                    assert!(net.is_cut(&set), "{algorithm}: CSR cut must disconnect");
-                    assert_eq!(net.cost(&set), cut.value, "{algorithm}: CSR cut cost");
-                } else {
-                    assert!(cut.cut_edges.is_empty());
-                }
+            let cut = csr.min_cut(&mut scratch);
+            assert_eq!(cut.value, value, "instance {i}: value");
+            if let Capacity::Finite(_) = cut.value {
+                let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
+                assert!(net.is_cut(&set), "instance {i}: CSR cut must disconnect");
+                assert_eq!(net.cost(&set), cut.value, "instance {i}: CSR cut cost");
+            } else {
+                assert!(cut.cut_edges.is_empty());
             }
         }
     }
 
     #[test]
-    fn auto_matches_concrete_backends_everywhere() {
-        let mut scratch = FlowScratch::new();
-        for net in instances() {
-            let csr = CsrFlow::from_network(&net);
-            let auto_value = csr.min_cut(FlowAlgorithm::Auto, &mut scratch).value;
-            let dinic_value = csr.min_cut(FlowAlgorithm::Dinic, &mut scratch).value;
-            assert_eq!(auto_value, dinic_value);
-        }
-    }
-
-    #[test]
     fn exhaustive_cross_check_on_small_networks() {
-        // Brute force all edge subsets and compare against every CSR backend.
+        // Brute force all edge subsets and compare against the CSR solve.
         let nets = vec![
             simple_network(&[(0, 1, 2), (0, 2, 3), (1, 3, 4), (2, 3, 1), (1, 2, 1)], 4, 0, 3),
             simple_network(&[(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 2), (1, 3, 1)], 4, 0, 3),
@@ -1160,9 +1019,7 @@ mod tests {
                 }
             }
             let csr = CsrFlow::from_network(&net);
-            for algorithm in FlowAlgorithm::ALL {
-                assert_eq!(csr.min_cut(algorithm, &mut scratch).value, best, "{algorithm}");
-            }
+            assert_eq!(csr.min_cut(&mut scratch).value, best);
         }
     }
 
@@ -1180,22 +1037,22 @@ mod tests {
                 csr.add_edge(e.from, e.to, e.capacity);
             }
             csr.freeze();
-            let expected = CsrFlow::from_network(&net).min_cut(FlowAlgorithm::Dinic, &mut fresh);
+            let expected = CsrFlow::from_network(&net).min_cut(&mut fresh);
             let expected = (expected.value, expected.cut_edges.to_vec());
-            let cut = csr.min_cut(FlowAlgorithm::Dinic, &mut scratch);
+            let cut = csr.min_cut(&mut scratch);
             assert_eq!((cut.value, cut.cut_edges.to_vec()), expected);
         }
     }
 
     #[test]
     fn resume_from_zero_flow_matches_cold_solve() {
-        // Same value and same cut edges as a cold Dinic solve; the two solves
+        // Same value and same cut edges as a cold solve; the two solves
         // use separate scratches.
         let mut cold_scratch = FlowScratch::new();
         let mut warm_scratch = FlowScratch::new();
         for net in instances() {
             let csr = CsrFlow::from_network(&net);
-            let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut cold_scratch);
+            let cold = csr.min_cut(&mut cold_scratch);
             let cold = (cold.value, cold.cut_edges.to_vec());
             let mut flows = vec![0u128; csr.num_edges()];
             let mut total = 0u128;
@@ -1214,31 +1071,33 @@ mod tests {
         }
     }
 
-    /// The `(value, cut_edges)` of a Dinic solve, a push–relabel solve and a
-    /// from-zero [`CsrFlow::min_cut_resume`] of `csr`, in that order. Each
-    /// solve has a scratch of its own, so none reads another's leftovers.
-    fn three_cuts(csr: &CsrFlow, scratch: &mut [FlowScratch; 3]) -> [(Capacity, Vec<EdgeId>); 3] {
-        let [dinic, push_relabel, resume] = scratch;
-        let dinic = csr.min_cut(FlowAlgorithm::Dinic, dinic);
-        let dinic = (dinic.value, dinic.cut_edges.to_vec());
-        let push_relabel = csr.min_cut(FlowAlgorithm::PushRelabel, push_relabel);
-        let push_relabel = (push_relabel.value, push_relabel.cut_edges.to_vec());
+    /// The `(value, cut_edges)` of a cold solve and of a from-zero
+    /// [`CsrFlow::min_cut_resume`] of `csr`, in that order. Each solve has a
+    /// scratch of its own, so neither reads the other's leftovers.
+    fn cold_and_resumed_cuts(
+        csr: &CsrFlow,
+        scratch: &mut [FlowScratch; 2],
+    ) -> [(Capacity, Vec<EdgeId>); 2] {
+        let [cold, resume] = scratch;
+        let cold = csr.min_cut(cold);
+        let cold = (cold.value, cold.cut_edges.to_vec());
         let mut flows = vec![0u128; csr.num_edges()];
         let mut total = 0u128;
         let resume =
             csr.min_cut_resume(resume, &mut flows, &mut total, csr.infinite_cap, true, None);
-        [dinic, push_relabel, (resume.value, resume.cut_edges.to_vec())]
+        [cold, (resume.value, resume.cut_edges.to_vec())]
     }
 
     #[test]
-    fn every_backend_extracts_the_same_cut() {
+    fn cold_and_resumed_solves_extract_the_same_cut() {
         // The cut is read off the vertices the source still reaches in the
         // residual graph, and that set is the same for every maximum flow
-        // (the unique minimal source side). So the backends, and a resume
-        // from zero flow, must agree on the cut edges, not just the value,
-        // here on seeded random small networks with parallel, zero-capacity,
-        // infinite and target-to-source edges.
-        let mut scratch: [FlowScratch; 3] = Default::default();
+        // (the unique minimal source side). So a cold solve and a resume
+        // from zero flow, which augment along different paths, must agree on
+        // the cut edges, not just the value, here on seeded random small
+        // networks with parallel, zero-capacity, infinite and
+        // target-to-source edges.
+        let mut scratch: [FlowScratch; 2] = Default::default();
         let mut rng: u64 = 0x2545F4914F6CDD1D;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1265,9 +1124,8 @@ mod tests {
                 csr.add_edge(from, to, capacity);
             }
             csr.freeze();
-            let [dinic, push_relabel, resume] = three_cuts(&csr, &mut scratch);
-            assert_eq!(dinic, push_relabel, "round {round}: push-relabel");
-            assert_eq!(dinic, resume, "round {round}: resume");
+            let [cold, resume] = cold_and_resumed_cuts(&csr, &mut scratch);
+            assert_eq!(cold, resume, "round {round}");
         }
     }
 
@@ -1305,12 +1163,11 @@ mod tests {
             net.add_edge(p, dead, Capacity::Finite(9));
         }
         let csr = CsrFlow::from_network(&net);
-        let mut scratch: [FlowScratch; 3] = Default::default();
-        let [dinic, push_relabel, resume] = three_cuts(&csr, &mut scratch);
-        assert_eq!(dinic.0, Capacity::Finite(6));
-        assert_eq!(dinic.1, vec![real[2], real[3], real[6]]);
-        assert_eq!(dinic, push_relabel);
-        assert_eq!(dinic, resume);
+        let mut scratch: [FlowScratch; 2] = Default::default();
+        let [cold, resume] = cold_and_resumed_cuts(&csr, &mut scratch);
+        assert_eq!(cold.0, Capacity::Finite(6));
+        assert_eq!(cold.1, vec![real[2], real[3], real[6]]);
+        assert_eq!(cold, resume);
     }
 
     #[test]
@@ -1423,7 +1280,7 @@ mod tests {
                 );
                 let (warm_value, warm_cut) = (warm.value, warm.cut_edges.to_vec());
                 // The retained flows must stay feasible and sum to `total`.
-                let cold = csr.min_cut(FlowAlgorithm::Dinic, &mut cold_scratch);
+                let cold = csr.min_cut(&mut cold_scratch);
                 assert_eq!(warm_value, cold.value, "round {round} step {step}");
                 assert_eq!(warm_value, Capacity::Finite(total), "round {round} step {step}");
                 if want_cut {
@@ -1545,16 +1402,11 @@ mod tests {
         );
         let csr = CsrFlow::from_network(&net);
         let mut scratch = FlowScratch::new();
-        // Warm-up sizes every buffer (one solve per backend, since they touch
-        // different buffers).
-        for algorithm in FlowAlgorithm::ALL {
-            csr.min_cut(algorithm, &mut scratch);
-        }
+        // The warm-up solve sizes every buffer.
+        csr.min_cut(&mut scratch);
         let signature = scratch.capacity_signature();
         for _ in 0..8 {
-            for algorithm in FlowAlgorithm::ALL {
-                csr.min_cut(algorithm, &mut scratch);
-            }
+            csr.min_cut(&mut scratch);
             assert_eq!(scratch.capacity_signature(), signature);
         }
     }

@@ -10,28 +10,23 @@
 //!   `+∞` (a dedicated variant, so saturation bugs are impossible);
 //! * [`csr`] + [`scratch`] — the one flow core: networks frozen into
 //!   contiguous CSR arrays inside a reusable arena, solved by Dinic (levels
-//!   are residual distances to the target) or push–relabel over
-//!   [`scratch::FlowScratch`] buffers that are reset, never reallocated,
-//!   across solves (every resilience solve runs here). Both backends return
-//!   the same cut edges: the cut is the unique minimal source side of the
-//!   final residual graph, whichever maximum flow produced it;
-//! * [`mincut`] — the backend choice [`mincut::FlowAlgorithm`] and the
-//!   one-off [`min_cut`]/[`min_cut_with`] wrappers, which copy a
-//!   [`network::FlowNetwork`] into the CSR core and return an owned cut,
+//!   are residual distances to the target) over [`scratch::FlowScratch`]
+//!   buffers that are reset, never reallocated, across solves (every
+//!   resilience solve runs here). The cut is the unique minimal source side
+//!   of the final residual graph, whichever maximum flow produced it, so a
+//!   cold solve and a resumed one return the same cut edges;
+//! * [`mincut`] — the one-off [`min_cut`] wrapper, which copies a
+//!   [`network::FlowNetwork`] into the CSR core and returns an owned cut,
 //!   certified (in debug builds) to disconnect the network at the cost of
-//!   the max-flow value;
-//! * [`auto`] — the measured table backing
-//!   [`mincut::FlowAlgorithm::Auto`], which picks the winning backend per
-//!   instance (Dinic, which wins at every measured size).
+//!   the max-flow value.
 
 #![forbid(unsafe_code)]
-pub mod auto;
 pub mod csr;
 pub mod mincut;
 pub mod network;
 pub mod scratch;
 
 pub use csr::{CsrCut, CsrFlow, CutTimings};
-pub use mincut::{min_cut, min_cut_with, FlowAlgorithm, MinCut};
+pub use mincut::{min_cut, MinCut};
 pub use network::{Capacity, EdgeId, FlowNetwork, VertexId};
 pub use scratch::FlowScratch;

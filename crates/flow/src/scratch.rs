@@ -2,22 +2,15 @@
 //!
 //! The per-database half of the resilience reductions solves one min-cut per
 //! database, thousands of times over the same prepared query. Allocating the
-//! solver state (levels, queues, current-arc pointers, excess/height tables,
-//! residual capacities) anew for every solve dominates the constant factor at
+//! solver state (levels, queues, current-arc pointers, residual capacities)
+//! anew for every solve dominates the constant factor at
 //! the sizes the benches exercise. [`FlowScratch`] owns all of it in flat
 //! `Vec`s that are **reset, never reallocated**, across solves: each
 //! [`crate::csr::CsrFlow::min_cut`] call resizes the buffers up to the
 //! instance size (amortized — `Vec::resize` keeps capacity) and reuses the
 //! allocations of every previous solve.
-//!
-//! The scratch is backend-agnostic: Dinic uses `level`/`queue`/`current_arc`/
-//! `path`, push–relabel uses `excess`/`height`/`height_count`/`active`/
-//! `in_queue`, and the residual array plus the cut-extraction buffers are
-//! shared. One scratch therefore serves [`crate::FlowAlgorithm::Auto`],
-//! which may pick a different backend per instance.
 
 use crate::network::EdgeId;
-use std::collections::VecDeque;
 
 /// Arc-index sentinel: "no arc" (used by predecessor arrays).
 pub(crate) const NO_ARC: u32 = u32::MAX;
@@ -40,16 +33,6 @@ pub struct FlowScratch {
     pub(crate) current_arc: Vec<u32>,
     /// DFS path of arc indices for Dinic's blocking flow.
     pub(crate) path: Vec<u32>,
-    /// Per-vertex excess for push–relabel.
-    pub(crate) excess: Vec<u128>,
-    /// Per-vertex height for push–relabel.
-    pub(crate) height: Vec<u32>,
-    /// Number of vertices at each height (gap heuristic).
-    pub(crate) height_count: Vec<u32>,
-    /// Whether a vertex is in the active queue (push–relabel).
-    pub(crate) in_queue: Vec<bool>,
-    /// FIFO queue of active vertices (push–relabel).
-    pub(crate) active: VecDeque<u32>,
     /// Per-vertex predecessor arc of the flow-cancellation path search in
     /// [`crate::csr::CsrFlow::cancel_flow`] ([`NO_ARC`] = none).
     pub(crate) pred: Vec<u32>,
@@ -65,12 +48,10 @@ impl FlowScratch {
         FlowScratch::default()
     }
 
-    /// Prepares the backend-agnostic buffers for an instance with `vertices`
-    /// vertices. Buffers that every backend fully re-initializes before use
-    /// (`level`, `current_arc`, `pred`) are only grown, not rewritten — the
-    /// solvers reset exactly the first `vertices` entries themselves — so a
-    /// Dinic solve never pays for push–relabel's state (see
-    /// [`FlowScratch::prepare_push_relabel`]) and vice versa. Capacity only
+    /// Prepares the buffers for an instance with `vertices` vertices.
+    /// Buffers that the solvers fully re-initialize before use (`level`,
+    /// `current_arc`, `pred`) are only grown, not rewritten — the solvers
+    /// reset exactly the first `vertices` entries themselves. Capacity only
     /// grows. The residual array is loaded separately by the caller
     /// (`clear()` + `extend_from_slice` from the frozen capacities).
     pub(crate) fn prepare(&mut self, vertices: usize) {
@@ -92,21 +73,6 @@ impl FlowScratch {
         self.cut_edges.clear();
     }
 
-    /// Resets the push–relabel-specific per-vertex state (excess, heights,
-    /// the gap-heuristic histogram, the FIFO queue). Split out of
-    /// [`FlowScratch::prepare`] so only push–relabel solves pay for it.
-    pub(crate) fn prepare_push_relabel(&mut self, vertices: usize) {
-        self.excess.clear();
-        self.excess.resize(vertices, 0);
-        self.height.clear();
-        self.height.resize(vertices, 0);
-        self.height_count.clear();
-        self.height_count.resize(2 * vertices + 2, 0);
-        self.in_queue.clear();
-        self.in_queue.resize(vertices, false);
-        self.active.clear();
-    }
-
     /// The cut edges extracted by the most recent
     /// [`crate::csr::CsrFlow::min_cut`] call (empty when the cut is infinite
     /// or the target was already unreachable).
@@ -118,18 +84,13 @@ impl FlowScratch {
     /// signatures mean no buffer was reallocated in between — the
     /// zero-post-warmup-reallocation contract of scratch reuse is asserted
     /// with exactly this (see the engine's batch tests).
-    pub fn capacity_signature(&self) -> [usize; 13] {
+    pub fn capacity_signature(&self) -> [usize; 8] {
         [
             self.residual.capacity(),
             self.level.capacity(),
             self.queue.capacity(),
             self.current_arc.capacity(),
             self.path.capacity(),
-            self.excess.capacity(),
-            self.height.capacity(),
-            self.height_count.capacity(),
-            self.in_queue.capacity(),
-            self.active.capacity(),
             self.pred.capacity(),
             self.reachable.capacity(),
             self.cut_edges.capacity(),

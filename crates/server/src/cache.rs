@@ -14,9 +14,9 @@
 //!
 //! Because a plan bakes in the solve configuration, the key also includes the
 //! query semantics (set/bag), the plan-relevant [`SolveOptions`] and any
-//! forced algorithm; the same language prepared under a different flow
-//! backend is a different entry. `SolveOptions::want_cut` is deliberately
-//! **not** part of the key: whether a contingency set is extracted is a
+//! forced algorithm; the same language prepared without the exact fallback
+//! is a different entry. `SolveOptions::want_cut` is deliberately **not**
+//! part of the key: whether a contingency set is extracted is a
 //! solve-time flag (`SolveCall::want_cut`), so value-only and
 //! with-cut requests for the same language share one entry. Eviction is
 //! least-recently-used with a fixed capacity.
@@ -48,8 +48,6 @@ struct CacheKey {
     bag: bool,
     /// A forced algorithm, if the caller bypassed automatic dispatch.
     forced: Option<&'static str>,
-    /// The flow backend baked into the plan.
-    flow: &'static str,
     /// Remaining plan-relevant `SolveOptions` fields (`want_cut` is excluded:
     /// it is applied per solve call, not baked into the plan).
     exact_fallback: bool,
@@ -62,7 +60,6 @@ impl CacheKey {
             canonical: rpq.language().canonical_form(),
             bag: rpq.semantics() == Semantics::Bag,
             forced: forced.map(Algorithm::name),
-            flow: options.flow_backend.name(),
             exact_fallback: options.exact_fallback,
             enumeration_limit: options.enumeration_limit,
         }
@@ -307,17 +304,15 @@ mod tests {
         // Bag semantics: same language, different key.
         let bag = Rpq::parse("ax*b").unwrap().with_bag_semantics();
         assert!(!cache.get_or_prepare(&engine, &bag, None).unwrap().hit);
-        // Different flow backend: different key.
-        let push_relabel = Engine::with_options(SolveOptions {
-            flow_backend: rpq_flow::FlowAlgorithm::PushRelabel,
-            ..Default::default()
-        });
-        assert!(!cache.get_or_prepare(&push_relabel, &q, None).unwrap().hit);
+        // Different plan-relevant option: different key.
+        let no_fallback =
+            Engine::with_options(SolveOptions { exact_fallback: false, ..Default::default() });
+        assert!(!cache.get_or_prepare(&no_fallback, &q, None).unwrap().hit);
         // Forced algorithm: different key.
         assert!(!cache.get_or_prepare(&engine, &q, Some(Algorithm::Local)).unwrap().hit);
         // And each of those now hits.
         assert!(cache.get_or_prepare(&engine, &q, None).unwrap().hit);
-        assert!(cache.get_or_prepare(&push_relabel, &q, None).unwrap().hit);
+        assert!(cache.get_or_prepare(&no_fallback, &q, None).unwrap().hit);
         assert_eq!(cache.stats().entries, 4);
     }
 

@@ -31,9 +31,9 @@
 //! request). Store failures carry a machine-readable `code` next to the
 //! human-readable `error`.
 //!
-//! Query settings (all optional): `bag` (bool, bag semantics), `flow`
-//! (MinCut backend name, see [`FlowAlgorithm`]), `enumeration_limit` (facts
-//! cap of the subset-enumeration oracle), `algorithm` (force a backend by its
+//! Query settings (all optional): `bag` (bool, bag semantics),
+//! `enumeration_limit` (facts cap of the subset-enumeration oracle),
+//! `algorithm` (force a backend by its
 //! [`Algorithm`] name instead of automatic dispatch), `want_cut` (bool,
 //! default `true`: extract an optimal contingency set alongside the value;
 //! set `false` for value-only responses), `jobs` (int, worker threads for
@@ -47,7 +47,10 @@
 //! `trace`, `deadline_ms` and `cost_budget_us` participate in the
 //! prepared-query cache key — cut extraction, batch parallelism, tracing and
 //! budget routing are solve-time choices, so their variants share one cached
-//! plan.
+//! plan. Unrecognised keys are ignored. That includes the retired `flow`
+//! setting: every flow-based reduction cuts with Dinic, and the cut is the
+//! unique minimal source side of every maximum flow, so no former backend
+//! choice changed an answer.
 //!
 //! Every `solve`, `solve_batch` and `db_solve` outcome reports which tier
 //! answered and why: `tier` (`poly`, `exact` or `approx`), `degraded` (the
@@ -67,7 +70,6 @@
 //! README for one example request/response per verb.
 
 use crate::json::Json;
-use rpq_flow::FlowAlgorithm;
 use rpq_graphdb::GraphDb;
 use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_resilience::router::TieredOutcome;
@@ -81,8 +83,6 @@ pub struct QuerySpec {
     pub pattern: String,
     /// Bag semantics (fact removals cost their multiplicity).
     pub bag: bool,
-    /// Override of the server's default MinCut backend.
-    pub flow: Option<FlowAlgorithm>,
     /// Override of the subset-enumeration fact limit.
     pub enumeration_limit: Option<usize>,
     /// Force a specific algorithm instead of automatic dispatch.
@@ -399,10 +399,6 @@ fn parse_query_spec(json: &Json) -> Result<QuerySpec, String> {
         None => false,
         Some(v) => v.as_bool().ok_or("`bag` must be a boolean")?,
     };
-    let flow = match json.get("flow") {
-        None => None,
-        Some(v) => Some(v.as_str().ok_or("`flow` must be a string")?.parse::<FlowAlgorithm>()?),
-    };
     let enumeration_limit = match json.get("enumeration_limit") {
         None => None,
         Some(v) => Some(v.as_usize().ok_or("`enumeration_limit` must be a non-negative integer")?),
@@ -436,7 +432,6 @@ fn parse_query_spec(json: &Json) -> Result<QuerySpec, String> {
     Ok(QuerySpec {
         pattern,
         bag,
-        flow,
         enumeration_limit,
         algorithm,
         want_cut,
@@ -452,9 +447,6 @@ fn query_spec_json(op: &'static str, query: &QuerySpec, extra: Vec<(&'static str
         vec![("op", Json::Str(op.to_string())), ("query", Json::Str(query.pattern.clone()))];
     if query.bag {
         pairs.push(("bag", Json::Bool(true)));
-    }
-    if let Some(flow) = query.flow {
-        pairs.push(("flow", Json::Str(flow.name().to_string())));
     }
     if let Some(limit) = query.enumeration_limit {
         pairs.push(("enumeration_limit", Json::Int(limit as i128)));
@@ -562,7 +554,6 @@ mod tests {
                 query: QuerySpec {
                     pattern: "a|b".into(),
                     bag: true,
-                    flow: Some(FlowAlgorithm::PushRelabel),
                     enumeration_limit: Some(12),
                     algorithm: Some(Algorithm::ExactEnumeration),
                     want_cut: Some(false),
@@ -571,11 +562,6 @@ mod tests {
                     deadline_ms: Some(250),
                     cost_budget_us: Some(4_000),
                 },
-            },
-            // `auto` is a selectable backend: per-request overrides can ask
-            // for the measured per-instance choice.
-            Request::Prepare {
-                query: QuerySpec { flow: Some(FlowAlgorithm::Auto), ..QuerySpec::new("ax*b") },
             },
             Request::Solve { query: QuerySpec::new("ab"), db: "u a v\nv b w\n".into() },
             Request::SolveBatch {
@@ -634,8 +620,6 @@ mod tests {
             (r#"{"op":"solve","query":"ab"}"#, "`db`"),
             (r#"{"op":"solve_batch","query":"ab"}"#, "`dbs`"),
             (r#"{"op":"solve_batch","query":"ab","dbs":[1]}"#, "must be strings"),
-            (r#"{"op":"prepare","query":"ab","flow":"bogus"}"#, "unknown flow algorithm"),
-            (r#"{"op":"prepare","query":"ab","flow":"edmonds-karp"}"#, "unknown flow algorithm"),
             (r#"{"op":"prepare","query":"ab","algorithm":"bogus"}"#, "unknown algorithm"),
             (r#"{"op":"prepare","query":"ab","enumeration_limit":-3}"#, "non-negative"),
             (r#"{"op":"prepare","query":"ab","bag":"yes"}"#, "boolean"),

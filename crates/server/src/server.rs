@@ -337,7 +337,7 @@ impl ServerState {
     }
 
     /// Parses the query and looks its plan up in the shared cache, preparing
-    /// it under the request's `flow`/`enumeration_limit` overrides on a miss
+    /// it under the request's `enumeration_limit` override on a miss
     /// (`cache_lookup` and `plan` spans when `trace` is enabled).
     fn prepare(&self, spec: &QuerySpec, trace: &mut Trace) -> Result<CacheLookup, String> {
         let language = Language::parse(&spec.pattern)
@@ -347,7 +347,6 @@ impl ServerState {
             rpq = rpq.with_bag_semantics();
         }
         let mut options = self.options;
-        options.flow_backend = spec.flow.unwrap_or(options.flow_backend);
         options.enumeration_limit = spec.enumeration_limit.unwrap_or(options.enumeration_limit);
         self.cache
             .get_or_prepare_traced(&Engine::with_options(options), &rpq, spec.algorithm, trace)
@@ -442,7 +441,8 @@ impl ServerState {
         let elapsed_us = started.elapsed().as_micros() as u64;
         let family = algorithm.name();
         let tier = algorithm.tier();
-        let backend = spec.flow.unwrap_or(self.options.flow_backend).name();
+        // Every flow-based solve runs Dinic; the label keeps its series.
+        let backend = "dinic";
         self.metrics.histogram([verb, family, tier, backend]).record(elapsed_us);
         fields.push(("elapsed_us".to_string(), Json::Int(elapsed_us as i128)));
         if spec.trace == Some(true) {
@@ -1890,14 +1890,31 @@ mod tests {
         assert!(text.contains(&format!("rpq_solve_latency_us_p99{{{solve_key}}}")), "{text}");
         assert!(text.contains("rpq_cache_misses_total 2"), "{text}");
         assert!(text.contains("le=\"+Inf\""), "{text}");
-        // Per-request flow overrides split the backend label.
-        request(
-            &state,
-            r#"{"op":"solve","query":"ax*b","flow":"push-relabel","db":"s a u\nu x v\nv b t\n"}"#,
-        );
+    }
+
+    #[test]
+    fn the_retired_flow_key_is_ignored() {
+        // Without `elapsed_us`, the only field that differs between runs.
+        let masked = |response: Json| match response {
+            Json::Object(fields) => {
+                Json::Object(fields.into_iter().filter(|(k, _)| k != "elapsed_us").collect())
+            }
+            other => other,
+        };
+        let state = state();
+        let plain = r#"{"op":"solve","query":"ax*b","db":"s a u\nu x v\nv b t\n"}"#;
+        // The first solve prepares the plan; later ones all report a cache hit.
+        request(&state, plain);
+        let expected = masked(request(&state, plain));
+        assert_eq!(expected.get("ok"), Some(&Json::Bool(true)));
+        for flow in ["push-relabel", "bogus"] {
+            let line = plain.replace(r#""db""#, &format!(r#""flow":"{flow}","db""#));
+            assert_eq!(masked(request(&state, &line)), expected, "{line}");
+        }
         let response = request(&state, r#"{"op":"metrics"}"#);
         let text = response.get("metrics").and_then(Json::as_str).unwrap();
-        assert!(text.contains("backend=\"push-relabel\""), "{text}");
+        assert!(text.contains("backend=\"dinic\""), "{text}");
+        assert_eq!(text.matches("backend=").count(), text.matches("backend=\"dinic\"").count());
     }
 
     #[test]

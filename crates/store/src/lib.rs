@@ -39,7 +39,6 @@ use rpq_graphdb::GraphDb;
 use rpq_obs::Trace;
 use rpq_resilience::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
 use rpq_resilience::engine::{IncrementalSolver, PreparedQuery, SolveCall, SolveMode};
-use rpq_resilience::prelude::FlowAlgorithm;
 use rpq_resilience::router::TieredOutcome;
 use rpq_resilience::rpq::Semantics;
 use std::collections::{BTreeMap, HashMap};
@@ -191,9 +190,6 @@ struct CachedResult {
     /// The planned backend; a forced-algorithm override must not reuse
     /// another backend's answer (their witnesses, bounds and errors differ).
     algorithm: Algorithm,
-    /// The MinCut backend: optimal cuts (witnesses) can differ across
-    /// backends even when the value agrees.
-    flow: FlowAlgorithm,
     /// The log offset the solve bound to.
     offset: usize,
     /// Whether the outcome carries the contingency-set witness; a cut-less
@@ -534,7 +530,7 @@ impl Store {
     /// [`language_fingerprint`](rpq_automata::Language::language_fingerprint)
     /// — callers that already canonicalized the language (the server's query
     /// cache) pass it in so the store never re-minimizes. Cache entries are
-    /// keyed by `(fingerprint, semantics, algorithm, flow backend, offset)`:
+    /// keyed by `(fingerprint, semantics, algorithm, offset)`:
     /// snapshots are immutable, so a repeated `db_solve` of a pinned snapshot
     /// answers in O(1) from the cache, whatever the budget (a hit always
     /// satisfies any deadline and is never degraded). Only full-fidelity
@@ -553,7 +549,6 @@ impl Store {
         let handle = self.database(name)?;
         let tick = self.next_tick();
         let planned = prepared.plan().algorithm;
-        let flow = prepared.options().flow_backend;
         let semantics = prepared.rpq().semantics();
         let (offset, graph, built, result) = {
             let materialize_timer = trace.begin();
@@ -567,7 +562,6 @@ impl Store {
                 r.fingerprint == fingerprint
                     && r.semantics == semantics
                     && r.algorithm == planned
-                    && r.flow == flow
                     && r.offset == offset
                     && (r.has_cut || !want_cut)
             }) {
@@ -642,7 +636,6 @@ impl Store {
                         !(r.fingerprint == fingerprint
                             && r.semantics == semantics
                             && r.algorithm == planned
-                            && r.flow == flow
                             && r.offset == offset)
                     });
                     if results.len() >= RESULT_CACHE_CAP {
@@ -659,7 +652,6 @@ impl Store {
                         fingerprint,
                         semantics,
                         algorithm: planned,
-                        flow,
                         offset,
                         has_cut: want_cut,
                         outcome: tiered.outcome.clone(),

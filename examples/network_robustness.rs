@@ -9,10 +9,10 @@
 //!
 //! Run with `cargo run --example network_robustness`.
 
-use rpq::flow::{Capacity, FlowAlgorithm, FlowNetwork};
+use rpq::flow::{Capacity, FlowNetwork};
 use rpq::graphdb::generate::flow_instance;
 use rpq::resilience::algorithms::Algorithm;
-use rpq::resilience::engine::{Engine, SolveOptions};
+use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::Rpq;
 use std::collections::BTreeMap;
 
@@ -24,15 +24,10 @@ fn main() {
         db.total_multiplicity()
     );
 
-    // Resilience of a x* b under bag semantics. Any MinCut backend of
-    // `rpq-flow` can power the reduction; pick push–relabel here to show the
-    // engine's `SolveOptions` (the value is backend-independent).
+    // Resilience of a x* b under bag semantics: the engine reduces it to a
+    // min cut of the Theorem 3.13 product network.
     let query = Rpq::parse("a x* b").unwrap().with_bag_semantics();
-    let engine = Engine::with_options(SolveOptions {
-        flow_backend: FlowAlgorithm::PushRelabel,
-        ..Default::default()
-    });
-    let outcome = engine.solve(&query, &db).expect("resilience computation");
+    let outcome = Engine::new().solve(&query, &db).expect("resilience computation");
     assert_eq!(outcome.algorithm, Algorithm::Local);
     println!("resilience of a x* b (bag semantics) = {}", outcome.value);
 

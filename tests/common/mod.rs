@@ -1,6 +1,6 @@
 //! Corpus shared by the engine integration tests (`engine_dispatch.rs`,
-//! `flow_backends.rs`): keeping it in one place means a newly added family
-//! automatically gains both dispatcher-agreement and flow-backend coverage.
+//! `contingency_sets.rs`): keeping it in one place means a newly added family
+//! automatically gains both dispatcher-agreement and witness coverage.
 
 // Each integration-test crate compiles its own copy of this module and uses
 // only a subset of it.
@@ -21,9 +21,3 @@ pub const FAMILIES: &[(&str, &[&str], Algorithm)] = &[
     ("abce", &["abc|be", "cba|eb"], Algorithm::OneDangling),
     ("ab", &["aa", "ab|bb"], Algorithm::ExactBranchAndBound),
 ];
-
-/// Whether a family entry routes to one of the flow-based (MinCut) tractable
-/// algorithms — the subset `flow_backends.rs` exercises per backend.
-pub fn is_flow_based(algorithm: Algorithm) -> bool {
-    matches!(algorithm, Algorithm::Local | Algorithm::BipartiteChain | Algorithm::OneDangling)
-}

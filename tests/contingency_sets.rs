@@ -1,6 +1,5 @@
-//! Witness soundness across every backend: whenever any `Algorithm` ×
-//! `FlowAlgorithm` combination (including the `Auto` flow selector) returns a
-//! `contingency_set`, that set must be
+//! Witness soundness across every backend: whenever any `Algorithm` returns
+//! a `contingency_set`, that set must be
 //! a genuine contingency set (`Rpq::is_contingency_set`) whose cost equals
 //! the reported value — for the approximation backends, the certified upper
 //! bound. The corpus covers every dispatch family of `common::FAMILIES`,
@@ -11,10 +10,9 @@ mod common;
 
 use common::FAMILIES;
 use rpq::automata::{Alphabet, Language};
-use rpq::flow::FlowAlgorithm;
 use rpq::graphdb::{FactId, GraphDb};
 use rpq::resilience::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
-use rpq::resilience::engine::{Engine, SolveOptions};
+use rpq::resilience::engine::Engine;
 use rpq::resilience::exact::resilience_exact;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 use std::collections::BTreeSet;
@@ -54,23 +52,15 @@ fn every_backend_combination_returns_sound_witnesses_on_the_corpus() {
                     }
                     let exact = resilience_exact(&query, &db).value;
                     for algorithm in Algorithm::ALL {
-                        for flow_backend in FlowAlgorithm::SELECTABLE {
-                            let engine = Engine::with_options(SolveOptions {
-                                flow_backend,
-                                ..Default::default()
-                            });
-                            let context = format!(
-                                "{pattern} (bag={bag}) via {algorithm}/{flow_backend}, seed {seed}"
-                            );
-                            let outcome = match engine.solve_with(algorithm, &query, &db) {
-                                Ok(outcome) => outcome,
-                                Err(ResilienceError::NotApplicable { .. }) => continue,
-                                Err(e) => panic!("{context}: {e}"),
-                            };
-                            assert_sound_witness(&query, &db, &outcome, &context);
-                            if algorithm.is_exact() {
-                                assert_eq!(outcome.value, exact, "{context}");
-                            }
+                        let context = format!("{pattern} (bag={bag}) via {algorithm}, seed {seed}");
+                        let outcome = match Engine::new().solve_with(algorithm, &query, &db) {
+                            Ok(outcome) => outcome,
+                            Err(ResilienceError::NotApplicable { .. }) => continue,
+                            Err(e) => panic!("{context}: {e}"),
+                        };
+                        assert_sound_witness(&query, &db, &outcome, &context);
+                        if algorithm.is_exact() {
+                            assert_eq!(outcome.value, exact, "{context}");
                         }
                     }
                 }

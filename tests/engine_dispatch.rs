@@ -9,7 +9,6 @@ mod common;
 
 use common::FAMILIES;
 use rpq::automata::{Alphabet, Language, Word};
-use rpq::flow::FlowAlgorithm;
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
 use rpq::resilience::algorithms::{Algorithm, ResilienceError};
 use rpq::resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveOptions};
@@ -97,6 +96,21 @@ fn prepared_forced_backends_agree_with_legacy_solve_with() {
 }
 
 #[test]
+fn prepared_bag_batches_agree_with_one_shot_solves() {
+    // Bag semantics through the batch path: a prepared plan's `route_batch`
+    // must reproduce the one-shot `Engine::solve` value on every database.
+    let alphabet = Alphabet::from_chars("abx");
+    let query = Rpq::new(Language::parse("ax*b").unwrap()).with_bag_semantics();
+    let dbs: Vec<_> = (0..6).map(|seed| random_labeled_graph(5, 12, &alphabet, seed)).collect();
+    let one_shot: Vec<_> =
+        dbs.iter().map(|db| Engine::new().solve(&query, db).unwrap().value).collect();
+    let prepared = Engine::new().prepare(&query).unwrap();
+    let batch = prepared.route_batch(&dbs, 1, &SolveCall::new(true), &mut Trace::disabled());
+    let values: Vec<_> = batch.into_iter().map(|r| r.unwrap().outcome.value).collect();
+    assert_eq!(values, one_shot);
+}
+
+#[test]
 fn oversized_enumeration_is_a_typed_error_not_a_panic() {
     // 30 facts > the default limit of 24: the subset oracle must refuse with
     // `ResilienceError::InstanceTooLarge` instead of panicking.
@@ -118,11 +132,10 @@ fn oversized_enumeration_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn certified_bounds_never_cross_for_any_approx_and_flow_backend_combination() {
+fn certified_bounds_never_cross_for_any_approximation_backend() {
     // The crossed-bounds regression: every approximation backend must report
-    // `lower <= exact <= upper` on the whole shared corpus, whatever MinCut
-    // backend the engine is configured with. A crossing sandwich would be a
-    // silently wrong certificate, so it asserts inside
+    // `lower <= exact <= upper` on the whole shared corpus. A crossing
+    // sandwich would be a silently wrong certificate, so it asserts inside
     // `ResilienceOutcome::from_approximation` too — this drives the assert
     // across every combination.
     let approx = [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint, Algorithm::TrivialBounds];
@@ -130,32 +143,28 @@ fn certified_bounds_never_cross_for_any_approx_and_flow_backend_combination() {
         let alphabet = Alphabet::from_chars(alphabet);
         for pattern in patterns {
             let query = Rpq::new(Language::parse(pattern).unwrap());
-            for flow in FlowAlgorithm::SELECTABLE {
-                let engine =
-                    Engine::with_options(SolveOptions { flow_backend: flow, ..Default::default() });
-                for seed in 0..4 {
-                    let db = random_labeled_graph(4, 8, &alphabet, seed);
-                    let exact =
-                        engine.solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap();
-                    for algorithm in approx {
-                        let Ok(outcome) = engine.solve_with(algorithm, &query, &db) else {
-                            continue; // infinite languages refuse greedy/k-approx
-                        };
-                        let (lower, upper) = outcome.bounds.expect("approximations carry bounds");
-                        assert!(lower <= upper, "{pattern}, {algorithm}, {flow}, seed {seed}");
-                        match exact.value {
-                            ResilienceValue::Finite(value) => assert!(
-                                lower <= value && value <= upper,
-                                "{pattern}, {algorithm}, {flow}, seed {seed}: \
-                                 [{lower}, {upper}] does not sandwich {value}"
-                            ),
-                            // An infinite resilience has no finite upper
-                            // bound; the outcome must say so.
-                            ResilienceValue::Infinite => assert!(
-                                outcome.value.is_infinite(),
-                                "{pattern}, {algorithm}, {flow}, seed {seed}"
-                            ),
-                        }
+            let engine = Engine::new();
+            for seed in 0..4 {
+                let db = random_labeled_graph(4, 8, &alphabet, seed);
+                let exact = engine.solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap();
+                for algorithm in approx {
+                    let Ok(outcome) = engine.solve_with(algorithm, &query, &db) else {
+                        continue; // infinite languages refuse greedy/k-approx
+                    };
+                    let (lower, upper) = outcome.bounds.expect("approximations carry bounds");
+                    assert!(lower <= upper, "{pattern}, {algorithm}, seed {seed}");
+                    match exact.value {
+                        ResilienceValue::Finite(value) => assert!(
+                            lower <= value && value <= upper,
+                            "{pattern}, {algorithm}, seed {seed}: \
+                             [{lower}, {upper}] does not sandwich {value}"
+                        ),
+                        // An infinite resilience has no finite upper bound;
+                        // the outcome must say so.
+                        ResilienceValue::Infinite => assert!(
+                            outcome.value.is_infinite(),
+                            "{pattern}, {algorithm}, seed {seed}"
+                        ),
                     }
                 }
             }
