@@ -28,7 +28,7 @@ use rpq_automata::Language;
 use rpq_flow::{Capacity, VertexId};
 use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The query-only half of the Proposition 7.6 reduction: everything derived
 /// from the (bipartite chain) language alone, reusable across databases.
@@ -36,20 +36,40 @@ use std::collections::BTreeSet;
 pub(crate) struct ChainPlan {
     /// `ε ∈ IF(L)`: the resilience is `+∞` on every database.
     epsilon: bool,
-    /// Letters of the single-letter words (their facts are force-removed).
-    single_letters: BTreeSet<Letter>,
     /// The words of length ≥ 2.
     words: Vec<Word>,
-    /// The role of every letter of a word of length ≥ 2 in the network,
-    /// sorted by letter (see [`LetterRole`]).
-    roles: Vec<(Letter, LetterRole)>,
-    /// Consecutive-letter pairs of forward / reversed words.
-    forward_digrams: BTreeSet<(Letter, Letter)>,
-    reversed_digrams: BTreeSet<(Letter, Letter)>,
+    /// The role of every letter of a word of length ≥ 2, indexed by role id
+    /// (see [`LetterRole`]).
+    roles: Vec<LetterRole>,
+    /// The role code of every letter with one, sorted by letter: role ids,
+    /// and [`SINGLE`] for the letters of single-letter words. Non-ASCII
+    /// letters are looked up here.
+    codes: Vec<(Letter, u32)>,
+    /// The role code of every ASCII letter, [`NO_ROLE`] when it has none.
+    ascii_codes: Box<[u32; 128]>,
+    /// The digrams of the words, grouped by the role id of their first
+    /// letter: `digrams[digram_start[r]..digram_start[r + 1]]` lists the
+    /// role ids of the letters that follow `r`'s letter, ascending, with the
+    /// [`FORWARD`] / [`REVERSED`] kinds of the digram.
+    digram_start: Vec<usize>,
+    digrams: Vec<(u32, u8)>,
 }
 
+/// The role code of a letter no word of length ≥ 2 uses: its facts stay out
+/// of the network. Role ids are below both reserved codes, since letters are
+/// `char`s and there are fewer than 2^21 of them.
+const NO_ROLE: u32 = u32::MAX;
+/// The role code of a single-letter word's letter: its facts are
+/// force-removed.
+const SINGLE: u32 = u32::MAX - 1;
+/// Digram kinds: consecutive letters of a forward / reversed word.
+const FORWARD: u8 = 1;
+const REVERSED: u8 = 2;
+
 /// What a letter's facts contribute to the Proposition 7.6 network. The
-/// roles depend on the language alone, so [`ChainPlan`] computes them once.
+/// roles depend on the language alone, so [`ChainPlan`] computes them once,
+/// and every solve resolves each fact's role id once, through an ASCII
+/// table or a sorted fallback.
 ///
 /// A fact's start vertex is entered by the source attachment (when its
 /// letter is a source-side endpoint letter), by forward wiring from facts
@@ -131,36 +151,81 @@ impl ChainPlan {
             .map(|&(a, _)| a)
             .chain(reversed_digrams.iter().map(|&(_, b)| b))
             .collect();
-        let roles: Vec<(Letter, LetterRole)> = relevant_letters
-            .into_iter()
-            .filter(|l| !single_letters.contains(l))
+        // IF(L) is infix-free, so no letter of a longer word is a word.
+        let role_letters: Vec<Letter> =
+            relevant_letters.into_iter().filter(|l| !single_letters.contains(l)).collect();
+        let roles: Vec<LetterRole> = role_letters
+            .iter()
             .map(|l| {
-                let source_attached = endpoints.contains(&l) && source_letters.contains(&l);
-                let target_attached = endpoints.contains(&l) && target_letters.contains(&l);
-                let role = LetterRole {
+                let source_attached = endpoints.contains(l) && source_letters.contains(l);
+                let target_attached = endpoints.contains(l) && target_letters.contains(l);
+                LetterRole {
                     source_attached,
                     target_attached,
-                    start_is_source: source_attached && !entered.contains(&l),
-                    end_is_target: target_attached && !left.contains(&l),
-                };
-                (l, role)
+                    start_is_source: source_attached && !entered.contains(l),
+                    end_is_target: target_attached && !left.contains(l),
+                }
             })
             .collect();
 
-        Ok(ChainPlan { epsilon, single_letters, words, roles, forward_digrams, reversed_digrams })
+        let role_ids: BTreeMap<Letter, u32> =
+            role_letters.iter().enumerate().map(|(id, &l)| (l, id as u32)).collect();
+        let mut codes: Vec<(Letter, u32)> = role_ids
+            .iter()
+            .map(|(&l, &id)| (l, id))
+            .chain(single_letters.iter().map(|&l| (l, SINGLE)))
+            .collect();
+        codes.sort_unstable();
+        let mut ascii_codes = Box::new([NO_ROLE; 128]);
+        for &(l, code) in codes.iter().filter(|(l, _)| l.0.is_ascii()) {
+            ascii_codes[l.0 as usize] = code;
+        }
+
+        // Every digram letter has a role: it belongs to a word of length ≥ 2.
+        let mut kinds: BTreeMap<(u32, u32), u8> = BTreeMap::new();
+        for (digrams, kind) in [(&forward_digrams, FORWARD), (&reversed_digrams, REVERSED)] {
+            for (a, b) in digrams {
+                if let (Some(&a), Some(&b)) = (role_ids.get(a), role_ids.get(b)) {
+                    *kinds.entry((a, b)).or_default() |= kind;
+                }
+            }
+        }
+        let mut digram_start = vec![0; roles.len() + 1];
+        let mut digrams = Vec::with_capacity(kinds.len());
+        for (&(a, b), &kind) in &kinds {
+            digram_start[a as usize + 1] += 1;
+            digrams.push((b, kind));
+        }
+        for r in 0..roles.len() {
+            digram_start[r + 1] += digram_start[r];
+        }
+
+        Ok(ChainPlan { epsilon, words, roles, codes, ascii_codes, digram_start, digrams })
     }
 
-    /// The network role of a fact's label; `None` keeps the fact out of the
-    /// network.
-    fn role(&self, label: Letter) -> Option<LetterRole> {
-        self.roles.binary_search_by_key(&label, |&(l, _)| l).ok().map(|i| self.roles[i].1)
+    /// The role code of a fact's label: a role id, [`SINGLE`] or
+    /// [`NO_ROLE`].
+    fn code(&self, label: Letter) -> u32 {
+        if label.0.is_ascii() {
+            return self.ascii_codes[label.0 as usize];
+        }
+        self.codes.binary_search_by_key(&label, |&(l, _)| l).map_or(NO_ROLE, |i| self.codes[i].1)
+    }
+
+    /// The digrams starting with the letter of role code `code`; empty for
+    /// codes that are not role ids.
+    fn digrams_from(&self, code: u32) -> &[(u32, u8)] {
+        match self.digram_start.get(code as usize..code as usize + 2) {
+            Some(&[start, end]) => &self.digrams[start..end],
+            _ => &[],
+        }
     }
 
     /// The per-database half of the reduction: builds and cuts the flow
     /// network of Proposition 7.6 for one database, inside `scratch`'s CSR
     /// arena (fact edges first, so arena ids index the dense `edge_fact`
-    /// provenance; per-fact vertices live in the dense `fact_vertex` and
-    /// `fact_end` lookups).
+    /// provenance; per-fact role codes and vertices live in the dense
+    /// `fact_role`, `fact_vertex` and `fact_end` lookups).
     pub(crate) fn solve(
         &self,
         rpq: &Rpq,
@@ -175,13 +240,26 @@ impl ChainPlan {
             return infinite();
         }
         let build_timer = trace.begin();
+        let SolveScratch {
+            csr,
+            flow: flow_scratch,
+            edge_fact,
+            fact_vertex,
+            fact_end,
+            fact_role,
+            ..
+        } = scratch;
 
-        // Preprocessing: single-letter words force the removal of every fact
-        // with that label.
+        // Every fact's role code. Single-letter words force the removal of
+        // every fact with that label.
         let mut base_cost: u128 = 0;
         let mut forced_facts: Vec<FactId> = Vec::new();
+        fact_role.clear();
+        fact_role.reserve(db.num_facts());
         for (id, fact) in db.facts() {
-            if self.single_letters.contains(&fact.label) {
+            let code = self.code(fact.label);
+            fact_role.push(code);
+            if code == SINGLE {
                 if db.is_exogenous(id) {
                     // A single-letter word matched by an exogenous fact can
                     // never be broken: the resilience is +∞.
@@ -193,29 +271,27 @@ impl ChainPlan {
         }
 
         // Build the flow network into the scratch arena.
-        let SolveScratch { csr, flow: flow_scratch, edge_fact, fact_vertex, fact_end, .. } =
-            scratch;
         csr.clear();
         let source = csr.add_vertex();
         let target = csr.add_vertex();
         csr.set_source(source);
         csr.set_target(target);
 
-        // Per-fact start/end vertices and the finite-capacity fact edge.
-        // Every fact with a single-letter label is already force-removed
-        // above, and has no role, so it never enters the network.
+        // Per-fact start/end vertices and the finite-capacity fact edge of
+        // every fact with a role.
         const ABSENT: u32 = u32::MAX;
         fact_vertex.clear();
         fact_vertex.resize(db.num_facts(), ABSENT);
         fact_end.clear();
         fact_end.resize(db.num_facts(), ABSENT);
         edge_fact.clear();
-        for (id, fact) in db.facts() {
-            let Some(role) = self.role(fact.label) else { continue };
+        for (i, &code) in fact_role.iter().enumerate() {
+            let Some(role) = self.roles.get(code as usize) else { continue };
+            let id = FactId(i as u32);
             let start = if role.start_is_source { source } else { csr.add_vertex() };
             let end = if role.end_is_target { target } else { csr.add_vertex() };
-            fact_vertex[id.index()] = start.0;
-            fact_end[id.index()] = end.0;
+            fact_vertex[i] = start.0;
+            fact_end[i] = end.0;
             // Exogenous facts can never be cut: capacity +∞.
             let capacity = if db.is_exogenous(id) {
                 Capacity::Infinite
@@ -227,22 +303,22 @@ impl ChainPlan {
             edge_fact.push(id.0);
         }
 
-        // Wiring edges between consecutive facts.
+        // Wiring edges between consecutive facts whose letters form a digram.
         for (id_a, fact_a) in db.facts() {
-            let (start_a, end_a) = (fact_vertex[id_a.index()], fact_end[id_a.index()]);
-            if start_a == ABSENT {
+            let digrams = self.digrams_from(fact_role[id_a.index()]);
+            if digrams.is_empty() {
                 continue;
             }
+            let (start_a, end_a) = (fact_vertex[id_a.index()], fact_end[id_a.index()]);
             for id_b in db.out_facts(fact_a.target) {
+                let role_b = fact_role[id_b.index()];
+                let Ok(i) = digrams.binary_search_by_key(&role_b, |&(r, _)| r) else { continue };
+                let kinds = digrams[i].1;
                 let (start_b, end_b) = (fact_vertex[id_b.index()], fact_end[id_b.index()]);
-                if start_b == ABSENT {
-                    continue;
-                }
-                let digram = (fact_a.label, db.fact(id_b).label);
-                if self.forward_digrams.contains(&digram) {
+                if kinds & FORWARD != 0 {
                     csr.add_edge(VertexId(end_a), VertexId(start_b), Capacity::Infinite);
                 }
-                if self.reversed_digrams.contains(&digram) {
+                if kinds & REVERSED != 0 {
                     csr.add_edge(VertexId(end_b), VertexId(start_a), Capacity::Infinite);
                 }
             }
@@ -250,13 +326,13 @@ impl ChainPlan {
 
         // Source / target attachments of the endpoint letters' vertices that
         // are not the source or target themselves.
-        for (id, fact) in db.facts() {
-            let Some(role) = self.role(fact.label) else { continue };
+        for (i, &code) in fact_role.iter().enumerate() {
+            let Some(role) = self.roles.get(code as usize) else { continue };
             if role.source_attached && !role.start_is_source {
-                csr.add_edge(source, VertexId(fact_vertex[id.index()]), Capacity::Infinite);
+                csr.add_edge(source, VertexId(fact_vertex[i]), Capacity::Infinite);
             }
             if role.target_attached && !role.end_is_target {
-                csr.add_edge(VertexId(fact_end[id.index()]), target, Capacity::Infinite);
+                csr.add_edge(VertexId(fact_end[i]), target, Capacity::Infinite);
             }
         }
 
@@ -424,6 +500,30 @@ mod tests {
         assert_eq!(out.value, ResilienceValue::Finite(1));
         assert_eq!(scratch.csr.num_vertices(), 5);
         assert_eq!(scratch.csr.num_edges(), 5);
+    }
+
+    /// `a(c_0|…|c_299)` over 300 non-ASCII letters `c_i`: 301 roles, but
+    /// the digram tables hold one entry per digram and one offset per role,
+    /// and the non-ASCII labels resolve through the sorted fallback.
+    #[test]
+    fn many_letter_plans_keep_linear_digram_tables() {
+        let letters: Vec<char> = (0..300).map(|i| char::from_u32(0x4E00 + i).unwrap()).collect();
+        let alternatives: Vec<String> = letters.iter().map(char::to_string).collect();
+        let q = Rpq::parse(&format!("a({})", alternatives.join("|"))).unwrap();
+        let plan = ChainPlan::from_infix_free(&q.infix_free_language(), q.language()).unwrap();
+        assert_eq!(plan.roles.len(), 301);
+        assert_eq!(plan.digrams.len(), 300);
+        assert_eq!(plan.digram_start.len(), 302);
+
+        let mut db = GraphDb::new();
+        db.add_fact_by_names("1", 'a', "2");
+        db.add_fact_by_names("5", 'a', "2");
+        db.add_fact_by_names("2", letters[5], "3");
+        db.add_fact_by_names("2", letters[299], "4");
+        db.add_fact_by_names("4", letters[7], "6");
+        let out = resilience_bipartite_chain(&q, &db).unwrap();
+        assert_eq!(out.value, ResilienceValue::Finite(2));
+        assert_eq!(out.value, resilience_exact(&q, &db).value);
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub(crate) fn solve_prepared(
     scratch: &mut SolveScratch,
     trace: &mut Trace,
 ) -> ResilienceOutcome {
-    let (value, cut) = resilience_via_ro_enfa(ro, db, rpq.semantics(), scratch, trace, |_| true);
+    let facts = DbFacts { ro, db, semantics: rpq.semantics() };
+    let (value, cut) = resilience_via_ro_enfa(ro, &facts, scratch, trace);
     debug_assert!(
         value.is_infinite() || rpq.is_contingency_set(db, &cut.iter().copied().collect()),
         "the extracted cut must be a contingency set"
@@ -71,10 +72,62 @@ pub(crate) fn solve_prepared(
     ResilienceOutcome::new(value, Algorithm::Local, want_cut.then_some(cut))
 }
 
-/// Runs the Theorem 3.13 product construction for an explicit RO-εNFA, with a
-/// per-fact filter (`fact_filter` returns `false` for facts that should be
-/// ignored entirely — used by the one-dangling rewriting). Returns the
-/// resilience value and the facts of a minimum cut.
+/// The facts a Theorem 3.13 product network is built from: a node count and,
+/// per fact with a transition, its provenance id, tail node, automaton
+/// transition `(s, s')`, head node and capacity. Both passes must yield the
+/// same facts in the same order.
+pub(crate) trait ProductFacts {
+    /// The number of nodes; tails and heads are below it.
+    fn num_nodes(&self) -> usize;
+
+    /// Calls `f(tail, (s, s'), head)` on every fact.
+    fn for_each_transition(&self, f: impl FnMut(usize, (usize, usize), usize));
+
+    /// Calls `f(provenance, tail, (s, s'), head, capacity)` on every fact.
+    fn for_each_fact(&self, f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity));
+}
+
+/// A database read through an RO-εNFA: every fact whose letter has a
+/// transition, with its own id as provenance.
+struct DbFacts<'a> {
+    ro: &'a RoEnfa,
+    db: &'a GraphDb,
+    semantics: Semantics,
+}
+
+impl ProductFacts for DbFacts<'_> {
+    fn num_nodes(&self) -> usize {
+        self.db.num_nodes()
+    }
+
+    fn for_each_transition(&self, mut f: impl FnMut(usize, (usize, usize), usize)) {
+        for (_, fact) in self.db.facts() {
+            if let Some(transition) = self.ro.letter_transition(fact.label) {
+                f(fact.source.0 as usize, transition, fact.target.0 as usize);
+            }
+        }
+    }
+
+    fn for_each_fact(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
+        for (fact_id, fact) in self.db.facts() {
+            if let Some(transition) = self.ro.letter_transition(fact.label) {
+                // Exogenous facts can never be cut: they get capacity +∞,
+                // exactly like the structural edges of the construction.
+                let capacity = if self.db.is_exogenous(fact_id) {
+                    Capacity::Infinite
+                } else {
+                    Capacity::Finite(u128::from(self.semantics.fact_cost(self.db, fact_id)))
+                };
+                f(fact_id, fact.source.0 as usize, transition, fact.target.0 as usize, capacity);
+            }
+        }
+    }
+}
+
+/// Runs the Theorem 3.13 product construction for an explicit RO-εNFA over
+/// the facts of `facts` (the caller's database for Theorem 3.13, the
+/// streamed rewriting for Proposition 7.9). Returns the resilience value and
+/// the provenance ids of a minimum cut's fact edges.
 ///
 /// The network is built into `scratch`'s CSR arena and solved over its flow
 /// buffers: nothing is allocated once the scratch is warmed up to the batch's
@@ -157,11 +210,9 @@ pub(crate) fn solve_prepared(
 /// signatures cost no more than analysing every node.
 pub(crate) fn resilience_via_ro_enfa(
     ro: &RoEnfa,
-    db: &GraphDb,
-    semantics: Semantics,
+    facts: &impl ProductFacts,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
-    fact_filter: impl Fn(FactId) -> bool,
 ) -> (ResilienceValue, Vec<FactId>) {
     let build_timer = trace.begin();
     let SolveScratch {
@@ -176,19 +227,9 @@ pub(crate) fn resilience_via_ro_enfa(
         ..
     } = scratch;
     let num_states = ro.num_states();
-    let num_nodes = db.num_nodes();
+    let num_nodes = facts.num_nodes();
     csr.clear();
     edge_fact.clear();
-
-    let capacity_of = |fact_id: FactId| {
-        // Exogenous facts can never be cut: they get capacity +∞, exactly
-        // like the structural edges of the construction.
-        if db.is_exogenous(fact_id) {
-            Capacity::Infinite
-        } else {
-            Capacity::Finite(semantics.fact_cost(db, fact_id) as u128)
-        }
-    };
 
     if num_states <= 64 {
         let shape = ProductShape::new(ro);
@@ -198,15 +239,10 @@ pub(crate) fn resilience_via_ro_enfa(
         node_in.resize(num_nodes, 0);
         node_out.clear();
         node_out.resize(num_nodes, 0);
-        for (fact_id, fact) in db.facts() {
-            if !fact_filter(fact_id) {
-                continue;
-            }
-            if let Some((s, s_prime)) = ro.letter_transition(fact.label) {
-                node_out[fact.source.0 as usize] |= 1 << s;
-                node_in[fact.target.0 as usize] |= 1 << s_prime;
-            }
-        }
+        facts.for_each_transition(|tail, (s, s_prime), head| {
+            node_out[tail] |= 1 << s;
+            node_in[head] |= 1 << s_prime;
+        });
 
         // Pass 2: one template per node signature, and compact vertex ids
         // for the classes that stay vertices.
@@ -250,21 +286,14 @@ pub(crate) fn resilience_via_ro_enfa(
         // Fact edges (finite capacity) — emitted first, so edge id == index
         // into `edge_fact`. A fact is pruned exactly when no query path can
         // traverse it, so it can never be in a minimum cut either.
-        for (fact_id, fact) in db.facts() {
-            if !fact_filter(fact_id) {
-                continue;
+        facts.for_each_fact(|fact_id, tail, (s, s_prime), head, capacity| {
+            let (a, b) = (slot(tail, s), slot(head, s_prime));
+            if a != PRUNED && b != PRUNED {
+                let edge = csr.add_edge(vertex(tail, a), vertex(head, b), capacity);
+                debug_assert_eq!(edge.index(), edge_fact.len());
+                edge_fact.push(fact_id.0);
             }
-            if let Some((s, s_prime)) = ro.letter_transition(fact.label) {
-                let sv = fact.source.0 as usize;
-                let tv = fact.target.0 as usize;
-                let (a, b) = (slot(sv, s), slot(tv, s_prime));
-                if a != PRUNED && b != PRUNED {
-                    let edge = csr.add_edge(vertex(sv, a), vertex(tv, b), capacity_of(fact_id));
-                    debug_assert_eq!(edge.index(), edge_fact.len());
-                    edge_fact.push(fact_id.0);
-                }
-            }
-        }
+        });
         // Structural edges (infinite capacity): each node's cross-class ε
         // edges and terminal attachments, from its template.
         for (v, &template) in node_template.iter().enumerate() {
@@ -282,36 +311,27 @@ pub(crate) fn resilience_via_ro_enfa(
         csr.set_source(source);
         csr.set_target(target);
 
-        let product = |node: rpq_graphdb::NodeId, state: usize| -> VertexId {
-            VertexId((node.0 as usize * num_states + state) as u32)
+        let product = |node: usize, state: usize| -> VertexId {
+            VertexId((node * num_states + state) as u32)
         };
 
-        for (fact_id, fact) in db.facts() {
-            if !fact_filter(fact_id) {
-                continue;
-            }
-            if let Some((s, s_prime)) = ro.letter_transition(fact.label) {
-                let edge = csr.add_edge(
-                    product(fact.source, s),
-                    product(fact.target, s_prime),
-                    capacity_of(fact_id),
-                );
-                debug_assert_eq!(edge.index(), edge_fact.len());
-                edge_fact.push(fact_id.0);
-            }
-        }
+        facts.for_each_fact(|fact_id, tail, (s, s_prime), head, capacity| {
+            let edge = csr.add_edge(product(tail, s), product(head, s_prime), capacity);
+            debug_assert_eq!(edge.index(), edge_fact.len());
+            edge_fact.push(fact_id.0);
+        });
         for (s, s_prime) in ro.epsilon_transitions() {
-            for node in db.nodes() {
+            for node in 0..num_nodes {
                 csr.add_edge(product(node, s), product(node, s_prime), Capacity::Infinite);
             }
         }
         for s in ro.initial_states() {
-            for node in db.nodes() {
+            for node in 0..num_nodes {
                 csr.add_edge(source, product(node, s), Capacity::Infinite);
             }
         }
         for s in ro.final_states() {
-            for node in db.nodes() {
+            for node in 0..num_nodes {
                 csr.add_edge(product(node, s), target, Capacity::Infinite);
             }
         }
@@ -738,14 +758,9 @@ mod tests {
         let q = Rpq::parse("ab|ad|cd").unwrap();
         let ro = RoEnfa::for_local_language(&q.infix_free_language()).unwrap();
         let mut scratch = SolveScratch::new();
-        let (value, cut) = resilience_via_ro_enfa(
-            &ro,
-            &db,
-            Semantics::Set,
-            &mut scratch,
-            &mut Trace::disabled(),
-            |_| true,
-        );
+        let facts = DbFacts { ro: &ro, db: &db, semantics: Semantics::Set };
+        let (value, cut) =
+            resilience_via_ro_enfa(&ro, &facts, &mut scratch, &mut Trace::disabled());
         assert_eq!(value, ResilienceValue::Finite(2));
         assert!(q.is_contingency_set(&db, &cut.into_iter().collect()));
         assert_eq!(scratch.csr.num_vertices(), 6);
@@ -764,9 +779,8 @@ mod tests {
         let ro = RoEnfa::for_local_language(&q.infix_free_language()).unwrap();
         let mut scratch = SolveScratch::new();
         let solve = |db: &GraphDb, scratch: &mut SolveScratch| {
-            resilience_via_ro_enfa(&ro, db, Semantics::Set, scratch, &mut Trace::disabled(), |_| {
-                true
-            })
+            let facts = DbFacts { ro: &ro, db, semantics: Semantics::Set };
+            resilience_via_ro_enfa(&ro, &facts, scratch, &mut Trace::disabled())
         };
         assert_eq!(solve(&db, &mut scratch).0, ResilienceValue::Finite(2));
         assert_eq!((scratch.csr.num_vertices(), scratch.csr.num_edges()), (2, 2));

@@ -103,6 +103,9 @@ pub struct SolveScratch {
     /// Fact → end-vertex lookup of the chain reduction, indexed like
     /// `fact_vertex`. An end vertex may be the target itself.
     pub(crate) fact_end: Vec<u32>,
+    /// Fact → letter role of the chain reduction, resolved once per fact
+    /// (see the chain module's role codes).
+    pub(crate) fact_role: Vec<u32>,
     /// Per-node bitmask of the automaton states that facts *enter* the node
     /// at, used by the local reduction's ≤ 64-state product build. Indexed
     /// by `NodeId`.
@@ -121,6 +124,8 @@ pub struct SolveScratch {
     /// from node signature to template, reused (never reset per bucket)
     /// across solves.
     pub(crate) signatures: local::SignatureCache,
+    /// The one-dangling rewriting's per-node and per-fact buffers.
+    pub(crate) rewrite: one_dangling::RewriteScratch,
     /// Retained network + flow of the incremental local solver (`None` until
     /// a [`crate::engine::PreparedQuery::route_incremental`] call builds it).
     /// Boxed so plain solves don't pay for it; **plain solves clobber the
@@ -139,8 +144,9 @@ impl SolveScratch {
     /// The capacities of every internal buffer. Used to assert the reuse
     /// contract: once warmed up on a batch's shape, further solves must not
     /// change the signature (zero reallocations).
-    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 8], [usize; 11]) {
+    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 8], [usize; 17]) {
         let [buckets, templates, slots, edges] = self.signatures.capacity_signature();
+        let [twin, price, restored, exchanges, cut_marks] = self.rewrite.capacity_signature();
         (
             self.csr.capacity_signature(),
             self.flow.capacity_signature(),
@@ -148,6 +154,7 @@ impl SolveScratch {
                 self.edge_fact.capacity(),
                 self.fact_vertex.capacity(),
                 self.fact_end.capacity(),
+                self.fact_role.capacity(),
                 self.node_in.capacity(),
                 self.node_out.capacity(),
                 self.node_base.capacity(),
@@ -156,6 +163,11 @@ impl SolveScratch {
                 templates,
                 slots,
                 edges,
+                twin,
+                price,
+                restored,
+                exchanges,
+                cut_marks,
             ],
         )
     }

@@ -21,6 +21,18 @@
 //! multiplicities of `D` (set resilience is bag resilience on the database
 //! with all multiplicities equal to 1).
 //!
+//! Steps 1 and 2 depend on the query alone, so [`OneDanglingPlan`] takes
+//! them once: `z` is the first letter outside `Σ ∪ {x, y}`, and `A'` is the
+//! local part's RO-εNFA with its `x`-transition split into `x` then `z`.
+//! A database fact that happens to carry the letter `z` matches neither `L`
+//! nor `xy`, so the rewriting drops it, and `z` labels the exchange facts
+//! only. `D'` itself is never built: one pass over the caller's database
+//! computes `κ`, the exchange prices and the twin ids, and `D'⁺` is then
+//! streamed fact by fact into the Theorem 3.13 builder, in the order a
+//! materialized `D'` would list its facts: the non-`y` facts in id order,
+//! then the `z`-facts in node order. Twin `(v, in)` is node
+//! `|nodes(D)| + k` for the `k`-th node an `x`-fact enters, in fact order.
+//!
 //! # Witness extraction
 //!
 //! The rewriting not only certifies the value — a minimum cut of the
@@ -48,20 +60,20 @@
 //! `cost(witness) = κ + Σ_(non-positive z) + cost(cut) = value`.
 
 use super::{Algorithm, ResilienceError, ResilienceOutcome, SolveScratch};
-use crate::algorithms::local::resilience_via_ro_enfa;
+use crate::algorithms::local::{resilience_via_ro_enfa, ProductFacts};
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
+use rpq_automata::alphabet::Letter;
 use rpq_automata::finite::{one_dangling_decomposition, OneDanglingDecomposition};
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_automata::Language;
-use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
+use rpq_flow::Capacity;
+use rpq_graphdb::{Fact, FactId, GraphDb};
 use rpq_obs::Trace;
-use std::collections::BTreeSet;
 
 /// The query-only half of the Proposition 7.9 rewriting: the one-dangling
 /// decomposition, normalized so that `y ∉ Σ(local part)` (mirroring the query
-/// when needed), together with the RO-εNFA of the local part. Reusable across
-/// databases; only the fresh-letter choice and the database rewriting remain
-/// per-call (they depend on the database's alphabet and facts).
+/// when needed), the letter `z` and the split automaton `A'`. Reusable across
+/// databases; only the database rewriting remains per-call.
 #[derive(Debug, Clone)]
 pub(crate) struct OneDanglingPlan {
     /// The normalized decomposition (`y ∉ Σ`).
@@ -69,13 +81,26 @@ pub(crate) struct OneDanglingPlan {
     /// Whether normalization mirrored the query: databases must be reversed
     /// before the rewriting (Proposition 6.3).
     mirrored: bool,
-    /// RO-εNFA of the normalized local part (`None` when `ε ∈ IF(L)`, in
-    /// which case every database has infinite resilience).
-    ro: Option<RoEnfa>,
+    /// `A'` and its `z` (`None` when `ε ∈ IF(L)`, in which case every
+    /// database has infinite resilience).
+    split: Option<SplitAutomaton>,
     /// The original infix-free language (debug cross-checks only; not stored
     /// in release builds, where prepared plans may be cached in bulk).
     #[cfg(debug_assertions)]
     language: Language,
+}
+
+/// `A'`: the RO-εNFA of the normalized local part with its `x`-transition
+/// split into `x` then `z`. When `x` has no transition (it is not a letter
+/// of the local part), `A'` is the local part's automaton itself and the
+/// `x`- and `z`-facts of `D'` never enter the network.
+#[derive(Debug, Clone)]
+struct SplitAutomaton {
+    automaton: RoEnfa,
+    /// The first letter outside the local part's alphabet and `{x, y}`.
+    z: Letter,
+    /// The `z`-transition of `A'`.
+    z_transition: Option<(usize, usize)>,
 }
 
 impl OneDanglingPlan {
@@ -111,15 +136,23 @@ impl OneDanglingPlan {
             (decomposition, false)
         };
 
-        let ro = if language.contains_epsilon() {
+        let split = if language.contains_epsilon() {
             None
         } else {
-            Some(RoEnfa::for_local_language(&decomposition.local_part)?)
+            let ro = RoEnfa::for_local_language(&decomposition.local_part)?;
+            let (x, y) = (decomposition.x, decomposition.y);
+            let z = decomposition.local_part.alphabet().with(x).with(y).fresh_letter();
+            let automaton = match ro.letter_transition(x) {
+                Some(_) => ro.split_letter_transition(x, z)?,
+                None => ro,
+            };
+            let z_transition = automaton.letter_transition(z);
+            Some(SplitAutomaton { automaton, z, z_transition })
         };
         Ok(OneDanglingPlan {
             decomposition,
             mirrored,
-            ro,
+            split,
             #[cfg(debug_assertions)]
             language: language.clone(),
         })
@@ -144,7 +177,7 @@ impl OneDanglingPlan {
         scratch: &mut SolveScratch,
         trace: &mut Trace,
     ) -> Result<ResilienceOutcome, ResilienceError> {
-        let Some(ro) = &self.ro else {
+        let Some(split) = &self.split else {
             return Ok(ResilienceOutcome::new(
                 ResilienceValue::Infinite,
                 Algorithm::OneDangling,
@@ -160,10 +193,13 @@ impl OneDanglingPlan {
 
         // The rewriting reads `db` through a view: in mirrored orientation
         // and, under set semantics, with unit multiplicities. Witness facts
-        // are therefore `db`'s own identifiers.
+        // are therefore `db`'s own identifiers. Its buffers leave the
+        // scratch while the builder borrows the rest of it.
         let view = View { db, mirrored: self.mirrored, unit: rpq.semantics() == Semantics::Set };
-        let (value, witness) =
-            rewrite_and_solve(&self.decomposition, ro, view, want_cut, scratch, trace)?;
+        let mut buffers = std::mem::take(&mut scratch.rewrite);
+        let solved = self.rewrite_and_solve(split, view, want_cut, &mut buffers, scratch, trace);
+        scratch.rewrite = buffers;
+        let (value, witness) = solved?;
         #[cfg(debug_assertions)]
         debug_assert!(
             {
@@ -179,20 +215,126 @@ impl OneDanglingPlan {
             "one-dangling rewriting disagrees with the exact solver"
         );
         if let Some(witness) = &witness {
+            let witness = witness.iter().copied().collect();
             debug_assert!(
-                value.is_infinite() || rpq.is_contingency_set(db, witness),
+                value.is_infinite() || rpq.is_contingency_set(db, &witness),
                 "the extracted witness must be a contingency set of the original database"
             );
             debug_assert!(
-                value.is_infinite() || ResilienceValue::Finite(rpq.cost(db, witness)) == value,
+                value.is_infinite() || ResilienceValue::Finite(rpq.cost(db, &witness)) == value,
                 "the extracted witness must cost exactly the certified value"
             );
         }
-        Ok(ResilienceOutcome::new(
-            value,
-            Algorithm::OneDangling,
-            witness.map(|w| w.into_iter().collect()),
-        ))
+        Ok(ResilienceOutcome::new(value, Algorithm::OneDangling, witness))
+    }
+
+    /// Performs steps 3–4 of the rewriting in `buffers` and solves `D'⁺`
+    /// over `A'`. Returns the value and, when `want_cut` is set and the value
+    /// is finite, an optimal contingency set in ascending fact order. Errors
+    /// when `D'⁺` has too many facts for `u32` provenance ids.
+    fn rewrite_and_solve(
+        &self,
+        split: &SplitAutomaton,
+        view: View<'_>,
+        want_cut: bool,
+        buffers: &mut RewriteScratch,
+        scratch: &mut SolveScratch,
+        trace: &mut Trace,
+    ) -> Result<(ResilienceValue, Option<Vec<FactId>>), ResilienceError> {
+        let rewrite_timer = trace.begin();
+        let db = view.db;
+        let (x, y) = (self.decomposition.x, self.decomposition.y);
+        let num_nodes = db.num_nodes();
+        let RewriteScratch { twin, price, restored, exchanges, cut_marks } = buffers;
+
+        // κ, the exchange prices `in_x(v) − out_y(v)`, and the twin ids.
+        twin.clear();
+        twin.resize(num_nodes, NO_TWIN);
+        price.clear();
+        price.resize(num_nodes, 0);
+        let mut kappa: i128 = 0;
+        let mut twins: u32 = 0;
+        for (id, fact) in db.facts() {
+            let (tail, head) = view.ends(fact);
+            if fact.label == x {
+                price[head] += view.weight(id);
+                // Fewer twins than nodes, and node ids are `u32`s below
+                // `NO_TWIN`.
+                if twin[head] == NO_TWIN {
+                    twin[head] = twins;
+                    twins += 1;
+                }
+            } else if fact.label == y {
+                price[tail] -= view.weight(id);
+                kappa += view.weight(id);
+            }
+        }
+
+        // z-facts (extended bag semantics): a non-positive price is removed
+        // for free and credited to the value — the exchange is taken for
+        // free. `restored` starts as the free exchanges; cut exchanges join
+        // it below. A node no x- or y-fact touches has price 0, and nothing
+        // for `restored` to restore or delete.
+        restored.clear();
+        restored.resize(num_nodes, false);
+        exchanges.clear();
+        let mut negative_credit: i128 = 0;
+        for (v, &p) in price.iter().enumerate() {
+            if p > 0 {
+                exchanges.push((v as u32, p as u128));
+            } else {
+                negative_credit += p;
+                restored[v] = true;
+            }
+        }
+        trace.end(rewrite_timer, "rewrite");
+        if db.num_facts() + exchanges.len() > u32::MAX as usize {
+            return Err(ResilienceError::NotApplicable {
+                algorithm: Algorithm::OneDangling,
+                reason: "the rewritten database has 2^32 or more facts".to_string(),
+            });
+        }
+
+        // Solve D'⁺ with the local algorithm in bag semantics.
+        let rewritten =
+            Rewritten { view, split, x, y, twin, exchanges, num_nodes: num_nodes + twins as usize };
+        let (local_value, cut) =
+            resilience_via_ro_enfa(&split.automaton, &rewritten, scratch, trace);
+        let local_value = match local_value {
+            ResilienceValue::Infinite => return Ok((ResilienceValue::Infinite, None)),
+            ResilienceValue::Finite(v) => v as i128,
+        };
+        let total = kappa + negative_credit + local_value;
+        debug_assert!(total >= 0, "resilience values are non-negative");
+        let value = ResilienceValue::Finite(total as u128);
+        if !want_cut {
+            return Ok((value, None));
+        }
+
+        // Map the minimum cut back to original facts. `restored` collects the
+        // nodes whose exchange is taken: their y-facts survive, their x-facts
+        // go. Cut ids past the database's facts name z-facts.
+        let witness_timer = trace.begin();
+        cut_marks.clear();
+        cut_marks.resize(db.num_facts(), false);
+        for id in cut {
+            match id.index().checked_sub(db.num_facts()) {
+                None => cut_marks[id.index()] = true,
+                Some(k) => restored[exchanges[k].0 as usize] = true,
+            }
+        }
+        let witness = db
+            .facts()
+            .filter(|&(id, fact)| {
+                let (tail, head) = view.ends(fact);
+                cut_marks[id.index()]
+                    || (fact.label == x && restored[head])
+                    || (fact.label == y && !restored[tail])
+            })
+            .map(|(id, _)| id)
+            .collect();
+        trace.end(witness_timer, "witness_extract");
+        Ok((value, Some(witness)))
     }
 }
 
@@ -207,14 +349,37 @@ pub fn resilience_one_dangling(
     plan.solve(rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled())
 }
 
-/// What a fact of the rewritten database stands for in the original one.
-#[derive(Debug, Clone, Copy)]
-enum Provenance {
-    /// A carried-over local fact, or an `x`-fact redirected to a twin node.
-    Original(FactId),
-    /// The `z`-fact of node `v`: cutting it means "delete every `x`-fact into
-    /// `v` and restore the `y`-facts out of `v`".
-    Exchange(NodeId),
+/// `twin` entry of a node no x-fact enters.
+const NO_TWIN: u32 = u32::MAX;
+
+/// The per-solve buffers of the rewriting, indexed by node or fact of the
+/// caller's database. Kept in [`SolveScratch`], so batch solves reuse them.
+#[derive(Debug, Default)]
+pub(crate) struct RewriteScratch {
+    /// Each node's twin number `k`, or [`NO_TWIN`]: twin `(v, in)` is node
+    /// `|nodes(D)| + k` of `D'`.
+    twin: Vec<u32>,
+    /// Each node's exchange price `in_x(v) − out_y(v)`.
+    price: Vec<i128>,
+    /// The nodes whose exchange is taken.
+    restored: Vec<bool>,
+    /// The z-facts of `D'`, in node order: their node and positive price.
+    exchanges: Vec<(u32, u128)>,
+    /// The facts a minimum cut of `D'⁺` cuts directly.
+    cut_marks: Vec<bool>,
+}
+
+impl RewriteScratch {
+    /// The capacities of the buffers.
+    pub(crate) fn capacity_signature(&self) -> [usize; 5] {
+        [
+            self.twin.capacity(),
+            self.price.capacity(),
+            self.restored.capacity(),
+            self.exchanges.capacity(),
+            self.cut_marks.capacity(),
+        ]
+    }
 }
 
 /// The database as the rewriting sees it: every fact reversed when the plan
@@ -228,12 +393,14 @@ struct View<'a> {
 }
 
 impl View<'_> {
-    /// The `(source, target)` of a fact in the view's orientation.
-    fn ends(&self, fact: Fact) -> (NodeId, NodeId) {
+    /// The `(source, target)` node indices of a fact in the view's
+    /// orientation.
+    fn ends(&self, fact: Fact) -> (usize, usize) {
+        let (source, target) = (fact.source.0 as usize, fact.target.0 as usize);
         if self.mirrored {
-            (fact.target, fact.source)
+            (target, source)
         } else {
-            (fact.source, fact.target)
+            (source, target)
         }
     }
 
@@ -245,152 +412,74 @@ impl View<'_> {
             self.db.multiplicity(id)
         }
     }
+
+    /// [`View::multiplicity`] as a price term.
+    fn weight(&self, id: FactId) -> i128 {
+        i128::from(self.multiplicity(id))
+    }
 }
 
-/// Performs steps 2–4 of the rewriting for a decomposition with `y ∉ Σ`, whose
-/// local part is recognized by the prepared RO-εNFA `ro`. Returns the value
-/// and, when `want_cut` is set and the value is finite, an optimal
-/// contingency set in the viewed database's fact identifiers.
-fn rewrite_and_solve(
-    decomposition: &OneDanglingDecomposition,
-    ro: &RoEnfa,
-    view: View<'_>,
-    want_cut: bool,
-    scratch: &mut SolveScratch,
-    trace: &mut Trace,
-) -> Result<(ResilienceValue, Option<BTreeSet<FactId>>), ResilienceError> {
-    let rewrite_timer = trace.begin();
-    let db = view.db;
-    let x = decomposition.x;
-    let y = decomposition.y;
-    let local_part = &decomposition.local_part;
+/// `D'⁺` as a stream of product facts: the viewed database's non-`y` facts
+/// in id order, each `x`-fact redirected to its twin, then one `z`-fact per
+/// exchange. Carried-over facts keep their own ids as provenance; the `k`-th
+/// `z`-fact has provenance `|facts(D)| + k`, below 2^32 (checked before the
+/// stream starts).
+struct Rewritten<'a> {
+    view: View<'a>,
+    split: &'a SplitAutomaton,
+    x: Letter,
+    y: Letter,
+    twin: &'a [u32],
+    exchanges: &'a [(u32, u128)],
+    /// `|nodes(D)|` plus the number of twins.
+    num_nodes: usize,
+}
 
-    // κ = total multiplicity of y-facts.
-    let kappa: i128 = db
-        .facts()
-        .filter(|(_, f)| f.label == y)
-        .map(|(id, _)| i128::from(view.multiplicity(id)))
-        .sum();
-
-    // Fresh letter z and the rewritten automaton A' (x ↦ xz). When x does not
-    // occur in the local part, the language is unchanged.
-    let ambient = local_part.alphabet().union(&db.alphabet()).with(x).with(y);
-    let z = ambient.fresh_letter();
-    let ro_rewritten = if ro.letter_transition(x).is_some() {
-        ro.split_letter_transition(x, z)?
-    } else {
-        ro.clone()
-    };
-
-    // Rewrite the database, recording what each rewritten fact stands for.
-    // Original nodes keep their identifiers; each twin `(v, in)` is a fresh
-    // node (whose name can never alias an original one), created once.
-    let mut rewritten = db.nodes_only();
-    let mut twins: Vec<Option<NodeId>> = vec![None; db.num_nodes()];
-    let mut twin_of = |rewritten: &mut GraphDb, v: NodeId| {
-        *twins[v.0 as usize].get_or_insert_with(|| rewritten.fresh_node())
-    };
-    // Per-node bookkeeping for the z-fact multiplicities, dense by node id
-    // (`touched` marks nodes with at least one incident x- or y-fact).
-    let mut incoming_x: Vec<i128> = vec![0; db.num_nodes()];
-    let mut outgoing_y: Vec<i128> = vec![0; db.num_nodes()];
-    let mut touched: Vec<bool> = vec![false; db.num_nodes()];
-    for (id, fact) in db.facts() {
-        let (source, target) = view.ends(fact);
-        if fact.label == x {
-            incoming_x[target.0 as usize] += i128::from(view.multiplicity(id));
-            touched[target.0 as usize] = true;
-        }
-        if fact.label == y {
-            outgoing_y[source.0 as usize] += i128::from(view.multiplicity(id));
-            touched[source.0 as usize] = true;
-        }
+impl Rewritten<'_> {
+    /// The node id of `v`'s twin.
+    fn twin_of(&self, v: usize) -> usize {
+        self.view.db.num_nodes() + self.twin[v] as usize
     }
 
-    // Rewritten facts never collide (facts are identified by their triple,
-    // x-facts are redirected to twins, z is fresh), so their ids are assigned
-    // sequentially and `provenance` is a dense push-indexed Vec.
-    let mut provenance: Vec<Provenance> = Vec::with_capacity(db.num_facts());
-    for (id, fact) in db.facts() {
-        let (source, target) = view.ends(fact);
-        let target = match fact.label {
-            // y-facts are erased.
-            l if l == y => continue,
-            // x-facts are redirected to the twin (v, in).
-            l if l == x => twin_of(&mut rewritten, target),
-            _ => target,
-        };
-        let new =
-            rewritten.add_fact_with_multiplicity(source, fact.label, target, view.multiplicity(id));
-        debug_assert_eq!(new.index(), provenance.len());
-        provenance.push(Provenance::Original(id));
-    }
-
-    // z-facts (extended bag semantics): multiplicity may be ≤ 0, in which case
-    // the fact is removed for free and its (non-positive) multiplicity is
-    // credited to the final value — the per-node exchange is taken for free.
-    // `restored` starts as the free exchanges; cut exchanges join it below.
-    let mut negative_credit: i128 = 0;
-    let mut restored: Vec<bool> = vec![false; db.num_nodes()];
-    for v in db.nodes() {
-        if !touched[v.0 as usize] {
-            continue;
-        }
-        let mult = incoming_x[v.0 as usize] - outgoing_y[v.0 as usize];
-        if mult > 0 {
-            let twin = twin_of(&mut rewritten, v);
-            let new = rewritten.add_fact_with_multiplicity(twin, z, v, mult as u64);
-            debug_assert_eq!(new.index(), provenance.len());
-            provenance.push(Provenance::Exchange(v));
-        } else {
-            negative_credit += mult;
-            restored[v.0 as usize] = true;
-        }
-    }
-
-    // Solve the rewritten (positive-multiplicity) instance with the local
-    // algorithm in bag semantics.
-    trace.end(rewrite_timer, "rewrite");
-    let (local_value, cut) =
-        resilience_via_ro_enfa(&ro_rewritten, &rewritten, Semantics::Bag, scratch, trace, |_| true);
-    let local_value = match local_value {
-        ResilienceValue::Infinite => return Ok((ResilienceValue::Infinite, None)),
-        ResilienceValue::Finite(v) => v as i128,
-    };
-    let total = kappa + negative_credit + local_value;
-    debug_assert!(total >= 0, "resilience values are non-negative");
-    let value = ResilienceValue::Finite(total as u128);
-    if !want_cut {
-        return Ok((value, None));
-    }
-
-    // Map the minimum cut back to original facts. `restored` collects the
-    // nodes whose exchange is taken: their y-facts survive, their x-facts go.
-    // Every finite-capacity edge of the rewritten network is a rewritten
-    // fact, and all of them were recorded above, so indexing cannot miss.
-    let witness_timer = trace.begin();
-    let mut witness: BTreeSet<FactId> = BTreeSet::new();
-    for rewritten_fact in cut {
-        match provenance[rewritten_fact.index()] {
-            Provenance::Original(id) => {
-                witness.insert(id);
+    fn stream(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
+        let automaton = &self.split.automaton;
+        for (id, fact) in self.view.db.facts() {
+            let (tail, head) = self.view.ends(fact);
+            let head = if fact.label == self.x {
+                self.twin_of(head)
+            } else if fact.label == self.y || fact.label == self.split.z {
+                continue;
+            } else {
+                head
+            };
+            if let Some(transition) = automaton.letter_transition(fact.label) {
+                let capacity = Capacity::Finite(u128::from(self.view.multiplicity(id)));
+                f(id, tail, transition, head, capacity);
             }
-            Provenance::Exchange(v) => {
-                restored[v.0 as usize] = true;
+        }
+        if let Some(transition) = self.split.z_transition {
+            let num_facts = self.view.db.num_facts();
+            for (k, &(v, price)) in self.exchanges.iter().enumerate() {
+                let v = v as usize;
+                let id = FactId((num_facts + k) as u32);
+                f(id, self.twin_of(v), transition, v, Capacity::Finite(price));
             }
         }
     }
-    for (id, fact) in db.facts() {
-        let (source, target) = view.ends(fact);
-        if fact.label == x && restored[target.0 as usize] {
-            witness.insert(id);
-        }
-        if fact.label == y && !restored[source.0 as usize] {
-            witness.insert(id);
-        }
+}
+
+impl ProductFacts for Rewritten<'_> {
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
     }
-    trace.end(witness_timer, "witness_extract");
-    Ok((value, Some(witness)))
+
+    fn for_each_transition(&self, mut f: impl FnMut(usize, (usize, usize), usize)) {
+        self.stream(|_, tail, transition, head, _| f(tail, transition, head));
+    }
+
+    fn for_each_fact(&self, f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
+        self.stream(f);
+    }
 }
 
 #[cfg(test)]
@@ -400,6 +489,7 @@ mod tests {
     use rpq_automata::alphabet::Letter;
     use rpq_automata::{Alphabet, Language, Word};
     use rpq_graphdb::generate::{one_dangling_instance, random_labeled_graph, word_path};
+    use std::collections::BTreeSet;
 
     /// The witness invariants of Proposition 7.9's extraction: present,
     /// a real contingency set, and of cost exactly the certified value.
@@ -638,6 +728,31 @@ mod tests {
             }
         }
         assert!(instances >= 200);
+    }
+
+    /// The `x`-facts entering node 3 weigh 2^64 + 5 and 2^64 in total: more
+    /// than a `u64` holds. The exchange price must stay exact — truncated, it
+    /// would read 5 (value 5 instead of 100) or 0 (a fact of multiplicity 0).
+    #[test]
+    fn exchange_prices_past_u64_stay_exact() {
+        let q = Rpq::parse("abc|be").unwrap().with_bag_semantics();
+        for second_b in [(1 << 63) + 5, 1 << 63] {
+            let mut db = GraphDb::new();
+            for (source, label, target, multiplicity) in [
+                ("1", 'a', "2", 1 << 62),
+                ("6", 'a', "5", 1 << 62),
+                ("2", 'b', "3", 1 << 63),
+                ("5", 'b', "3", second_b),
+                ("3", 'c', "4", 100),
+            ] {
+                let id = db.add_fact_by_names(source, label, target);
+                db.set_multiplicity(id, multiplicity);
+            }
+            let fast = resilience_one_dangling(&q, &db).unwrap();
+            assert_eq!(fast.value, resilience_by_enumeration(&q, &db), "second b {second_b}");
+            assert_eq!(fast.value, ResilienceValue::Finite(100));
+            assert_witness(&q, &db, &fast);
+        }
     }
 
     #[test]
