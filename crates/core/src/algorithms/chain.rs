@@ -18,6 +18,12 @@
 //! keeps one vertex of its two (32,770 → 16,386 vertices on the
 //! `engine_solve` benchmark's 16k-fact database), and the cut edges do not
 //! change.
+//!
+//! The plan also numbers the roles. A solve resolves each fact's role id
+//! once (through an ASCII table, or a sorted fallback for other letters)
+//! and wires two consecutive facts by looking the second one's role id up
+//! among the digrams of the first one's, in tables linear in the number of
+//! digrams.
 
 use super::{Algorithm, ResilienceError, ResilienceOutcome, SolveScratch};
 use crate::rpq::{ResilienceValue, Rpq};

@@ -74,17 +74,18 @@ pub(crate) fn solve_prepared(
 
 /// The facts a Theorem 3.13 product network is built from: a node count and,
 /// per fact with a transition, its provenance id, tail node, automaton
-/// transition `(s, s')`, head node and capacity. Both passes must yield the
-/// same facts in the same order.
+/// transition `(s, s')`, head node and capacity. The capacity is looked up
+/// by provenance, and only for the facts the pruned network keeps.
 pub(crate) trait ProductFacts {
     /// The number of nodes; tails and heads are below it.
     fn num_nodes(&self) -> usize;
 
-    /// Calls `f(tail, (s, s'), head)` on every fact.
-    fn for_each_transition(&self, f: impl FnMut(usize, (usize, usize), usize));
+    /// Calls `f(provenance, tail, (s, s'), head)` on every fact, in the same
+    /// order on every call.
+    fn for_each_fact(&self, f: impl FnMut(FactId, usize, (usize, usize), usize));
 
-    /// Calls `f(provenance, tail, (s, s'), head, capacity)` on every fact.
-    fn for_each_fact(&self, f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity));
+    /// The capacity of the fact with provenance id `provenance`.
+    fn capacity(&self, provenance: FactId) -> Capacity;
 }
 
 /// A database read through an RO-εNFA: every fact whose letter has a
@@ -100,26 +101,21 @@ impl ProductFacts for DbFacts<'_> {
         self.db.num_nodes()
     }
 
-    fn for_each_transition(&self, mut f: impl FnMut(usize, (usize, usize), usize)) {
-        for (_, fact) in self.db.facts() {
+    fn for_each_fact(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize)) {
+        for (fact_id, fact) in self.db.facts() {
             if let Some(transition) = self.ro.letter_transition(fact.label) {
-                f(fact.source.0 as usize, transition, fact.target.0 as usize);
+                f(fact_id, fact.source.0 as usize, transition, fact.target.0 as usize);
             }
         }
     }
 
-    fn for_each_fact(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
-        for (fact_id, fact) in self.db.facts() {
-            if let Some(transition) = self.ro.letter_transition(fact.label) {
-                // Exogenous facts can never be cut: they get capacity +∞,
-                // exactly like the structural edges of the construction.
-                let capacity = if self.db.is_exogenous(fact_id) {
-                    Capacity::Infinite
-                } else {
-                    Capacity::Finite(u128::from(self.semantics.fact_cost(self.db, fact_id)))
-                };
-                f(fact_id, fact.source.0 as usize, transition, fact.target.0 as usize, capacity);
-            }
+    fn capacity(&self, fact_id: FactId) -> Capacity {
+        // Exogenous facts can never be cut: they get capacity +∞, exactly
+        // like the structural edges of the construction.
+        if self.db.is_exogenous(fact_id) {
+            Capacity::Infinite
+        } else {
+            Capacity::Finite(u128::from(self.semantics.fact_cost(self.db, fact_id)))
         }
     }
 }
@@ -239,7 +235,7 @@ pub(crate) fn resilience_via_ro_enfa(
         node_in.resize(num_nodes, 0);
         node_out.clear();
         node_out.resize(num_nodes, 0);
-        facts.for_each_transition(|tail, (s, s_prime), head| {
+        facts.for_each_fact(|_, tail, (s, s_prime), head| {
             node_out[tail] |= 1 << s;
             node_in[head] |= 1 << s_prime;
         });
@@ -286,9 +282,10 @@ pub(crate) fn resilience_via_ro_enfa(
         // Fact edges (finite capacity) — emitted first, so edge id == index
         // into `edge_fact`. A fact is pruned exactly when no query path can
         // traverse it, so it can never be in a minimum cut either.
-        facts.for_each_fact(|fact_id, tail, (s, s_prime), head, capacity| {
+        facts.for_each_fact(|fact_id, tail, (s, s_prime), head| {
             let (a, b) = (slot(tail, s), slot(head, s_prime));
             if a != PRUNED && b != PRUNED {
+                let capacity = facts.capacity(fact_id);
                 let edge = csr.add_edge(vertex(tail, a), vertex(head, b), capacity);
                 debug_assert_eq!(edge.index(), edge_fact.len());
                 edge_fact.push(fact_id.0);
@@ -315,7 +312,8 @@ pub(crate) fn resilience_via_ro_enfa(
             VertexId((node * num_states + state) as u32)
         };
 
-        facts.for_each_fact(|fact_id, tail, (s, s_prime), head, capacity| {
+        facts.for_each_fact(|fact_id, tail, (s, s_prime), head| {
+            let capacity = facts.capacity(fact_id);
             let edge = csr.add_edge(product(tail, s), product(head, s_prime), capacity);
             debug_assert_eq!(edge.index(), edge_fact.len());
             edge_fact.push(fact_id.0);

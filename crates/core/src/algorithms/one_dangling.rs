@@ -21,7 +21,7 @@
 //! multiplicities of `D` (set resilience is bag resilience on the database
 //! with all multiplicities equal to 1).
 //!
-//! Steps 1 and 2 depend on the query alone, so [`OneDanglingPlan`] takes
+//! Steps 1 and 2 depend on the query alone, so `OneDanglingPlan` takes
 //! them once: `z` is the first letter outside `Σ ∪ {x, y}`, and `A'` is the
 //! local part's RO-εNFA with its `x`-transition split into `x` then `z`.
 //! A database fact that happens to carry the letter `z` matches neither `L`
@@ -440,8 +440,14 @@ impl Rewritten<'_> {
     fn twin_of(&self, v: usize) -> usize {
         self.view.db.num_nodes() + self.twin[v] as usize
     }
+}
 
-    fn stream(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
+impl ProductFacts for Rewritten<'_> {
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    fn for_each_fact(&self, mut f: impl FnMut(FactId, usize, (usize, usize), usize)) {
         let automaton = &self.split.automaton;
         for (id, fact) in self.view.db.facts() {
             let (tail, head) = self.view.ends(fact);
@@ -453,32 +459,23 @@ impl Rewritten<'_> {
                 head
             };
             if let Some(transition) = automaton.letter_transition(fact.label) {
-                let capacity = Capacity::Finite(u128::from(self.view.multiplicity(id)));
-                f(id, tail, transition, head, capacity);
+                f(id, tail, transition, head);
             }
         }
         if let Some(transition) = self.split.z_transition {
             let num_facts = self.view.db.num_facts();
-            for (k, &(v, price)) in self.exchanges.iter().enumerate() {
+            for (k, &(v, _)) in self.exchanges.iter().enumerate() {
                 let v = v as usize;
-                let id = FactId((num_facts + k) as u32);
-                f(id, self.twin_of(v), transition, v, Capacity::Finite(price));
+                f(FactId((num_facts + k) as u32), self.twin_of(v), transition, v);
             }
         }
     }
-}
 
-impl ProductFacts for Rewritten<'_> {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn for_each_transition(&self, mut f: impl FnMut(usize, (usize, usize), usize)) {
-        self.stream(|_, tail, transition, head, _| f(tail, transition, head));
-    }
-
-    fn for_each_fact(&self, f: impl FnMut(FactId, usize, (usize, usize), usize, Capacity)) {
-        self.stream(f);
+    fn capacity(&self, provenance: FactId) -> Capacity {
+        Capacity::Finite(match provenance.index().checked_sub(self.view.db.num_facts()) {
+            None => u128::from(self.view.multiplicity(provenance)),
+            Some(k) => self.exchanges[k].1,
+        })
     }
 }
 
