@@ -73,9 +73,7 @@ const FORWARD: u8 = 1;
 const REVERSED: u8 = 2;
 
 /// What a letter's facts contribute to the Proposition 7.6 network. The
-/// roles depend on the language alone, so [`ChainPlan`] computes them once,
-/// and every solve resolves each fact's role id once, through an ASCII
-/// table or a sorted fallback.
+/// roles depend on the language alone, so [`ChainPlan`] computes them once.
 ///
 /// A fact's start vertex is entered by the source attachment (when its
 /// letter is a source-side endpoint letter), by forward wiring from facts
