@@ -2,10 +2,11 @@
 //!
 //! The engine builds pruned, ε-contracted and terminal-merged product
 //! networks. These tests build the networks the way the paper states them —
-//! with no pruning and no merging — solve them with [`rpq_flow::min_cut`],
-//! and require [`PreparedQuery::solve`] to return the same value and the same
-//! contingency set. The set is the fact image of the unique minimal source
-//! side, so every sound contraction must leave it unchanged.
+//! with no pruning and no merging — solve them with [`CsrFlow::min_cut`],
+//! certify each cut with [`CsrFlow::check_cut`], and require
+//! [`PreparedQuery::solve`] to return the same value and the same contingency
+//! set. The set is the fact image of the unique minimal source side, so every
+//! sound contraction must leave it unchanged.
 //!
 //! * Theorem 3.13: `N_{D,A}` over the RO-εNFA of `IF(L)`: a vertex per
 //!   (node, state), an edge per fact, an ε-edge per (node, ε-transition), and
@@ -25,7 +26,7 @@
 use rpq_automata::finite::{one_dangling_decomposition, FiniteLanguage};
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_automata::Alphabet;
-use rpq_flow::{Capacity, FlowNetwork, VertexId};
+use rpq_flow::{Capacity, CsrFlow, FlowScratch, VertexId};
 use rpq_graphdb::generate::{flow_instance, layered_instance, random_labeled_graph};
 use rpq_graphdb::{FactId, GraphDb, NodeId};
 use rpq_resilience::algorithms::Algorithm;
@@ -98,18 +99,20 @@ fn capacity(db: &GraphDb, fact: FactId, semantics: Semantics) -> Capacity {
 
 /// A flow network whose first `edge_fact.len()` edges are fact edges.
 struct Textbook {
-    network: FlowNetwork,
+    network: CsrFlow,
+    source: VertexId,
+    target: VertexId,
     edge_fact: Vec<FactId>,
 }
 
 impl Textbook {
     fn new() -> Textbook {
-        let mut network = FlowNetwork::new();
+        let mut network = CsrFlow::new();
         let source = network.add_vertex();
         let target = network.add_vertex();
         network.set_source(source);
         network.set_target(target);
-        Textbook { network, edge_fact: Vec::new() }
+        Textbook { network, source, target, edge_fact: Vec::new() }
     }
 
     fn add_fact_edge(&mut self, from: VertexId, to: VertexId, fact: FactId, capacity: Capacity) {
@@ -118,8 +121,13 @@ impl Textbook {
     }
 
     /// The min-cut value and the facts of the cut's edges.
-    fn solve(&self) -> (ResilienceValue, BTreeSet<FactId>) {
-        let cut = rpq_flow::min_cut(&self.network);
+    fn solve(mut self) -> (ResilienceValue, BTreeSet<FactId>) {
+        self.network.freeze();
+        let mut scratch = FlowScratch::new();
+        let cut = self.network.min_cut(&mut scratch);
+        if !cut.value.is_infinite() {
+            assert_eq!(self.network.check_cut(cut.cut_edges), Ok(cut.value), "textbook cut");
+        }
         let facts = cut
             .cut_edges
             .iter()
@@ -133,7 +141,7 @@ impl Textbook {
 /// `N_{D,A}` of Theorem 3.13, unpruned and uncontracted.
 fn local_network(ro: &RoEnfa, db: &GraphDb, semantics: Semantics) -> Textbook {
     let mut textbook = Textbook::new();
-    let (source, target) = (textbook.network.source(), textbook.network.target());
+    let (source, target) = (textbook.source, textbook.target);
     let states = ro.num_states();
     let first = textbook.network.add_vertices(db.num_nodes() * states);
     let product = |node: usize, state: usize| VertexId(first.0 + (node * states + state) as u32);
@@ -180,7 +188,7 @@ fn chain_network(language: &FiniteLanguage, db: &GraphDb, semantics: Semantics) 
     }
 
     let mut textbook = Textbook::new();
-    let (source, target) = (textbook.network.source(), textbook.network.target());
+    let (source, target) = (textbook.source, textbook.target);
     let mut start = vec![None; db.num_facts()];
     for (id, fact) in db.facts() {
         if letters.contains(&fact.label) {

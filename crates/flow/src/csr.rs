@@ -1,14 +1,10 @@
 //! Cache-friendly CSR flow networks solved over reusable scratch buffers:
-//! the crate's one flow core.
+//! the crate's one flow network type.
 //!
-//! [`crate::network::FlowNetwork`] is the construction-friendly API: an edge
-//! list with `Option` source/target, solved by copying it into a fresh
-//! [`CsrFlow`] (see [`crate::mincut::min_cut`]). That is fine for one-off
-//! solves, but the resilience engine solves the *same shape* of network once
-//! per database, thousands of times per prepared query, so it builds into a
-//! reused `CsrFlow` arena directly.
-//!
-//! [`CsrFlow`] is the representation every solve runs on:
+//! Every network, whether a resilience reduction or a test instance, is built
+//! straight into a [`CsrFlow`]. The resilience engine solves the *same shape*
+//! of network once per database, thousands of times per prepared query, so
+//! the arena is reused across builds rather than allocated per solve:
 //!
 //! * edges are appended into a flat **arena** (`edge_from`/`edge_to`/
 //!   `edge_cap` arrays of `u32`/`u128`) that is `clear()`ed — never freed —
@@ -21,7 +17,9 @@
 //!   not survive the CSR permutation);
 //! * [`CsrFlow::min_cut`] runs Dinic over a caller-provided [`FlowScratch`],
 //!   whose buffers are reset — never reallocated — across solves (see
-//!   [`crate::scratch`]).
+//!   [`crate::scratch`]);
+//! * [`CsrFlow::check_cut`] is an independent reference: it reads only the
+//!   arena, so it certifies a returned cut without trusting the solver.
 //!
 //! Dinic labels each phase by residual distance **to the target** (a BFS
 //! from the target over reverse residual arcs), so its blocking-flow search
@@ -39,14 +37,110 @@
 //! plus one (saturating), so a flow reaching the cap proves that every cut
 //! uses an infinite edge.
 
-use crate::network::{Capacity, EdgeId, FlowNetwork, VertexId};
 use crate::scratch::{FlowScratch, NO_ARC, UNVISITED};
+use std::fmt;
+
+/// Identifier of a vertex of a flow network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VertexId(pub u32);
+
+impl VertexId {
+    /// The vertex identifier as a `usize` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Identifier of an edge of a flow network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EdgeId(pub u32);
+
+impl EdgeId {
+    /// The edge identifier as a `usize` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The capacity of an edge: a finite non-negative integer or `+∞`.
+///
+/// Infinite capacities are a dedicated variant (not a large sentinel), so the
+/// API can certify that a returned cut is finite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Capacity {
+    /// A finite capacity.
+    Finite(u128),
+    /// An infinite capacity: the edge can never be part of a finite cut.
+    Infinite,
+}
+
+impl Capacity {
+    /// Whether the capacity is infinite.
+    pub fn is_infinite(&self) -> bool {
+        matches!(self, Capacity::Infinite)
+    }
+
+    /// The finite value, if any.
+    pub fn finite(&self) -> Option<u128> {
+        match self {
+            Capacity::Finite(v) => Some(*v),
+            Capacity::Infinite => None,
+        }
+    }
+
+    /// Saturating addition (`∞` absorbs).
+    pub fn saturating_add(self, other: Capacity) -> Capacity {
+        match (self, other) {
+            (Capacity::Finite(a), Capacity::Finite(b)) => Capacity::Finite(a.saturating_add(b)),
+            _ => Capacity::Infinite,
+        }
+    }
+}
+
+impl PartialOrd for Capacity {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Capacity {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        use Capacity::*;
+        match (self, other) {
+            (Finite(a), Finite(b)) => a.cmp(b),
+            (Finite(_), Infinite) => std::cmp::Ordering::Less,
+            (Infinite, Finite(_)) => std::cmp::Ordering::Greater,
+            (Infinite, Infinite) => std::cmp::Ordering::Equal,
+        }
+    }
+}
+
+impl fmt::Display for Capacity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Capacity::Finite(v) => write!(f, "{v}"),
+            Capacity::Infinite => write!(f, "+∞"),
+        }
+    }
+}
 
 /// Capacity sentinel inside the arena: `+∞` (finite capacities must be
 /// strictly below; the reductions only produce `u64`-sized costs).
 const INFINITE: u128 = u128::MAX;
 /// `arc_edge` sentinel for reverse (residual-only) arcs.
 const NO_EDGE: u32 = u32::MAX;
+
+/// The arena encoding of a capacity: a finite value as itself, `+∞` as
+/// [`INFINITE`].
+fn encode(capacity: Capacity) -> u128 {
+    match capacity {
+        Capacity::Finite(c) => {
+            assert!(c < INFINITE, "finite capacity too large");
+            c
+        }
+        Capacity::Infinite => INFINITE,
+    }
+}
 
 /// A flow network frozen into contiguous CSR arrays, built once per database
 /// inside a reusable arena and solved over a [`FlowScratch`].
@@ -56,6 +150,24 @@ const NO_EDGE: u32 = u32::MAX;
 /// [`set_target`](CsrFlow::set_target) → [`freeze`](CsrFlow::freeze) →
 /// [`min_cut`](CsrFlow::min_cut) (any number of times). All buffers keep
 /// their allocations across `clear`.
+///
+/// ```
+/// use rpq_flow::{Capacity, CsrFlow, FlowScratch};
+/// let mut net = CsrFlow::new();
+/// let s = net.add_vertex();
+/// let m = net.add_vertex();
+/// let t = net.add_vertex();
+/// net.set_source(s);
+/// net.set_target(t);
+/// net.add_edge(s, m, Capacity::Infinite);
+/// let bottleneck = net.add_edge(m, t, Capacity::Finite(2));
+/// net.freeze();
+/// let mut scratch = FlowScratch::new();
+/// let cut = net.min_cut(&mut scratch);
+/// assert_eq!(cut.value, Capacity::Finite(2));
+/// assert_eq!(cut.cut_edges, [bottleneck]);
+/// assert_eq!(net.check_cut(cut.cut_edges), Ok(cut.value));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct CsrFlow {
     num_vertices: usize,
@@ -164,13 +276,7 @@ impl CsrFlow {
     /// Appends a directed edge to the arena and returns its identifier.
     pub fn add_edge(&mut self, from: VertexId, to: VertexId, capacity: Capacity) -> EdgeId {
         assert!(from.index() < self.num_vertices && to.index() < self.num_vertices);
-        let cap = match capacity {
-            Capacity::Finite(c) => {
-                assert!(c < INFINITE, "finite capacity too large");
-                c
-            }
-            Capacity::Infinite => INFINITE,
-        };
+        let cap = encode(capacity);
         let id = EdgeId(self.edge_from.len() as u32);
         self.edge_from.push(from.0);
         self.edge_to.push(to.0);
@@ -186,13 +292,7 @@ impl CsrFlow {
     /// when lowering a capacity below the edge's retained flow, since
     /// cancellation walks the still-frozen adjacency.
     pub fn set_edge_capacity(&mut self, edge: EdgeId, capacity: Capacity) {
-        let cap = match capacity {
-            Capacity::Finite(c) => {
-                assert!(c < INFINITE, "finite capacity too large");
-                c
-            }
-            Capacity::Infinite => INFINITE,
-        };
+        let cap = encode(capacity);
         self.edge_cap[edge.index()] = cap;
         self.frozen = false;
     }
@@ -233,13 +333,7 @@ impl CsrFlow {
     /// edge has no arcs (it was zero-capacity at freeze time) or either
     /// capacity is infinite.
     pub fn patch_edge_capacity(&mut self, edge: EdgeId, capacity: Capacity) {
-        let cap = match capacity {
-            Capacity::Finite(c) => {
-                assert!(c < INFINITE, "finite capacity too large");
-                c
-            }
-            Capacity::Infinite => INFINITE,
-        };
+        let cap = encode(capacity);
         let e = edge.index();
         let old = self.edge_cap[e];
         if old == cap {
@@ -330,20 +424,6 @@ impl CsrFlow {
             self.edge_arc[i] = forward as u32;
         }
         self.frozen = true;
-    }
-
-    /// Copies a [`FlowNetwork`] into a fresh, frozen `CsrFlow` (convenience
-    /// for cross-checking and benches; the engine builds arenas directly).
-    pub fn from_network(network: &FlowNetwork) -> CsrFlow {
-        let mut csr = CsrFlow::new();
-        csr.add_vertices(network.num_vertices());
-        csr.set_source(network.source());
-        csr.set_target(network.target());
-        for (_, e) in network.edges() {
-            csr.add_edge(e.from, e.to, e.capacity);
-        }
-        csr.freeze();
-        csr
     }
 
     /// The contiguous arc-index range of vertex `v`.
@@ -449,6 +529,55 @@ impl CsrFlow {
                 source_net, target_net
             )),
         }
+    }
+
+    /// Checks that removing the edge set `removed` disconnects the source
+    /// from the target, and returns the set's cost: the sum of its
+    /// capacities, each edge counted once (`+∞` absorbs). `Err` describes why
+    /// the set is not a cut.
+    ///
+    /// The walk reads only the edge arena, never the frozen CSR arrays, the
+    /// solver or the cut extraction, so it certifies a solve independently:
+    /// for every finite [`min_cut`](CsrFlow::min_cut),
+    /// `check_cut(cut.cut_edges) == Ok(cut.value)`. Every edge left in place
+    /// connects its endpoints, zero-capacity ones included. The walk is
+    /// `O(V + E)`; it is meant for tests and checks, not hot paths.
+    pub fn check_cut(&self, removed: &[EdgeId]) -> Result<Capacity, String> {
+        if self.source == NO_ARC || self.target == NO_ARC {
+            return Err("source or target vertex not set".to_string());
+        }
+        let mut is_removed = vec![false; self.num_edges()];
+        let mut cost = Capacity::Finite(0);
+        for &edge in removed {
+            match is_removed.get_mut(edge.index()) {
+                None => return Err(format!("edge {} is not in the network", edge.0)),
+                Some(seen) if !*seen => {
+                    *seen = true;
+                    cost = cost.saturating_add(self.edge_capacity(edge));
+                }
+                Some(_) => {}
+            }
+        }
+        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); self.num_vertices];
+        for e in (0..self.num_edges()).filter(|&e| !is_removed[e]) {
+            adjacency[self.edge_from[e] as usize].push(self.edge_to[e] as usize);
+        }
+        let (source, target) = (self.source as usize, self.target as usize);
+        let mut seen = vec![false; self.num_vertices];
+        seen[source] = true;
+        let mut stack = vec![source];
+        while let Some(v) = stack.pop() {
+            if v == target {
+                return Err("the target stays reachable from the source".to_string());
+            }
+            for &next in &adjacency[v] {
+                if !seen[next] {
+                    seen[next] = true;
+                    stack.push(next);
+                }
+            }
+        }
+        Ok(cost)
     }
 
     /// Computes a minimum cut **warm-started** from a retained feasible flow:
@@ -908,21 +1037,36 @@ fn apply_augment(csr: &CsrFlow, path_arcs: &[u32], bottleneck: u128, flows: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
-    fn simple_network(edges: &[(u32, u32, u64)], n: u32, s: u32, t: u32) -> FlowNetwork {
-        let mut net = FlowNetwork::new();
+    /// A frozen network on `n` vertices with finite-capacity `edges`.
+    fn simple_network(edges: &[(u32, u32, u64)], n: u32, s: u32, t: u32) -> CsrFlow {
+        let mut net = CsrFlow::new();
         net.add_vertices(n as usize);
         net.set_source(VertexId(s));
         net.set_target(VertexId(t));
         for &(a, b, c) in edges {
             net.add_edge(VertexId(a), VertexId(b), Capacity::Finite(c as u128));
         }
+        net.freeze();
         net
     }
 
-    fn instances() -> Vec<FlowNetwork> {
-        let mut nets = vec![
+    /// A frozen `s -> m -> t` path with capacities `first` and `second`.
+    fn path(first: Capacity, second: Capacity) -> CsrFlow {
+        let mut net = CsrFlow::new();
+        let s = net.add_vertex();
+        let m = net.add_vertex();
+        let t = net.add_vertex();
+        net.set_source(s);
+        net.set_target(t);
+        net.add_edge(s, m, first);
+        net.add_edge(m, t, second);
+        net.freeze();
+        net
+    }
+
+    fn instances() -> Vec<CsrFlow> {
+        vec![
             simple_network(&[(0, 1, 5)], 2, 0, 1),
             simple_network(&[], 2, 0, 1),
             simple_network(&[(1, 0, 4)], 2, 0, 1),
@@ -950,27 +1094,73 @@ mod tests {
                 0,
                 5,
             ),
+            // Infinite routes, bottlenecked and not.
+            path(Capacity::Infinite, Capacity::Infinite),
+            path(Capacity::Infinite, Capacity::Finite(4)),
+        ]
+    }
+
+    #[test]
+    fn capacity_ordering_and_arithmetic() {
+        assert!(Capacity::Finite(3) < Capacity::Finite(5));
+        assert!(Capacity::Finite(u128::MAX) < Capacity::Infinite);
+        assert_eq!(Capacity::Infinite, Capacity::Infinite);
+        assert_eq!(Capacity::Finite(2).saturating_add(Capacity::Finite(3)), Capacity::Finite(5));
+        assert!(Capacity::Finite(2).saturating_add(Capacity::Infinite).is_infinite());
+        assert_eq!(Capacity::Infinite.finite(), None);
+        assert_eq!(Capacity::Finite(4).to_string(), "4");
+        assert_eq!(Capacity::Infinite.to_string(), "+∞");
+    }
+
+    /// `s -> a -> t` and `s -> b -> t`, with capacities 2, 1, 3 and `+∞`.
+    fn diamond() -> (CsrFlow, Vec<EdgeId>) {
+        let mut n = CsrFlow::new();
+        let s = n.add_vertex();
+        let a = n.add_vertex();
+        let b = n.add_vertex();
+        let t = n.add_vertex();
+        n.set_source(s);
+        n.set_target(t);
+        let e = vec![
+            n.add_edge(s, a, Capacity::Finite(2)),
+            n.add_edge(a, t, Capacity::Finite(1)),
+            n.add_edge(s, b, Capacity::Finite(3)),
+            n.add_edge(b, t, Capacity::Infinite),
         ];
-        // Infinite routes, bottlenecked and not.
-        let mut inf = FlowNetwork::new();
-        let s = inf.add_vertex();
-        let m = inf.add_vertex();
-        let t = inf.add_vertex();
-        inf.set_source(s);
-        inf.set_target(t);
-        inf.add_edge(s, m, Capacity::Infinite);
-        inf.add_edge(m, t, Capacity::Infinite);
-        nets.push(inf);
-        let mut capped = FlowNetwork::new();
-        let s = capped.add_vertex();
-        let m = capped.add_vertex();
-        let t = capped.add_vertex();
-        capped.set_source(s);
-        capped.set_target(t);
-        capped.add_edge(s, m, Capacity::Infinite);
-        capped.add_edge(m, t, Capacity::Finite(4));
-        nets.push(capped);
-        nets
+        (n, e)
+    }
+
+    #[test]
+    fn network_construction() {
+        let (n, edges) = diamond();
+        assert_eq!(n.num_vertices(), 4);
+        assert_eq!(n.num_edges(), 4);
+        assert_eq!(n.edge_capacity(edges[3]), Capacity::Infinite);
+    }
+
+    #[test]
+    fn check_cut_detects_cuts_and_costs() {
+        let (n, edges) = diamond();
+        // Removing a->t and s->b disconnects.
+        assert_eq!(n.check_cut(&[edges[1], edges[2]]), Ok(Capacity::Finite(4)));
+        // Removing only a->t does not.
+        assert!(n.check_cut(&[edges[1]]).is_err());
+        // Removing both source edges disconnects.
+        assert_eq!(n.check_cut(&[edges[0], edges[2]]), Ok(Capacity::Finite(5)));
+        // A cut containing an infinite edge has infinite cost.
+        assert_eq!(n.check_cut(&[edges[1], edges[3]]), Ok(Capacity::Infinite));
+        // The empty set is not a cut here.
+        assert!(n.check_cut(&[]).is_err());
+    }
+
+    #[test]
+    fn cut_separates_source_and_target_sides() {
+        let net = simple_network(&[(0, 1, 1), (1, 3, 5), (0, 2, 5), (2, 3, 1)], 4, 0, 3);
+        let mut scratch = FlowScratch::new();
+        let cut = net.min_cut(&mut scratch);
+        assert_eq!(cut.value, Capacity::Finite(2));
+        assert_eq!(net.check_cut(cut.cut_edges), Ok(Capacity::Finite(2)));
+        assert_eq!(scratch.source_side(), [true, false, true, false]);
     }
 
     #[test]
@@ -985,14 +1175,11 @@ mod tests {
         let nets = instances();
         assert_eq!(nets.len(), expected.len());
         let mut scratch = FlowScratch::new();
-        for (i, (net, value)) in nets.iter().zip(expected).enumerate() {
-            let csr = CsrFlow::from_network(net);
+        for (i, (csr, value)) in nets.iter().zip(expected).enumerate() {
             let cut = csr.min_cut(&mut scratch);
             assert_eq!(cut.value, value, "instance {i}: value");
             if let Capacity::Finite(_) = cut.value {
-                let set: BTreeSet<EdgeId> = cut.cut_edges.iter().copied().collect();
-                assert!(net.is_cut(&set), "instance {i}: CSR cut must disconnect");
-                assert_eq!(net.cost(&set), cut.value, "instance {i}: CSR cut cost");
+                assert_eq!(csr.check_cut(cut.cut_edges), Ok(cut.value), "instance {i}: CSR cut");
             } else {
                 assert!(cut.cut_edges.is_empty());
             }
@@ -1008,17 +1195,16 @@ mod tests {
             simple_network(&[(0, 1, 3), (1, 2, 2), (0, 2, 1), (2, 3, 3), (1, 3, 1)], 4, 0, 3),
         ];
         let mut scratch = FlowScratch::new();
-        for net in nets {
-            let m = net.num_edges();
+        for csr in nets {
+            let m = csr.num_edges();
             let mut best = Capacity::Infinite;
             for mask in 0..(1u32 << m) {
-                let set: BTreeSet<EdgeId> =
+                let set: Vec<EdgeId> =
                     (0..m).filter(|i| mask & (1 << i) != 0).map(|i| EdgeId(i as u32)).collect();
-                if net.is_cut(&set) {
-                    best = best.min(net.cost(&set));
+                if let Ok(cost) = csr.check_cut(&set) {
+                    best = best.min(cost);
                 }
             }
-            let csr = CsrFlow::from_network(&net);
             assert_eq!(csr.min_cut(&mut scratch).value, best);
         }
     }
@@ -1031,13 +1217,14 @@ mod tests {
         for net in instances() {
             csr.clear();
             csr.add_vertices(net.num_vertices());
-            csr.set_source(net.source());
-            csr.set_target(net.target());
-            for (_, e) in net.edges() {
-                csr.add_edge(e.from, e.to, e.capacity);
+            csr.set_source(VertexId(net.source));
+            csr.set_target(VertexId(net.target));
+            for e in 0..net.num_edges() {
+                let capacity = net.edge_capacity(EdgeId(e as u32));
+                csr.add_edge(VertexId(net.edge_from[e]), VertexId(net.edge_to[e]), capacity);
             }
             csr.freeze();
-            let expected = CsrFlow::from_network(&net).min_cut(&mut fresh);
+            let expected = net.min_cut(&mut fresh);
             let expected = (expected.value, expected.cut_edges.to_vec());
             let cut = csr.min_cut(&mut scratch);
             assert_eq!((cut.value, cut.cut_edges.to_vec()), expected);
@@ -1050,8 +1237,7 @@ mod tests {
         // use separate scratches.
         let mut cold_scratch = FlowScratch::new();
         let mut warm_scratch = FlowScratch::new();
-        for net in instances() {
-            let csr = CsrFlow::from_network(&net);
+        for csr in instances() {
             let cold = csr.min_cut(&mut cold_scratch);
             let cold = (cold.value, cold.cut_edges.to_vec());
             let mut flows = vec![0u128; csr.num_edges()];
@@ -1136,7 +1322,7 @@ mod tests {
         // counted from the source would admit every branch; the min cut is
         // the real paths' bottlenecks 2 + 3 + 1 = 6.
         const BRANCHES: u32 = 1_200;
-        let mut net = FlowNetwork::new();
+        let mut net = CsrFlow::new();
         let s = net.add_vertex();
         let t = net.add_vertex();
         net.set_source(s);
@@ -1162,9 +1348,9 @@ mod tests {
             // A side exit into the dead region from every real path.
             net.add_edge(p, dead, Capacity::Finite(9));
         }
-        let csr = CsrFlow::from_network(&net);
+        net.freeze();
         let mut scratch: [FlowScratch; 2] = Default::default();
-        let [cold, resume] = cold_and_resumed_cuts(&csr, &mut scratch);
+        let [cold, resume] = cold_and_resumed_cuts(&net, &mut scratch);
         assert_eq!(cold.0, Capacity::Finite(6));
         assert_eq!(cold.1, vec![real[2], real[3], real[6]]);
         assert_eq!(cold, resume);
@@ -1351,9 +1537,7 @@ mod tests {
     #[test]
     fn flow_consistency_checker_accepts_and_rejects() {
         // Path 0 -> 1 -> 2 with capacities 5 and 3: max flow 3.
-        let net = simple_network(&[(0, 1, 5), (1, 2, 3)], 3, 0, 2);
-        let mut csr = CsrFlow::from_network(&net);
-        csr.freeze();
+        let csr = simple_network(&[(0, 1, 5), (1, 2, 3)], 3, 0, 2);
         assert_eq!(csr.check_flow_consistency(&[3, 3], 3), Ok(()));
         // Value 0 with no flow is also feasible.
         assert_eq!(csr.check_flow_consistency(&[0, 0], 0), Ok(()));
@@ -1365,7 +1549,7 @@ mod tests {
         assert!(csr.check_flow_consistency(&[3, 2], 3).is_err());
         // Feasible flow, wrong recorded total.
         assert!(csr.check_flow_consistency(&[3, 3], 2).is_err());
-        // Unfrozen networks cannot be checked (`from_network` freezes, so
+        // Unfrozen networks cannot be checked (`simple_network` freezes, so
         // build by hand).
         let mut unfrozen = CsrFlow::new();
         let a = unfrozen.add_vertices(2);
@@ -1394,13 +1578,12 @@ mod tests {
 
     #[test]
     fn scratch_is_not_reallocated_across_repeated_solves() {
-        let net = simple_network(
+        let csr = simple_network(
             &[(0, 1, 16), (0, 2, 13), (1, 2, 10), (1, 3, 12), (2, 4, 14), (3, 5, 20), (4, 5, 4)],
             6,
             0,
             5,
         );
-        let csr = CsrFlow::from_network(&net);
         let mut scratch = FlowScratch::new();
         // The warm-up solve sizes every buffer.
         csr.min_cut(&mut scratch);

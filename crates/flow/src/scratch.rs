@@ -10,7 +10,7 @@
 //! instance size (amortized — `Vec::resize` keeps capacity) and reuses the
 //! allocations of every previous solve.
 
-use crate::network::EdgeId;
+use crate::csr::EdgeId;
 
 /// Arc-index sentinel: "no arc" (used by predecessor arrays).
 pub(crate) const NO_ARC: u32 = u32::MAX;
@@ -73,11 +73,13 @@ impl FlowScratch {
         self.cut_edges.clear();
     }
 
-    /// The cut edges extracted by the most recent
-    /// [`crate::csr::CsrFlow::min_cut`] call (empty when the cut is infinite
-    /// or the target was already unreachable).
-    pub fn cut_edges(&self) -> &[EdgeId] {
-        &self.cut_edges
+    /// The source side of the most recent cut, one flag per vertex: the
+    /// vertices the source reaches in the final residual graph, which is the
+    /// unique minimal source side of a minimum cut. Set by
+    /// [`crate::csr::CsrFlow::min_cut`] and by a
+    /// [`crate::csr::CsrFlow::min_cut_resume`] that extracts its cut.
+    pub fn source_side(&self) -> &[bool] {
+        &self.reachable
     }
 
     /// The capacities of every internal buffer, in a fixed order. Two equal

@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --example network_robustness`.
 
-use rpq::flow::{Capacity, FlowNetwork};
+use rpq::flow::{Capacity, CsrFlow, FlowScratch};
 use rpq::graphdb::generate::flow_instance;
 use rpq::resilience::algorithms::Algorithm;
 use rpq::resilience::engine::Engine;
@@ -34,7 +34,7 @@ fn main() {
     // Build the corresponding classical flow network by hand: one vertex per
     // database node, plus a super-source feeding the sources of `a`-facts and
     // a super-sink fed by the targets of `b`-facts.
-    let mut network = FlowNetwork::new();
+    let mut network = CsrFlow::new();
     let mut vertex_of = BTreeMap::new();
     for node in db.nodes() {
         vertex_of.insert(node, network.add_vertex());
@@ -59,8 +59,13 @@ fn main() {
             }
         }
     }
-    let cut = rpq::flow::min_cut(&network);
+    network.freeze();
+    let mut scratch = FlowScratch::new();
+    let cut = network.min_cut(&mut scratch);
     println!("classical MinCut value                = {}", cut.value);
+    // The cut is certified against the network itself: removing its edges
+    // disconnects the super-source from the super-sink at exactly its value.
+    assert_eq!(network.check_cut(cut.cut_edges), Ok(cut.value), "certified minimum cut");
 
     // The two computations agree (this is the content of the correspondence).
     let resilience = outcome.value.finite().expect("finite resilience");

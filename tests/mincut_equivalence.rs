@@ -2,7 +2,7 @@
 //! classical minimum cut of the corresponding flow network (the
 //! correspondence described in the paper's introduction).
 
-use rpq::flow::{Capacity, FlowNetwork};
+use rpq::flow::{Capacity, CsrFlow, FlowScratch};
 use rpq::graphdb::generate::flow_instance;
 use rpq::graphdb::GraphDb;
 use rpq::resilience::algorithms::Algorithm;
@@ -10,9 +10,10 @@ use rpq::resilience::engine::Engine;
 use rpq::resilience::rpq::Rpq;
 use std::collections::BTreeMap;
 
-/// Builds the classical flow network of a flow-shaped `a/x/b` database.
-fn classical_network(db: &GraphDb) -> FlowNetwork {
-    let mut network = FlowNetwork::new();
+/// Builds the classical flow network of a flow-shaped `a/x/b` database,
+/// frozen and ready to solve.
+fn classical_network(db: &GraphDb) -> CsrFlow {
+    let mut network = CsrFlow::new();
     let mut vertex_of = BTreeMap::new();
     for node in db.nodes() {
         vertex_of.insert(node, network.add_vertex());
@@ -37,6 +38,7 @@ fn classical_network(db: &GraphDb) -> FlowNetwork {
             }
         }
     }
+    network.freeze();
     network
 }
 
@@ -47,7 +49,10 @@ fn resilience_of_ax_star_b_equals_classical_mincut() {
         let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
         let outcome = Engine::new().solve(&query, &db).unwrap();
         assert_eq!(outcome.algorithm, Algorithm::Local);
-        let cut = rpq::flow::min_cut(&classical_network(&db));
+        let network = classical_network(&db);
+        let mut scratch = FlowScratch::new();
+        let cut = network.min_cut(&mut scratch);
+        assert_eq!(network.check_cut(cut.cut_edges), Ok(cut.value), "seed {seed}");
         assert_eq!(outcome.value.finite().unwrap(), cut.value.finite().unwrap(), "seed {seed}");
     }
 }
