@@ -4,7 +4,8 @@
 //! insert/delete deltas per query family and checks, at **every** snapshot,
 //! that the incrementally patched answer agrees with a fresh full solve —
 //! value, contingency-set validity and optimality (the witness cost equals
-//! the resilience). Where the database is small enough, the subset-
+//! the resilience), and on with-cut rounds the very same cut facts as the
+//! fresh solve. Where the database is small enough, the subset-
 //! enumeration oracle cross-checks the value a third way. The corpus covers
 //! the local plan family (the only one with a patching path), a bag-
 //! semantics variant, and two non-local families (chain, one-dangling) that
@@ -108,6 +109,15 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
                     incremental.value,
                     "{pattern} round {round}: witness cost is not optimal"
                 );
+                // Both networks read their cut off the unique minimal source
+                // side, so the patched network must cut the very same facts.
+                let mut cut = cut.clone();
+                cut.sort_unstable();
+                let mut fresh_cut = fresh.contingency_set.clone().unwrap_or_else(|| {
+                    panic!("{pattern} round {round}: the fresh solve has no witness")
+                });
+                fresh_cut.sort_unstable();
+                assert_eq!(cut, fresh_cut, "{pattern} round {round}: cut differs from fresh");
             }
         }
         // Third opinion on small instances: the subset-enumeration oracle.
