@@ -341,17 +341,7 @@ impl ChainPlan {
         }
 
         trace.end(build_timer, "product_build");
-        let freeze_timer = trace.begin();
-        csr.freeze();
-        trace.end(freeze_timer, "csr_freeze");
-        let cut = if trace.is_enabled() {
-            let (cut, timings) = csr.min_cut_timed(flow_scratch);
-            trace.add(super::FLOW_PHASE, timings.solve_us);
-            trace.add("cut_extract", timings.extract_us);
-            cut
-        } else {
-            csr.min_cut(flow_scratch)
-        };
+        let cut = super::freeze_and_cut(csr, flow_scratch, trace);
         let witness_timer = trace.begin();
         let value = match cut.value {
             Capacity::Infinite => ResilienceValue::Infinite,

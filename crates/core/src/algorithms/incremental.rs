@@ -5,21 +5,22 @@
 //! max-flow from zero on every snapshot throws away almost all the work: a
 //! single-fact edit changes one edge capacity of the flow network, and a
 //! maximum flow for the previous snapshot is a near-maximum feasible flow for
-//! the next one. This module keeps the product network and its per-edge
-//! flows alive between solves and applies deltas as capacity patches:
+//! the next one. This module keeps the product network alive between solves,
+//! and its flow in the residual graph of the scratch's
+//! [`rpq_flow::FlowScratch`], and applies deltas as capacity patches:
 //!
 //! * **insert** — a new arc appended to the CSR arena (plus fresh state
 //!   blocks and structural arcs when the delta introduces new nodes);
 //! * **delete** — the arc's capacity zeroed, with the flow it carried
 //!   cancelled along residual paths ([`rpq_flow::CsrFlow::cancel_flow`])
 //!   so the retained assignment stays feasible;
-//! * **solve** — a [`rpq_flow::CsrFlow::min_cut_resume`] that only augments
-//!   the *difference* to the new maximum instead of the whole flow. A delta
-//!   that only patched capacities leaves the CSR freeze and the previous
-//!   solve's residual arrays intact ([`rpq_flow::CsrFlow::patch_edge_capacity`]),
-//!   so the resume repairs just the patched edges — `O(|delta|)` setup plus
-//!   one certification pass; only deltas that append blocks or fresh edges
-//!   pay the `O(V+E)` re-freeze and residual reload.
+//! * **solve** — a [`rpq_flow::CsrFlow::max_flow_resume`] that only augments
+//!   the *difference* to the new maximum instead of the whole flow. A
+//!   capacity patch rewrites the frozen arc and its residual in place
+//!   ([`rpq_flow::CsrFlow::patch_edge_capacity`]), so a delta that only
+//!   patched capacities costs `O(|delta|)` before Dinic starts; only deltas
+//!   that append blocks or fresh edges make the resume pay the `O(V+E)`
+//!   re-lay that carries the flow into the new arcs.
 //!
 //! # Stable layout, stable identity
 //!
@@ -96,36 +97,24 @@ pub(crate) struct IncrementalLocalState {
     /// Arena edge → fact key (`NO_KEY` block marks structural edges), for
     /// mapping cut edges back to facts of the *current* database.
     edge_key: Vec<(u32, Letter, u32)>,
-    /// Retained per-edge flow: the feasible flow the previous solve left.
-    edge_flows: Vec<u128>,
-    /// Value of the retained flow.
-    total_flow: u128,
     /// Summed capacity of non-exogenous fact edges (the `INCR_INF` guard).
     total_finite: u128,
     /// Fact edges with positive capacity.
     live_facts: usize,
     /// Fact edges currently tombstoned (capacity 0, still in the arena).
     tombstones: usize,
-    /// Edges whose capacity the current delta patched — the repair list for
-    /// warm resumes (valid while the freeze survives the delta).
-    dirty: Vec<EdgeId>,
-    /// Whether the owning scratch's residual arrays still hold the state the
-    /// previous resume left (false after rebuilds; a surviving freeze plus
-    /// this flag enables the `O(|delta|)` warm resume).
-    residual_warm: bool,
 }
 
 /// Verifies the retained incremental flow against the scratch's network:
-/// `Ok` when no incremental state is retained yet, otherwise the full
+/// `Ok` when no incremental state is retained, otherwise the full
 /// residual-consistency walk of [`CsrFlow::check_flow_consistency`]. Exposed
 /// through [`crate::engine::IncrementalSolver::check_consistency`] for churn
-/// tests; `debug_assert!`ed after every incremental resume.
+/// tests; debug builds run it after every resume.
 pub(crate) fn check_consistency(scratch: &SolveScratch) -> Result<(), String> {
-    let Some(state) = &scratch.incremental else { return Ok(()) };
-    if !scratch.csr.is_frozen() {
-        return Err("incremental state retained on an unfrozen network".to_string());
+    match scratch.incremental {
+        Some(_) => scratch.csr.check_flow_consistency(&scratch.flow),
+        None => Ok(()),
     }
-    scratch.csr.check_flow_consistency(&state.edge_flows, state.total_flow)
 }
 
 /// The per-fact capacity in the incremental network.
@@ -179,7 +168,6 @@ impl IncrementalLocalState {
         let e = csr.add_edge(from, to, Capacity::Finite(INCR_INF));
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push((NO_KEY, Letter('\0'), NO_KEY));
-        self.edge_flows.push(0);
     }
 
     /// Appends a fresh fact edge (capacity > 0) for `key`.
@@ -193,7 +181,6 @@ impl IncrementalLocalState {
         );
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push(key);
-        self.edge_flows.push(0);
         self.fact_edges.insert(key, e);
         self.live_facts += 1;
         if cap < INCR_INF {
@@ -209,13 +196,9 @@ impl IncrementalLocalState {
         self.nodes.clear();
         self.fact_edges.clear();
         self.edge_key.clear();
-        self.edge_flows.clear();
-        self.total_flow = 0;
         self.total_finite = 0;
         self.live_facts = 0;
         self.tombstones = 0;
-        self.dirty.clear();
-        self.residual_warm = false;
         csr.clear();
         let source = csr.add_vertex();
         let target = csr.add_vertex();
@@ -249,7 +232,6 @@ impl IncrementalLocalState {
         delta: &[FactChange],
     ) -> bool {
         // Net effect per key, in first-touch order (last write wins).
-        self.dirty.clear();
         let first_new_block = self.names.len();
         let mut net: Vec<((u32, Letter, u32), u128)> = Vec::with_capacity(delta.len());
         let mut index: HashMap<(u32, Letter, u32), usize> = HashMap::with_capacity(delta.len());
@@ -297,15 +279,7 @@ impl IncrementalLocalState {
         // previous freeze's adjacency is still intact.
         for &(key, new_cap) in &net {
             if let Some(&e) = self.fact_edges.get(&key) {
-                if new_cap < self.edge_flows[e.index()]
-                    && !csr.cancel_flow(
-                        e,
-                        new_cap,
-                        flow_scratch,
-                        &mut self.edge_flows,
-                        &mut self.total_flow,
-                    )
-                {
+                if !csr.cancel_flow(e, new_cap, flow_scratch) {
                     return false;
                 }
             }
@@ -326,9 +300,8 @@ impl IncrementalLocalState {
                     }
                     // Keeps the network frozen whenever the edge still has
                     // residual arcs — delete/re-insert rings then skip the
-                    // per-solve re-freeze entirely.
-                    csr.patch_edge_capacity(e, Capacity::Finite(new_cap));
-                    self.dirty.push(e);
+                    // per-solve re-lay entirely.
+                    csr.patch_edge_capacity(e, Capacity::Finite(new_cap), flow_scratch);
                     if old_cap < INCR_INF {
                         self.total_finite -= old_cap;
                     }
@@ -399,19 +372,19 @@ pub(crate) fn solve_incremental_local(
 ) -> (ResilienceOutcome, SolveMode) {
     let semantics = rpq.semantics();
 
-    // The number of fact edges the patched network must end up with — a
-    // cheap lineage guard that catches databases from a different log.
+    // The number of fact edges the patched network must end up with: a
+    // cheap guard that catches some deltas from another database's log, not
+    // all (the delta contract is the caller's, see `IncrementalSolver`).
     let expected_live = db.facts().filter(|(_, f)| ro.letter_transition(f.label).is_some()).count();
 
     let mut mode = SolveMode::Full;
     {
         let patch_timer = trace.begin();
         let SolveScratch { csr, flow: flow_scratch, incremental, .. } = &mut *scratch;
-        let state = incremental.get_or_insert_with(Default::default);
-        let patched = match delta {
-            Some(delta)
-                if !state.edge_flows.is_empty()
-                    && state.num_states == ro.num_states()
+        // A retained state means the scratch holds its network's flow.
+        let patched = match (delta, incremental.as_deref_mut()) {
+            (Some(delta), Some(state))
+                if state.num_states == ro.num_states()
                     && state.total_finite < INCR_INF / 2
                     && state.tombstones <= state.live_facts.max(16)
                     && delta.len()
@@ -432,16 +405,15 @@ pub(crate) fn solve_incremental_local(
             // Oversized delta: the batch path's pruned build-and-solve is
             // measurably faster than rebuilding the unpruned retained
             // network (see the `resilience_under_updates` bench), so cede
-            // this solve to it and invalidate the retained flows — the next
-            // small delta bootstraps a fresh retained network instead.
-            state.edge_flows.clear();
-            state.residual_warm = false;
+            // this solve to it and drop the retained state — the next small
+            // delta bootstraps a fresh retained network instead.
+            *incremental = None;
             return (
                 super::local::solve_prepared(ro, rpq, db, want_cut, scratch, trace),
                 SolveMode::Full,
             );
         } else {
-            state.build(csr, ro, semantics, db);
+            incremental.get_or_insert_with(Default::default).build(csr, ro, semantics, db);
             trace.end(patch_timer, "rebuild");
         }
     }
@@ -459,37 +431,24 @@ pub(crate) fn solve_incremental_local(
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
     let state = incremental.as_mut().expect("state was just built or patched");
-    // A delta that only patched capacities leaves the freeze (and the
-    // residual arrays of the previous resume) intact: resume warm, repairing
-    // just the patched edges. Anything that unfroze the network — a rebuild,
-    // fresh blocks, inserted edges — reloads the residuals in full.
-    let warm = mode == SolveMode::Incremental && csr.is_frozen() && state.residual_warm;
-    let freeze_timer = trace.begin();
-    csr.freeze(); // no-op unless the delta appended blocks or fresh edges
-    trace.end(freeze_timer, "csr_freeze");
+    if mode == SolveMode::Full {
+        let freeze_timer = trace.begin();
+        csr.freeze();
+        trace.end(freeze_timer, "csr_freeze");
+    }
     let resume_timer = trace.begin();
-    let cut = csr.min_cut_resume(
-        flow_scratch,
-        &mut state.edge_flows,
-        &mut state.total_flow,
-        INCR_INF,
-        want_cut,
-        if warm { Some(&state.dirty) } else { None },
-    );
-    state.residual_warm = true;
-    debug_assert_eq!(
-        csr.check_flow_consistency(&state.edge_flows, state.total_flow),
-        Ok(()),
-        "incremental resume left an infeasible retained flow"
-    );
-    let value = ResilienceValue::from(cut.value);
+    // A patched network continues the flow the scratch retained; the resume
+    // re-lays it first when the delta appended blocks or edges.
+    let flow = match mode {
+        SolveMode::Incremental => csr.max_flow_resume(flow_scratch),
+        SolveMode::Full => csr.max_flow(flow_scratch),
+    };
+    let value =
+        if flow >= INCR_INF { ResilienceValue::Infinite } else { ResilienceValue::Finite(flow) };
+    let cut = (want_cut && !value.is_infinite()).then(|| csr.extract_cut(flow_scratch));
     trace.end(resume_timer, "flow_resume");
     let witness_timer = trace.begin();
-    let facts = if want_cut && !value.is_infinite() {
-        Some(state.cut_to_facts(cut.cut_edges, db))
-    } else {
-        None
-    };
+    let facts = cut.map(|cut| state.cut_to_facts(cut.cut_edges, db));
     trace.end(witness_timer, "witness_extract");
     debug_assert!(
         value.is_infinite()

@@ -336,17 +336,7 @@ pub(crate) fn resilience_via_ro_enfa(
     }
 
     trace.end(build_timer, "product_build");
-    let freeze_timer = trace.begin();
-    csr.freeze();
-    trace.end(freeze_timer, "csr_freeze");
-    let cut = if trace.is_enabled() {
-        let (cut, timings) = csr.min_cut_timed(flow_scratch);
-        trace.add(super::FLOW_PHASE, timings.solve_us);
-        trace.add("cut_extract", timings.extract_us);
-        cut
-    } else {
-        csr.min_cut(flow_scratch)
-    };
+    let cut = super::freeze_and_cut(csr, flow_scratch, trace);
     let witness_timer = trace.begin();
     let facts: Vec<FactId> = cut
         .cut_edges

@@ -75,8 +75,9 @@ pub mod one_dangling;
 use crate::approx::{ApproxError, ApproximateResilience};
 use crate::rpq::ResilienceValue;
 use rpq_automata::AutomataError;
-use rpq_flow::{CsrFlow, FlowScratch};
+use rpq_flow::{CsrCut, CsrFlow, FlowScratch};
 use rpq_graphdb::FactId;
+use rpq_obs::Trace;
 use std::fmt;
 
 /// Reusable per-solve buffers of the flow-based reductions (see the
@@ -90,7 +91,8 @@ use std::fmt;
 pub struct SolveScratch {
     /// The CSR flow arena the reductions build and freeze per database.
     pub(crate) csr: CsrFlow,
-    /// Solver state for [`CsrFlow::min_cut`].
+    /// Solver state for [`CsrFlow::max_flow`], and the flow an incremental
+    /// solve retains.
     pub(crate) flow: FlowScratch,
     /// Edge → fact provenance. Fact edges are emitted into the arena first,
     /// so `edge_fact[edge.index()]` is the `FactId` of every edge with index
@@ -144,7 +146,7 @@ impl SolveScratch {
     /// The capacities of every internal buffer. Used to assert the reuse
     /// contract: once warmed up on a batch's shape, further solves must not
     /// change the signature (zero reallocations).
-    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 8], [usize; 17]) {
+    pub fn capacity_signature(&self) -> ([usize; 10], [usize; 9], [usize; 17]) {
         let [buckets, templates, slots, edges] = self.signatures.capacity_signature();
         let [twin, price, restored, exchanges, cut_marks] = self.rewrite.capacity_signature();
         (
@@ -308,9 +310,26 @@ impl Algorithm {
     }
 }
 
-/// The trace phase of the max-flow solve (see [`rpq_flow::CutTimings`]).
-/// Trace readers match its `flow_solve` prefix.
-pub(crate) const FLOW_PHASE: &str = "flow_solve_dinic";
+/// Freezes a built product network, solves its maximum flow and extracts
+/// the cut: the tail every per-database reduction shares. Records the
+/// `csr_freeze`, `flow_solve_dinic` and `cut_extract` spans; trace readers
+/// match the max-flow span by its `flow_solve` prefix.
+pub(crate) fn freeze_and_cut<'s>(
+    csr: &mut CsrFlow,
+    flow: &'s mut FlowScratch,
+    trace: &mut Trace,
+) -> CsrCut<'s> {
+    let timer = trace.begin();
+    csr.freeze();
+    trace.end(timer, "csr_freeze");
+    let timer = trace.begin();
+    csr.max_flow(flow);
+    trace.end(timer, "flow_solve_dinic");
+    let timer = trace.begin();
+    let cut = csr.extract_cut(flow);
+    trace.end(timer, "cut_extract");
+    cut
+}
 
 impl std::str::FromStr for Algorithm {
     type Err = String;

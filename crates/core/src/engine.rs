@@ -243,10 +243,13 @@ pub enum SolveMode {
 /// Drives [`PreparedQuery::route_incremental`]: owns the [`SolveScratch`]
 /// whose retained flow network survives between solves. A dedicated owner —
 /// rather than the plan's pool — because pooled scratches are clobbered by
-/// ordinary solves, which would silently invalidate the retained per-edge
-/// flows. One solver tracks one database timeline; interleaving snapshots of
-/// unrelated databases through a single solver stays correct (the lineage
-/// guards force full rebuilds) but forfeits the incremental speedup.
+/// ordinary solves, which would silently invalidate the retained flow.
+///
+/// One solver tracks one database timeline: a delta is taken relative to
+/// this solver's previous solve, whatever database that was. A caller that
+/// switches databases passes `None` as the delta, which rebuilds. The solver
+/// cannot tell two timelines apart: its only lineage check compares fact
+/// counts, so a delta from another database's log can yield a wrong answer.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     scratch: SolveScratch,
@@ -638,16 +641,19 @@ impl PreparedQuery {
     /// the flow network and maximum flow the `solver` retained from the
     /// previous snapshot when possible.
     ///
-    /// `delta` is the fact-change log between the previously solved snapshot
-    /// and this one (`None` when unknown, e.g. on the first solve or after a
-    /// snapshot rollback). When the plan is the Theorem 3.13 local reduction
+    /// `delta` is the fact-change log between the snapshot `solver` solved
+    /// last and this one: `None` when unknown, e.g. on the first solve, after
+    /// a snapshot rollback, or when `db` belongs to another timeline than the
+    /// solver's previous solve (see [`IncrementalSolver`]). When the plan is the Theorem 3.13 local reduction
     /// and the delta is small relative to the database, the solve applies the
     /// changes as edge-capacity patches and warm-starts the min-cut from the
     /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
     /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
     /// Outcomes always match a fresh [`PreparedQuery::route`] of the same
-    /// database. The patch path records `patch_apply` / `rebuild`,
-    /// `csr_freeze`, `flow_resume` and `witness_extract` spans.
+    /// database. A patched solve records `patch_apply`, `flow_resume` (which
+    /// re-lays the arcs when the delta grew the network) and
+    /// `witness_extract` spans; a rebuild records `rebuild`, `csr_freeze`,
+    /// `flow_resume` and `witness_extract`.
     ///
     /// The budget projection is the *full-build* cost of the planned backend
     /// — an upper bound on the warm-start cost, so a fitting estimate never
@@ -1356,6 +1362,8 @@ mod tests {
             let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
+            // The retained flow reaching INCR_INF reads +∞, with no witness.
+            assert_eq!(out.contingency_set.is_none(), expected.is_infinite(), "{patch}");
             assert_eq!(out.value, prepared.solve(&db).unwrap().value, "{patch}");
         }
         // ε ∈ L: constant +∞, no network at all.

@@ -15,9 +15,14 @@
 //!   residual arcs interleaved in the same arrays and paired through an
 //!   explicit `arc_twin` index (an `ai ^ 1` pairing of adjacent arcs does
 //!   not survive the CSR permutation);
-//! * [`CsrFlow::min_cut`] runs Dinic over a caller-provided [`FlowScratch`],
+//! * [`CsrFlow::max_flow`] runs Dinic over a caller-provided [`FlowScratch`],
 //!   whose buffers are reset — never reallocated — across solves (see
-//!   [`crate::scratch`]);
+//!   [`crate::scratch`]), and [`CsrFlow::extract_cut`] reads the cut off its
+//!   residual graph; [`CsrFlow::min_cut`] runs the two;
+//! * the residual graph is the flow: an edge's flow is the residual of its
+//!   reverse arc, so [`CsrFlow::max_flow_resume`] continues from whatever
+//!   flow the scratch holds, and the capacity patches and flow cancellations
+//!   of an incremental solver edit that one copy in place;
 //! * [`CsrFlow::check_cut`] is an independent reference: it reads only the
 //!   arena, so it certifies a returned cut without trusting the solver.
 //!
@@ -148,8 +153,14 @@ fn encode(capacity: Capacity) -> u128 {
 /// Lifecycle: [`clear`](CsrFlow::clear) → [`add_vertices`](CsrFlow::add_vertices)
 /// / [`add_edge`](CsrFlow::add_edge) / [`set_source`](CsrFlow::set_source) /
 /// [`set_target`](CsrFlow::set_target) → [`freeze`](CsrFlow::freeze) →
-/// [`min_cut`](CsrFlow::min_cut) (any number of times). All buffers keep
-/// their allocations across `clear`.
+/// [`min_cut`](CsrFlow::min_cut), or [`max_flow`](CsrFlow::max_flow) then
+/// [`extract_cut`](CsrFlow::extract_cut) (any number of times). An
+/// incremental caller instead keeps the flow in its scratch and edits the
+/// network between [`max_flow_resume`](CsrFlow::max_flow_resume) calls:
+/// [`cancel_flow`](CsrFlow::cancel_flow) before lowering a capacity below
+/// the edge's flow, [`patch_edge_capacity`](CsrFlow::patch_edge_capacity),
+/// `add_vertices` and `add_edge`. All buffers keep their allocations across
+/// `clear`.
 ///
 /// ```
 /// use rpq_flow::{Capacity, CsrFlow, FlowScratch};
@@ -184,25 +195,19 @@ pub struct CsrFlow {
     arc_twin: Vec<u32>,
     arc_edge: Vec<u32>,
     arc_cap: Vec<u128>,
-    /// Edge → forward-arc index of the current freeze ([`NO_ARC`] for
-    /// zero-capacity edges, which produce no arcs). Lets the incremental
-    /// solver map persistent per-edge flows onto the residual arrays.
+    /// Edge → forward-arc index of the last freeze ([`NO_ARC`] for
+    /// zero-capacity edges, which produce no arcs); empty after `clear`. The
+    /// flow of edge `e` is the residual of `arc_twin[edge_arc[e]]`.
     edge_arc: Vec<u32>,
     infinite_cap: u128,
+    /// Whether the last freeze saw an infinite capacity: the proxy
+    /// capacities of those arcs depend on every finite capacity.
+    has_infinite: bool,
     frozen: bool,
 }
 
-/// Per-phase wall-clock timings of a [`CsrFlow::min_cut_timed`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CutTimings {
-    /// Residual load + max-flow solve, in µs.
-    pub solve_us: u64,
-    /// Residual-reachability pass + cut-edge scan, in µs.
-    pub extract_us: u64,
-}
-
-/// A minimum cut computed by [`CsrFlow::min_cut`]. The cut edges borrow the
-/// scratch buffer and stay valid until its next solve.
+/// A minimum cut computed by [`CsrFlow::extract_cut`]. The cut edges borrow
+/// the scratch buffer and stay valid until its next solve.
 #[derive(Debug)]
 pub struct CsrCut<'a> {
     /// The cost of the cut (`Infinite` when no finite cut exists).
@@ -226,6 +231,7 @@ impl CsrFlow {
         self.edge_from.clear();
         self.edge_to.clear();
         self.edge_cap.clear();
+        self.edge_arc.clear();
         self.frozen = false;
     }
 
@@ -254,13 +260,6 @@ impl CsrFlow {
         self.edge_from.len()
     }
 
-    /// Whether the CSR adjacency is current (no mutation since the last
-    /// [`freeze`](CsrFlow::freeze)). Incremental callers use this to decide
-    /// between a warm resume and a full residual reload.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Declares the source vertex.
     pub fn set_source(&mut self, v: VertexId) {
         assert!(v.index() < self.num_vertices, "vertex out of range");
@@ -283,18 +282,6 @@ impl CsrFlow {
         self.edge_cap.push(cap);
         self.frozen = false;
         id
-    }
-
-    /// Overwrites the capacity of an existing arena edge (the incremental
-    /// solver's delete = capacity 0, re-insert = capacity restored). The
-    /// network unfreezes: call [`freeze`](CsrFlow::freeze) again before the
-    /// next solve — and [`cancel_flow`](CsrFlow::cancel_flow) **before** this
-    /// when lowering a capacity below the edge's retained flow, since
-    /// cancellation walks the still-frozen adjacency.
-    pub fn set_edge_capacity(&mut self, edge: EdgeId, capacity: Capacity) {
-        let cap = encode(capacity);
-        self.edge_cap[edge.index()] = cap;
-        self.frozen = false;
     }
 
     /// The capacities of every internal buffer, for asserting that reuse
@@ -322,34 +309,49 @@ impl CsrFlow {
         }
     }
 
-    /// Overwrites the capacity of an existing arena edge **without
-    /// unfreezing** when the current freeze gave the edge residual arcs: the
-    /// forward arc's capacity is rewritten in place and the internal infinity
-    /// bound adjusted, so the next solve needs no re-freeze. Lowering a
-    /// capacity to zero leaves a zero-capacity arc behind — harmless to the
-    /// solvers (no residual) and consistent with the cut contract, which
-    /// already includes zero-cost separator edges. The call degrades to
-    /// [`set_edge_capacity`](CsrFlow::set_edge_capacity) (unfreeze) when the
-    /// edge has no arcs (it was zero-capacity at freeze time) or either
-    /// capacity is infinite.
-    pub fn patch_edge_capacity(&mut self, edge: EdgeId, capacity: Capacity) {
+    /// Overwrites the capacity of an existing arena edge (an incremental
+    /// solver's delete = capacity 0, re-insert = capacity restored). The
+    /// edge's flow must not exceed the new capacity: run
+    /// [`cancel_flow`](CsrFlow::cancel_flow) first when lowering it.
+    ///
+    /// When the freeze gave the edge residual arcs and saw no infinite
+    /// capacity, the forward arc and its residual in `scratch` — which must
+    /// hold this network's flow — are rewritten in place and the network
+    /// stays frozen. A capacity lowered to zero leaves a zero-capacity arc
+    /// behind, harmless to the solvers and consistent with the cut contract,
+    /// which already includes zero-cost separator edges. Otherwise the
+    /// network unfreezes, and the next [`freeze`](CsrFlow::freeze) or
+    /// [`max_flow_resume`](CsrFlow::max_flow_resume) re-lays it: an edge
+    /// without arcs, or any patch beside an infinite edge, whose proxy
+    /// capacity tracks the finite total.
+    pub fn patch_edge_capacity(
+        &mut self,
+        edge: EdgeId,
+        capacity: Capacity,
+        scratch: &mut FlowScratch,
+    ) {
         let cap = encode(capacity);
         let e = edge.index();
         let old = self.edge_cap[e];
         if old == cap {
             return;
         }
-        if self.frozen && cap != INFINITE && old != INFINITE {
-            let a = self.edge_arc[e];
-            if a != NO_ARC {
-                self.edge_cap[e] = cap;
-                self.arc_cap[a as usize] = cap;
-                self.infinite_cap = self.infinite_cap.saturating_sub(old).saturating_add(cap);
-                return;
-            }
-        }
         self.edge_cap[e] = cap;
-        self.frozen = false;
+        let a = if self.frozen && !self.has_infinite && cap != INFINITE {
+            self.edge_arc[e]
+        } else {
+            NO_ARC
+        };
+        if a == NO_ARC {
+            self.frozen = false;
+            return;
+        }
+        let a = a as usize;
+        let flow = scratch.residual[self.arc_twin[a] as usize];
+        debug_assert!(flow <= cap, "cancel the flow above a lowered capacity first");
+        scratch.residual[a] = cap - flow;
+        self.arc_cap[a] = cap;
+        self.infinite_cap = self.infinite_cap.saturating_sub(old).saturating_add(cap);
     }
 
     /// Compiles the arena into CSR residual adjacency (counting sort by arc
@@ -368,8 +370,11 @@ impl CsrFlow {
         let n = self.num_vertices;
 
         let mut total_finite: u128 = 0;
+        self.has_infinite = false;
         for &c in &self.edge_cap {
-            if c != INFINITE {
+            if c == INFINITE {
+                self.has_infinite = true;
+            } else {
                 total_finite = total_finite.saturating_add(c);
             }
         }
@@ -432,79 +437,110 @@ impl CsrFlow {
         self.adj_start[v] as usize..self.adj_start[v + 1] as usize
     }
 
-    /// Computes a minimum source–target cut with Dinic. All solver state
-    /// lives in `scratch`, which is resized (growing only) and reused across
-    /// calls.
+    /// Computes a minimum source–target cut: [`max_flow`](CsrFlow::max_flow)
+    /// then [`extract_cut`](CsrFlow::extract_cut).
     pub fn min_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
-        let flow = self.load_and_solve(scratch);
-        self.extract_cut(scratch, flow, self.infinite_cap)
+        self.max_flow(scratch);
+        self.extract_cut(scratch)
     }
 
-    /// [`CsrFlow::min_cut`] with per-phase wall-clock timings: the µs spent
-    /// in the max-flow solve (including the residual load) and the µs spent
-    /// extracting the cut. A separate entry point — rather than an always-on
-    /// measurement inside `min_cut` — so untraced solves pay no clock reads
-    /// at all.
-    pub fn min_cut_timed<'s>(&self, scratch: &'s mut FlowScratch) -> (CsrCut<'s>, CutTimings) {
-        let solve_start = std::time::Instant::now();
-        let flow = self.load_and_solve(scratch);
-        let solve_us = solve_start.elapsed().as_micros() as u64;
-        let extract_start = std::time::Instant::now();
-        let cut = self.extract_cut(scratch, flow, self.infinite_cap);
-        let extract_us = extract_start.elapsed().as_micros() as u64;
-        (cut, CutTimings { solve_us, extract_us })
-    }
-
-    /// The residual load and max-flow solve shared by
-    /// [`min_cut`](CsrFlow::min_cut) and
-    /// [`min_cut_timed`](CsrFlow::min_cut_timed).
-    fn load_and_solve(&self, scratch: &mut FlowScratch) -> u128 {
-        assert!(self.frozen, "CsrFlow::min_cut requires freeze()");
+    /// Computes a maximum flow with Dinic, starting from zero flow, and
+    /// returns its value. All solver state lives in `scratch`, which is
+    /// resized (growing only) and reused across calls; the flow stays there
+    /// for [`extract_cut`](CsrFlow::extract_cut) and for resumes.
+    pub fn max_flow(&self, scratch: &mut FlowScratch) -> u128 {
+        assert!(self.frozen, "CsrFlow::max_flow requires freeze()");
         scratch.prepare(self.num_vertices);
         scratch.residual.clear();
         scratch.residual.extend_from_slice(&self.arc_cap);
-        dinic(self, scratch, None)
+        scratch.flow = dinic(self, scratch);
+        scratch.flow
     }
 
-    /// Verifies that a persistent flow assignment (as maintained by
-    /// [`min_cut_resume`](CsrFlow::min_cut_resume) callers) is a feasible
-    /// flow of value `total_flow` on the frozen network: every edge carries
-    /// at most its capacity (`Infinite` maps to the freeze's finite proxy),
-    /// tombstoned zero-capacity edges carry nothing, interior vertices
-    /// conserve flow, and the source's net outflow — which must equal the
-    /// target's net inflow — is exactly `total_flow`.
+    /// Continues the maximum flow from the flow `scratch` holds — the one
+    /// the last solve, resume, patch or cancellation of this network left
+    /// there — and returns the new value. Dinic only augments the
+    /// *difference* to the new maximum.
+    ///
+    /// When the network changed since its freeze, the resume first re-lays
+    /// the arcs and carries each surviving edge's flow, read off the old
+    /// layout's residual, into the new one. Edges added since start at zero,
+    /// and so does every edge after [`clear`](CsrFlow::clear). Each edge's
+    /// flow must fit its capacity, which [`cancel_flow`](CsrFlow::cancel_flow)
+    /// ensures before a capacity is lowered. Call `freeze` only for the
+    /// first solve: an explicit freeze drops the old layout the flow is
+    /// read from.
+    ///
+    /// The value is the caller's to certify: an infinite edge's proxy
+    /// capacity is recomputed by each freeze and may fall below a carried
+    /// flow, so an incremental caller encodes "infinite" as a fixed huge
+    /// finite capacity and compares the value with it.
+    pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> u128 {
+        if !self.frozen {
+            let FlowScratch { residual, carried, flow, .. } = &mut *scratch;
+            if self.edge_arc.is_empty() {
+                *flow = 0;
+            }
+            carried.clear();
+            carried.resize(self.num_edges(), 0);
+            for (e, &a) in self.edge_arc.iter().enumerate() {
+                if a != NO_ARC {
+                    carried[e] = residual[self.arc_twin[a as usize] as usize];
+                }
+            }
+            self.freeze();
+            residual.clear();
+            residual.resize(self.arc_head.len(), 0);
+            for (e, &a) in self.edge_arc.iter().enumerate() {
+                if a == NO_ARC {
+                    debug_assert_eq!(carried[e], 0, "zero-capacity edge {e} carrying flow");
+                    continue;
+                }
+                let a = a as usize;
+                debug_assert!(
+                    carried[e] <= self.arc_cap[a],
+                    "edge {e} carries flow above its capacity"
+                );
+                residual[a] = self.arc_cap[a] - carried[e];
+                residual[self.arc_twin[a] as usize] = carried[e];
+            }
+        }
+        scratch.prepare(self.num_vertices);
+        scratch.flow += dinic(self, scratch);
+        debug_assert_eq!(self.check_flow_consistency(scratch), Ok(()));
+        scratch.flow
+    }
+
+    /// Verifies the flow `scratch` holds against the frozen network: every
+    /// forward arc's residual plus its twin's (the edge's flow) equals the
+    /// arc's capacity, interior vertices conserve flow, and the source's net
+    /// outflow — which must equal the target's net inflow — is exactly the
+    /// recorded flow value.
     ///
     /// Returns a description of the first violated invariant. The walk is
     /// `O(V + E)`; it is meant for `debug_assert!` hooks and churn tests,
     /// not hot paths.
-    pub fn check_flow_consistency(
-        &self,
-        edge_flows: &[u128],
-        total_flow: u128,
-    ) -> Result<(), String> {
+    pub fn check_flow_consistency(&self, scratch: &FlowScratch) -> Result<(), String> {
         if !self.frozen {
             return Err("network is not frozen".to_string());
         }
-        if edge_flows.len() != self.edge_from.len() {
-            return Err(format!(
-                "{} retained flows for {} arena edges",
-                edge_flows.len(),
-                self.edge_from.len()
-            ));
+        let residual = &scratch.residual;
+        if residual.len() != self.arc_head.len() {
+            return Err(format!("{} residuals for {} arcs", residual.len(), self.arc_head.len()));
         }
         let mut inflow = vec![0u128; self.num_vertices];
         let mut outflow = vec![0u128; self.num_vertices];
-        for (e, &flow) in edge_flows.iter().enumerate() {
-            if self.edge_arc[e] == NO_ARC {
-                if flow != 0 {
-                    return Err(format!("zero-capacity edge {e} carries flow {flow}"));
-                }
+        for (e, &a) in self.edge_arc.iter().enumerate() {
+            if a == NO_ARC {
                 continue;
             }
-            let cap =
-                if self.edge_cap[e] == INFINITE { self.infinite_cap } else { self.edge_cap[e] };
-            if flow > cap {
-                return Err(format!("edge {e} carries flow {flow} above its capacity {cap}"));
+            let (a, twin) = (a as usize, self.arc_twin[a as usize] as usize);
+            let flow = residual[twin];
+            if residual[a].checked_add(flow) != Some(self.arc_cap[a]) {
+                return Err(format!(
+                    "edge {e}: residuals {} and {flow} do not sum to its capacity {}",
+                    residual[a], self.arc_cap[a]
+                ));
             }
             let (from, to) = (self.edge_from[e] as usize, self.edge_to[e] as usize);
             outflow[from] = outflow[from].saturating_add(flow);
@@ -512,21 +548,18 @@ impl CsrFlow {
         }
         let (source, target) = (self.source as usize, self.target as usize);
         for v in 0..self.num_vertices {
-            if v == source || v == target {
-                continue;
-            }
-            if inflow[v] != outflow[v] {
+            if v != source && v != target && inflow[v] != outflow[v] {
                 return Err(format!("vertex {v} receives {} but sends {}", inflow[v], outflow[v]));
             }
         }
         let source_net = outflow[source].checked_sub(inflow[source]);
         let target_net = inflow[target].checked_sub(outflow[target]);
         match (source_net, target_net) {
-            (Some(s), Some(t)) if s == total_flow && t == total_flow => Ok(()),
+            (Some(s), Some(t)) if s == scratch.flow && t == scratch.flow => Ok(()),
             _ => Err(format!(
                 "net source outflow {:?} / target inflow {:?} do not match the \
-                 recorded total flow {total_flow}",
-                source_net, target_net
+                 recorded flow value {}",
+                source_net, target_net, scratch.flow
             )),
         }
     }
@@ -580,115 +613,12 @@ impl CsrFlow {
         Ok(cost)
     }
 
-    /// Computes a minimum cut **warm-started** from a retained feasible flow:
-    /// `edge_flows[e]` is the flow the previous solve left on arena edge `e`
-    /// (0 for freshly added edges) and `total_flow` its value. The residuals
-    /// are loaded as `capacity − flow` instead of from zero, the solver only
-    /// augments the *difference* to the new maximum, and both outputs are
-    /// updated in place for the next resume.
-    ///
-    /// Infinite-capacity certification is the caller's: the value is reported
-    /// `Infinite` when the total flow reaches `infinite_threshold` (the
-    /// internal `total_finite + 1` cap recomputed by each freeze cannot serve
-    /// here, since it may shrink below a retained flow after deletions — the
-    /// incremental solver instead encodes structural edges as a fixed huge
-    /// finite capacity and passes that).
-    ///
-    /// When `want_cut` is `false` the residual-reachability pass and cut-edge
-    /// scan are skipped — the returned `cut_edges` slice is empty and only
-    /// the value (the max flow, `Infinite` past the threshold) is meaningful.
-    ///
-    /// `dirty` selects how the residual arrays are (re)loaded:
-    ///
-    /// * `None` — full reload from `edge_flows`, `O(E)`. Always correct.
-    /// * `Some(edges)` — **warm resume**: `scratch.residual` is assumed to
-    ///   still hold the state this method left on its previous return (same
-    ///   scratch, same freeze, untouched by other solves), and only the
-    ///   listed edges are repaired from `edge_flows`. The caller must list
-    ///   every edge whose capacity was patched since the last resume;
-    ///   [`cancel_flow`](CsrFlow::cancel_flow) keeps the residuals of the
-    ///   paths it drains consistent on its own.
-    pub fn min_cut_resume<'s>(
-        &self,
-        scratch: &'s mut FlowScratch,
-        edge_flows: &mut [u128],
-        total_flow: &mut u128,
-        infinite_threshold: u128,
-        want_cut: bool,
-        dirty: Option<&[EdgeId]>,
-    ) -> CsrCut<'s> {
-        assert!(self.frozen, "CsrFlow::min_cut_resume requires freeze()");
-        assert_eq!(edge_flows.len(), self.num_edges(), "one retained flow per arena edge");
-        scratch.prepare(self.num_vertices);
-        match dirty {
-            None => {
-                scratch.residual.clear();
-                scratch.residual.resize(self.arc_head.len(), 0);
-                for (e, &flow) in edge_flows.iter().enumerate() {
-                    let a = self.edge_arc[e];
-                    if a == NO_ARC {
-                        debug_assert_eq!(flow, 0, "zero-capacity edge retaining flow");
-                        continue;
-                    }
-                    let a = a as usize;
-                    let cap = self.arc_cap[a];
-                    debug_assert!(flow <= cap, "retained flow exceeds edge capacity");
-                    scratch.residual[a] = cap - flow;
-                    scratch.residual[self.arc_twin[a] as usize] = flow;
-                }
-            }
-            Some(dirty) => {
-                assert_eq!(
-                    scratch.residual.len(),
-                    self.arc_head.len(),
-                    "warm resume requires the previous resume's residual"
-                );
-                for &edge in dirty {
-                    let e = edge.index();
-                    let a = self.edge_arc[e];
-                    if a == NO_ARC {
-                        debug_assert_eq!(edge_flows[e], 0, "zero-capacity edge retaining flow");
-                        continue;
-                    }
-                    let a = a as usize;
-                    let flow = edge_flows[e];
-                    debug_assert!(flow <= self.arc_cap[a], "retained flow exceeds edge capacity");
-                    scratch.residual[a] = self.arc_cap[a] - flow;
-                    scratch.residual[self.arc_twin[a] as usize] = flow;
-                }
-                #[cfg(debug_assertions)]
-                for (e, &flow) in edge_flows.iter().enumerate() {
-                    let a = self.edge_arc[e];
-                    if a != NO_ARC {
-                        let a = a as usize;
-                        debug_assert_eq!(
-                            scratch.residual[a],
-                            self.arc_cap[a] - flow,
-                            "stale residual on edge {e} in a warm resume"
-                        );
-                        debug_assert_eq!(scratch.residual[self.arc_twin[a] as usize], flow);
-                    }
-                }
-            }
-        }
-        *total_flow += dinic(self, scratch, Some(edge_flows));
-        if !want_cut {
-            scratch.cut_edges.clear();
-            let value = if *total_flow >= infinite_threshold {
-                Capacity::Infinite
-            } else {
-                Capacity::Finite(*total_flow)
-            };
-            return CsrCut { value, cut_edges: &scratch.cut_edges };
-        }
-        self.extract_cut(scratch, *total_flow, infinite_threshold)
-    }
-
-    /// Cancels flow on `edge` down to `keep` units, rerouting the excess so
-    /// the remaining assignment is again a feasible flow (of possibly smaller
-    /// value, tracked in `total_flow`). This is the incremental delete path:
-    /// lower a capacity below the retained flow, cancel the difference, then
-    /// [`set_edge_capacity`](CsrFlow::set_edge_capacity) + re-freeze + resume.
+    /// Cancels the flow `scratch` holds on `edge` down to `keep` units,
+    /// rerouting the excess so the remaining assignment is again a feasible
+    /// flow (of possibly smaller value). This is the incremental delete path:
+    /// cancel the flow above the lowered capacity, then
+    /// [`patch_edge_capacity`](CsrFlow::patch_edge_capacity) and
+    /// [`max_flow_resume`](CsrFlow::max_flow_resume).
     ///
     /// The surplus at the edge's tail is drained backward along
     /// flow-carrying arcs to the source (a genuine value decrease) or to the
@@ -696,26 +626,25 @@ impl CsrFlow {
     /// is then drained forward to the target. Each drained path zeroes at
     /// least one arc's flow, so the walk terminates in `O(E)` path searches.
     ///
-    /// Returns `false` when the retained flow bookkeeping turns out
-    /// inconsistent (no drain path found) — callers should fall back to a
-    /// full rebuild; the flow arrays are not usable for a resume afterwards.
+    /// Returns `false` when the flow turns out inconsistent (no drain path
+    /// found) — callers should fall back to a full rebuild; the flow is not
+    /// usable for a resume afterwards.
     #[must_use]
-    pub fn cancel_flow(
-        &self,
-        edge: EdgeId,
-        keep: u128,
-        scratch: &mut FlowScratch,
-        edge_flows: &mut [u128],
-        total_flow: &mut u128,
-    ) -> bool {
+    pub fn cancel_flow(&self, edge: EdgeId, keep: u128, scratch: &mut FlowScratch) -> bool {
         assert!(self.frozen, "CsrFlow::cancel_flow requires freeze()");
         let e = edge.index();
-        let flow = edge_flows[e];
+        let a = self.edge_arc[e];
+        if a == NO_ARC {
+            return true; // no arcs, no flow
+        }
+        let (a, twin) = (a as usize, self.arc_twin[a as usize] as usize);
+        let flow = scratch.residual[twin];
         if flow <= keep {
             return true;
         }
         let drain = flow - keep;
-        edge_flows[e] = keep;
+        scratch.residual[a] += drain;
+        scratch.residual[twin] = keep;
         let u = self.edge_from[e] as usize;
         let v = self.edge_to[e] as usize;
         let source = self.source as usize;
@@ -737,7 +666,7 @@ impl CsrFlow {
             if guard == 0 {
                 return false;
             }
-            match self.drain_path(u, true, source, v, surplus, scratch, edge_flows) {
+            match self.drain_path(u, true, source, v, surplus, scratch) {
                 Some((stop, amount)) => {
                     surplus -= amount;
                     if stop == v {
@@ -757,13 +686,13 @@ impl CsrFlow {
             if guard == 0 {
                 return false;
             }
-            match self.drain_path(v, false, target, target, deficit, scratch, edge_flows) {
+            match self.drain_path(v, false, target, target, deficit, scratch) {
                 Some((_, amount)) => deficit -= amount,
                 None => return false,
             }
         }
-        debug_assert!(*total_flow >= to_source, "cancellation exceeds the flow value");
-        *total_flow = total_flow.saturating_sub(to_source);
+        debug_assert!(scratch.flow >= to_source, "cancellation exceeds the flow value");
+        scratch.flow = scratch.flow.saturating_sub(to_source);
         true
     }
 
@@ -772,7 +701,6 @@ impl CsrFlow {
     /// when `backward` — until `stop_a` or `stop_b` is reached, then cancels
     /// the path's bottleneck (capped at `limit`) and returns the stop vertex
     /// and the amount. `None` when no stop vertex is reachable.
-    #[allow(clippy::too_many_arguments)]
     fn drain_path(
         &self,
         start: usize,
@@ -781,7 +709,6 @@ impl CsrFlow {
         stop_b: usize,
         limit: u128,
         scratch: &mut FlowScratch,
-        edge_flows: &mut [u128],
     ) -> Option<(usize, u128)> {
         let n = self.num_vertices;
         for l in scratch.level[..n].iter_mut() {
@@ -797,11 +724,12 @@ impl CsrFlow {
             head += 1;
             for b in self.arc_range(w) {
                 // Walking backward, the twin of each arc out of `w` is an arc
-                // *into* `w`; either way only forward arcs with positive
-                // retained flow qualify.
+                // *into* `w`; either way only forward arcs with positive flow
+                // (the residual of their twin) qualify.
                 let via = if backward { self.arc_twin[b] as usize } else { b };
-                let ex = self.arc_edge[via];
-                if ex == NO_EDGE || edge_flows[ex as usize] == 0 {
+                if self.arc_edge[via] == NO_EDGE
+                    || scratch.residual[self.arc_twin[via] as usize] == 0
+                {
                     continue;
                 }
                 let next = self.arc_head[b] as usize;
@@ -824,8 +752,7 @@ impl CsrFlow {
         let mut w = stop;
         while w != start {
             let via = scratch.pred[w] as usize;
-            let ex = self.arc_edge[via] as usize;
-            bottleneck = bottleneck.min(edge_flows[ex]);
+            bottleneck = bottleneck.min(scratch.residual[self.arc_twin[via] as usize]);
             scratch.path.push(via as u32);
             // `via` runs w→pred-side when backward (tail is w itself), and
             // pred-side→w when forward; either way the other endpoint is the
@@ -837,36 +764,24 @@ impl CsrFlow {
             };
         }
         debug_assert!(bottleneck > 0);
-        // Keep `scratch.residual` in sync for warm resumes whenever it still
-        // belongs to this freeze (saturating: a stale buffer of the right
-        // size gets garbage either way and is fully reloaded next resume).
         let FlowScratch { path, residual, .. } = &mut *scratch;
-        let track = residual.len() == self.arc_head.len();
         for &via in path.iter() {
-            let via = via as usize;
-            let ex = self.arc_edge[via] as usize;
-            edge_flows[ex] -= bottleneck;
-            if track {
-                residual[via] = residual[via].saturating_add(bottleneck);
-                let twin = self.arc_twin[via] as usize;
-                residual[twin] = residual[twin].saturating_sub(bottleneck);
-            }
+            residual[via as usize] += bottleneck;
+            residual[self.arc_twin[via as usize] as usize] -= bottleneck;
         }
         Some((stop, bottleneck))
     }
 
-    /// Residual-reachability BFS plus cut extraction, shared by
-    /// [`min_cut`](CsrFlow::min_cut) and
-    /// [`min_cut_resume`](CsrFlow::min_cut_resume). The BFS starts at the
-    /// source: Dinic's last level BFS starts at the target, so its labels
-    /// are not the source side.
-    fn extract_cut<'s>(
-        &self,
-        scratch: &'s mut FlowScratch,
-        flow: u128,
-        infinite_threshold: u128,
-    ) -> CsrCut<'s> {
+    /// Reads the minimum cut off the maximum flow `scratch` holds: the
+    /// original edges from the vertices the source reaches in the residual
+    /// graph to the rest. The value is `Infinite` when the flow reaches the
+    /// proxy capacity of infinite edges. The BFS starts at the source:
+    /// Dinic's last level BFS starts at the target, so its labels are not
+    /// the source side.
+    pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
         // Vertices reachable from the source in the residual graph.
+        scratch.reachable.clear();
+        scratch.reachable.resize(self.num_vertices, false);
         scratch.queue.clear();
         scratch.reachable[self.source as usize] = true;
         scratch.queue.push(self.source);
@@ -885,15 +800,14 @@ impl CsrFlow {
             }
         }
 
-        if flow >= infinite_threshold {
-            scratch.cut_edges.clear();
+        scratch.cut_edges.clear();
+        if scratch.flow >= self.infinite_cap {
             return CsrCut { value: Capacity::Infinite, cut_edges: &scratch.cut_edges };
         }
 
         // Original edges crossing reachable → unreachable form a minimum cut.
         // Zero-capacity edges crossing it are included so the returned set is
         // a genuine separator (they cost nothing).
-        scratch.cut_edges.clear();
         for i in 0..self.edge_from.len() {
             if scratch.reachable[self.edge_from[i] as usize]
                 && !scratch.reachable[self.edge_to[i] as usize]
@@ -901,7 +815,7 @@ impl CsrFlow {
                 scratch.cut_edges.push(EdgeId(i as u32));
             }
         }
-        CsrCut { value: Capacity::Finite(flow), cut_edges: &scratch.cut_edges }
+        CsrCut { value: Capacity::Finite(scratch.flow), cut_edges: &scratch.cut_edges }
     }
 }
 
@@ -917,7 +831,7 @@ impl CsrFlow {
 /// from the source would instead admit every arc into the parts of a product
 /// network that cannot reach the target, and the DFS would walk each of them
 /// before pruning it. The run ends when the BFS no longer reaches the source.
-fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>) -> u128 {
+fn dinic(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
     let n = csr.num_vertices;
     let source = csr.source as usize;
     let target = csr.target as usize;
@@ -971,9 +885,6 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>
                     s.residual[ai] -= bottleneck;
                     s.residual[csr.arc_twin[ai] as usize] += bottleneck;
                 }
-                if let Some(flows) = edge_flows.as_deref_mut() {
-                    apply_augment(csr, &s.path, bottleneck, flows);
-                }
                 total += bottleneck;
                 // Restart from the tail of the first saturated arc.
                 let mut keep = 0;
@@ -1016,22 +927,6 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, mut edge_flows: Option<&mut [u128]>
         }
     }
     total
-}
-
-/// Folds one augmenting path's `bottleneck` units into the per-edge flow
-/// array (the retained state a resumable solve keeps): a forward arc carries
-/// its arena edge directly, a reverse arc cancels flow on its twin's edge.
-fn apply_augment(csr: &CsrFlow, path_arcs: &[u32], bottleneck: u128, flows: &mut [u128]) {
-    for &ai in path_arcs {
-        let ai = ai as usize;
-        let ex = csr.arc_edge[ai];
-        if ex != NO_EDGE {
-            flows[ex as usize] += bottleneck;
-        } else {
-            let ex = csr.arc_edge[csr.arc_twin[ai] as usize] as usize;
-            flows[ex] -= bottleneck;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1209,20 +1104,25 @@ mod tests {
         }
     }
 
+    /// Builds `net`'s arena into `csr` after a `clear`, without freezing.
+    fn rebuild_into(csr: &mut CsrFlow, net: &CsrFlow) {
+        csr.clear();
+        csr.add_vertices(net.num_vertices());
+        csr.set_source(VertexId(net.source));
+        csr.set_target(VertexId(net.target));
+        for e in 0..net.num_edges() {
+            let capacity = net.edge_capacity(EdgeId(e as u32));
+            csr.add_edge(VertexId(net.edge_from[e]), VertexId(net.edge_to[e]), capacity);
+        }
+    }
+
     #[test]
     fn arena_reuse_after_clear_keeps_results_correct() {
         let mut csr = CsrFlow::new();
         let mut scratch = FlowScratch::new();
         let mut fresh = FlowScratch::new();
         for net in instances() {
-            csr.clear();
-            csr.add_vertices(net.num_vertices());
-            csr.set_source(VertexId(net.source));
-            csr.set_target(VertexId(net.target));
-            for e in 0..net.num_edges() {
-                let capacity = net.edge_capacity(EdgeId(e as u32));
-                csr.add_edge(VertexId(net.edge_from[e]), VertexId(net.edge_to[e]), capacity);
-            }
+            rebuild_into(&mut csr, &net);
             csr.freeze();
             let expected = net.min_cut(&mut fresh);
             let expected = (expected.value, expected.cut_edges.to_vec());
@@ -1232,33 +1132,25 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_zero_flow_matches_cold_solve() {
-        // Same value and same cut edges as a cold solve; the two solves
-        // use separate scratches.
-        let mut cold_scratch = FlowScratch::new();
-        let mut warm_scratch = FlowScratch::new();
-        for csr in instances() {
-            let cold = csr.min_cut(&mut cold_scratch);
-            let cold = (cold.value, cold.cut_edges.to_vec());
-            let mut flows = vec![0u128; csr.num_edges()];
-            let mut total = 0u128;
-            let warm = csr.min_cut_resume(
-                &mut warm_scratch,
-                &mut flows,
-                &mut total,
-                csr.infinite_cap,
-                true,
-                None,
-            );
-            assert_eq!((warm.value, warm.cut_edges.to_vec()), cold);
-            if let Capacity::Finite(f) = cold.0 {
-                assert_eq!(total, f);
-            }
+    fn resume_after_clear_starts_from_zero_flow() {
+        // One network and one scratch serve every instance: each rebuild
+        // starts from `clear`, so the resume must not carry the previous
+        // instance's flow, and it matches a cold solve in value and cut.
+        let mut csr = CsrFlow::new();
+        let mut scratch = FlowScratch::new();
+        let mut cold = FlowScratch::new();
+        for (i, net) in instances().iter().enumerate() {
+            rebuild_into(&mut csr, net);
+            csr.max_flow_resume(&mut scratch);
+            let warm = csr.extract_cut(&mut scratch);
+            let warm = (warm.value, warm.cut_edges.to_vec());
+            let cold = net.min_cut(&mut cold);
+            assert_eq!(warm, (cold.value, cold.cut_edges.to_vec()), "instance {i}");
         }
     }
 
-    /// The `(value, cut_edges)` of a cold solve and of a from-zero
-    /// [`CsrFlow::min_cut_resume`] of `csr`, in that order. Each solve has a
+    /// The `(value, cut_edges)` of a cold solve of `csr` and of a resume
+    /// from zero flow on a rebuilt copy, in that order. Each solve has a
     /// scratch of its own, so neither reads the other's leftovers.
     fn cold_and_resumed_cuts(
         csr: &CsrFlow,
@@ -1267,10 +1159,10 @@ mod tests {
         let [cold, resume] = scratch;
         let cold = csr.min_cut(cold);
         let cold = (cold.value, cold.cut_edges.to_vec());
-        let mut flows = vec![0u128; csr.num_edges()];
-        let mut total = 0u128;
-        let resume =
-            csr.min_cut_resume(resume, &mut flows, &mut total, csr.infinite_cap, true, None);
+        let mut copy = CsrFlow::new();
+        rebuild_into(&mut copy, csr);
+        copy.max_flow_resume(resume);
+        let resume = copy.extract_cut(resume);
         [cold, (resume.value, resume.cut_edges.to_vec())]
     }
 
@@ -1368,7 +1260,7 @@ mod tests {
         };
         let mut scratch = FlowScratch::new();
         // Cold cross-checks use their own scratch so the resume scratch keeps
-        // its residual state and the warm path is genuinely exercised.
+        // its flow and every resume genuinely continues it.
         let mut cold_scratch = FlowScratch::new();
         for round in 0..40 {
             // A layered random network with only finite capacities.
@@ -1382,18 +1274,11 @@ mod tests {
             csr.set_source(source);
             csr.set_target(target);
             let mut edges = Vec::new();
+            let cap = |r: u64| Capacity::Finite((1 + r % 8) as u128);
             for w in 0..width {
-                edges.push(csr.add_edge(
-                    source,
-                    VertexId(w as u32),
-                    Capacity::Finite((1 + next() % 8) as u128),
-                ));
+                edges.push(csr.add_edge(source, VertexId(w as u32), cap(next())));
                 let last = ((layers - 1) * width + w) as u32;
-                edges.push(csr.add_edge(
-                    VertexId(last),
-                    target,
-                    Capacity::Finite((1 + next() % 8) as u128),
-                ));
+                edges.push(csr.add_edge(VertexId(last), target, cap(next())));
             }
             for l in 0..layers - 1 {
                 for a in 0..width {
@@ -1401,76 +1286,45 @@ mod tests {
                         if next() % 3 == 0 {
                             let from = VertexId((l * width + a) as u32);
                             let to = VertexId(((l + 1) * width + b) as u32);
-                            edges.push(csr.add_edge(
-                                from,
-                                to,
-                                Capacity::Finite((1 + next() % 8) as u128),
-                            ));
+                            edges.push(csr.add_edge(from, to, cap(next())));
                         }
                     }
                 }
             }
             csr.freeze();
-            let mut flows = vec![0u128; csr.num_edges()];
-            let mut total = 0u128;
-            csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
+            csr.max_flow(&mut scratch);
 
-            // Churn: raise, lower, zero, and restore capacities; occasionally
-            // append a brand-new edge. Cross-check each warm resume against a
-            // cold solve of the same (post-edit) network.
+            // Churn: raise, lower, zero and restore capacities, patched in
+            // place while the freeze stands (or unfreezing, for an edge the
+            // freeze gave no arcs); sometimes also append an edge, which
+            // makes the resume re-lay the arcs and carry the flow. Each
+            // resume is cross-checked against a cold solve of the same
+            // (post-edit) network.
             for step in 0..12 {
-                let mut dirty: Vec<EdgeId> = Vec::new();
-                let edit = next() % 4;
-                if edit == 3 {
+                if next() % 3 != 0 {
+                    let e = edges[(next() % edges.len() as u64) as usize];
+                    let new_cap = if next() % 4 == 0 { 0 } else { (next() % 9) as u128 };
+                    assert!(
+                        csr.cancel_flow(e, new_cap, &mut scratch),
+                        "round {round} step {step}: cancellation must succeed"
+                    );
+                    csr.patch_edge_capacity(e, Capacity::Finite(new_cap), &mut scratch);
+                }
+                if next() % 3 == 0 {
                     let from = VertexId((next() % n as u64) as u32);
                     let to = VertexId((next() % n as u64) as u32);
-                    if from != to && to.0 != source.0 && from.0 != target.0 {
-                        edges.push(csr.add_edge(
-                            from,
-                            to,
-                            Capacity::Finite((1 + next() % 8) as u128),
-                        ));
-                        flows.push(0);
+                    if from != to && to != source && from != target {
+                        edges.push(csr.add_edge(from, to, cap(next())));
                     }
-                } else {
-                    let e = edges[(next() % edges.len() as u64) as usize];
-                    let new_cap = if edit == 0 { 0u128 } else { (next() % 9) as u128 };
-                    if new_cap < flows[e.index()] {
-                        assert!(
-                            csr.cancel_flow(e, new_cap, &mut scratch, &mut flows, &mut total),
-                            "round {round} step {step}: cancellation must succeed"
-                        );
-                    }
-                    // Alternate between the unfreezing write and the in-place
-                    // frozen patch so both paths face the cold cross-check.
-                    if next() % 2 == 0 {
-                        csr.set_edge_capacity(e, Capacity::Finite(new_cap));
-                    } else {
-                        csr.patch_edge_capacity(e, Capacity::Finite(new_cap));
-                    }
-                    dirty.push(e);
                 }
-                // A patch that kept the freeze intact allows a warm resume
-                // repairing only the dirty edges; any unfreeze (new edge, or
-                // `set_edge_capacity`) forces the full residual reload.
-                let warm_ok = csr.is_frozen();
-                csr.freeze();
-                let want_cut = step % 2 == 0; // both resume paths: with and without a cut
-                let warm = csr.min_cut_resume(
-                    &mut scratch,
-                    &mut flows,
-                    &mut total,
-                    u128::MAX,
-                    want_cut,
-                    if warm_ok { Some(&dirty) } else { None },
-                );
-                let (warm_value, warm_cut) = (warm.value, warm.cut_edges.to_vec());
-                // The retained flows must stay feasible and sum to `total`.
+                let value = csr.max_flow_resume(&mut scratch);
+                assert_eq!(csr.check_flow_consistency(&scratch), Ok(()), "round {round}");
                 let cold = csr.min_cut(&mut cold_scratch);
-                assert_eq!(warm_value, cold.value, "round {round} step {step}");
-                assert_eq!(warm_value, Capacity::Finite(total), "round {round} step {step}");
-                if want_cut {
-                    assert_eq!(warm_cut, cold.cut_edges, "round {round} step {step}: cut edges");
+                assert_eq!(Capacity::Finite(value), cold.value, "round {round} step {step}");
+                if step % 2 == 0 {
+                    let warm = csr.extract_cut(&mut scratch);
+                    assert_eq!(warm.value, cold.value, "round {round} step {step}");
+                    assert_eq!(warm.cut_edges, cold.cut_edges, "round {round} step {step}");
                 }
             }
         }
@@ -1489,66 +1343,92 @@ mod tests {
         let st = csr.add_edge(s, t, Capacity::Finite(3));
         csr.freeze();
         let mut scratch = FlowScratch::new();
-        let mut flows = vec![0u128; 3];
-        let mut total = 0u128;
-        assert_eq!(
-            csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None).value,
-            Capacity::Finite(8)
-        );
+        assert_eq!(csr.max_flow(&mut scratch), 8);
         // Deleting the direct s->t edge: pure value decrease on both sides.
-        assert!(csr.cancel_flow(st, 0, &mut scratch, &mut flows, &mut total));
-        csr.set_edge_capacity(st, Capacity::Finite(0));
-        csr.freeze();
-        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
-        assert_eq!(cut.value, Capacity::Finite(5));
-        // Lowering the source-adjacent edge below its flow.
-        assert!(csr.cancel_flow(sm, 2, &mut scratch, &mut flows, &mut total));
-        csr.set_edge_capacity(sm, Capacity::Finite(2));
-        csr.freeze();
-        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
-        assert_eq!(cut.value, Capacity::Finite(2));
-        // And the target-adjacent edge all the way to zero.
-        assert!(csr.cancel_flow(mt, 0, &mut scratch, &mut flows, &mut total));
-        csr.set_edge_capacity(mt, Capacity::Finite(0));
-        csr.freeze();
-        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, u128::MAX, true, None);
-        assert_eq!(cut.value, Capacity::Finite(0));
-        assert_eq!(total, 0);
+        // Each edit is cancelled, patched in place and resumed.
+        for (edge, keep, value) in [(st, 0, 5), (sm, 2, 2), (mt, 0, 0)] {
+            assert!(csr.cancel_flow(edge, keep, &mut scratch));
+            csr.patch_edge_capacity(edge, Capacity::Finite(keep), &mut scratch);
+            assert_eq!(csr.max_flow_resume(&mut scratch), value);
+            assert_eq!(csr.extract_cut(&mut scratch).value, Capacity::Finite(value));
+        }
+        assert_eq!(scratch.flow, 0);
     }
 
     #[test]
-    fn resume_reports_infinite_at_the_caller_threshold() {
+    fn resume_carries_the_flow_across_a_relay() {
+        // s -> a -> t at capacity 3; a new parallel route s -> b -> t of
+        // capacity 2 is appended. The resume re-lays the arcs, keeps the 3
+        // units already routed, and adds the 2 the new route allows.
         let mut csr = CsrFlow::new();
-        csr.add_vertices(2);
-        csr.set_source(VertexId(0));
-        csr.set_target(VertexId(1));
-        // "Structural" capacity encoded as a huge finite value.
-        const BIG: u128 = 1 << 80;
-        csr.add_edge(VertexId(0), VertexId(1), Capacity::Finite(BIG));
+        let (s, a, t) = (csr.add_vertex(), csr.add_vertex(), csr.add_vertex());
+        csr.set_source(s);
+        csr.set_target(t);
+        let sa = csr.add_edge(s, a, Capacity::Finite(3));
+        csr.add_edge(a, t, Capacity::Finite(4));
         csr.freeze();
         let mut scratch = FlowScratch::new();
-        let mut flows = vec![0u128];
-        let mut total = 0u128;
-        let cut = csr.min_cut_resume(&mut scratch, &mut flows, &mut total, BIG, true, None);
-        assert_eq!(cut.value, Capacity::Infinite);
-        assert!(cut.cut_edges.is_empty());
+        assert_eq!(csr.max_flow(&mut scratch), 3);
+        let b = csr.add_vertex();
+        csr.add_edge(s, b, Capacity::Finite(2));
+        csr.add_edge(b, t, Capacity::Finite(5));
+        assert_eq!(csr.max_flow_resume(&mut scratch), 5);
+        assert_eq!(scratch.residual[csr.arc_twin[csr.edge_arc[sa.index()] as usize] as usize], 3);
+        assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
+    }
+
+    #[test]
+    fn patch_beside_an_infinite_edge_unfreezes() {
+        // s -> m -> t is infinite and x -> y finite. Raising x -> y raises
+        // the infinite arcs' proxy capacity, which an in-place patch would
+        // leave behind: the next solve must re-lay and still answer +∞.
+        let mut csr = CsrFlow::new();
+        let [s, m, t, x, y] = [(); 5].map(|_| csr.add_vertex());
+        csr.set_source(s);
+        csr.set_target(t);
+        csr.add_edge(s, m, Capacity::Infinite);
+        csr.add_edge(m, t, Capacity::Infinite);
+        let xy = csr.add_edge(x, y, Capacity::Finite(1));
+        csr.freeze();
+        let mut scratch = FlowScratch::new();
+        assert_eq!(csr.min_cut(&mut scratch).value, Capacity::Infinite);
+        csr.patch_edge_capacity(xy, Capacity::Finite(10), &mut scratch);
+        csr.freeze();
+        assert_eq!(csr.min_cut(&mut scratch).value, Capacity::Infinite);
     }
 
     #[test]
     fn flow_consistency_checker_accepts_and_rejects() {
         // Path 0 -> 1 -> 2 with capacities 5 and 3: max flow 3.
         let csr = simple_network(&[(0, 1, 5), (1, 2, 3)], 3, 0, 2);
-        assert_eq!(csr.check_flow_consistency(&[3, 3], 3), Ok(()));
-        // Value 0 with no flow is also feasible.
-        assert_eq!(csr.check_flow_consistency(&[0, 0], 0), Ok(()));
-        // Wrong vector length.
-        assert!(csr.check_flow_consistency(&[3], 3).is_err());
-        // Over capacity on the second edge.
-        assert!(csr.check_flow_consistency(&[4, 4], 4).is_err());
-        // Conservation broken at vertex 1.
-        assert!(csr.check_flow_consistency(&[3, 2], 3).is_err());
-        // Feasible flow, wrong recorded total.
-        assert!(csr.check_flow_consistency(&[3, 3], 2).is_err());
+        let mut scratch = FlowScratch::new();
+        csr.max_flow(&mut scratch);
+        assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
+        let [first, second] = [0, 1].map(|e| csr.edge_arc[e] as usize);
+        let reverse = |a: usize| csr.arc_twin[a] as usize;
+        // A residual pair that does not sum to its arc's capacity.
+        let mut broken = scratch.clone();
+        broken.residual[second] += 1;
+        assert!(broken.check_err(&csr).contains("do not sum"));
+        // Conservation broken at vertex 1: the second edge carries 2 of 3.
+        let mut broken = scratch.clone();
+        broken.residual[second] = 1;
+        broken.residual[reverse(second)] = 2;
+        assert!(broken.check_err(&csr).contains("vertex 1"));
+        // A feasible flow with the wrong recorded value.
+        let mut broken = scratch.clone();
+        broken.flow = 2;
+        assert!(broken.check_err(&csr).contains("recorded flow value"));
+        // Zero flow with value zero is feasible too.
+        let mut zero = scratch.clone();
+        zero.residual.copy_from_slice(&csr.arc_cap);
+        zero.flow = 0;
+        assert_eq!(csr.check_flow_consistency(&zero), Ok(()));
+        assert_eq!(zero.residual[reverse(first)], 0);
+        // A residual of another network's size.
+        let mut broken = scratch.clone();
+        broken.residual.pop();
+        assert!(broken.check_err(&csr).contains("residuals for"));
         // Unfrozen networks cannot be checked (`simple_network` freezes, so
         // build by hand).
         let mut unfrozen = CsrFlow::new();
@@ -1556,7 +1436,14 @@ mod tests {
         unfrozen.set_source(a);
         unfrozen.set_target(VertexId(1));
         unfrozen.add_edge(a, VertexId(1), Capacity::Finite(1));
-        assert!(unfrozen.check_flow_consistency(&[0], 0).is_err());
+        assert!(unfrozen.check_flow_consistency(&scratch).is_err());
+    }
+
+    impl FlowScratch {
+        /// The error `csr.check_flow_consistency` reports for this scratch.
+        fn check_err(&self, csr: &CsrFlow) -> String {
+            csr.check_flow_consistency(self).expect_err("the checker must reject the flow")
+        }
     }
 
     #[test]
@@ -1571,9 +1458,12 @@ mod tests {
         csr.add_edge(b, c, Capacity::Infinite);
         csr.freeze();
         assert_eq!(csr.edge_arc[dead.index()], NO_ARC);
-        assert_eq!(csr.check_flow_consistency(&[2, 0, 2], 2), Ok(()));
-        // A tombstoned edge must carry no flow.
-        assert!(csr.check_flow_consistency(&[2, 2, 0], 2).is_err());
+        let mut scratch = FlowScratch::new();
+        assert_eq!(csr.max_flow(&mut scratch), 2);
+        assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
+        // A tombstone carries no flow, so cancelling it is a no-op.
+        assert!(csr.cancel_flow(dead, 0, &mut scratch));
+        assert_eq!(scratch.flow, 2);
     }
 
     #[test]

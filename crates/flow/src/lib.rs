@@ -13,14 +13,16 @@
 //!   alone;
 //! * [`scratch::FlowScratch`] — the buffers of a Dinic solve (levels are
 //!   residual distances to the target), reset, never reallocated, across
-//!   solves (every resilience solve runs here). The cut is the unique
-//!   minimal source side of the final residual graph, whichever maximum flow
-//!   produced it, so a cold solve and a resumed one return the same cut
-//!   edges.
+//!   solves (every resilience solve runs here). Its residual graph is the
+//!   only copy of the flow: an edge's flow is its reverse arc's residual, so
+//!   [`CsrFlow::max_flow_resume`] continues a retained flow, re-laying the
+//!   arcs first when the network grew. The cut is the unique minimal source
+//!   side of the final residual graph, whichever maximum flow produced it,
+//!   so a cold solve and a resumed one return the same cut edges.
 
 #![forbid(unsafe_code)]
 pub mod csr;
 pub mod scratch;
 
-pub use csr::{Capacity, CsrCut, CsrFlow, CutTimings, EdgeId, VertexId};
+pub use csr::{Capacity, CsrCut, CsrFlow, EdgeId, VertexId};
 pub use scratch::FlowScratch;

@@ -6,9 +6,13 @@
 //! anew for every solve dominates the constant factor at
 //! the sizes the benches exercise. [`FlowScratch`] owns all of it in flat
 //! `Vec`s that are **reset, never reallocated**, across solves: each
-//! [`crate::csr::CsrFlow::min_cut`] call resizes the buffers up to the
+//! [`crate::csr::CsrFlow::max_flow`] call resizes the buffers up to the
 //! instance size (amortized — `Vec::resize` keeps capacity) and reuses the
 //! allocations of every previous solve.
+//!
+//! The scratch also holds the flow itself, in one copy: the residual of an
+//! edge's reverse arc is the edge's flow, and `flow` is its value. A
+//! [`crate::csr::CsrFlow::max_flow_resume`] continues from it.
 
 use crate::csr::EdgeId;
 
@@ -21,8 +25,13 @@ pub(crate) const UNVISITED: u32 = u32::MAX;
 /// [`crate::csr::CsrFlow`]. See the module docs for the reuse contract.
 #[derive(Debug, Clone, Default)]
 pub struct FlowScratch {
-    /// Per-arc residual capacity (working copy of the frozen capacities).
+    /// Per-arc residual capacity, and with it the flow: a forward arc's
+    /// flow is the residual of its reverse twin.
     pub(crate) residual: Vec<u128>,
+    /// The value of the flow `residual` holds.
+    pub(crate) flow: u128,
+    /// Per-edge flows in transit while a resume re-lays the arcs.
+    pub(crate) carried: Vec<u128>,
     /// Per-vertex BFS level ([`UNVISITED`] = not reached). For Dinic this is
     /// the residual distance to the target; the flow-cancellation search of
     /// [`crate::csr::CsrFlow::cancel_flow`] uses it as a visited mark.
@@ -52,8 +61,7 @@ impl FlowScratch {
     /// Buffers that the solvers fully re-initialize before use (`level`,
     /// `current_arc`, `pred`) are only grown, not rewritten — the solvers
     /// reset exactly the first `vertices` entries themselves. Capacity only
-    /// grows. The residual array is loaded separately by the caller
-    /// (`clear()` + `extend_from_slice` from the frozen capacities).
+    /// grows. The residual array holds the flow and is left to the caller.
     pub(crate) fn prepare(&mut self, vertices: usize) {
         if self.level.len() < vertices {
             self.level.resize(vertices, UNVISITED);
@@ -67,17 +75,12 @@ impl FlowScratch {
         self.queue.clear();
         self.queue.reserve(vertices);
         self.path.clear();
-        // Cut extraction relies on a clean reachability map.
-        self.reachable.clear();
-        self.reachable.resize(vertices, false);
-        self.cut_edges.clear();
     }
 
     /// The source side of the most recent cut, one flag per vertex: the
     /// vertices the source reaches in the final residual graph, which is the
     /// unique minimal source side of a minimum cut. Set by
-    /// [`crate::csr::CsrFlow::min_cut`] and by a
-    /// [`crate::csr::CsrFlow::min_cut_resume`] that extracts its cut.
+    /// [`crate::csr::CsrFlow::extract_cut`].
     pub fn source_side(&self) -> &[bool] {
         &self.reachable
     }
@@ -86,9 +89,10 @@ impl FlowScratch {
     /// signatures mean no buffer was reallocated in between — the
     /// zero-post-warmup-reallocation contract of scratch reuse is asserted
     /// with exactly this (see the engine's batch tests).
-    pub fn capacity_signature(&self) -> [usize; 8] {
+    pub fn capacity_signature(&self) -> [usize; 9] {
         [
             self.residual.capacity(),
+            self.carried.capacity(),
             self.level.capacity(),
             self.queue.capacity(),
             self.current_arc.capacity(),

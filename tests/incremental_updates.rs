@@ -59,9 +59,10 @@ fn random_delta(
         .collect()
 }
 
-/// Runs one query family through the churn, returning how many snapshots the
-/// incremental path actually served (vs full rebuilds / fallbacks).
-fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
+/// Runs one query family through `rounds` deltas over `nodes` node names,
+/// returning how many snapshots the incremental path actually served (vs
+/// full rebuilds / fallbacks).
+fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> usize {
     let mut query = Rpq::parse(pattern).unwrap();
     if bag {
         query = query.with_bag_semantics();
@@ -75,7 +76,7 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
     // Every label the corpus patterns mention, plus noise letters.
     let labels = ['a', 'b', 'c', 'd', 'e', 'x'];
     for round in 0..rounds {
-        let delta = random_delta(&mut rng, &log, 8, &labels);
+        let delta = random_delta(&mut rng, &log, nodes, &labels);
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
         let want_cut = round % 2 == 0;
@@ -133,22 +134,78 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize) -> usize {
 #[test]
 fn local_queries_survive_two_hundred_random_edits() {
     // The tentpole path: a local language, patched in place per delta.
-    let incremental = churn("ax*b", false, 0x5EED_0001, 200);
+    let incremental = churn("ax*b", false, 0x5EED_0001, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 snapshots were incremental");
 }
 
 #[test]
 fn local_disjunctions_and_bag_semantics_stay_consistent() {
-    let incremental = churn("ab|ad|cd", false, 0x5EED_0002, 200);
+    let incremental = churn("ab|ad|cd", false, 0x5EED_0002, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 snapshots were incremental");
-    let incremental = churn("ax*b", true, 0x5EED_0003, 200);
+    let incremental = churn("ax*b", true, 0x5EED_0003, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 bag snapshots were incremental");
+}
+
+#[test]
+fn alternating_databases_with_no_delta_match_fresh_solves() {
+    // One solver serves two unrelated databases in turn. Each switch passes
+    // no delta, as the solver's contract asks, so every solve rebuilds and
+    // must match a fresh solve. Both logs keep growing between visits.
+    let query = Rpq::parse("ab").unwrap();
+    let prepared = Engine::new().prepare(&query).unwrap();
+    let mut solver = IncrementalSolver::new();
+    let mut logs: [Vec<FactChange>; 2] = Default::default();
+    let mut rng = 0x5EED_0006;
+    for round in 0..60 {
+        let log = &mut logs[round % 2];
+        log.extend(random_delta(&mut rng, log, 6, &['a', 'b', 'x']));
+        let db = materialize(log);
+        let call = SolveCall::new(true);
+        let (routed, mode) = prepared
+            .route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled())
+            .unwrap();
+        assert_eq!(mode, SolveMode::Full, "round {round}");
+        let fresh = prepared.solve(&db).unwrap();
+        assert_eq!(routed.outcome.value, fresh.value, "round {round}");
+        if !fresh.value.is_infinite() {
+            let sorted = |set: Option<Vec<_>>| {
+                let mut set = set.expect("a finite solve has a witness");
+                set.sort_unstable();
+                set
+            };
+            assert_eq!(
+                sorted(routed.outcome.contingency_set),
+                sorted(fresh.contingency_set),
+                "round {round}"
+            );
+        }
+    }
 }
 
 #[test]
 fn non_local_plan_families_fall_back_to_full_solves() {
     // Chain (Prp 7.6) and one-dangling (Prp 7.9) plans have no patching
     // path: every snapshot must be a full solve, and still agree.
-    assert_eq!(churn("ab|bc", false, 0x5EED_0004, 60), 0);
-    assert_eq!(churn("abc|be", false, 0x5EED_0005, 60), 0);
+    assert_eq!(churn("ab|bc", false, 0x5EED_0004, 60, 8), 0);
+    assert_eq!(churn("abc|be", false, 0x5EED_0005, 60, 8), 0);
+}
+
+/// The long churn: four local families (bag semantics included), five seeds
+/// each, 1,000 rounds per run. Runs over more node names keep introducing
+/// fresh blocks and fact edges, so the resume often re-lays the arcs and
+/// carries the retained flow. Run in release mode:
+/// `cargo test --release --test incremental_updates -- --ignored`.
+#[test]
+#[ignore]
+fn local_queries_survive_a_thousand_random_edits() {
+    for (pattern, bag) in [("ax*b", false), ("ab|ad|cd", false), ("ax*b", true), ("a(b|d)*x", true)]
+    {
+        for (seed, nodes) in [(1, 8), (2, 16), (3, 64), (4, 256), (5, 1_024)] {
+            let incremental = churn(pattern, bag, 0x5EED_1000 + seed, 1_000, nodes);
+            assert!(
+                incremental > 900,
+                "{pattern} (bag={bag}) over {nodes} nodes: only {incremental}/1000 incremental"
+            );
+        }
+    }
 }
