@@ -430,7 +430,7 @@ pub(crate) fn solve_incremental_local(
 
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
-    let state = incremental.as_mut().expect("state was just built or patched");
+    let state = incremental.as_ref().expect("state was just built or patched");
     if mode == SolveMode::Full {
         let freeze_timer = trace.begin();
         csr.freeze();

@@ -319,11 +319,11 @@ impl CsrFlow {
     /// hold this network's flow — are rewritten in place and the network
     /// stays frozen. A capacity lowered to zero leaves a zero-capacity arc
     /// behind, harmless to the solvers and consistent with the cut contract,
-    /// which already includes zero-cost separator edges. Otherwise the
-    /// network unfreezes, and the next [`freeze`](CsrFlow::freeze) or
-    /// [`max_flow_resume`](CsrFlow::max_flow_resume) re-lays it: an edge
-    /// without arcs, or any patch beside an infinite edge, whose proxy
-    /// capacity tracks the finite total.
+    /// which already includes zero-cost separator edges. Otherwise — the
+    /// edge has no arcs, or the freeze saw an infinite edge, whose proxy
+    /// capacity tracks the finite total — the network unfreezes, and the
+    /// next [`freeze`](CsrFlow::freeze) or
+    /// [`max_flow_resume`](CsrFlow::max_flow_resume) re-lays it.
     pub fn patch_edge_capacity(
         &mut self,
         edge: EdgeId,
@@ -467,9 +467,8 @@ impl CsrFlow {
     /// layout's residual, into the new one. Edges added since start at zero,
     /// and so does every edge after [`clear`](CsrFlow::clear). Each edge's
     /// flow must fit its capacity, which [`cancel_flow`](CsrFlow::cancel_flow)
-    /// ensures before a capacity is lowered. Call `freeze` only for the
-    /// first solve: an explicit freeze drops the old layout the flow is
-    /// read from.
+    /// ensures before a capacity is lowered. Do not call `freeze` between a
+    /// solve and a resume: it drops the old layout the flow is read from.
     ///
     /// The value is the caller's to certify: an infinite edge's proxy
     /// capacity is recomputed by each freeze and may fall below a carried
