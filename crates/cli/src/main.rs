@@ -215,6 +215,7 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
     let mut algorithm: Option<Algorithm> = None;
     let mut options = SolveOptions::default();
     let mut show_cut = false;
+    let mut want_cut = true;
     let mut jobs: usize = 1;
     let mut budget = RouteBudget::UNLIMITED;
     let mut paths: Vec<&String> = Vec::new();
@@ -223,7 +224,7 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
         match option.as_str() {
             "--bag" => query = query.with_bag_semantics(),
             "--show-cut" => show_cut = true,
-            "--no-cut" => options.want_cut = false,
+            "--no-cut" => want_cut = false,
             "--algorithm" => {
                 let name = iter.next().ok_or("--algorithm requires a value")?;
                 algorithm = Some(name.parse::<Algorithm>()?);
@@ -280,12 +281,12 @@ fn cmd_resilience(pattern: &str, args: &[String]) -> Result<(), String> {
             _ => outln!("resilience      : {}", outcome.value),
         }
         if show_cut {
-            for line in cut_report(outcome, db, options.want_cut) {
+            for line in cut_report(outcome, db, want_cut) {
                 outln!("{line}");
             }
         }
     };
-    let call = SolveCall { budget, ..SolveCall::new(options.want_cut) };
+    let call = SolveCall { budget, ..SolveCall::new(want_cut) };
     if jobs > 1 {
         // `--jobs n`: load everything, solve the whole batch on scoped
         // threads, then print in file order.

@@ -369,22 +369,18 @@ impl ChainPlan {
     }
 }
 
-/// Computes the resilience of a query whose infix-free sublanguage is a
-/// bipartite chain language (Proposition 7.6).
-pub fn resilience_bipartite_chain(
-    rpq: &Rpq,
-    db: &GraphDb,
-) -> Result<ResilienceOutcome, ResilienceError> {
-    let plan = ChainPlan::from_infix_free(&rpq.infix_free_language(), rpq.language())?;
-    Ok(plan.solve(rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::exact::resilience_exact;
     use rpq_automata::{Alphabet, Language};
     use rpq_graphdb::generate::{chain_instance, random_labeled_graph, word_path};
+
+    /// Proposition 7.6, forced through the engine.
+    fn solve_chain(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
+        Engine::new().solve_with(Algorithm::BipartiteChain, rpq, db)
+    }
 
     #[test]
     fn simple_ab_bc_instance() {
@@ -392,7 +388,7 @@ mod tests {
         // the middle b fact kills both.
         let db = word_path(&Word::from_str_word("abc"));
         let q = Rpq::parse("ab|bc").unwrap();
-        let out = resilience_bipartite_chain(&q, &db).unwrap();
+        let out = solve_chain(&q, &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(1));
         let cut: BTreeSet<FactId> = out.contingency_set.unwrap().into_iter().collect();
         assert!(q.is_contingency_set(&db, &cut));
@@ -403,7 +399,7 @@ mod tests {
         let db = word_path(&Word::from_str_word("ab"));
         for pattern in ["aa", "ax*b", "ab|bc|ca"] {
             assert!(matches!(
-                resilience_bipartite_chain(&Rpq::parse(pattern).unwrap(), &db),
+                solve_chain(&Rpq::parse(pattern).unwrap(), &db),
                 Err(ResilienceError::NotApplicable { .. })
             ));
         }
@@ -418,7 +414,7 @@ mod tests {
         db.add_fact_by_names("p", 'b', "q");
         db.add_fact_by_names("q", 'c', "r");
         let q = Rpq::parse("a|bc").unwrap();
-        let out = resilience_bipartite_chain(&q, &db).unwrap();
+        let out = solve_chain(&q, &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(3));
         assert_eq!(resilience_exact(&q, &db).value, ResilienceValue::Finite(3));
     }
@@ -430,7 +426,7 @@ mod tests {
             let db = random_labeled_graph(5, 10, &alphabet, seed);
             for pattern in ["ab|bc", "ab|cb", "ab", "axb|byc"] {
                 let q = Rpq::new(Language::parse(pattern).unwrap());
-                let fast = match resilience_bipartite_chain(&q, &db) {
+                let fast = match solve_chain(&q, &db) {
                     Ok(out) => out,
                     Err(_) => continue,
                 };
@@ -451,7 +447,7 @@ mod tests {
                 db.set_multiplicity(*id, 1 + (i as u64 % 3));
             }
             let q = Rpq::parse("ab|bc").unwrap().with_bag_semantics();
-            let fast = resilience_bipartite_chain(&q, &db).unwrap();
+            let fast = solve_chain(&q, &db).unwrap();
             let slow = resilience_exact(&q, &db);
             assert_eq!(fast.value, slow.value, "seed {seed}");
         }
@@ -473,7 +469,7 @@ mod tests {
         db.add_fact_by_names("n9", 'e', "n10");
         db.add_fact_by_names("n10", 'a', "n11");
         let q = Rpq::parse("axyb|bztc|cd|dea").unwrap();
-        let fast = resilience_bipartite_chain(&q, &db).unwrap();
+        let fast = solve_chain(&q, &db).unwrap();
         let slow = resilience_exact(&q, &db);
         assert_eq!(fast.value, slow.value);
     }
@@ -515,7 +511,7 @@ mod tests {
         db.add_fact_by_names("2", letters[5], "3");
         db.add_fact_by_names("2", letters[299], "4");
         db.add_fact_by_names("4", letters[7], "6");
-        let out = resilience_bipartite_chain(&q, &db).unwrap();
+        let out = solve_chain(&q, &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(2));
         assert_eq!(out.value, resilience_exact(&q, &db).value);
     }
@@ -524,7 +520,7 @@ mod tests {
     fn query_not_holding_gives_zero() {
         let db = word_path(&Word::from_str_word("ac"));
         let q = Rpq::parse("ab|bc").unwrap();
-        let out = resilience_bipartite_chain(&q, &db).unwrap();
+        let out = solve_chain(&q, &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(0));
     }
 }

@@ -35,16 +35,11 @@
 //! the arena as zero-capacity tombstones (freeze drops them from the
 //! adjacency); re-inserting the same fact resurrects its edge.
 //!
-//! # Infinite capacities under deletion
-//!
-//! The batch path encodes structural (ε / source / target) and exogenous
-//! edges as `Capacity::Infinite`, certified against `total_finite + 1` — a
-//! bound that *shrinks* when facts are deleted, which would strand retained
-//! flows above it. The incremental network instead gives those edges the
-//! fixed huge finite capacity [`INCR_INF`] `= 2^80` and reports `+∞` iff the
-//! total flow reaches it. Real fact capacities are `u64`-sized, so a genuine
-//! finite cut stays far below `INCR_INF`; solves where the summed finite
-//! capacity could approach it fall back to the batch path permanently.
+//! Structural (ε / source / target) and exogenous edges are
+//! `Capacity::Infinite`, as in the batch path. The flow core gives every
+//! `+∞` edge one fixed proxy capacity, which no deletion or insertion moves,
+//! so a retained flow stays feasible under any delta, and the resume's value
+//! needs no check of its own.
 
 use super::{Algorithm, ResilienceOutcome, SolveScratch};
 use crate::engine::SolveMode;
@@ -57,14 +52,11 @@ use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
 use std::collections::HashMap;
 
-/// The capacity of structural and exogenous edges in the incremental network
-/// (see the [module docs](self)): huge enough that no genuine cut reaches it,
-/// finite so deletions can never strand a retained flow above the
-/// infinite-certification bound.
-pub(crate) const INCR_INF: u128 = 1 << 80;
-
 /// Block sentinel in `edge_key`: the edge is structural, not a fact edge.
 const NO_KEY: u32 = u32::MAX;
+
+/// The capacity of a deleted fact: its edge stays behind as a tombstone.
+const ZERO: Capacity = Capacity::Finite(0);
 
 /// Fall back to the batch path when a delta touches more than
 /// `max(live_facts / INCREMENTAL_FALLBACK_DIVISOR, INCREMENTAL_FALLBACK_FLOOR)`
@@ -97,8 +89,6 @@ pub(crate) struct IncrementalLocalState {
     /// Arena edge → fact key (`NO_KEY` block marks structural edges), for
     /// mapping cut edges back to facts of the *current* database.
     edge_key: Vec<(u32, Letter, u32)>,
-    /// Summed capacity of non-exogenous fact edges (the `INCR_INF` guard).
-    total_finite: u128,
     /// Fact edges with positive capacity.
     live_facts: usize,
     /// Fact edges currently tombstoned (capacity 0, still in the arena).
@@ -118,14 +108,11 @@ pub(crate) fn check_consistency(scratch: &SolveScratch) -> Result<(), String> {
 }
 
 /// The per-fact capacity in the incremental network.
-fn fact_cap(semantics: Semantics, multiplicity: u64, exogenous: bool) -> u128 {
-    if exogenous {
-        INCR_INF
-    } else {
-        match semantics {
-            Semantics::Set => 1,
-            Semantics::Bag => multiplicity as u128,
-        }
+fn fact_cap(semantics: Semantics, multiplicity: u64, exogenous: bool) -> Capacity {
+    match (exogenous, semantics) {
+        (true, _) => Capacity::Infinite,
+        (false, Semantics::Set) => Capacity::Finite(1),
+        (false, Semantics::Bag) => Capacity::Finite(multiplicity.into()),
     }
 }
 
@@ -165,27 +152,26 @@ impl IncrementalLocalState {
     }
 
     fn push_structural(&mut self, csr: &mut CsrFlow, from: VertexId, to: VertexId) {
-        let e = csr.add_edge(from, to, Capacity::Finite(INCR_INF));
+        let e = csr.add_edge(from, to, Capacity::Infinite);
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push((NO_KEY, Letter('\0'), NO_KEY));
     }
 
     /// Appends a fresh fact edge (capacity > 0) for `key`.
-    fn push_fact(&mut self, csr: &mut CsrFlow, ro: &RoEnfa, key: (u32, Letter, u32), cap: u128) {
+    fn push_fact(
+        &mut self,
+        csr: &mut CsrFlow,
+        ro: &RoEnfa,
+        key: (u32, Letter, u32),
+        cap: Capacity,
+    ) {
         // lint: allow(panic-freedom, facts are only staged for letters the automaton reads)
         let (s, s_prime) = ro.letter_transition(key.1).expect("fact label has a transition");
-        let e = csr.add_edge(
-            self.product(key.0, s),
-            self.product(key.2, s_prime),
-            Capacity::Finite(cap),
-        );
+        let e = csr.add_edge(self.product(key.0, s), self.product(key.2, s_prime), cap);
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push(key);
         self.fact_edges.insert(key, e);
         self.live_facts += 1;
-        if cap < INCR_INF {
-            self.total_finite += cap;
-        }
     }
 
     /// Rebuilds the whole network from `db` (first solve, oversized deltas,
@@ -196,7 +182,6 @@ impl IncrementalLocalState {
         self.nodes.clear();
         self.fact_edges.clear();
         self.edge_key.clear();
-        self.total_finite = 0;
         self.live_facts = 0;
         self.tombstones = 0;
         csr.clear();
@@ -233,7 +218,7 @@ impl IncrementalLocalState {
     ) -> bool {
         // Net effect per key, in first-touch order (last write wins).
         let first_new_block = self.names.len();
-        let mut net: Vec<((u32, Letter, u32), u128)> = Vec::with_capacity(delta.len());
+        let mut net: Vec<((u32, Letter, u32), Capacity)> = Vec::with_capacity(delta.len());
         let mut index: HashMap<(u32, Letter, u32), usize> = HashMap::with_capacity(delta.len());
         for change in delta {
             match change {
@@ -265,10 +250,10 @@ impl IncrementalLocalState {
                     };
                     let key = (u, *label, v);
                     match index.get(&key) {
-                        Some(&i) => net[i].1 = 0,
+                        Some(&i) => net[i].1 = ZERO,
                         None => {
                             index.insert(key, net.len());
-                            net.push((key, 0));
+                            net.push((key, ZERO));
                         }
                     }
                 }
@@ -278,45 +263,35 @@ impl IncrementalLocalState {
         // Stage 1: cancel flow beyond each shrinking capacity while the
         // previous freeze's adjacency is still intact.
         for &(key, new_cap) in &net {
-            if let Some(&e) = self.fact_edges.get(&key) {
-                if !csr.cancel_flow(e, new_cap, flow_scratch) {
+            if let (Some(&e), Capacity::Finite(keep)) = (self.fact_edges.get(&key), new_cap) {
+                if !csr.cancel_flow(e, keep, flow_scratch) {
                     return false;
                 }
             }
         }
 
         // Stage 2: capacity updates on existing edges; collect true inserts.
-        let mut inserts: Vec<((u32, Letter, u32), u128)> = Vec::new();
+        let mut inserts: Vec<((u32, Letter, u32), Capacity)> = Vec::new();
         for &(key, new_cap) in &net {
             match self.fact_edges.get(&key) {
                 Some(&e) => {
-                    let old_cap = match csr.edge_capacity(e) {
-                        Capacity::Finite(c) => c,
-                        // lint: allow(panic-freedom, push_fact only creates finite capacities)
-                        Capacity::Infinite => unreachable!("incremental edges are finite"),
-                    };
+                    let old_cap = csr.edge_capacity(e);
                     if old_cap == new_cap {
                         continue;
                     }
                     // Keeps the network frozen whenever the edge still has
                     // residual arcs — delete/re-insert rings then skip the
                     // per-solve re-lay entirely.
-                    csr.patch_edge_capacity(e, Capacity::Finite(new_cap), flow_scratch);
-                    if old_cap < INCR_INF {
-                        self.total_finite -= old_cap;
-                    }
-                    if new_cap < INCR_INF {
-                        self.total_finite += new_cap;
-                    }
-                    if old_cap == 0 {
+                    csr.patch_edge_capacity(e, new_cap, flow_scratch);
+                    if old_cap == ZERO {
                         self.tombstones -= 1;
                         self.live_facts += 1;
-                    } else if new_cap == 0 {
+                    } else if new_cap == ZERO {
                         self.tombstones += 1;
                         self.live_facts -= 1;
                     }
                 }
-                None if new_cap > 0 => inserts.push((key, new_cap)),
+                None if new_cap != ZERO => inserts.push((key, new_cap)),
                 None => {} // delete of an absent fact
             }
         }
@@ -385,7 +360,6 @@ pub(crate) fn solve_incremental_local(
         let patched = match (delta, incremental.as_deref_mut()) {
             (Some(delta), Some(state))
                 if state.num_states == ro.num_states()
-                    && state.total_finite < INCR_INF / 2
                     && state.tombstones <= state.live_facts.max(16)
                     && delta.len()
                         <= (state.live_facts / INCREMENTAL_FALLBACK_DIVISOR)
@@ -417,16 +391,6 @@ pub(crate) fn solve_incremental_local(
             trace.end(patch_timer, "rebuild");
         }
     }
-    if scratch.incremental.as_ref().is_some_and(|s| s.total_finite >= INCR_INF / 2) {
-        // Summed finite capacity close enough to INCR_INF that a genuine
-        // finite cut could be misread as +∞: cede to the batch path, which
-        // certifies its infinity bound against the actual capacity total.
-        scratch.incremental = None;
-        return (
-            super::local::solve_prepared(ro, rpq, db, want_cut, scratch, trace),
-            SolveMode::Full,
-        );
-    }
 
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
@@ -439,12 +403,10 @@ pub(crate) fn solve_incremental_local(
     let resume_timer = trace.begin();
     // A patched network continues the flow the scratch retained; the resume
     // re-lays it first when the delta appended blocks or edges.
-    let flow = match mode {
+    let value = ResilienceValue::from(match mode {
         SolveMode::Incremental => csr.max_flow_resume(flow_scratch),
         SolveMode::Full => csr.max_flow(flow_scratch),
-    };
-    let value =
-        if flow >= INCR_INF { ResilienceValue::Infinite } else { ResilienceValue::Finite(flow) };
+    });
     let cut = (want_cut && !value.is_infinite()).then(|| csr.extract_cut(flow_scratch));
     trace.end(resume_timer, "flow_resume");
     let witness_timer = trace.begin();

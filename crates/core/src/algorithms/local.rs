@@ -24,31 +24,12 @@
 //! `textbook_networks` integration test, which checks them against this
 //! definition.
 
-use super::{Algorithm, ResilienceError, ResilienceOutcome, SolveScratch};
+use super::{Algorithm, ResilienceOutcome, SolveScratch};
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
-use rpq_automata::local::is_local;
 use rpq_automata::ro_enfa::RoEnfa;
-use rpq_automata::Language;
 use rpq_flow::{Capacity, VertexId};
 use rpq_graphdb::{FactId, GraphDb};
 use rpq_obs::Trace;
-
-/// Computes the resilience of a query whose infix-free sublanguage is local
-/// (Theorem 3.13). Errors with [`ResilienceError::NotApplicable`] otherwise.
-pub fn resilience_local(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
-    let language = rpq.infix_free_language();
-    if !is_local(&language) {
-        return Err(ResilienceError::NotApplicable {
-            algorithm: Algorithm::Local,
-            reason: format!("IF({}) is not a local language", rpq.language()),
-        });
-    }
-    if language.contains_epsilon() {
-        return Ok(ResilienceOutcome::new(ResilienceValue::Infinite, Algorithm::Local, None));
-    }
-    let ro = RoEnfa::for_local_language(&language)?;
-    Ok(solve_prepared(&ro, rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled()))
-}
 
 /// Runs the Theorem 3.13 reduction for an already-prepared RO-εNFA: the
 /// query-only analysis (locality test, ε-check, automaton construction) has
@@ -186,9 +167,9 @@ impl ProductFacts for DbFacts<'_> {
 /// side, the set [`rpq_flow::CsrFlow::min_cut`] extracts the cut from. A
 /// vertex whose out-edges all go to the target never does, or the source
 /// would reach the target. The fact edges are the same edges, emitted first
-/// in fact order under the same pruning, so their arena ids, the infinity
-/// threshold (one more than the sum of the finite capacities) and the
-/// extracted cut edges do not change. On the `ab|ad|cd` layered database of
+/// in fact order under the same pruning, so their arena ids and the
+/// extracted cut edges do not change, and the flow core's proxy for `+∞` is
+/// a constant. On the `ab|ad|cd` layered database of
 /// the `engine_solve` benchmark, the network shrinks from 30,942 vertices /
 /// 38,631 edges to 10,074 / 17,763.
 ///
@@ -620,30 +601,26 @@ impl SignatureCache {
     }
 }
 
-/// Convenience entry point matching the paper's combined-complexity statement:
-/// the language is given as an arbitrary ε-NFA (promised to recognize a local
-/// language) rather than as a [`Language`].
-pub fn resilience_local_from_enfa(
-    enfa: &rpq_automata::enfa::Enfa,
-    db: &GraphDb,
-    semantics: Semantics,
-) -> Result<ResilienceValue, ResilienceError> {
-    let language = Language::from_enfa(enfa, None);
-    let rpq = Rpq::new(language).with_semantics(semantics);
-    resilience_local(&rpq, db).map(|o| o.value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::ResilienceError;
+    use crate::engine::Engine;
     use crate::exact::resilience_exact;
+    use rpq_automata::local::is_local;
+    use rpq_automata::Language;
     use rpq_automata::{Alphabet, Word};
     use rpq_graphdb::generate::{flow_instance, random_labeled_graph, word_path};
+
+    /// Theorem 3.13, forced through the engine.
+    fn solve_local(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
+        Engine::new().solve_with(Algorithm::Local, rpq, db)
+    }
 
     #[test]
     fn single_path_cut() {
         let db = word_path(&Word::from_str_word("axxb"));
-        let out = resilience_local(&Rpq::parse("ax*b").unwrap(), &db).unwrap();
+        let out = solve_local(&Rpq::parse("ax*b").unwrap(), &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(1));
         assert_eq!(out.contingency_set.as_ref().unwrap().len(), 1);
     }
@@ -652,7 +629,7 @@ mod tests {
     fn non_local_language_is_rejected() {
         let db = word_path(&Word::from_str_word("aa"));
         assert!(matches!(
-            resilience_local(&Rpq::parse("aa").unwrap(), &db),
+            solve_local(&Rpq::parse("aa").unwrap(), &db),
             Err(ResilienceError::NotApplicable { .. })
         ));
     }
@@ -660,14 +637,14 @@ mod tests {
     #[test]
     fn epsilon_in_language_gives_infinite_resilience() {
         let db = word_path(&Word::from_str_word("ab"));
-        let out = resilience_local(&Rpq::parse("x*").unwrap(), &db).unwrap();
+        let out = solve_local(&Rpq::parse("x*").unwrap(), &db).unwrap();
         assert!(out.value.is_infinite());
     }
 
     #[test]
     fn query_not_holding_gives_zero() {
         let db = word_path(&Word::from_str_word("ab"));
-        let out = resilience_local(&Rpq::parse("ba|ca").unwrap(), &db).unwrap();
+        let out = solve_local(&Rpq::parse("ba|ca").unwrap(), &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(0));
         assert!(out.contingency_set.unwrap().is_empty());
     }
@@ -682,11 +659,11 @@ mod tests {
         db.set_multiplicity(f2, 4);
         db.set_multiplicity(f3, 7);
         let bag = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-        let out = resilience_local(&bag, &db).unwrap();
+        let out = solve_local(&bag, &db).unwrap();
         assert_eq!(out.value, ResilienceValue::Finite(4));
         assert_eq!(out.contingency_set.unwrap(), vec![f2]);
         let set = Rpq::parse("ax*b").unwrap();
-        assert_eq!(resilience_local(&set, &db).unwrap().value, ResilienceValue::Finite(1));
+        assert_eq!(solve_local(&set, &db).unwrap().value, ResilienceValue::Finite(1));
     }
 
     #[test]
@@ -694,7 +671,7 @@ mod tests {
         for seed in 0..4 {
             let db = flow_instance(3, 3, 2, 3, seed);
             let q = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-            let fast = resilience_local(&q, &db).unwrap();
+            let fast = solve_local(&q, &db).unwrap();
             let slow = resilience_exact(&q, &db);
             assert_eq!(fast.value, slow.value, "seed {seed}");
             // The returned cut really is a contingency set of matching cost.
@@ -716,7 +693,7 @@ mod tests {
                 if !is_local(&lang) {
                     continue;
                 }
-                let fast = resilience_local(&q, &db).unwrap();
+                let fast = solve_local(&q, &db).unwrap();
                 let slow = resilience_exact(&q, &db);
                 assert_eq!(fast.value, slow.value, "pattern {pattern}, seed {seed}");
             }
@@ -778,9 +755,12 @@ mod tests {
 
     #[test]
     fn combined_complexity_entry_point() {
+        // The language given as an ε-NFA, as in the combined-complexity
+        // statement.
         let db = word_path(&Word::from_str_word("axb"));
         let enfa = rpq_automata::regex::Regex::parse("ax*b").unwrap().to_enfa();
-        let value = resilience_local_from_enfa(&enfa, &db, Semantics::Set).unwrap();
+        let rpq = Rpq::new(Language::from_enfa(&enfa, None));
+        let value = solve_local(&rpq, &db).unwrap().value;
         assert_eq!(value, ResilienceValue::Finite(1));
     }
 }

@@ -31,7 +31,7 @@
 //!    an **optimal contingency set** from their minimum cut (for the
 //!    one-dangling rewriting, by mapping cut edges of the rewritten instance
 //!    back to original facts); value-only callers skip the extraction via
-//!    `SolveOptions::want_cut` or the per-call `SolveCall::want_cut`.
+//!    the per-call `SolveCall::want_cut`.
 //!
 //! # Scratch reuse across solves
 //!
@@ -196,12 +196,6 @@ pub enum ResilienceError {
         /// The configured limit.
         limit: usize,
     },
-    /// The query escapes every known tractable family and the engine was
-    /// configured with `SolveOptions::exact_fallback = false`.
-    ExactFallbackDisabled {
-        /// A rendering of the query's language.
-        query: String,
-    },
 }
 
 impl fmt::Display for ResilienceError {
@@ -215,11 +209,6 @@ impl fmt::Display for ResilienceError {
                 f,
                 "the database has {facts} endogenous facts, above the subset-enumeration \
                  limit of {limit}"
-            ),
-            ResilienceError::ExactFallbackDisabled { query } => write!(
-                f,
-                "`{query}` escapes every known tractable family and the exact fallback is \
-                 disabled (SolveOptions::exact_fallback)"
             ),
         }
     }
@@ -361,7 +350,7 @@ pub struct ResilienceOutcome {
     /// flow-based tractable backend extracts a witness from its minimum cut
     /// (including the one-dangling rewriting, which maps the cut of the
     /// rewritten instance back to original facts); the enumeration oracle
-    /// only certifies the value, and `SolveOptions::want_cut = false`
+    /// only certifies the value, and `SolveCall::want_cut = false`
     /// suppresses extraction everywhere.
     pub contingency_set: Option<Vec<FactId>>,
     /// Certified `lower ≤ RES(Q, D) ≤ upper` bounds, reported by the

@@ -338,17 +338,6 @@ impl OneDanglingPlan {
     }
 }
 
-/// Computes the resilience of a query whose infix-free sublanguage is
-/// one-dangling (Proposition 7.9), together with an optimal contingency set
-/// extracted from a minimum cut of the rewritten instance.
-pub fn resilience_one_dangling(
-    rpq: &Rpq,
-    db: &GraphDb,
-) -> Result<ResilienceOutcome, ResilienceError> {
-    let plan = OneDanglingPlan::from_infix_free(&rpq.infix_free_language(), rpq.language())?;
-    plan.solve(rpq, db, true, &mut SolveScratch::new(), &mut Trace::disabled())
-}
-
 /// `twin` entry of a node no x-fact enters.
 const NO_TWIN: u32 = u32::MAX;
 
@@ -482,11 +471,17 @@ impl ProductFacts for Rewritten<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::exact::{resilience_by_enumeration, resilience_exact};
     use rpq_automata::alphabet::Letter;
     use rpq_automata::{Alphabet, Language, Word};
     use rpq_graphdb::generate::{one_dangling_instance, random_labeled_graph, word_path};
     use std::collections::BTreeSet;
+
+    /// Proposition 7.9, forced through the engine.
+    fn solve_one_dangling(rpq: &Rpq, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
+        Engine::new().solve_with(Algorithm::OneDangling, rpq, db)
+    }
 
     /// The witness invariants of Proposition 7.9's extraction: present,
     /// a real contingency set, and of cost exactly the certified value.
@@ -507,7 +502,7 @@ mod tests {
         let db = word_path(&Word::from_str_word("ab"));
         for pattern in ["aa", "axb|cxd", "abcd|bef"] {
             assert!(matches!(
-                resilience_one_dangling(&Rpq::parse(pattern).unwrap(), &db),
+                solve_one_dangling(&Rpq::parse(pattern).unwrap(), &db),
                 Err(ResilienceError::NotApplicable { .. })
             ));
         }
@@ -522,7 +517,7 @@ mod tests {
         db.add_fact_by_names("3", 'c', "4");
         db.add_fact_by_names("3", 'e', "5");
         let q = Rpq::parse("abc|be").unwrap();
-        let fast = resilience_one_dangling(&q, &db).unwrap();
+        let fast = solve_one_dangling(&q, &db).unwrap();
         let slow = resilience_exact(&q, &db);
         assert_eq!(fast.value, slow.value);
         // Removing the b fact kills both matches: resilience 1.
@@ -542,7 +537,7 @@ mod tests {
         db.add_fact_by_names("0", 'b', "3b");
         db.add_fact_by_names("3b", 'a', "4b");
         let q = Rpq::parse("cba|ba").unwrap();
-        let out = resilience_one_dangling(&q, &db);
+        let out = solve_one_dangling(&q, &db);
         // cba|ba reduced to IF is just ba (ba is an infix of cba), which is
         // local, so the decomposition may degenerate; accept either a value
         // matching the exact solver or a NotApplicable error.
@@ -564,7 +559,7 @@ mod tests {
         db.add_fact_by_names("2", 'a', "1");
         db.add_fact_by_names("5", 'e', "3");
         let q = Rpq::parse("cba|eb").unwrap();
-        let fast = resilience_one_dangling(&q, &db).unwrap();
+        let fast = solve_one_dangling(&q, &db).unwrap();
         let slow = resilience_exact(&q, &db);
         assert_eq!(fast.value, slow.value);
         assert_eq!(fast.value, ResilienceValue::Finite(1));
@@ -578,7 +573,7 @@ mod tests {
             let db = random_labeled_graph(5, 9, &alphabet, seed);
             for pattern in ["abc|be", "abcd|ce", "abcd|be", "ab|xd", "ax*b|xd"] {
                 let q = Rpq::new(Language::parse(pattern).unwrap());
-                let fast = match resilience_one_dangling(&q, &db) {
+                let fast = match solve_one_dangling(&q, &db) {
                     Ok(out) => out,
                     Err(ResilienceError::NotApplicable { .. }) => continue,
                     Err(e) => panic!("{e}"),
@@ -602,7 +597,7 @@ mod tests {
             let db = random_labeled_graph(5, 9, &alphabet, seed);
             for pattern in ["cba|eb", "dcba|ec", "dcba|eb", "ba|dx"] {
                 let q = Rpq::new(Language::parse(pattern).unwrap());
-                let fast = match resilience_one_dangling(&q, &db) {
+                let fast = match solve_one_dangling(&q, &db) {
                     Ok(out) => out,
                     Err(ResilienceError::NotApplicable { .. }) => continue,
                     Err(e) => panic!("{e}"),
@@ -636,7 +631,7 @@ mod tests {
                 continue;
             }
             let q = Rpq::parse("abc|be").unwrap().with_bag_semantics();
-            let fast = resilience_one_dangling(&q, &db).unwrap();
+            let fast = solve_one_dangling(&q, &db).unwrap();
             let slow = resilience_exact(&q, &db);
             assert_eq!(fast.value, slow.value, "seed {seed}");
             assert_witness(&q, &db, &fast);
@@ -654,7 +649,7 @@ mod tests {
         db.add_fact_by_names("v", 'e', "w2");
         db.add_fact_by_names("v", 'e', "w3");
         let q = Rpq::parse("abc|be").unwrap();
-        let fast = resilience_one_dangling(&q, &db).unwrap();
+        let fast = solve_one_dangling(&q, &db).unwrap();
         assert_eq!(fast.value, ResilienceValue::Finite(2));
         assert_eq!(resilience_exact(&q, &db).value, ResilienceValue::Finite(2));
         // The cheap side of the exchange: both b-facts, keeping the e-facts.
@@ -674,7 +669,7 @@ mod tests {
         db.add_fact_by_names("2", 'd', "d1");
         db.add_fact_by_names("1", 'd', "d2");
         let q = Rpq::parse("ax*b|xd").unwrap();
-        let fast = resilience_one_dangling(&q, &db).unwrap();
+        let fast = solve_one_dangling(&q, &db).unwrap();
         let slow = resilience_exact(&q, &db);
         assert_eq!(fast.value, slow.value);
         assert_witness(&q, &db, &fast);
@@ -717,7 +712,7 @@ mod tests {
                     }
                     let q = Rpq::parse(pattern).unwrap();
                     let q = if bag { q.with_bag_semantics() } else { q };
-                    let fast = resilience_one_dangling(&q, &db).unwrap();
+                    let fast = solve_one_dangling(&q, &db).unwrap();
                     let oracle = resilience_by_enumeration(&q, &db);
                     assert_eq!(fast.value, oracle, "{pattern}, bag {bag}, seed {seed}");
                     assert_witness(&q, &db, &fast);
@@ -745,7 +740,7 @@ mod tests {
                 let id = db.add_fact_by_names(source, label, target);
                 db.set_multiplicity(id, multiplicity);
             }
-            let fast = resilience_one_dangling(&q, &db).unwrap();
+            let fast = solve_one_dangling(&q, &db).unwrap();
             assert_eq!(fast.value, resilience_by_enumeration(&q, &db), "second b {second_b}");
             assert_eq!(fast.value, ResilienceValue::Finite(100));
             assert_witness(&q, &db, &fast);
@@ -764,7 +759,7 @@ mod tests {
         db.add_fact_by_names("1", 'a', "3__in");
         db.add_fact_by_names("3__in", 'b', "3");
         let q = Rpq::parse("abc|be").unwrap();
-        let fast = resilience_one_dangling(&q, &db).unwrap();
+        let fast = solve_one_dangling(&q, &db).unwrap();
         let slow = resilience_exact(&q, &db);
         assert_eq!(fast.value, slow.value);
         assert_witness(&q, &db, &fast);

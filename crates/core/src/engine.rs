@@ -37,11 +37,12 @@
 //! `route`, and [`Engine::solve`] / [`Engine::solve_with`] prepare and solve
 //! in one call.
 //!
-//! [`SolveOptions`] configures the engine: the exponential exact fallback can
-//! be disabled for latency-sensitive callers, the subset-enumeration oracle
-//! gets a typed size limit, and contingency-set extraction can be switched
-//! off when only the value is needed. Every flow-based reduction cuts its
-//! network with the one MinCut solver of [`rpq_flow`] (Dinic).
+//! [`SolveOptions`] configures the engine: it gives the subset-enumeration
+//! oracle a typed size limit. Whether a contingency set is extracted is a
+//! per-call choice ([`SolveCall::want_cut`]), and the router's budgets bound
+//! the latency of queries that only the exponential exact solver answers.
+//! Every flow-based reduction cuts its network with the one MinCut solver of
+//! [`rpq_flow`] (Dinic).
 
 use crate::algorithms::chain::ChainPlan;
 use crate::algorithms::one_dangling::OneDanglingPlan;
@@ -66,28 +67,15 @@ use std::sync::Mutex;
 /// Configuration of a resilience [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Whether queries outside every known tractable family may fall back to
-    /// the exponential exact branch and bound. When `false`, preparing such a
-    /// query fails with [`ResilienceError::ExactFallbackDisabled`] instead of
-    /// arming an exponential solver.
-    pub exact_fallback: bool,
     /// The fact limit of the [`Algorithm::ExactEnumeration`] oracle: larger
     /// databases yield [`ResilienceError::InstanceTooLarge`] instead of a
     /// `2^facts` enumeration.
     pub enumeration_limit: usize,
-    /// Whether to extract an optimal contingency set alongside the value
-    /// (when the chosen algorithm can produce one). Disable for value-only
-    /// batch workloads.
-    pub want_cut: bool,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions {
-            exact_fallback: true,
-            enumeration_limit: DEFAULT_ENUMERATION_LIMIT,
-            want_cut: true,
-        }
+        SolveOptions { enumeration_limit: DEFAULT_ENUMERATION_LIMIT }
     }
 }
 
@@ -280,7 +268,7 @@ impl IncrementalSolver {
 #[derive(Debug, Clone, Copy)]
 pub struct SolveCall<'r> {
     /// Whether to extract an optimal contingency set (when the answering
-    /// backend can produce one), overriding [`SolveOptions::want_cut`].
+    /// backend can produce one).
     pub want_cut: bool,
     /// The caller's deadline / cost budget.
     pub budget: RouteBudget,
@@ -326,8 +314,7 @@ impl Clone for PreparedQuery {
 }
 
 impl Engine {
-    /// An engine with default options (Dinic, exact fallback enabled,
-    /// enumeration limit 24, contingency sets extracted).
+    /// An engine with default options (enumeration limit 24).
     pub fn new() -> Engine {
         Engine::default()
     }
@@ -351,8 +338,7 @@ impl Engine {
     /// 3. `IF(L)` a bipartite chain language → Proposition 7.6;
     /// 4. `IF(L)` one-dangling → Proposition 7.9 (with a per-database exact
     ///    fallback for exogenous facts, which the rewriting does not support);
-    /// 5. otherwise → exponential exact branch and bound, unless
-    ///    [`SolveOptions::exact_fallback`] is disabled.
+    /// 5. otherwise → exponential exact branch and bound.
     pub fn prepare(&self, rpq: &Rpq) -> Result<PreparedQuery, ResilienceError> {
         self.prepare_traced(rpq, &mut Trace::disabled())
     }
@@ -436,11 +422,6 @@ impl Engine {
             }
             Err(ResilienceError::NotApplicable { .. }) => {}
             Err(e) => return Err(e),
-        }
-        if !self.options.exact_fallback {
-            return Err(ResilienceError::ExactFallbackDisabled {
-                query: rpq.language().to_string(),
-            });
         }
         trace.end(plan_timer, "plan");
         Ok(prepared(
@@ -538,12 +519,11 @@ impl PreparedQuery {
         &self.report
     }
 
-    /// Solves one database using the cached plan, with the plan's default
-    /// contingency-set choice ([`SolveOptions::want_cut`]) and no budget: no
-    /// language analysis is re-derived. Returns outcomes identical to
+    /// Solves one database using the cached plan, extracting a contingency
+    /// set, with no budget: no language analysis is re-derived. Returns outcomes identical to
     /// [`Engine::solve`] on the same query and database.
     pub fn solve(&self, db: &GraphDb) -> Result<ResilienceOutcome, ResilienceError> {
-        self.solve_with_cut_traced(db, self.options.want_cut, &mut Trace::disabled())
+        self.solve_with_cut_traced(db, true, &mut Trace::disabled())
     }
 
     /// [`PreparedQuery::solve`] with an explicit per-call contingency-set
@@ -827,11 +807,6 @@ impl PreparedQuery {
                     // (Proposition 7.9): route around it or report why not.
                     if !fallback_to_exact {
                         return plan.solve(&self.rpq, db, want_cut, scratch, trace);
-                    }
-                    if !options.exact_fallback {
-                        return Err(ResilienceError::ExactFallbackDisabled {
-                            query: self.rpq.language().to_string(),
-                        });
                     }
                     return Ok(self.solve_exact_branch_and_bound(db, want_cut, trace));
                 }
@@ -1186,20 +1161,8 @@ mod tests {
     }
 
     #[test]
-    fn disabling_exact_fallback_rejects_hard_queries_at_prepare_time() {
-        let engine =
-            Engine::with_options(SolveOptions { exact_fallback: false, ..Default::default() });
-        let err = engine.prepare(&Rpq::parse("aa").unwrap()).unwrap_err();
-        assert!(matches!(err, ResilienceError::ExactFallbackDisabled { .. }));
-        assert!(err.to_string().contains("exact fallback"));
-        // Tractable queries still prepare fine.
-        assert!(engine.prepare(&Rpq::parse("ax*b").unwrap()).is_ok());
-    }
-
-    #[test]
     fn enumeration_limit_yields_typed_error() {
-        let engine =
-            Engine::with_options(SolveOptions { enumeration_limit: 4, ..Default::default() });
+        let engine = Engine::with_options(SolveOptions { enumeration_limit: 4 });
         let db = word_path(&Word::from_str_word("aaaaaa"));
         let query = Rpq::parse("aa").unwrap();
         let err = engine.solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap_err();
@@ -1209,18 +1172,6 @@ mod tests {
         let small = word_path(&Word::from_str_word("aaa"));
         let outcome = engine.solve_with(Algorithm::ExactEnumeration, &query, &small).unwrap();
         assert_eq!(outcome.value, ResilienceValue::Finite(1));
-    }
-
-    #[test]
-    fn want_cut_false_suppresses_contingency_sets() {
-        let engine = Engine::with_options(SolveOptions { want_cut: false, ..Default::default() });
-        let db = word_path(&Word::from_str_word("axb"));
-        let outcome = engine.solve(&Rpq::parse("ax*b").unwrap(), &db).unwrap();
-        assert_eq!(outcome.value, ResilienceValue::Finite(1));
-        assert!(outcome.contingency_set.is_none());
-        let outcome =
-            engine.solve_with(Algorithm::ExactBranchAndBound, &Rpq::parse("ax*b").unwrap(), &db);
-        assert!(outcome.unwrap().contingency_set.is_none());
     }
 
     #[test]
@@ -1362,7 +1313,7 @@ mod tests {
             let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
-            // The retained flow reaching INCR_INF reads +∞, with no witness.
+            // A retained flow reaching the +∞ proxy reads +∞, with no witness.
             assert_eq!(out.contingency_set.is_none(), expected.is_infinite(), "{patch}");
             assert_eq!(out.value, prepared.solve(&db).unwrap().value, "{patch}");
         }

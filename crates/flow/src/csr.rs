@@ -38,9 +38,16 @@
 //! resumed solve therefore return the same cut edges, not only the same
 //! value.
 //!
-//! Infinite capacities are capped internally at the total finite capacity
-//! plus one (saturating), so a flow reaching the cap proves that every cut
-//! uses an infinite edge.
+//! `+∞` has one rule: every infinite edge gets the same fixed proxy
+//! capacity, 2^100, in the arena and in its arcs. The network asserts on
+//! every added or patched capacity that its finite capacities sum below the
+//! proxy, and the reductions stay below 2^97: fact costs are `u64`, there
+//! are fewer than 2^32 facts, and the exchange prices of the Proposition 7.9
+//! rewriting sum to at most its `x` weights. Every finite cut therefore costs
+//! less than the proxy, and a flow that reaches it proves that every cut
+//! uses an infinite edge. Dinic stops there, so a flow value stays below
+//! twice the proxy. The proxy does not depend on the finite capacities, so
+//! a patch or a deletion never moves it under a retained flow.
 
 use crate::scratch::{FlowScratch, NO_ARC, UNVISITED};
 use std::fmt;
@@ -129,9 +136,10 @@ impl fmt::Display for Capacity {
     }
 }
 
-/// Capacity sentinel inside the arena: `+∞` (finite capacities must be
-/// strictly below; the reductions only produce `u64`-sized costs).
-const INFINITE: u128 = u128::MAX;
+/// The proxy capacity of every `+∞` edge, in the arena and in its arcs (see
+/// the [module docs](self)). The finite capacities of a network sum below
+/// it.
+const INFINITE: u128 = 1 << 100;
 /// `arc_edge` sentinel for reverse (residual-only) arcs.
 const NO_EDGE: u32 = u32::MAX;
 
@@ -144,6 +152,15 @@ fn encode(capacity: Capacity) -> u128 {
             c
         }
         Capacity::Infinite => INFINITE,
+    }
+}
+
+/// The value of a flow: `+∞` once it reaches the proxy.
+fn flow_value(flow: u128) -> Capacity {
+    if flow >= INFINITE {
+        Capacity::Infinite
+    } else {
+        Capacity::Finite(flow)
     }
 }
 
@@ -160,7 +177,10 @@ fn encode(capacity: Capacity) -> u128 {
 /// [`cancel_flow`](CsrFlow::cancel_flow) before lowering a capacity below
 /// the edge's flow, [`patch_edge_capacity`](CsrFlow::patch_edge_capacity),
 /// `add_vertices` and `add_edge`. All buffers keep their allocations across
-/// `clear`.
+/// `clear`. Every `+∞` edge has the fixed proxy capacity of the
+/// [module docs](self), so a patch only ever rewrites its own edge's arcs;
+/// `add_edge` and `patch_edge_capacity` panic when the finite capacities
+/// would sum to the proxy.
 ///
 /// ```
 /// use rpq_flow::{Capacity, CsrFlow, FlowScratch};
@@ -199,10 +219,8 @@ pub struct CsrFlow {
     /// zero-capacity edges, which produce no arcs); empty after `clear`. The
     /// flow of edge `e` is the residual of `arc_twin[edge_arc[e]]`.
     edge_arc: Vec<u32>,
-    infinite_cap: u128,
-    /// Whether the last freeze saw an infinite capacity: the proxy
-    /// capacities of those arcs depend on every finite capacity.
-    has_infinite: bool,
+    /// The sum of the arena's finite capacities, below [`INFINITE`].
+    finite_total: u128,
     frozen: bool,
 }
 
@@ -232,6 +250,7 @@ impl CsrFlow {
         self.edge_to.clear();
         self.edge_cap.clear();
         self.edge_arc.clear();
+        self.finite_total = 0;
         self.frozen = false;
     }
 
@@ -276,12 +295,21 @@ impl CsrFlow {
     pub fn add_edge(&mut self, from: VertexId, to: VertexId, capacity: Capacity) -> EdgeId {
         assert!(from.index() < self.num_vertices && to.index() < self.num_vertices);
         let cap = encode(capacity);
+        self.retally(0, cap);
         let id = EdgeId(self.edge_from.len() as u32);
         self.edge_from.push(from.0);
         self.edge_to.push(to.0);
         self.edge_cap.push(cap);
         self.frozen = false;
         id
+    }
+
+    /// Moves an edge's share of the finite total from `old` to `new` (`+∞`
+    /// counts as zero) and asserts that the total stays below the proxy.
+    fn retally(&mut self, old: u128, new: u128) {
+        let finite = |c: u128| if c == INFINITE { 0 } else { c };
+        self.finite_total = self.finite_total - finite(old) + finite(new);
+        assert!(self.finite_total < INFINITE, "finite capacities sum to the +∞ proxy");
     }
 
     /// The capacities of every internal buffer, for asserting that reuse
@@ -314,15 +342,14 @@ impl CsrFlow {
     /// edge's flow must not exceed the new capacity: run
     /// [`cancel_flow`](CsrFlow::cancel_flow) first when lowering it.
     ///
-    /// When the freeze gave the edge residual arcs and saw no infinite
-    /// capacity, the forward arc and its residual in `scratch` — which must
-    /// hold this network's flow — are rewritten in place and the network
-    /// stays frozen. A capacity lowered to zero leaves a zero-capacity arc
-    /// behind, harmless to the solvers and consistent with the cut contract,
-    /// which already includes zero-cost separator edges. Otherwise — the
-    /// edge has no arcs, or the freeze saw an infinite edge, whose proxy
-    /// capacity tracks the finite total — the network unfreezes, and the
-    /// next [`freeze`](CsrFlow::freeze) or
+    /// When the freeze gave the edge residual arcs, the forward arc and its
+    /// residual in `scratch` — which must hold this network's flow — are
+    /// rewritten in place and the network stays frozen, whether the
+    /// capacity moves between finite values or between finite and `+∞`. A
+    /// capacity lowered to zero leaves a zero-capacity arc behind, harmless
+    /// to the solvers and consistent with the cut contract, which already
+    /// includes zero-cost separator edges. An edge without arcs unfreezes
+    /// the network, and the next [`freeze`](CsrFlow::freeze) or
     /// [`max_flow_resume`](CsrFlow::max_flow_resume) re-lays it.
     pub fn patch_edge_capacity(
         &mut self,
@@ -332,16 +359,12 @@ impl CsrFlow {
     ) {
         let cap = encode(capacity);
         let e = edge.index();
-        let old = self.edge_cap[e];
+        let old = std::mem::replace(&mut self.edge_cap[e], cap);
         if old == cap {
             return;
         }
-        self.edge_cap[e] = cap;
-        let a = if self.frozen && !self.has_infinite && cap != INFINITE {
-            self.edge_arc[e]
-        } else {
-            NO_ARC
-        };
+        self.retally(old, cap);
+        let a = if self.frozen { self.edge_arc[e] } else { NO_ARC };
         if a == NO_ARC {
             self.frozen = false;
             return;
@@ -351,7 +374,6 @@ impl CsrFlow {
         debug_assert!(flow <= cap, "cancel the flow above a lowered capacity first");
         scratch.residual[a] = cap - flow;
         self.arc_cap[a] = cap;
-        self.infinite_cap = self.infinite_cap.saturating_sub(old).saturating_add(cap);
     }
 
     /// Compiles the arena into CSR residual adjacency (counting sort by arc
@@ -368,17 +390,6 @@ impl CsrFlow {
         assert!(self.target != NO_ARC, "target vertex not set");
         assert_ne!(self.source, self.target, "source and target must differ");
         let n = self.num_vertices;
-
-        let mut total_finite: u128 = 0;
-        self.has_infinite = false;
-        for &c in &self.edge_cap {
-            if c == INFINITE {
-                self.has_infinite = true;
-            } else {
-                total_finite = total_finite.saturating_add(c);
-            }
-        }
-        self.infinite_cap = total_finite.saturating_add(1);
 
         self.adj_start.clear();
         self.adj_start.resize(n + 1, 0);
@@ -419,7 +430,7 @@ impl CsrFlow {
             let reverse = self.cursor[to] as usize;
             self.cursor[to] += 1;
             self.arc_head[forward] = to as u32;
-            self.arc_cap[forward] = if cap == INFINITE { self.infinite_cap } else { cap };
+            self.arc_cap[forward] = cap;
             self.arc_edge[forward] = i as u32;
             self.arc_twin[forward] = reverse as u32;
             self.arc_head[reverse] = from as u32;
@@ -445,16 +456,17 @@ impl CsrFlow {
     }
 
     /// Computes a maximum flow with Dinic, starting from zero flow, and
-    /// returns its value. All solver state lives in `scratch`, which is
-    /// resized (growing only) and reused across calls; the flow stays there
-    /// for [`extract_cut`](CsrFlow::extract_cut) and for resumes.
-    pub fn max_flow(&self, scratch: &mut FlowScratch) -> u128 {
+    /// returns its value (`Infinite` when every cut uses an infinite edge).
+    /// All solver state lives in `scratch`, which is resized (growing only)
+    /// and reused across calls; the flow stays there for
+    /// [`extract_cut`](CsrFlow::extract_cut) and for resumes.
+    pub fn max_flow(&self, scratch: &mut FlowScratch) -> Capacity {
         assert!(self.frozen, "CsrFlow::max_flow requires freeze()");
         scratch.prepare(self.num_vertices);
         scratch.residual.clear();
         scratch.residual.extend_from_slice(&self.arc_cap);
-        scratch.flow = dinic(self, scratch);
-        scratch.flow
+        scratch.flow = dinic(self, scratch, INFINITE);
+        flow_value(scratch.flow)
     }
 
     /// Continues the maximum flow from the flow `scratch` holds — the one
@@ -469,12 +481,7 @@ impl CsrFlow {
     /// flow must fit its capacity, which [`cancel_flow`](CsrFlow::cancel_flow)
     /// ensures before a capacity is lowered. Do not call `freeze` between a
     /// solve and a resume: it drops the old layout the flow is read from.
-    ///
-    /// The value is the caller's to certify: an infinite edge's proxy
-    /// capacity is recomputed by each freeze and may fall below a carried
-    /// flow, so an incremental caller encodes "infinite" as a fixed huge
-    /// finite capacity and compares the value with it.
-    pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> u128 {
+    pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> Capacity {
         if !self.frozen {
             let FlowScratch { residual, carried, flow, .. } = &mut *scratch;
             if self.edge_arc.is_empty() {
@@ -505,9 +512,9 @@ impl CsrFlow {
             }
         }
         scratch.prepare(self.num_vertices);
-        scratch.flow += dinic(self, scratch);
+        scratch.flow += dinic(self, scratch, INFINITE.saturating_sub(scratch.flow));
         debug_assert_eq!(self.check_flow_consistency(scratch), Ok(()));
-        scratch.flow
+        flow_value(scratch.flow)
     }
 
     /// Verifies the flow `scratch` holds against the frozen network: every
@@ -773,10 +780,10 @@ impl CsrFlow {
 
     /// Reads the minimum cut off the maximum flow `scratch` holds: the
     /// original edges from the vertices the source reaches in the residual
-    /// graph to the rest. The value is `Infinite` when the flow reaches the
-    /// proxy capacity of infinite edges. The BFS starts at the source:
-    /// Dinic's last level BFS starts at the target, so its labels are not
-    /// the source side.
+    /// graph to the rest. The value is `Infinite`, with no cut edges, when
+    /// the flow reaches the proxy capacity of infinite edges. The BFS starts
+    /// at the source: Dinic's last level BFS starts at the target, so its
+    /// labels are not the source side.
     pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
         // Vertices reachable from the source in the residual graph.
         scratch.reachable.clear();
@@ -800,8 +807,9 @@ impl CsrFlow {
         }
 
         scratch.cut_edges.clear();
-        if scratch.flow >= self.infinite_cap {
-            return CsrCut { value: Capacity::Infinite, cut_edges: &scratch.cut_edges };
+        let value = flow_value(scratch.flow);
+        if value.is_infinite() {
+            return CsrCut { value, cut_edges: &scratch.cut_edges };
         }
 
         // Original edges crossing reachable → unreachable form a minimum cut.
@@ -814,7 +822,7 @@ impl CsrFlow {
                 scratch.cut_edges.push(EdgeId(i as u32));
             }
         }
-        CsrCut { value: Capacity::Finite(scratch.flow), cut_edges: &scratch.cut_edges }
+        CsrCut { value, cut_edges: &scratch.cut_edges }
     }
 }
 
@@ -829,13 +837,15 @@ impl CsrFlow {
 /// DFS meets a dead end only where an arc saturated during the phase. Levels
 /// from the source would instead admit every arc into the parts of a product
 /// network that cannot reach the target, and the DFS would walk each of them
-/// before pruning it. The run ends when the BFS no longer reaches the source.
-fn dinic(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
+/// before pruning it. The run ends when the BFS no longer reaches the source,
+/// or once it has pushed `limit` units: its callers pass what the flow
+/// lacks to reach the `+∞` proxy, past which the value reads `+∞` anyway.
+fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
     let n = csr.num_vertices;
     let source = csr.source as usize;
     let target = csr.target as usize;
     let mut total: u128 = 0;
-    loop {
+    while total < limit {
         // BFS from the target (`level` may be longer than `n` after a bigger
         // instance; only this instance's prefix is live). Arc `ai` out of `w`
         // runs w → to, so its twin runs to → w: `to` is one step further from
@@ -885,6 +895,9 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch) -> u128 {
                     s.residual[csr.arc_twin[ai] as usize] += bottleneck;
                 }
                 total += bottleneck;
+                if total >= limit {
+                    break;
+                }
                 // Restart from the tail of the first saturated arc.
                 let mut keep = 0;
                 while keep < s.path.len() && s.residual[s.path[keep] as usize] > 0 {
@@ -1319,7 +1332,7 @@ mod tests {
                 let value = csr.max_flow_resume(&mut scratch);
                 assert_eq!(csr.check_flow_consistency(&scratch), Ok(()), "round {round}");
                 let cold = csr.min_cut(&mut cold_scratch);
-                assert_eq!(Capacity::Finite(value), cold.value, "round {round} step {step}");
+                assert_eq!(value, cold.value, "round {round} step {step}");
                 if step % 2 == 0 {
                     let warm = csr.extract_cut(&mut scratch);
                     assert_eq!(warm.value, cold.value, "round {round} step {step}");
@@ -1342,13 +1355,13 @@ mod tests {
         let st = csr.add_edge(s, t, Capacity::Finite(3));
         csr.freeze();
         let mut scratch = FlowScratch::new();
-        assert_eq!(csr.max_flow(&mut scratch), 8);
+        assert_eq!(csr.max_flow(&mut scratch), Capacity::Finite(8));
         // Deleting the direct s->t edge: pure value decrease on both sides.
         // Each edit is cancelled, patched in place and resumed.
         for (edge, keep, value) in [(st, 0, 5), (sm, 2, 2), (mt, 0, 0)] {
             assert!(csr.cancel_flow(edge, keep, &mut scratch));
             csr.patch_edge_capacity(edge, Capacity::Finite(keep), &mut scratch);
-            assert_eq!(csr.max_flow_resume(&mut scratch), value);
+            assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Finite(value));
             assert_eq!(csr.extract_cut(&mut scratch).value, Capacity::Finite(value));
         }
         assert_eq!(scratch.flow, 0);
@@ -1367,33 +1380,51 @@ mod tests {
         csr.add_edge(a, t, Capacity::Finite(4));
         csr.freeze();
         let mut scratch = FlowScratch::new();
-        assert_eq!(csr.max_flow(&mut scratch), 3);
+        assert_eq!(csr.max_flow(&mut scratch), Capacity::Finite(3));
         let b = csr.add_vertex();
         csr.add_edge(s, b, Capacity::Finite(2));
         csr.add_edge(b, t, Capacity::Finite(5));
-        assert_eq!(csr.max_flow_resume(&mut scratch), 5);
+        assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Finite(5));
         assert_eq!(scratch.residual[csr.arc_twin[csr.edge_arc[sa.index()] as usize] as usize], 3);
         assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
     }
 
     #[test]
-    fn patch_beside_an_infinite_edge_unfreezes() {
-        // s -> m -> t is infinite and x -> y finite. Raising x -> y raises
-        // the infinite arcs' proxy capacity, which an in-place patch would
-        // leave behind: the next solve must re-lay and still answer +∞.
+    fn patches_beside_and_on_infinite_edges_stay_in_place() {
+        // s -> m -> t is infinite and x -> y finite. The proxy capacity of
+        // +∞ does not depend on x -> y, so raising it is patched in place
+        // and the resume, with no freeze, still answers +∞. Then m -> t
+        // turns finite and back, each patch in place as well.
         let mut csr = CsrFlow::new();
         let [s, m, t, x, y] = [(); 5].map(|_| csr.add_vertex());
         csr.set_source(s);
         csr.set_target(t);
         csr.add_edge(s, m, Capacity::Infinite);
-        csr.add_edge(m, t, Capacity::Infinite);
+        let mt = csr.add_edge(m, t, Capacity::Infinite);
         let xy = csr.add_edge(x, y, Capacity::Finite(1));
         csr.freeze();
         let mut scratch = FlowScratch::new();
-        assert_eq!(csr.min_cut(&mut scratch).value, Capacity::Infinite);
+        assert_eq!(csr.max_flow(&mut scratch), Capacity::Infinite);
         csr.patch_edge_capacity(xy, Capacity::Finite(10), &mut scratch);
-        csr.freeze();
-        assert_eq!(csr.min_cut(&mut scratch).value, Capacity::Infinite);
+        assert!(csr.frozen);
+        assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Infinite);
+        assert!(csr.cancel_flow(mt, 3, &mut scratch));
+        csr.patch_edge_capacity(mt, Capacity::Finite(3), &mut scratch);
+        assert!(csr.frozen);
+        assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Finite(3));
+        assert_eq!(csr.extract_cut(&mut scratch).cut_edges, [mt]);
+        csr.patch_edge_capacity(mt, Capacity::Infinite, &mut scratch);
+        assert!(csr.frozen);
+        assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Infinite);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite capacities sum to the +∞ proxy")]
+    fn finite_capacities_summing_to_the_proxy_panic() {
+        let mut csr = CsrFlow::new();
+        let [s, t] = [(); 2].map(|_| csr.add_vertex());
+        csr.add_edge(s, t, Capacity::Finite(INFINITE / 2));
+        csr.add_edge(t, s, Capacity::Finite(INFINITE / 2));
     }
 
     #[test]
@@ -1458,7 +1489,7 @@ mod tests {
         csr.freeze();
         assert_eq!(csr.edge_arc[dead.index()], NO_ARC);
         let mut scratch = FlowScratch::new();
-        assert_eq!(csr.max_flow(&mut scratch), 2);
+        assert_eq!(csr.max_flow(&mut scratch), Capacity::Finite(2));
         assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
         // A tombstone carries no flow, so cancelling it is a no-op.
         assert!(csr.cancel_flow(dead, 0, &mut scratch));

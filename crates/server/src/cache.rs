@@ -13,12 +13,11 @@
 //! iff the languages contain exactly the same words.
 //!
 //! Because a plan bakes in the solve configuration, the key also includes the
-//! query semantics (set/bag), the plan-relevant [`SolveOptions`] and any
-//! forced algorithm; the same language prepared without the exact fallback
-//! is a different entry. `SolveOptions::want_cut` is deliberately **not**
-//! part of the key: whether a contingency set is extracted is a
-//! solve-time flag (`SolveCall::want_cut`), so value-only and
-//! with-cut requests for the same language share one entry. Eviction is
+//! query semantics (set/bag), the [`SolveOptions`] and any forced algorithm;
+//! the same language prepared with another enumeration limit is a different
+//! entry. Whether a contingency set is extracted is a solve-time flag
+//! (`SolveCall::want_cut`), not part of the key, so value-only and with-cut
+//! requests for the same language share one entry. Eviction is
 //! least-recently-used with a fixed capacity.
 //!
 //! The cache is **sharded into lock stripes** keyed by the language
@@ -48,9 +47,7 @@ struct CacheKey {
     bag: bool,
     /// A forced algorithm, if the caller bypassed automatic dispatch.
     forced: Option<&'static str>,
-    /// Remaining plan-relevant `SolveOptions` fields (`want_cut` is excluded:
-    /// it is applied per solve call, not baked into the plan).
-    exact_fallback: bool,
+    /// The `SolveOptions` the plan was prepared under.
     enumeration_limit: usize,
 }
 
@@ -60,7 +57,6 @@ impl CacheKey {
             canonical: rpq.language().canonical_form(),
             bag: rpq.semantics() == Semantics::Bag,
             forced: forced.map(Algorithm::name),
-            exact_fallback: options.exact_fallback,
             enumeration_limit: options.enumeration_limit,
         }
     }
@@ -305,31 +301,14 @@ mod tests {
         let bag = Rpq::parse("ax*b").unwrap().with_bag_semantics();
         assert!(!cache.get_or_prepare(&engine, &bag, None).unwrap().hit);
         // Different plan-relevant option: different key.
-        let no_fallback =
-            Engine::with_options(SolveOptions { exact_fallback: false, ..Default::default() });
-        assert!(!cache.get_or_prepare(&no_fallback, &q, None).unwrap().hit);
+        let small_limit = Engine::with_options(SolveOptions { enumeration_limit: 4 });
+        assert!(!cache.get_or_prepare(&small_limit, &q, None).unwrap().hit);
         // Forced algorithm: different key.
         assert!(!cache.get_or_prepare(&engine, &q, Some(Algorithm::Local)).unwrap().hit);
         // And each of those now hits.
         assert!(cache.get_or_prepare(&engine, &q, None).unwrap().hit);
-        assert!(cache.get_or_prepare(&no_fallback, &q, None).unwrap().hit);
+        assert!(cache.get_or_prepare(&small_limit, &q, None).unwrap().hit);
         assert_eq!(cache.stats().entries, 4);
-    }
-
-    #[test]
-    fn want_cut_is_not_part_of_the_key() {
-        // Cut extraction is a solve-time flag: a value-only engine and a
-        // with-cut engine share one cached plan per language.
-        let (cache, with_cut) = cache_and_engine(8);
-        let value_only =
-            Engine::with_options(SolveOptions { want_cut: false, ..Default::default() });
-        let q = Rpq::parse("abc|be").unwrap();
-        let first = cache.get_or_prepare(&with_cut, &q, None).unwrap();
-        assert!(!first.hit);
-        let second = cache.get_or_prepare(&value_only, &q, None).unwrap();
-        assert!(second.hit, "want_cut must not split the cache key");
-        assert!(Arc::ptr_eq(&first.prepared, &second.prepared));
-        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
@@ -420,12 +399,13 @@ mod tests {
 
     #[test]
     fn prepare_errors_are_not_cached() {
-        let engine =
-            Engine::with_options(SolveOptions { exact_fallback: false, ..Default::default() });
+        // `aa` is not local, so forcing Theorem 3.13 fails to prepare.
+        let engine = Engine::new();
         let cache = QueryCache::new(4);
         let q = Rpq::parse("aa").unwrap();
-        assert!(cache.get_or_prepare(&engine, &q, None).is_err());
-        assert!(cache.get_or_prepare(&engine, &q, None).is_err());
+        let local = Some(Algorithm::Local);
+        assert!(cache.get_or_prepare(&engine, &q, local).is_err());
+        assert!(cache.get_or_prepare(&engine, &q, local).is_err());
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses), (0, 2));
     }

@@ -88,8 +88,8 @@ pub struct QuerySpec {
     /// Force a specific algorithm instead of automatic dispatch.
     pub algorithm: Option<Algorithm>,
     /// Whether to extract a contingency set alongside the value (`None`
-    /// defers to the server default, which is `true`). Not part of the cache
-    /// key: the flag is applied per solve call.
+    /// means `true`). Not part of the cache key: the flag is applied per
+    /// solve call.
     pub want_cut: Option<bool>,
     /// Worker threads for the per-database half of a `solve_batch` (`None`
     /// defers to the server default). Like `want_cut`, a solve-time setting:

@@ -321,13 +321,13 @@ impl ServerState {
     }
 
     /// The per-call solve inputs of a solve-family request: the per-request
-    /// `want_cut` override (or the server default; applied per solve call,
-    /// never part of the cache key), the `deadline_ms`/`cost_budget_us`
+    /// `want_cut` (default `true`; applied per solve call, never part of the
+    /// cache key), the `deadline_ms`/`cost_budget_us`
     /// budget (unlimited when neither is set, which makes the routed path
     /// bit-identical to an unbudgeted solve) and the overload-probing router.
     fn call_for(&self, spec: &QuerySpec) -> SolveCall<'_> {
         SolveCall {
-            want_cut: spec.want_cut.unwrap_or(self.options.want_cut),
+            want_cut: spec.want_cut.unwrap_or(true),
             budget: RouteBudget {
                 deadline_ms: spec.deadline_ms,
                 cost_budget_us: spec.cost_budget_us,

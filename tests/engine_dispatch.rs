@@ -124,7 +124,7 @@ fn oversized_enumeration_is_a_typed_error_not_a_panic() {
     // A raised limit is honored (and 25 facts stay far below 2^25 ≈ 3·10^7
     // subset checks only because the path is short — keep it at the error
     // path plus one solvable configuration under a custom engine).
-    let engine = Engine::with_options(SolveOptions { enumeration_limit: 10, ..Default::default() });
+    let engine = Engine::with_options(SolveOptions { enumeration_limit: 10 });
     let small = word_path(&Word::from_str_word("aaaa"));
     assert!(engine.solve_with(Algorithm::ExactEnumeration, &query, &small).is_ok());
     let err = engine.solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap_err();

@@ -209,3 +209,70 @@ fn local_queries_survive_a_thousand_random_edits() {
         }
     }
 }
+
+/// Bag multiplicities near `u64::MAX` on 40,000 parallel `ax*b` paths, so the
+/// resilience is about 2^79.3: far below the flow core's proxy for `+∞`, but
+/// past any bound tied to a few bits above `u64`. Five 1-fact deletes must
+/// each be patched incrementally and match a fresh solve in value and cut
+/// facts. Run in release mode with the churn above.
+#[test]
+#[ignore]
+fn huge_bag_totals_stay_incremental() {
+    const PATHS: usize = 40_000;
+    let query = Rpq::parse("ax*b").unwrap().with_bag_semantics();
+    let prepared = Engine::new().prepare(&query).unwrap();
+    let put = |source: String, label: char, target: String, multiplicity: u64| FactChange::Put {
+        source,
+        label: Letter::new(label),
+        target,
+        multiplicity,
+        exogenous: false,
+    };
+    let mut log: Vec<FactChange> = (0..PATHS)
+        .flat_map(|i| {
+            [
+                put("s".into(), 'a', format!("u{i}"), u64::MAX),
+                put(format!("u{i}"), 'b', "t".into(), u64::MAX - 1),
+            ]
+        })
+        .collect();
+    let mut solver = IncrementalSolver::new();
+    let call = SolveCall::new(true);
+    let db = materialize(&log);
+    prepared.route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled()).unwrap();
+    let sorted = |set: Option<Vec<_>>| {
+        let mut set = set.expect("a finite solve has a witness");
+        set.sort_unstable();
+        set
+    };
+    // Paths 7, 19, 39999 and 123 lose a fact; u19 b t is deleted after its
+    // path is already gone.
+    let deletes = [
+        ("u7", 'b', "t"),
+        ("s", 'a', "u19"),
+        ("u19", 'b', "t"),
+        ("s", 'a', "u39999"),
+        ("u123", 'b', "t"),
+    ];
+    let mut value = None;
+    for (source, label, target) in deletes {
+        let delta = vec![FactChange::Delete {
+            source: source.into(),
+            label: Letter::new(label),
+            target: target.into(),
+        }];
+        log.extend(delta.iter().cloned());
+        let db = materialize(&log);
+        let (routed, mode) = prepared
+            .route_incremental(&mut solver, &db, Some(&delta), &call, &mut Trace::disabled())
+            .unwrap();
+        let step = format!("- {source} {label} {target}");
+        assert_eq!(mode, SolveMode::Incremental, "{step}");
+        let fresh = prepared.solve(&db).unwrap();
+        assert_eq!(routed.outcome.value, fresh.value, "{step}");
+        assert_eq!(sorted(routed.outcome.contingency_set), sorted(fresh.contingency_set), "{step}");
+        value = Some(fresh.value);
+    }
+    let four_paths_fewer = (PATHS as u128 - 4) * u128::from(u64::MAX - 1);
+    assert_eq!(value, Some(ResilienceValue::Finite(four_paths_fewer)));
+}
