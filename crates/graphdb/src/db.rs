@@ -436,10 +436,19 @@ impl GraphDb {
         out
     }
 
-    /// Human-readable rendering of a fact, e.g. `u -a-> v`.
+    /// Human-readable rendering of a fact, e.g. `u -a-> v`. Responses render
+    /// every cut fact this way, so the pieces are appended to a `String` of
+    /// the final size instead of going through `format!`.
     pub fn display_fact(&self, id: FactId) -> String {
         let f = self.fact(id);
-        format!("{} -{}-> {}", self.node_name(f.source), f.label, self.node_name(f.target))
+        let (source, target) = (self.node_name(f.source), self.node_name(f.target));
+        let mut out = String::with_capacity(source.len() + target.len() + 5 + f.label.0.len_utf8());
+        out.push_str(source);
+        out.push_str(" -");
+        out.push(f.label.0);
+        out.push_str("-> ");
+        out.push_str(target);
+        out
     }
 }
 

@@ -79,9 +79,8 @@ const MAX_TOKENS: usize = 6;
 /// Parses a patch in the line-based text format (see the [module docs](self)).
 pub fn parse_patch(input: &str) -> Result<Vec<FactChange>, ParseError> {
     let mut changes = Vec::new();
-    for (i, raw_line) in input.lines().enumerate() {
-        let line_no = i + 1;
-        let (parts, mut count) = text::tokens::<MAX_TOKENS>(raw_line);
+    for line in text::lines::<MAX_TOKENS>(input) {
+        let text::Line { number: line_no, raw: raw_line, tokens: parts, mut count } = line;
         if count == 0 {
             continue;
         }

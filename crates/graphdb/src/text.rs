@@ -15,12 +15,15 @@
 //!
 //! This is also the wire ingestion format: every database a server request
 //! carries (`solve`, `solve_batch`, `db_put`) goes through [`parse`], so the
-//! parser makes no allocation per line: one byte pass per line puts its
-//! tokens in a fixed array, and names and facts are interned through the id
-//! tables of [`GraphDb`], sized from the input's line count up front. On a
-//! 2-core Xeon VM it reads a 512-fact `ax*b` flow network at ~130–175 ns per
-//! line (best of 200 in-process runs over 16 such databases). New nodes and
-//! facts get identifiers in order of first appearance.
+//! parser makes no allocation per line. One byte pass over the whole text
+//! finds the line ends and the tokens together (the patch format of
+//! [`crate::delta`] shares it), putting each line's tokens in a fixed array;
+//! names and facts are interned through the id tables of [`GraphDb`], sized
+//! up front from the input's newline count. On a 2-core Xeon VM it reads a
+//! 512-fact `ax*b` flow network at ~130 ns per fact, of which the byte pass
+//! is ~40 ns and name and fact hashing most of the rest (best of 300
+//! in-process runs over 16 such databases). New nodes and facts get
+//! identifiers in order of first appearance.
 
 use crate::db::GraphDb;
 use rpq_automata::alphabet::Letter;
@@ -56,47 +59,145 @@ pub(crate) fn content(raw_line: &str) -> &str {
     .trim()
 }
 
-/// The tokens of a raw line, in a fixed array (no allocation), and their
-/// count: the words [`str::split_whitespace`] finds in [`content`]. A count
-/// of `N + 1` means "more than `N`": a longer line is invalid anyway, so
-/// its extra tokens are not kept. One pass over the bytes: ASCII bytes are
-/// classified directly, and only a non-ASCII character is decoded, to test
-/// it for Unicode whitespace.
-pub(crate) fn tokens<const N: usize>(raw_line: &str) -> ([&str; N], usize) {
-    fn push<'a, const N: usize>(parts: &mut [&'a str; N], count: &mut usize, token: &'a str) {
-        if let Some(part) = parts.get_mut(*count) {
-            *part = token;
-        }
-        *count += 1;
-    }
-    let mut parts = [""; N];
-    let mut count = 0;
-    let mut token_start = None;
-    let bytes = raw_line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() && count <= N {
-        let (space, width) = match bytes[i] {
-            b'#' => break,
-            byte if byte.is_ascii() => (matches!(byte, b'\t'..=b'\r' | b' '), 1),
-            _ => match raw_line[i..].chars().next() {
-                Some(c) => (c.is_whitespace(), c.len_utf8()),
-                None => break,
-            },
+/// One line of a text as [`lines`] yields it.
+pub(crate) struct Line<'a, const N: usize> {
+    /// 1-based line number.
+    pub number: usize,
+    /// The line as [`str::lines`] yields it: without its `\n` or `\r\n`.
+    pub raw: &'a str,
+    /// The first `min(count, N)` words of the line's [`content`]; the rest
+    /// of the array is empty strings.
+    pub tokens: [&'a str; N],
+    /// How many words [`str::split_whitespace`] finds in the line's
+    /// [`content`]. A count of `N + 1` means "more than `N`": a longer line
+    /// is invalid anyway, so its extra words are not kept.
+    pub count: usize,
+}
+
+/// The lines of `text` with their tokens: what [`str::lines`] yields, each
+/// split like `content(raw).split_whitespace()`, from one pass over the
+/// bytes and with no allocation. ASCII bytes are classified by table, and
+/// only a non-ASCII character is decoded, to test it for Unicode whitespace.
+/// A `#` comment or an `N + 1`-th word ends the tokenizing of its line; the
+/// rest of the line is only searched for its newline.
+pub(crate) fn lines<const N: usize>(text: &str) -> Lines<'_, N> {
+    Lines { text, pos: 0, number: 0 }
+}
+
+/// The iterator of [`lines`].
+pub(crate) struct Lines<'a, const N: usize> {
+    text: &'a str,
+    /// Byte offset of the next line's start.
+    pos: usize,
+    /// Number of the line yielded last.
+    number: usize,
+}
+
+/// What the tokenizer makes of a character.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Part of a word.
+    Word,
+    /// Whitespace other than `\n`.
+    Space,
+    /// `\n`: the end of a line.
+    Newline,
+    /// `#`: the start of a comment.
+    Hash,
+    /// The first byte of a non-ASCII character (in [`BYTE_CLASSES`] only).
+    NonAscii,
+}
+
+/// The class of every byte: ASCII whitespace is `\t`..=`\r` and space, as
+/// for [`char::is_whitespace`].
+const BYTE_CLASSES: [Class; 256] = {
+    let mut classes = [Class::NonAscii; 256];
+    let mut byte = 0;
+    while byte < 0x80 {
+        classes[byte] = match byte as u8 {
+            b'\n' => Class::Newline,
+            b'#' => Class::Hash,
+            b'\t'..=b'\r' | b' ' => Class::Space,
+            _ => Class::Word,
         };
-        match (space, token_start) {
-            (true, Some(start)) => {
-                push(&mut parts, &mut count, &raw_line[start..i]);
-                token_start = None;
+        byte += 1;
+    }
+    classes
+};
+
+impl<const N: usize> Lines<'_, N> {
+    /// The class and byte width of the character at byte `i` (a character
+    /// boundary), or `None` at the end of the text. A non-ASCII character is
+    /// `Space` or `Word`.
+    #[inline]
+    fn class_at(&self, i: usize) -> Option<(Class, usize)> {
+        let byte = *self.text.as_bytes().get(i)?;
+        match BYTE_CLASSES[usize::from(byte)] {
+            Class::NonAscii => {
+                let c = self.text[i..].chars().next()?;
+                Some((if c.is_whitespace() { Class::Space } else { Class::Word }, c.len_utf8()))
             }
-            (false, None) => token_start = Some(i),
-            _ => {}
+            class => Some((class, 1)),
         }
-        i += width;
     }
-    if let Some(start) = token_start {
-        push(&mut parts, &mut count, &raw_line[start..i]);
+
+    /// The offset of the first `\n` at or after `i`, or the text's length.
+    fn line_end(&self, i: usize) -> usize {
+        let rest = &self.text.as_bytes()[i..];
+        i + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len())
     }
-    (parts, count)
+}
+
+impl<'a, const N: usize> Iterator for Lines<'a, N> {
+    type Item = Line<'a, N>;
+
+    fn next(&mut self) -> Option<Line<'a, N>> {
+        let text = self.text;
+        let start = self.pos;
+        if start >= text.len() {
+            return None;
+        }
+        let mut tokens = [""; N];
+        let mut count = 0;
+        let mut i = start;
+        let end = loop {
+            // Whitespace up to the next word.
+            let Some((class, width)) = self.class_at(i) else { break i };
+            match class {
+                Class::Space => {
+                    i += width;
+                    continue;
+                }
+                Class::Newline => break i,
+                Class::Hash => break self.line_end(i),
+                Class::Word | Class::NonAscii => {}
+            }
+            // The word, up to whitespace, a newline, a `#` or the end.
+            let word = i;
+            i += width;
+            while let Some((Class::Word, width)) = self.class_at(i) {
+                i += width;
+            }
+            if let Some(token) = tokens.get_mut(count) {
+                *token = &text[word..i];
+            }
+            count += 1;
+            if count > N {
+                break self.line_end(i);
+            }
+        };
+        // `end` is at the line's `\n` or at the end of the text.
+        let raw = &text[start..end];
+        let raw = if end < text.len() {
+            self.pos = end + 1;
+            raw.strip_suffix('\r').unwrap_or(raw)
+        } else {
+            self.pos = end;
+            raw
+        };
+        self.number += 1;
+        Some(Line { number: self.number, raw, tokens, count })
+    }
 }
 
 /// The label token of line `line` as a letter: it must be one character.
@@ -116,11 +217,10 @@ pub fn parse(input: &str) -> Result<GraphDb, ParseError> {
     // Each line holds at most one fact and introduces at most two nodes, but
     // databases rarely have more nodes than facts: size both tables for one
     // of each per line.
-    let lines = input.bytes().filter(|&b| b == b'\n').count() + 1;
-    let mut db = GraphDb::with_capacity(lines, lines);
-    for (i, raw_line) in input.lines().enumerate() {
-        let line_no = i + 1;
-        let (parts, mut count) = tokens::<MAX_TOKENS>(raw_line);
+    let line_count = input.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut db = GraphDb::with_capacity(line_count, line_count);
+    for line in lines::<MAX_TOKENS>(input) {
+        let Line { number: line_no, raw: raw_line, tokens: parts, mut count } = line;
         if count == 0 {
             continue;
         }
@@ -268,22 +368,35 @@ mod tests {
     fn tokens_are_the_words_of_the_content() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // ASCII and Unicode whitespace, comment marks, multi-byte letters.
+        // Line endings (`\n`, `\r\n`, a lone `\r`), ASCII and Unicode
+        // whitespace (U+0085 and U+2028 end no line for `str::lines`),
+        // comment marks and multi-byte letters. Up to 40 pieces, so many
+        // lines have more than `MAX_TOKENS` words, and the last line may lack
+        // its newline.
         let pieces = [
-            "u", "ab", "é", "日本", "!", "3", "#", " ", "\t", "\r", "\x0b", "\x0c", "\u{85}",
-            "\u{a0}", "\u{1680}", "\u{2003}", "\u{2028}", "\u{3000}", "\u{1c}", "\u{200b}",
+            "u", "ab", "é", "日本", "!", "3", "#", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c",
+            "\u{85}", "\u{a0}", "\u{1680}", "\u{2003}", "\u{2028}", "\u{3000}", "\u{1c}",
+            "\u{200b}",
         ];
         for seed in 0..5000 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let raw: String = (0..rng.gen_range(0..12usize))
+            let text: String = (0..rng.gen_range(0..40usize))
                 .map(|_| pieces[rng.gen_range(0..pieces.len())])
                 .collect();
-            let words: Vec<&str> = content(&raw).split_whitespace().collect();
-            let (parts, count) = tokens::<MAX_TOKENS>(&raw);
-            assert_eq!(count, words.len().min(MAX_TOKENS + 1), "{raw:?}");
-            let kept = words.len().min(MAX_TOKENS);
-            assert_eq!(parts[..kept], words[..kept], "{raw:?}");
+            let mut actual = lines::<MAX_TOKENS>(&text);
+            for (i, raw) in text.lines().enumerate() {
+                let line =
+                    actual.next().unwrap_or_else(|| panic!("line {} missing: {text:?}", i + 1));
+                let words: Vec<&str> = content(raw).split_whitespace().collect();
+                assert_eq!((line.number, line.raw), (i + 1, raw), "{text:?}");
+                assert_eq!(line.count, words.len().min(MAX_TOKENS + 1), "{text:?}");
+                let kept = words.len().min(MAX_TOKENS);
+                assert_eq!(line.tokens[..kept], words[..kept], "{text:?}");
+                assert!(line.tokens[kept..].iter().all(|t| t.is_empty()), "{text:?}");
+            }
+            assert!(actual.next().is_none(), "{text:?}");
         }
+        assert!(lines::<MAX_TOKENS>("").next().is_none());
     }
 
     /// One random database as text, together with the same database built

@@ -224,49 +224,37 @@ pub enum Request {
 impl Request {
     /// Parses one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let json = Json::parse(line).map_err(|e| e.to_string())?;
-        let op = json
-            .get("op")
-            .and_then(Json::as_str)
+        let mut json = Json::parse(line).map_err(|e| e.to_string())?;
+        let op = take_str(&mut json, "op")
             .ok_or("request must be an object with a string `op` field")?;
-        match op {
+        match op.as_str() {
             "prepare" => Ok(Request::Prepare { query: parse_query_spec(&json)? }),
             "solve" => {
-                let db = json
-                    .get("db")
-                    .and_then(Json::as_str)
-                    .ok_or("`solve` requires a string `db` field (graph text format)")?
-                    .to_string();
+                let db = take_str(&mut json, "db")
+                    .ok_or("`solve` requires a string `db` field (graph text format)")?;
                 Ok(Request::Solve { query: parse_query_spec(&json)?, db })
             }
             "solve_batch" => {
-                let dbs = json
-                    .get("dbs")
-                    .and_then(Json::as_array)
-                    .ok_or("`solve_batch` requires an array `dbs` field")?
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_string)
-                            .ok_or("`dbs` entries must be strings (graph text format)".to_string())
+                let Some(Json::Array(items)) = json.get_mut("dbs") else {
+                    return Err("`solve_batch` requires an array `dbs` field".to_string());
+                };
+                let dbs = items
+                    .iter_mut()
+                    .map(|item| match item {
+                        Json::Str(text) => Ok(std::mem::take(text)),
+                        _ => Err("`dbs` entries must be strings (graph text format)".to_string()),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::SolveBatch { query: parse_query_spec(&json)?, dbs })
             }
             "db_put" => {
-                let db = json
-                    .get("db")
-                    .and_then(Json::as_str)
-                    .ok_or("`db_put` requires a string `db` field (graph text format)")?
-                    .to_string();
+                let db = take_str(&mut json, "db")
+                    .ok_or("`db_put` requires a string `db` field (graph text format)")?;
                 Ok(Request::DbPut { name: parse_name(&json, "db_put")?, db })
             }
             "db_patch" => {
-                let patch = json
-                    .get("patch")
-                    .and_then(Json::as_str)
-                    .ok_or("`db_patch` requires a string `patch` field (patch text format)")?
-                    .to_string();
+                let patch = take_str(&mut json, "patch")
+                    .ok_or("`db_patch` requires a string `patch` field (patch text format)")?;
                 Ok(Request::DbPatch { name: parse_name(&json, "db_patch")?, patch })
             }
             "db_snapshot" => {
@@ -378,6 +366,16 @@ impl Request {
             Request::Metrics => Json::object([("op", Json::Str("metrics".into()))]),
             Request::Shutdown => Json::object([("op", Json::Str("shutdown".into()))]),
         }
+    }
+}
+
+/// Moves the string value of `key` out of a parsed request, leaving an empty
+/// string behind: the graph and patch texts are the bulk of a request line,
+/// so they are not copied a second time.
+fn take_str(json: &mut Json, key: &str) -> Option<String> {
+    match json.get_mut(key)? {
+        Json::Str(value) => Some(std::mem::take(value)),
+        _ => None,
     }
 }
 
