@@ -2,32 +2,25 @@
 //! overview figure and time the classification procedure (locality test,
 //! four-legged search, chain / one-dangling decompositions).
 //!
-//! Besides the timing, running this benchmark prints the classification table
-//! (who is PTIME, who is NP-hard, who remains unclassified) — the qualitative
-//! content of Figure 1.
+//! The languages come from `rpq_resilience::classify::figure1_rows`, the one
+//! Figure 1 table; `rpq-cli figure1` prints it. Before timing, every verdict's
+//! certificate is re-verified.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Language;
-use rpq_bench::figure1_patterns;
-use rpq_resilience::classify::classify;
+use rpq_resilience::classify::{classify, figure1_rows, verify_classification};
 use std::time::Duration;
 
 fn figure1(c: &mut Criterion) {
-    // Print the reproduced figure once.
-    println!("\nFigure 1 classification (reproduced):");
-    for pattern in figure1_patterns() {
-        let language = Language::parse(pattern).unwrap();
-        println!("  {:<16} {}", pattern, classify(&language).label());
-    }
-
     let mut group = c.benchmark_group("figure1/classification");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
-    for pattern in figure1_patterns() {
-        let language = Language::parse(pattern).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(pattern), &language, |b, l| {
+    for row in figure1_rows() {
+        let language = Language::parse(row.pattern).unwrap();
+        assert!(verify_classification(&language, &row.computed), "certificate for {}", row.pattern);
+        group.bench_with_input(BenchmarkId::from_parameter(row.pattern), &language, |b, l| {
             b.iter(|| classify(l));
         });
     }

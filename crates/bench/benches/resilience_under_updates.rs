@@ -21,7 +21,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rpq_bench::{flow_db_of_size, local_db_of_size};
 use rpq_graphdb::delta::{changes_from_db, materialize, FactChange};
 use rpq_graphdb::GraphDb;
-use rpq_resilience::engine::{Engine, IncrementalSolver, SolveCall};
+use rpq_resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveMode};
 use rpq_resilience::obs::Trace;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
@@ -37,6 +37,10 @@ const FAMILIES: &[Family] =
 /// the fallback threshold (`live_facts / 16` ≈ 26–31 on these families) and
 /// exercise the cede-to-batch path.
 const DELTA_SIZES: &[usize] = &[1, 4, 16, 64, 128, 256];
+
+/// The largest delta of `DELTA_SIZES` that takes the patch path; the
+/// sanity check asserts every solve's `SolveMode` against it.
+const PATCH_PATH_MAX: usize = 16;
 
 /// An alternating update pair: `del` removes `size` endogenous facts,
 /// `ins` puts them back, together with the two materialized snapshots.
@@ -84,7 +88,8 @@ fn updates_benchmarks(c: &mut Criterion) {
             let pair = update_pair(&db, size);
 
             // Sanity before timing: the incremental path must agree with
-            // fresh solves on both snapshots of the ring.
+            // fresh solves on both snapshots of the ring, and take the patch
+            // path exactly up to the fallback threshold.
             let full_value = prepared.solve(&pair.full).unwrap().value;
             let reduced_value = prepared.solve(&pair.reduced).unwrap().value;
             let call = SolveCall::new(false);
@@ -93,14 +98,17 @@ fn updates_benchmarks(c: &mut Criterion) {
                                delta: Option<&[FactChange]>| {
                 let routed =
                     prepared.route_incremental(solver, db, delta, &call, &mut Trace::disabled());
-                routed.unwrap().0.outcome
+                let (tiered, mode) = routed.unwrap();
+                (tiered.outcome, mode)
             };
             let mut solver = IncrementalSolver::new();
-            assert_eq!(incremental(&mut solver, &pair.full, None).value, full_value);
-            let outcome = incremental(&mut solver, &pair.reduced, Some(&pair.del));
-            assert_eq!(outcome.value, reduced_value, "{family}/{size}");
-            let outcome = incremental(&mut solver, &pair.full, Some(&pair.ins));
-            assert_eq!(outcome.value, full_value, "{family}/{size}");
+            assert_eq!(incremental(&mut solver, &pair.full, None).0.value, full_value);
+            let expected_mode =
+                if size <= PATCH_PATH_MAX { SolveMode::Incremental } else { SolveMode::Full };
+            let (outcome, mode) = incremental(&mut solver, &pair.reduced, Some(&pair.del));
+            assert_eq!((outcome.value, mode), (reduced_value, expected_mode), "{family}/{size}");
+            let (outcome, mode) = incremental(&mut solver, &pair.full, Some(&pair.ins));
+            assert_eq!((outcome.value, mode), (full_value, expected_mode), "{family}/{size}");
 
             // Incremental: the retained network absorbs del + ins per
             // iteration (two solves), ending back at the full snapshot.

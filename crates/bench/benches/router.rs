@@ -19,10 +19,13 @@
 //!   of solves answered exactly, the fraction degraded, and the mean
 //!   relative width `(upper - lower) / max(1, exact)` of the certified
 //!   interval over the degraded finite answers — every interval is asserted
-//!   to sandwich the true value first.
+//!   to sandwich the true value first. The number of exact answers per
+//!   budget depends only on `CostModel` and the corpus, so it is asserted
+//!   too (`EXACT_PER_BUDGET`): a change to either that moves a decision
+//!   fails the bench.
 //!
-//! Run with `CRITERION_SAVE=BENCH_router.json cargo bench -p rpq-bench
-//! --bench router` to refresh the committed artifact (see EXPERIMENTS.md).
+//! `scripts/bench_all.sh router` refreshes the committed artifact (see
+//! EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rpq_bench::workloads::{
@@ -37,6 +40,10 @@ use rpq_resilience::rpq::{ResilienceValue, Rpq};
 /// The budget sweep, in microseconds: from far below any planned cost to
 /// far above the whole corpus (the decision boundary sits in between).
 const BUDGETS_US: [u64; 6] = [2, 16, 128, 1024, 8192, 65536];
+
+/// How many of the corpus's 12 solves answer exactly under each budget of
+/// `BUDGETS_US`: none up to 128 µs, four at 1024 µs, all from 8192 µs.
+const EXACT_PER_BUDGET: [u32; 6] = [0, 0, 0, 4, 12, 12];
 
 /// One database per family and size step — enough to put solves on both
 /// sides of every budget without inflating the bench runtime.
@@ -69,7 +76,7 @@ fn bench_router(c: &mut Criterion) {
     // every degraded answer, then summarized per budget.
     println!("router decision quality ({} solves per budget):", corpus.len() * SIZES.len());
     println!("  budget_us  exact_rate  degraded_rate  mean_rel_width");
-    for budget_us in BUDGETS_US {
+    for (budget_us, expected_exact) in BUDGETS_US.into_iter().zip(EXACT_PER_BUDGET) {
         let call = value_only(budget_us);
         let (mut exact, mut degraded, mut widths) = (0u32, 0u32, Vec::new());
         for (name, pattern, dbs) in &corpus {
@@ -111,6 +118,7 @@ fn bench_router(c: &mut Criterion) {
             degraded as f64 / total,
             mean_width
         );
+        assert_eq!(exact, expected_exact, "exact answers under a {budget_us} µs budget");
     }
 
     // Latency of one routed solve as the budget crosses the boundary: the

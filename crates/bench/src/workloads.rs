@@ -84,45 +84,6 @@ pub fn scaling_workloads() -> Vec<ScalingWorkload> {
     ]
 }
 
-/// The Figure 1 example languages (pattern, expected region), re-exported for
-/// the classification benchmark and the EXPERIMENTS.md table.
-pub fn figure1_patterns() -> Vec<&'static str> {
-    vec![
-        "abc|abd",
-        "ab|ad|cd",
-        "ax*b",
-        "ab|bc",
-        "axb|byc",
-        "abc|be",
-        "abcd|ce",
-        "abcd|be",
-        "ax*b|xd",
-        "axb|cxd",
-        "ax*b|cxd",
-        "b(aa)*d",
-        "aa",
-        "aaaa",
-        "abca|cab",
-        "ab|bc|ca",
-        "abcd|be|ef",
-        "abcd|bef",
-        "abc|bcd",
-        "abc|bef",
-        "ab*c|ba",
-        "ab*d|ac*d|bc",
-    ]
-}
-
-/// A batch of `count` small random databases over the alphabet of `pattern`,
-/// one per seed — the plan-reuse workload of the `prepared_vs_unprepared`
-/// benchmark: the databases are small enough that the query-only analysis
-/// dominates an unprepared per-database solve.
-pub fn batch_dbs(pattern: &str, count: usize) -> Vec<GraphDb> {
-    let language = Language::parse(pattern).expect("workload patterns parse");
-    let alphabet = language.used_letters();
-    (0..count as u64).map(|seed| random_labeled_graph(5, 10, &alphabet, seed)).collect()
-}
-
 /// A small `aa`-workload database: a path of `n` `a`-facts (the exact solver
 /// baseline used by the `exact_vs_poly` benchmark on an NP-hard language).
 pub fn aa_path_db(n: usize) -> GraphDb {
@@ -147,13 +108,6 @@ mod tests {
                 // either but make sure evaluation runs.
                 let _ = satisfies(&db, &language);
             }
-        }
-    }
-
-    #[test]
-    fn figure1_patterns_parse() {
-        for pattern in figure1_patterns() {
-            assert!(Language::parse(pattern).is_ok(), "{pattern}");
         }
     }
 

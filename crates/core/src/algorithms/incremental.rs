@@ -65,6 +65,10 @@ const ZERO: Capacity = Capacity::Finite(0);
 /// count (4–7× at single facts), breaks even around 1/32–1/16, and loses
 /// beyond it — the flow cancellations dominate. 16 keeps every measured win
 /// and cedes the crossover region to the pruned batch solve (EXPERIMENTS.md).
+/// The re-recorded artifact (2026-10-19) agrees: 4.6–7.7× at one change,
+/// 1.8–2.0× at 16 (~1/32), and from 64 changes both arms take the batch
+/// path; it has no delta size between 16 and 64, so it does not place the
+/// crossover more finely.
 pub const INCREMENTAL_FALLBACK_DIVISOR: usize = 16;
 
 /// Deltas up to this many entries always take the patch path, however small

@@ -134,42 +134,6 @@ pub struct PlanReport {
     pub cost: CostModel,
 }
 
-impl PlanReport {
-    /// A stable machine-readable JSON rendering of the report, e.g.
-    /// `{"algorithm":"local","reason":"…","infix_free":"…","forced":false,"cost":{…}}`.
-    /// Used by server front ends; the output is always a well-formed JSON
-    /// object with exactly these five keys.
-    pub fn to_json(&self) -> String {
-        fn escape(s: &str, out: &mut String) {
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-        }
-        let mut out = String::from("{\"algorithm\":\"");
-        escape(self.algorithm.name(), &mut out);
-        out.push_str("\",\"reason\":\"");
-        escape(&self.reason, &mut out);
-        out.push_str("\",\"infix_free\":\"");
-        escape(&self.infix_free, &mut out);
-        out.push_str("\",\"forced\":");
-        out.push_str(if self.forced { "true" } else { "false" });
-        out.push_str(",\"cost\":");
-        out.push_str(&self.cost.to_json());
-        out.push('}');
-        out
-    }
-}
-
 impl fmt::Display for PlanReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -979,32 +943,6 @@ mod tests {
             assert!(!plan.forced);
             assert!(plan.to_string().contains("IF(L)"));
         }
-    }
-
-    #[test]
-    fn plan_reports_serialize_to_json() {
-        let engine = Engine::new();
-        let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
-        let json = prepared.plan().to_json();
-        assert!(json.starts_with("{\"algorithm\":\"local\""));
-        assert!(json.contains("\"forced\":false"));
-        assert!(json.contains("\"infix_free\":"));
-        // Quotes and backslashes in reasons must be escaped.
-        let report = PlanReport {
-            algorithm: Algorithm::Local,
-            reason: "say \"hi\" \\ bye\n".to_string(),
-            infix_free: "IF".to_string(),
-            forced: true,
-            cost: CostModel::for_plan(Algorithm::Local),
-        };
-        assert_eq!(
-            report.to_json(),
-            format!(
-                "{{\"algorithm\":\"local\",\"reason\":\"say \\\"hi\\\" \\\\ bye\\n\",\
-                 \"infix_free\":\"IF\",\"forced\":true,\"cost\":{}}}",
-                report.cost.to_json()
-            )
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (`"poly"`), the exponential ground truths (`"exact"`), and the certified
 //! approximations (`"approx"`). This module turns tier choice into a
 //! cost-model decision instead of a per-call flag: every prepared plan
-//! carries a [`CostModel`] calibrated against the committed `BENCH_scaling`
-//! artifact, and every routed solve
+//! carries a [`CostModel`] calibrated against a `BENCH_scaling` recording
+//! (see [`CostModel::for_plan`]), and every routed solve
 //! ([`crate::engine::PreparedQuery::route`] and its batch and incremental
 //! siblings) compares the projected cost of the planned backend against the
 //! caller's [`RouteBudget`].
@@ -100,8 +100,8 @@ pub enum CostClass {
 
 /// A per-plan structural cost estimate: which algorithm family the plan
 /// classified into and how its solve time scales with the database, with
-/// coefficients calibrated against the committed `BENCH_scaling` artifact
-/// (medians on the corpus generators).
+/// coefficients calibrated against a `BENCH_scaling` recording (medians on
+/// the corpus generators; see [`CostModel::for_plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// The backend the model projects.
@@ -111,13 +111,23 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The calibrated model for a plan. Coefficients come from the committed
-    /// benchmark artifacts: `BENCH_scaling` puts the Theorem 3.13 local
-    /// reduction at ≈4.2 µs/fact, the Proposition 7.6 chain reduction at
-    /// ≈1.3 µs/fact and the Proposition 7.9 rewriting at ≈2.1 µs/fact (all
-    /// three cut with Dinic, the one max-flow algorithm); the branch and bound
-    /// roughly doubles every 2 facts (101 µs at 10 → 1.06 ms at 18) and the
-    /// subset enumeration every fact.
+    /// The calibrated model for a plan. The coefficients were taken from the
+    /// benchmark artifacts of 2026-08: `BENCH_scaling` then put the Theorem
+    /// 3.13 local reduction at ≈4.2 µs/fact, the Proposition 7.6 chain
+    /// reduction at ≈1.3 µs/fact and the Proposition 7.9 rewriting at
+    /// ≈2.1 µs/fact (all three cut with Dinic, the one max-flow algorithm);
+    /// the branch and bound roughly doubles every 2 facts (101 µs at 10 →
+    /// 1.06 ms at 18) and the subset enumeration every fact.
+    ///
+    /// The artifacts re-recorded on 2026-10-19 disagree for the linear
+    /// classes: at their largest sizes the local solves cost 0.21–0.51
+    /// µs/fact, the chain 0.34 and the one-dangling 0.21, so these
+    /// coefficients overestimate the flow tiers 4–20×; `BENCH_router` shows
+    /// the greedy class underestimating (8.6 ms on a 418-fact `ab|ad|cd`
+    /// database under a 1,024 µs budget). The branch and bound still doubles
+    /// about every 2 facts (149 µs at 10 → 2.18 ms at 18). The coefficients
+    /// set routing decisions, so they stay until the router records its
+    /// estimate against the actual cost and they can be refit from that.
     pub fn for_plan(algorithm: Algorithm) -> CostModel {
         let class = match algorithm {
             Algorithm::Local => CostClass::Linear { base_ns: 2_000, ns_per_fact: 4_200 },
@@ -160,24 +170,6 @@ impl CostModel {
             CostClass::Exponential { .. } => db.endogenous_facts().count() as u64,
         };
         u64::try_from(self.estimate_ns(facts) / 1_000).unwrap_or(u64::MAX)
-    }
-
-    /// A stable machine-readable JSON rendering of the model, embedded in
-    /// [`crate::engine::PlanReport::to_json`], e.g.
-    /// `{"algorithm":"local","class":"linear","base_ns":2000,"ns_per_fact":4200}`.
-    pub fn to_json(&self) -> String {
-        match self.class {
-            CostClass::Linear { base_ns, ns_per_fact } => format!(
-                "{{\"algorithm\":\"{}\",\"class\":\"linear\",\"base_ns\":{base_ns},\
-                 \"ns_per_fact\":{ns_per_fact}}}",
-                self.algorithm.name()
-            ),
-            CostClass::Exponential { base_ns, facts_per_doubling } => format!(
-                "{{\"algorithm\":\"{}\",\"class\":\"exponential\",\"base_ns\":{base_ns},\
-                 \"facts_per_doubling\":{facts_per_doubling}}}",
-                self.algorithm.name()
-            ),
-        }
     }
 }
 
@@ -368,9 +360,6 @@ mod tests {
         let exact = CostModel::for_plan(Algorithm::ExactBranchAndBound);
         assert!(exact.estimate_ns(10) < exact.estimate_ns(18));
         assert!(exact.estimate_ns(10_000) >= exact.estimate_ns(200));
-        // JSON renderings carry the class and its coefficients.
-        assert!(local.to_json().contains("\"class\":\"linear\""));
-        assert!(exact.to_json().contains("\"facts_per_doubling\":2"));
     }
 
     #[test]

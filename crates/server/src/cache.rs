@@ -2,8 +2,9 @@
 //!
 //! Preparing a query ([`Engine::prepare`]) runs the full query-only analysis
 //! — infix-free sublanguage, ε-check, locality RO-εNFA, chain / one-dangling
-//! decompositions — which dominates small-batch latency (see the
-//! `prepared_vs_unprepared` benchmark). [`QueryCache`] memoizes
+//! decompositions — which dominates small-batch latency (the repository
+//! benchmark's `wire_batch` workload reports `cache.hit_ratio` and
+//! `cache.lookup_us`). [`QueryCache`] memoizes
 //! [`PreparedQuery`] plans behind an [`Arc`] so concurrent connections share
 //! them, and keys entries by the **canonical language form**
 //! ([`rpq_automata::Language::canonical_form`]) rather than the regex text:

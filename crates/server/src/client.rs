@@ -2,7 +2,7 @@
 //!
 //! One [`Client`] wraps one TCP connection; requests and responses alternate
 //! line by line. Used by `rpq-cli client`, the integration tests and the
-//! `server_throughput` benchmark.
+//! repository benchmark (`perfbench`).
 
 use crate::json::Json;
 use crate::protocol::Request;

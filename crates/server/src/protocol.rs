@@ -72,7 +72,8 @@
 use crate::json::Json;
 use rpq_graphdb::GraphDb;
 use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
-use rpq_resilience::router::TieredOutcome;
+use rpq_resilience::engine::PlanReport;
+use rpq_resilience::router::{CostClass, CostModel, TieredOutcome};
 use rpq_resilience::rpq::ResilienceValue;
 
 /// The query half of a request: the regex plus the per-request settings that
@@ -500,6 +501,34 @@ pub fn value_json(value: ResilienceValue) -> Json {
     }
 }
 
+/// Renders a prepared query's plan report, the `plan` of a `prepare`
+/// response: `{"algorithm":…,"reason":…,"infix_free":…,"forced":…,"cost":{…}}`,
+/// where `cost` is the plan's [`CostModel`]: its algorithm, growth `class`
+/// (`linear` or `exponential`) and that class's calibrated coefficients.
+pub fn plan_json(plan: &PlanReport) -> Json {
+    let CostModel { algorithm, class } = plan.cost;
+    let mut cost = vec![("algorithm", Json::Str(algorithm.name().to_string()))];
+    match class {
+        CostClass::Linear { base_ns, ns_per_fact } => cost.extend([
+            ("class", Json::Str("linear".to_string())),
+            ("base_ns", Json::Int(base_ns.into())),
+            ("ns_per_fact", Json::Int(ns_per_fact.into())),
+        ]),
+        CostClass::Exponential { base_ns, facts_per_doubling } => cost.extend([
+            ("class", Json::Str("exponential".to_string())),
+            ("base_ns", Json::Int(base_ns.into())),
+            ("facts_per_doubling", Json::Int(facts_per_doubling.into())),
+        ]),
+    }
+    Json::object([
+        ("algorithm", Json::Str(plan.algorithm.name().to_string())),
+        ("reason", Json::Str(plan.reason.clone())),
+        ("infix_free", Json::Str(plan.infix_free.clone())),
+        ("forced", Json::Bool(plan.forced)),
+        ("cost", Json::object(cost)),
+    ])
+}
+
 /// Renders one solve outcome (without the `ok` marker, so it can serve both
 /// as a full `solve` response body and as a `solve_batch` results entry).
 pub fn outcome_json(outcome: &ResilienceOutcome, db: &GraphDb) -> Json {
@@ -649,6 +678,40 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(fragment), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn plan_reports_render_as_json() {
+        use rpq_resilience::engine::Engine;
+        use rpq_resilience::rpq::Rpq;
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let json = plan_json(prepared.plan()).to_string();
+        assert!(json.starts_with("{\"algorithm\":\"local\""), "{json}");
+        assert!(json.contains("\"forced\":false"));
+        assert!(json.contains("\"infix_free\":"));
+        // Quotes, backslashes and newlines in reasons are escaped; the cost
+        // model carries its class and coefficients.
+        let report = PlanReport {
+            algorithm: Algorithm::Local,
+            reason: "say \"hi\" \\ bye\n".to_string(),
+            infix_free: "IF".to_string(),
+            forced: true,
+            cost: CostModel::for_plan(Algorithm::Local),
+        };
+        assert_eq!(
+            plan_json(&report).to_string(),
+            "{\"algorithm\":\"local\",\"reason\":\"say \\\"hi\\\" \\\\ bye\\n\",\
+             \"infix_free\":\"IF\",\"forced\":true,\"cost\":{\"algorithm\":\"local\",\
+             \"class\":\"linear\",\"base_ns\":2000,\"ns_per_fact\":4200}}"
+        );
+        let exact = PlanReport {
+            algorithm: Algorithm::ExactBranchAndBound,
+            cost: CostModel::for_plan(Algorithm::ExactBranchAndBound),
+            ..report
+        };
+        let json = plan_json(&exact).to_string();
+        assert!(json.contains("\"class\":\"exponential\""), "{json}");
+        assert!(json.contains("\"facts_per_doubling\":2"), "{json}");
     }
 
     #[test]

@@ -51,7 +51,8 @@
 use crate::cache::{CacheLookup, CacheStats, QueryCache};
 use crate::json::{find_either, Json};
 use crate::protocol::{
-    coded_error_response, error_response, tiered_outcome_json, QuerySpec, Request, SnapshotSel,
+    coded_error_response, error_response, plan_json, tiered_outcome_json, QuerySpec, Request,
+    SnapshotSel,
 };
 use rpq_automata::Language;
 use rpq_graphdb::{text, GraphDb};
@@ -375,7 +376,7 @@ impl ServerState {
             // The fingerprint is hashed from the canonical form the cache
             // lookup already computed — no second canonicalization.
             ("fingerprint", Json::Str(format!("{:016x}", lookup.fingerprint))),
-            ("plan", Json::Raw(lookup.prepared.plan().to_json())),
+            ("plan", plan_json(lookup.prepared.plan())),
         ])
     }
 
@@ -406,9 +407,16 @@ impl ServerState {
             Targets::Texts(texts) => self.route_texts(&prepared, texts, spec, &call, &mut trace),
             Targets::Snapshots(name, refs) => {
                 fields.push(("name".to_string(), Json::Str(name.to_string())));
-                let mut solve =
-                    |sel| self.store.solve(name, sel, &prepared, fingerprint, &call, &mut trace);
-                refs.iter().map(|sel| self.snapshot_entry(solve(sel))).collect()
+                refs.iter()
+                    .map(|sel| {
+                        let route =
+                            self.store.solve(name, sel, &prepared, fingerprint, &call, &mut trace);
+                        let build_timer = trace.begin();
+                        let entry = self.snapshot_entry(route);
+                        trace.end(build_timer, "result_build");
+                        entry
+                    })
+                    .collect()
             }
         };
         // Inline verbs label the latency histogram with the backend that
@@ -468,7 +476,7 @@ impl ServerState {
     /// Parses every graph text (one `parse_db` span, per-text failures kept)
     /// and routes the parsed databases through the engine's batch path —
     /// `jobs` scoped threads, one pooled scratch each — returning one entry
-    /// per text, in order.
+    /// per text, in order (built under one `result_build` span).
     fn route_texts(
         &self,
         prepared: &PreparedQuery,
@@ -492,7 +500,8 @@ impl ServerState {
             .collect();
         trace.end(parse_timer, "parse_db");
         let outcomes = prepared.route_batch(&parsed, jobs, call, trace);
-        slots
+        let build_timer = trace.begin();
+        let entries = slots
             .into_iter()
             .map(|slot| {
                 let i = slot.map_err(error_response)?;
@@ -501,7 +510,9 @@ impl ServerState {
                 let tiered = outcome.as_ref().map_err(|e| error_response(e.to_string()))?;
                 Ok(self.routed_entry(tiered, db, Vec::new()))
             })
-            .collect()
+            .collect();
+        trace.end(build_timer, "result_build");
+        entries
     }
 
     /// One hosted-snapshot entry: the resolved snapshot id, the

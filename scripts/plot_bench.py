@@ -2,16 +2,15 @@
 """Plot time-vs-size series from committed BENCH_*.json artifacts as SVG.
 
 The vendored Criterion stub persists one JSON object per bench target
-(``CRITERION_SAVE=BENCH_<target>.json cargo bench -p rpq-bench --bench
-<target>``; see EXPERIMENTS.md) mapping each benchmark name to
-``{"min_ns": ..., "median_ns": ..., "samples": ...}`` — artifacts produced
-since the stub grew tail-quantile fields additionally carry ``p50_ns`` /
-``p95_ns`` / ``p99_ns`` / ``max_ns``. Benchmark names are slash-separated;
-when the last component is a number it is a swept parameter (database facts
-|D|, jobs, ...), e.g.::
+(``scripts/bench_all.sh``; see EXPERIMENTS.md) mapping each benchmark name
+to ``{"min_ns": ..., "median_ns": ..., "p50_ns": ..., "p95_ns": ...,
+"p99_ns": ..., "max_ns": ..., "samples": ...}``, plus a ``"host"`` entry
+(``nproc``, ``cpu``, ``date``) that is shown in the chart's subtitle.
+Benchmark names are slash-separated; when the last component is a number it
+is a swept parameter (database facts |D|, delta size, budget, ...), e.g.::
 
-    scaling/local/256            -> series "scaling/local", x = 256
-    batch_parallel/engine/jobs_2/512 -> series ".../jobs_2", x = 512
+    scaling/local/256                  -> series "scaling/local", x = 256
+    obs_overhead/traced/2048           -> series "obs_overhead/traced", x = 2048
 
 This script groups such names into series and renders one log-log SVG chart
 per input file (median ns vs the swept parameter). When a record carries
@@ -53,8 +52,12 @@ MARGIN = {"left": 86, "right": 24, "top": 64, "bottom": 56}
 
 
 def load_series(path):
-    """Splits a bench artifact into plottable series and leftover names."""
+    """Splits a bench artifact into plottable series, leftover names and its
+    host line (``None`` for an artifact without a host entry)."""
     data = json.loads(Path(path).read_text())
+    host = data.pop("host", None)
+    if host is not None:
+        host = f"{host.get('nproc', '?')} CPUs, {host.get('cpu', '?')}, {host.get('date', '?')}"
     series, leftovers = {}, []
     for name, record in sorted(data.items()):
         parts = name.split("/")
@@ -67,7 +70,7 @@ def load_series(path):
         series.setdefault("/".join(parts[:-1]), []).append(point)
     for points in series.values():
         points.sort()
-    return series, leftovers
+    return series, leftovers, host
 
 
 def fmt_time(ns):
@@ -94,7 +97,7 @@ def svg_escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render(title, series, leftovers):
+def render(title, series, leftovers, host=None):
     """One log-log SVG line chart: median time vs the swept parameter."""
     plotted = list(series.items())[: len(SERIES_COLORS)]
     dropped = [name for name, _ in list(series.items())[len(SERIES_COLORS):]]
@@ -131,6 +134,7 @@ def render(title, series, leftovers):
         + svg_escape(
             "median wall-clock (log) vs swept parameter (log)"
             + ("; dashed = p95" if has_p95 else "")
+            + (f"; {host}" if host else "")
         )
         + "</text>",
     ]
@@ -219,12 +223,12 @@ def main(argv):
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
     for artifact in args.artifacts:
-        series, leftovers = load_series(artifact)
+        series, leftovers, host = load_series(artifact)
         stem = Path(artifact).stem
         if not series:
             print(f"{artifact}: no numeric-suffixed series to plot (skipped)")
             continue
-        svg = render(stem, series, leftovers)
+        svg = render(stem, series, leftovers, host)
         target = outdir / f"{stem}.svg"
         target.write_text(svg)
         print(f"{artifact}: {len(series)} series -> {target}")
