@@ -24,7 +24,7 @@
 //!   too (`EXACT_PER_BUDGET`): a change to either that moves a decision
 //!   fails the bench.
 //!
-//! `scripts/bench_all.sh router` refreshes the committed artifact (see
+//! `scripts/bench_all.sh` refreshes the committed artifact (see
 //! EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -13,11 +13,10 @@ is a swept parameter (database facts |D|, delta size, budget, ...), e.g.::
     obs_overhead/traced/2048           -> series "obs_overhead/traced", x = 2048
 
 This script groups such names into series and renders one log-log SVG chart
-per input file (median ns vs the swept parameter). When a record carries
-``p95_ns`` the series also gets a dashed tail line (the latency-histogram
-summary measured by the stub); older artifacts without quantile fields
-render exactly as before. Names without a numeric suffix are listed in the
-chart footer but not plotted. Standard library only — no matplotlib in the
+per input file (median ns vs the swept parameter), with a dashed ``p95_ns``
+tail line per series (the latency-histogram summary measured by the stub).
+Names without a numeric suffix are listed in the chart footer but not
+plotted. Standard library only — no matplotlib in the
 offline build image.
 
 Usage:
@@ -53,11 +52,10 @@ MARGIN = {"left": 86, "right": 24, "top": 64, "bottom": 56}
 
 def load_series(path):
     """Splits a bench artifact into plottable series, leftover names and its
-    host line (``None`` for an artifact without a host entry)."""
+    host line."""
     data = json.loads(Path(path).read_text())
-    host = data.pop("host", None)
-    if host is not None:
-        host = f"{host.get('nproc', '?')} CPUs, {host.get('cpu', '?')}, {host.get('date', '?')}"
+    host = data.pop("host")
+    host = f"{host['nproc']} CPUs, {host['cpu']}, {host['date']}"
     series, leftovers = {}, []
     for name, record in sorted(data.items()):
         parts = name.split("/")
@@ -66,7 +64,7 @@ def load_series(path):
         except ValueError:
             leftovers.append(name)
             continue
-        point = (x, record["median_ns"], record.get("p95_ns"))
+        point = (x, record["median_ns"], record["p95_ns"])
         series.setdefault("/".join(parts[:-1]), []).append(point)
     for points in series.values():
         points.sort()
@@ -97,14 +95,13 @@ def svg_escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render(title, series, leftovers, host=None):
+def render(title, series, leftovers, host):
     """One log-log SVG line chart: median time vs the swept parameter."""
     plotted = list(series.items())[: len(SERIES_COLORS)]
     dropped = [name for name, _ in list(series.items())[len(SERIES_COLORS):]]
     xs = [x for _, pts in plotted for x, _, _ in pts]
     ys = [y for _, pts in plotted for _, y, _ in pts]
-    ys += [p95 for _, pts in plotted for _, _, p95 in pts if p95 is not None]
-    has_p95 = any(p95 is not None for _, pts in plotted for _, _, p95 in pts)
+    ys += [p95 for _, pts in plotted for _, _, p95 in pts]
     x_lo, x_hi = min(xs), max(xs)
     if x_lo <= 0:  # log scale needs positive x; nudge a swept 0 to 0.5
         xs = [max(x, 0.5) for x in xs]
@@ -132,9 +129,7 @@ def render(title, series, leftovers, host=None):
         f'<text x="{MARGIN["left"]}" y="44" font-size="11" '
         f'fill="{TEXT_SECONDARY}">'
         + svg_escape(
-            "median wall-clock (log) vs swept parameter (log)"
-            + ("; dashed = p95" if has_p95 else "")
-            + (f"; {host}" if host else "")
+            f"median wall-clock (log) vs swept parameter (log); dashed = p95; {host}"
         )
         + "</text>",
     ]
@@ -174,18 +169,14 @@ def render(title, series, leftovers, host=None):
             f'<polyline points="{path}" fill="none" stroke="{color}" '
             f'stroke-width="2" stroke-linejoin="round"/>'
         )
-        tail = [(x, p95) for x, _, p95 in points if p95 is not None]
-        if tail:
-            tail_path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in tail)
-            out.append(
-                f'<polyline points="{tail_path}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5" stroke-dasharray="5 4" opacity="0.65" '
-                f'stroke-linejoin="round"/>'
-            )
+        tail_path = " ".join(f"{sx(x):.1f},{sy(p95):.1f}" for x, _, p95 in points)
+        out.append(
+            f'<polyline points="{tail_path}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5" stroke-dasharray="5 4" opacity="0.65" '
+            f'stroke-linejoin="round"/>'
+        )
         for x, y, p95 in points:
-            label = f"{svg_escape(name)}: {fmt_x(x)} → {fmt_time(y)}"
-            if p95 is not None:
-                label += f" (p95 {fmt_time(p95)})"
+            label = f"{svg_escape(name)}: {fmt_x(x)} → {fmt_time(y)} (p95 {fmt_time(p95)})"
             out.append(
                 f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="4" '
                 f'fill="{color}" stroke="{SURFACE}" stroke-width="2">'
