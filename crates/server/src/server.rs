@@ -68,6 +68,7 @@ use rpq_store::{
 };
 use std::io::{self, BufRead, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -158,6 +159,11 @@ pub struct ServerState {
     store: Store,
     requests: AtomicU64,
     errors: AtomicU64,
+    /// Requests whose handler panicked (each answered `internal_error`).
+    panics: AtomicU64,
+    /// Makes the next dispatch panic, to exercise the containment.
+    #[cfg(test)]
+    fail_next: AtomicBool,
     /// Monotone per-verb request totals, indexed like [`VERBS`]. Bumped on
     /// every successfully parsed request (including `shutdown`).
     by_verb: [AtomicU64; VERBS.len()],
@@ -205,6 +211,9 @@ impl ServerState {
             store: Store::new(config.store),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            #[cfg(test)]
+            fail_next: AtomicBool::new(false),
             by_verb: std::array::from_fn(|_| AtomicU64::new(0)),
             metrics: MetricsRegistry::default(),
             started: Instant::now(),
@@ -240,7 +249,10 @@ impl ServerState {
     /// entry point of both front ends. Never panics on malformed input:
     /// invalid UTF-8 (never lossily replaced), bad JSON and unknown verbs all
     /// become `{"ok":false,…}` responses, and every response that is not
-    /// `"ok": true` counts once in the `errors` stat.
+    /// `"ok": true` counts once in the `errors` stat. A handler that panics
+    /// costs its request an `internal_error` response and a `panics` count;
+    /// the calling thread carries on. A stack overflow aborts the process
+    /// instead: no unwinding catches it.
     pub fn answer(&self, line: &[u8]) -> (String, bool) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let parsed = std::str::from_utf8(line)
@@ -260,7 +272,7 @@ impl ServerState {
                 if let Some(count) = slot.and_then(|i| self.by_verb.get(i)) {
                     count.fetch_add(1, Ordering::Relaxed);
                 }
-                (self.dispatch(verb, request), verb == "shutdown")
+                (self.dispatch_contained(verb, request), verb == "shutdown")
             }
             Err(message) => (error_response(message), false),
         };
@@ -268,6 +280,37 @@ impl ServerState {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
         (response.to_string(), shutdown)
+    }
+
+    /// [`ServerState::dispatch`] with its panics caught: a panic answers
+    /// `{"ok":false,"code":"internal_error",…}` and bumps `panics`. A lock
+    /// the handler held stays poisoned; the store reports a poisoned
+    /// database as an `internal` error from then on.
+    fn dispatch_contained(&self, verb: &'static str, request: Request) -> Json {
+        let run = AssertUnwindSafe(|| {
+            #[cfg(test)]
+            self.inject_fault();
+            self.dispatch(verb, request)
+        });
+        std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+            let detail = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            coded_error_response(
+                format!("internal error: the `{verb}` request panicked ({detail})"),
+                "internal_error",
+            )
+        })
+    }
+
+    #[cfg(test)]
+    fn inject_fault(&self) {
+        if self.fail_next.swap(false, Ordering::Relaxed) {
+            panic!("injected fault");
+        }
     }
 
     /// Handles one parsed request of wire verb `verb`.
@@ -603,6 +646,7 @@ impl ServerState {
             ("ok", Json::Bool(true)),
             ("requests", Json::Int(self.requests.load(Ordering::Relaxed) as i128)),
             ("errors", Json::Int(self.errors.load(Ordering::Relaxed) as i128)),
+            ("panics", Json::Int(self.panics.load(Ordering::Relaxed) as i128)),
             ("uptime_secs", Json::Int(self.started.elapsed().as_secs() as i128)),
             ("threads", Json::Int(self.threads as i128)),
             ("jobs", Json::Int(self.jobs as i128)),
@@ -690,6 +734,13 @@ impl ServerState {
         prom::sample(&mut out, "rpq_requests_total", "", self.requests.load(Ordering::Relaxed));
         prom::header(&mut out, "rpq_errors_total", "Requests answered with an error.", "counter");
         prom::sample(&mut out, "rpq_errors_total", "", self.errors.load(Ordering::Relaxed));
+        prom::header(
+            &mut out,
+            "rpq_panics_total",
+            "Requests whose handler panicked (answered internal_error).",
+            "counter",
+        );
+        prom::sample(&mut out, "rpq_panics_total", "", self.panics.load(Ordering::Relaxed));
         prom::header(
             &mut out,
             "rpq_requests_by_verb_total",
@@ -1769,6 +1820,37 @@ mod tests {
         assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(response.get("code").and_then(Json::as_str), Some("body_too_large"));
         assert!(response.get("error").and_then(Json::as_str).unwrap().contains("24-byte limit"));
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_one_error_response_and_the_connection_lives_on() {
+        use std::io::{BufRead, BufReader, Write};
+        let config = ServerConfig { threads: 1, ..ServerConfig::default() };
+        let running = Server::bind("127.0.0.1:0", config).unwrap().spawn().unwrap();
+        let state = running.state();
+        let stream = TcpStream::connect(running.addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut call = |line: &str| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            Json::parse(&response).expect("responses are valid JSON")
+        };
+        state.fail_next.store(true, Ordering::Relaxed);
+        let failed = call(r#"{"op":"db_list"}"#);
+        assert_eq!(failed.get("ok"), Some(&Json::Bool(false)), "{failed}");
+        assert_eq!(failed.get("code").and_then(Json::as_str), Some("internal_error"));
+        // The one worker survived: the same connection is answered.
+        let stats = call(r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+        assert_eq!(stats.get("panics"), Some(&Json::Int(1)), "{stats}");
+        assert_eq!(stats.get("errors"), Some(&Json::Int(1)), "{stats}");
+        let metrics = call(r#"{"op":"metrics"}"#);
+        let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+        assert!(text.contains("rpq_panics_total 1"), "{text}");
+        call(r#"{"op":"shutdown"}"#);
+        running.join().unwrap();
     }
 
     #[test]
