@@ -9,8 +9,9 @@
 //! and its flow in the residual graph of the scratch's
 //! [`rpq_flow::FlowScratch`], and applies deltas as capacity patches:
 //!
-//! * **insert** — a new arc appended to the CSR arena (plus fresh state
-//!   blocks and structural arcs when the delta introduces new nodes);
+//! * **insert** — a new arc appended to the CSR arena (plus the vertices
+//!   and structural arcs of the states the fact brings into use), or a
+//!   parked fact when an endpoint is not yet a vertex (see below);
 //! * **delete** — the arc's capacity zeroed, with the flow it carried
 //!   cancelled along residual paths ([`rpq_flow::CsrFlow::cancel_flow`])
 //!   so the retained assignment stays feasible;
@@ -22,18 +23,63 @@
 //!   that append blocks or fresh edges make the resume pay the `O(V+E)`
 //!   re-lay that carries the flow into the new arcs.
 //!
-//! # Stable layout, stable identity
+//! # Stable layout, grow-only pruning
 //!
-//! [`crate::algorithms::local`]'s per-solve build prunes and compacts the
-//! product per database — vertex ids change whenever the database does, which
-//! is exactly what a retained flow cannot survive. The incremental build
-//! therefore uses the **unpruned** layout with identities the delta language
-//! can address: node *names* are interned to stable block indices (the
-//! store's materializations renumber `NodeId`s freely), the product vertex of
-//! `(block b, state s)` is `2 + b·|Q| + s` (source = 0, target = 1), and a
-//! fact edge is keyed by `(block, letter, block)`. Deleted fact edges stay in
-//! the arena as zero-capacity tombstones (freeze drops them from the
-//! adjacency); re-inserting the same fact resurrects its edge.
+//! [`crate::algorithms::local`]'s per-solve build prunes, contracts and
+//! compacts the product per database, so its vertex ids change whenever the
+//! database does, which a retained flow cannot survive. The retained network
+//! keeps the batch path's *pruning* and drops its database-dependent
+//! ε-contraction and terminal merges (an insert could invalidate them). Its
+//! vertices carry identities the delta language can address:
+//!
+//! * node *names* are interned to stable block indices (the store's
+//!   materializations renumber `NodeId`s freely);
+//! * each block keeps the masks of the states facts enter it at and leave
+//!   it from, and `(block, state)` is a vertex exactly when the batch path's
+//!   formula ([`ProductShape::used`]) uses the state under them:
+//!   ε-reachable from the initial states and the entered states,
+//!   ε-co-reachable from the final states and the left ones. Automata above
+//!   64 states have no masks; every state of a block is used, in the same
+//!   code. Vertices are numbered in order of appearance;
+//! * a fact edge is keyed by `(block, letter, block)` and exists once both
+//!   of its endpoints are vertices. Until then the fact is *parked*: kept
+//!   with its capacity and listed under both of its blocks.
+//!
+//! The masks only grow between rebuilds. A delete zeroes its fact's
+//! capacity and leaves the masks alone: an emitted edge stays in the arena
+//! as a zero-capacity tombstone (freeze drops it from the adjacency), which
+//! a re-insert resurrects. An insert that widens a block's masks appends the
+//! block's new vertices, their ε / source / target edges and the parked
+//! facts they complete. No vertex or edge is ever removed, so the retained
+//! flow stays feasible.
+//!
+//! # Why the cut stays the same
+//!
+//! The grown masks contain the current database's, so the network keeps
+//! every vertex of every source→target path of the current product, with
+//! every edge between kept vertices: the maximum flow is the same. Its
+//! minimal source side, which the cut is read from, meets those path
+//! vertices exactly as the full product's does. Every positive edge leaving
+//! that side is saturated, so it carries flow and lies on such a path. A
+//! residual path from the source to a path vertex never leaves the path
+//! vertices: once it steps off them it reaches only vertices that no flow
+//! crosses and that cannot reach the target. So both networks cut the same
+//! positive-capacity fact edges, which are those of the batch network too
+//! (see `local.rs`). The cut may add zero-capacity tombstones;
+//! [`IncrementalLocalState::cut_to_facts`] skips them as facts absent from
+//! the database.
+//!
+//! # Lineage
+//!
+//! A delta means something only against the database it was taken from.
+//! The retained state records where its network stands as a
+//! [`LogPosition`]: the identity of a fact log and an offset into it. A
+//! solve at `(log, offset)` applies a delta of `n` changes only when the
+//! network stands at `(log, offset - n)`; any other delta rebuilds. The
+//! store names each log by the tick of the `db_put` that wrote it. A solve
+//! with no position (no [`crate::engine::IncrementalSolver::at`]) continues
+//! only a network built with none, and its caller vouches that the delta is
+//! the change since the solver's previous solve.
 //!
 //! Structural (ε / source / target) and exogenous edges are
 //! `Capacity::Infinite`, as in the batch path. The flow core gives every
@@ -41,26 +87,35 @@
 //! so a retained flow stays feasible under any delta, and the resume's value
 //! needs no check of its own.
 
+use super::local::ProductShape;
 use super::{Algorithm, ResilienceOutcome, SolveScratch};
-use crate::engine::SolveMode;
+use crate::engine::{LogPosition, SolveMode};
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
 use rpq_automata::alphabet::Letter;
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowScratch, VertexId};
 use rpq_graphdb::delta::FactChange;
-use rpq_graphdb::{FactId, GraphDb};
+use rpq_graphdb::{Fact, FactId, GraphDb};
 use rpq_obs::Trace;
 use std::collections::HashMap;
 
+/// A fact's key in the retained network: `(source block, letter, target
+/// block)`.
+type Key = (u32, Letter, u32);
+
 /// Block sentinel in `edge_key`: the edge is structural, not a fact edge.
 const NO_KEY: u32 = u32::MAX;
+
+/// A `(block, state)` pair that is not a vertex (yet).
+const NO_VERTEX: u32 = u32::MAX;
 
 /// The capacity of a deleted fact: its edge stays behind as a tombstone.
 const ZERO: Capacity = Capacity::Finite(0);
 
 /// Fall back to the batch path when a delta touches more than
-/// `max(live_facts / INCREMENTAL_FALLBACK_DIVISOR, INCREMENTAL_FALLBACK_FLOOR)`
-/// entries. Measured by the `resilience_under_updates` bench: on the 512-fact
+/// `max(facts / INCREMENTAL_FALLBACK_DIVISOR, INCREMENTAL_FALLBACK_FLOOR)`
+/// entries, `facts` being the database's. Measured by the
+/// `resilience_under_updates` bench: on the 512-fact
 /// corpus families the patch+warm-start path wins up to ~1/32 of the fact
 /// count (4–7× at single facts), breaks even around 1/32–1/16, and loses
 /// beyond it — the flow cancellations dominate. 16 keeps every measured win
@@ -68,13 +123,23 @@ const ZERO: Capacity = Capacity::Finite(0);
 /// The re-recorded artifact (2026-10-19) agrees: 4.6–7.7× at one change,
 /// 1.8–2.0× at 16 (~1/32), and from 64 changes both arms take the batch
 /// path; it has no delta size between 16 and 64, so it does not place the
-/// crossover more finely.
+/// crossover more finely. Those figures predate the pruned retained network.
 pub const INCREMENTAL_FALLBACK_DIVISOR: usize = 16;
 
 /// Deltas up to this many entries always take the patch path, however small
 /// the database: on tiny networks a rebuild and a patch are both trivial, so
 /// keeping the retained state warm wins on the next, larger snapshot.
 pub const INCREMENTAL_FALLBACK_FLOOR: usize = 8;
+
+/// Where the database of an incremental solve stands, and the changes that
+/// lead there from the solver's previous solve (see *Lineage* above).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LogStep<'a> {
+    /// The database's position; `None` when the caller gave none.
+    pub(crate) at: Option<LogPosition>,
+    /// The changes since the previous solve; `None` when unknown.
+    pub(crate) delta: Option<&'a [FactChange]>,
+}
 
 /// Retained state of the incremental local solver: the append-only product
 /// arena lives in the owning [`SolveScratch`]'s `csr`; everything keyed by
@@ -83,19 +148,38 @@ pub const INCREMENTAL_FALLBACK_FLOOR: usize = 8;
 pub(crate) struct IncrementalLocalState {
     /// `|Q|` of the automaton the layout was built for (layout invariant).
     num_states: usize,
+    /// The automaton's mask analysis; `None` above 64 states, where every
+    /// state of a block is used.
+    shape: Option<ProductShape>,
+    /// Where the database the network describes stands (see *Lineage*).
+    position: Option<LogPosition>,
     /// Block → node name (the reverse of `nodes`).
     names: Vec<String>,
     /// Node name → block index, append-only across deltas.
     nodes: HashMap<String, u32>,
-    /// `(source block, letter, target block)` → arena edge (tombstones
-    /// included, so re-inserts resurrect the existing edge).
-    fact_edges: HashMap<(u32, Letter, u32), EdgeId>,
+    /// Per block: the states facts enter it at, over every fact placed
+    /// since the last rebuild (grow-only).
+    fact_in: Vec<u64>,
+    /// Per block: the states facts leave it from (grow-only).
+    fact_out: Vec<u64>,
+    /// `(block, state)` → product vertex, at `block * num_states + state`;
+    /// [`NO_VERTEX`] while the state is unused.
+    vertex: Vec<u32>,
+    /// Fact key → arena edge, for facts whose endpoints are both vertices
+    /// (tombstones included, so re-inserts resurrect the existing edge).
+    fact_edges: HashMap<Key, EdgeId>,
+    /// Fact key → capacity, for facts with an endpoint that is no vertex
+    /// yet (zero once deleted).
+    parked: HashMap<Key, Capacity>,
+    /// Block → the keys of `parked` with an endpoint there, plus keys
+    /// emitted through their other block since (dropped on the next scan).
+    parked_at: Vec<Vec<Key>>,
     /// Arena edge → fact key (`NO_KEY` block marks structural edges), for
     /// mapping cut edges back to facts of the *current* database.
-    edge_key: Vec<(u32, Letter, u32)>,
-    /// Fact edges with positive capacity.
+    edge_key: Vec<Key>,
+    /// Facts with positive capacity, with an edge or parked.
     live_facts: usize,
-    /// Fact edges currently tombstoned (capacity 0, still in the arena).
+    /// Facts with capacity 0: tombstoned edges and deleted parked facts.
     tombstones: usize,
 }
 
@@ -120,15 +204,40 @@ fn fact_cap(semantics: Semantics, multiplicity: u64, exogenous: bool) -> Capacit
     }
 }
 
+/// The transition a staged fact's letter takes.
+fn transition(ro: &RoEnfa, letter: Letter) -> (usize, usize) {
+    // lint: allow(panic-freedom, facts are only staged for letters the automaton reads)
+    ro.letter_transition(letter).expect("fact label has a transition")
+}
+
 impl IncrementalLocalState {
-    /// The product vertex of `(block, state)`.
-    fn product(&self, block: u32, state: usize) -> VertexId {
-        VertexId(2 + block * self.num_states as u32 + state as u32)
+    /// The product vertex of `(block, state)`, if the state is used.
+    fn product(&self, block: u32, state: usize) -> Option<VertexId> {
+        match self.vertex[block as usize * self.num_states + state] {
+            NO_VERTEX => None,
+            v => Some(VertexId(v)),
+        }
     }
 
-    /// Interns a node name to its stable block index (no arena mutation; new
-    /// blocks get their vertices and structural edges from
-    /// [`IncrementalLocalState::emit_block`] once cancellations are done).
+    /// The endpoints of fact `key`'s edge, once both are vertices.
+    fn ends(&self, key: Key, (s, s_prime): (usize, usize)) -> Option<(VertexId, VertexId)> {
+        Some((self.product(key.0, s)?, self.product(key.2, s_prime)?))
+    }
+
+    /// Whether a delta of `len` changes leads from where the network stands
+    /// to `at` (see *Lineage*).
+    fn continues_to(&self, at: Option<LogPosition>, len: usize) -> bool {
+        match (self.position, at) {
+            (None, None) => true,
+            (Some(from), Some(to)) => {
+                from.log == to.log && from.offset.checked_add(len) == Some(to.offset)
+            }
+            _ => false,
+        }
+    }
+
+    /// Interns a node name to its stable block index. A new block has empty
+    /// masks and no vertices; [`IncrementalLocalState::grow`] adds them.
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&b) = self.nodes.get(name) {
             return b;
@@ -136,22 +245,66 @@ impl IncrementalLocalState {
         let b = self.names.len() as u32;
         self.nodes.insert(name.to_string(), b);
         self.names.push(name.to_string());
+        self.fact_in.push(0);
+        self.fact_out.push(0);
+        self.vertex.resize(self.vertex.len() + self.num_states, NO_VERTEX);
+        self.parked_at.push(Vec::new());
         b
     }
 
-    /// Adds block `b`'s product vertices and structural (ε / source / target)
-    /// edges to the arena.
-    fn emit_block(&mut self, csr: &mut CsrFlow, ro: &RoEnfa, b: u32) {
-        let first = csr.add_vertices(self.num_states);
-        debug_assert_eq!(first, self.product(b, 0));
+    /// Gives block `b` a vertex for every state its masks now use, with the
+    /// ε / source / target edges at those vertices, then emits the parked
+    /// facts they complete.
+    fn grow(&mut self, csr: &mut CsrFlow, ro: &RoEnfa, b: u32) {
+        let bi = b as usize;
+        let used = self.shape.as_ref().map(|shape| shape.used(self.fact_in[bi], self.fact_out[bi]));
+        let first = csr.num_vertices() as u32;
+        let slots = &mut self.vertex[bi * self.num_states..(bi + 1) * self.num_states];
+        for (s, slot) in slots.iter_mut().enumerate() {
+            if *slot == NO_VERTEX && used.is_none_or(|m| m >> s & 1 == 1) {
+                *slot = csr.add_vertex().0;
+            }
+        }
+        if csr.num_vertices() as u32 == first {
+            return;
+        }
+        let fresh = |v: VertexId| v.0 >= first;
         for (s, s_prime) in ro.epsilon_transitions() {
-            self.push_structural(csr, self.product(b, s), self.product(b, s_prime));
+            if let (Some(u), Some(v)) = (self.product(b, s), self.product(b, s_prime)) {
+                if fresh(u) || fresh(v) {
+                    self.push_structural(csr, u, v);
+                }
+            }
         }
         for s in ro.initial_states() {
-            self.push_structural(csr, VertexId(0), self.product(b, s));
+            if let Some(v) = self.product(b, s).filter(|&v| fresh(v)) {
+                self.push_structural(csr, VertexId(0), v);
+            }
         }
         for s in ro.final_states() {
-            self.push_structural(csr, self.product(b, s), VertexId(1));
+            if let Some(v) = self.product(b, s).filter(|&v| fresh(v)) {
+                self.push_structural(csr, v, VertexId(1));
+            }
+        }
+        let mut waiting = std::mem::take(&mut self.parked_at[bi]);
+        let mut complete = Vec::new();
+        waiting.retain(|&key| {
+            if !self.parked.contains_key(&key) {
+                return false; // emitted through its other block
+            }
+            if self.ends(key, transition(ro, key.1)).is_none() {
+                return true;
+            }
+            complete.push(key);
+            false
+        });
+        self.parked_at[bi] = waiting;
+        for key in complete {
+            let Some(cap) = self.parked.remove(&key) else { continue };
+            match self.ends(key, transition(ro, key.1)) {
+                Some((u, v)) => self.push_fact(csr, key, u, v, cap),
+                None => debug_assert!(false, "a completed fact lost an endpoint"),
+            }
         }
     }
 
@@ -161,30 +314,65 @@ impl IncrementalLocalState {
         self.edge_key.push((NO_KEY, Letter('\0'), NO_KEY));
     }
 
-    /// Appends a fresh fact edge (capacity > 0) for `key`.
-    fn push_fact(
-        &mut self,
-        csr: &mut CsrFlow,
-        ro: &RoEnfa,
-        key: (u32, Letter, u32),
-        cap: Capacity,
-    ) {
-        // lint: allow(panic-freedom, facts are only staged for letters the automaton reads)
-        let (s, s_prime) = ro.letter_transition(key.1).expect("fact label has a transition");
-        let e = csr.add_edge(self.product(key.0, s), self.product(key.2, s_prime), cap);
+    /// Appends the edge of fact `key` from `u` to `v`.
+    fn push_fact(&mut self, csr: &mut CsrFlow, key: Key, u: VertexId, v: VertexId, cap: Capacity) {
+        let e = csr.add_edge(u, v, cap);
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push(key);
         self.fact_edges.insert(key, e);
-        self.live_facts += 1;
     }
 
-    /// Rebuilds the whole network from `db` (first solve, oversized deltas,
-    /// arena bloat, lineage mismatches). Keeps allocations where possible.
+    /// Gives a fact new to the network (capacity > 0) its edge, or parks it
+    /// while an endpoint is no vertex.
+    fn place(&mut self, csr: &mut CsrFlow, key: Key, transition: (usize, usize), cap: Capacity) {
+        self.live_facts += 1;
+        match self.ends(key, transition) {
+            Some((u, v)) => self.push_fact(csr, key, u, v, cap),
+            None => {
+                self.parked.insert(key, cap);
+                self.parked_at[key.0 as usize].push(key);
+                if key.2 != key.0 {
+                    self.parked_at[key.2 as usize].push(key);
+                }
+            }
+        }
+    }
+
+    /// Records that a fact leaves `key.0` at `s` and enters `key.2` at `s'`.
+    fn widen(&mut self, key: Key, (s, s_prime): (usize, usize)) {
+        if self.shape.is_some() {
+            self.fact_out[key.0 as usize] |= 1 << s;
+            self.fact_in[key.2 as usize] |= 1 << s_prime;
+        }
+    }
+
+    /// Moves a fact's count between live and tombstoned as its capacity
+    /// changes from `old` to `new` (which differ).
+    fn recount(&mut self, old: Capacity, new: Capacity) {
+        if old == ZERO {
+            self.tombstones -= 1;
+            self.live_facts += 1;
+        } else if new == ZERO {
+            self.tombstones += 1;
+            self.live_facts -= 1;
+        }
+    }
+
+    /// Rebuilds the whole network from `db` (first solve, arena bloat,
+    /// lineage mismatches): masks from every fact first, then each block's
+    /// vertices and structural edges, then the fact edges. Keeps
+    /// allocations where possible.
     fn build(&mut self, csr: &mut CsrFlow, ro: &RoEnfa, semantics: Semantics, db: &GraphDb) {
         self.num_states = ro.num_states();
+        self.shape = (self.num_states <= 64).then(|| ProductShape::new(ro));
         self.names.clear();
         self.nodes.clear();
+        self.fact_in.clear();
+        self.fact_out.clear();
+        self.vertex.clear();
         self.fact_edges.clear();
+        self.parked.clear();
+        self.parked_at.clear();
         self.edge_key.clear();
         self.live_facts = 0;
         self.tombstones = 0;
@@ -193,18 +381,25 @@ impl IncrementalLocalState {
         let target = csr.add_vertex();
         csr.set_source(source);
         csr.set_target(target);
+        // Names are unique, so node `n` becomes block `n`.
         for node in db.nodes() {
             let b = self.intern(db.node_name(node));
-            self.emit_block(csr, ro, b);
+            debug_assert_eq!(b, node.0);
+        }
+        let key_of = |fact: Fact| (fact.source.0, fact.label, fact.target.0);
+        for (_, fact) in db.facts() {
+            if let Some(t) = ro.letter_transition(fact.label) {
+                self.widen(key_of(fact), t);
+            }
+        }
+        for b in 0..self.names.len() as u32 {
+            self.grow(csr, ro, b);
         }
         for (fact_id, fact) in db.facts() {
-            if ro.letter_transition(fact.label).is_none() {
-                continue;
+            if let Some(t) = ro.letter_transition(fact.label) {
+                let cap = fact_cap(semantics, db.multiplicity(fact_id), db.is_exogenous(fact_id));
+                self.place(csr, key_of(fact), t, cap);
             }
-            let u = self.nodes[db.node_name(fact.source)];
-            let v = self.nodes[db.node_name(fact.target)];
-            let cap = fact_cap(semantics, db.multiplicity(fact_id), db.is_exogenous(fact_id));
-            self.push_fact(csr, ro, (u, fact.label, v), cap);
         }
     }
 
@@ -221,9 +416,8 @@ impl IncrementalLocalState {
         delta: &[FactChange],
     ) -> bool {
         // Net effect per key, in first-touch order (last write wins).
-        let first_new_block = self.names.len();
-        let mut net: Vec<((u32, Letter, u32), Capacity)> = Vec::with_capacity(delta.len());
-        let mut index: HashMap<(u32, Letter, u32), usize> = HashMap::with_capacity(delta.len());
+        let mut net: Vec<(Key, Capacity)> = Vec::with_capacity(delta.len());
+        let mut index: HashMap<Key, usize> = HashMap::with_capacity(delta.len());
         for change in delta {
             match change {
                 FactChange::Put { source, label, target, multiplicity, exogenous } => {
@@ -274,39 +468,42 @@ impl IncrementalLocalState {
             }
         }
 
-        // Stage 2: capacity updates on existing edges; collect true inserts.
-        let mut inserts: Vec<((u32, Letter, u32), Capacity)> = Vec::new();
+        // Stage 2: capacity updates on known facts; collect true inserts.
+        let mut inserts: Vec<(Key, Capacity)> = Vec::new();
         for &(key, new_cap) in &net {
-            match self.fact_edges.get(&key) {
-                Some(&e) => {
-                    let old_cap = csr.edge_capacity(e);
-                    if old_cap == new_cap {
-                        continue;
-                    }
+            let old_cap = if let Some(&e) = self.fact_edges.get(&key) {
+                let old_cap = csr.edge_capacity(e);
+                if old_cap != new_cap {
                     // Keeps the network frozen whenever the edge still has
                     // residual arcs — delete/re-insert rings then skip the
                     // per-solve re-lay entirely.
                     csr.patch_edge_capacity(e, new_cap, flow_scratch);
-                    if old_cap == ZERO {
-                        self.tombstones -= 1;
-                        self.live_facts += 1;
-                    } else if new_cap == ZERO {
-                        self.tombstones += 1;
-                        self.live_facts -= 1;
-                    }
                 }
-                None if new_cap != ZERO => inserts.push((key, new_cap)),
-                None => {} // delete of an absent fact
+                old_cap
+            } else if let Some(cap) = self.parked.get_mut(&key) {
+                std::mem::replace(cap, new_cap)
+            } else {
+                if new_cap != ZERO {
+                    inserts.push((key, new_cap));
+                }
+                continue; // a new fact, or a delete of an absent one
+            };
+            if old_cap != new_cap {
+                self.recount(old_cap, new_cap);
             }
         }
 
-        // Stage 3: vertices + structural edges for blocks the delta
-        // introduced, then the new fact edges.
-        for b in first_new_block..self.names.len() {
-            self.emit_block(csr, ro, b as u32);
-        }
+        // Stage 3: new facts widen their blocks' masks, which may add
+        // vertices, structural edges and completed parked facts; then each
+        // gets its edge or is parked.
         for (key, cap) in inserts {
-            self.push_fact(csr, ro, key, cap);
+            let t = transition(ro, key.1);
+            self.widen(key, t);
+            self.grow(csr, ro, key.0);
+            if key.2 != key.0 {
+                self.grow(csr, ro, key.2);
+            }
+            self.place(csr, key, t, cap);
         }
         true
     }
@@ -337,24 +534,21 @@ impl IncrementalLocalState {
 
 /// The incremental counterpart of [`super::local::solve_prepared`]: solve
 /// `db` (the materialization of the *current* snapshot), patching the
-/// retained network with `delta` (the changes since the previous solved
-/// snapshot) when one is available and small enough, rebuilding otherwise.
-/// Returns the outcome and whether the patch path ran.
+/// retained network with `step`'s delta when the delta continues the
+/// network's lineage and is small enough, rebuilding otherwise. Returns the
+/// outcome and whether the patch path ran.
 pub(crate) fn solve_incremental_local(
     ro: &RoEnfa,
     rpq: &Rpq,
     db: &GraphDb,
-    delta: Option<&[FactChange]>,
+    step: LogStep<'_>,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
 ) -> (ResilienceOutcome, SolveMode) {
     let semantics = rpq.semantics();
-
-    // The number of fact edges the patched network must end up with: a
-    // cheap guard that catches some deltas from another database's log, not
-    // all (the delta contract is the caller's, see `IncrementalSolver`).
-    let expected_live = db.facts().filter(|(_, f)| ro.letter_transition(f.label).is_some()).count();
+    let LogStep { at, delta } = step;
+    let limit = (db.num_facts() / INCREMENTAL_FALLBACK_DIVISOR).max(INCREMENTAL_FALLBACK_FLOOR);
 
     let mut mode = SolveMode::Full;
     {
@@ -364,26 +558,22 @@ pub(crate) fn solve_incremental_local(
         let patched = match (delta, incremental.as_deref_mut()) {
             (Some(delta), Some(state))
                 if state.num_states == ro.num_states()
+                    && state.continues_to(at, delta.len())
                     && state.tombstones <= state.live_facts.max(16)
-                    && delta.len()
-                        <= (state.live_facts / INCREMENTAL_FALLBACK_DIVISOR)
-                            .max(INCREMENTAL_FALLBACK_FLOOR) =>
+                    && delta.len() <= limit =>
             {
                 state.apply(csr, flow_scratch, ro, semantics, delta)
-                    && state.live_facts == expected_live
             }
             _ => false,
         };
         if patched {
             mode = SolveMode::Incremental;
             trace.end(patch_timer, "patch_apply");
-        } else if delta.is_some_and(|d| {
-            d.len() > (expected_live / INCREMENTAL_FALLBACK_DIVISOR).max(INCREMENTAL_FALLBACK_FLOOR)
-        }) {
-            // Oversized delta: the batch path's pruned build-and-solve is
-            // measurably faster than rebuilding the unpruned retained
-            // network (see the `resilience_under_updates` bench), so cede
-            // this solve to it and drop the retained state — the next small
+        } else if delta.is_some_and(|d| d.len() > limit) {
+            // Oversized delta: the batch path's contracted build-and-solve
+            // is measurably faster than rebuilding the retained network
+            // (see the `resilience_under_updates` bench), so cede this
+            // solve to it and drop the retained state — the next small
             // delta bootstraps a fresh retained network instead.
             *incremental = None;
             return (
@@ -398,7 +588,8 @@ pub(crate) fn solve_incremental_local(
 
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
-    let state = incremental.as_ref().expect("state was just built or patched");
+    let state = incremental.as_deref_mut().expect("state was just built or patched");
+    state.position = at;
     if mode == SolveMode::Full {
         let freeze_timer = trace.begin();
         csr.freeze();
@@ -406,7 +597,7 @@ pub(crate) fn solve_incremental_local(
     }
     let resume_timer = trace.begin();
     // A patched network continues the flow the scratch retained; the resume
-    // re-lays it first when the delta appended blocks or edges.
+    // re-lays it first when the delta appended vertices or edges.
     let value = ResilienceValue::from(match mode {
         SolveMode::Incremental => csr.max_flow_resume(flow_scratch),
         SolveMode::Full => csr.max_flow(flow_scratch),
@@ -424,4 +615,152 @@ pub(crate) fn solve_incremental_local(
         "the incremental cut must map to a contingency set"
     );
     (ResilienceOutcome::new(value, Algorithm::Local, facts), mode)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Engine, IncrementalSolver, SolveCall};
+    use rpq_automata::Alphabet;
+    use rpq_graphdb::delta::{materialize, parse_patch};
+    use rpq_graphdb::generate::{flow_instance, layered_instance};
+    use std::collections::BTreeSet;
+
+    /// The retained network's vertex and edge counts on `db`, counted from
+    /// the definition rather than through `ProductShape`: a state of a node
+    /// is used when it is ε-reachable from an initial state or one a fact
+    /// enters the node at, and ε-co-reaches a final state or one a fact
+    /// leaves it from. Source and target are two more vertices; each used
+    /// state has its ε-edges to used states and its source / target edge,
+    /// and each fact whose two states are used has an edge.
+    fn mask_formula(ro: &RoEnfa, db: &GraphDb) -> (usize, usize) {
+        let eps: Vec<(usize, usize)> = ro.epsilon_transitions().collect();
+        let closure = |seed: BTreeSet<usize>, forward: bool| {
+            let mut set = seed;
+            loop {
+                let before = set.len();
+                for &(s, t) in &eps {
+                    let (from, to) = if forward { (s, t) } else { (t, s) };
+                    if set.contains(&from) {
+                        set.insert(to);
+                    }
+                }
+                if set.len() == before {
+                    return set;
+                }
+            }
+        };
+        let mut used = Vec::new();
+        for node in db.nodes() {
+            let mut enter: BTreeSet<usize> = ro.initial_states().collect();
+            let mut leave: BTreeSet<usize> = ro.final_states().collect();
+            for (_, fact) in db.facts() {
+                if let Some((s, t)) = ro.letter_transition(fact.label) {
+                    if fact.target == node {
+                        enter.insert(t);
+                    }
+                    if fact.source == node {
+                        leave.insert(s);
+                    }
+                }
+            }
+            let reach = closure(enter, true);
+            let co_reach = closure(leave, false);
+            used.push(reach.intersection(&co_reach).copied().collect::<BTreeSet<usize>>());
+        }
+        let vertices = 2 + used.iter().map(BTreeSet::len).sum::<usize>();
+        let mut edges = 0;
+        for states in &used {
+            edges += eps.iter().filter(|(s, t)| states.contains(s) && states.contains(t)).count();
+            edges += ro.initial_states().filter(|s| states.contains(s)).count();
+            edges += ro.final_states().filter(|s| states.contains(s)).count();
+        }
+        for (_, fact) in db.facts() {
+            if let Some((s, t)) = ro.letter_transition(fact.label) {
+                let (u, v) = (fact.source.0 as usize, fact.target.0 as usize);
+                edges += usize::from(used[u].contains(&s) && used[v].contains(&t));
+            }
+        }
+        (vertices, edges)
+    }
+
+    #[test]
+    fn retained_network_sizes_follow_the_mask_formula() {
+        let dbs = [
+            ("ax*b", flow_instance(8, 128, 2, 16, 0x300)),
+            ("ab|ad|cd", layered_instance(&Alphabet::from_chars("abcd"), 6, 205, 2, 0x301)),
+        ];
+        for (pattern, db) in dbs {
+            assert!(db.num_facts() >= 1_900, "{pattern}: {} facts", db.num_facts());
+            let prepared = Engine::new().prepare(&Rpq::parse(pattern).unwrap()).unwrap();
+            let rpq = prepared.rpq();
+            let ro = RoEnfa::for_local_language(&rpq.infix_free_language()).unwrap();
+            let mut scratch = SolveScratch::new();
+            let step = LogStep { at: None, delta: None };
+            let (outcome, mode) = solve_incremental_local(
+                &ro,
+                rpq,
+                &db,
+                step,
+                true,
+                &mut scratch,
+                &mut Trace::disabled(),
+            );
+            assert_eq!(mode, SolveMode::Full);
+            let size = (scratch.csr.num_vertices(), scratch.csr.num_edges());
+            assert_eq!(size, mask_formula(&ro, &db), "{pattern}");
+            // Far below the unpruned |V|·|Q| product.
+            assert!(size.0 * 2 < 2 + db.num_nodes() * ro.num_states(), "{pattern}: {size:?}");
+            let fresh = prepared.solve(&db).unwrap();
+            assert_eq!(outcome.value, fresh.value, "{pattern}");
+            let sorted =
+                |cut: Option<Vec<FactId>>| cut.map(|c| c.into_iter().collect::<BTreeSet<_>>());
+            assert_eq!(sorted(outcome.contingency_set), sorted(fresh.contingency_set), "{pattern}");
+        }
+    }
+
+    #[test]
+    fn an_insert_that_widens_a_mask_brings_back_a_parked_fact() {
+        // Two facts are parked at build time: `s a u`, since no fact leaves
+        // `u` and its `a`-target state is not exitable, and `v x w`, since no
+        // fact enters `v` and its `x`-source state is not enterable.
+        // Inserting `u x v` widens both masks and brings both back.
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let mut log = parse_patch("+ s a u\n+ v x w\n+ w b t\n").unwrap();
+        let call = SolveCall::new(true);
+        let solve =
+            |solver: &mut IncrementalSolver, log: &[FactChange], delta: Option<&[FactChange]>| {
+                let db = materialize(log);
+                let (routed, mode) = prepared
+                    .route_incremental(
+                        solver.at(7, log.len()),
+                        &db,
+                        delta,
+                        &call,
+                        &mut Trace::disabled(),
+                    )
+                    .unwrap();
+                (routed.outcome, mode, db)
+            };
+        let (outcome, mode, _) = solve(&mut solver, &log, None);
+        assert_eq!((outcome.value, mode), (ResilienceValue::Finite(0), SolveMode::Full));
+        let parked = |solver: &IncrementalSolver| {
+            solver.scratch.incremental.as_ref().map(|state| state.parked.len())
+        };
+        assert_eq!(parked(&solver), Some(2));
+
+        let delta = parse_patch("+ u x v").unwrap();
+        log.extend(delta.iter().cloned());
+        let (outcome, mode, db) = solve(&mut solver, &log, Some(delta.as_slice()));
+        assert_eq!(mode, SolveMode::Incremental);
+        assert_eq!(parked(&solver), Some(0));
+        let fresh = prepared.solve(&db).unwrap();
+        assert_eq!(outcome.value, ResilienceValue::Finite(1));
+        assert_eq!(outcome.value, fresh.value);
+        assert_eq!(outcome.contingency_set, fresh.contingency_set);
+        let s_a_u =
+            db.find_fact(db.find_node("s").unwrap(), Letter('a'), db.find_node("u").unwrap());
+        assert_eq!(outcome.contingency_set, Some(vec![s_a_u.unwrap()]));
+    }
 }

@@ -340,20 +340,23 @@ const AT_TARGET: u8 = u8::MAX - 2;
 const SIGNATURE_BUCKET_BITS: u32 = 10;
 
 /// The automaton-wide half of the ≤ 64-state product analysis: state masks
-/// and ε-closures shared by every node signature.
-struct ProductShape {
+/// and ε-closures shared by every node signature, and by the incremental
+/// solver's retained network.
+#[derive(Debug)]
+pub(super) struct ProductShape {
     num_states: usize,
-    eps: Vec<(usize, usize)>,
+    pub(super) eps: Vec<(usize, usize)>,
     /// `fwd[s]`: states ε-reachable from `s`; `bwd[s]`: states that ε-reach
     /// `s` (both include `s`).
     fwd: [u64; 64],
     bwd: [u64; 64],
-    init_mask: u64,
-    final_mask: u64,
+    pub(super) init_mask: u64,
+    pub(super) final_mask: u64,
 }
 
 impl ProductShape {
-    fn new(ro: &RoEnfa) -> ProductShape {
+    /// The shape of `ro`, which must have at most 64 states.
+    pub(super) fn new(ro: &RoEnfa) -> ProductShape {
         let num_states = ro.num_states();
         let eps: Vec<(usize, usize)> = ro.epsilon_transitions().collect();
         let mut fwd = [0u64; 64];
@@ -379,6 +382,15 @@ impl ProductShape {
         let init_mask = ro.initial_states().fold(0, |m, s| m | 1 << s);
         let final_mask = ro.final_states().fold(0, |m, s| m | 1 << s);
         ProductShape { num_states, eps, fwd, bwd, init_mask, final_mask }
+    }
+
+    /// The states a node keeps in the pruned product: those ε-reachable from
+    /// the initial states and the states `fact_in` (facts enter the node
+    /// there), and ε-co-reachable from the final states and the states
+    /// `fact_out` (facts leave it there). A source→target path can only
+    /// cross the node at such a state.
+    pub(super) fn used(&self, fact_in: u64, fact_out: u64) -> u64 {
+        close(fact_in | self.init_mask, &self.fwd) & close(fact_out | self.final_mask, &self.bwd)
     }
 }
 
@@ -484,8 +496,7 @@ impl SignatureCache {
         // iff both endpoints are used: tail enterable and head exitable are
         // the emission conditions, and the ε-edge itself supplies the tail's
         // exit and the head's entry.
-        let used = close(fact_in | shape.init_mask, &shape.fwd)
-            & close(fact_out | shape.final_mask, &shape.bwd);
+        let used = shape.used(fact_in, fact_out);
         let is_used = |s: usize| used >> s & 1 == 1;
 
         // Union-find over the used states: merge the endpoints of every

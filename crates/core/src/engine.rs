@@ -45,6 +45,7 @@
 //! [`rpq_flow`] (Dinic).
 
 use crate::algorithms::chain::ChainPlan;
+use crate::algorithms::incremental::LogStep;
 use crate::algorithms::one_dangling::OneDanglingPlan;
 use crate::algorithms::{
     incremental, local, normalize_approximation, Algorithm, ResilienceError, ResilienceOutcome,
@@ -192,25 +193,50 @@ pub enum SolveMode {
     Full,
 }
 
+/// Where a database stands in a fact log: the log's identity and how many
+/// of its entries it applies. See [`IncrementalSolver::at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogPosition {
+    /// The caller's identity for the log, e.g. a number drawn whenever the
+    /// log is replaced, so two logs never share one.
+    pub log: u64,
+    /// The number of the log's entries the database applies.
+    pub offset: usize,
+}
+
 /// Drives [`PreparedQuery::route_incremental`]: owns the [`SolveScratch`]
 /// whose retained flow network survives between solves. A dedicated owner —
 /// rather than the plan's pool — because pooled scratches are clobbered by
 /// ordinary solves, which would silently invalidate the retained flow.
 ///
-/// One solver tracks one database timeline: a delta is taken relative to
-/// this solver's previous solve, whatever database that was. A caller that
-/// switches databases passes `None` as the delta, which rebuilds. The solver
-/// cannot tell two timelines apart: its only lineage check compares fact
-/// counts, so a delta from another database's log can yield a wrong answer.
+/// The solver records where the database of its retained network stands.
+/// A caller that names each solve's position with [`IncrementalSolver::at`]
+/// gets its deltas checked: one applies only when it continues the same log
+/// from that offset, and any other delta rebuilds. A solve without a
+/// position continues only a network built without one, and its caller
+/// vouches that the delta is the change since the solver's previous solve;
+/// such a caller passes `None` when it switches databases.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
-    scratch: SolveScratch,
+    pub(crate) scratch: SolveScratch,
+    /// The position named for the next solve, taken by that solve.
+    next: Option<LogPosition>,
 }
 
 impl IncrementalSolver {
     /// A fresh solver with no retained state.
     pub fn new() -> IncrementalSolver {
         IncrementalSolver::default()
+    }
+
+    /// Names where the database of the next
+    /// [`PreparedQuery::route_incremental`] call stands: `offset` entries
+    /// into the fact log `log`. That call's delta of `n` changes is applied
+    /// only when the retained network stands at `offset - n` of the same
+    /// log; otherwise the solve rebuilds.
+    pub fn at(&mut self, log: u64, offset: usize) -> &mut IncrementalSolver {
+        self.next = Some(LogPosition { log, offset });
+        self
     }
 
     /// Verifies the retained incremental state against the flow network it
@@ -586,10 +612,12 @@ impl PreparedQuery {
     /// previous snapshot when possible.
     ///
     /// `delta` is the fact-change log between the snapshot `solver` solved
-    /// last and this one: `None` when unknown, e.g. on the first solve, after
-    /// a snapshot rollback, or when `db` belongs to another timeline than the
-    /// solver's previous solve (see [`IncrementalSolver`]). When the plan is the Theorem 3.13 local reduction
-    /// and the delta is small relative to the database, the solve applies the
+    /// last and this one: `None` when unknown, e.g. on the first solve or
+    /// after a snapshot rollback. A position named with
+    /// [`IncrementalSolver::at`] lets the solver reject a delta from another
+    /// log or offset (see [`IncrementalSolver`]). When the plan is the
+    /// Theorem 3.13 local reduction, the delta continues the retained
+    /// network's lineage and is small relative to the database, the solve applies the
     /// changes as edge-capacity patches and warm-starts the min-cut from the
     /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
     /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
@@ -613,8 +641,9 @@ impl PreparedQuery {
         call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
+        let step = LogStep { at: solver.next.take(), delta };
         self.route_or_degrade(db, call, trace, |trace| {
-            self.solve_incremental_using(solver, db, delta, call.want_cut, trace)
+            self.solve_incremental_using(solver, db, step, call.want_cut, trace)
         })
     }
 
@@ -647,12 +676,21 @@ impl PreparedQuery {
         run: impl FnOnce(&mut Trace) -> Result<(ResilienceOutcome, SolveMode), ResilienceError>,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
         let planned = self.report.algorithm;
-        // ε ∈ IF(L) plans answer in constant time whatever the model says.
+        let (limit, shed) = call.router.effective_limit_us(&call.budget);
         let estimated = match &self.strategy {
+            // ε ∈ IF(L) plans answer in constant time whatever the model says.
             Strategy::EpsilonInfinite { .. } => 0,
+            // Under a limit, price what `solve_using` will run: a one-dangling
+            // plan sends a database with an exogenous fact to branch and
+            // bound. Unlimited solves keep the plan's estimate, which they
+            // only report.
+            Strategy::OneDangling { fallback_to_exact: true, .. }
+                if limit.is_some() && db.has_exogenous_facts() =>
+            {
+                CostModel::for_plan(Algorithm::ExactBranchAndBound).estimate_us_for(db)
+            }
             _ => self.report.cost.estimate_us_for(db),
         };
-        let (limit, shed) = call.router.effective_limit_us(&call.budget);
         let fits = limit.is_none_or(|l| estimated <= l);
         if fits {
             let (outcome, mode) = run(trace)?;
@@ -828,7 +866,7 @@ impl PreparedQuery {
         &self,
         solver: &mut IncrementalSolver,
         db: &GraphDb,
-        delta: Option<&[FactChange]>,
+        step: LogStep<'_>,
         want_cut: bool,
         trace: &mut Trace,
     ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
@@ -841,7 +879,7 @@ impl PreparedQuery {
                 ro,
                 &self.rpq,
                 db,
-                delta,
+                step,
                 want_cut,
                 &mut solver.scratch,
                 trace,
@@ -1223,6 +1261,47 @@ mod tests {
         let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
+    }
+
+    #[test]
+    fn a_delta_from_another_log_or_offset_rebuilds() {
+        use rpq_graphdb::delta::{materialize, parse_patch};
+        let prepared = Engine::new().prepare(&Rpq::parse("ab").unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let first = parse_patch("+ s a u\n+ u b t\n").unwrap();
+        let solver_at = solver.at(1, first.len());
+        let (out, mode) = incremental(&prepared, solver_at, &materialize(&first), None, true);
+        assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Full));
+        // A delta from another log: the fact counts agree, which fooled the
+        // old fact-count guard into answering 1; the lineage forces a
+        // rebuild, which answers 0.
+        let mut other = parse_patch("+ q b r\n+ m a n\n").unwrap();
+        let delta = parse_patch("- p a q").unwrap();
+        other.extend(delta.iter().cloned());
+        let db = materialize(&other);
+        let solver_at = solver.at(2, other.len());
+        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        assert_eq!((out.value, mode), (ResilienceValue::Finite(0), SolveMode::Full));
+        assert_eq!(out.value, prepared.solve(&db).unwrap().value);
+        // The same log, but the delta does not start where the network
+        // stands (an entry is missing): rebuild.
+        let skipped = parse_patch("+ n b x").unwrap();
+        let delta = parse_patch("+ r a q").unwrap();
+        other.extend(skipped.iter().chain(&delta).cloned());
+        let db = materialize(&other);
+        let solver_at = solver.at(2, other.len());
+        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        assert_eq!((out.value, mode), (ResilienceValue::Finite(2), SolveMode::Full));
+        // A delta that continues the log from there is patched.
+        let delta = parse_patch("- m a n").unwrap();
+        other.extend(delta.iter().cloned());
+        let db = materialize(&other);
+        let solver_at = solver.at(2, other.len());
+        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Incremental));
+        // A solve with no position does not continue a positioned network.
+        let (_, mode) = incremental(&prepared, &mut solver, &db, Some(&[]), true);
+        assert_eq!(mode, SolveMode::Full);
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub mod prelude {
     pub use crate::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
     pub use crate::classify::{classify, Classification};
     pub use crate::engine::{
-        Engine, IncrementalSolver, PlanReport, PreparedQuery, SolveCall, SolveMode, SolveOptions,
+        Engine, IncrementalSolver, LogPosition, PlanReport, PreparedQuery, SolveCall, SolveMode,
+        SolveOptions,
     };
     pub use crate::rpq::{ResilienceValue, Rpq, Semantics};
     pub use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};

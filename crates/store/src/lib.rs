@@ -222,6 +222,10 @@ struct Database {
     /// Cross-snapshot result cache (see [`CachedResult`]).
     results: Vec<CachedResult>,
     session: Option<SolveSession>,
+    /// The identity of the log: the tick of the `db_put` that wrote it,
+    /// unique across the store. Incremental solves name their snapshot by
+    /// it, so the engine never patches a network from another log.
+    generation: u64,
 }
 
 impl Database {
@@ -455,6 +459,7 @@ impl Store {
             db.replay = Replay::default();
             db.replayed = 0;
             db.session = None;
+            db.generation = tick;
         }
         self.evict_materializations();
         Ok(AppendResult { snapshot, entries: facts })
@@ -592,12 +597,12 @@ impl Store {
                 });
             }
             self.result_misses.fetch_add(1, Ordering::Relaxed);
-            let Database { log, session, results, .. } = &mut *db;
+            let Database { log, session, results, generation, .. } = &mut *db;
             let result = match session {
                 Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
                     // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
                     let delta = Some(&log[s.offset..offset]);
-                    let solver = &mut s.solver;
+                    let solver = s.solver.at(*generation, offset);
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
                     let result = prepared.route_incremental(solver, &graph, delta, call, trace);
                     // A degraded answer leaves the retained flow parked at
@@ -621,7 +626,7 @@ impl Store {
                         offset,
                         solver: IncrementalSolver::new(),
                     };
-                    let solver = &mut s.solver;
+                    let solver = s.solver.at(*generation, offset);
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
                     let result = prepared.route_incremental(solver, &graph, None, call, trace);
                     *session = Some(s);

@@ -253,6 +253,55 @@ fn every_solve_shape_routes_identically_under_each_budget() {
     assert!(mid_fits > 0 && mid_greedy > 0, "fits {mid_fits}, greedy {mid_greedy}");
 }
 
+/// `k` disjoint `a b c` paths plus one unrelated exogenous `x b y`: for
+/// `abc|be` the resilience is `k`, and the exogenous fact sends the planned
+/// one-dangling solve to branch and bound.
+fn abc_paths_with_an_exogenous_fact(k: usize) -> rpq::graphdb::GraphDb {
+    let mut db = rpq::graphdb::GraphDb::new();
+    for i in 0..k {
+        db.add_fact_by_names(&format!("p{i}"), 'a', &format!("q{i}"));
+        db.add_fact_by_names(&format!("q{i}"), 'b', &format!("r{i}"));
+        db.add_fact_by_names(&format!("r{i}"), 'c', &format!("s{i}"));
+    }
+    let exogenous = db.add_fact_by_names("x", 'b', "y");
+    db.set_exogenous(exogenous, true);
+    db
+}
+
+#[test]
+fn a_budget_prices_the_branch_and_bound_a_one_dangling_plan_falls_back_to() {
+    let query = Rpq::parse("abc|be").unwrap();
+    let prepared = Engine::new().prepare(&query).unwrap();
+    assert_eq!(prepared.plan().algorithm, Algorithm::OneDangling);
+    // 5 paths: the branch and bound is priced above a 150 µs cost budget
+    // (the one-dangling rate would have fit it), the greedy bounds below;
+    // the sandwich brackets the enumeration oracle.
+    let db = abc_paths_with_an_exogenous_fact(5);
+    let call = SolveCall { budget: RouteBudget::with_cost_budget_us(150), ..SolveCall::new(true) };
+    let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
+    assert!(tiered.degraded, "{}", tiered.reason);
+    let oracle = Engine::new().solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap().value;
+    assert_eq!(oracle, ResilienceValue::Finite(5));
+    let (lower, upper) = tiered.outcome.bounds.expect("a degraded answer carries bounds");
+    assert!(lower <= 5 && 5 <= upper, "[{lower}, {upper}]");
+    // 13 paths under a 50 ms deadline: the branch and bound would run for
+    // seconds, so the router degrades, and answers at once.
+    let db = abc_paths_with_an_exogenous_fact(13);
+    let call = SolveCall { budget: RouteBudget::with_deadline_ms(50), ..SolveCall::new(true) };
+    let started = std::time::Instant::now();
+    let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
+    assert!(started.elapsed().as_millis() < 500, "took {:?}", started.elapsed());
+    assert!(tiered.degraded, "{}", tiered.reason);
+    let (lower, upper) = tiered.outcome.bounds.expect("a degraded answer carries bounds");
+    assert!(lower <= 13 && 13 <= upper, "[{lower}, {upper}]");
+    // Without a budget the estimate is the plan's, and the exact answer runs.
+    let db = abc_paths_with_an_exogenous_fact(5);
+    let tiered = prepared.route(&db, &SolveCall::new(true), &mut Trace::disabled()).unwrap();
+    assert!(!tiered.degraded);
+    assert_eq!(tiered.estimated_cost_us, prepared.plan().cost.estimate_us_for(&db));
+    assert_eq!(tiered.outcome.value, ResilienceValue::Finite(5));
+}
+
 #[test]
 fn an_impossible_budget_degrades_to_certified_bounds_with_the_tier_reported() {
     // A zero cost budget can never fit any projected cost: the router must
