@@ -95,7 +95,7 @@ use rpq_automata::alphabet::Letter;
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowScratch, VertexId};
 use rpq_graphdb::delta::FactChange;
-use rpq_graphdb::{Fact, FactId, GraphDb};
+use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
 use rpq_obs::Trace;
 use std::collections::HashMap;
 
@@ -513,15 +513,25 @@ impl IncrementalLocalState {
     /// `db`, so they are skipped; the remaining facts form an optimal
     /// contingency set.
     fn cut_to_facts(&self, cut_edges: &[EdgeId], db: &GraphDb) -> Vec<FactId> {
+        // Node `b` of `db` usually carries block `b`'s name (the store's
+        // materializations of one log number nodes alike): a name compare
+        // confirms it, and only a mismatch costs a lookup.
+        let node = |b: u32| {
+            let name = self.names[b as usize].as_str();
+            let guess = NodeId(b);
+            if (b as usize) < db.num_nodes() && db.node_name(guess) == name {
+                Some(guess)
+            } else {
+                db.find_node(name)
+            }
+        };
         let mut facts = Vec::with_capacity(cut_edges.len());
         for &e in cut_edges {
             let (ub, letter, vb) = self.edge_key[e.index()];
             if ub == NO_KEY {
                 continue;
             }
-            let (Some(u), Some(v)) =
-                (db.find_node(&self.names[ub as usize]), db.find_node(&self.names[vb as usize]))
-            else {
+            let (Some(u), Some(v)) = (node(ub), node(vb)) else {
                 continue;
             };
             if let Some(f) = db.find_fact(u, letter, v) {

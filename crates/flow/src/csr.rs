@@ -785,24 +785,28 @@ impl CsrFlow {
     /// at the source: Dinic's last level BFS starts at the target, so its
     /// labels are not the source side.
     pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
-        // Vertices reachable from the source in the residual graph.
-        scratch.reachable.clear();
-        scratch.reachable.resize(self.num_vertices, false);
-        scratch.queue.clear();
-        scratch.reachable[self.source as usize] = true;
-        scratch.queue.push(self.source);
-        let mut head = 0;
-        while head < scratch.queue.len() {
-            let v = scratch.queue[head] as usize;
+        // Vertices reachable from the source in the residual graph. The
+        // inner loop has no data-dependent branch: every arc writes its head
+        // one past the queue's end and moves the end only when the head is
+        // newly reached. Each vertex enters once, so `n + 1` slots suffice.
+        let n = self.num_vertices;
+        let FlowScratch { reachable, queue, residual, .. } = &mut *scratch;
+        reachable.clear();
+        reachable.resize(n, false);
+        queue.clear();
+        queue.resize(n + 1, 0);
+        reachable[self.source as usize] = true;
+        queue[0] = self.source;
+        let (mut head, mut end) = (0, 1);
+        while head < end {
+            let v = queue[head] as usize;
             head += 1;
             for ai in self.arc_range(v) {
-                if scratch.residual[ai] > 0 {
-                    let to = self.arc_head[ai] as usize;
-                    if !scratch.reachable[to] {
-                        scratch.reachable[to] = true;
-                        scratch.queue.push(to as u32);
-                    }
-                }
+                let to = self.arc_head[ai] as usize;
+                let fresh = (residual[ai] > 0) & !reachable[to];
+                queue[end] = to as u32;
+                end += usize::from(fresh);
+                reachable[to] |= fresh;
             }
         }
 
