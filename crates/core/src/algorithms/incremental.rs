@@ -20,7 +20,7 @@
 //!   capacity patch rewrites the frozen arc and its residual in place
 //!   ([`rpq_flow::CsrFlow::patch_edge_capacity`]), so a delta that only
 //!   patched capacities costs `O(|delta|)` before Dinic starts; only deltas
-//!   that append blocks or fresh edges make the resume pay the `O(V+E)`
+//!   that append vertices or edges make the resume pay the `O(V+E)`
 //!   re-lay that carries the flow into the new arcs.
 //!
 //! # Stable layout, grow-only pruning
@@ -286,24 +286,23 @@ impl IncrementalLocalState {
                 self.push_structural(csr, v, VertexId(1));
             }
         }
+        // A parked fact deleted since comes back as a tombstone edge.
         let mut waiting = std::mem::take(&mut self.parked_at[bi]);
         let mut complete = Vec::new();
         waiting.retain(|&key| {
             if !self.parked.contains_key(&key) {
                 return false; // emitted through its other block
             }
-            if self.ends(key, transition(ro, key.1)).is_none() {
-                return true;
+            match self.ends(key, transition(ro, key.1)) {
+                Some(ends) => complete.push((key, ends)),
+                None => return true,
             }
-            complete.push(key);
             false
         });
         self.parked_at[bi] = waiting;
-        for key in complete {
-            let Some(cap) = self.parked.remove(&key) else { continue };
-            match self.ends(key, transition(ro, key.1)) {
-                Some((u, v)) => self.push_fact(csr, key, u, v, cap),
-                None => debug_assert!(false, "a completed fact lost an endpoint"),
+        for (key, (u, v)) in complete {
+            if let Some(cap) = self.parked.remove(&key) {
+                self.push_fact(csr, key, u, v, cap);
             }
         }
     }

@@ -345,13 +345,13 @@ const SIGNATURE_BUCKET_BITS: u32 = 10;
 #[derive(Debug)]
 pub(super) struct ProductShape {
     num_states: usize,
-    pub(super) eps: Vec<(usize, usize)>,
+    eps: Vec<(usize, usize)>,
     /// `fwd[s]`: states ε-reachable from `s`; `bwd[s]`: states that ε-reach
     /// `s` (both include `s`).
     fwd: [u64; 64],
     bwd: [u64; 64],
-    pub(super) init_mask: u64,
-    pub(super) final_mask: u64,
+    init_mask: u64,
+    final_mask: u64,
 }
 
 impl ProductShape {

@@ -617,10 +617,11 @@ impl PreparedQuery {
     /// [`IncrementalSolver::at`] lets the solver reject a delta from another
     /// log or offset (see [`IncrementalSolver`]). When the plan is the
     /// Theorem 3.13 local reduction, the delta continues the retained
-    /// network's lineage and is small relative to the database, the solve applies the
-    /// changes as edge-capacity patches and warm-starts the min-cut from the
-    /// retained flow ([`SolveMode::Incremental`]); otherwise it falls back to
-    /// a full build ([`SolveMode::Full`]) — same outcome, batch-path speed.
+    /// network's lineage and it is small relative to the database, the
+    /// solve applies the changes as edge-capacity patches and warm-starts
+    /// the min-cut from the retained flow ([`SolveMode::Incremental`]);
+    /// otherwise it falls back to a full build ([`SolveMode::Full`]) — same
+    /// outcome, batch-path speed.
     /// Outcomes always match a fresh [`PreparedQuery::route`] of the same
     /// database. A patched solve records `patch_apply`, `flow_resume` (which
     /// re-lays the arcs when the delta grew the network) and
