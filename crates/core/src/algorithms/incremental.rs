@@ -772,4 +772,34 @@ mod tests {
             db.find_fact(db.find_node("s").unwrap(), Letter('a'), db.find_node("u").unwrap());
         assert_eq!(outcome.contingency_set, Some(vec![s_a_u.unwrap()]));
     }
+    #[test]
+    fn automata_above_64_states_keep_every_state_and_stay_incremental() {
+        let pattern = "aA|bB|cC|dD|eE|fF|gG|hH|iI|jJ|kK|lL|mM|nN|oO|pP";
+        let prepared = Engine::new().prepare(&Rpq::parse(pattern).unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let call = SolveCall::new(true);
+        let mut log = parse_patch("+ s a u\n+ u A t\n+ s b v\n").unwrap();
+        let db = materialize(&log);
+        prepared.route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled()).unwrap();
+        let size = |solver: &IncrementalSolver| solver.scratch.csr.num_vertices();
+        let states = solver.scratch.incremental.as_ref().unwrap().num_states;
+        assert!(states > 64, "{states} states");
+        assert_eq!(size(&solver), 2 + db.num_nodes() * states);
+        for patch in ["+ v B t", "- u A t", "+ w c x", "+ x C t"] {
+            let delta = parse_patch(patch).unwrap();
+            log.extend(delta.iter().cloned());
+            let db = materialize(&log);
+            let (routed, mode) = prepared
+                .route_incremental(&mut solver, &db, Some(&delta), &call, &mut Trace::disabled())
+                .unwrap();
+            assert_eq!(mode, SolveMode::Incremental, "{patch}");
+            let fresh = prepared.solve(&db).unwrap();
+            assert_eq!(routed.outcome.value, fresh.value, "{patch}");
+            let sorted =
+                |cut: Option<Vec<FactId>>| cut.map(|c| c.into_iter().collect::<BTreeSet<_>>());
+            assert_eq!(sorted(routed.outcome.contingency_set), sorted(fresh.contingency_set));
+        }
+        // Every block ever seen has all its states: `w` and `x` came in.
+        assert_eq!(size(&solver), 2 + 6 * states);
+    }
 }
