@@ -1,8 +1,9 @@
 //! Lint 1 — panic-freedom on request paths.
 //!
 //! A panic in server/store/core/obs/flow production code unwinds a worker
-//! thread mid-request and poisons every lock it held; the protocol has a
-//! typed `internal` error for exactly these situations. This lint flags the
+//! thread mid-request and poisons every lock it held; the server contains
+//! it as an `internal_error` response, but the request is lost and the
+//! locked database's caches with it. This lint flags the
 //! panic-capable constructs: `.unwrap()`, `.expect(...)`, the panicking
 //! macros, and (in the protocol/state crates) `[idx]` indexing.
 

@@ -11,8 +11,8 @@
 //!
 //! The sweep over delta sizes (1 → 256 changes) exhibits the fallback
 //! threshold: the engine cedes to the pruned batch solve once a delta
-//! exceeds `facts / INCREMENTAL_FALLBACK_DIVISOR` (divisor 16 — ~31
-//! changes on the 508 facts of the flow family), so the larger sizes
+//! exceeds `live_facts / INCREMENTAL_FALLBACK_DIVISOR` (divisor 16 — ~31
+//! changes on the 508 live facts of the flow family), so the larger sizes
 //! measure the fallback's degradation — the two arms should converge there,
 //! while single-fact deltas beat recomputation by well over 2× (measured
 //! ~4–7×). `EXPERIMENTS.md` tracks the numbers and the divisor rationale.
@@ -34,7 +34,7 @@ const FAMILIES: &[Family] =
     &[("flow_axb", "ax*b", flow_db_of_size), ("local_disj", "ab|ad|cd", local_db_of_size)];
 
 /// Delta sizes in changes per solve: 1–16 ride the patch path, 64+ exceed
-/// the fallback threshold (`facts / 16` ≈ 26–31 on these families) and
+/// the fallback threshold (`live_facts / 16` ≈ 26–31 on these families) and
 /// exercise the cede-to-batch path.
 const DELTA_SIZES: &[usize] = &[1, 4, 16, 64, 128, 256];
 

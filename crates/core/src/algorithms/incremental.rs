@@ -72,14 +72,15 @@
 //! # Lineage
 //!
 //! A delta means something only against the database it was taken from.
-//! The retained state records where its network stands as a
-//! [`LogPosition`]: the identity of a fact log and an offset into it. A
-//! solve at `(log, offset)` applies a delta of `n` changes only when the
-//! network stands at `(log, offset - n)`; any other delta rebuilds. The
-//! store names each log by the tick of the `db_put` that wrote it. A solve
-//! with no position (no [`crate::engine::IncrementalSolver::at`]) continues
-//! only a network built with none, and its caller vouches that the delta is
-//! the change since the solver's previous solve.
+//! The [`crate::engine::IncrementalSolver`] records where its network
+//! stands as a [`crate::engine::LogPosition`]: the identity of a fact log
+//! and an offset into it. A solve at `(log, offset)`
+//! ([`crate::engine::PreparedQuery::route_incremental_at`]) hands this
+//! module a delta of `n` changes only when the network stands at
+//! `(log, offset - n)`; any other delta arrives as `None` and rebuilds. A
+//! solve with no position continues only a network built with none, and its
+//! caller vouches that the delta is the change since the solver's previous
+//! solve (and passes `None` when it switches databases).
 //!
 //! Structural (ε / source / target) and exogenous edges are
 //! `Capacity::Infinite`, as in the batch path. The flow core gives every
@@ -89,13 +90,13 @@
 
 use super::local::ProductShape;
 use super::{Algorithm, ResilienceOutcome, SolveScratch};
-use crate::engine::{LogPosition, SolveMode};
+use crate::engine::SolveMode;
 use crate::rpq::{ResilienceValue, Rpq, Semantics};
 use rpq_automata::alphabet::Letter;
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowScratch, VertexId};
 use rpq_graphdb::delta::FactChange;
-use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
+use rpq_graphdb::{Fact, FactId, GraphDb};
 use rpq_obs::Trace;
 use std::collections::HashMap;
 
@@ -113,8 +114,10 @@ const NO_VERTEX: u32 = u32::MAX;
 const ZERO: Capacity = Capacity::Finite(0);
 
 /// Fall back to the batch path when a delta touches more than
-/// `max(facts / INCREMENTAL_FALLBACK_DIVISOR, INCREMENTAL_FALLBACK_FLOOR)`
-/// entries, `facts` being the database's. Measured by the
+/// `max(live_facts / INCREMENTAL_FALLBACK_DIVISOR, INCREMENTAL_FALLBACK_FLOOR)`
+/// entries, `live_facts` being the retained network's facts of positive
+/// capacity (the database's facts the automaton reads), or the database's
+/// fact count when nothing is retained. Measured by the
 /// `resilience_under_updates` bench: on the 512-fact
 /// corpus families the patch+warm-start path wins up to ~1/32 of the fact
 /// count (4–7× at single facts), breaks even around 1/32–1/16, and loses
@@ -131,16 +134,6 @@ pub const INCREMENTAL_FALLBACK_DIVISOR: usize = 16;
 /// keeping the retained state warm wins on the next, larger snapshot.
 pub const INCREMENTAL_FALLBACK_FLOOR: usize = 8;
 
-/// Where the database of an incremental solve stands, and the changes that
-/// lead there from the solver's previous solve (see *Lineage* above).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LogStep<'a> {
-    /// The database's position; `None` when the caller gave none.
-    pub(crate) at: Option<LogPosition>,
-    /// The changes since the previous solve; `None` when unknown.
-    pub(crate) delta: Option<&'a [FactChange]>,
-}
-
 /// Retained state of the incremental local solver: the append-only product
 /// arena lives in the owning [`SolveScratch`]'s `csr`; everything keyed by
 /// its stable edge ids lives here.
@@ -151,8 +144,6 @@ pub(crate) struct IncrementalLocalState {
     /// The automaton's mask analysis; `None` above 64 states, where every
     /// state of a block is used.
     shape: Option<ProductShape>,
-    /// Where the database the network describes stands (see *Lineage*).
-    position: Option<LogPosition>,
     /// Block → node name (the reverse of `nodes`).
     names: Vec<String>,
     /// Node name → block index, append-only across deltas.
@@ -222,18 +213,6 @@ impl IncrementalLocalState {
     /// The endpoints of fact `key`'s edge, once both are vertices.
     fn ends(&self, key: Key, (s, s_prime): (usize, usize)) -> Option<(VertexId, VertexId)> {
         Some((self.product(key.0, s)?, self.product(key.2, s_prime)?))
-    }
-
-    /// Whether a delta of `len` changes leads from where the network stands
-    /// to `at` (see *Lineage*).
-    fn continues_to(&self, at: Option<LogPosition>, len: usize) -> bool {
-        match (self.position, at) {
-            (None, None) => true,
-            (Some(from), Some(to)) => {
-                from.log == to.log && from.offset.checked_add(len) == Some(to.offset)
-            }
-            _ => false,
-        }
     }
 
     /// Interns a node name to its stable block index. A new block has empty
@@ -512,25 +491,15 @@ impl IncrementalLocalState {
     /// `db`, so they are skipped; the remaining facts form an optimal
     /// contingency set.
     fn cut_to_facts(&self, cut_edges: &[EdgeId], db: &GraphDb) -> Vec<FactId> {
-        // Node `b` of `db` usually carries block `b`'s name (the store's
-        // materializations of one log number nodes alike): a name compare
-        // confirms it, and only a mismatch costs a lookup.
-        let node = |b: u32| {
-            let name = self.names[b as usize].as_str();
-            let guess = NodeId(b);
-            if (b as usize) < db.num_nodes() && db.node_name(guess) == name {
-                Some(guess)
-            } else {
-                db.find_node(name)
-            }
-        };
         let mut facts = Vec::with_capacity(cut_edges.len());
         for &e in cut_edges {
             let (ub, letter, vb) = self.edge_key[e.index()];
             if ub == NO_KEY {
                 continue;
             }
-            let (Some(u), Some(v)) = (node(ub), node(vb)) else {
+            let (Some(u), Some(v)) =
+                (db.find_node(&self.names[ub as usize]), db.find_node(&self.names[vb as usize]))
+            else {
                 continue;
             };
             if let Some(f) = db.find_fact(u, letter, v) {
@@ -543,21 +512,22 @@ impl IncrementalLocalState {
 
 /// The incremental counterpart of [`super::local::solve_prepared`]: solve
 /// `db` (the materialization of the *current* snapshot), patching the
-/// retained network with `step`'s delta when the delta continues the
-/// network's lineage and is small enough, rebuilding otherwise. Returns the
-/// outcome and whether the patch path ran.
+/// retained network with `delta` (the changes since the previous solved
+/// snapshot, its lineage already checked; see *Lineage*) when one is
+/// available and small enough, rebuilding otherwise. Returns the outcome
+/// and whether the patch path ran.
 pub(crate) fn solve_incremental_local(
     ro: &RoEnfa,
     rpq: &Rpq,
     db: &GraphDb,
-    step: LogStep<'_>,
+    delta: Option<&[FactChange]>,
     want_cut: bool,
     scratch: &mut SolveScratch,
     trace: &mut Trace,
 ) -> (ResilienceOutcome, SolveMode) {
     let semantics = rpq.semantics();
-    let LogStep { at, delta } = step;
-    let limit = (db.num_facts() / INCREMENTAL_FALLBACK_DIVISOR).max(INCREMENTAL_FALLBACK_FLOOR);
+    let facts = scratch.incremental.as_ref().map_or(db.num_facts(), |state| state.live_facts);
+    let limit = (facts / INCREMENTAL_FALLBACK_DIVISOR).max(INCREMENTAL_FALLBACK_FLOOR);
 
     let mut mode = SolveMode::Full;
     {
@@ -567,7 +537,6 @@ pub(crate) fn solve_incremental_local(
         let patched = match (delta, incremental.as_deref_mut()) {
             (Some(delta), Some(state))
                 if state.num_states == ro.num_states()
-                    && state.continues_to(at, delta.len())
                     && state.tombstones <= state.live_facts.max(16)
                     && delta.len() <= limit =>
             {
@@ -597,8 +566,7 @@ pub(crate) fn solve_incremental_local(
 
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
-    let state = incremental.as_deref_mut().expect("state was just built or patched");
-    state.position = at;
+    let state = incremental.as_ref().expect("state was just built or patched");
     if mode == SolveMode::Full {
         let freeze_timer = trace.begin();
         csr.freeze();
@@ -629,7 +597,7 @@ pub(crate) fn solve_incremental_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, IncrementalSolver, SolveCall};
+    use crate::engine::{Engine, IncrementalSolver, LogPosition, SolveCall};
     use rpq_automata::Alphabet;
     use rpq_graphdb::delta::{materialize, parse_patch};
     use rpq_graphdb::generate::{flow_instance, layered_instance};
@@ -705,12 +673,11 @@ mod tests {
             let rpq = prepared.rpq();
             let ro = RoEnfa::for_local_language(&rpq.infix_free_language()).unwrap();
             let mut scratch = SolveScratch::new();
-            let step = LogStep { at: None, delta: None };
             let (outcome, mode) = solve_incremental_local(
                 &ro,
                 rpq,
                 &db,
-                step,
+                None,
                 true,
                 &mut scratch,
                 &mut Trace::disabled(),
@@ -741,14 +708,9 @@ mod tests {
         let solve =
             |solver: &mut IncrementalSolver, log: &[FactChange], delta: Option<&[FactChange]>| {
                 let db = materialize(log);
+                let at = LogPosition { log: 7, offset: log.len() };
                 let (routed, mode) = prepared
-                    .route_incremental(
-                        solver.at(7, log.len()),
-                        &db,
-                        delta,
-                        &call,
-                        &mut Trace::disabled(),
-                    )
+                    .route_incremental_at(solver, at, &db, delta, &call, &mut Trace::disabled())
                     .unwrap();
                 (routed.outcome, mode, db)
             };
@@ -772,6 +734,7 @@ mod tests {
             db.find_fact(db.find_node("s").unwrap(), Letter('a'), db.find_node("u").unwrap());
         assert_eq!(outcome.contingency_set, Some(vec![s_a_u.unwrap()]));
     }
+
     #[test]
     fn automata_above_64_states_keep_every_state_and_stay_incremental() {
         let pattern = "aA|bB|cC|dD|eE|fF|gG|hH|iI|jJ|kK|lL|mM|nN|oO|pP";

@@ -45,7 +45,6 @@
 //! [`rpq_flow`] (Dinic).
 
 use crate::algorithms::chain::ChainPlan;
-use crate::algorithms::incremental::LogStep;
 use crate::algorithms::one_dangling::OneDanglingPlan;
 use crate::algorithms::{
     incremental, local, normalize_approximation, Algorithm, ResilienceError, ResilienceOutcome,
@@ -194,7 +193,7 @@ pub enum SolveMode {
 }
 
 /// Where a database stands in a fact log: the log's identity and how many
-/// of its entries it applies. See [`IncrementalSolver::at`].
+/// of its entries it applies. See [`PreparedQuery::route_incremental_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogPosition {
     /// The caller's identity for the log, e.g. a number drawn whenever the
@@ -210,17 +209,19 @@ pub struct LogPosition {
 /// ordinary solves, which would silently invalidate the retained flow.
 ///
 /// The solver records where the database of its retained network stands.
-/// A caller that names each solve's position with [`IncrementalSolver::at`]
-/// gets its deltas checked: one applies only when it continues the same log
-/// from that offset, and any other delta rebuilds. A solve without a
-/// position continues only a network built without one, and its caller
-/// vouches that the delta is the change since the solver's previous solve;
-/// such a caller passes `None` when it switches databases.
+/// A caller that names each solve's position
+/// ([`PreparedQuery::route_incremental_at`]) gets its deltas checked: one
+/// applies only when it continues the same log from that offset, and any
+/// other delta rebuilds. A solve without a position
+/// ([`PreparedQuery::route_incremental`]) continues only a network built
+/// without one, and its caller vouches that the delta is the change since
+/// the solver's previous solve; such a caller passes `None` when it
+/// switches databases.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     pub(crate) scratch: SolveScratch,
-    /// The position named for the next solve, taken by that solve.
-    next: Option<LogPosition>,
+    /// Where the database of the previous local solve stood.
+    position: Option<LogPosition>,
 }
 
 impl IncrementalSolver {
@@ -229,14 +230,17 @@ impl IncrementalSolver {
         IncrementalSolver::default()
     }
 
-    /// Names where the database of the next
-    /// [`PreparedQuery::route_incremental`] call stands: `offset` entries
-    /// into the fact log `log`. That call's delta of `n` changes is applied
-    /// only when the retained network stands at `offset - n` of the same
-    /// log; otherwise the solve rebuilds.
-    pub fn at(&mut self, log: u64, offset: usize) -> &mut IncrementalSolver {
-        self.next = Some(LogPosition { log, offset });
-        self
+    /// Whether a delta of `len` changes leads from where the retained
+    /// network stands to `at`: from the same log's offset `len` entries
+    /// back, or from no position to none.
+    fn continues_to(&self, at: Option<LogPosition>, len: usize) -> bool {
+        match (self.position, at) {
+            (None, None) => true,
+            (Some(from), Some(to)) => {
+                from.log == to.log && from.offset.checked_add(len) == Some(to.offset)
+            }
+            _ => false,
+        }
     }
 
     /// Verifies the retained incremental state against the flow network it
@@ -612,13 +616,13 @@ impl PreparedQuery {
     /// previous snapshot when possible.
     ///
     /// `delta` is the fact-change log between the snapshot `solver` solved
-    /// last and this one: `None` when unknown, e.g. on the first solve or
-    /// after a snapshot rollback. A position named with
-    /// [`IncrementalSolver::at`] lets the solver reject a delta from another
-    /// log or offset (see [`IncrementalSolver`]). When the plan is the
-    /// Theorem 3.13 local reduction, the delta continues the retained
-    /// network's lineage and it is small relative to the database, the
-    /// solve applies the changes as edge-capacity patches and warm-starts
+    /// last and this one: `None` when unknown, e.g. on the first solve, after
+    /// a snapshot rollback, or when `db` belongs to another database than
+    /// the solver's previous solve. The caller vouches for the delta;
+    /// [`PreparedQuery::route_incremental_at`] checks it instead. When the
+    /// plan is the Theorem 3.13 local reduction, the delta continues the
+    /// retained network's lineage and it is small relative to the database,
+    /// the solve applies the changes as edge-capacity patches and warm-starts
     /// the min-cut from the retained flow ([`SolveMode::Incremental`]);
     /// otherwise it falls back to a full build ([`SolveMode::Full`]) — same
     /// outcome, batch-path speed.
@@ -642,9 +646,29 @@ impl PreparedQuery {
         call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        let step = LogStep { at: solver.next.take(), delta };
         self.route_or_degrade(db, call, trace, |trace| {
-            self.solve_incremental_using(solver, db, step, call.want_cut, trace)
+            self.solve_incremental_using(solver, None, db, delta, call.want_cut, trace)
+        })
+    }
+
+    /// [`PreparedQuery::route_incremental`] of a database that stands `at`
+    /// a position of a fact log: `at.offset` entries into the log `at.log`.
+    /// A delta of `n` changes is applied only when the solver's retained
+    /// network stands at `at.offset - n` of the same log; any other delta —
+    /// from another log, or starting at another offset — rebuilds, so a
+    /// delta the caller took against the wrong database cannot corrupt the
+    /// answer.
+    pub fn route_incremental_at(
+        &self,
+        solver: &mut IncrementalSolver,
+        at: LogPosition,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        call: &SolveCall,
+        trace: &mut Trace,
+    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
+        self.route_or_degrade(db, call, trace, |trace| {
+            self.solve_incremental_using(solver, Some(at), db, delta, call.want_cut, trace)
         })
     }
 
@@ -866,8 +890,9 @@ impl PreparedQuery {
     fn solve_incremental_using(
         &self,
         solver: &mut IncrementalSolver,
+        at: Option<LogPosition>,
         db: &GraphDb,
-        step: LogStep<'_>,
+        delta: Option<&[FactChange]>,
         want_cut: bool,
         trace: &mut Trace,
     ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
@@ -876,15 +901,20 @@ impl PreparedQuery {
                 ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None),
                 SolveMode::Incremental,
             )),
-            Strategy::Local { ro } => Ok(incremental::solve_incremental_local(
-                ro,
-                &self.rpq,
-                db,
-                step,
-                want_cut,
-                &mut solver.scratch,
-                trace,
-            )),
+            Strategy::Local { ro } => {
+                // A delta from another lineage arrives as unknown: rebuild.
+                let delta = delta.filter(|d| solver.continues_to(at, d.len()));
+                solver.position = at;
+                Ok(incremental::solve_incremental_local(
+                    ro,
+                    &self.rpq,
+                    db,
+                    delta,
+                    want_cut,
+                    &mut solver.scratch,
+                    trace,
+                ))
+            }
             _ => {
                 // Non-local plans rebuild per database; drop any retained
                 // state so the scratch is safe to reuse as a plain one.
@@ -1269,9 +1299,25 @@ mod tests {
         use rpq_graphdb::delta::{materialize, parse_patch};
         let prepared = Engine::new().prepare(&Rpq::parse("ab").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
+        let at = |solver: &mut IncrementalSolver,
+                  log: u64,
+                  offset: usize,
+                  db: &GraphDb,
+                  delta: Option<&[FactChange]>| {
+            let (tiered, mode) = prepared
+                .route_incremental_at(
+                    solver,
+                    LogPosition { log, offset },
+                    db,
+                    delta,
+                    &SolveCall::new(true),
+                    &mut Trace::disabled(),
+                )
+                .unwrap();
+            (tiered.outcome, mode)
+        };
         let first = parse_patch("+ s a u\n+ u b t\n").unwrap();
-        let solver_at = solver.at(1, first.len());
-        let (out, mode) = incremental(&prepared, solver_at, &materialize(&first), None, true);
+        let (out, mode) = at(&mut solver, 1, first.len(), &materialize(&first), None);
         assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Full));
         // A delta from another log: the fact counts agree, which fooled the
         // old fact-count guard into answering 1; the lineage forces a
@@ -1280,8 +1326,7 @@ mod tests {
         let delta = parse_patch("- p a q").unwrap();
         other.extend(delta.iter().cloned());
         let db = materialize(&other);
-        let solver_at = solver.at(2, other.len());
-        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
         assert_eq!((out.value, mode), (ResilienceValue::Finite(0), SolveMode::Full));
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         // The same log, but the delta does not start where the network
@@ -1290,15 +1335,13 @@ mod tests {
         let delta = parse_patch("+ r a q").unwrap();
         other.extend(skipped.iter().chain(&delta).cloned());
         let db = materialize(&other);
-        let solver_at = solver.at(2, other.len());
-        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
         assert_eq!((out.value, mode), (ResilienceValue::Finite(2), SolveMode::Full));
         // A delta that continues the log from there is patched.
         let delta = parse_patch("- m a n").unwrap();
         other.extend(delta.iter().cloned());
         let db = materialize(&other);
-        let solver_at = solver.at(2, other.len());
-        let (out, mode) = incremental(&prepared, solver_at, &db, Some(&delta), true);
+        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
         assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Incremental));
         // A solve with no position does not continue a positioned network.
         let (_, mode) = incremental(&prepared, &mut solver, &db, Some(&[]), true);

@@ -283,9 +283,10 @@ impl ServerState {
     }
 
     /// [`ServerState::dispatch`] with its panics caught: a panic answers
-    /// `{"ok":false,"code":"internal_error",…}` and bumps `panics`. A lock
-    /// the handler held stays poisoned; the store reports a poisoned
-    /// database as an `internal` error from then on.
+    /// `{"ok":false,"code":"internal_error",…}` and bumps `panics`. A
+    /// database lock the handler held is left poisoned; the store's next
+    /// request on that database recovers it, dropping the database's caches
+    /// and keeping its log.
     fn dispatch_contained(&self, verb: &'static str, request: Request) -> Json {
         let run = AssertUnwindSafe(|| {
             #[cfg(test)]

@@ -38,13 +38,13 @@ use rpq_graphdb::text::{self, ParseError};
 use rpq_graphdb::GraphDb;
 use rpq_obs::Trace;
 use rpq_resilience::algorithms::{Algorithm, ResilienceError, ResilienceOutcome};
-use rpq_resilience::engine::{IncrementalSolver, PreparedQuery, SolveCall, SolveMode};
+use rpq_resilience::engine::{IncrementalSolver, LogPosition, PreparedQuery, SolveCall, SolveMode};
 use rpq_resilience::router::TieredOutcome;
 use rpq_resilience::rpq::Semantics;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a [`Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,13 +106,6 @@ pub enum StoreError {
     },
     /// A database or patch body failed to parse.
     Parse(ParseError),
-    /// The store's own invariants broke mid-request (for example a database
-    /// lock poisoned by a panicking writer). The request fails with a typed
-    /// error instead of unwinding the worker.
-    Internal {
-        /// What broke, for the error message.
-        detail: &'static str,
-    },
 }
 
 impl StoreError {
@@ -124,7 +117,6 @@ impl StoreError {
             StoreError::UnknownDatabase { .. } => "unknown_database",
             StoreError::UnknownSnapshot { .. } => "unknown_snapshot",
             StoreError::Parse(_) => "parse",
-            StoreError::Internal { .. } => "internal",
         }
     }
 }
@@ -143,7 +135,6 @@ impl fmt::Display for StoreError {
                 write!(f, "unknown snapshot {snapshot:?} of database {database:?}")
             }
             StoreError::Parse(e) => write!(f, "parse error: {e}"),
-            StoreError::Internal { detail } => write!(f, "internal store error: {detail}"),
         }
     }
 }
@@ -224,7 +215,11 @@ struct Database {
     session: Option<SolveSession>,
     /// The identity of the log: the tick of the `db_put` that wrote it,
     /// unique across the store. Incremental solves name their snapshot by
-    /// it, so the engine never patches a network from another log.
+    /// it, so the engine never patches a network from another log. The
+    /// store keeps that lineage by construction already — `put` drops the
+    /// session, and a session's delta is always `log[session offset..]` —
+    /// so the engine's check never rejects a delta the store sends; it
+    /// makes the contract checked rather than trusted.
     generation: u64,
 }
 
@@ -289,6 +284,29 @@ impl Database {
         self.replay_to(head);
         self.replay.live_facts()
     }
+}
+
+/// Recovers a database lock that a request poisoned by panicking under it
+/// (`handle.lock().unwrap_or_else(|p| recover(&handle, p))`). The panic may
+/// have left the derived state half-updated: a materialization, the replay
+/// index, the result cache or the retained solve session. The log and the
+/// named snapshots change only by whole appends, inserts and assignments,
+/// so recovery keeps them, drops the derived state (requests rebuild what
+/// they need from the log) and clears the poison: a panic costs the
+/// database its caches, not its service.
+fn recover<'a>(
+    handle: &Mutex<Database>,
+    poisoned: PoisonError<MutexGuard<'a, Database>>,
+) -> MutexGuard<'a, Database> {
+    let mut db = poisoned.into_inner();
+    db.materialized.clear();
+    db.replay = Replay::default();
+    db.replayed = 0;
+    db.results.clear();
+    db.session = None;
+    db.log_bytes = db.log.iter().map(FactChange::log_bytes).sum();
+    handle.clear_poison();
+    db
 }
 
 /// The result of a [`Store::put`] or [`Store::patch`].
@@ -445,9 +463,7 @@ impl Store {
         let facts = graph.num_facts();
         let snapshot = log.len();
         {
-            let mut db = handle
-                .lock()
-                .map_err(|_| StoreError::Internal { detail: "database lock poisoned" })?;
+            let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
             db.log_bytes = log.iter().map(FactChange::log_bytes).sum();
             db.log = log;
             db.named.clear();
@@ -472,8 +488,7 @@ impl Store {
         self.check_body(body.len())?;
         let changes = parse_patch(body)?;
         let handle = self.database(name)?;
-        let mut db =
-            handle.lock().map_err(|_| StoreError::Internal { detail: "database lock poisoned" })?;
+        let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
         db.log_bytes += changes.iter().map(FactChange::log_bytes).sum::<usize>();
         let applied = changes.len();
         db.log.extend(changes);
@@ -490,8 +505,7 @@ impl Store {
         at: Option<SnapshotRef>,
     ) -> Result<usize, StoreError> {
         let handle = self.database(name)?;
-        let mut db =
-            handle.lock().map_err(|_| StoreError::Internal { detail: "database lock poisoned" })?;
+        let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
         let offset = db.resolve(name, &at.unwrap_or(SnapshotRef::Head))?;
         db.named.insert(snapshot_name.to_string(), offset);
         Ok(offset)
@@ -507,9 +521,7 @@ impl Store {
         let handle = self.database(name)?;
         let tick = self.next_tick();
         let (offset, graph, built) = {
-            let mut db = handle
-                .lock()
-                .map_err(|_| StoreError::Internal { detail: "database lock poisoned" })?;
+            let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
             let offset = db.resolve(name, snapshot)?;
             let (graph, built) = db.materialize_at(offset, tick);
             (offset, graph, built)
@@ -557,9 +569,7 @@ impl Store {
         let semantics = prepared.rpq().semantics();
         let (offset, graph, built, result) = {
             let materialize_timer = trace.begin();
-            let mut db = handle
-                .lock()
-                .map_err(|_| StoreError::Internal { detail: "database lock poisoned" })?;
+            let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
             let offset = db.resolve(name, snapshot)?;
             let (graph, built) = db.materialize_at(offset, tick);
             trace.end(materialize_timer, "materialize");
@@ -602,9 +612,16 @@ impl Store {
                 Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
                     // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
                     let delta = Some(&log[s.offset..offset]);
-                    let solver = s.solver.at(*generation, offset);
+                    let at = LogPosition { log: *generation, offset };
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental(solver, &graph, delta, call, trace);
+                    let result = prepared.route_incremental_at(
+                        &mut s.solver,
+                        at,
+                        &graph,
+                        delta,
+                        call,
+                        trace,
+                    );
                     // A degraded answer leaves the retained flow parked at
                     // its old frontier — do not advance past facts the
                     // network never saw.
@@ -626,11 +643,11 @@ impl Store {
                         offset,
                         solver: IncrementalSolver::new(),
                     };
-                    let solver = s.solver.at(*generation, offset);
+                    let (solver, at) = (&mut s.solver, LogPosition { log: *generation, offset });
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental(solver, &graph, None, call, trace);
+                    let out = prepared.route_incremental_at(solver, at, &graph, None, call, trace);
                     *session = Some(s);
-                    result
+                    out
                 }
             };
             if let Ok((tiered, mode)) = &result {
@@ -691,7 +708,7 @@ impl Store {
         let mut infos: Vec<DatabaseInfo> = handles
             .into_iter()
             .map(|(name, handle)| {
-                let mut db = handle.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
                 DatabaseInfo {
                     facts: db.head_facts(),
                     name,
@@ -866,6 +883,39 @@ mod tests {
         solve(&store, "g", &SnapshotRef::Head, &other, false);
         store.patch("g", "+ s a z\n").unwrap();
         assert_eq!(solve(&store, "g", &SnapshotRef::Head, &other, false).1, SolveMode::Incremental);
+    }
+
+    #[test]
+    fn a_panic_under_a_database_lock_costs_its_caches_not_its_service() {
+        let store = Store::new(StoreConfig::default());
+        let plan = prepared("ax*b");
+        store.put("g", "s a u\nu x v\nv b t\n").unwrap();
+        store.snapshot("g", "pin", None).unwrap();
+        assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 1);
+        store.patch("g", "+ s a w\n+ w b t\n").unwrap();
+        assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 2);
+        // A request that panics while it holds the lock (a solve, say)
+        // poisons it.
+        let handle = store.database("g").unwrap();
+        let poisoner = std::thread::spawn(move || {
+            let _db = handle.lock().unwrap();
+            panic!("a handler panicked under the database lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(store.database("g").unwrap().is_poisoned());
+        // The next solve recovers: the caches are gone, so it rebuilds from
+        // the log and the named snapshots keep their offsets.
+        let (outcome, mode) = solve(&store, "g", &SnapshotRef::Head, &plan, true);
+        assert_eq!((outcome.value, mode), (ResilienceValue::Finite(2), SolveMode::Full));
+        assert!(!store.database("g").unwrap().is_poisoned());
+        assert_eq!(value(&store, "g", SnapshotRef::Named("pin".into()), &plan), 1);
+        let info = &store.list()[0];
+        assert_eq!((info.facts, info.log_entries), (5, 5));
+        // Patches resume incrementally again, and a put still replaces it.
+        store.patch("g", "- s a w\n").unwrap();
+        assert_eq!(solve(&store, "g", &SnapshotRef::Head, &plan, false).1, SolveMode::Incremental);
+        store.put("g", "s a u\n").unwrap();
+        assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), 0);
     }
 
     #[test]
