@@ -14,7 +14,6 @@
 //!   ([`local`], Definition 3.1 / Proposition 3.5 of the paper),
 //! * **read-once ε-NFAs** ([`ro_enfa`], Definition 3.15 / Lemma 3.17),
 //! * **four-legged languages** ([`four_legged`], Definition 5.1 / Lemma 5.5),
-//! * star-freeness / aperiodicity ([`star_free`], used for Lemma 5.6),
 //! * neutral letters ([`neutral`], used for Proposition 5.7),
 //! * finite-language utilities: repeated letters, maximal-gap words, chain
 //!   languages and bipartiteness, one-dangling decompositions ([`finite`],
@@ -59,7 +58,6 @@ pub mod local;
 pub mod neutral;
 pub mod regex;
 pub mod ro_enfa;
-pub mod star_free;
 pub mod word;
 
 /// Convenient re-exports of the most commonly used types.

@@ -10,8 +10,12 @@
 //!   trace: the exact code path of an ordinary (non-`trace: true`) request;
 //! * `traced/<facts>` — the same batch through an enabled `Trace`, i.e. what
 //!   a `"trace": true` request (or a server with `--slow-query-log`) pays for
-//!   its phase breakdown. The budget: its median stays within 3% of the
-//!   `untraced` median of the same run;
+//!   its phase breakdown;
+//! * `paired_ratio/<facts>` — the two arms run interleaved, one traced and
+//!   one untraced batch per iteration with the first arm alternating, so the
+//!   host's speed phases hit both arms alike. Each iteration gives one
+//!   traced / untraced ratio; the entry records their median and quartiles
+//!   (`p25`, `p75`). The budget: the median ratio stays below 1.03;
 //! * `histogram_record` — one `MetricsRegistry` histogram lookup + record,
 //!   the per-request server-side accounting cost (nanoseconds; amortized to
 //!   nothing against a solve).
@@ -19,12 +23,16 @@
 //! Before timing, the traced and untraced batches are asserted to return the
 //! same values. `scripts/bench_all.sh` refreshes the committed artifact.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, measure_budget, persist_summary, BenchmarkId, Criterion,
+    Throughput,
+};
 use rpq_bench::workloads::flow_db_of_size;
 use rpq_graphdb::GraphDb;
 use rpq_resilience::engine::{Engine, SolveCall};
 use rpq_resilience::obs::{MetricsRegistry, Trace};
 use rpq_resilience::rpq::Rpq;
+use std::time::{Duration, Instant};
 
 const BATCH: usize = 16;
 
@@ -52,16 +60,43 @@ fn bench_obs_overhead(c: &mut Criterion) {
         assert_eq!(values(&mut check), untraced, "facts={facts}");
         assert!(check.seal() > 0, "enabled trace must record spans");
 
-        group.bench_with_input(BenchmarkId::new("untraced", facts), &dbs, |b, dbs| {
-            b.iter(|| prepared.route_batch(dbs, 1, &call, &mut Trace::disabled()));
-        });
-        group.bench_with_input(BenchmarkId::new("traced", facts), &dbs, |b, dbs| {
-            b.iter(|| {
-                let mut trace = Trace::enabled();
-                let results = prepared.route_batch(dbs, 1, &call, &mut trace);
-                (results, trace.seal())
-            });
-        });
+        let time = |traced: bool| {
+            let started = Instant::now();
+            let mut trace = if traced { Trace::enabled() } else { Trace::disabled() };
+            criterion::black_box(prepared.route_batch(&dbs, 1, &call, &mut trace));
+            criterion::black_box(trace.seal());
+            started.elapsed()
+        };
+        // One warm-up pair, then pairs until the time budget (at least 5,
+        // at most 1,000), the first arm alternating.
+        time(false);
+        time(true);
+        let (mut untraced, mut traced): (Vec<Duration>, Vec<Duration>) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + 2 * measure_budget();
+        while untraced.len() < 5 || (Instant::now() < deadline && untraced.len() < 1_000) {
+            let traced_first = traced.len() % 2 == 1;
+            let first = time(traced_first);
+            let second = time(!traced_first);
+            let (t, u) = if traced_first { (first, second) } else { (second, first) };
+            traced.push(t);
+            untraced.push(u);
+        }
+        let mut ratios: Vec<f64> =
+            traced.iter().zip(&untraced).map(|(t, u)| t.as_secs_f64() / u.as_secs_f64()).collect();
+        ratios.sort_by(f64::total_cmp);
+        let quantile = |q: f64| ratios[((q * ratios.len() as f64).ceil() as usize).max(1) - 1];
+        let (p25, median, p75) = (quantile(0.25), quantile(0.5), quantile(0.75));
+        println!(
+            "obs_overhead/paired_ratio/{facts}: median {median:.4}, IQR [{p25:.4}, {p75:.4}] \
+             over {} pairs",
+            ratios.len()
+        );
+        persist_summary(
+            &format!("obs_overhead/paired_ratio/{facts}"),
+            &[("median", median), ("p25", p25), ("p75", p75), ("pairs", ratios.len() as f64)],
+        );
+        group.record_samples(BenchmarkId::new("untraced", facts), untraced);
+        group.record_samples(BenchmarkId::new("traced", facts), traced);
     }
     group.finish();
 

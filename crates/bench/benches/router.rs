@@ -3,20 +3,21 @@
 //! The router (`rpq_resilience::router`) dispatches every solve through a
 //! structural cost estimate: a request whose projected cost fits its budget
 //! runs the planned backend and answers exactly; one that does not is
-//! degraded down the certified ladder (greedy / k-disjoint bounds where the
-//! language admits them, else the trivial sandwich). This benchmark sweeps
+//! degraded to the exact search under a work budget proportional to the
+//! cost budget, which answers exactly or with a certified sandwich. This
+//! benchmark sweeps
 //! the cost budget across the decision boundary on the shared scaling
 //! corpus and records both halves of the trade:
 //!
 //! * `route_<family>/<budget_us>` — wall-clock of one routed solve under the
 //!   swept `cost_budget_us` (the numeric series plot_bench.py renders):
-//!   tight budgets answer fast via certified bounds, loose budgets pay the
-//!   planned backend;
+//!   tight budgets stop the search early with certified bounds, loose
+//!   budgets pay the planned backend;
 //! * `overhead/route_unlimited` vs `overhead/solve_direct` — the router's
 //!   no-budget overhead on the ordinary path (one estimate comparison; the
 //!   answers are bit-identical);
 //! * a **decision-quality table** on stdout: for each budget, the fraction
-//!   of solves answered exactly, the fraction degraded, and the mean
+//!   of solves the planned backend answered, the fraction degraded, and the mean
 //!   relative width `(upper - lower) / max(1, exact)` of the certified
 //!   interval over the degraded finite answers — every interval is asserted
 //!   to sandwich the true value first. The number of exact answers per

@@ -70,8 +70,9 @@ usage:
   rpq-cli client [--addr <host:port>] stats | metrics | shutdown | raw '<json>'
 
 algorithms: local (Thm 3.13), chain (Prp 7.6), one-dangling (Prp 7.9),
-            exact (branch & bound), enumeration (subset oracle, tiny inputs),
-            greedy / k-approx (certified polynomial bounds, finite languages)
+            exact (budgeted branch & bound: exact, or certified [lower, upper]
+            bounds when its work budget runs out), enumeration (subset oracle,
+            tiny inputs)
 database format: one fact per line, `source label target [multiplicity] [!]`\n(a trailing `!` declares the fact exogenous / un-removable)
 with several database files, the query plan is prepared once and reused
 serve: NDJSON protocol (prepare/solve/solve_batch/db_*/stats/metrics/shutdown)
@@ -95,11 +96,14 @@ client query options: [--bag] [--algorithm <name>] [--enumeration-limit <n>]
                       [--trace] (per-phase timings in the response: sends trace=true)
                       [--deadline-ms <n>] [--cost-budget-us <n>] (deadline-aware routing:
                       the server answers exactly when the projected cost fits, else
-                      degrades to certified [lower, upper] bounds; responses report
-                      the answering `tier` and a `route` reason)
+                      degrades to the exact search under a work budget scaled from
+                      the limit, exact or certified [lower, upper] bounds; responses
+                      report the answering `tier` and a `route` reason)
 deadline-ms / cost-budget-us: on `resilience`, route locally through the cost
-      model — over-budget solves degrade to certified bounds instead of running
-      the planned backend; the tier line reports which tier answered and why.
+      model — over-budget solves degrade to the budgeted exact search instead of
+      running the planned backend; the tier line reports which tier answered and
+      why. Without a limit the exact search stops at a fixed work cap, with
+      certified bounds if it has not finished.
       On `serve`, --shed-queue-depth / --shed-cost-budget tune the overload
       shedding (a ready-queue deeper than the threshold tightens every solve
       budget so the backlog drains with certified degraded answers)

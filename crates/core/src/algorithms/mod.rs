@@ -25,8 +25,8 @@
 //!    for successive snapshots, each taking one
 //!    [`SolveCall`](crate::engine::SolveCall) — performs only the
 //!    per-database half of the chosen reduction: building and cutting one
-//!    flow network (Dinic, see [`rpq_flow::csr`]), or running the exact /
-//!    approximate solvers. Batch workloads over a fixed query never
+//!    flow network (Dinic, see [`rpq_flow::csr`]), or running the exact
+//!    solvers. Batch workloads over a fixed query never
 //!    reclassify. All three flow-based reductions also extract
 //!    an **optimal contingency set** from their minimum cut (for the
 //!    one-dangling rewriting, by mapping cut edges of the rewritten instance
@@ -59,8 +59,8 @@
 //! CLI, the server, the integration tests and the benchmarks all go through
 //! it: [`Engine::solve`](crate::engine::Engine::solve) for automatic backend
 //! choice, [`Engine::solve_with`](crate::engine::Engine::solve_with) for an
-//! explicit backend (including the exact oracles of [`crate::exact`] and the
-//! certified approximations of [`crate::approx`], see [`Algorithm`]), or a
+//! explicit backend (including the budgeted search and the subset oracle of
+//! [`crate::exact`], see [`Algorithm`]), or a
 //! prepared plan for repeated solves. The per-module functions are
 //! implementation details: call them directly only from the engine and from
 //! their own unit tests, so every consumer benefits from dispatch-level
@@ -72,7 +72,6 @@ pub(crate) mod incremental;
 pub mod local;
 pub mod one_dangling;
 
-use crate::approx::{ApproxError, ApproximateResilience};
 use crate::rpq::ResilienceValue;
 use rpq_automata::AutomataError;
 use rpq_flow::{CsrCut, CsrFlow, FlowScratch};
@@ -231,34 +230,22 @@ pub enum Algorithm {
     BipartiteChain,
     /// Proposition 7.9: one-dangling rewriting + local reduction.
     OneDangling,
-    /// Exponential branch and bound over witness walks (always applicable).
+    /// The budgeted branch and bound of [`crate::exact`] (always
+    /// applicable): exact within its work budget, a certified sandwich
+    /// beyond it.
     ExactBranchAndBound,
     /// Exponential subset enumeration (reference oracle, ≤ 24 facts).
     ExactEnumeration,
-    /// Greedy hitting set over the hypergraph of matches: a certified
-    /// `O(log m)`-approximation for finite languages.
-    ApproxGreedy,
-    /// Disjoint-matches `k`-approximation for finite languages (`k` = maximum
-    /// word length of the infix-free sublanguage).
-    ApproxKDisjoint,
-    /// The always-applicable certified sandwich of last resort: `0` when the
-    /// query does not hold, `+∞` when even deleting every endogenous fact
-    /// cannot break it, and `[min fact cost, cost(all endogenous facts)]`
-    /// otherwise. Linear time; the router's final degradation tier.
-    TrivialBounds,
 }
 
 impl Algorithm {
     /// Every selectable backend, in dispatcher preference order.
-    pub const ALL: [Algorithm; 8] = [
+    pub const ALL: [Algorithm; 5] = [
         Algorithm::Local,
         Algorithm::BipartiteChain,
         Algorithm::OneDangling,
         Algorithm::ExactBranchAndBound,
         Algorithm::ExactEnumeration,
-        Algorithm::ApproxGreedy,
-        Algorithm::ApproxKDisjoint,
-        Algorithm::TrivialBounds,
     ];
 
     /// The stable command-line name of the backend (parsed back by the
@@ -270,32 +257,12 @@ impl Algorithm {
             Algorithm::OneDangling => "one-dangling",
             Algorithm::ExactBranchAndBound => "exact",
             Algorithm::ExactEnumeration => "enumeration",
-            Algorithm::ApproxGreedy => "greedy",
-            Algorithm::ApproxKDisjoint => "k-approx",
-            Algorithm::TrivialBounds => "trivial-bounds",
         }
     }
 
-    /// Whether the backend always returns the exact resilience (as opposed to
-    /// a certified upper bound).
-    pub fn is_exact(self) -> bool {
-        !matches!(
-            self,
-            Algorithm::ApproxGreedy | Algorithm::ApproxKDisjoint | Algorithm::TrivialBounds
-        )
-    }
-
-    /// The complexity tier of the backend, used as a metrics label: the
-    /// polynomial algorithms of the paper are `"poly"`, the exponential ground
-    /// truths `"exact"`, and the certified approximations `"approx"`.
-    pub fn tier(self) -> &'static str {
-        match self {
-            Algorithm::Local | Algorithm::BipartiteChain | Algorithm::OneDangling => "poly",
-            Algorithm::ExactBranchAndBound | Algorithm::ExactEnumeration => "exact",
-            Algorithm::ApproxGreedy | Algorithm::ApproxKDisjoint | Algorithm::TrivialBounds => {
-                "approx"
-            }
-        }
+    /// Whether the backend is one of the paper's polynomial reductions.
+    pub fn is_polynomial(self) -> bool {
+        matches!(self, Algorithm::Local | Algorithm::BipartiteChain | Algorithm::OneDangling)
     }
 }
 
@@ -340,8 +307,8 @@ impl fmt::Display for Algorithm {
 /// The outcome of a resilience computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceOutcome {
-    /// The resilience value. For the approximation backends this is the
-    /// certified **upper bound** (the cost of `contingency_set`); see
+    /// The resilience value. For a search stopped on its work budget this
+    /// is the certified **upper bound** (the cost of `contingency_set`); see
     /// [`ResilienceOutcome::bounds`].
     pub value: ResilienceValue,
     /// Which algorithm produced it.
@@ -353,13 +320,13 @@ pub struct ResilienceOutcome {
     /// only certifies the value, and `SolveCall::want_cut = false`
     /// suppresses extraction everywhere.
     pub contingency_set: Option<Vec<FactId>>,
-    /// Certified `lower ≤ RES(Q, D) ≤ upper` bounds, reported by the
-    /// approximation backends; `None` for the exact backends.
+    /// Certified `lower ≤ RES(Q, D) ≤ upper` bounds, reported by a search
+    /// stopped on its work budget; `None` for an exact value.
     pub bounds: Option<(u128, u128)>,
 }
 
 impl ResilienceOutcome {
-    /// An exact outcome (no approximation bounds).
+    /// An outcome with no bounds.
     pub fn new(
         value: ResilienceValue,
         algorithm: Algorithm,
@@ -368,49 +335,23 @@ impl ResilienceOutcome {
         ResilienceOutcome { value, algorithm, contingency_set, bounds: None }
     }
 
-    fn from_approximation(algorithm: Algorithm, approx: ApproximateResilience) -> Self {
-        // Certified means certified: a crossed sandwich would silently
-        // truncate the feasible interval, so reject it outright.
-        assert!(
-            approx.lower_bound <= approx.upper_bound,
-            "`{algorithm}` produced crossed bounds {} > {}",
-            approx.lower_bound,
-            approx.upper_bound
-        );
-        ResilienceOutcome {
-            value: ResilienceValue::Finite(approx.upper_bound),
-            algorithm,
-            contingency_set: Some(approx.contingency_set.into_iter().collect()),
-            bounds: Some((approx.lower_bound, approx.upper_bound)),
-        }
-    }
-
-    /// Whether the outcome is the exact resilience: produced by an exact
-    /// backend, or by an approximation whose bounds coincide.
+    /// Whether the outcome is the exact resilience: it carries no bounds,
+    /// or bounds that coincide.
     pub fn is_exact(&self) -> bool {
-        match self.bounds {
-            None => self.algorithm.is_exact(),
-            Some((lower, upper)) => lower == upper,
-        }
+        self.bounds.is_none_or(|(lower, upper)| lower == upper)
     }
-}
 
-/// Lifts an approximation result into the engine's outcome type: cases where
-/// the resilience is provably `+∞` (ε ∈ L, or a match made of exogenous facts
-/// only) become regular infinite outcomes, and only a genuinely inapplicable
-/// language (infinite, so the hypergraph of matches cannot be built) surfaces
-/// as [`ResilienceError::NotApplicable`].
-pub(crate) fn normalize_approximation(
-    algorithm: Algorithm,
-    result: Result<ApproximateResilience, ApproxError>,
-) -> Result<ResilienceOutcome, ResilienceError> {
-    match result {
-        Ok(approx) => Ok(ResilienceOutcome::from_approximation(algorithm, approx)),
-        Err(ApproxError::InfiniteResilience) | Err(ApproxError::ProtectedMatch) => {
-            Ok(ResilienceOutcome::new(ResilienceValue::Infinite, algorithm, None))
-        }
-        Err(e @ ApproxError::NotFinite) => {
-            Err(ResilienceError::NotApplicable { algorithm, reason: e.to_string() })
+    /// The complexity tier that produced the outcome, used as a wire field
+    /// and metrics label: `"poly"` for the paper's polynomial reductions,
+    /// `"exact"` for an exact exponential answer, `"approx"` for a certified
+    /// sandwich.
+    pub fn tier(&self) -> &'static str {
+        if self.algorithm.is_polynomial() {
+            "poly"
+        } else if self.is_exact() {
+            "exact"
+        } else {
+            "approx"
         }
     }
 }
@@ -503,53 +444,17 @@ mod tests {
     }
 
     #[test]
-    fn approximation_backends_report_certified_bounds() {
-        let db = word_path(&Word::from_str_word("aaaa"));
-        let q = Rpq::parse("aa").unwrap();
-        let exact =
-            Engine::new().solve_with(Algorithm::ExactBranchAndBound, &q, &db).unwrap().value;
-        for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            let out = Engine::new().solve_with(algorithm, &q, &db).unwrap();
-            let (lower, upper) = out.bounds.expect("approximations certify bounds");
-            assert_eq!(out.value, ResilienceValue::Finite(upper));
-            let exact = exact.finite().unwrap();
-            assert!(lower <= exact && exact <= upper, "{algorithm}");
-            assert!(!out.algorithm.is_exact());
-        }
-    }
-
-    #[test]
-    fn approximations_normalize_infinite_cases_like_the_exact_backends() {
-        let db = word_path(&Word::from_str_word("aa"));
-        // ε ∈ L: the resilience is +∞, not an error.
-        let q = Rpq::parse("a*").unwrap();
-        for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            assert!(Engine::new().solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
-        }
-        // Every matched fact exogenous: also +∞.
-        let mut db = word_path(&Word::from_str_word("aa"));
-        for fact in db.fact_ids().collect::<Vec<_>>() {
-            db.set_exogenous(fact, true);
-        }
-        let q = Rpq::parse("aa").unwrap();
-        for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            assert!(Engine::new().solve_with(algorithm, &q, &db).unwrap().value.is_infinite());
-        }
-        // An infinite language stays genuinely inapplicable.
-        let q = Rpq::parse("ax*b").unwrap();
-        for algorithm in [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint] {
-            assert!(matches!(
-                Engine::new().solve_with(algorithm, &q, &db),
-                Err(ResilienceError::NotApplicable { .. })
-            ));
-        }
-    }
-
-    #[test]
     fn algorithm_names_round_trip() {
         for algorithm in Algorithm::ALL {
             assert_eq!(algorithm.name().parse::<Algorithm>().unwrap(), algorithm);
         }
         assert!("bogus".parse::<Algorithm>().is_err());
+        // The removed approximation backends are unknown names now.
+        for gone in ["greedy", "k-approx", "trivial-bounds"] {
+            assert_eq!(
+                gone.parse::<Algorithm>().unwrap_err(),
+                format!("unknown algorithm `{gone}`")
+            );
+        }
     }
 }

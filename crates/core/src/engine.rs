@@ -7,7 +7,7 @@
 //! the database. [`Engine::prepare`] runs that analysis exactly once and
 //! caches the result in a [`PreparedQuery`], whose solves then only perform
 //! the per-database half of the chosen reduction (building and cutting one
-//! flow network, or running the exact/approximate solvers). Server-style
+//! flow network, or running the exact search). Server-style
 //! workloads that evaluate one query over many databases skip all
 //! reclassification:
 //!
@@ -40,22 +40,21 @@
 //! [`SolveOptions`] configures the engine: it gives the subset-enumeration
 //! oracle a typed size limit. Whether a contingency set is extracted is a
 //! per-call choice ([`SolveCall::want_cut`]), and the router's budgets bound
-//! the latency of queries that only the exponential exact solver answers.
+//! the work of queries that only the exponential exact search answers (with
+//! no budget, the search stops at [`crate::exact::WORK_CAP`]).
 //! Every flow-based reduction cuts its network with the one MinCut solver of
 //! [`rpq_flow`] (Dinic).
 
 use crate::algorithms::chain::ChainPlan;
 use crate::algorithms::one_dangling::OneDanglingPlan;
 use crate::algorithms::{
-    incremental, local, normalize_approximation, Algorithm, ResilienceError, ResilienceOutcome,
-    SolveScratch,
+    incremental, local, Algorithm, ResilienceError, ResilienceOutcome, SolveScratch,
 };
-use crate::approx::{resilience_greedy, resilience_k_approximation};
 use crate::exact::{
-    resilience_by_enumeration_limited, resilience_exact, DEFAULT_ENUMERATION_LIMIT,
+    resilience_by_enumeration_limited, resilience_search, work_budget, DEFAULT_ENUMERATION_LIMIT,
     MAX_ENUMERATION_LIMIT,
 };
-use crate::router::{trivial_bounds, CostModel, RouteBudget, Router, TieredOutcome};
+use crate::router::{CostModel, RouteBudget, Router, TieredOutcome};
 use crate::rpq::{ResilienceValue, Rpq};
 use rpq_automata::local::is_local;
 use rpq_automata::ro_enfa::RoEnfa;
@@ -99,19 +98,13 @@ enum Strategy {
     Chain { plan: ChainPlan },
     /// Proposition 7.9 with a prepared (normalized) decomposition. When
     /// `fallback_to_exact` is set (automatic dispatch), databases with
-    /// exogenous facts are routed to the exact solver instead of erroring.
+    /// exogenous facts are routed to the budgeted exact search instead of
+    /// erroring.
     OneDangling { plan: Box<OneDanglingPlan>, fallback_to_exact: bool },
-    /// Exponential branch and bound over witness walks.
+    /// The budgeted branch and bound over witness walks.
     ExactBranchAndBound,
     /// Subset enumeration (size-limited reference oracle).
     ExactEnumeration,
-    /// Certified greedy `O(log m)`-approximation.
-    ApproxGreedy,
-    /// Certified disjoint-matches `k`-approximation.
-    ApproxKDisjoint,
-    /// Always-applicable linear-time certified sandwich (the router's final
-    /// degradation tier; see [`crate::router`]).
-    TrivialBounds,
 }
 
 /// A human- and machine-readable report of a prepared query's plan: which
@@ -330,9 +323,10 @@ impl Engine {
     /// 1. `ε ∈ IF(L)` → the resilience is `+∞` on every database;
     /// 2. `IF(L)` local → Theorem 3.13;
     /// 3. `IF(L)` a bipartite chain language → Proposition 7.6;
-    /// 4. `IF(L)` one-dangling → Proposition 7.9 (with a per-database exact
-    ///    fallback for exogenous facts, which the rewriting does not support);
-    /// 5. otherwise → exponential exact branch and bound.
+    /// 4. `IF(L)` one-dangling → Proposition 7.9 (with a per-database
+    ///    fallback to the exact search for exogenous facts, which the
+    ///    rewriting does not support);
+    /// 5. otherwise → the budgeted exact branch and bound.
     pub fn prepare(&self, rpq: &Rpq) -> Result<PreparedQuery, ResilienceError> {
         self.prepare_traced(rpq, &mut Trace::disabled())
     }
@@ -422,7 +416,7 @@ impl Engine {
             Strategy::ExactBranchAndBound,
             Algorithm::ExactBranchAndBound,
             "IF(L) escapes every known tractable family (the problem is NP-hard for every \
-             language known to do so, Sections 4–6): exponential branch and bound"
+             language known to do so, Sections 4–6): budgeted branch and bound"
                 .to_string(),
         ))
     }
@@ -472,9 +466,6 @@ impl Engine {
             }
             Algorithm::ExactBranchAndBound => Strategy::ExactBranchAndBound,
             Algorithm::ExactEnumeration => Strategy::ExactEnumeration,
-            Algorithm::ApproxGreedy => Strategy::ApproxGreedy,
-            Algorithm::ApproxKDisjoint => Strategy::ApproxKDisjoint,
-            Algorithm::TrivialBounds => Strategy::TrivialBounds,
         };
         Ok(prepared(strategy))
     }
@@ -538,8 +529,8 @@ impl PreparedQuery {
     /// Routes one solve under `call`'s budget and router: the planned backend
     /// runs when its projected cost fits (an unlimited budget always fits, so
     /// the answer is bit-identical to [`PreparedQuery::solve`]); otherwise
-    /// the router degrades to a cheaper *certified* tier instead of blowing
-    /// the budget (see [`crate::router`]).
+    /// the router degrades to the budgeted exact search, exact or certified,
+    /// instead of blowing the budget (see [`crate::router`]).
     pub fn route(
         &self,
         db: &GraphDb,
@@ -554,7 +545,7 @@ impl PreparedQuery {
 
     /// Routes every database of a batch with up to `jobs` worker threads,
     /// returning results in database order. Each database gets its own
-    /// result, cost projection and (if needed) certified degradation, so one
+    /// result, cost projection and (if needed) degradation, so one
     /// failing or oversized database does not drag its siblings down.
     ///
     /// The per-database work of every strategy is read-only with respect to
@@ -635,7 +626,7 @@ impl PreparedQuery {
     /// The budget projection is the *full-build* cost of the planned backend
     /// — an upper bound on the warm-start cost, so a fitting estimate never
     /// risks the deadline. When the estimate does not fit, the solve degrades
-    /// down the certified ladder **without touching the solver's retained
+    /// to the budgeted search **without touching the solver's retained
     /// state**: a later unlimited solve still warm-starts from the last full
     /// answer.
     pub fn route_incremental(
@@ -646,9 +637,7 @@ impl PreparedQuery {
         call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_or_degrade(db, call, trace, |trace| {
-            self.solve_incremental_using(solver, None, db, delta, call.want_cut, trace)
-        })
+        self.route_incremental_from(solver, None, db, delta, call, trace)
     }
 
     /// [`PreparedQuery::route_incremental`] of a database that stands `at`
@@ -667,8 +656,48 @@ impl PreparedQuery {
         call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_or_degrade(db, call, trace, |trace| {
-            self.solve_incremental_using(solver, Some(at), db, delta, call.want_cut, trace)
+        self.route_incremental_from(solver, Some(at), db, delta, call, trace)
+    }
+
+    /// The incremental routes from an optional log position: a local plan
+    /// patches the solver's retained network when the delta continues its
+    /// lineage; other plans rebuild per database.
+    fn route_incremental_from(
+        &self,
+        solver: &mut IncrementalSolver,
+        at: Option<LogPosition>,
+        db: &GraphDb,
+        delta: Option<&[FactChange]>,
+        call: &SolveCall,
+        trace: &mut Trace,
+    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
+        self.route_or_degrade(db, call, trace, |work, trace| match &self.strategy {
+            Strategy::EpsilonInfinite { tag } => Ok((
+                ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None),
+                SolveMode::Incremental,
+            )),
+            Strategy::Local { ro } => {
+                // A delta from another lineage arrives as unknown: rebuild.
+                let delta = delta.filter(|d| solver.continues_to(at, d.len()));
+                solver.position = at;
+                Ok(incremental::solve_incremental_local(
+                    ro,
+                    &self.rpq,
+                    db,
+                    delta,
+                    call.want_cut,
+                    &mut solver.scratch,
+                    trace,
+                ))
+            }
+            _ => {
+                // Non-local plans rebuild per database; drop any retained
+                // state so the scratch is safe to reuse as a plain one.
+                solver.scratch.incremental = None;
+                let outcome =
+                    self.solve_using(db, call.want_cut, work, &mut solver.scratch, trace)?;
+                Ok((outcome, SolveMode::Full))
+            }
         })
     }
 
@@ -681,141 +710,73 @@ impl PreparedQuery {
         scratch: &mut SolveScratch,
         trace: &mut Trace,
     ) -> Result<TieredOutcome, ResilienceError> {
-        self.route_or_degrade(db, call, trace, |trace| {
-            Ok((self.solve_using(db, call.want_cut, scratch, trace)?, SolveMode::Full))
+        self.route_or_degrade(db, call, trace, |work, trace| {
+            Ok((self.solve_using(db, call.want_cut, work, scratch, trace)?, SolveMode::Full))
         })
         .map(|(tiered, _)| tiered)
     }
 
     /// The routing core every solve shape funnels through: projects the
     /// planned backend's cost onto `db`, resolves the effective budget
-    /// (overload shedding included), and either runs the plan (`run`) or
-    /// degrades down the certified ladder (greedy bounds, then trivial
-    /// bounds). Never refuses: a budget too small for any solver still gets
-    /// the linear-time trivial sandwich.
+    /// (overload shedding included) and its work budget, and either runs the
+    /// plan (`run`, given the work budget for any search it runs) or
+    /// degrades to the exact search under that work budget. Never refuses:
+    /// a budget too small for any work still gets the trivial sandwich.
     fn route_or_degrade(
         &self,
         db: &GraphDb,
         call: &SolveCall,
         trace: &mut Trace,
-        run: impl FnOnce(&mut Trace) -> Result<(ResilienceOutcome, SolveMode), ResilienceError>,
+        run: impl FnOnce(u64, &mut Trace) -> Result<(ResilienceOutcome, SolveMode), ResilienceError>,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
         let planned = self.report.algorithm;
         let (limit, shed) = call.router.effective_limit_us(&call.budget);
+        let work = work_budget(limit);
         let estimated = match &self.strategy {
             // ε ∈ IF(L) plans answer in constant time whatever the model says.
             Strategy::EpsilonInfinite { .. } => 0,
-            // Under a limit, price what `solve_using` will run: a one-dangling
-            // plan sends a database with an exogenous fact to branch and
-            // bound. Unlimited solves keep the plan's estimate, which they
-            // only report.
-            Strategy::OneDangling { fallback_to_exact: true, .. }
-                if limit.is_some() && db.has_exogenous_facts() =>
-            {
-                CostModel::for_plan(Algorithm::ExactBranchAndBound).estimate_us_for(db)
-            }
             _ => self.report.cost.estimate_us_for(db),
         };
         let fits = limit.is_none_or(|l| estimated <= l);
-        if fits {
-            let (outcome, mode) = run(trace)?;
-            let reason = match limit {
-                None => "no deadline or cost budget: planned backend ran".to_string(),
-                Some(l) => format!(
-                    "estimated {estimated}µs fits the {l}µs budget{}",
-                    if shed { " (overload-shed)" } else { "" }
-                ),
-            };
-            let tiered = TieredOutcome {
-                tier: outcome.algorithm.tier(),
-                outcome,
-                planned,
-                degraded: false,
-                shed,
-                reason,
-                estimated_cost_us: estimated,
-            };
-            return Ok((tiered, mode));
+        let (outcome, mode) = if fits {
+            run(work, trace)?
+        } else {
+            (self.solve_exact_search(db, call.want_cut, work, trace), SolveMode::Full)
+        };
+        let shed_note = if shed { " (overload-shed)" } else { "" };
+        let mut reason = match limit {
+            None => "no deadline or cost budget: planned backend ran".to_string(),
+            Some(l) if fits => format!("estimated {estimated}µs fits the {l}µs budget{shed_note}"),
+            Some(l) => format!(
+                "planned `{planned}` estimated at {estimated}µs exceeds the {l}µs \
+                 budget{shed_note}: degraded to the exact search"
+            ),
+        };
+        if !outcome.is_exact() {
+            reason.push_str(&format!(
+                "; the search stopped at its {work}-unit work budget with certified bounds"
+            ));
         }
-        // lint: allow(panic-freedom, !fits implies the limit is present)
-        let limit_us = limit.expect("a budget the estimate exceeds must be finite");
-        Ok((self.degrade(db, call.want_cut, limit_us, shed, estimated, trace), SolveMode::Full))
-    }
-
-    /// The certified degradation ladder of [`PreparedQuery::route_or_degrade`]:
-    /// the greedy `O(log m)` bounds when the language is finite and the
-    /// approximation itself fits, else the always-applicable linear-time
-    /// trivial sandwich. Infallible — the router never refuses.
-    fn degrade(
-        &self,
-        db: &GraphDb,
-        want_cut: bool,
-        limit_us: u64,
-        shed: bool,
-        estimated: u64,
-        trace: &mut Trace,
-    ) -> TieredOutcome {
-        let planned = self.report.algorithm;
-        let shed_note = if shed { " under overload shedding" } else { "" };
-        // Rung 1: certified greedy bounds, when the language is finite and
-        // the approximation itself fits the budget.
-        if !matches!(
-            self.strategy,
-            Strategy::ApproxGreedy | Strategy::ApproxKDisjoint | Strategy::TrivialBounds
-        ) {
-            let greedy = CostModel::for_plan(Algorithm::ApproxGreedy);
-            if greedy.estimate_us_for(db) <= limit_us {
-                let timer = trace.begin();
-                let result = normalize_approximation(
-                    Algorithm::ApproxGreedy,
-                    resilience_greedy(&self.rpq, db),
-                )
-                .map(|o| strip_cut(o, want_cut));
-                trace.end(timer, "approx_solve");
-                // An infinite language is NotApplicable here; fall through
-                // to the always-applicable trivial sandwich instead.
-                if let Ok(outcome) = result {
-                    debug_assert!(outcome.bounds.is_some() || outcome.value.is_infinite());
-                    return TieredOutcome {
-                        tier: outcome.algorithm.tier(),
-                        outcome,
-                        planned,
-                        degraded: true,
-                        shed,
-                        reason: format!(
-                            "planned `{planned}` estimated at {estimated}µs exceeds the \
-                             {limit_us}µs budget{shed_note}: degraded to certified greedy bounds"
-                        ),
-                        estimated_cost_us: estimated,
-                    };
-                }
-            }
-        }
-        // Rung 2: the linear-time trivial sandwich — always applicable.
-        let timer = trace.begin();
-        let outcome = trivial_bounds(&self.rpq, db, want_cut);
-        trace.end(timer, "trivial_bounds");
-        debug_assert!(outcome.bounds.is_some() || outcome.value.is_infinite());
-        TieredOutcome {
-            tier: outcome.algorithm.tier(),
+        let tiered = TieredOutcome {
+            tier: outcome.tier(),
+            degraded: !fits || !outcome.is_exact(),
             outcome,
             planned,
-            degraded: true,
             shed,
-            reason: format!(
-                "planned `{planned}` estimated at {estimated}µs exceeds the {limit_us}µs \
-                 budget{shed_note}: degraded to the trivial certified sandwich"
-            ),
+            reason,
             estimated_cost_us: estimated,
-        }
+        };
+        Ok((tiered, mode))
     }
 
     /// Runs the planned backend on one database over an explicit scratch:
     /// the per-database half of the chosen reduction, with no routing.
+    /// `work` is the work budget of the exact search, where it runs.
     fn solve_using(
         &self,
         db: &GraphDb,
         want_cut: bool,
+        work: u64,
         scratch: &mut SolveScratch,
         trace: &mut Trace,
     ) -> Result<ResilienceOutcome, ResilienceError> {
@@ -835,13 +796,11 @@ impl PreparedQuery {
                     if !fallback_to_exact {
                         return plan.solve(&self.rpq, db, want_cut, scratch, trace);
                     }
-                    return Ok(self.solve_exact_branch_and_bound(db, want_cut, trace));
+                    return Ok(self.solve_exact_search(db, want_cut, work, trace));
                 }
                 plan.solve(&self.rpq, db, want_cut, scratch, trace)
             }
-            Strategy::ExactBranchAndBound => {
-                Ok(self.solve_exact_branch_and_bound(db, want_cut, trace))
-            }
+            Strategy::ExactBranchAndBound => Ok(self.solve_exact_search(db, want_cut, work, trace)),
             Strategy::ExactEnumeration => {
                 // Clamp so the reported limit matches what was enforced.
                 let limit = options.enumeration_limit.min(MAX_ENUMERATION_LIMIT);
@@ -858,96 +817,29 @@ impl PreparedQuery {
                 trace.end(timer, "enumeration");
                 outcome
             }
-            Strategy::ApproxGreedy => {
-                let timer = trace.begin();
-                let outcome = normalize_approximation(
-                    Algorithm::ApproxGreedy,
-                    resilience_greedy(&self.rpq, db),
-                )
-                .map(|o| strip_cut(o, want_cut));
-                trace.end(timer, "approx_solve");
-                outcome
-            }
-            Strategy::ApproxKDisjoint => {
-                let timer = trace.begin();
-                let outcome = normalize_approximation(
-                    Algorithm::ApproxKDisjoint,
-                    resilience_k_approximation(&self.rpq, db),
-                )
-                .map(|o| strip_cut(o, want_cut));
-                trace.end(timer, "approx_solve");
-                outcome
-            }
-            Strategy::TrivialBounds => {
-                let timer = trace.begin();
-                let outcome = trivial_bounds(&self.rpq, db, want_cut);
-                trace.end(timer, "trivial_bounds");
-                Ok(outcome)
-            }
         }
     }
 
-    fn solve_incremental_using(
-        &self,
-        solver: &mut IncrementalSolver,
-        at: Option<LogPosition>,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        want_cut: bool,
-        trace: &mut Trace,
-    ) -> Result<(ResilienceOutcome, SolveMode), ResilienceError> {
-        match &self.strategy {
-            Strategy::EpsilonInfinite { tag } => Ok((
-                ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None),
-                SolveMode::Incremental,
-            )),
-            Strategy::Local { ro } => {
-                // A delta from another lineage arrives as unknown: rebuild.
-                let delta = delta.filter(|d| solver.continues_to(at, d.len()));
-                solver.position = at;
-                Ok(incremental::solve_incremental_local(
-                    ro,
-                    &self.rpq,
-                    db,
-                    delta,
-                    want_cut,
-                    &mut solver.scratch,
-                    trace,
-                ))
-            }
-            _ => {
-                // Non-local plans rebuild per database; drop any retained
-                // state so the scratch is safe to reuse as a plain one.
-                solver.scratch.incremental = None;
-                let outcome = self.solve_using(db, want_cut, &mut solver.scratch, trace)?;
-                Ok((outcome, SolveMode::Full))
-            }
-        }
-    }
-
-    fn solve_exact_branch_and_bound(
+    /// Runs the exact search with `work` work units (an `exact_solve`
+    /// span): exact when they suffice, a certified sandwich otherwise.
+    fn solve_exact_search(
         &self,
         db: &GraphDb,
         want_cut: bool,
+        work: u64,
         trace: &mut Trace,
     ) -> ResilienceOutcome {
         let timer = trace.begin();
-        let exact = resilience_exact(&self.rpq, db);
-        let outcome = ResilienceOutcome::new(
-            exact.value,
-            Algorithm::ExactBranchAndBound,
-            want_cut.then(|| exact.contingency_set.into_iter().collect()),
-        );
+        let search = resilience_search(&self.rpq, db, work);
+        let outcome = ResilienceOutcome {
+            value: search.value,
+            algorithm: Algorithm::ExactBranchAndBound,
+            contingency_set: want_cut.then(|| search.contingency_set.into_iter().collect()),
+            bounds: search.bounds,
+        };
         trace.end(timer, "exact_solve");
         outcome
     }
-}
-
-fn strip_cut(mut outcome: ResilienceOutcome, want_cut: bool) -> ResilienceOutcome {
-    if !want_cut {
-        outcome.contingency_set = None;
-    }
-    outcome
 }
 
 // Concurrent front ends (e.g. `rpq-server`) share one `PreparedQuery` across
@@ -1094,7 +986,7 @@ mod tests {
             let mut trace = Trace::disabled();
             // Warm-up pass: sizes every buffer to the batch's shape.
             for db in dbs {
-                prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
+                prepared.solve_using(db, true, 0, &mut scratch, &mut trace).unwrap();
             }
             let signature = scratch.capacity_signature();
             // Post-warmup: one PreparedQuery solving 32 databases must perform
@@ -1102,7 +994,7 @@ mod tests {
             // after every solve, so a buffer rebuilt per solve shows on the
             // databases smaller than the batch's largest.
             for (i, db) in dbs.iter().enumerate() {
-                prepared.solve_using(db, true, &mut scratch, &mut trace).unwrap();
+                prepared.solve_using(db, true, 0, &mut scratch, &mut trace).unwrap();
                 assert_eq!(
                     scratch.capacity_signature(),
                     signature,

@@ -55,11 +55,6 @@ impl Hypergraph {
         &self.edges
     }
 
-    /// The hyperedges incident to a vertex.
-    pub fn incident_edges(&self, v: FactId) -> Vec<usize> {
-        self.edges.iter().enumerate().filter(|(_, e)| e.contains(&v)).map(|(i, _)| i).collect()
-    }
-
     /// Whether a fact set is a hitting set (intersects every hyperedge).
     pub fn is_hitting_set(&self, set: &BTreeSet<FactId>) -> bool {
         self.edges.iter().all(|e| !e.is_disjoint(set))

@@ -56,7 +56,6 @@
 
 #![forbid(unsafe_code)]
 pub mod algorithms;
-pub mod approx;
 pub mod classify;
 pub mod engine;
 pub mod exact;

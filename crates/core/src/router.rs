@@ -1,9 +1,10 @@
 //! Deadline-aware tier routing with certified degradation.
 //!
 //! The engine has three answer tiers: the paper's polynomial flow reductions
-//! (`"poly"`), the exponential ground truths (`"exact"`), and the certified
-//! approximations (`"approx"`). This module turns tier choice into a
-//! cost-model decision instead of a per-call flag: every prepared plan
+//! (`"poly"`), exact answers of the exponential search (`"exact"`), and the
+//! certified sandwiches a budgeted search stops with (`"approx"`). This
+//! module turns tier choice into a cost-model decision instead of a
+//! per-call flag: every prepared plan
 //! carries a [`CostModel`] calibrated against a `BENCH_scaling` recording
 //! (see [`CostModel::for_plan`]), and every routed solve
 //! ([`crate::engine::PreparedQuery::route`] and its batch and incremental
@@ -12,12 +13,17 @@
 //!
 //! * The estimate fits (or no budget was given) → the planned backend runs
 //!   and the answer is **bit-identical** to an unrouted solve.
-//! * The estimate does not fit → the router degrades down a ladder of
-//!   *certified* cheaper tiers: the greedy `O(log m)` approximation when the
-//!   language is finite and its estimate fits, then the always-applicable
-//!   [`Algorithm::TrivialBounds`] sandwich. Degraded answers always carry
-//!   valid `lower ≤ RES(Q, D) ≤ upper` bounds (or are exactly `0` / `+∞`);
-//!   the router never refuses a request.
+//! * The estimate does not fit → the router degrades to the exact search of
+//!   [`crate::exact`] under a work budget proportional to the caller's
+//!   limit ([`crate::exact::work_budget`]). It answers exactly when the
+//!   budget suffices and with certified `lower ≤ RES(Q, D) ≤ upper` bounds
+//!   otherwise (at zero work: `0`, `+∞`, or `[min fact cost, cost of all
+//!   endogenous facts]`); the router never refuses a request.
+//!
+//! The search is budgeted wherever it runs: a plan that *is* the search
+//! ([`Algorithm::ExactBranchAndBound`], or a one-dangling plan whose
+//! database has an exogenous fact) runs it under the caller's limit, and
+//! with no limit under the constant [`crate::exact::WORK_CAP`].
 //!
 //! A [`Router`] additionally carries the server's overload hook: when its
 //! queue-depth probe reports a ready queue at or beyond the shed threshold,
@@ -25,9 +31,7 @@
 //! tiers *before* the queue grows unboundedly.
 
 use crate::algorithms::{Algorithm, ResilienceOutcome};
-use crate::rpq::{ResilienceValue, Rpq};
-use rpq_graphdb::{FactId, GraphDb};
-use std::collections::BTreeSet;
+use rpq_graphdb::GraphDb;
 use std::fmt;
 use std::sync::Arc;
 
@@ -80,8 +84,7 @@ impl RouteBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostClass {
     /// `base_ns + ns_per_fact × |D|`: the polynomial reductions (the pruned
-    /// product / flow network is linear in the database) and the
-    /// approximations (hypergraph construction plus greedy passes).
+    /// product / flow network is linear in the database).
     Linear {
         /// Fixed per-solve overhead in nanoseconds.
         base_ns: u64,
@@ -122,12 +125,13 @@ impl CostModel {
     /// The artifacts re-recorded on 2026-10-19 disagree for the linear
     /// classes: at their largest sizes the local solves cost 0.21–0.51
     /// µs/fact, the chain 0.34 and the one-dangling 0.21, so these
-    /// coefficients overestimate the flow tiers 4–20×; `BENCH_router` shows
-    /// the greedy class underestimating (8.6 ms on a 418-fact `ab|ad|cd`
-    /// database under a 1,024 µs budget). The branch and bound still doubles
-    /// about every 2 facts (149 µs at 10 → 2.18 ms at 18). The coefficients
-    /// set routing decisions, so they stay until the router records its
-    /// estimate against the actual cost and they can be refit from that.
+    /// coefficients overestimate the flow tiers 4–20×. The exponential
+    /// classes only set the `estimated_cost_us` a solve reports and the
+    /// `degraded` verdict: the search itself is bounded by its work budget
+    /// ([`crate::exact::work_budget`]), not by this estimate. The
+    /// coefficients set routing decisions, so they stay until the router
+    /// records its estimate against the actual cost and they can be refit
+    /// from that.
     pub fn for_plan(algorithm: Algorithm) -> CostModel {
         let class = match algorithm {
             Algorithm::Local => CostClass::Linear { base_ns: 2_000, ns_per_fact: 4_200 },
@@ -139,9 +143,6 @@ impl CostModel {
             Algorithm::ExactEnumeration => {
                 CostClass::Exponential { base_ns: 200, facts_per_doubling: 1 }
             }
-            Algorithm::ApproxGreedy => CostClass::Linear { base_ns: 70_000, ns_per_fact: 2_000 },
-            Algorithm::ApproxKDisjoint => CostClass::Linear { base_ns: 70_000, ns_per_fact: 1_500 },
-            Algorithm::TrivialBounds => CostClass::Linear { base_ns: 1_000, ns_per_fact: 200 },
         };
         CostModel { algorithm, class }
     }
@@ -178,15 +179,16 @@ impl CostModel {
 /// the router degraded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TieredOutcome {
-    /// The answer. When `degraded`, always certified: exact, `+∞`, or
-    /// carrying valid `[lower, upper]` bounds.
+    /// The answer: exact, `+∞`, or carrying valid `[lower, upper]` bounds.
     pub outcome: ResilienceOutcome,
-    /// The tier that answered (`outcome.algorithm.tier()`): `"poly"`,
+    /// The tier that answered ([`ResilienceOutcome::tier`]): `"poly"`,
     /// `"exact"` or `"approx"`.
     pub tier: &'static str,
     /// The backend the plan would have run with an unlimited budget.
     pub planned: Algorithm,
-    /// Whether the router fell back to a cheaper tier than planned.
+    /// Whether the answer is not the planned backend's exact answer: the
+    /// budget sent the solve to the budgeted search instead, or the search
+    /// stopped on its work budget with a certified sandwich.
     pub degraded: bool,
     /// Whether overload shedding tightened the budget this solve ran under
     /// (set even when the tightened budget still fit the planned backend).
@@ -282,45 +284,6 @@ impl fmt::Debug for Router {
             .field("shed_cost_budget_us", &self.shed_cost_budget_us)
             .field("probe", &self.probe.as_ref().map(|_| "…"))
             .finish()
-    }
-}
-
-/// The always-applicable certified sandwich of last resort
-/// ([`Algorithm::TrivialBounds`]), in linear time:
-///
-/// * the query does not hold → exactly `0` (bounds `[0, 0]`, the empty set
-///   as witness);
-/// * the query survives deleting every endogenous fact → exactly `+∞`;
-/// * otherwise → `[min endogenous fact cost, cost(all endogenous facts)]`
-///   with the full endogenous fact set as the witness achieving the upper
-///   bound.
-pub(crate) fn trivial_bounds(rpq: &Rpq, db: &GraphDb, want_cut: bool) -> ResilienceOutcome {
-    if !rpq.holds_on(db) {
-        return ResilienceOutcome {
-            value: ResilienceValue::Finite(0),
-            algorithm: Algorithm::TrivialBounds,
-            contingency_set: want_cut.then(Vec::new),
-            bounds: Some((0, 0)),
-        };
-    }
-    let all: BTreeSet<FactId> = db.endogenous_facts().collect();
-    if !rpq.is_contingency_set(db, &all) {
-        // Even the full endogenous deletion leaves a match: no contingency
-        // set exists (matches the exact backends' +∞ convention).
-        return ResilienceOutcome::new(ResilienceValue::Infinite, Algorithm::TrivialBounds, None);
-    }
-    // The query holds, so every contingency set is nonempty and costs at
-    // least the cheapest endogenous fact; deleting everything endogenous
-    // breaks it, so its total cost is an upper bound.
-    let lower =
-        all.iter().map(|&f| rpq.semantics().fact_cost(db, f) as u128).min().unwrap_or(1).max(1);
-    let upper = rpq.cost(db, &all);
-    debug_assert!(lower <= upper);
-    ResilienceOutcome {
-        value: ResilienceValue::Finite(upper),
-        algorithm: Algorithm::TrivialBounds,
-        contingency_set: want_cut.then(|| all.into_iter().collect()),
-        bounds: Some((lower, upper)),
     }
 }
 

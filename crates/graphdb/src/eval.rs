@@ -3,153 +3,103 @@
 //! The query `Q_L` holds on a database `D` when `D` contains an `L`-walk: a
 //! sequence of consecutive facts whose labels spell a word of `L`
 //! (walk semantics — nodes and facts may repeat). Evaluation is the standard
-//! product construction between the database and an ε-NFA for `L`, followed by
+//! product construction between the database and the DFA of `L`, followed by
 //! a reachability test (cf. [34, Lemma 3.1] in the paper).
 
 use crate::db::{FactId, GraphDb, NodeId};
-use rpq_automata::enfa::Enfa;
 use rpq_automata::finite::FiniteLanguage;
 use rpq_automata::language::Language;
 use rpq_automata::word::Word;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Whether `Q_L(D)` holds, for `L` given by an ε-NFA.
-pub fn satisfies_enfa(db: &GraphDb, enfa: &Enfa) -> bool {
-    satisfies_enfa_excluding(db, enfa, &BTreeSet::new())
-}
+use std::collections::{BTreeSet, VecDeque};
 
 /// Whether `Q_L(D)` holds.
 pub fn satisfies(db: &GraphDb, language: &Language) -> bool {
-    satisfies_enfa(db, &rpq_automata::language::enfa_from_dfa(language.dfa()))
+    find_witness_walk(db, language, &[]).0.is_some()
 }
 
 /// Whether `Q_L(D \ excluded)` holds, i.e. the query still holds after
 /// removing the given facts. This is the primitive used to check contingency
 /// sets without materializing sub-databases.
 pub fn satisfies_excluding(db: &GraphDb, language: &Language, excluded: &BTreeSet<FactId>) -> bool {
-    satisfies_enfa_excluding(db, &rpq_automata::language::enfa_from_dfa(language.dfa()), excluded)
+    let mut mask = vec![false; db.num_facts()];
+    for fact in excluded {
+        if let Some(slot) = mask.get_mut(fact.index()) {
+            *slot = true;
+        }
+    }
+    find_witness_walk(db, language, &mask).0.is_some()
 }
 
-/// Whether `Q_L(D \ excluded)` holds, for `L` given by an ε-NFA.
-pub fn satisfies_enfa_excluding(db: &GraphDb, enfa: &Enfa, excluded: &BTreeSet<FactId>) -> bool {
-    find_witness_walk_enfa(db, enfa, excluded).is_some() || accepts_empty_word(enfa)
-}
-
-fn accepts_empty_word(enfa: &Enfa) -> bool {
-    enfa.accepts(&Word::epsilon())
-}
-
-/// Finds an `L`-walk in `D \ excluded`, returned as the sequence of facts
-/// traversed, or `None` if no such walk exists.
+/// Finds a shortest `L`-walk in `D` that uses no fact `f` with
+/// `excluded[f.index()]` (facts past the end of `excluded` are allowed),
+/// returned as the sequence of facts traversed, or `None` if no such walk
+/// exists. The second component is the number of product states
+/// `(node, DFA state)` the breadth-first search visited: the work it did,
+/// which a caller repeating the search can charge against a budget.
 ///
-/// If `ε ∈ L` the query trivially holds but the returned walk, being a
-/// sequence of facts, would be empty; this function then returns
-/// `Some(vec![])` only when an empty walk witnesses the query, i.e. always.
-/// Callers that need "the query holds for a non-trivial reason" should check
-/// `ε ∈ L` separately (the resilience of such queries is `+∞` anyway).
+/// If `ε ∈ L` the empty walk witnesses the query: the result is then
+/// `Some(vec![])`. Callers that need "the query holds for a non-trivial
+/// reason" should check `ε ∈ L` separately (the resilience of such queries
+/// is `+∞` anyway).
 pub fn find_witness_walk(
     db: &GraphDb,
     language: &Language,
-    excluded: &BTreeSet<FactId>,
-) -> Option<Vec<FactId>> {
-    find_witness_walk_enfa(db, &rpq_automata::language::enfa_from_dfa(language.dfa()), excluded)
-}
-
-/// ε-NFA version of [`find_witness_walk`].
-pub fn find_witness_walk_enfa(
-    db: &GraphDb,
-    enfa: &Enfa,
-    excluded: &BTreeSet<FactId>,
-) -> Option<Vec<FactId>> {
-    if accepts_empty_word(enfa) {
-        return Some(Vec::new());
+    excluded: &[bool],
+) -> (Option<Vec<FactId>>, u64) {
+    const UNSEEN: (u32, u32) = (u32::MAX, u32::MAX);
+    const ROOT: (u32, u32) = (u32::MAX - 1, u32::MAX - 1);
+    let dfa = language.dfa();
+    let initial = dfa.initial_state();
+    if dfa.is_final(initial) {
+        return (Some(Vec::new()), 0);
     }
-    // Product reachability: states are (node, automaton state). We search by
-    // BFS, which yields a witness walk using a minimal number of facts.
-    // ε-transitions of the automaton move between product states for free.
-    let initial_closure = enfa.epsilon_closure(enfa.initial_states());
-
-    // Pre-index ε-successors and letter transitions by (state, letter).
-    let mut eps_succ: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut letter_succ: BTreeMap<(usize, char), Vec<usize>> = BTreeMap::new();
-    for t in enfa.transitions() {
-        match t.label {
-            None => eps_succ.entry(t.from).or_default().push(t.to),
-            Some(l) => letter_succ.entry((t.from, l.0)).or_default().push(t.to),
-        }
+    // Only states from which a final state is reachable can lie on a walk.
+    let coaccessible = dfa.coaccessible_states();
+    let live: Vec<bool> = (0..dfa.num_states()).map(|s| coaccessible.contains(&s)).collect();
+    if !live[initial] {
+        return (None, 0);
     }
-
-    type Product = (NodeId, usize);
-    let mut parent: ParentMap = BTreeMap::new();
-    let mut seen: BTreeSet<Product> = BTreeSet::new();
-    let mut queue: VecDeque<Product> = VecDeque::new();
-
+    // `parent[node * states + state]` is the (fact, state) that first
+    // reached the product state; every node starts in the initial state.
+    let states = dfa.num_states();
+    let mut parent = vec![UNSEEN; db.num_nodes() * states];
+    let mut queue: VecDeque<(NodeId, usize)> = VecDeque::with_capacity(db.num_nodes());
     for node in db.nodes() {
-        for &state in &initial_closure {
-            let p = (node, state);
-            if seen.insert(p) {
-                if enfa.is_final(state) {
-                    // ε ∈ L handled above; a final state in the initial closure
-                    // with no facts read means the empty word is accepted.
-                    return Some(Vec::new());
-                }
-                queue.push_back(p);
-            }
-        }
+        parent[node.0 as usize * states + initial] = ROOT;
+        queue.push_back((node, initial));
     }
-
+    let mut visited = queue.len() as u64;
     while let Some((node, state)) = queue.pop_front() {
-        // ε-moves of the automaton (same database node).
-        if let Some(succs) = eps_succ.get(&state) {
-            for &next_state in succs {
-                let p = (node, next_state);
-                if seen.insert(p) {
-                    parent.insert(p, ((node, state), None));
-                    if enfa.is_final(next_state) {
-                        return Some(reconstruct(p, &parent));
-                    }
-                    queue.push_back(p);
-                }
-            }
-        }
-        // Fact moves: follow an outgoing fact whose label has a transition.
         for fact_id in db.out_facts(node) {
-            if excluded.contains(&fact_id) {
+            if excluded.get(fact_id.index()).copied().unwrap_or(false) {
                 continue;
             }
             let fact = db.fact(fact_id);
-            if let Some(succs) = letter_succ.get(&(state, fact.label.0)) {
-                for &next_state in succs {
-                    let p = (fact.target, next_state);
-                    if seen.insert(p) {
-                        parent.insert(p, ((node, state), Some(fact_id)));
-                        if enfa.is_final(next_state) {
-                            return Some(reconstruct(p, &parent));
-                        }
-                        queue.push_back(p);
-                    }
-                }
+            let Some(next) = dfa.successor(state, fact.label).filter(|&next| live[next]) else {
+                continue;
+            };
+            let slot = fact.target.0 as usize * states + next;
+            if parent[slot] != UNSEEN {
+                continue;
             }
+            parent[slot] = (fact_id.0, state as u32);
+            visited += 1;
+            if dfa.is_final(next) {
+                // Walk the parents back to a start state.
+                let mut walk = Vec::new();
+                let mut slot = slot;
+                while parent[slot] != ROOT {
+                    let (fact, state) = parent[slot];
+                    walk.push(FactId(fact));
+                    slot = db.fact(FactId(fact)).source.0 as usize * states + state as usize;
+                }
+                walk.reverse();
+                return (Some(walk), visited);
+            }
+            queue.push_back((fact.target, next));
         }
     }
-    None
-}
-
-/// BFS predecessor map over product states `(node, automaton state)`: each
-/// entry records the preceding product state and the fact traversed, if any.
-type ParentMap = BTreeMap<(NodeId, usize), ((NodeId, usize), Option<FactId>)>;
-
-fn reconstruct(end: (NodeId, usize), parent: &ParentMap) -> Vec<FactId> {
-    let mut facts = Vec::new();
-    let mut current = end;
-    while let Some(&(prev, fact)) = parent.get(&current) {
-        if let Some(f) = fact {
-            facts.push(f);
-        }
-        current = prev;
-    }
-    facts.reverse();
-    facts
+    (None, visited)
 }
 
 /// Enumerates the **matches** of a finite language on the database
@@ -396,7 +346,7 @@ mod tests {
     fn witness_walk_is_a_real_walk() {
         let db = path_db();
         let l = Language::parse("ax*b").unwrap();
-        let walk = find_witness_walk(&db, &l, &BTreeSet::new()).unwrap();
+        let walk = find_witness_walk(&db, &l, &[]).0.unwrap();
         assert_eq!(walk.len(), 4);
         // Consecutive facts must be adjacent and the labels must spell a word of L.
         let word: String = walk.iter().map(|&f| db.fact(f).label.as_char()).collect();
@@ -409,7 +359,7 @@ mod tests {
     #[test]
     fn witness_walk_none_when_query_false() {
         let db = path_db();
-        assert!(find_witness_walk(&db, &Language::parse("aa").unwrap(), &BTreeSet::new()).is_none());
+        assert!(find_witness_walk(&db, &Language::parse("aa").unwrap(), &[]).0.is_none());
     }
 
     #[test]
@@ -420,8 +370,7 @@ mod tests {
         db.add_fact_by_names("v", 'a', "u");
         assert!(satisfies(&db, &Language::parse("aaa").unwrap()));
         assert!(satisfies(&db, &Language::parse("aaaaaa").unwrap()));
-        let walk =
-            find_witness_walk(&db, &Language::parse("aaa").unwrap(), &BTreeSet::new()).unwrap();
+        let walk = find_witness_walk(&db, &Language::parse("aaa").unwrap(), &[]).0.unwrap();
         assert_eq!(walk.len(), 3);
         // Only two distinct facts are used.
         let distinct: BTreeSet<FactId> = walk.iter().copied().collect();

@@ -54,9 +54,10 @@
 //!
 //! Every `solve`, `solve_batch` and `db_solve` outcome reports which tier
 //! answered and why: `tier` (`poly`, `exact` or `approx`), `degraded` (the
-//! budget forced a certified fallback below the planned backend) and `route`
-//! (the router's reason). Degraded answers are never uncertified: they carry
-//! `exact: false` with a `bounds` array such that
+//! planned backend did not answer exactly: the budget sent the solve to the
+//! budgeted exact search, or that search stopped on its work budget) and
+//! `route` (the router's reason). Degraded answers are never uncertified:
+//! they are exact, or carry `exact: false` with a `bounds` array such that
 //! `lower ≤ resilience ≤ upper`.
 //!
 //! Every `solve`, `solve_batch` and `db_solve` response carries an
@@ -555,9 +556,9 @@ pub fn outcome_json(outcome: &ResilienceOutcome, db: &GraphDb) -> Json {
 
 /// Renders one routed solve outcome: the [`outcome_json`] fields plus the
 /// routing verdict — `tier` (the complexity tier that answered: `poly`,
-/// `exact` or `approx`), `degraded` (`true` when the budget forced a
-/// certified fallback below the planned backend) and `route` (the
-/// human-readable reason the router picked this tier).
+/// `exact` or `approx`), `degraded` (`true` when the planned backend did
+/// not answer exactly) and `route` (the human-readable reason the router
+/// picked this tier).
 pub fn tiered_outcome_json(tiered: &TieredOutcome, db: &GraphDb) -> Json {
     let mut pairs = match outcome_json(&tiered.outcome, db) {
         Json::Object(pairs) => pairs,

@@ -463,14 +463,16 @@ impl ServerState {
                     .collect()
             }
         };
-        // Inline verbs label the latency histogram with the backend that
-        // answered (after any routing degradation); array verbs, whose
-        // entries may mix tiers, with the planned one.
-        let algorithm = if inline {
+        // Inline verbs label the latency histogram with the backend and
+        // tier that answered (after any routing degradation); array verbs,
+        // whose entries may mix tiers, with the planned backend's.
+        let planned = prepared.plan().algorithm;
+        let planned = (planned, if planned.is_polynomial() { "poly" } else { "exact" });
+        let (algorithm, tier) = if inline {
             let (answered, rest) = match entries.pop() {
                 Some(Ok(entry)) => entry,
                 Some(Err(error)) => return with_elapsed(error, started),
-                None => (prepared.plan().algorithm, Vec::new()),
+                None => (planned, Vec::new()),
             };
             fields.extend(rest);
             answered
@@ -484,7 +486,7 @@ impl ServerState {
                 self.errors.fetch_add(failures, Ordering::Relaxed);
             }
             fields.push(("results".to_string(), Json::Array(results)));
-            prepared.plan().algorithm
+            planned
         };
         // The stamp: seal the trace, append the always-on `elapsed_us` (and
         // the opt-in `timings`), record the latency histogram under
@@ -492,7 +494,6 @@ impl ServerState {
         trace.seal();
         let elapsed_us = started.elapsed().as_micros() as u64;
         let family = algorithm.name();
-        let tier = algorithm.tier();
         // Every flow-based solve runs Dinic; the label keeps its series.
         let backend = "dinic";
         self.metrics.histogram([verb, family, tier, backend]).record(elapsed_us);
@@ -585,18 +586,18 @@ impl ServerState {
     }
 
     /// A routed outcome as entry fields after `fields`, recorded in the
-    /// per-tier counters.
+    /// per-tier counters, with the backend and tier that answered.
     fn routed_entry(
         &self,
         tiered: &TieredOutcome,
         db: &GraphDb,
         mut fields: Vec<(String, Json)>,
-    ) -> (Algorithm, Vec<(String, Json)>) {
+    ) -> ((Algorithm, &'static str), Vec<(String, Json)>) {
         self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
         if let Json::Object(rest) = tiered_outcome_json(tiered, db) {
             fields.extend(rest);
         }
-        (tiered.outcome.algorithm, fields)
+        ((tiered.outcome.algorithm, tiered.tier), fields)
     }
 
     fn handle_db_list(&self) -> Json {
@@ -824,7 +825,7 @@ impl ServerState {
         for (name, help, value) in [
             (
                 "rpq_routed_degraded_total",
-                "Routed solves degraded to a certified cheaper tier by their budget.",
+                "Routed solves the planned backend did not answer exactly (budgeted search).",
                 routed.degraded,
             ),
             (
@@ -976,7 +977,7 @@ enum Targets<'a> {
 
 /// One solve-family target's result: the algorithm that answered and the
 /// entry's response fields, or its `"ok": false` error object.
-type Entry = Result<(Algorithm, Vec<(String, Json)>), Json>;
+type Entry = Result<((Algorithm, &'static str), Vec<(String, Json)>), Json>;
 
 /// Appends the always-on `elapsed_us` field to a response object (the
 /// failure paths of the solve-family pipeline).
@@ -1679,12 +1680,14 @@ mod tests {
         );
         assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
         assert!(response.get("error").and_then(Json::as_str).unwrap().contains("limit"));
-        // Approximation backends report bounds.
+        // The removed approximation backends are unknown names.
         let response = request(
             &state,
             r#"{"op":"solve","query":"aa","algorithm":"greedy","db":"1 a 2\n2 a 3\n3 a 4\n"}"#,
         );
-        assert!(response.get("bounds").is_some());
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+        let error = response.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("unknown algorithm `greedy`"), "{error}");
     }
 
     #[test]

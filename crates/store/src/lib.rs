@@ -586,7 +586,7 @@ impl Store {
                     outcome.contingency_set = None;
                 }
                 let tiered = TieredOutcome {
-                    tier: outcome.algorithm.tier(),
+                    tier: outcome.tier(),
                     outcome,
                     planned,
                     degraded: false,

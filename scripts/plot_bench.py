@@ -64,6 +64,11 @@ def load_series(path):
         except ValueError:
             leftovers.append(name)
             continue
+        if "median_ns" not in record:
+            # A bench's own summary statistic (e.g. a paired ratio), not a
+            # timing.
+            leftovers.append(name)
+            continue
         point = (x, record["median_ns"], record["p95_ns"])
         series.setdefault("/".join(parts[:-1]), []).append(point)
     for points in series.values():

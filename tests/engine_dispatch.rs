@@ -131,45 +131,70 @@ fn oversized_enumeration_is_a_typed_error_not_a_panic() {
     assert_eq!(err, ResilienceError::InstanceTooLarge { facts: 30, limit: 10 });
 }
 
+/// The `[lower, upper]` interval an outcome certifies: its bounds, or the
+/// value itself when it is exact and finite.
+fn certified_interval(outcome: &rpq::resilience::algorithms::ResilienceOutcome) -> (u128, u128) {
+    outcome.bounds.unwrap_or_else(|| {
+        let value = outcome.value.finite().expect("a finite exact value");
+        (value, value)
+    })
+}
+
 #[test]
 fn certified_bounds_never_cross_for_any_approximation_backend() {
-    // The crossed-bounds regression: every approximation backend must report
-    // `lower <= exact <= upper` on the whole shared corpus. A crossing
-    // sandwich would be a silently wrong certificate, so it asserts inside
-    // `ResilienceOutcome::from_approximation` too — this drives the assert
-    // across every combination.
-    let approx = [Algorithm::ApproxGreedy, Algorithm::ApproxKDisjoint, Algorithm::TrivialBounds];
+    // The crossed-bounds regression: the exact search must report
+    // `lower <= exact <= upper` on the whole shared corpus at every work
+    // budget: none (a zero cost budget), a small one (1 µs of work) and the
+    // cap (no budget). A stopped search's witness must be a contingency set
+    // of cost `upper`.
+    let budgets = [
+        RouteBudget::with_cost_budget_us(0),
+        RouteBudget::with_cost_budget_us(1),
+        RouteBudget::UNLIMITED,
+    ];
+    let mut stopped = 0;
     for &(alphabet, patterns, _) in FAMILIES {
         let alphabet = Alphabet::from_chars(alphabet);
         for pattern in patterns {
             let query = Rpq::new(Language::parse(pattern).unwrap());
             let engine = Engine::new();
+            let search = engine.prepare_with(Algorithm::ExactBranchAndBound, &query).unwrap();
             for seed in 0..4 {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
-                let exact = engine.solve_with(Algorithm::ExactBranchAndBound, &query, &db).unwrap();
-                for algorithm in approx {
-                    let Ok(outcome) = engine.solve_with(algorithm, &query, &db) else {
-                        continue; // infinite languages refuse greedy/k-approx
-                    };
-                    let (lower, upper) = outcome.bounds.expect("approximations carry bounds");
-                    assert!(lower <= upper, "{pattern}, {algorithm}, seed {seed}");
-                    match exact.value {
-                        ResilienceValue::Finite(value) => assert!(
-                            lower <= value && value <= upper,
-                            "{pattern}, {algorithm}, seed {seed}: \
-                             [{lower}, {upper}] does not sandwich {value}"
-                        ),
+                let oracle =
+                    engine.solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap().value;
+                for budget in budgets {
+                    let call = SolveCall { budget, ..SolveCall::new(true) };
+                    let outcome = search.route(&db, &call, &mut Trace::disabled()).unwrap().outcome;
+                    let context = format!("{pattern}, {budget:?}, seed {seed}");
+                    match oracle {
+                        ResilienceValue::Finite(value) => {
+                            let (lower, upper) = certified_interval(&outcome);
+                            assert!(
+                                lower <= value && value <= upper,
+                                "{context}: [{lower}, {upper}] does not sandwich {value}"
+                            );
+                            assert_eq!(outcome.value, ResilienceValue::Finite(upper), "{context}");
+                            let cut = outcome.contingency_set.as_ref().expect("a witness");
+                            let cut: std::collections::BTreeSet<_> = cut.iter().copied().collect();
+                            assert!(query.is_contingency_set(&db, &cut), "{context}");
+                            assert_eq!(query.cost(&db, &cut), upper, "{context}");
+                            stopped += !outcome.is_exact() as usize;
+                        }
                         // An infinite resilience has no finite upper bound;
                         // the outcome must say so.
-                        ResilienceValue::Infinite => assert!(
-                            outcome.value.is_infinite(),
-                            "{pattern}, {algorithm}, seed {seed}"
-                        ),
+                        ResilienceValue::Infinite => {
+                            assert!(outcome.value.is_infinite(), "{context}")
+                        }
+                    }
+                    if budget.is_unlimited() {
+                        assert_eq!(outcome.value, oracle, "{context}: the cap suffices");
                     }
                 }
             }
         }
     }
+    assert!(stopped > 0, "some search must stop on its budget");
 }
 
 #[test]
@@ -188,7 +213,8 @@ fn routing_with_an_unlimited_budget_agrees_with_exact_enumeration() {
                 let tiered = prepared.route(&db, &SolveCall::new(true), &mut Trace::disabled());
                 let tiered = tiered.unwrap();
                 assert!(!tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
-                assert_eq!(tiered.tier, expected.tier(), "{pattern}, seed {seed}");
+                let tier = if expected.is_polynomial() { "poly" } else { "exact" };
+                assert_eq!(tiered.tier, tier, "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome.algorithm, expected, "{pattern}, seed {seed}");
                 assert_eq!(tiered.outcome, prepared.solve(&db).unwrap(), "{pattern}, seed {seed}");
                 let oracle = Engine::new()
@@ -207,16 +233,16 @@ fn every_solve_shape_routes_identically_under_each_budget() {
     // `route_incremental` share one estimate → fit → run-or-degrade path, so
     // they must return the same `TieredOutcome` field for field: value,
     // bounds, contingency set, tier, `degraded`, `reason` and the estimate.
-    // The mid-range budget splits the corpus: the cheap flow plans fit it,
-    // while the exact plans degrade to the greedy rung of the ladder (the
-    // zero budget takes every plan to the trivial rung).
+    // The budgets drive the exact search at its cap (no budget), at zero
+    // work and at a small work budget; the small one splits the corpus: the
+    // cheap flow plans fit it, while the exact plans degrade to the search.
     let engine = Engine::new();
     let budgets = [
         RouteBudget::UNLIMITED,
         RouteBudget::with_cost_budget_us(0),
         RouteBudget::with_cost_budget_us(110),
     ];
-    let (mut mid_fits, mut mid_greedy) = (0, 0);
+    let (mut mid_fits, mut mid_searched) = (0, 0);
     for &(alphabet, patterns, _) in FAMILIES {
         let alphabet = Alphabet::from_chars(alphabet);
         let dbs: Vec<_> = (0..4).map(|seed| random_labeled_graph(5, 16, &alphabet, seed)).collect();
@@ -242,20 +268,22 @@ fn every_solve_shape_routes_identically_under_each_budget() {
                 }
                 if budget.cost_budget_us == Some(110) {
                     mid_fits += single.iter().filter(|t| !t.degraded).count();
-                    mid_greedy += single
+                    mid_searched += single
                         .iter()
-                        .filter(|t| t.outcome.algorithm == Algorithm::ApproxGreedy)
+                        .filter(|t| {
+                            t.degraded && t.outcome.algorithm == Algorithm::ExactBranchAndBound
+                        })
                         .count();
                 }
             }
         }
     }
-    assert!(mid_fits > 0 && mid_greedy > 0, "fits {mid_fits}, greedy {mid_greedy}");
+    assert!(mid_fits > 0 && mid_searched > 0, "fits {mid_fits}, searched {mid_searched}");
 }
 
 /// `k` disjoint `a b c` paths plus one unrelated exogenous `x b y`: for
 /// `abc|be` the resilience is `k`, and the exogenous fact sends the planned
-/// one-dangling solve to branch and bound.
+/// one-dangling solve to the exact search.
 fn abc_paths_with_an_exogenous_fact(k: usize) -> rpq::graphdb::GraphDb {
     let mut db = rpq::graphdb::GraphDb::new();
     for i in 0..k {
@@ -273,33 +301,94 @@ fn a_budget_prices_the_branch_and_bound_a_one_dangling_plan_falls_back_to() {
     let query = Rpq::parse("abc|be").unwrap();
     let prepared = Engine::new().prepare(&query).unwrap();
     assert_eq!(prepared.plan().algorithm, Algorithm::OneDangling);
-    // 5 paths: the branch and bound is priced above a 150 µs cost budget
-    // (the one-dangling rate would have fit it), the greedy bounds below;
-    // the sandwich brackets the enumeration oracle.
+    // 5 paths under a 150 µs cost budget: the one-dangling estimate fits,
+    // and the exact search the plan falls back to runs under the budget's
+    // work units; its answer brackets the enumeration oracle.
     let db = abc_paths_with_an_exogenous_fact(5);
     let call = SolveCall { budget: RouteBudget::with_cost_budget_us(150), ..SolveCall::new(true) };
     let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
-    assert!(tiered.degraded, "{}", tiered.reason);
+    assert_eq!(tiered.estimated_cost_us, prepared.plan().cost.estimate_us_for(&db));
+    assert_eq!(tiered.outcome.algorithm, Algorithm::ExactBranchAndBound);
     let oracle = Engine::new().solve_with(Algorithm::ExactEnumeration, &query, &db).unwrap().value;
     assert_eq!(oracle, ResilienceValue::Finite(5));
-    let (lower, upper) = tiered.outcome.bounds.expect("a degraded answer carries bounds");
+    let (lower, upper) = certified_interval(&tiered.outcome);
     assert!(lower <= 5 && 5 <= upper, "[{lower}, {upper}]");
-    // 13 paths under a 50 ms deadline: the branch and bound would run for
-    // seconds, so the router degrades, and answers at once.
+    // 13 paths under a 50 ms deadline: the search answers at once.
     let db = abc_paths_with_an_exogenous_fact(13);
     let call = SolveCall { budget: RouteBudget::with_deadline_ms(50), ..SolveCall::new(true) };
     let started = std::time::Instant::now();
     let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
     assert!(started.elapsed().as_millis() < 500, "took {:?}", started.elapsed());
-    assert!(tiered.degraded, "{}", tiered.reason);
-    let (lower, upper) = tiered.outcome.bounds.expect("a degraded answer carries bounds");
+    let (lower, upper) = certified_interval(&tiered.outcome);
     assert!(lower <= 13 && 13 <= upper, "[{lower}, {upper}]");
+    // A zero budget leaves the search no work: the trivial sandwich.
+    let call = SolveCall { budget: RouteBudget::with_cost_budget_us(0), ..SolveCall::new(true) };
+    let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
+    assert!(tiered.degraded, "{}", tiered.reason);
+    assert_eq!(tiered.outcome.bounds, Some((1, 39)));
     // Without a budget the estimate is the plan's, and the exact answer runs.
     let db = abc_paths_with_an_exogenous_fact(5);
     let tiered = prepared.route(&db, &SolveCall::new(true), &mut Trace::disabled()).unwrap();
     assert!(!tiered.degraded);
     assert_eq!(tiered.estimated_cost_us, prepared.plan().cost.estimate_us_for(&db));
     assert_eq!(tiered.outcome.value, ResilienceValue::Finite(5));
+}
+
+#[test]
+fn an_unbudgeted_aa_solve_over_a_48_fact_path_answers_exactly() {
+    // A branch and bound without a lower bound explores exponentially many
+    // nodes here; the packing bound (24 disjoint walks) meets the first
+    // incumbent at once.
+    let word = Word::from_letters(std::iter::repeat_n('a'.into(), 48));
+    let db = word_path(&word);
+    let started = std::time::Instant::now();
+    let outcome = Engine::new().solve(&Rpq::parse("aa").unwrap(), &db).unwrap();
+    assert_eq!(outcome.value, ResilienceValue::Finite(24));
+    assert!(outcome.is_exact());
+    assert!(started.elapsed().as_secs() < 10, "took {:?}", started.elapsed());
+}
+
+#[test]
+fn an_exogenous_fact_leaves_abc_be_exact_at_fourteen_paths() {
+    // The exogenous fact sends the plan to the exact search, whose packing
+    // bound (14 disjoint `abc` walks) meets the first incumbent at once.
+    let query = Rpq::parse("abc|be").unwrap();
+    let db = abc_paths_with_an_exogenous_fact(14);
+    let started = std::time::Instant::now();
+    let outcome = Engine::new().solve(&query, &db).unwrap();
+    assert_eq!(outcome.algorithm, Algorithm::ExactBranchAndBound);
+    assert_eq!(outcome.value, ResilienceValue::Finite(14));
+    assert!(outcome.is_exact());
+    assert!(started.elapsed().as_secs() < 10, "took {:?}", started.elapsed());
+}
+
+/// Run in CI with `cargo test --release --test engine_dispatch -- --ignored`.
+#[test]
+#[ignore = "a 20,000-fact search: run in release"]
+fn a_20000_fact_aa_path_gets_a_certified_sandwich_on_a_2_mib_stack() {
+    // A search recursing once per removed fact would overflow this stack;
+    // the search keeps its frames on the heap and stops at its cap.
+    let handle = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let word = Word::from_letters(std::iter::repeat_n('a'.into(), 20_000));
+            let db = word_path(&word);
+            let query = Rpq::parse("aa").unwrap();
+            let started = std::time::Instant::now();
+            let outcome = Engine::new().solve(&query, &db).unwrap();
+            (outcome, started.elapsed(), query, db)
+        })
+        .unwrap();
+    let (outcome, elapsed, query, db) = handle.join().expect("no stack overflow");
+    // The optimum removes every other fact: 10,000.
+    let (lower, upper) = certified_interval(&outcome);
+    assert!(lower <= 10_000 && 10_000 <= upper, "[{lower}, {upper}]");
+    assert!(lower >= 1, "[{lower}, {upper}]");
+    let cut: std::collections::BTreeSet<_> =
+        outcome.contingency_set.expect("a witness").into_iter().collect();
+    assert!(query.is_contingency_set(&db, &cut));
+    assert_eq!(query.cost(&db, &cut), upper);
+    assert!(elapsed.as_secs() < 60, "took {elapsed:?}");
 }
 
 #[test]
@@ -318,9 +407,10 @@ fn an_impossible_budget_degrades_to_certified_bounds_with_the_tier_reported() {
                 let db = random_labeled_graph(4, 8, &alphabet, seed);
                 let tiered = prepared.route(&db, &call, &mut Trace::disabled()).unwrap();
                 assert!(tiered.degraded, "{pattern}, seed {seed}: {}", tiered.reason);
-                assert_eq!(tiered.tier, "approx", "{pattern}, seed {seed}");
                 // Degraded answers stay *certified*: either trivially exact
                 // (resilience 0 or provably infinite) or a bounds sandwich.
+                let tier = if tiered.outcome.is_exact() { "exact" } else { "approx" };
+                assert_eq!(tiered.tier, tier, "{pattern}, seed {seed}");
                 let truth = prepared.solve(&db).unwrap().value;
                 if tiered.outcome.is_exact() {
                     assert_eq!(tiered.outcome.value, truth, "{pattern}, seed {seed}");
