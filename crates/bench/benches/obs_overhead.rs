@@ -67,8 +67,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
             criterion::black_box(trace.seal());
             started.elapsed()
         };
-        // One warm-up pair, then pairs until the time budget (at least 5,
-        // at most 1,000), the first arm alternating.
+        // One warm-up pair, then pairs until twice one arm's time budget
+        // (each iteration runs both arms; at least 5 pairs, at most 1,000),
+        // the first arm alternating.
         time(false);
         time(true);
         let (mut untraced, mut traced): (Vec<Duration>, Vec<Duration>) = (Vec::new(), Vec::new());
