@@ -187,8 +187,9 @@ pub struct TieredOutcome {
     /// The backend the plan would have run with an unlimited budget.
     pub planned: Algorithm,
     /// Whether the answer is not the planned backend's exact answer: the
-    /// budget sent the solve to the budgeted search instead, or the search
-    /// stopped on its work budget with a certified sandwich.
+    /// plan's estimate did not fit the budget, so the budgeted exact search
+    /// ran in its place (an `exact` plan runs that search either way), or
+    /// the search stopped on its work budget with a certified sandwich.
     pub degraded: bool,
     /// Whether overload shedding tightened the budget this solve ran under
     /// (set even when the tightened budget still fit the planned backend).
