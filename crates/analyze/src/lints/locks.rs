@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Solver entry points and blocking operations that must not run under a
 /// lock (per-database serialization being the one deliberate exception,
 /// annotated at the site).
-const BLOCKING_CALLS: [&str; 24] = [
+const BLOCKING_CALLS: [&str; 23] = [
     "recv",
     "recv_timeout",
     "join",
@@ -47,7 +47,6 @@ const BLOCKING_CALLS: [&str; 24] = [
     "route",
     "route_batch",
     "route_incremental",
-    "route_incremental_at",
     "prepare",
     "get_or_prepare",
 ];

@@ -21,7 +21,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rpq_bench::{flow_db_of_size, local_db_of_size};
 use rpq_graphdb::delta::{changes_from_db, materialize, FactChange};
 use rpq_graphdb::GraphDb;
-use rpq_resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveMode};
+use rpq_resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveMode};
 use rpq_resilience::obs::Trace;
 use rpq_resilience::rpq::Rpq;
 use std::time::Duration;
@@ -92,32 +92,53 @@ fn updates_benchmarks(c: &mut Criterion) {
             // path exactly up to the fallback threshold.
             let full_value = prepared.solve(&pair.full).unwrap().value;
             let reduced_value = prepared.solve(&pair.reduced).unwrap().value;
+            // Each solve stands one delta further into one log: the ring's
+            // snapshots recur, but their log positions keep growing.
             let call = SolveCall::new(false);
             let incremental = |solver: &mut IncrementalSolver,
+                               offset: &mut usize,
                                db: &GraphDb,
                                delta: Option<&[FactChange]>| {
-                let routed =
-                    prepared.route_incremental(solver, db, delta, &call, &mut Trace::disabled());
+                *offset += delta.map_or(0, <[FactChange]>::len);
+                let at = LogPosition { log: 0, offset: *offset };
+                let routed = prepared.route_incremental(
+                    solver,
+                    at,
+                    db,
+                    delta,
+                    &call,
+                    &mut Trace::disabled(),
+                );
                 let (tiered, mode) = routed.unwrap();
                 (tiered.outcome, mode)
             };
             let mut solver = IncrementalSolver::new();
-            assert_eq!(incremental(&mut solver, &pair.full, None).0.value, full_value);
+            let mut offset = pair.log.len();
+            let (outcome, _) = incremental(&mut solver, &mut offset, &pair.full, None);
+            assert_eq!(outcome.value, full_value);
             let expected_mode =
                 if size <= PATCH_PATH_MAX { SolveMode::Incremental } else { SolveMode::Full };
-            let (outcome, mode) = incremental(&mut solver, &pair.reduced, Some(&pair.del));
+            let (outcome, mode) =
+                incremental(&mut solver, &mut offset, &pair.reduced, Some(&pair.del));
             assert_eq!((outcome.value, mode), (reduced_value, expected_mode), "{family}/{size}");
-            let (outcome, mode) = incremental(&mut solver, &pair.full, Some(&pair.ins));
+            let (outcome, mode) =
+                incremental(&mut solver, &mut offset, &pair.full, Some(&pair.ins));
             assert_eq!((outcome.value, mode), (full_value, expected_mode), "{family}/{size}");
 
             // Incremental: the retained network absorbs del + ins per
             // iteration (two solves), ending back at the full snapshot.
             group.bench_with_input(BenchmarkId::new("incremental", size), &pair, |b, pair| {
                 let mut solver = IncrementalSolver::new();
-                incremental(&mut solver, &pair.full, None);
+                let mut offset = pair.log.len();
+                incremental(&mut solver, &mut offset, &pair.full, None);
                 b.iter(|| {
-                    black_box(incremental(&mut solver, &pair.reduced, Some(&pair.del)));
-                    black_box(incremental(&mut solver, &pair.full, Some(&pair.ins)));
+                    black_box(incremental(
+                        &mut solver,
+                        &mut offset,
+                        &pair.reduced,
+                        Some(&pair.del),
+                    ));
+                    black_box(incremental(&mut solver, &mut offset, &pair.full, Some(&pair.ins)));
                 });
             });
 

@@ -14,9 +14,9 @@
 //! (`prepare`, `solve`, `solve_batch`, the `db_*` hosted-database verbs,
 //! `stats`, `metrics`, `shutdown`) over TCP — or stdin/stdout with `--pipe`
 //! — backed by
-//! a worker pool, a prepared-query cache keyed by canonicalized language, and
-//! a snapshot-database store (`rpq-store`) patched in place by incremental
-//! solves. `client` is the matching one-shot front end; see the repository
+//! a thread per connection, a prepared-query cache keyed by canonicalized
+//! language, and a snapshot-database store (`rpq-store`) patched in place by
+//! incremental solves. `client` is the matching one-shot front end; see the repository
 //! README for the wire format.
 //!
 //! All resilience computations go through the prepared-query engine
@@ -77,8 +77,9 @@ database format: one fact per line, `source label target [multiplicity] [!]`\n(a
 with several database files, the query plan is prepared once and reused
 serve: NDJSON protocol (prepare/solve/solve_batch/db_*/stats/metrics/shutdown)
        on 127.0.0.1, default port 7878; --pipe serves stdin/stdout instead of TCP.
-       Connections are multiplexed: workers pick up one request at a time, so
-       idle persistent connections never starve new clients. The prepared-query
+       Each connection has its own thread and holds one of --threads worker
+       slots only while it answers a request, so idle persistent connections
+       never starve new clients. The prepared-query
        cache is keyed by canonicalized language (equivalent regex spellings
        share one cached plan) and striped over --cache-shards locks.
        --slow-query-log <us> logs solve-family requests slower than the
@@ -105,8 +106,9 @@ deadline-ms / cost-budget-us: on `resilience`, route locally through the cost
       why. Without a limit the exact search stops at a fixed work cap, with
       certified bounds if it has not finished.
       On `serve`, --shed-queue-depth / --shed-cost-budget tune the overload
-      shedding (a ready-queue deeper than the threshold tightens every solve
-      budget so the backlog drains with certified degraded answers)
+      shedding (more requests waiting for a worker slot than the threshold
+      tightens every solve budget so the backlog drains with certified
+      degraded answers)
 client: `solve` with several databases sends one solve_batch request
 client metrics: prints the server's Prometheus text exposition (latency
         histograms by verb/family/tier/backend, cache, store and connection

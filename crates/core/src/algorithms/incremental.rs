@@ -75,12 +75,9 @@
 //! The [`crate::engine::IncrementalSolver`] records where its network
 //! stands as a [`crate::engine::LogPosition`]: the identity of a fact log
 //! and an offset into it. A solve at `(log, offset)`
-//! ([`crate::engine::PreparedQuery::route_incremental_at`]) hands this
+//! ([`crate::engine::PreparedQuery::route_incremental`]) hands this
 //! module a delta of `n` changes only when the network stands at
-//! `(log, offset - n)`; any other delta arrives as `None` and rebuilds. A
-//! solve with no position continues only a network built with none, and its
-//! caller vouches that the delta is the change since the solver's previous
-//! solve (and passes `None` when it switches databases).
+//! `(log, offset - n)`; any other delta arrives as `None` and rebuilds.
 //!
 //! Structural (ε / source / target) and exogenous edges are
 //! `Capacity::Infinite`, as in the batch path. The flow core gives every
@@ -710,7 +707,7 @@ mod tests {
                 let db = materialize(log);
                 let at = LogPosition { log: 7, offset: log.len() };
                 let (routed, mode) = prepared
-                    .route_incremental_at(solver, at, &db, delta, &call, &mut Trace::disabled())
+                    .route_incremental(solver, at, &db, delta, &call, &mut Trace::disabled())
                     .unwrap();
                 (routed.outcome, mode, db)
             };
@@ -743,7 +740,10 @@ mod tests {
         let call = SolveCall::new(true);
         let mut log = parse_patch("+ s a u\n+ u A t\n+ s b v\n").unwrap();
         let db = materialize(&log);
-        prepared.route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled()).unwrap();
+        let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
+        prepared
+            .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+            .unwrap();
         let size = |solver: &IncrementalSolver| solver.scratch.csr.num_vertices();
         let states = solver.scratch.incremental.as_ref().unwrap().num_states;
         assert!(states > 64, "{states} states");
@@ -753,7 +753,14 @@ mod tests {
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
             let (routed, mode) = prepared
-                .route_incremental(&mut solver, &db, Some(&delta), &call, &mut Trace::disabled())
+                .route_incremental(
+                    &mut solver,
+                    at(&log),
+                    &db,
+                    Some(&delta),
+                    &call,
+                    &mut Trace::disabled(),
+                )
                 .unwrap();
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();

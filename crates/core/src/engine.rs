@@ -186,7 +186,7 @@ pub enum SolveMode {
 }
 
 /// Where a database stands in a fact log: the log's identity and how many
-/// of its entries it applies. See [`PreparedQuery::route_incremental_at`].
+/// of its entries it applies. See [`PreparedQuery::route_incremental`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogPosition {
     /// The caller's identity for the log, e.g. a number drawn whenever the
@@ -202,14 +202,9 @@ pub struct LogPosition {
 /// ordinary solves, which would silently invalidate the retained flow.
 ///
 /// The solver records where the database of its retained network stands.
-/// A caller that names each solve's position
-/// ([`PreparedQuery::route_incremental_at`]) gets its deltas checked: one
+/// Every solve names its position, and its delta is checked against it: one
 /// applies only when it continues the same log from that offset, and any
-/// other delta rebuilds. A solve without a position
-/// ([`PreparedQuery::route_incremental`]) continues only a network built
-/// without one, and its caller vouches that the delta is the change since
-/// the solver's previous solve; such a caller passes `None` when it
-/// switches databases.
+/// other delta rebuilds.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     pub(crate) scratch: SolveScratch,
@@ -225,15 +220,11 @@ impl IncrementalSolver {
 
     /// Whether a delta of `len` changes leads from where the retained
     /// network stands to `at`: from the same log's offset `len` entries
-    /// back, or from no position to none.
-    fn continues_to(&self, at: Option<LogPosition>, len: usize) -> bool {
-        match (self.position, at) {
-            (None, None) => true,
-            (Some(from), Some(to)) => {
-                from.log == to.log && from.offset.checked_add(len) == Some(to.offset)
-            }
-            _ => false,
-        }
+    /// back.
+    fn continues_to(&self, at: LogPosition, len: usize) -> bool {
+        self.position.is_some_and(|from| {
+            from.log == at.log && from.offset.checked_add(len) == Some(at.offset)
+        })
     }
 
     /// Verifies the retained incremental state against the flow network it
@@ -602,15 +593,18 @@ impl PreparedQuery {
         results.into_iter().map(|r| r.expect("every chunk slot is filled")).collect()
     }
 
-    /// Routes `db` — the materialization of the *current* snapshot — reusing
-    /// the flow network and maximum flow the `solver` retained from the
-    /// previous snapshot when possible.
+    /// Routes `db` — the materialization of the *current* snapshot, which
+    /// stands `at` a position of a fact log: `at.offset` entries into the log
+    /// `at.log` — reusing the flow network and maximum flow the `solver`
+    /// retained from the previous snapshot when possible.
     ///
     /// `delta` is the fact-change log between the snapshot `solver` solved
-    /// last and this one: `None` when unknown, e.g. on the first solve, after
-    /// a snapshot rollback, or when `db` belongs to another database than
-    /// the solver's previous solve. The caller vouches for the delta;
-    /// [`PreparedQuery::route_incremental_at`] checks it instead. When the
+    /// last and this one: `None` when unknown, e.g. on the first solve or
+    /// after a snapshot rollback. A delta of `n` changes is applied only when
+    /// the solver's retained network stands at `at.offset - n` of the same
+    /// log; any other delta — from another log, or starting at another
+    /// offset — rebuilds, so a delta the caller took against the wrong
+    /// database cannot corrupt the answer. When the
     /// plan is the Theorem 3.13 local reduction, the delta continues the
     /// retained network's lineage and it is small relative to the database,
     /// the solve applies the changes as edge-capacity patches and warm-starts
@@ -632,40 +626,7 @@ impl PreparedQuery {
     pub fn route_incremental(
         &self,
         solver: &mut IncrementalSolver,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        call: &SolveCall,
-        trace: &mut Trace,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_from(solver, None, db, delta, call, trace)
-    }
-
-    /// [`PreparedQuery::route_incremental`] of a database that stands `at`
-    /// a position of a fact log: `at.offset` entries into the log `at.log`.
-    /// A delta of `n` changes is applied only when the solver's retained
-    /// network stands at `at.offset - n` of the same log; any other delta —
-    /// from another log, or starting at another offset — rebuilds, so a
-    /// delta the caller took against the wrong database cannot corrupt the
-    /// answer.
-    pub fn route_incremental_at(
-        &self,
-        solver: &mut IncrementalSolver,
         at: LogPosition,
-        db: &GraphDb,
-        delta: Option<&[FactChange]>,
-        call: &SolveCall,
-        trace: &mut Trace,
-    ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_incremental_from(solver, Some(at), db, delta, call, trace)
-    }
-
-    /// The incremental routes from an optional log position: a local plan
-    /// patches the solver's retained network when the delta continues its
-    /// lineage; other plans rebuild per database.
-    fn route_incremental_from(
-        &self,
-        solver: &mut IncrementalSolver,
-        at: Option<LogPosition>,
         db: &GraphDb,
         delta: Option<&[FactChange]>,
         call: &SolveCall,
@@ -679,7 +640,7 @@ impl PreparedQuery {
             Strategy::Local { ro } => {
                 // A delta from another lineage arrives as unknown: rebuild.
                 let delta = delta.filter(|d| solver.continues_to(at, d.len()));
-                solver.position = at;
+                solver.position = Some(at);
                 Ok(incremental::solve_incremental_local(
                     ro,
                     &self.rpq,
@@ -861,17 +822,21 @@ mod tests {
     use rpq_automata::Word;
     use rpq_graphdb::generate::word_path;
 
-    /// An unbudgeted incremental solve, unwrapped to its outcome and mode.
+    /// An unbudgeted incremental solve of a database `offset` entries into
+    /// log 0, unwrapped to its outcome and mode.
     fn incremental(
         prepared: &PreparedQuery,
         solver: &mut IncrementalSolver,
+        offset: usize,
         db: &GraphDb,
         delta: Option<&[FactChange]>,
         want_cut: bool,
     ) -> (ResilienceOutcome, SolveMode) {
         let call = SolveCall::new(want_cut);
-        let (tiered, mode) =
-            prepared.route_incremental(solver, db, delta, &call, &mut Trace::disabled()).unwrap();
+        let at = LogPosition { log: 0, offset };
+        let (tiered, mode) = prepared
+            .route_incremental(solver, at, db, delta, &call, &mut Trace::disabled())
+            .unwrap();
         (tiered.outcome, mode)
     }
 
@@ -1136,7 +1101,7 @@ mod tests {
         let mut log = parse_patch("+ s a u\n+ u x v\n+ v x w\n+ w b t\n").unwrap();
         let db = materialize(&log);
         // First solve: nothing retained yet, full build.
-        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
+        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, ResilienceValue::Finite(1));
         // Single-fact deltas ride the incremental path and agree with a
@@ -1145,7 +1110,8 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
+            let (out, mode) =
+                incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();
             assert_eq!(out.value, fresh.value, "{patch}");
@@ -1166,7 +1132,7 @@ mod tests {
         let delta = parse_patch(&big).unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), false);
+        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), false);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         assert!(out.contingency_set.is_none());
@@ -1174,14 +1140,14 @@ mod tests {
         let delta = parse_patch("- a3 x a4").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
+        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         // ...and the one after that patches it incrementally again.
         let delta = parse_patch("- a5 x a6\n+ a5 x a6").unwrap();
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
+        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
     }
@@ -1197,7 +1163,7 @@ mod tests {
                   db: &GraphDb,
                   delta: Option<&[FactChange]>| {
             let (tiered, mode) = prepared
-                .route_incremental_at(
+                .route_incremental(
                     solver,
                     LogPosition { log, offset },
                     db,
@@ -1235,9 +1201,6 @@ mod tests {
         let db = materialize(&other);
         let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
         assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Incremental));
-        // A solve with no position does not continue a positioned network.
-        let (_, mode) = incremental(&prepared, &mut solver, &db, Some(&[]), true);
-        assert_eq!(mode, SolveMode::Full);
     }
 
     #[test]
@@ -1250,7 +1213,7 @@ mod tests {
         let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u 5\n+ u x v 3\n+ v b t 7\n").unwrap();
         let db = materialize(&log);
-        let (out, _) = incremental(&prepared, &mut solver, &db, None, true);
+        let (out, _) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
         assert_eq!(out.value, ResilienceValue::Finite(3));
         for (patch, expected) in [
             ("+ u x v 9", ResilienceValue::Finite(5)),
@@ -1263,7 +1226,8 @@ mod tests {
             let delta = parse_patch(patch).unwrap();
             log.extend(delta.iter().cloned());
             let db = materialize(&log);
-            let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
+            let (out, mode) =
+                incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
             // A retained flow reaching the +∞ proxy reads +∞, with no witness.
@@ -1273,14 +1237,14 @@ mod tests {
         // ε ∈ L: constant +∞, no network at all.
         let prepared = engine.prepare(&Rpq::parse("x*").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
-        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
+        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
         assert_eq!(mode, SolveMode::Incremental);
         assert!(out.value.is_infinite());
         // Non-local plans run the batch path and report Full.
         let prepared = engine.prepare(&Rpq::parse("ab|bc").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
         let db = materialize(&parse_patch("+ 1 a 2\n+ 2 b 3\n+ 3 c 4\n").unwrap());
-        let (out, mode) = incremental(&prepared, &mut solver, &db, None, true);
+        let (out, mode) = incremental(&prepared, &mut solver, 3, &db, None, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.algorithm, Algorithm::BipartiteChain);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
@@ -1327,7 +1291,8 @@ mod tests {
                 let delta = [change];
                 log.extend(delta.iter().cloned());
                 let db = materialize(&log);
-                let (out, mode) = incremental(&prepared, &mut solver, &db, Some(&delta), true);
+                let (out, mode) =
+                    incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
                 incremental_seen += (mode == SolveMode::Incremental) as usize;
                 let fresh = prepared.solve(&db).unwrap();
                 assert_eq!(out.value, fresh.value, "{pattern} bag={bag} round {round}");

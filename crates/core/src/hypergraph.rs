@@ -8,9 +8,8 @@
 //! minimum hitting-set size; they are the tool used to verify hardness gadgets
 //! (Definition 4.9).
 
-use rpq_automata::finite::FiniteLanguage;
 use rpq_automata::Language;
-use rpq_graphdb::{enumerate_matches, eval::enumerate_matches_regular, FactId, GraphDb};
+use rpq_graphdb::{eval::enumerate_matches_regular, FactId, GraphDb};
 use std::collections::BTreeSet;
 
 /// A hypergraph whose vertices are database facts.
@@ -29,14 +28,7 @@ impl Hypergraph {
         Hypergraph { vertices, edges }
     }
 
-    /// The hypergraph of matches `H_{L,D}` of a finite language on a database.
-    pub fn of_matches(db: &GraphDb, language: &FiniteLanguage) -> Hypergraph {
-        let vertices: BTreeSet<FactId> = db.fact_ids().collect();
-        let edges = enumerate_matches(db, language);
-        Hypergraph { vertices, edges }
-    }
-
-    /// The hypergraph of matches of an arbitrary regular language on an
+    /// The hypergraph of matches `H_{L,D}` of a regular language on an
     /// **acyclic** database (used by the hardness gadgets of Section 5, whose
     /// languages may be infinite). Returns `None` if the database has a cycle.
     pub fn of_matches_regular(db: &GraphDb, language: &Language) -> Option<Hypergraph> {
@@ -256,7 +248,7 @@ mod tests {
     #[test]
     fn of_matches_on_a_path() {
         let db = word_path(&Word::from_str_word("aaa"));
-        let h = Hypergraph::of_matches(&db, &FiniteLanguage::from_strs(["aa"]));
+        let h = Hypergraph::of_matches_regular(&db, &Language::parse("aa").unwrap()).unwrap();
         assert_eq!(h.vertices().len(), 3);
         assert_eq!(h.edges().len(), 2);
         let (cost, set) = h.minimum_hitting_set(|_| 1);
@@ -369,7 +361,7 @@ mod tests {
         let _g3 = db.add_fact_by_names("2", 'a', "3");
         let _g4 = db.add_fact_by_names("tv", 'a', "2");
         let f_out = db.add_fact_by_names("sv", 'a', "tv"); // endpoint fact F_out
-        let h = Hypergraph::of_matches(&db, &FiniteLanguage::from_strs(["aa"]));
+        let h = Hypergraph::of_matches_regular(&db, &Language::parse("aa").unwrap()).unwrap();
         // The graph of aa-matches is a path of length 5 (Figure 3c).
         assert_eq!(h.edges().len(), 5);
         let protected = BTreeSet::from([f_in, f_out]);

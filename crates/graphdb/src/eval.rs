@@ -7,7 +7,6 @@
 //! a reachability test (cf. [34, Lemma 3.1] in the paper).
 
 use crate::db::{FactId, GraphDb, NodeId};
-use rpq_automata::finite::FiniteLanguage;
 use rpq_automata::language::Language;
 use rpq_automata::word::Word;
 use std::collections::{BTreeSet, VecDeque};
@@ -102,52 +101,13 @@ pub fn find_witness_walk(
     (None, visited)
 }
 
-/// Enumerates the **matches** of a finite language on the database
-/// (Section 4.3): every set of facts `{e₁, …, eₘ}` underlying an `L`-walk.
-/// Several walks may induce the same match; matches are deduplicated.
-///
-/// The enumeration is exponential in the word length in the worst case (walks
-/// may revisit facts); it is intended for the small gadget databases and the
-/// small instances used to validate hardness reductions, not for large data.
-pub fn enumerate_matches(db: &GraphDb, language: &FiniteLanguage) -> Vec<BTreeSet<FactId>> {
-    let mut matches: BTreeSet<BTreeSet<FactId>> = BTreeSet::new();
-    for word in language.words() {
-        if word.is_empty() {
-            matches.insert(BTreeSet::new());
-            continue;
-        }
-        // DFS over partial walks labeled by the word's prefix.
-        let mut stack: Vec<(usize, NodeId, Vec<FactId>)> = Vec::new();
-        for node in db.nodes() {
-            stack.push((0, node, Vec::new()));
-        }
-        while let Some((pos, node, walk)) = stack.pop() {
-            if pos == word.len() {
-                matches.insert(walk.iter().copied().collect());
-                continue;
-            }
-            let letter = word.letter_at(pos);
-            for fact_id in db.out_facts(node) {
-                let fact = db.fact(fact_id);
-                if fact.label == letter {
-                    let mut next_walk = walk.clone();
-                    next_walk.push(fact_id);
-                    stack.push((pos + 1, fact.target, next_walk));
-                }
-            }
-        }
-    }
-    matches.into_iter().collect()
-}
-
 /// Enumerates the matches of an arbitrary regular language on an **acyclic**
 /// database: the sets of facts underlying `L`-walks.
 ///
 /// On an acyclic database every walk is a simple path, so the enumeration is
 /// finite and exact even for infinite languages (this is what the hardness
 /// gadgets of Section 5 need, e.g. for `a x* b | c x d`). Returns `None` when
-/// the database has a directed cycle, in which case the caller should fall
-/// back to [`enumerate_matches`] with a finite language.
+/// the database has a directed cycle, whose walks are unbounded.
 pub fn enumerate_matches_regular(
     db: &GraphDb,
     language: &Language,
@@ -375,44 +335,5 @@ mod tests {
         // Only two distinct facts are used.
         let distinct: BTreeSet<FactId> = walk.iter().copied().collect();
         assert_eq!(distinct.len(), 2);
-    }
-
-    #[test]
-    fn enumerate_matches_of_aa() {
-        // Figure 3c: the graph of aa-matches of the completed gadget is a path.
-        // Here: a smaller example, s -a-> u -a-> v -a-> w has two aa-matches.
-        let mut db = GraphDb::new();
-        let f1 = db.add_fact_by_names("s", 'a', "u");
-        let f2 = db.add_fact_by_names("u", 'a', "v");
-        let f3 = db.add_fact_by_names("v", 'a', "w");
-        let lang = FiniteLanguage::from_strs(["aa"]);
-        let matches = enumerate_matches(&db, &lang);
-        assert_eq!(matches.len(), 2);
-        assert!(matches.contains(&[f1, f2].into_iter().collect()));
-        assert!(matches.contains(&[f2, f3].into_iter().collect()));
-    }
-
-    #[test]
-    fn enumerate_matches_with_self_loop() {
-        // A self-loop a on node u: the walk aa uses the same fact twice, so
-        // the match is the singleton {loop}.
-        let mut db = GraphDb::new();
-        let u = db.node("u");
-        let loop_fact = db.add_fact(u, rpq_automata::alphabet::Letter('a'), u);
-        let matches = enumerate_matches(&db, &FiniteLanguage::from_strs(["aa"]));
-        assert_eq!(matches, vec![[loop_fact].into_iter().collect::<BTreeSet<_>>()]);
-    }
-
-    #[test]
-    fn enumerate_matches_multiple_words() {
-        let mut db = GraphDb::new();
-        let f1 = db.add_fact_by_names("1", 'a', "2");
-        let f2 = db.add_fact_by_names("2", 'b', "3");
-        let f3 = db.add_fact_by_names("2", 'c', "3");
-        let lang = FiniteLanguage::from_strs(["ab", "ac"]);
-        let matches = enumerate_matches(&db, &lang);
-        assert_eq!(matches.len(), 2);
-        assert!(matches.contains(&[f1, f2].into_iter().collect()));
-        assert!(matches.contains(&[f1, f3].into_iter().collect()));
     }
 }

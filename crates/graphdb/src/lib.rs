@@ -25,4 +25,4 @@ pub mod text;
 
 pub use db::{Fact, FactId, GraphDb, NodeId};
 pub use delta::FactChange;
-pub use eval::{enumerate_matches, find_witness_walk, satisfies, satisfies_excluding};
+pub use eval::{find_witness_walk, satisfies, satisfies_excluding};

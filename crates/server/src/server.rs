@@ -1,18 +1,19 @@
 //! The concurrent resilience service.
 //!
 //! [`Server::bind`] opens a TCP listener; [`Server::run`] accepts connections
-//! and serves them with a **multiplexed scheduler**: an accept loop hands
-//! every connection to a *poller* thread, the poller parks connections in
-//! non-blocking mode and extracts complete request lines into a shared
-//! ready-queue, and a fixed pool of workers picks up **one request at a
-//! time** — never a whole connection. An idle keep-alive connection
-//! therefore costs no worker at all: any number of clients can hold
-//! persistent connections open without starving new clients, and a client
-//! that pipelines many requests shares the workers fairly with everyone
-//! else (its connection re-enters the queue after every response).
+//! and serves **each on its own thread**. A connection thread blocks in a
+//! read until a complete request line arrives, then waits for one of
+//! `threads` **worker slots**, answers and writes the response. Slots bound
+//! how many requests are answered at once, and a connection holds one only
+//! while it answers: an idle keep-alive connection costs a blocked thread
+//! but no slot, so any number of clients can hold persistent connections
+//! open without starving new clients. Slots are granted in arrival order,
+//! and a client that pipelines many requests draws a new place in that
+//! order after every response, so it shares the slots fairly with everyone
+//! else.
 //!
 //! Every connection speaks the newline-delimited JSON protocol of
-//! [`crate::protocol`], and all workers share one [`QueryCache`], so a query
+//! [`crate::protocol`], and all connections share one [`QueryCache`], so a query
 //! language prepared by any connection is reused by every other one
 //! ([`Arc`]-shared `PreparedQuery` plans — the engine layer is `Send + Sync`
 //! by construction). [`run_pipe`] serves the same protocol over an arbitrary
@@ -43,13 +44,15 @@
 //! Hostile input costs one error response: JSON and regex nesting are
 //! bounded, and so is a TCP request line (`line_too_long`).
 //!
-//! A `shutdown` request stops the accept loop and the poller; parked idle
-//! connections are dropped, requests already in the ready-queue are answered,
-//! and [`Server::run`] joins its threads before returning, so a client that
-//! issues `shutdown` after reading its response observes a clean exit.
+//! A `shutdown` request stops the accept loop and ends the read every open
+//! connection is blocked in: a connection holding a complete request line
+//! still gets its answer, a line still incomplete is dropped, idle
+//! connections close, and [`Server::run`] joins every connection thread
+//! before returning, so a client that issues `shutdown` after reading its
+//! response observes a clean exit.
 
 use crate::cache::{CacheLookup, CacheStats, QueryCache};
-use crate::json::{find_either, Json};
+use crate::json::Json;
 use crate::protocol::{
     coded_error_response, error_response, plan_json, tiered_outcome_json, QuerySpec, Request,
     SnapshotSel,
@@ -66,23 +69,24 @@ use rpq_resilience::rpq::Rpq;
 use rpq_store::{
     AppendResult, SnapshotRef, Store, StoreConfig, StoreError, StoreRoute, StoreStats,
 };
-use std::io::{self, BufRead, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Server configuration: worker pool size, cache geometry, batch parallelism
+/// Server configuration: worker slots, cache geometry, batch parallelism
 /// and the default [`SolveOptions`] (per-request settings override them, see
 /// [`crate::protocol::QuerySpec`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads handling requests (at least 1). Workers are shared by
-    /// all connections — this bounds concurrent *request* processing, not
-    /// the number of connected clients.
+    /// Worker slots (at least 1): how many requests are answered at once.
+    /// Every connection has its own thread and holds a slot only while it
+    /// answers — this bounds concurrent *request* processing, not the number
+    /// of connected clients.
     pub threads: usize,
     /// Capacity of the shared prepared-query cache.
     pub cache_capacity: usize,
@@ -103,14 +107,14 @@ pub struct ServerConfig {
     /// with it the per-request tracing the breakdown needs, so the default
     /// hot path takes zero clock reads beyond the whole-request stopwatch).
     pub slow_query_log_us: Option<u64>,
-    /// Ready-queue depth at which the router starts shedding: while at least
-    /// this many requests sit extracted-but-unserved, every solve budget is
+    /// Queue depth at which the router starts shedding: while at least this
+    /// many complete requests wait for a worker slot, every solve budget is
     /// tightened to `shed_cost_budget_us` so the backlog drains with
     /// certified degraded answers instead of growing behind one slow exact
     /// solve.
     pub shed_queue_depth: u64,
     /// The per-solve cost budget (estimated microseconds) imposed while the
-    /// ready queue is over `shed_queue_depth`.
+    /// queue is over `shed_queue_depth`.
     pub shed_cost_budget_us: u64,
 }
 
@@ -135,7 +139,7 @@ impl Default for ServerConfig {
 /// `queue_depth` are gauges, the rest are monotone totals.
 #[derive(Debug, Default)]
 struct ConnectionMetrics {
-    /// Currently open TCP connections (parked, queued or being served).
+    /// Currently open TCP connections (idle, waiting or being served).
     open: AtomicU64,
     /// Total connections accepted since the server started.
     accepted: AtomicU64,
@@ -143,8 +147,7 @@ struct ConnectionMetrics {
     requests: AtomicU64,
     /// The largest number of requests any single connection has issued.
     max_requests: AtomicU64,
-    /// Requests currently sitting in the ready-queue (extracted from a
-    /// connection, not yet picked up by a worker).
+    /// Complete requests currently waiting for a worker slot.
     queue_depth: AtomicU64,
 }
 
@@ -177,7 +180,7 @@ pub struct ServerState {
     /// Shared with the router's overload probe, which reads `queue_depth`.
     connections: Arc<ConnectionMetrics>,
     /// The cost-model tier router every solve-family request goes through.
-    /// Its overload probe reads the ready-queue depth: a deep backlog
+    /// Its overload probe reads the slot queue depth: a deep backlog
     /// tightens every budget to the shed cost budget (see [`ServerConfig`]).
     router: Router,
     /// Configured shed thresholds, kept for the `stats` response.
@@ -189,6 +192,11 @@ pub struct ServerState {
     /// The bound address, once known — used to self-connect and wake the
     /// accept loop on shutdown.
     addr: Mutex<Option<SocketAddr>>,
+    /// The TCP front end's worker slots (`threads` of them).
+    slots: Slots,
+    /// A cloned handle of every open TCP connection, by accept number, so a
+    /// shutdown can end the reads their threads are blocked in.
+    open_streams: Mutex<HashMap<u64, TcpStream>>,
     /// The longest request line a TCP connection may buffer: room for the
     /// largest `db_put`/`db_patch` body the store accepts with every byte
     /// JSON-escaped as `\u00XX`, plus 1 MiB for the rest of the request.
@@ -225,6 +233,8 @@ impl ServerState {
             shed_cost_budget_us: config.shed_cost_budget_us.max(1),
             route_counters: RouteCounters::default(),
             addr: Mutex::new(None),
+            slots: Slots::new(config.threads.max(1)),
+            open_streams: Mutex::new(HashMap::new()),
             max_line_bytes: config.store.max_body_bytes.saturating_mul(6).saturating_add(1 << 20),
         }
     }
@@ -846,7 +856,7 @@ impl ServerState {
             ),
             (
                 "rpq_ready_queue_depth",
-                "Requests extracted from connections, not yet picked up by a worker.",
+                "Complete requests waiting for a worker slot.",
                 connections.queue_depth.load(Ordering::Relaxed),
             ),
         ] {
@@ -1017,55 +1027,129 @@ fn store_error(e: &StoreError) -> Json {
     coded_error_response(e.to_string(), e.code())
 }
 
-/// One accepted TCP connection: the (non-blocking while parked) stream, the
-/// bytes read so far, and its request counter. Dropping a `Connection`
-/// closes the socket and maintains the `open` gauge.
+/// The worker slots of the TCP front end: at most `threads` requests are
+/// answered at once. Slots are granted in the order connections ask for them
+/// (a ticket queue), so a connection that pipelines requests queues behind
+/// every connection already waiting after each of its responses.
+struct Slots {
+    queue: Mutex<SlotQueue>,
+    turn: Condvar,
+}
+
+struct SlotQueue {
+    /// Slots no connection holds.
+    free: usize,
+    /// The ticket the next connection to ask draws.
+    next: u64,
+    /// The ticket whose turn it is.
+    serving: u64,
+}
+
+/// A held worker slot, given back on drop.
+struct Slot<'a>(&'a Slots);
+
+impl Slots {
+    fn new(count: usize) -> Slots {
+        Slots {
+            queue: Mutex::new(SlotQueue { free: count, next: 0, serving: 0 }),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Draws a ticket and waits until it is served and a slot is free.
+    fn acquire(&self) -> Slot<'_> {
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = queue.next;
+        queue.next += 1;
+        while queue.serving != ticket || queue.free == 0 {
+            // lint: allow(lock-discipline, wait releases the slot lock while it blocks)
+            queue = self.turn.wait(queue).unwrap_or_else(PoisonError::into_inner);
+        }
+        queue.serving += 1;
+        queue.free -= 1;
+        drop(queue);
+        // The next ticket may find a free slot too.
+        self.turn.notify_all();
+        Slot(self)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.queue.lock().unwrap_or_else(PoisonError::into_inner).free += 1;
+        self.0.turn.notify_all();
+    }
+}
+
+/// One accepted TCP connection, served on its own thread: the buffered
+/// stream and its request counter. Dropping a `Connection` takes its handle
+/// out of the shutdown registry, closes the socket and maintains the `open`
+/// gauge.
 struct Connection {
-    stream: TcpStream,
-    buffer: Vec<u8>,
-    /// How many leading bytes of `buffer` are known to hold no `\n`, so a
-    /// line arriving in many reads is scanned once, not once per read.
-    scanned: usize,
+    id: u64,
+    stream: BufReader<TcpStream>,
     requests: u64,
     state: Arc<ServerState>,
 }
 
 impl Connection {
     /// Adopts a freshly accepted stream: no-delay (one short line per
-    /// response — Nagle + delayed ACKs would add ~40 ms per round trip),
-    /// non-blocking (the poller multiplexes reads), counters bumped.
+    /// response — Nagle + delayed ACKs would add ~40 ms per round trip), a
+    /// cloned handle registered so a shutdown can end its blocked read,
+    /// counters bumped.
     fn adopt(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<Connection> {
         stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        state.connections.accepted.fetch_add(1, Ordering::Relaxed);
+        let handle = stream.try_clone()?;
+        // lint: allow(relaxed-ok, the id is only a registry key and any RMW order keeps it unique)
+        let id = state.connections.accepted.fetch_add(1, Ordering::Relaxed);
         state.connections.open.fetch_add(1, Ordering::Relaxed);
-        Ok(Connection {
-            stream,
-            buffer: Vec::new(),
-            scanned: 0,
-            requests: 0,
-            state: Arc::clone(state),
-        })
+        state.open_streams.lock().unwrap_or_else(PoisonError::into_inner).insert(id, handle);
+        Ok(Connection { id, stream: BufReader::new(stream), requests: 0, state: Arc::clone(state) })
     }
 
-    /// Takes the next non-blank `\n`-terminated line out of the buffer,
-    /// without its newline. Only bytes not scanned before are searched, eight
-    /// per step (a `solve_batch` line is ~135 KB).
-    fn next_buffered_line(&mut self) -> Option<Vec<u8>> {
+    /// Serves the connection's requests in order: reads a line, waits its
+    /// turn for a worker slot, answers. Whitespace-only lines are skipped
+    /// (the protocol ignores them), and a line the peer ends with EOF instead
+    /// of a newline is its last request — a trailing newline-less
+    /// `{"op":"shutdown"}` must still be honored. Returns when the peer
+    /// closes, a line outgrows the cap (answered `line_too_long`), a request
+    /// shuts the server down, or a shutdown began; a line that a shutdown cut
+    /// short is not answered.
+    fn serve(&mut self) -> io::Result<()> {
+        let state = Arc::clone(&self.state);
+        let cap = state.max_line_bytes;
+        let mut line = Vec::new();
         loop {
-            let unscanned = self.buffer.get(self.scanned..).unwrap_or_default();
-            let Some(pos) = find_either(unscanned, b'\n', b'\n') else {
-                self.scanned = self.buffer.len();
-                return None;
-            };
-            // The buffer up to the newline becomes the line (no copy); the
-            // bytes after it stay buffered.
-            let rest = self.buffer.split_off(self.scanned + pos + 1);
-            let mut line = std::mem::replace(&mut self.buffer, rest);
-            self.scanned = 0;
-            line.pop(); // the newline
-            if !line.iter().all(u8::is_ascii_whitespace) {
-                return Some(line);
+            line.clear();
+            (&mut self.stream).take((cap as u64).saturating_add(1)).read_until(b'\n', &mut line)?;
+            let complete = line.pop_if(|last| *last == b'\n').is_some();
+            if line.len() > cap {
+                self.note_request();
+                return self.stream.get_ref().write_all(state.line_too_long().as_bytes());
+            }
+            if line.iter().all(u8::is_ascii_whitespace) {
+                if complete {
+                    continue;
+                }
+                return Ok(()); // EOF
+            }
+            if !complete && state.is_shutting_down() {
+                return Ok(());
+            }
+            // Counted before handling so a `stats` request sees itself,
+            // matching the top-level `requests` counter's semantics.
+            self.note_request();
+            state.connections.queue_depth.fetch_add(1, Ordering::Relaxed);
+            let slot = state.slots.acquire();
+            state.connections.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            let shutdown = respond(&state, &line, &mut self.stream.get_ref())?;
+            drop(slot);
+            if shutdown {
+                state.initiate_shutdown();
+                return Ok(()); // the client saw its response
+            }
+            if !complete || state.is_shutting_down() {
+                return Ok(());
             }
         }
     }
@@ -1081,212 +1165,9 @@ impl Connection {
 
 impl Drop for Connection {
     fn drop(&mut self) {
+        self.state.open_streams.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.id);
         self.state.connections.open.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// One complete request line extracted from a connection, queued for the
-/// worker pool. The connection travels with its request, so per-connection
-/// response ordering is trivially preserved: only one worker ever holds a
-/// given connection.
-struct ReadyRequest {
-    conn: Connection,
-    line: Vec<u8>,
-    /// The peer half-closed after this line (no trailing newline at EOF):
-    /// answer it, then close instead of re-parking.
-    eof: bool,
-}
-
-/// What one poller pass observed on a parked connection.
-enum Polled {
-    /// A complete request line (plus whether the connection hit EOF).
-    Request { line: Vec<u8>, eof: bool },
-    /// No complete line yet; keep the connection parked. `read` says whether
-    /// the pass read any bytes: a large line arriving piece by piece is
-    /// progress, so the poller must not back off while it streams in.
-    Idle { read: bool },
-    /// The buffered line outgrew the cap without ending: answer
-    /// `line_too_long` and close.
-    TooLong,
-    /// Peer closed (or the connection errored) with nothing left to serve.
-    Closed,
-}
-
-/// Extracts the next request line from a parked connection, reading
-/// non-blockingly as needed. Whitespace-only lines are skipped (the protocol
-/// ignores them). A non-empty buffer at EOF is served as a final request —
-/// a trailing newline-less `{"op":"shutdown"}` must still be honored.
-fn poll_connection(conn: &mut Connection) -> Polled {
-    if let Some(line) = conn.next_buffered_line() {
-        return Polled::Request { line, eof: false };
-    }
-    // `read_to_end` reads straight into the buffer's spare capacity until the
-    // socket would block (keeping every byte it read), hits EOF or fills the
-    // buffer to one byte past the line cap; it retries `Interrupted` itself.
-    let before = conn.buffer.len();
-    let room = conn.state.max_line_bytes.saturating_add(1).saturating_sub(before) as u64;
-    let eof = match (&mut conn.stream).take(room).read_to_end(&mut conn.buffer) {
-        Ok(read) => (read as u64) < room, // stopped short of the cap: EOF
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-        Err(_) => return Polled::Closed, // reset mid-line: drop the client
-    };
-    if let Some(line) = conn.next_buffered_line() {
-        return Polled::Request { line, eof: false };
-    }
-    if conn.buffer.len() > conn.state.max_line_bytes {
-        return Polled::TooLong;
-    }
-    if eof {
-        let line = std::mem::take(&mut conn.buffer);
-        conn.scanned = 0;
-        if line.iter().all(u8::is_ascii_whitespace) {
-            return Polled::Closed;
-        }
-        return Polled::Request { line, eof: true };
-    }
-    Polled::Idle { read: conn.buffer.len() > before }
-}
-
-/// The poller's longest sleep between no-progress passes. Sleeps back off
-/// exponentially from [`POLL_BACKOFF_START_MICROS`] up to this cap, so a
-/// connection that just exchanged a request is re-polled at microsecond
-/// cadence (ping-pong round trips stay in the tens of microseconds) while a
-/// genuinely idle server settles at one wake-up per millisecond. Parked
-/// connections are only *scanned* (one non-blocking `read` each), never
-/// waited on, so no worker is ever pinned. A dedicated `epoll`/`kqueue`
-/// readiness loop would remove the scan entirely; see ROADMAP.md.
-const POLL_INTERVAL_MAX: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// First backoff sleep after a pass that made progress (doubles per idle
-/// pass up to [`POLL_INTERVAL_MAX`]).
-const POLL_BACKOFF_START_MICROS: u64 = 2;
-
-/// The poller: parks connections, extracts complete request lines, feeds the
-/// ready-queue. Exits when a shutdown is requested (dropping every parked
-/// idle connection) or when both inbound channels close.
-fn poller_loop(
-    state: &Arc<ServerState>,
-    from_accept: &mpsc::Receiver<Connection>,
-    from_workers: &mpsc::Receiver<Connection>,
-    ready: &mpsc::Sender<ReadyRequest>,
-) {
-    let mut parked: Vec<Connection> = Vec::new();
-    let mut backoff = std::time::Duration::from_micros(POLL_BACKOFF_START_MICROS);
-    loop {
-        let mut progress = false;
-        let mut inbound_open = false;
-        for inbound in [from_accept, from_workers] {
-            loop {
-                match inbound.try_recv() {
-                    Ok(conn) => {
-                        parked.push(conn);
-                        progress = true;
-                    }
-                    Err(TryRecvError::Empty) => {
-                        inbound_open = true;
-                        break;
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-        }
-        if state.is_shutting_down() {
-            // Parked connections are idle by definition — drop them (clients
-            // see EOF). In-flight requests finish in the workers.
-            return;
-        }
-        let mut i = 0;
-        while i < parked.len() {
-            // lint: allow(panic-freedom, the loop condition bounds i by the vector length)
-            match poll_connection(&mut parked[i]) {
-                Polled::Request { line, eof } => {
-                    let conn = parked.swap_remove(i);
-                    state.connections.queue_depth.fetch_add(1, Ordering::Relaxed);
-                    if ready.send(ReadyRequest { conn, line, eof }).is_err() {
-                        // Workers gone: only happens on teardown.
-                        state.connections.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        return;
-                    }
-                    progress = true;
-                }
-                Polled::Idle { read } => {
-                    progress |= read;
-                    i += 1;
-                }
-                Polled::TooLong => {
-                    let mut conn = parked.swap_remove(i);
-                    conn.note_request();
-                    // Still non-blocking: one short line fits the fresh send
-                    // buffer, and a peer that cannot take it is dropped anyway.
-                    let _ = conn.stream.write_all(state.line_too_long().as_bytes());
-                    let _ = conn.stream.shutdown(Shutdown::Write);
-                    progress = true;
-                }
-                Polled::Closed => {
-                    parked.swap_remove(i);
-                    progress = true;
-                }
-            }
-        }
-        if !inbound_open && parked.is_empty() {
-            return; // accept loop and workers both done
-        }
-        if progress {
-            backoff = std::time::Duration::from_micros(POLL_BACKOFF_START_MICROS);
-        } else {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(POLL_INTERVAL_MAX);
-        }
-    }
-}
-
-/// A worker: picks one ready request, serves it, re-parks the connection.
-fn worker_loop(
-    state: &Arc<ServerState>,
-    ready: &Arc<Mutex<mpsc::Receiver<ReadyRequest>>>,
-    park: &mpsc::Sender<Connection>,
-) {
-    loop {
-        // Holding the lock while blocked in `recv` is the standard shared-
-        // receiver pattern: exactly one idle worker waits on the channel.
-        // lint: allow(lock-discipline, exactly one idle worker blocks in recv by design)
-        let request = ready.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok(request) = request else { return }; // poller gone, queue drained
-        state.connections.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        if let Err(e) = serve_one(state, request, park) {
-            // Connection-level I/O errors (resets, truncated lines) only
-            // affect that client.
-            eprintln!("rpq-server: connection error: {e}");
-        }
-    }
-}
-
-/// Serves one request end to end: decode, handle, respond, then either
-/// re-park the connection (keep-alive), close it (EOF) or initiate shutdown.
-fn serve_one(
-    state: &Arc<ServerState>,
-    request: ReadyRequest,
-    park: &mpsc::Sender<Connection>,
-) -> io::Result<()> {
-    let ReadyRequest { mut conn, line, eof } = request;
-    // Blocking for the response write: responses can exceed the socket
-    // buffer (large batches), and a worker owns the connection anyway.
-    conn.stream.set_nonblocking(false)?;
-    // Counted before handling so a `stats` request sees itself, matching the
-    // top-level `requests` counter's semantics.
-    conn.note_request();
-    if respond(state, &line, &mut conn.stream)? {
-        state.initiate_shutdown();
-        return Ok(()); // connection drops: the client saw its response
-    }
-    if eof {
-        return Ok(());
-    }
-    conn.stream.set_nonblocking(true)?;
-    // A send error means the poller exited (shutdown raced us): the
-    // connection just closes.
-    let _ = park.send(conn);
-    Ok(())
 }
 
 /// A bound, not-yet-running server.
@@ -1315,55 +1196,53 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Accepts and serves connections until a `shutdown` request arrives.
-    /// Requests already extracted into the ready-queue are answered before
-    /// the workers exit; parked idle connections are dropped.
+    /// Accepts connections and serves each on its own thread until a
+    /// `shutdown` request arrives. Then the accept loop stops, every open
+    /// connection's blocked read is ended, and `run` joins every connection
+    /// thread before returning: complete request lines are answered, idle
+    /// connections close.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, state } = self;
-        let (to_poller, from_accept) = mpsc::channel::<Connection>();
-        let (to_workers, ready_receiver) = mpsc::channel::<ReadyRequest>();
-        let ready_receiver = Arc::new(Mutex::new(ready_receiver));
-        let (park_sender, from_workers) = mpsc::channel::<Connection>();
-
-        let poller: JoinHandle<()> = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                poller_loop(&state, &from_accept, &from_workers, &to_workers)
-            })
-        };
-        let workers: Vec<JoinHandle<()>> = (0..state.threads)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                let ready = Arc::clone(&ready_receiver);
-                let park = park_sender.clone();
-                std::thread::spawn(move || worker_loop(&state, &ready, &park))
-            })
-            .collect();
-        // Workers hold the only park senders: when they exit, the poller's
-        // from_workers channel reports disconnected.
-        drop(park_sender);
-
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let mut panicked = false;
         for stream in listener.incoming() {
             if state.is_shutting_down() {
                 break; // the stream waking us up is dropped unanswered
             }
-            match stream {
-                Ok(stream) => match Connection::adopt(&state, stream) {
-                    Ok(conn) => {
-                        let _ = to_poller.send(conn); // poller outlives accepts
-                    }
-                    Err(e) => eprintln!("rpq-server: cannot adopt connection: {e}"),
-                },
-                Err(e) => eprintln!("rpq-server: accept error: {e}"),
+            // Join the threads of closed connections as new ones arrive, so
+            // the list holds about one handle per open connection.
+            let (done, live): (Vec<_>, Vec<_>) =
+                threads.into_iter().partition(JoinHandle::is_finished);
+            threads = live;
+            for thread in done {
+                panicked |= thread.join().is_err();
+            }
+            let mut conn = match stream.and_then(|stream| Connection::adopt(&state, stream)) {
+                Ok(conn) => conn,
+                Err(e) => {
+                    eprintln!("rpq-server: cannot accept connection: {e}");
+                    continue;
+                }
+            };
+            let spawned = std::thread::Builder::new().spawn(move || {
+                if let Err(e) = conn.serve() {
+                    // Connection-level I/O errors (resets, failed writes)
+                    // only affect that client.
+                    eprintln!("rpq-server: connection error: {e}");
+                }
+            });
+            match spawned {
+                Ok(thread) => threads.push(thread),
+                // The unstarted closure was dropped, closing its connection.
+                Err(e) => eprintln!("rpq-server: cannot start a connection thread: {e}"),
             }
         }
-        drop(to_poller);
-        let mut panicked = poller.join().is_err();
-        // The poller dropped `to_workers`: workers drain the remaining ready
-        // requests (answering them) and exit. Join every thread before
-        // reporting so none is left detached.
-        for worker in workers {
-            panicked |= worker.join().is_err();
+        // A read a connection thread is blocked in returns EOF now.
+        for stream in state.open_streams.lock().unwrap_or_else(PoisonError::into_inner).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for thread in threads {
+            panicked |= thread.join().is_err();
         }
         if panicked {
             return Err(io::Error::other("a server thread panicked"));

@@ -1,17 +1,21 @@
-//! Concurrency tests for the multiplexed connection scheduler.
+//! Concurrency tests for the TCP front end's connection threads.
 //!
 //! The original server pinned one worker thread per connection for the
 //! connection's whole lifetime, so `threads` idle persistent connections
-//! starved every later client indefinitely. The scheduler now parks idle
-//! connections in a poller and hands workers *one request at a time*; these
-//! tests pin down the three properties that redesign bought:
+//! starved every later client indefinitely. Each connection now has its own
+//! thread, and `threads` bounds the *worker slots* a connection holds only
+//! while it answers one request; these tests pin down the properties that
+//! design must keep:
 //!
 //! 1. **No starvation**: a client connecting after `threads + 4` idle
 //!    persistent connections is still served (the regression test for the
 //!    original bug).
 //! 2. **Fair pipelining**: many requests buffered on one connection are
-//!    answered in order without monopolizing the pool.
-//! 3. **Correctness under load**: many clients × persistent connections ×
+//!    answered in order, and a second client is answered before they are
+//!    all done, even with one slot.
+//! 3. **Prompt shutdown**: idle connections do not keep the server from
+//!    exiting, and each sees EOF.
+//! 4. **Correctness under load**: many clients × persistent connections ×
 //!    concurrent `solve_batch` agree with the direct engine, while the
 //!    sharded cache's stats stay monotone and bounded.
 
@@ -24,7 +28,7 @@ use rpq_server::{Client, Json, QuerySpec, Request, Server, ServerConfig};
 use std::time::Duration;
 
 /// Generous bound on any single round trip: the server answers idle-free
-/// requests in microseconds, so a timeout only fires when the scheduler is
+/// requests in microseconds, so a timeout only fires when the server is
 /// actually starved (which is exactly what the regression test detects).
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -100,9 +104,9 @@ fn pipelined_requests_on_one_connection_are_answered_in_order() {
 
     let mut stream = std::net::TcpStream::connect(running.addr).unwrap();
     stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
-    // 16 requests written back to back before reading anything: the poller
-    // must slice the buffer into lines and re-queue the connection after
-    // each response, preserving order.
+    // 16 requests written back to back before reading anything: the server
+    // must slice the buffer into lines and answer them one by one,
+    // preserving order.
     let words = ["ab", "axb", "axxb", "ba"];
     let mut pipelined = String::new();
     for i in 0..16 {
@@ -142,7 +146,7 @@ fn a_line_arriving_in_many_pieces_is_answered_before_the_requests_behind_it() {
     let running = server.spawn().unwrap();
 
     // A ~87 KB `solve_batch` line (16 flow networks of ~400 facts each),
-    // written in 40 pieces with pauses, so the poller sees dozens of
+    // written in 40 pieces with pauses, so the server sees dozens of
     // partial reads before the newline.
     let engine = Engine::new();
     let prepared = engine.prepare(&Rpq::parse("ax*b").unwrap().with_bag_semantics()).unwrap();
@@ -164,7 +168,7 @@ fn a_line_arriving_in_many_pieces_is_answered_before_the_requests_behind_it() {
     stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
     stream.set_nodelay(true).unwrap();
     // The last piece goes out in one write with two small requests, so the
-    // poller finds both behind the large line's newline in its buffer.
+    // server finds both behind the large line's newline in its buffer.
     let small = Request::Solve {
         query: QuerySpec::new("ax*b"),
         db: text::serialize(&word_path(&Word::from_str_word("axxb"))),
@@ -206,6 +210,89 @@ fn a_line_arriving_in_many_pieces_is_answered_before_the_requests_behind_it() {
     let mut closer = connect(running.addr);
     closer.request(&Request::Shutdown).unwrap();
     running.join().unwrap();
+}
+
+#[test]
+fn a_pipelining_connection_cannot_keep_the_only_slot() {
+    use std::io::{BufRead, BufReader, Write};
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig { threads: 1, ..ServerConfig::default() })
+            .unwrap();
+    let running = server.spawn().unwrap();
+    let addr = running.addr;
+    // Connection B is open and served once before A starts, so its thread
+    // is already waiting in a read when B asks again.
+    let mut client = connect(addr);
+    client.request(&Request::Stats).expect("warm-up response");
+
+    // Connection A pipelines 16 solves of a few milliseconds each: exact
+    // searches for `aa` on a 200-fact path.
+    let db = text::serialize(&word_path(&Word::from_str_word(&"a".repeat(200))));
+    let query = QuerySpec { want_cut: Some(false), ..QuerySpec::new("aa") };
+    let mut line = Request::Solve { query, db }.to_json().to_string();
+    line.push('\n');
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    stream.write_all(line.repeat(16).as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("pipelined response");
+        let response = Json::parse(response.trim()).unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
+    };
+    next();
+
+    // Connection B asks once while A still has 15 requests to go: after the
+    // request A is answering now, B's turn comes before A's next one. The
+    // router's counters in B's answer say how many of A's solves were done
+    // when B was served.
+    let stats = client.request(&Request::Stats).expect("stats response");
+    let router = stats.get("router").unwrap();
+    let solved: i128 =
+        ["poly", "exact", "approx"].iter().map(|t| router.get(t).unwrap().as_int().unwrap()).sum();
+    assert!(solved < 16, "B waited out all 16 of A's pipelined requests: {stats}");
+    (1..16).for_each(|_| next());
+
+    client.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
+}
+
+#[test]
+fn shutdown_closes_idle_connections_and_returns_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    let running = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn().unwrap();
+    // Three connections go idle after one request each.
+    let mut idle: Vec<BufReader<std::net::TcpStream>> = (0..3)
+        .map(|_| {
+            let mut stream = std::net::TcpStream::connect(running.addr).unwrap();
+            stream.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+            stream.write_all(format!("{}\n", Request::Stats.to_json()).as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("warm-up response");
+            assert!(response.contains("\"ok\":true"), "{response}");
+            reader
+        })
+        .collect();
+
+    // The last one has started a line that a shutdown cuts short.
+    idle[2].get_mut().write_all(br#"{"op":"stats""#).unwrap();
+    connect(running.addr).request(&Request::Shutdown).unwrap();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(running.join()));
+    let exited = joined.recv_timeout(RESPONSE_TIMEOUT / 4);
+    exited.expect("the server exits with idle connections open").unwrap();
+    // Each reads EOF, and the cut-short line gets no answer. Its unread
+    // bytes may make the close reach the client as a reset.
+    for (i, mut reader) in idle.into_iter().enumerate() {
+        let mut rest = String::new();
+        match reader.read_line(&mut rest) {
+            Ok(read) => assert_eq!(read, 0, "connection {i}: {rest}"),
+            Err(e) if i == 2 => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+            Err(e) => panic!("connection {i}: {e}"),
+        }
+    }
 }
 
 /// The stress corpus: word paths for `ax*b` with known resilience values.

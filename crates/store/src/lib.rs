@@ -612,16 +612,9 @@ impl Store {
                 Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
                     // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
                     let delta = Some(&log[s.offset..offset]);
-                    let at = LogPosition { log: *generation, offset };
+                    let (solver, at) = (&mut s.solver, LogPosition { log: *generation, offset });
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental_at(
-                        &mut s.solver,
-                        at,
-                        &graph,
-                        delta,
-                        call,
-                        trace,
-                    );
+                    let result = prepared.route_incremental(solver, at, &graph, delta, call, trace);
                     // A degraded answer leaves the retained flow parked at
                     // its old frontier — do not advance past facts the
                     // network never saw.
@@ -645,7 +638,7 @@ impl Store {
                     };
                     let (solver, at) = (&mut s.solver, LogPosition { log: *generation, offset });
                     // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let out = prepared.route_incremental_at(solver, at, &graph, None, call, trace);
+                    let out = prepared.route_incremental(solver, at, &graph, None, call, trace);
                     *session = Some(s);
                     out
                 }

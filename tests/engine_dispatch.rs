@@ -11,7 +11,7 @@ use common::FAMILIES;
 use rpq::automata::{Alphabet, Language, Word};
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
 use rpq::resilience::algorithms::{Algorithm, ResilienceError};
-use rpq::resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveOptions};
+use rpq::resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveOptions};
 use rpq::resilience::obs::Trace;
 use rpq::resilience::router::RouteBudget;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
@@ -261,8 +261,9 @@ fn every_solve_shape_routes_identically_under_each_budget() {
                 }
                 for (db, expected) in dbs.iter().zip(&single) {
                     let mut solver = IncrementalSolver::new();
+                    let at = LogPosition { log: 0, offset: db.num_facts() };
                     let (tiered, _) = prepared
-                        .route_incremental(&mut solver, db, None, &call, &mut Trace::disabled())
+                        .route_incremental(&mut solver, at, db, None, &call, &mut Trace::disabled())
                         .unwrap();
                     assert_eq!(&tiered, expected, "{pattern}, {budget:?}, incremental");
                 }

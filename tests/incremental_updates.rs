@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use rpq::automata::alphabet::Letter;
 use rpq::graphdb::delta::{materialize, FactChange};
 use rpq::resilience::algorithms::Algorithm;
-use rpq::resilience::engine::{Engine, IncrementalSolver, SolveCall, SolveMode};
+use rpq::resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveMode};
 use rpq::resilience::obs::Trace;
 use rpq::resilience::rpq::{ResilienceValue, Rpq};
 
@@ -81,8 +81,9 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> us
         let db = materialize(&log);
         let want_cut = round % 2 == 0;
         let call = SolveCall::new(want_cut);
+        let at = LogPosition { log: 0, offset: log.len() };
         let (routed, mode) = prepared
-            .route_incremental(&mut solver, &db, Some(&delta), &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at, &db, Some(&delta), &call, &mut Trace::disabled())
             .unwrap_or_else(|e| panic!("{pattern} round {round}: {e}"));
         let incremental = routed.outcome;
         if mode == SolveMode::Incremental {
@@ -148,9 +149,9 @@ fn local_disjunctions_and_bag_semantics_stay_consistent() {
 
 #[test]
 fn alternating_databases_with_no_delta_match_fresh_solves() {
-    // One solver serves two unrelated databases in turn. Each switch passes
-    // no delta, as the solver's contract asks, so every solve rebuilds and
-    // must match a fresh solve. Both logs keep growing between visits.
+    // One solver serves two unrelated databases in turn, one log each. Each
+    // switch passes no delta, so every solve rebuilds and must match a fresh
+    // solve. Both logs keep growing between visits.
     let query = Rpq::parse("ab").unwrap();
     let prepared = Engine::new().prepare(&query).unwrap();
     let mut solver = IncrementalSolver::new();
@@ -161,8 +162,9 @@ fn alternating_databases_with_no_delta_match_fresh_solves() {
         log.extend(random_delta(&mut rng, log, 6, &['a', 'b', 'x']));
         let db = materialize(log);
         let call = SolveCall::new(true);
+        let at = LogPosition { log: (round % 2) as u64, offset: log.len() };
         let (routed, mode) = prepared
-            .route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at, &db, None, &call, &mut Trace::disabled())
             .unwrap();
         assert_eq!(mode, SolveMode::Full, "round {round}");
         let fresh = prepared.solve(&db).unwrap();
@@ -239,7 +241,10 @@ fn huge_bag_totals_stay_incremental() {
     let mut solver = IncrementalSolver::new();
     let call = SolveCall::new(true);
     let db = materialize(&log);
-    prepared.route_incremental(&mut solver, &db, None, &call, &mut Trace::disabled()).unwrap();
+    let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
+    prepared
+        .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+        .unwrap();
     let sorted = |set: Option<Vec<_>>| {
         let mut set = set.expect("a finite solve has a witness");
         set.sort_unstable();
@@ -264,7 +269,14 @@ fn huge_bag_totals_stay_incremental() {
         log.extend(delta.iter().cloned());
         let db = materialize(&log);
         let (routed, mode) = prepared
-            .route_incremental(&mut solver, &db, Some(&delta), &call, &mut Trace::disabled())
+            .route_incremental(
+                &mut solver,
+                at(&log),
+                &db,
+                Some(&delta),
+                &call,
+                &mut Trace::disabled(),
+            )
             .unwrap();
         let step = format!("- {source} {label} {target}");
         assert_eq!(mode, SolveMode::Incremental, "{step}");
