@@ -32,8 +32,11 @@
 //! ε-contraction and terminal merges (an insert could invalidate them). Its
 //! vertices carry identities the delta language can address:
 //!
-//! * node *names* are interned to stable block indices (the store's
-//!   materializations renumber `NodeId`s freely);
+//! * node *names* are interned to stable block indices, since a database
+//!   handed to a solve may number its nodes unlike the one before. Along
+//!   one store log it does not (the store's fold never renumbers a node),
+//!   so [`IncrementalLocalState::cut_to_facts`] first tries block `b` as
+//!   node `b`;
 //! * each block keeps the masks of the states facts enter it at and leave
 //!   it from, and `(block, state)` is a vertex exactly when the batch path's
 //!   formula ([`ProductShape::used`]) uses the state under them:
@@ -93,7 +96,7 @@ use rpq_automata::alphabet::Letter;
 use rpq_automata::ro_enfa::RoEnfa;
 use rpq_flow::{Capacity, CsrFlow, EdgeId, FlowScratch, VertexId};
 use rpq_graphdb::delta::FactChange;
-use rpq_graphdb::{Fact, FactId, GraphDb};
+use rpq_graphdb::{Fact, FactId, GraphDb, NodeId};
 use rpq_obs::Trace;
 use std::collections::HashMap;
 
@@ -488,15 +491,26 @@ impl IncrementalLocalState {
     /// `db`, so they are skipped; the remaining facts form an optimal
     /// contingency set.
     fn cut_to_facts(&self, cut_edges: &[EdgeId], db: &GraphDb) -> Vec<FactId> {
+        // Along one log the store's fold never renumbers a node, so block
+        // `b` is usually node `b`: one byte comparison checks it. A put
+        // whose letter the automaton does not read makes a node but no
+        // block, so a mismatch falls back to hashing the name.
+        let node = |block: u32| {
+            let name = &self.names[block as usize];
+            let guess = NodeId(block);
+            if (block as usize) < db.num_nodes() && db.node_name(guess) == name {
+                Some(guess)
+            } else {
+                db.find_node(name)
+            }
+        };
         let mut facts = Vec::with_capacity(cut_edges.len());
         for &e in cut_edges {
             let (ub, letter, vb) = self.edge_key[e.index()];
             if ub == NO_KEY {
                 continue;
             }
-            let (Some(u), Some(v)) =
-                (db.find_node(&self.names[ub as usize]), db.find_node(&self.names[vb as usize]))
-            else {
+            let (Some(u), Some(v)) = (node(ub), node(vb)) else {
                 continue;
             };
             if let Some(f) = db.find_fact(u, letter, v) {

@@ -12,7 +12,9 @@
 //!   with the looked-up name, the fact table by comparing `facts[id]`. A name
 //!   is therefore stored once, not once more as an owned map key. Tables are
 //!   kept at most half full and are pre-sized by the bulk builders
-//!   ([`crate::text::parse`], [`crate::delta::Replay::build`]).
+//!   ([`crate::text::parse`], [`crate::delta::materialize`]). Removing a fact
+//!   ([`GraphDb::remove_fact`]) deletes its slot by backward shift, so no
+//!   tombstones build up and no name is hashed.
 //! * **Keyed hashing.** Both tables hash with std's randomly keyed
 //!   [`RandomState`]: node names come from requests, and an unkeyed hasher
 //!   would let a client choose names that all collide (HashDoS). A fact is
@@ -25,11 +27,11 @@
 //! * **Lazy adjacency.** [`GraphDb::out_facts`] and [`GraphDb::in_facts`]
 //!   read CSR offset/id arrays built by one counting pass on first use and
 //!   cached in a [`OnceLock`], which is `Sync` because databases are shared
-//!   through `Arc`. Adding a node or a fact drops the cache (multiplicities
-//!   and exogenous flags are not part of it). Each node lists its facts in
-//!   ascending id order. The local-language product build (Theorem 3.13)
-//!   iterates [`GraphDb::facts`] and never reads adjacency, so solving a
-//!   parsed database with it never builds the cache.
+//!   through `Arc`. Adding a node or adding or removing a fact drops the
+//!   cache (multiplicities and exogenous flags are not part of it). Each
+//!   node lists its facts in ascending id order. The local-language product
+//!   build (Theorem 3.13) iterates [`GraphDb::facts`] and never reads
+//!   adjacency, so solving a parsed database with it never builds the cache.
 
 use rpq_automata::alphabet::{Alphabet, Letter};
 use std::collections::hash_map::RandomState;
@@ -286,6 +288,57 @@ impl GraphDb {
         self.adjacency.take();
         Some(FactId(id))
     }
+
+    /// Inserts the fact, or overwrites its multiplicity and exogenous flag if
+    /// it is present (the put of a fact log, see [`crate::delta`]). One probe
+    /// of the fact table either way.
+    pub(crate) fn put_fact(
+        &mut self,
+        source: NodeId,
+        label: Letter,
+        target: NodeId,
+        multiplicity: u64,
+        exogenous: bool,
+    ) -> FactId {
+        assert!(multiplicity > 0, "bag multiplicities must be positive");
+        let fact = Fact { source, label, target };
+        let hash = self.hasher.hash_one(fact.key());
+        let id = next_id(self.facts.len());
+        let facts = &self.facts;
+        match self.fact_index.find_or_insert(hash, id, |probe| facts[probe as usize] == fact) {
+            Some(existing) => {
+                let i = existing as usize;
+                self.multiplicities[i] = multiplicity;
+                self.exogenous[i] = exogenous;
+                FactId(existing)
+            }
+            None => {
+                self.facts.push(fact);
+                self.multiplicities.push(multiplicity);
+                self.exogenous.push(exogenous);
+                self.adjacency.take();
+                FactId(id)
+            }
+        }
+    }
+
+    /// Removes a fact by **swap-remove**: the last fact takes the removed
+    /// fact's id, and every other id stays. Nodes are untouched. Costs one
+    /// hash of each of the two facts' keys, and no name is hashed.
+    pub fn remove_fact(&mut self, id: FactId) {
+        let i = id.index();
+        let removed = self.facts[i];
+        self.fact_index.remove(self.hasher.hash_one(removed.key()), id.0);
+        self.facts.swap_remove(i);
+        self.multiplicities.swap_remove(i);
+        self.exogenous.swap_remove(i);
+        if let Some(&moved) = self.facts.get(i) {
+            let last = self.facts.len() as u32;
+            self.fact_index.repoint(self.hasher.hash_one(moved.key()), last, id.0);
+        }
+        self.adjacency.take();
+    }
+
     /// Sets the multiplicity of an existing fact.
     pub fn set_multiplicity(&mut self, fact: FactId, multiplicity: u64) {
         assert!(multiplicity > 0, "bag multiplicities must be positive");
@@ -604,6 +657,48 @@ impl IdTable {
         self.slots[vacant] = Slot { tag, id: NonZeroU32::new(id + 1) };
         self.len += 1;
         None
+    }
+
+    /// The slot holding `id` on `hash`'s probe sequence. Panics if `id` is
+    /// not in the table under that hash.
+    fn slot_of(&self, hash: u64, id: u32) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = hash as u32 as usize & mask;
+        loop {
+            let held = self.slots[i].id.expect("the id is in the table");
+            if held.get() - 1 == id {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Removes `id` (entered under `hash`) by **backward-shift deletion**:
+    /// each later slot of the probe cluster that may live in the hole moves
+    /// into it, so lookups never meet a gap on their probe sequence and the
+    /// table needs no tombstones. Slots move by their tags alone.
+    fn remove(&mut self, hash: u64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.slot_of(hash, id);
+        let mut i = (hole + 1) & mask;
+        while let Slot { tag, id: Some(_) } = self.slots[i] {
+            // The slot may fill the hole when the hole lies on its probe
+            // sequence: its home is at or before the hole, cyclically.
+            let home = tag as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i];
+                hole = i;
+            }
+            i = (i + 1) & mask;
+        }
+        self.slots[hole] = Slot::default();
+        self.len -= 1;
+    }
+
+    /// Re-points the slot of `id` (entered under `hash`) to `new_id`.
+    fn repoint(&mut self, hash: u64, id: u32, new_id: u32) {
+        let i = self.slot_of(hash, id);
+        self.slots[i].id = NonZeroU32::new(new_id + 1);
     }
 }
 

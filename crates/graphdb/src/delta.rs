@@ -3,9 +3,9 @@
 //! `rpq-store` models a hosted database as a log of [`FactChange`] entries; a
 //! *snapshot* is simply a log offset, so taking one is O(1) and immutable by
 //! construction. This module owns the change vocabulary, the text format for
-//! patches, and the [`Replay`] that [materializes](materialize) a log prefix
-//! into a concrete [`GraphDb`] — once from scratch, or entry by entry as the
-//! log grows.
+//! patches, and the fold of a log into a concrete [`GraphDb`]: [`apply`]
+//! applies changes to a database in place, and [`materialize`] is [`apply`]
+//! on an empty database.
 //!
 //! A patch is line-based, mirroring [`crate::text`]:
 //!
@@ -19,11 +19,35 @@
 //!
 //! **Put overwrites.** Re-putting an existing `(source, label, target)` fact
 //! replaces its multiplicity and exogenous flag — it does not accumulate the
-//! multiplicities the way [`GraphDb::add_fact_with_multiplicity`] does. This
-//! makes replay order-insensitive per key (last write wins) and gives patches
-//! upsert semantics.
+//! multiplicities the way [`GraphDb::add_fact_with_multiplicity`] does. The
+//! last write to a key wins, and patches have upsert semantics.
+//!
+//! # Numbering
+//!
+//! The fold numbers nodes and facts by these rules alone:
+//!
+//! * a put of a new key appends its fact, and a name not seen before appends
+//!   its node (source first);
+//! * a put of a present key overwrites the fact's multiplicity and exogenous
+//!   flag, and keeps its id;
+//! * a delete removes its fact by **swap-remove**: the last fact takes the
+//!   deleted fact's id ([`GraphDb::remove_fact`]);
+//! * nodes are never removed or renumbered, so a node whose facts were all
+//!   deleted stays.
+//!
+//! **The numbering is a contract.** Advancing any materialization of
+//! `log[..n]` by `log[n..m]` numbers nodes and facts exactly as
+//! `materialize(&log[..m])` does, since both are the same fold. `rpq-store`
+//! relies on it twice: it advances its newest materialization in place
+//! instead of rebuilding the head, and its result cache keeps the
+//! [`FactId`](crate::FactId)s of a solved snapshot and renders them against
+//! whichever materialization of that snapshot exists when the cache hits,
+//! which may be a from-scratch fold after an eviction. `db_put` caches the
+//! database [`crate::text::parse`] built: the fold of its
+//! [`changes_from_db`] log numbers it alike, because the parser creates
+//! nodes only for facts, in the same first-appearance order.
 
-use crate::db::{GraphDb, NodeId};
+use crate::db::GraphDb;
 use crate::text::{self, ParseError};
 use rpq_automata::alphabet::Letter;
 
@@ -157,147 +181,88 @@ pub fn changes_from_db(db: &GraphDb) -> Vec<FactChange> {
         .collect()
 }
 
-/// Replays a change log into a concrete [`GraphDb`]: `Replay::default()`,
-/// [extended](Replay::extend) over `changes`, then [built](Replay::build).
-///
-/// Surviving facts are inserted in the order their key was **first put**, and
-/// nodes in the order they first appear among the surviving facts, so two
-/// logs with the same net effect produce databases with identical node and
-/// fact numbering as long as their first-put orders agree — in particular
-/// `materialize(&log[..n])` followed by the remaining changes always agrees
-/// with `materialize(&log[..m])` for `n <= m` on the shared facts.
-///
-/// **The numbering is a contract.** `rpq-store`'s result cache keeps the
-/// [`FactId`](crate::FactId)s of a solved snapshot and renders them against
-/// whichever materialization of that snapshot exists when the cache hits:
-/// the cut may have been computed on a head built from an extended
-/// [`Replay`] and be rendered against a from-scratch rebuild after an
-/// eviction. Every materialization of one log prefix must therefore number
-/// facts and nodes exactly as this function does.
+/// Applies `changes` to `db` in place, in order (see the
+/// [numbering rules](self#numbering)). A delete of an absent fact, or of a
+/// fact between names `db` does not have, is a no-op and adds no node.
+pub fn apply(db: &mut GraphDb, changes: &[FactChange]) {
+    for change in changes {
+        match change {
+            FactChange::Put { source, label, target, multiplicity, exogenous } => {
+                let s = db.node(source);
+                let t = db.node(target);
+                db.put_fact(s, *label, t, *multiplicity, *exogenous);
+            }
+            FactChange::Delete { source, label, target } => {
+                let (Some(s), Some(t)) = (db.find_node(source), db.find_node(target)) else {
+                    continue;
+                };
+                if let Some(id) = db.find_fact(s, *label, t) {
+                    db.remove_fact(id);
+                }
+            }
+        }
+    }
+}
+
+/// The database a change log describes: [`apply`] on an empty database whose
+/// tables are sized for one node and one fact per entry.
 pub fn materialize(changes: &[FactChange]) -> GraphDb {
-    let mut replay = Replay::default();
-    replay.extend(changes);
-    replay.build()
-}
-
-/// The replay state of a change log, kept so a growing log can be replayed
-/// by its new entries alone.
-///
-/// `keys` holds every node name and every `(source, label, target)` key ever
-/// put, interned once (a `GraphDb` used for its id tables only): its node
-/// ids are the replay's name ids and its fact ids are the keys' first-put
-/// ranks. `states[rank]` is the key's current
-/// multiplicity and exogenous flag (`None` once deleted). Extending costs one
-/// hash probe per name and one per key of each new entry; [`Replay::build`]
-/// then hashes each surviving node name once.
-#[derive(Debug, Clone, Default)]
-pub struct Replay {
-    keys: GraphDb,
-    states: Vec<Option<(u64, bool)>>,
-    live: usize,
-}
-
-impl Replay {
-    /// Applies `changes` after the entries replayed so far.
-    pub fn extend(&mut self, changes: &[FactChange]) {
-        for change in changes {
-            match change {
-                FactChange::Put { source, label, target, multiplicity, exogenous } => {
-                    let s = self.keys.node(source);
-                    let t = self.keys.node(target);
-                    let rank = self.keys.add_fact(s, *label, t).index();
-                    if rank == self.states.len() {
-                        self.states.push(None);
-                    }
-                    let state = &mut self.states[rank];
-                    self.live += usize::from(state.is_none());
-                    *state = Some((*multiplicity, *exogenous));
-                }
-                FactChange::Delete { source, label, target } => {
-                    let (Some(s), Some(t)) =
-                        (self.keys.find_node(source), self.keys.find_node(target))
-                    else {
-                        continue;
-                    };
-                    if let Some(rank) = self.keys.find_fact(s, *label, t) {
-                        let state = &mut self.states[rank.index()];
-                        self.live -= usize::from(state.is_some());
-                        *state = None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The number of facts alive after the entries replayed so far.
-    pub fn live_facts(&self) -> usize {
-        self.live
-    }
-
-    /// The database the entries replayed so far describe, numbered exactly as
-    /// [`materialize`] numbers it.
-    pub fn build(&self) -> GraphDb {
-        let nodes = self.keys.num_nodes().min(2 * self.live);
-        let mut db = GraphDb::with_capacity(nodes, self.live);
-        // Name id -> node id of `db`, assigned on the name's first use.
-        let mut node_of: Vec<Option<NodeId>> = vec![None; self.keys.num_nodes()];
-        let mut node = |db: &mut GraphDb, name: NodeId| {
-            *node_of[name.0 as usize].get_or_insert_with(|| db.node(self.keys.node_name(name)))
-        };
-        for ((_, key), state) in self.keys.facts().zip(&self.states) {
-            if let Some((multiplicity, exogenous)) = *state {
-                let s = node(&mut db, key.source);
-                let t = node(&mut db, key.target);
-                let id = db.add_fact_with_multiplicity(s, key.label, t, multiplicity);
-                if exogenous {
-                    db.set_exogenous(id, true);
-                }
-            }
-        }
-        db
-    }
+    let mut db = GraphDb::with_capacity(changes.len(), changes.len());
+    apply(&mut db, changes);
+    db
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::NodeId;
     use crate::text;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashMap;
 
-    /// The replay as it was written before it hashed each entry once: two
-    /// maps, `alive` and `ever_put`, and a `GraphDb` grown from empty. It is
-    /// the reference [`materialize`] must match id for id.
-    fn materialize_reference(changes: &[FactChange]) -> GraphDb {
-        let mut alive: HashMap<(&str, Letter, &str), (u64, bool)> = HashMap::new();
-        let mut ever_put: HashMap<(&str, Letter, &str), ()> = HashMap::new();
-        let mut order: Vec<(&str, Letter, &str)> = Vec::new();
+    /// The fold kept the obvious way: names and facts in plain `Vec`s,
+    /// found by linear scans. It is the reference [`materialize`] must match
+    /// id for id, built into a `GraphDb` by adding its nodes and facts in id
+    /// order.
+    fn materialize_model<'a>(changes: &'a [FactChange]) -> GraphDb {
+        let mut names: Vec<&str> = Vec::new();
+        let mut facts: Vec<(usize, Letter, usize, u64, bool)> = Vec::new();
+        let position = |names: &[&str], name: &str| names.iter().position(|&n| n == name);
         for change in changes {
             match change {
                 FactChange::Put { source, label, target, multiplicity, exogenous } => {
-                    let key = (source.as_str(), *label, target.as_str());
-                    alive.insert(key, (*multiplicity, *exogenous));
-                    if ever_put.insert(key, ()).is_none() {
-                        order.push(key);
+                    let mut node = |name: &'a str| {
+                        position(&names, name).unwrap_or_else(|| {
+                            names.push(name);
+                            names.len() - 1
+                        })
+                    };
+                    let (s, t) = (node(source), node(target));
+                    let state = (s, *label, t, *multiplicity, *exogenous);
+                    match facts.iter().position(|f| (f.0, f.1, f.2) == (s, *label, t)) {
+                        Some(i) => facts[i] = state,
+                        None => facts.push(state),
                     }
                 }
                 FactChange::Delete { source, label, target } => {
-                    alive.remove(&(source.as_str(), *label, target.as_str()));
+                    let (Some(s), Some(t)) = (position(&names, source), position(&names, target))
+                    else {
+                        continue;
+                    };
+                    if let Some(i) = facts.iter().position(|f| (f.0, f.1, f.2) == (s, *label, t)) {
+                        facts.swap_remove(i);
+                    }
                 }
             }
         }
         let mut db = GraphDb::new();
-        for key in order {
-            if let Some(&(multiplicity, exogenous)) = alive.get(&key) {
-                let (source, label, target) = key;
-                let s = db.node(source);
-                let t = db.node(target);
-                let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
-                if exogenous {
-                    db.set_exogenous(id, true);
-                }
-            }
+        for name in names {
+            db.node(name);
+        }
+        for (s, label, t, multiplicity, exogenous) in facts {
+            let (s, t) = (NodeId(s as u32), NodeId(t as u32));
+            let id = db.add_fact_with_multiplicity(s, label, t, multiplicity);
+            db.set_exogenous(id, exogenous);
         }
         db
     }
@@ -340,56 +305,86 @@ mod tests {
     }
 
     #[test]
-    fn materialize_matches_the_two_map_reference_on_random_logs() {
+    fn materialize_matches_a_vec_model_of_the_fold_on_random_logs() {
         for seed in 0..600 {
             let log = random_log(seed);
             for end in [log.len() / 2, log.len()] {
-                let (got, want) = (materialize(&log[..end]), materialize_reference(&log[..end]));
+                let (got, want) = (materialize(&log[..end]), materialize_model(&log[..end]));
                 assert_same_numbering(&got, &want, &format!("seed {seed}"));
             }
         }
     }
 
     #[test]
-    fn replay_extended_in_chunks_builds_every_prefix_materialization() {
+    fn apply_in_chunks_matches_every_prefix_materialization() {
         for seed in 0..300 {
             let log = random_log(seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-            let mut replay = Replay::default();
+            let mut db = GraphDb::new();
             let mut at = 0;
             loop {
                 let want = materialize(&log[..at]);
-                assert_same_numbering(&replay.build(), &want, &format!("seed {seed} at {at}"));
-                assert_eq!(replay.live_facts(), want.num_facts(), "seed {seed} at {at}");
+                assert_same_numbering(&db, &want, &format!("seed {seed} at {at}"));
                 if at == log.len() {
                     break;
                 }
                 let end = (at + rng.gen_range(0..8usize)).min(log.len());
-                replay.extend(&log[at..end]);
+                apply(&mut db, &log[at..end]);
                 at = end;
             }
         }
     }
 
     #[test]
-    fn replay_renumbers_nodes_when_the_fact_that_introduced_them_is_deleted_and_reput() {
-        // `s a u` introduces `s` and `u`; deleting it makes `u` (then `s`)
-        // first appear in later facts, and re-putting it keeps rank 0.
+    fn a_delete_swaps_the_last_fact_in_and_keeps_every_node() {
+        // Deleting fact 0 moves the last fact, `v b s`, to id 0; the nodes
+        // keep their ids, and the re-put appends.
         let log = parse_patch("+ s a u\n+ u x v\n+ v b s\n- s a u\n+ s a u 2\n").unwrap();
-        let mut replay = Replay::default();
+        let mut db = GraphDb::new();
         for (at, change) in log.iter().enumerate() {
-            replay.extend(std::slice::from_ref(change));
+            apply(&mut db, std::slice::from_ref(change));
             let want = materialize(&log[..=at]);
-            assert_same_numbering(&replay.build(), &want, &format!("after entry {at}"));
+            assert_same_numbering(&db, &want, &format!("after entry {at}"));
         }
         let deleted = materialize(&log[..4]);
         let names: Vec<&str> = deleted.nodes().map(|n| deleted.node_name(n)).collect();
-        assert_eq!(names, ["u", "v", "s"]);
-        let reput = replay.build();
-        let names: Vec<&str> = reput.nodes().map(|n| reput.node_name(n)).collect();
         assert_eq!(names, ["s", "u", "v"]);
-        assert_eq!(reput.display_fact(crate::FactId(0)), "s -a-> u");
-        assert_eq!(reput.multiplicity(crate::FactId(0)), 2);
+        let facts: Vec<String> = deleted.fact_ids().map(|f| deleted.display_fact(f)).collect();
+        assert_eq!(facts, ["v -b-> s", "u -x-> v"]);
+        let facts: Vec<String> = db.fact_ids().map(|f| db.display_fact(f)).collect();
+        assert_eq!(facts, ["v -b-> s", "u -x-> v", "s -a-> u"]);
+        assert_eq!(db.multiplicity(crate::FactId(2)), 2);
+        // A node whose last fact is deleted stays.
+        let db = materialize(&parse_patch("+ p a q\n- p a q\n").unwrap());
+        assert_eq!((db.num_nodes(), db.num_facts()), (2, 0));
+    }
+
+    #[test]
+    fn materialize_numbers_a_parsed_database_as_the_parser_does() {
+        // `db_put` caches the parsed database at the offset the fold later
+        // advances: both must number nodes and facts alike, repeated lines
+        // (bag accumulation, exogenous marks) included.
+        let names = ["u", "v", "w", "é", "_n1"];
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(0..30usize) {
+                let source = names[rng.gen_range(0..names.len())];
+                let target = names[rng.gen_range(0..names.len())];
+                let label = ['a', 'b'][rng.gen_range(0..2usize)];
+                text.push_str(&format!("{source} {label} {target}"));
+                if rng.gen_bool(0.4) {
+                    text.push_str(&format!(" {}", rng.gen_range(1..4u64)));
+                }
+                if rng.gen_bool(0.2) {
+                    text.push_str(" !");
+                }
+                text.push('\n');
+            }
+            let parsed = text::parse(&text).unwrap();
+            let folded = materialize(&changes_from_db(&parsed));
+            assert_same_numbering(&folded, &parsed, &format!("seed {seed}: {text:?}"));
+        }
     }
 
     /// The patch parser as it was written before it shared the tokenizer of
@@ -531,14 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn deletes_are_idempotent_and_reinsertions_keep_first_put_order() {
+    fn deletes_are_idempotent_and_reinsertions_append() {
         let changes = parse_patch("+ a x b\n+ b x c\n- a x b\n- a x b\n+ a x b 7\n").unwrap();
         let db = materialize(&changes);
         assert_eq!(db.num_facts(), 2);
-        // `a x b` keeps its original position 0 despite the delete/reinsert.
-        let (first_id, first) = db.facts().next().unwrap();
-        assert_eq!(db.node_name(first.source), "a");
-        assert_eq!(db.multiplicity(first_id), 7);
+        // The delete moved `b x c` to id 0, and the re-put `a x b` comes last;
+        // `a` keeps node id 0.
+        let facts: Vec<String> = db.fact_ids().map(|f| db.display_fact(f)).collect();
+        assert_eq!(facts, ["b -x-> c", "a -x-> b"]);
+        assert_eq!(db.multiplicity(crate::FactId(1)), 7);
+        assert_eq!(db.find_node("a"), Some(NodeId(0)));
     }
 
     #[test]

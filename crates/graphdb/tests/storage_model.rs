@@ -1,6 +1,7 @@
 //! Model test of `GraphDb` storage: random sequences of every mutating call
-//! run against a plain `Vec`/`BTreeMap` model, with lookups and adjacency
-//! checked between mutations (so a stale adjacency cache fails the test).
+//! (fact removal included) run against a plain `Vec`/`BTreeMap` model, with
+//! lookups and adjacency checked between mutations (so a stale adjacency
+//! cache fails the test).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +57,18 @@ impl Model {
         self.multiplicities.push(multiplicity);
         self.exogenous.push(false);
         Some(id)
+    }
+
+    /// `remove_fact`: swap-remove, the last fact takes the removed id.
+    fn remove(&mut self, id: u32) {
+        let i = id as usize;
+        let removed = self.facts.swap_remove(i);
+        self.multiplicities.swap_remove(i);
+        self.exogenous.swap_remove(i);
+        self.by_fact.remove(&removed);
+        if let Some(&moved) = self.facts.get(i) {
+            self.by_fact.insert(moved, id);
+        }
     }
 
     /// The same nodes with the facts `keep` selects, copied in id order and
@@ -135,7 +148,7 @@ fn random_operation_sequences_match_the_model() {
         for _ in 0..rng.gen_range(0..80usize) {
             let n = model.names.len() as u32;
             let endpoints = |rng: &mut StdRng| (rng.gen_range(0..n), rng.gen_range(0..n));
-            match rng.gen_range(0..14u32) {
+            match rng.gen_range(0..15u32) {
                 0..=2 => {
                     let name = pool[rng.gen_range(0..pool.len())];
                     assert_eq!(db.node(name).0, model.node(name));
@@ -195,6 +208,16 @@ fn random_operation_sequences_match_the_model() {
                 12 => {
                     db = db.reversed();
                     model = model.refill(|_| true, |(s, l, t)| (t, l, s));
+                }
+                13..=14 if !model.facts.is_empty() => {
+                    // Every lookup must survive the backward shift of the
+                    // removed slot and the re-pointed slot of the moved fact.
+                    let id = rng.gen_range(0..model.facts.len() as u32);
+                    let (s, l, t) = model.facts[id as usize];
+                    db.remove_fact(FactId(id));
+                    model.remove(id);
+                    assert_eq!(db.find_fact(NodeId(s), Letter(l), NodeId(t)), None);
+                    assert_matches(&db, &model);
                 }
                 _ => {}
             }

@@ -3,14 +3,15 @@
 //! [`Server::bind`] opens a TCP listener; [`Server::run`] accepts connections
 //! and serves **each on its own thread**. A connection thread blocks in a
 //! read until a complete request line arrives, then waits for one of
-//! `threads` **worker slots**, answers and writes the response. Slots bound
-//! how many requests are answered at once, and a connection holds one only
-//! while it answers: an idle keep-alive connection costs a blocked thread
-//! but no slot, so any number of clients can hold persistent connections
-//! open without starving new clients. Slots are granted in arrival order,
-//! and a client that pipelines many requests draws a new place in that
-//! order after every response, so it shares the slots fairly with everyone
-//! else.
+//! `threads` **worker slots**, answers, gives the slot back and writes the
+//! response. Slots bound how many requests are answered at once, and a
+//! connection holds one only while it answers: an idle keep-alive connection
+//! costs a blocked thread but no slot, and so does a client that pipelines
+//! requests without reading the responses, once its socket buffers fill. Any
+//! number of clients can hold persistent connections open without starving
+//! new clients. Slots are granted in arrival order, and a client that
+//! pipelines many requests draws a new place in that order after every
+//! response, so it shares the slots fairly with everyone else.
 //!
 //! Every connection speaks the newline-delimited JSON protocol of
 //! [`crate::protocol`], and all connections share one [`QueryCache`], so a query
@@ -21,17 +22,20 @@
 //!
 //! # One request pipeline
 //!
-//! Both front ends hand every request line to one writer, which calls
-//! [`ServerState::answer`], writes the response line and flushes. `answer`
-//! decodes the line (UTF-8, JSON, verb), counts it, dispatches on the verb
-//! and counts a failed response as one error. The three solve-family verbs
-//! share one path, whose stages run in order:
+//! Both front ends take every request line through the same two steps:
+//! [`ServerState::answer`] builds the response line, then it is written and
+//! flushed. The TCP front end answers under a worker slot and writes after
+//! giving the slot back. `answer` decodes the line (UTF-8, JSON, verb),
+//! counts it, dispatches on the verb and counts a failed response as one
+//! error. The three solve-family verbs share one path, whose stages run in
+//! order:
 //!
 //! 1. **prepare**: parse the query and look its plan up in the cache
-//!    (`cache_lookup`, `plan` spans);
+//!    (`query_parse`, `cache_lookup`, `plan` spans);
 //! 2. **route** every target: `solve` and `solve_batch` parse their graph
 //!    texts (`parse_db` span) and route them as one engine batch; `db_solve`
-//!    solves each snapshot through the store (`materialize` span);
+//!    solves each snapshot through the store (`materialize` and
+//!    `result_cache` spans);
 //! 3. **entries**: one result per target, or its error object;
 //! 4. **envelope**: `ok`, `cached`, then `name` for hosted databases. The
 //!    *inline* verbs — `solve` and single-snapshot `db_solve` — merge their
@@ -393,14 +397,17 @@ impl ServerState {
 
     /// Parses the query and looks its plan up in the shared cache, preparing
     /// it under the request's `enumeration_limit` override on a miss
-    /// (`cache_lookup` and `plan` spans when `trace` is enabled).
+    /// (`query_parse`, `cache_lookup` and `plan` spans when `trace` is
+    /// enabled).
     fn prepare(&self, spec: &QuerySpec, trace: &mut Trace) -> Result<CacheLookup, String> {
+        let parse_timer = trace.begin();
         let language = Language::parse(&spec.pattern)
             .map_err(|e| format!("cannot parse query `{}`: {e}", spec.pattern))?;
         let mut rpq = Rpq::new(language);
         if spec.bag {
             rpq = rpq.with_bag_semantics();
         }
+        trace.end(parse_timer, "query_parse");
         let mut options = self.options;
         options.enumeration_limit = spec.enumeration_limit.unwrap_or(options.enumeration_limit);
         self.cache
@@ -802,7 +809,7 @@ impl ServerState {
             ("rpq_store_full_solves_total", "Hosted solves built from scratch.", store.full_solves),
             (
                 "rpq_store_materializations_total",
-                "Snapshot materializations replayed from the log.",
+                "Snapshot materializations built or advanced from the log.",
                 store.materializations,
             ),
             ("rpq_store_evictions_total", "Materialized snapshots evicted.", store.evictions),
@@ -1108,13 +1115,13 @@ impl Connection {
     }
 
     /// Serves the connection's requests in order: reads a line, waits its
-    /// turn for a worker slot, answers. Whitespace-only lines are skipped
-    /// (the protocol ignores them), and a line the peer ends with EOF instead
-    /// of a newline is its last request — a trailing newline-less
-    /// `{"op":"shutdown"}` must still be honored. Returns when the peer
-    /// closes, a line outgrows the cap (answered `line_too_long`), a request
-    /// shuts the server down, or a shutdown began; a line that a shutdown cut
-    /// short is not answered.
+    /// turn for a worker slot, answers, gives the slot back and writes the
+    /// response. Whitespace-only lines are skipped (the protocol ignores
+    /// them), and a line the peer ends with EOF instead of a newline is its
+    /// last request — a trailing newline-less `{"op":"shutdown"}` must still
+    /// be honored. Returns when the peer closes, a line outgrows the cap
+    /// (answered `line_too_long`), a request shuts the server down, or a
+    /// shutdown began; a line that a shutdown cut short is not answered.
     fn serve(&mut self) -> io::Result<()> {
         let state = Arc::clone(&self.state);
         let cap = state.max_line_bytes;
@@ -1142,8 +1149,11 @@ impl Connection {
             state.connections.queue_depth.fetch_add(1, Ordering::Relaxed);
             let slot = state.slots.acquire();
             state.connections.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            let shutdown = respond(&state, &line, &mut self.stream.get_ref())?;
+            let (response, shutdown) = respond(&state, &line);
+            // A peer that does not read blocks the write below; by then the
+            // slot is back, so it blocks only this connection's thread.
             drop(slot);
+            send(&mut self.stream.get_ref(), &response)?;
             if shutdown {
                 state.initiate_shutdown();
                 return Ok(()); // the client saw its response
@@ -1280,15 +1290,20 @@ impl SpawnedServer {
     }
 }
 
-/// The one response writer of both front ends: answers `line`, writes the
-/// response and its `\n` to `out` and flushes. Returns whether the request
-/// asked the server to shut down.
-fn respond(state: &ServerState, line: &[u8], out: &mut impl Write) -> io::Result<bool> {
+/// The first of the two steps of both front ends: answers `line` and
+/// returns the response line with its `\n`, plus whether the request asked
+/// the server to shut down. The TCP front end runs it under a worker slot.
+fn respond(state: &ServerState, line: &[u8]) -> (String, bool) {
     let (mut response, shutdown) = state.answer(line);
     response.push('\n');
+    (response, shutdown)
+}
+
+/// The second step: writes a [`respond`] line to `out` and flushes. The TCP
+/// front end runs it after giving its worker slot back.
+fn send(out: &mut impl Write, response: &str) -> io::Result<()> {
     out.write_all(response.as_bytes())?;
-    out.flush()?;
-    Ok(shutdown)
+    out.flush()
 }
 
 /// Serves the protocol over a reader/writer pair — `rpq-cli serve --pipe`
@@ -1313,7 +1328,9 @@ pub fn run_pipe(
         if buffer.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        if respond(state, &buffer, &mut output)? {
+        let (response, shutdown) = respond(state, &buffer);
+        send(&mut output, &response)?;
+        if shutdown {
             state.shutdown.store(true, Ordering::SeqCst);
             break;
         }

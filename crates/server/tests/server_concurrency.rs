@@ -13,9 +13,11 @@
 //! 2. **Fair pipelining**: many requests buffered on one connection are
 //!    answered in order, and a second client is answered before they are
 //!    all done, even with one slot.
-//! 3. **Prompt shutdown**: idle connections do not keep the server from
+//! 3. **No blocking writes under a slot**: a client that pipelines
+//!    requests and never reads blocks only its own connection thread.
+//! 4. **Prompt shutdown**: idle connections do not keep the server from
 //!    exiting, and each sees EOF.
-//! 4. **Correctness under load**: many clients × persistent connections ×
+//! 5. **Correctness under load**: many clients × persistent connections ×
 //!    concurrent `solve_batch` agree with the direct engine, while the
 //!    sharded cache's stats stay monotone and bounded.
 
@@ -254,6 +256,58 @@ fn a_pipelining_connection_cannot_keep_the_only_slot() {
     assert!(solved < 16, "B waited out all 16 of A's pipelined requests: {stats}");
     (1..16).for_each(|_| next());
 
+    client.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
+}
+
+#[test]
+fn a_client_that_never_reads_its_responses_does_not_block_the_others() {
+    use std::io::Write;
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig { threads: 1, ..ServerConfig::default() })
+            .unwrap();
+    let running = server.spawn().unwrap();
+    let state = running.state();
+    let mut client = connect(running.addr);
+    client.request(&Request::Stats).expect("warm-up response");
+
+    // Connection A writes 20,000 `stats` requests and reads nothing. Its
+    // responses fill both socket buffers, and the server's write blocks.
+    const FLOOD: i128 = 20_000;
+    let flood = std::net::TcpStream::connect(running.addr).unwrap();
+    let mut writer = flood.try_clone().unwrap();
+    writer.set_write_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    let lines = format!("{}\n", Request::Stats.to_json()).repeat(FLOOD as usize);
+    let flooding = std::thread::spawn(move || {
+        let _ = writer.write_all(lines.as_bytes());
+    });
+    // Wait until A's thread is stuck in that write: the connections' request
+    // count, read in process without a worker slot, has grown and holds.
+    let requests = || {
+        let (stats, _) = state.answer(Request::Stats.to_json().to_string().as_bytes());
+        let stats = Json::parse(&stats).unwrap();
+        stats.get("connections").unwrap().get("requests").unwrap().as_int().unwrap()
+    };
+    let mut last = requests();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = requests();
+        if now > 1 && now == last {
+            break;
+        }
+        last = now;
+    }
+    assert!(last < FLOOD, "A's responses never filled the socket buffers: {last} requests");
+
+    // Connection B is answered while A's write is blocked.
+    let response = client.request(&Request::Stats).expect("B answered while A does not read");
+    assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
+
+    // Closing A fails the server's blocked write and ends A's thread, so
+    // the shutdown can join it.
+    flood.shutdown(std::net::Shutdown::Both).unwrap();
+    flooding.join().unwrap();
+    drop(flood);
     client.request(&Request::Shutdown).unwrap();
     running.join().unwrap();
 }

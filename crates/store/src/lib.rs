@@ -13,14 +13,16 @@
 //!   it can be referred to (and pinned) later;
 //! * concrete [`GraphDb`] **materializations are derived state**, built
 //!   lazily per requested snapshot and cached with LRU eviction — *named*
-//!   snapshots and each database's head are pinned, unnamed historical
-//!   materializations are evicted first. Each database keeps a replay index
-//!   ([`Replay`]) at the latest offset it materialized, so a new head costs
-//!   an O(Δ) replay of the entries appended since plus one build of the
-//!   head, while an older snapshot replays its log prefix from offset 0.
-//!   Both number nodes and facts exactly as [`materialize`] does: the result
-//!   cache keeps `FactId`s per offset and renders them against whichever
-//!   materialization of that offset exists when it hits;
+//!   snapshots and each database's newest materialization are pinned,
+//!   unnamed older ones are evicted first. A materialization is the fold of
+//!   a log prefix ([`apply`], [`materialize`]). A snapshot that is not cached
+//!   is the newest cached materialization below it advanced by the entries
+//!   since: in place when no name pins the older offset, so a new head costs
+//!   O(Δ), and on a copy when one does. With nothing cached below it, the
+//!   store folds the log prefix from offset 0. The fold numbers nodes and
+//!   facts the same way whatever it starts from: the result cache keeps
+//!   `FactId`s per offset and renders them against whichever materialization
+//!   of that offset exists when it hits;
 //! * `db_solve` binds a query to `(name, snapshot)` and reuses the
 //!   [`IncrementalSolver`] retained per database: consecutive solves at
 //!   advancing snapshots hand the engine exactly the fact delta between
@@ -33,7 +35,7 @@
 //! registry → database, never the reverse.
 
 #![forbid(unsafe_code)]
-use rpq_graphdb::delta::{changes_from_db, materialize, parse_patch, FactChange, Replay};
+use rpq_graphdb::delta::{apply, changes_from_db, materialize, parse_patch, FactChange};
 use rpq_graphdb::text::{self, ParseError};
 use rpq_graphdb::GraphDb;
 use rpq_obs::Trace;
@@ -206,10 +208,6 @@ struct Database {
     named: BTreeMap<String, usize>,
     /// Cached materializations, at most one per offset.
     materialized: Vec<Materialization>,
-    /// The replay index: `log[..replayed]` replayed, ready to be extended
-    /// by the entries since and built into a head materialization.
-    replay: Replay,
-    replayed: usize,
     /// Cross-snapshot result cache (see [`CachedResult`]).
     results: Vec<CachedResult>,
     session: Option<SolveSession>,
@@ -238,22 +236,49 @@ impl Database {
         }
     }
 
+    /// Whether a snapshot name points at `offset`.
+    fn is_named(&self, offset: usize) -> bool {
+        self.named.values().any(|&o| o == offset)
+    }
+
     /// Returns the (cached) materialization at `offset`, and whether this
-    /// call had to build it (a cache miss — counted by the store). An offset
-    /// at or past the replay index's frontier is built from the index,
-    /// extended by the entries since; an older one replays its log prefix.
+    /// call had to build it (a cache miss — counted by the store). A miss
+    /// advances the newest cached materialization below `offset` by the log
+    /// entries since: in place unless a name pins it (`Arc::make_mut` copies
+    /// only while a reader still holds it), on a copy if one does. With none
+    /// below, it folds the log prefix from scratch.
     fn materialize_at(&mut self, offset: usize, tick: u64) -> (Arc<GraphDb>, bool) {
         if let Some(m) = self.materialized.iter_mut().find(|m| m.offset == offset) {
             m.last_used = tick;
             return (Arc::clone(&m.graph), false);
         }
-        let graph = Arc::new(if offset >= self.replayed {
-            self.replay_to(offset);
-            self.replay.build()
-        } else {
+        let below = (self.materialized.iter().enumerate())
+            .filter(|(_, m)| m.offset < offset)
+            .max_by_key(|(_, m)| m.offset)
+            .map(|(i, m)| (i, m.offset));
+        let graph = match below {
+            // No name pins the older offset: advance it in place.
+            Some((i, from)) if !self.is_named(from) => {
+                let Database { log, materialized, .. } = self;
+                // lint: allow(panic-freedom, the index was just found in this vector)
+                let m = &mut materialized[i];
+                // lint: allow(panic-freedom, resolve checks every offset against the log length)
+                apply(Arc::make_mut(&mut m.graph), &log[from..offset]);
+                m.offset = offset;
+                m.last_used = tick;
+                return (Arc::clone(&m.graph), true);
+            }
+            // A name pins it: advance a copy.
+            Some((i, from)) => {
+                // lint: allow(panic-freedom, the index was just found in this vector)
+                let mut graph = GraphDb::clone(&self.materialized[i].graph);
+                // lint: allow(panic-freedom, resolve checks every offset against the log length)
+                apply(&mut graph, &self.log[from..offset]);
+                Arc::new(graph)
+            }
             // lint: allow(panic-freedom, resolve checks every offset against the log length)
-            materialize(&self.log[..offset])
-        });
+            None => Arc::new(materialize(&self.log[..offset])),
+        };
         self.materialized.push(Materialization {
             offset,
             graph: Arc::clone(&graph),
@@ -262,46 +287,27 @@ impl Database {
         (graph, true)
     }
 
-    /// Extends the replay index from its frontier to `offset` (at or past
-    /// it). The index is taken out while it extends, so a panic leaves an
-    /// empty index at frontier 0 rather than a half-applied one.
-    fn replay_to(&mut self, offset: usize) {
-        let mut replay = std::mem::take(&mut self.replay);
-        let from = std::mem::take(&mut self.replayed);
-        // lint: allow(panic-freedom, callers pass offsets from the frontier up to the log length)
-        replay.extend(&self.log[from..offset]);
-        self.replay = replay;
-        self.replayed = offset;
-    }
-
-    /// The number of facts alive at the head: read from its cached
-    /// materialization, or from the replay index brought up to the head.
-    fn head_facts(&mut self) -> usize {
-        let head = self.log.len();
-        if let Some(m) = self.materialized.iter().find(|m| m.offset == head) {
-            return m.graph.num_facts();
-        }
-        self.replay_to(head);
-        self.replay.live_facts()
+    /// The offset of the newest cached materialization, which eviction pins
+    /// so that a head not solved yet keeps the materialization it advances.
+    fn newest(&self) -> Option<usize> {
+        self.materialized.iter().map(|m| m.offset).max()
     }
 }
 
 /// Recovers a database lock that a request poisoned by panicking under it
 /// (`handle.lock().unwrap_or_else(|p| recover(&handle, p))`). The panic may
-/// have left the derived state half-updated: a materialization, the replay
-/// index, the result cache or the retained solve session. The log and the
-/// named snapshots change only by whole appends, inserts and assignments,
-/// so recovery keeps them, drops the derived state (requests rebuild what
-/// they need from the log) and clears the poison: a panic costs the
-/// database its caches, not its service.
+/// have left the derived state half-updated: a materialization advanced
+/// part of the way, the result cache or the retained solve session. The log
+/// and the named snapshots change only by whole appends, inserts and
+/// assignments, so recovery keeps them, drops the derived state (requests
+/// rebuild what they need from the log) and clears the poison: a panic
+/// costs the database its caches, not its service.
 fn recover<'a>(
     handle: &Mutex<Database>,
     poisoned: PoisonError<MutexGuard<'a, Database>>,
 ) -> MutexGuard<'a, Database> {
     let mut db = poisoned.into_inner();
     db.materialized.clear();
-    db.replay = Replay::default();
-    db.replayed = 0;
     db.results.clear();
     db.session = None;
     db.log_bytes = db.log.iter().map(FactChange::log_bytes).sum();
@@ -370,7 +376,8 @@ pub struct StoreStats {
     pub incremental_solves: u64,
     /// `db_solve`s answered by a full build.
     pub full_solves: u64,
-    /// Snapshot materializations built from the log (cache misses).
+    /// Snapshot materializations built or advanced from the log (cache
+    /// misses).
     pub materializations: u64,
     /// Materializations evicted to respect the capacity.
     pub evictions: u64,
@@ -470,10 +477,8 @@ impl Store {
             db.materialized =
                 vec![Materialization { offset: snapshot, graph: Arc::new(graph), last_used: tick }];
             // A put rewrites the log, so old offsets no longer mean the same
-            // snapshots: cached results and the replay index are stale.
+            // snapshots: cached results are stale.
             db.results.clear();
-            db.replay = Replay::default();
-            db.replayed = 0;
             db.session = None;
             db.generation = tick;
         }
@@ -541,7 +546,8 @@ impl Store {
     /// [`StoreRoute`] together with the resolved snapshot id; only
     /// store-level problems (unknown database / snapshot) are `Err`. When
     /// `trace` is enabled, snapshot resolution + materialization is recorded
-    /// as a `materialize` span and the engine records its own solve phases.
+    /// as a `materialize` span, the result cache's lookup and insert as a
+    /// `result_cache` span, and the engine records its own solve phases.
     ///
     /// `fingerprint` is the query's
     /// [`language_fingerprint`](rpq_automata::Language::language_fingerprint)
@@ -573,6 +579,7 @@ impl Store {
             let offset = db.resolve(name, snapshot)?;
             let (graph, built) = db.materialize_at(offset, tick);
             trace.end(materialize_timer, "materialize");
+            let lookup_timer = trace.begin();
             if let Some(entry) = db.results.iter_mut().find(|r| {
                 r.fingerprint == fingerprint
                     && r.semantics == semantics
@@ -595,6 +602,7 @@ impl Store {
                     estimated_cost_us: 0,
                 };
                 let mode = entry.mode;
+                trace.end(lookup_timer, "result_cache");
                 self.result_hits.fetch_add(1, Ordering::Relaxed);
                 if built {
                     self.materializations.fetch_add(1, Ordering::Relaxed);
@@ -606,6 +614,7 @@ impl Store {
                     result_cached: true,
                 });
             }
+            trace.end(lookup_timer, "result_cache");
             self.result_misses.fetch_add(1, Ordering::Relaxed);
             let Database { log, session, results, generation, .. } = &mut *db;
             let result = match session {
@@ -647,6 +656,7 @@ impl Store {
                 if !tiered.degraded {
                     // Cache (or upgrade) the full-fidelity answer for this
                     // immutable snapshot.
+                    let insert_timer = trace.begin();
                     results.retain(|r| {
                         !(r.fingerprint == fingerprint
                             && r.semantics == semantics
@@ -673,6 +683,7 @@ impl Store {
                         mode: *mode,
                         last_used: tick,
                     });
+                    trace.end(insert_timer, "result_cache");
                 }
             }
             (offset, graph, built, result)
@@ -692,7 +703,9 @@ impl Store {
         Ok(StoreRoute { snapshot: offset, graph, result, result_cached: false })
     }
 
-    /// Summaries of every hosted database, in name order.
+    /// Summaries of every hosted database, in name order. A head's fact
+    /// count is read from its materialization, so a head not materialized
+    /// yet is materialized here, as its next solve would.
     pub fn list(&self) -> Vec<DatabaseInfo> {
         let handles: Vec<(String, Arc<Mutex<Database>>)> = {
             let registry = self.databases.lock().unwrap_or_else(PoisonError::into_inner);
@@ -701,9 +714,15 @@ impl Store {
         let mut infos: Vec<DatabaseInfo> = handles
             .into_iter()
             .map(|(name, handle)| {
+                let tick = self.next_tick();
                 let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
+                let head = db.log.len();
+                let (graph, built) = db.materialize_at(head, tick);
+                if built {
+                    self.materializations.fetch_add(1, Ordering::Relaxed);
+                }
                 DatabaseInfo {
-                    facts: db.head_facts(),
+                    facts: graph.num_facts(),
                     name,
                     snapshot: db.log.len(),
                     log_entries: db.log.len(),
@@ -713,6 +732,7 @@ impl Store {
                 }
             })
             .collect();
+        self.evict_materializations();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         infos
     }
@@ -744,7 +764,7 @@ impl Store {
 
     /// Evicts least-recently-used **unpinned** materializations until the
     /// store-wide count fits the capacity. Named snapshots and every
-    /// database's head are pinned and never evicted; databases locked by
+    /// database's newest materialization are pinned and never evicted; databases locked by
     /// concurrent operations are skipped (their caches are in use anyway).
     fn evict_materializations(&self) {
         let budget = self.config.capacity.max(1);
@@ -757,10 +777,10 @@ impl Store {
             let mut victim: Option<(Arc<Mutex<Database>>, usize, u64)> = None;
             for handle in &handles {
                 let Ok(db) = handle.try_lock() else { continue };
-                let head = db.log.len();
+                let newest = db.newest();
                 for m in &db.materialized {
                     total += 1;
-                    let pinned = m.offset == head || db.named.values().any(|&o| o == m.offset);
+                    let pinned = Some(m.offset) == newest || db.is_named(m.offset);
                     if !pinned && victim.as_ref().is_none_or(|v| m.last_used < v.2) {
                         victim = Some((Arc::clone(handle), m.offset, m.last_used));
                     }
@@ -1055,10 +1075,15 @@ mod tests {
         store.patch("g", "+ s b t\n").unwrap();
         store.snapshot("g", "pinned", Some(SnapshotRef::Offset(1))).unwrap();
         // Touch many distinct snapshots: offsets 1 (named) and head stay,
-        // unnamed older ones get evicted.
+        // unnamed older ones get evicted. Each head advances the one before
+        // in place, so only the older offsets, touched newest first, are new
+        // materializations (copies of the pinned one).
         for i in 0..4 {
             store.patch("g", &format!("+ s c t{i}\n")).unwrap();
             store.materialize("g", &SnapshotRef::Head).unwrap();
+        }
+        for offset in (2..6).rev() {
+            store.materialize("g", &SnapshotRef::Offset(offset)).unwrap();
         }
         store.materialize("g", &SnapshotRef::Named("pinned".into())).unwrap();
         store.materialize("g", &SnapshotRef::Offset(2)).unwrap();
@@ -1068,6 +1093,25 @@ mod tests {
         // The pinned snapshot's cache entry survived every eviction pass.
         let info = &store.list()[0];
         assert_eq!(info.named, vec![("pinned".to_string(), 1)]);
+    }
+
+    #[test]
+    fn heads_advance_in_place_instead_of_leaving_a_materialization_per_patch() {
+        let store = Store::new(StoreConfig::default());
+        let plan = prepared("ax*b");
+        store.put("g", "s a u\nu x v\nv b t\ns a w\nw b t\n").unwrap();
+        store.snapshot("g", "base", None).unwrap();
+        for round in 0..200 {
+            let patch = if round % 2 == 0 { "- u x v\n" } else { "+ u x v\n" };
+            store.patch("g", patch).unwrap();
+            let want = if round % 2 == 0 { 1 } else { 2 };
+            assert_eq!(value(&store, "g", SnapshotRef::Head, &plan), want, "round {round}");
+            // The pinned base and one head: the first head copies the base,
+            // and every later one advances the head before it.
+            let stats = store.stats();
+            assert!(stats.materialized <= 2, "round {round}: {stats:?}");
+        }
+        assert_eq!(store.stats().evictions, 0);
     }
 
     #[test]
@@ -1187,9 +1231,9 @@ mod tests {
 
     #[test]
     fn result_cache_hits_after_an_eviction_render_the_same_facts() {
-        // Deleting `s a u` makes `u` the first node and `u x v` fact 0, and
-        // re-putting it restores the original numbering: a cached cut is
-        // only printable if every rebuild of an offset numbers it alike.
+        // Deleting `s a u` moves `q a u` to fact 0, and re-putting it
+        // appends it as fact 3: a cached cut is only printable if every
+        // rebuild of an offset numbers it alike.
         let store = Store::new(StoreConfig { capacity: 2, max_body_bytes: 1 << 20 });
         let plan = prepared("ax*b");
         let put = store.put("g", "s a u\nu x v\nv b t\nq a u\n").unwrap().snapshot;
@@ -1206,6 +1250,12 @@ mod tests {
             let head = store.patch("g", patch).unwrap().snapshot;
             offsets.push(head);
             first.push(rendered(&solve_cut(head)));
+        }
+        // Each head advanced the one before in place. Touching the older
+        // offsets, newest first, folds each from scratch and evicts the one
+        // touched before it.
+        for &offset in offsets[..3].iter().rev() {
+            store.materialize("g", &SnapshotRef::Offset(offset)).unwrap();
         }
         let before = store.stats();
         assert!(before.evictions > 0, "{before:?}");
