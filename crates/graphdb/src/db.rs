@@ -489,19 +489,27 @@ impl GraphDb {
         out
     }
 
-    /// Human-readable rendering of a fact, e.g. `u -a-> v`. Responses render
-    /// every cut fact this way, so the pieces are appended to a `String` of
-    /// the final size instead of going through `format!`.
+    /// Human-readable rendering of a fact, e.g. `u -a-> v` (see
+    /// [`GraphDb::write_fact`]).
     pub fn display_fact(&self, id: FactId) -> String {
         let f = self.fact(id);
         let (source, target) = (self.node_name(f.source), self.node_name(f.target));
         let mut out = String::with_capacity(source.len() + target.len() + 5 + f.label.0.len_utf8());
-        out.push_str(source);
-        out.push_str(" -");
-        out.push(f.label.0);
-        out.push_str("-> ");
-        out.push_str(target);
+        // Writing to a `String` cannot fail.
+        let _ = self.write_fact(id, &mut out);
         out
+    }
+
+    /// Writes [`GraphDb::display_fact`]'s rendering of a fact to `out` piece
+    /// by piece, so a caller that renders many facts (the server's cut, into
+    /// one buffer) needs no `String` per fact.
+    pub fn write_fact(&self, id: FactId, out: &mut impl fmt::Write) -> fmt::Result {
+        let f = self.fact(id);
+        out.write_str(self.node_name(f.source))?;
+        out.write_str(" -")?;
+        out.write_char(f.label.0)?;
+        out.write_str("-> ")?;
+        out.write_str(self.node_name(f.target))
     }
 }
 

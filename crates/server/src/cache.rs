@@ -29,14 +29,36 @@
 //! configured total), which approximates global LRU the way any striped
 //! cache does. `QueryCache::with_shards(capacity, 1)` recovers exact global
 //! LRU when determinism matters more than throughput.
+//!
+//! # The spelling index
+//!
+//! Canonicalizing needs the parsed query, and a client that repeats one
+//! request repeats its spelling too. So [`QueryCache::get_or_prepare_text`]
+//! first looks the query up **by its text**: the raw pattern plus `bag`, the
+//! forced algorithm and the effective enumeration limit. A hit there neither
+//! parses nor canonicalizes. On a miss it parses, takes the canonical lookup
+//! above, and remembers the spelling as an alias of the canonical key it led
+//! to. The canonical form stays the cache's identity: an alias points at a
+//! canonical entry, a hit through it is the same plan-cache hit (same plan,
+//! same fingerprint, counted in `hits`), and an alias whose entry was evicted
+//! simply misses. Aliases hold their canonical key weakly, so they keep no
+//! evicted plan or canonical form alive. The index is bounded: patterns
+//! longer than [`MAX_SPELLING_BYTES`] are never remembered, a pattern that
+//! fails to parse is never remembered, and each stripe keeps at most
+//! [`SPELLINGS_PER_PLAN`] spellings per plan slot, dropping those of evicted
+//! plans first and then the least recently used. Spellings are striped by
+//! their own hash, so the index adds no global lock either.
 
+use rpq_automata::{AutomataError, Language};
 use rpq_obs::Trace;
 use rpq_resilience::algorithms::{Algorithm, ResilienceError};
 use rpq_resilience::engine::{Engine, PreparedQuery, SolveOptions};
 use rpq_resilience::rpq::{Rpq, Semantics};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// The collision-free cache key: canonical language + everything else the
 /// plan depends on.
@@ -63,13 +85,35 @@ impl CacheKey {
     }
 }
 
+/// A query exactly as a request spells it, plus everything else the plan
+/// depends on: the key of the spelling index.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Spelling {
+    pattern: String,
+    bag: bool,
+    forced: Option<&'static str>,
+    enumeration_limit: usize,
+}
+
 struct Entry {
     prepared: Arc<PreparedQuery>,
+    /// The entry's own key (the map's key), which aliases point at.
+    key: Arc<CacheKey>,
+    last_used: u64,
+}
+
+/// A remembered spelling: the canonical key it parsed to, held weakly so
+/// that evicting the entry frees the key too, and that key's fingerprint.
+struct Alias {
+    key: Weak<CacheKey>,
+    fingerprint: u64,
     last_used: u64,
 }
 
 struct Inner {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<Arc<CacheKey>, Entry>,
+    /// Spellings whose hash maps to this stripe (see the module docs).
+    spellings: HashMap<Spelling, Alias>,
     tick: u64,
 }
 
@@ -108,6 +152,22 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// language shares its stripe, so stripes must hold a few entries each.
 pub const MIN_STRIPE_CAPACITY: usize = 4;
 
+/// The longest pattern, in bytes, the spelling index remembers; longer
+/// patterns are parsed on every request (their parse dwarfs a lookup).
+pub const MAX_SPELLING_BYTES: usize = 256;
+
+/// The spellings each stripe remembers per plan slot.
+pub const SPELLINGS_PER_PLAN: usize = 4;
+
+/// Why [`QueryCache::get_or_prepare_text`] returned no plan.
+#[derive(Debug)]
+pub enum QueryError {
+    /// The pattern is not a regular expression (never remembered).
+    Parse(AutomataError),
+    /// The engine could not prepare the parsed query (never cached).
+    Prepare(ResilienceError),
+}
+
 /// A thread-safe, lock-striped LRU cache of [`PreparedQuery`] plans keyed by
 /// canonicalized query language (plus semantics and options). See the module
 /// docs for the keying and sharding rules.
@@ -115,6 +175,8 @@ pub struct QueryCache {
     capacity: usize,
     stripe_capacity: usize,
     stripes: Vec<Mutex<Inner>>,
+    /// Picks the stripe of a spelling.
+    spelling_hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -140,8 +202,15 @@ impl QueryCache {
             capacity,
             stripe_capacity: capacity.div_ceil(shards),
             stripes: (0..shards)
-                .map(|_| Mutex::new(Inner { entries: HashMap::new(), tick: 0 }))
+                .map(|_| {
+                    Mutex::new(Inner {
+                        entries: HashMap::new(),
+                        spellings: HashMap::new(),
+                        tick: 0,
+                    })
+                })
                 .collect(),
+            spelling_hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -156,6 +225,13 @@ impl QueryCache {
         &self.stripes[(fingerprint % self.stripes.len() as u64) as usize]
     }
 
+    /// The stripe a spelling is remembered in.
+    fn spelling_stripe(&self, spelling: &Spelling) -> &Mutex<Inner> {
+        let hash = self.spelling_hasher.hash_one(spelling);
+        // lint: allow(panic-freedom, modulo of the stripe count is always in range)
+        &self.stripes[(hash % self.stripes.len() as u64) as usize]
+    }
+
     /// Returns the cached plan for the query's language (and the engine's
     /// options), preparing and inserting it on a miss. Preparation runs
     /// outside every cache lock, so a slow `prepare` never blocks hits on
@@ -167,28 +243,73 @@ impl QueryCache {
         rpq: &Rpq,
         forced: Option<Algorithm>,
     ) -> Result<CacheLookup, ResilienceError> {
-        self.get_or_prepare_traced(engine, rpq, forced, &mut Trace::disabled())
+        let lookup = self.get_or_prepare_keyed(engine, rpq, forced, &mut Trace::disabled())?;
+        Ok(lookup.0)
     }
 
-    /// [`QueryCache::get_or_prepare`] with phase tracing: a hit records one
-    /// `cache_lookup` span (canonicalization plus the stripe probe); a miss
-    /// records the engine's own `canonicalize`/`classify`/`plan` spans (or a
-    /// single `plan` span when the algorithm is forced, since forced plans
-    /// skip classification).
-    pub fn get_or_prepare_traced(
+    /// The plan for a query as a request spells it: `pattern` under `bag`
+    /// semantics, the engine's options and any `forced` algorithm. A
+    /// remembered spelling answers without parsing; otherwise the pattern is
+    /// parsed, looked up (or prepared) by its canonical form as in
+    /// [`QueryCache::get_or_prepare`], and its spelling remembered (see the
+    /// module docs). Traced, a spelling hit records one `cache_lookup` span;
+    /// a miss adds a `query_parse` span, the canonical probe to
+    /// `cache_lookup`, and the engine's own `canonicalize`/`classify`/`plan`
+    /// spans on a canonical miss (a single `plan` span when the algorithm is
+    /// forced, since forced plans skip classification).
+    pub fn get_or_prepare_text(
+        &self,
+        engine: &Engine,
+        pattern: &str,
+        bag: bool,
+        forced: Option<Algorithm>,
+        trace: &mut Trace,
+    ) -> Result<CacheLookup, QueryError> {
+        let probe_timer = trace.begin();
+        let spelling = (pattern.len() <= MAX_SPELLING_BYTES).then(|| Spelling {
+            pattern: pattern.to_string(),
+            bag,
+            forced: forced.map(Algorithm::name),
+            enumeration_limit: engine.options().enumeration_limit,
+        });
+        if let Some(lookup) = spelling.as_ref().and_then(|spelling| self.lookup_spelling(spelling))
+        {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            trace.end(probe_timer, "cache_lookup");
+            return Ok(lookup);
+        }
+        trace.end(probe_timer, "cache_lookup");
+        let parse_timer = trace.begin();
+        let mut rpq = Rpq::new(Language::parse(pattern).map_err(QueryError::Parse)?);
+        if bag {
+            rpq = rpq.with_bag_semantics();
+        }
+        trace.end(parse_timer, "query_parse");
+        let (lookup, key) =
+            self.get_or_prepare_keyed(engine, &rpq, forced, trace).map_err(QueryError::Prepare)?;
+        if let Some(spelling) = spelling {
+            self.remember(spelling, &key, lookup.fingerprint);
+        }
+        Ok(lookup)
+    }
+
+    /// The canonical lookup behind both entry points: a hit adds its
+    /// canonicalization and stripe probe to the `cache_lookup` span. Also
+    /// returns the entry's key, for the spelling index.
+    fn get_or_prepare_keyed(
         &self,
         engine: &Engine,
         rpq: &Rpq,
         forced: Option<Algorithm>,
         trace: &mut Trace,
-    ) -> Result<CacheLookup, ResilienceError> {
+    ) -> Result<(CacheLookup, Arc<CacheKey>), ResilienceError> {
         let lookup_timer = trace.begin();
         let key = CacheKey::new(rpq, engine.options(), forced);
         let fingerprint = rpq_automata::Language::fingerprint_of_canonical_form(&key.canonical);
-        if let Some(prepared) = self.lookup(fingerprint, &key) {
+        if let Some((prepared, key)) = self.lookup(fingerprint, &key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             trace.end(lookup_timer, "cache_lookup");
-            return Ok(CacheLookup { prepared, hit: true, fingerprint });
+            return Ok((CacheLookup { prepared, hit: true, fingerprint }, key));
         }
         trace.end(lookup_timer, "cache_lookup");
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -201,14 +322,56 @@ impl QueryCache {
             }
             None => engine.prepare_traced(rpq, trace)?,
         });
-        Ok(CacheLookup {
-            prepared: self.insert(fingerprint, key, prepared),
-            hit: false,
-            fingerprint,
-        })
+        let (prepared, key) = self.insert(fingerprint, key, prepared);
+        Ok((CacheLookup { prepared, hit: false, fingerprint }, key))
     }
 
-    fn lookup(&self, fingerprint: u64, key: &CacheKey) -> Option<Arc<PreparedQuery>> {
+    /// The plan a remembered spelling points at, if its entry is still
+    /// cached. The two stripes are locked one after the other, never nested.
+    fn lookup_spelling(&self, spelling: &Spelling) -> Option<CacheLookup> {
+        let (key, fingerprint) = {
+            let mut inner =
+                self.spelling_stripe(spelling).lock().unwrap_or_else(PoisonError::into_inner);
+            inner.tick += 1;
+            let tick = inner.tick;
+            let alias = inner.spellings.get_mut(spelling)?;
+            alias.last_used = tick;
+            (alias.key.upgrade()?, alias.fingerprint)
+        };
+        let (prepared, _) = self.lookup(fingerprint, &key)?;
+        Some(CacheLookup { prepared, hit: true, fingerprint })
+    }
+
+    /// Remembers that `spelling` parses to the entry `key`, making room
+    /// first if the stripe holds its share of spellings: the spellings of
+    /// evicted plans go first, then the least recently used one.
+    fn remember(&self, spelling: Spelling, key: &Arc<CacheKey>, fingerprint: u64) {
+        let cap = self.stripe_capacity * SPELLINGS_PER_PLAN;
+        let mut inner =
+            self.spelling_stripe(&spelling).lock().unwrap_or_else(PoisonError::into_inner);
+        inner.tick += 1;
+        let tick = inner.tick;
+        if !inner.spellings.contains_key(&spelling) && inner.spellings.len() >= cap {
+            inner.spellings.retain(|_, alias| alias.key.strong_count() > 0);
+            if inner.spellings.len() >= cap {
+                let oldest = (inner.spellings.iter())
+                    .min_by_key(|(_, alias)| alias.last_used)
+                    .map(|(spelling, _)| spelling.clone());
+                if let Some(oldest) = oldest {
+                    inner.spellings.remove(&oldest);
+                }
+            }
+        }
+        let alias = Alias { key: Arc::downgrade(key), fingerprint, last_used: tick };
+        inner.spellings.insert(spelling, alias);
+    }
+
+    /// The entry of `key`, touched: its plan and its key.
+    fn lookup(
+        &self,
+        fingerprint: u64,
+        key: &CacheKey,
+    ) -> Option<(Arc<PreparedQuery>, Arc<CacheKey>)> {
         // A poisoned stripe still holds a structurally valid map (every
         // mutation below is panic-free), so recover instead of unwinding.
         let mut inner = self.stripe(fingerprint).lock().unwrap_or_else(PoisonError::into_inner);
@@ -216,16 +379,18 @@ impl QueryCache {
         let tick = inner.tick;
         inner.entries.get_mut(key).map(|entry| {
             entry.last_used = tick;
-            Arc::clone(&entry.prepared)
+            (Arc::clone(&entry.prepared), Arc::clone(&entry.key))
         })
     }
 
+    /// Inserts a freshly prepared plan, or hands back the incumbent of its
+    /// key, with the entry's key either way.
     fn insert(
         &self,
         fingerprint: u64,
         key: CacheKey,
         prepared: Arc<PreparedQuery>,
-    ) -> Arc<PreparedQuery> {
+    ) -> (Arc<PreparedQuery>, Arc<CacheKey>) {
         let mut inner = self.stripe(fingerprint).lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
@@ -233,17 +398,27 @@ impl QueryCache {
             // Another thread prepared the same language concurrently; keep
             // the incumbent so every caller shares one plan.
             existing.last_used = tick;
-            return Arc::clone(&existing.prepared);
+            return (Arc::clone(&existing.prepared), Arc::clone(&existing.key));
         }
         while inner.entries.len() >= self.stripe_capacity {
             let oldest =
-                inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
+                inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| Arc::clone(k));
             let Some(oldest) = oldest else { break };
             inner.entries.remove(&oldest);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        inner.entries.insert(key, Entry { prepared: Arc::clone(&prepared), last_used: tick });
-        prepared
+        let key = Arc::new(key);
+        let entry =
+            Entry { prepared: Arc::clone(&prepared), key: Arc::clone(&key), last_used: tick };
+        inner.entries.insert(Arc::clone(&key), entry);
+        (prepared, key)
+    }
+
+    /// The spellings remembered across all stripes.
+    #[cfg(test)]
+    pub(crate) fn spellings(&self) -> usize {
+        let stripes = self.stripes.iter();
+        stripes.map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).spellings.len()).sum()
     }
 
     /// The current counters (entries summed over all stripes).
@@ -409,5 +584,121 @@ mod tests {
         assert!(cache.get_or_prepare(&engine, &q, local).is_err());
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses), (0, 2));
+    }
+
+    /// An untraced [`QueryCache::get_or_prepare_text`].
+    fn by_text(
+        cache: &QueryCache,
+        engine: &Engine,
+        pattern: &str,
+        bag: bool,
+        forced: Option<Algorithm>,
+    ) -> CacheLookup {
+        let lookup =
+            cache.get_or_prepare_text(engine, pattern, bag, forced, &mut Trace::disabled());
+        lookup.unwrap()
+    }
+
+    #[test]
+    fn a_repeated_spelling_hits_without_parsing_and_keeps_the_canonical_identity() {
+        let (cache, engine) = cache_and_engine(8);
+        let first = by_text(&cache, &engine, "a|b", false, None);
+        let other = by_text(&cache, &engine, "b|a", false, None);
+        let again = by_text(&cache, &engine, "a|b", false, None);
+        assert_eq!((first.hit, other.hit, again.hit), (false, true, true));
+        assert_eq!((other.fingerprint, again.fingerprint), (first.fingerprint, first.fingerprint));
+        assert!(Arc::ptr_eq(&first.prepared, &again.prepared));
+        // Both spellings are remembered, as aliases of one entry.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+        assert_eq!(cache.spellings(), 2);
+        // A traced spelling hit records the lookup and no parse.
+        let mut trace = Trace::enabled();
+        cache.get_or_prepare_text(&engine, "b|a", false, None, &mut trace).unwrap();
+        let phases: Vec<&str> = trace.spans().iter().map(|&(phase, _)| phase).collect();
+        assert_eq!(phases, ["cache_lookup"]);
+        let mut trace = Trace::enabled();
+        cache.get_or_prepare_text(&engine, "(b)|a", false, None, &mut trace).unwrap();
+        let phases: Vec<&str> = trace.spans().iter().map(|&(phase, _)| phase).collect();
+        assert_eq!(phases, ["cache_lookup", "query_parse"]);
+    }
+
+    #[test]
+    fn a_spelling_is_never_reused_under_other_settings() {
+        let (cache, engine) = cache_and_engine(16);
+        let small_limit = Engine::with_options(SolveOptions { enumeration_limit: 4 });
+        let set = by_text(&cache, &engine, "ax*b", false, None);
+        let variants = [
+            by_text(&cache, &engine, "ax*b", true, None),
+            by_text(&cache, &small_limit, "ax*b", false, None),
+            by_text(&cache, &engine, "ax*b", false, Some(Algorithm::Local)),
+        ];
+        for variant in &variants {
+            assert!(!variant.hit);
+            assert!(!Arc::ptr_eq(&variant.prepared, &set.prepared));
+        }
+        assert_eq!(variants[0].prepared.rpq().semantics(), Semantics::Bag);
+        assert!(variants[2].prepared.plan().forced);
+        // Each variant is its own alias and now hits its own plan.
+        let again = [
+            by_text(&cache, &engine, "ax*b", true, None),
+            by_text(&cache, &small_limit, "ax*b", false, None),
+            by_text(&cache, &engine, "ax*b", false, Some(Algorithm::Local)),
+        ];
+        for (variant, again) in variants.iter().zip(&again) {
+            assert!(again.hit);
+            assert!(Arc::ptr_eq(&variant.prepared, &again.prepared));
+        }
+        assert_eq!((cache.stats().entries, cache.spellings()), (4, 4));
+    }
+
+    #[test]
+    fn unparsable_long_and_unpreparable_patterns_are_never_remembered() {
+        let (cache, engine) = cache_and_engine(8);
+        for _ in 0..2 {
+            let error =
+                cache.get_or_prepare_text(&engine, "a(", false, None, &mut Trace::disabled());
+            assert!(matches!(error, Err(QueryError::Parse(_))));
+            // `aa` is not local, so forcing Theorem 3.13 fails to prepare.
+            let local = Some(Algorithm::Local);
+            let error =
+                cache.get_or_prepare_text(&engine, "aa", false, local, &mut Trace::disabled());
+            assert!(matches!(error, Err(QueryError::Prepare(_))));
+        }
+        assert_eq!(cache.spellings(), 0);
+        // A pattern past the length bound answers through the canonical
+        // lookup every time.
+        let long = "a".repeat(MAX_SPELLING_BYTES + 1);
+        assert!(!by_text(&cache, &engine, &long, false, None).hit);
+        assert!(by_text(&cache, &engine, &long, false, None).hit);
+        let short = "a".repeat(MAX_SPELLING_BYTES);
+        by_text(&cache, &engine, &short, false, None);
+        assert_eq!(cache.spellings(), 1);
+    }
+
+    #[test]
+    fn the_spelling_index_stays_within_its_bound_and_keeps_no_evicted_plan_alive() {
+        // Two stripes of four plans: at most 2 × 4 × SPELLINGS_PER_PLAN
+        // spellings.
+        let (cache, engine) = (QueryCache::with_shards(8, 2), Engine::new());
+        let bound = 8 * SPELLINGS_PER_PLAN;
+        let first = by_text(&cache, &engine, "a", false, None);
+        let first_plan = Arc::downgrade(&first.prepared);
+        drop(first);
+        // Many spellings of one language (its plan stays cached), then many
+        // languages (their plans are evicted).
+        for i in 0..bound + 10 {
+            let spelling = format!("{}b{}", "(".repeat(i + 1), ")".repeat(i + 1));
+            by_text(&cache, &engine, &spelling, false, None);
+            assert!(cache.spellings() <= bound, "{i}: {}", cache.spellings());
+        }
+        for i in 0..bound + 10 {
+            by_text(&cache, &engine, &"c".repeat(i + 1), false, None);
+            assert!(cache.spellings() <= bound, "{i}: {}", cache.spellings());
+        }
+        assert!(cache.stats().evictions > 0);
+        // The alias of the evicted `a` keeps neither its plan nor its key.
+        assert!(first_plan.upgrade().is_none());
+        assert!(!by_text(&cache, &engine, "a", false, None).hit);
     }
 }

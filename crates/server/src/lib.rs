@@ -15,7 +15,9 @@
 //! same cached `PreparedQuery`, so a fleet of clients issuing differently
 //! spelled versions of the same query still shares one plan. Plans are
 //! `Send + Sync` and shared across worker threads behind an `Arc` — solving
-//! is read-only per-database work.
+//! is read-only per-database work. Each spelling the cache has seen is
+//! remembered as an alias of its canonical entry, so a repeated request
+//! neither parses nor canonicalizes its query ([`cache`] module docs).
 //!
 //! ```
 //! use rpq_server::{Client, Request, QuerySpec, Server, ServerConfig};

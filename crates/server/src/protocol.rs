@@ -70,12 +70,13 @@
 //! `rpq_graphdb::text` (escaped into a JSON string). See the top-level
 //! README for one example request/response per verb.
 
-use crate::json::Json;
-use rpq_graphdb::GraphDb;
+use crate::json::{escape_from, Json};
+use rpq_graphdb::{FactId, GraphDb};
 use rpq_resilience::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_resilience::engine::PlanReport;
 use rpq_resilience::router::{CostClass, CostModel, TieredOutcome};
 use rpq_resilience::rpq::ResilienceValue;
+use std::sync::Arc;
 
 /// The query half of a request: the regex plus the per-request settings that
 /// participate in the cache key.
@@ -530,9 +531,34 @@ pub fn plan_json(plan: &PlanReport) -> Json {
     ])
 }
 
+/// Renders a contingency set, the `contingency_set` of a solve outcome, as
+/// JSON text: an array of [`GraphDb::display_fact`] strings, each written
+/// straight into one buffer and escaped there (no `String` or [`Json::Str`]
+/// per fact). Wrapped in a [`Json::Raw`], the text is spliced into a response
+/// as is; the server keeps a result-cache hit's rendering for later hits.
+pub fn render_cut(cut: &[FactId], db: &GraphDb) -> Arc<str> {
+    let mut out = String::with_capacity(2 + 16 * cut.len());
+    out.push('[');
+    for (i, &fact) in cut.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        let start = out.len();
+        // Writing to a `String` cannot fail.
+        let _ = db.write_fact(fact, &mut out);
+        escape_from(&mut out, start);
+        out.push('"');
+    }
+    out.push(']');
+    out.into()
+}
+
 /// Renders one solve outcome (without the `ok` marker, so it can serve both
 /// as a full `solve` response body and as a `solve_batch` results entry).
-pub fn outcome_json(outcome: &ResilienceOutcome, db: &GraphDb) -> Json {
+/// `cut` is the outcome's contingency set as [`render_cut`] renders it, or
+/// `None` for a value-only answer.
+pub fn outcome_json(outcome: &ResilienceOutcome, cut: Option<Json>) -> Json {
     let mut pairs = vec![
         ("value", value_json(outcome.value)),
         ("algorithm", Json::Str(outcome.algorithm.name().to_string())),
@@ -547,9 +573,8 @@ pub fn outcome_json(outcome: &ResilienceOutcome, db: &GraphDb) -> Json {
             ]),
         ));
     }
-    if let Some(cut) = &outcome.contingency_set {
-        let facts = cut.iter().map(|&f| Json::Str(db.display_fact(f))).collect();
-        pairs.push(("contingency_set", Json::Array(facts)));
+    if let Some(cut) = cut {
+        pairs.push(("contingency_set", cut));
     }
     Json::object(pairs)
 }
@@ -559,8 +584,8 @@ pub fn outcome_json(outcome: &ResilienceOutcome, db: &GraphDb) -> Json {
 /// `exact` or `approx`), `degraded` (`true` when the planned backend did
 /// not answer exactly) and `route` (the human-readable reason the router
 /// picked this tier).
-pub fn tiered_outcome_json(tiered: &TieredOutcome, db: &GraphDb) -> Json {
-    let mut pairs = match outcome_json(&tiered.outcome, db) {
+pub fn tiered_outcome_json(tiered: &TieredOutcome, cut: Option<Json>) -> Json {
+    let mut pairs = match outcome_json(&tiered.outcome, cut) {
         Json::Object(pairs) => pairs,
         other => return other,
     };

@@ -30,13 +30,17 @@
 //! error. The three solve-family verbs share one path, whose stages run in
 //! order:
 //!
-//! 1. **prepare**: parse the query and look its plan up in the cache
-//!    (`query_parse`, `cache_lookup`, `plan` spans);
+//! 1. **prepare**: look the plan up by the query's spelling, or parse the
+//!    query and look it up by its canonical form (`cache_lookup`,
+//!    `query_parse`, `plan` spans; see [`crate::cache`]);
 //! 2. **route** every target: `solve` and `solve_batch` parse their graph
 //!    texts (`parse_db` span) and route them as one engine batch; `db_solve`
 //!    solves each snapshot through the store (`materialize` and
 //!    `result_cache` spans);
-//! 3. **entries**: one result per target, or its error object;
+//! 3. **entries**: one result per target, or its error object. A cut is
+//!    rendered into one buffer ([`crate::protocol::render_cut`]); a
+//!    result-cache hit renders its cut once and re-reads splice that text
+//!    (`result_build` span);
 //! 4. **envelope**: `ok`, `cached`, then `name` for hosted databases. The
 //!    *inline* verbs — `solve` and single-snapshot `db_solve` — merge their
 //!    one entry into the envelope, and a failed entry fails the request.
@@ -55,13 +59,12 @@
 //! before returning, so a client that issues `shutdown` after reading its
 //! response observes a clean exit.
 
-use crate::cache::{CacheLookup, CacheStats, QueryCache};
+use crate::cache::{CacheLookup, CacheStats, QueryCache, QueryError};
 use crate::json::Json;
 use crate::protocol::{
-    coded_error_response, error_response, plan_json, tiered_outcome_json, QuerySpec, Request,
-    SnapshotSel,
+    coded_error_response, error_response, plan_json, render_cut, tiered_outcome_json, QuerySpec,
+    Request, SnapshotSel,
 };
-use rpq_automata::Language;
 use rpq_graphdb::{text, GraphDb};
 use rpq_obs::{prom, MetricsRegistry, RouteCounters, Trace};
 use rpq_resilience::algorithms::Algorithm;
@@ -69,7 +72,6 @@ use rpq_resilience::engine::{Engine, PreparedQuery, SolveCall, SolveMode, SolveO
 use rpq_resilience::router::{
     RouteBudget, Router, TieredOutcome, DEFAULT_SHED_COST_BUDGET_US, DEFAULT_SHED_QUEUE_DEPTH,
 };
-use rpq_resilience::rpq::Rpq;
 use rpq_store::{
     AppendResult, SnapshotRef, Store, StoreConfig, StoreError, StoreRoute, StoreStats,
 };
@@ -293,7 +295,9 @@ impl ServerState {
         if response.get("ok").and_then(Json::as_bool) != Some(true) {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        (response.to_string(), shutdown)
+        let mut line = String::new();
+        response.write_to(&mut line);
+        (line, shutdown)
     }
 
     /// [`ServerState::dispatch`] with its panics caught: a panic answers
@@ -395,24 +399,20 @@ impl ServerState {
         }
     }
 
-    /// Parses the query and looks its plan up in the shared cache, preparing
-    /// it under the request's `enumeration_limit` override on a miss
-    /// (`query_parse`, `cache_lookup` and `plan` spans when `trace` is
-    /// enabled).
+    /// Looks the query's plan up in the shared cache, by its spelling or
+    /// else parsed, preparing it under the request's `enumeration_limit`
+    /// override on a miss (see [`QueryCache::get_or_prepare_text`] for the
+    /// spans it records when `trace` is enabled).
     fn prepare(&self, spec: &QuerySpec, trace: &mut Trace) -> Result<CacheLookup, String> {
-        let parse_timer = trace.begin();
-        let language = Language::parse(&spec.pattern)
-            .map_err(|e| format!("cannot parse query `{}`: {e}", spec.pattern))?;
-        let mut rpq = Rpq::new(language);
-        if spec.bag {
-            rpq = rpq.with_bag_semantics();
-        }
-        trace.end(parse_timer, "query_parse");
         let mut options = self.options;
         options.enumeration_limit = spec.enumeration_limit.unwrap_or(options.enumeration_limit);
-        self.cache
-            .get_or_prepare_traced(&Engine::with_options(options), &rpq, spec.algorithm, trace)
-            .map_err(|e| e.to_string())
+        let engine = Engine::with_options(options);
+        (self.cache)
+            .get_or_prepare_text(&engine, &spec.pattern, spec.bag, spec.algorithm, trace)
+            .map_err(|e| match e {
+                QueryError::Parse(e) => format!("cannot parse query `{}`: {e}", spec.pattern),
+                QueryError::Prepare(e) => e.to_string(),
+            })
     }
 
     /// The trace to run a solve-family request under: enabled when the
@@ -570,7 +570,9 @@ impl ServerState {
                 // lint: allow(panic-freedom, slots index the same vectors they were built from)
                 let (outcome, db) = (&outcomes[i], &parsed[i]);
                 let tiered = outcome.as_ref().map_err(|e| error_response(e.to_string()))?;
-                Ok(self.routed_entry(tiered, db, Vec::new()))
+                let cut = tiered.outcome.contingency_set.as_deref();
+                let cut = cut.map(|cut| Json::Raw(render_cut(cut, db)));
+                Ok(self.routed_entry(tiered, cut, Vec::new()))
             })
             .collect();
         trace.end(build_timer, "result_build");
@@ -580,14 +582,15 @@ impl ServerState {
     /// One hosted-snapshot entry: the resolved snapshot id, the
     /// `incremental` and `result_cached` markers and the routed outcome — or
     /// a store error, or, for an engine failure, an `"ok": false` entry that
-    /// still names the offending snapshot.
+    /// still names the offending snapshot. A result-cache hit's cut is the
+    /// entry's rendering, which the first hit makes from the cut's facts.
     fn snapshot_entry(&self, route: Result<StoreRoute, StoreError>) -> Entry {
         let route = route.map_err(|e| store_error(&e))?;
         let snapshot = ("snapshot".to_string(), Json::Int(route.snapshot as i128));
         match &route.result {
             Ok((tiered, mode)) => Ok(self.routed_entry(
                 tiered,
-                &route.graph,
+                hosted_cut(tiered, &route),
                 vec![
                     snapshot,
                     ("incremental".to_string(), Json::Bool(*mode == SolveMode::Incremental)),
@@ -602,16 +605,17 @@ impl ServerState {
         }
     }
 
-    /// A routed outcome as entry fields after `fields`, recorded in the
-    /// per-tier counters, with the backend and tier that answered.
+    /// A routed outcome and its rendered cut as entry fields after
+    /// `fields`, recorded in the per-tier counters, with the backend and
+    /// tier that answered.
     fn routed_entry(
         &self,
         tiered: &TieredOutcome,
-        db: &GraphDb,
+        cut: Option<Json>,
         mut fields: Vec<(String, Json)>,
     ) -> ((Algorithm, &'static str), Vec<(String, Json)>) {
         self.route_counters.record(tiered.tier, tiered.degraded, tiered.shed);
-        if let Json::Object(rest) = tiered_outcome_json(tiered, db) {
+        if let Json::Object(rest) = tiered_outcome_json(tiered, cut) {
             fields.extend(rest);
         }
         ((tiered.outcome.algorithm, tiered.tier), fields)
@@ -996,6 +1000,21 @@ enum Targets<'a> {
 /// entry's response fields, or its `"ok": false` error object.
 type Entry = Result<((Algorithm, &'static str), Vec<(String, Json)>), Json>;
 
+/// The rendered cut of a hosted answer: a result-cache hit's rendering, made
+/// on the entry's first hit from the cut's facts, or, on a miss, a rendering
+/// of the outcome's cut that is not kept.
+fn hosted_cut(tiered: &TieredOutcome, route: &StoreRoute) -> Option<Json> {
+    let render = || Some(render_cut(tiered.outcome.contingency_set.as_deref()?, &route.graph));
+    let text = match &route.rendered_cut {
+        Some(slot) => match slot.get() {
+            Some(text) => Some(Arc::clone(text)),
+            None => render().map(|text| Arc::clone(slot.get_or_init(|| text))),
+        },
+        None => render(),
+    };
+    text.map(Json::Raw)
+}
+
 /// Appends the always-on `elapsed_us` field to a response object (the
 /// failure paths of the solve-family pipeline).
 fn with_elapsed(mut json: Json, started: Instant) -> Json {
@@ -1365,6 +1384,170 @@ mod tests {
         let second = request(&state, r#"{"op":"prepare","query":"a(x)*b"}"#);
         assert_eq!(second.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(second.get("fingerprint"), first.get("fingerprint"));
+    }
+
+    /// A response line with its `elapsed_us` digits masked.
+    fn raw(state: &ServerState, line: &str) -> String {
+        let (response, _) = state.answer(line.as_bytes());
+        match response.split_once("\"elapsed_us\":") {
+            Some((head, tail)) => {
+                let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+                format!("{head}\"elapsed_us\":X{}", &tail[digits..])
+            }
+            None => response,
+        }
+    }
+
+    #[test]
+    fn spellings_hit_the_plan_cache_as_their_canonical_form_does() {
+        let state = state();
+        let cached = |query: &str| {
+            let response = request(&state, &format!(r#"{{"op":"prepare","query":"{query}"}}"#));
+            let fingerprint = response.get("fingerprint").cloned();
+            (response.get("cached").and_then(Json::as_bool), fingerprint)
+        };
+        let (first, fingerprint) = cached("a|b");
+        assert_eq!(first, Some(false));
+        assert_eq!(cached("b|a"), (Some(true), fingerprint.clone()));
+        assert_eq!(cached("a|b"), (Some(true), fingerprint));
+        let stats = request(&state, r#"{"op":"stats"}"#);
+        let cache = stats.get("cache").unwrap();
+        assert_eq!(cache.get("hits"), Some(&Json::Int(2)), "{stats}");
+        assert_eq!(cache.get("misses"), Some(&Json::Int(1)), "{stats}");
+        assert_eq!(state.cache().spellings(), 2);
+    }
+
+    #[test]
+    fn a_spelling_under_other_settings_prepares_its_own_plan() {
+        let state = state();
+        let line = r#"{"op":"solve","query":"ax*b","db":"s a u 3\nu x v 3\nv b t 3\n"}"#;
+        let set = request(&state, line);
+        assert_eq!(
+            (set.get("cached"), set.get("value")),
+            (Some(&Json::Bool(false)), Some(&Json::Int(1)))
+        );
+        for setting in [r#""bag":true"#, r#""algorithm":"local""#, r#""enumeration_limit":4"#] {
+            let variant = line.replace(r#""db""#, &format!(r#"{setting},"db""#));
+            let first = request(&state, &variant);
+            assert_eq!(first.get("cached"), Some(&Json::Bool(false)), "{variant}");
+            let again = request(&state, &variant);
+            assert_eq!(again.get("cached"), Some(&Json::Bool(true)), "{variant}");
+        }
+        // The bag spelling was not answered by the set plan: its cut costs 3.
+        let bag = line.replace(r#""db""#, r#""bag":true,"db""#);
+        assert_eq!(request(&state, &bag).get("value"), Some(&Json::Int(3)));
+        assert_eq!(state.cache().stats().entries, 4);
+    }
+
+    #[test]
+    fn unparsable_queries_are_never_remembered_and_answer_alike() {
+        let state = state();
+        let line = r#"{"op":"db_solve","name":"g","query":"a(b"}"#;
+        let first = raw(&state, line);
+        assert!(first.contains("cannot parse query `a(b`"), "{first}");
+        assert_eq!(raw(&state, line), first);
+        let prepare = r#"{"op":"prepare","query":"a(b"}"#;
+        assert_eq!(raw(&state, prepare), raw(&state, prepare));
+        assert_eq!(state.cache().spellings(), 0);
+        let stats = state.cache().stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+    }
+
+    /// The `contingency_set` array of a response line, as sent.
+    fn cut_bytes(line: &str) -> &str {
+        let start = line.find("\"contingency_set\":").expect("a cut");
+        let end = start + line[start..].find(']').expect("a closed cut");
+        &line[start..=end]
+    }
+
+    #[test]
+    fn result_cache_hits_splice_the_cut_bytes_of_the_miss() {
+        // Names that need escaping: a quote, a backslash, a control byte and
+        // a non-ASCII letter.
+        let odd = r#"\"\\\u0001é"#;
+        let state = state();
+        let put = |prefix: &str| {
+            let db = format!(r#"{prefix}s{odd} a u{odd}\nu{odd} b t{odd}\n"#);
+            request(&state, &format!(r#"{{"op":"db_put","name":"g","db":"{db}"}}"#));
+        };
+        let solve = |extra: &str| {
+            let line =
+                format!(r#"{{"op":"db_solve","name":"g","query":"ab","snapshot":2{extra}}}"#);
+            raw(&state, &line)
+        };
+        put("");
+        let miss = solve("");
+        assert!(miss.contains(r#""result_cached":false"#), "{miss}");
+        let facts = [r#"s\"\\\u0001é -a-> u\"\\\u0001é"#, r#"u\"\\\u0001é -b-> t\"\\\u0001é"#];
+        let cut = cut_bytes(&miss);
+        assert!(facts.iter().any(|f| cut == format!(r#""contingency_set":["{f}"]"#)), "{cut}");
+        // The first hit renders the cut and keeps it; the second splices it.
+        for _ in 0..2 {
+            let hit = solve("");
+            assert!(hit.contains(r#""result_cached":true"#), "{hit}");
+            assert_eq!(cut_bytes(&hit), cut);
+        }
+        // A value-only hit carries no cut and leaves the rendering alone.
+        assert!(!solve(r#","want_cut":false"#).contains("contingency_set"));
+        assert_eq!(cut_bytes(&solve("")), cut);
+
+        // A value-only entry, upgraded by a with-cut solve, renders afresh.
+        put("");
+        assert!(!solve(r#","want_cut":false"#).contains("contingency_set"));
+        let upgraded = solve("");
+        assert!(upgraded.contains(r#""result_cached":false"#), "{upgraded}");
+        assert_eq!(cut_bytes(&upgraded), cut);
+        for _ in 0..2 {
+            let hit = solve("");
+            assert!(hit.contains(r#""result_cached":true"#), "{hit}");
+            assert_eq!(cut_bytes(&hit), cut);
+        }
+
+        // A `db_put` that replaces the database keeps its offsets, but never
+        // a rendering of the old log.
+        put("x");
+        let replaced = solve("");
+        assert!(replaced.contains(r#""result_cached":false"#), "{replaced}");
+        let new_cut = cut_bytes(&replaced);
+        assert_ne!(new_cut, cut);
+        for _ in 0..2 {
+            let hit = solve("");
+            assert!(hit.contains(r#""result_cached":true"#), "{hit}");
+            assert_eq!(cut_bytes(&hit), new_cut);
+        }
+    }
+
+    #[test]
+    fn an_evicted_result_renders_its_cut_again() {
+        // 140 offsets, so the result cache (128 entries) evicts some.
+        let mut db = String::from(r#"s\\ a u\u0001\nu\u0001 b t\"\n"#);
+        for i in 0..138 {
+            db.push_str(&format!(r#"f{i} c g{i}\n"#));
+        }
+        let state = state();
+        request(&state, &format!(r#"{{"op":"db_put","name":"g","db":"{db}"}}"#));
+        let solve = |snapshot: usize| {
+            let line =
+                format!(r#"{{"op":"db_solve","name":"g","query":"ab","snapshot":{snapshot}}}"#);
+            raw(&state, &line)
+        };
+        let miss = solve(2);
+        let cut = cut_bytes(&miss);
+        let facts = [r#"s\\ -a-> u\u0001"#, r#"u\u0001 -b-> t\""#];
+        assert!(facts.iter().any(|f| cut == format!(r#""contingency_set":["{f}"]"#)), "{cut}");
+        assert!(solve(2).contains(r#""result_cached":true"#));
+        // 138 newer entries push offset 2's out.
+        let offsets: Vec<String> = (3..=140).map(|offset| offset.to_string()).collect();
+        let batch = format!(
+            r#"{{"op":"db_solve","name":"g","query":"ab","want_cut":false,"snapshots":[{}]}}"#,
+            offsets.join(",")
+        );
+        assert!(raw(&state, &batch).contains(r#""ok":true"#));
+        let again = solve(2);
+        assert!(again.contains(r#""result_cached":false"#), "{again}");
+        for line in [again, solve(2), solve(2)] {
+            assert_eq!(cut_bytes(&line), cut);
+        }
     }
 
     #[test]

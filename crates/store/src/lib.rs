@@ -21,8 +21,12 @@
 //!   O(Δ), and on a copy when one does. With nothing cached below it, the
 //!   store folds the log prefix from offset 0. The fold numbers nodes and
 //!   facts the same way whatever it starts from: the result cache keeps
-//!   `FactId`s per offset and renders them against whichever materialization
-//!   of that offset exists when it hits;
+//!   `FactId`s per offset, valid against whichever materialization of that
+//!   offset exists when it hits;
+//! * a cached result also has a [`RenderedCut`] slot: the caller renders the
+//!   cut on the entry's first hit and puts the rendering there, so later hits
+//!   of a re-read snapshot reuse it, and results never re-read cost no
+//!   rendering;
 //! * `db_solve` binds a query to `(name, snapshot)` and reuses the
 //!   [`IncrementalSolver`] retained per database: consecutive solves at
 //!   advancing snapshots hand the engine exactly the fact delta between
@@ -46,7 +50,7 @@ use rpq_resilience::rpq::Semantics;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Configuration of a [`Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,8 +196,17 @@ struct CachedResult {
     outcome: ResilienceOutcome,
     /// The solve mode of the original computation (reported on hits).
     mode: SolveMode,
+    /// The caller's rendering of `outcome`'s cut, filled on the first hit
+    /// that wants it. It lives and dies with the entry, so an upgrade, an
+    /// eviction or a `db_put` never leaves a rendering of another answer.
+    rendered_cut: RenderedCut,
     last_used: u64,
 }
+
+/// A result-cache entry's slot for the rendering of its contingency set
+/// (see [`StoreRoute::rendered_cut`]). The store never reads it: the text is
+/// whatever the caller answers with.
+pub type RenderedCut = Arc<OnceLock<Arc<str>>>;
 
 /// Per-database cap on cached results, evicted LRU past this.
 const RESULT_CACHE_CAP: usize = 128;
@@ -338,6 +351,12 @@ pub struct StoreRoute {
     /// Whether the answer came from the cross-snapshot result cache (O(1),
     /// no engine work; always a full, non-degraded answer).
     pub result_cached: bool,
+    /// On a result-cache hit that wants the cut, the entry's rendering slot:
+    /// empty on the entry's first such hit, which should fill it from the
+    /// outcome's `contingency_set`, and filled on later ones, whose outcome
+    /// then carries no `contingency_set` (the rendering is the cut). `None`
+    /// on a miss, whose cut is rendered once and not kept.
+    pub rendered_cut: Option<RenderedCut>,
 }
 
 /// Per-database summary returned by [`Store::list`].
@@ -588,10 +607,21 @@ impl Store {
                     && (r.has_cut || !want_cut)
             }) {
                 entry.last_used = tick;
-                let mut outcome = entry.outcome.clone();
-                if !want_cut {
-                    outcome.contingency_set = None;
-                }
+                let cached = &entry.outcome;
+                let rendered_cut = (want_cut && cached.contingency_set.is_some())
+                    .then(|| Arc::clone(&entry.rendered_cut));
+                // Only a hit with no rendering yet needs the cut's facts.
+                let rendered = rendered_cut.as_ref().is_some_and(|slot| slot.get().is_some());
+                let outcome = ResilienceOutcome {
+                    value: cached.value,
+                    algorithm: cached.algorithm,
+                    contingency_set: if want_cut && !rendered {
+                        cached.contingency_set.clone()
+                    } else {
+                        None
+                    },
+                    bounds: cached.bounds,
+                };
                 let tiered = TieredOutcome {
                     tier: outcome.tier(),
                     outcome,
@@ -612,6 +642,7 @@ impl Store {
                     graph,
                     result: Ok((tiered, mode)),
                     result_cached: true,
+                    rendered_cut,
                 });
             }
             trace.end(lookup_timer, "result_cache");
@@ -681,6 +712,7 @@ impl Store {
                         has_cut: want_cut,
                         outcome: tiered.outcome.clone(),
                         mode: *mode,
+                        rendered_cut: RenderedCut::default(),
                         last_used: tick,
                     });
                     trace.end(insert_timer, "result_cache");
@@ -700,7 +732,7 @@ impl Store {
                 self.full_solves.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(StoreRoute { snapshot: offset, graph, result, result_cached: false })
+        Ok(StoreRoute { snapshot: offset, graph, result, result_cached: false, rendered_cut: None })
     }
 
     /// Summaries of every hosted database, in name order. A head's fact
@@ -984,6 +1016,64 @@ mod tests {
     }
 
     #[test]
+    fn a_rendered_cut_is_filled_on_the_first_hit_and_dies_with_its_entry() {
+        let store = Store::new(StoreConfig::default());
+        let plan = prepared("ax*b");
+        store.put("g", "s a u\nu x v\nv b t\n").unwrap();
+        let base = SnapshotRef::Offset(3);
+        let with_cut = |store: &Store| routed(store, "g", &base, &plan, &SolveCall::new(true));
+        let cut_of =
+            |route: &StoreRoute| route.result.as_ref().unwrap().0.outcome.contingency_set.clone();
+        // A miss keeps no rendering.
+        let miss = with_cut(&store);
+        assert!(!miss.result_cached && miss.rendered_cut.is_none());
+        let facts = cut_of(&miss).unwrap();
+        // The first hit gets the cut's facts and the empty slot to fill.
+        let first = with_cut(&store);
+        assert!(first.result_cached);
+        assert_eq!(cut_of(&first), Some(facts.clone()));
+        let slot = first.rendered_cut.unwrap();
+        assert!(slot.get().is_none());
+        slot.set("rendered".into()).unwrap();
+        // Later hits get the rendering instead of the facts.
+        let later = with_cut(&store);
+        assert_eq!(cut_of(&later), None);
+        assert_eq!(later.rendered_cut.unwrap().get().map(|text| &**text), Some("rendered"));
+        // A value-only hit gets neither.
+        let value_only = routed(&store, "g", &base, &plan, &SolveCall::new(false));
+        assert!(value_only.result_cached && value_only.rendered_cut.is_none());
+        assert_eq!(cut_of(&value_only), None);
+
+        // A fresh slot each time its entry is replaced: an entry upgraded to
+        // carry its cut…
+        store.patch("g", "- u x v\n").unwrap();
+        let head = SnapshotRef::Offset(4);
+        routed(&store, "g", &head, &plan, &SolveCall::new(false));
+        let upgrade = routed(&store, "g", &head, &plan, &SolveCall::new(true));
+        assert!(!upgrade.result_cached && upgrade.rendered_cut.is_none());
+        let hit = routed(&store, "g", &head, &plan, &SolveCall::new(true));
+        assert!(hit.rendered_cut.unwrap().get().is_none());
+        // …an entry evicted by newer ones and solved again…
+        for round in 0..RESULT_CACHE_CAP {
+            let patch = if round % 2 == 0 { "+ u x v\n" } else { "- u x v\n" };
+            store.patch("g", patch).unwrap();
+            routed(&store, "g", &SnapshotRef::Head, &plan, &SolveCall::new(false));
+        }
+        assert!(!with_cut(&store).result_cached);
+        let hit = with_cut(&store);
+        assert_eq!(cut_of(&hit), Some(facts));
+        let slot = hit.rendered_cut.unwrap();
+        assert!(slot.get().is_none());
+        slot.set("rendered".into()).unwrap();
+        // …and an entry at the same offset of a log a `db_put` replaced.
+        store.put("g", "s a w\nw x v\nv b t\n").unwrap();
+        assert!(!with_cut(&store).result_cached);
+        let hit = with_cut(&store);
+        assert_eq!(cut_of(&hit).map(|cut| cut.len()), Some(1));
+        assert!(hit.rendered_cut.unwrap().get().is_none());
+    }
+
+    #[test]
     fn degraded_routed_solves_are_not_cached_and_report_their_tier() {
         let store = Store::new(StoreConfig::default());
         let plan = prepared("ax*b");
@@ -1185,7 +1275,7 @@ mod tests {
             let rpq = Rpq::parse(pattern).unwrap().with_semantics(semantics);
             let plan = Arc::new(Engine::new().prepare(&rpq).unwrap());
             // A small capacity evicts older materializations, so revisited
-            // offsets are rebuilt by the from-scratch replay.
+            // offsets are folded again from the log.
             let store = Store::new(StoreConfig { capacity: 3, max_body_bytes: 1 << 20 });
             store.put("g", "s a u\nu x v\nv b t\n").unwrap();
             for step in 0..40 {
@@ -1194,8 +1284,8 @@ mod tests {
                 }
                 let head = store.patch("g", &random_patch(&mut rng, &labels)).unwrap().snapshot;
                 let log = log_of(&store, "g");
-                // The new head is not materialized yet: `list` counts its
-                // facts through the replay index.
+                // The new head is not materialized yet: `list` advances a
+                // materialization to it to count its facts.
                 assert_eq!(store.list()[0].facts, materialize(&log).num_facts());
                 let at = if rng.gen_bool(0.2) { rng.gen_range(0..=head) } else { head };
                 let want_cut = rng.gen_bool(0.5);
