@@ -2,8 +2,8 @@
 //!
 //! Tracks `Mutex` guard scopes per function body (the workspace has no
 //! `RwLock`; `.read(`/`.write(` would collide with `io::Read`/`io::Write`),
-//! names each lock with a crate-qualified *class* (all cache stripes are one
-//! class, all store database handles are one class), and derives:
+//! names each lock with a crate-qualified *class* (all store database
+//! handles are one class), and derives:
 //!
 //! - the cross-crate lock-acquisition graph: an edge `A → B` whenever a
 //!   blocking `lock()` of class `B` happens while a guard of class `A` is
@@ -48,7 +48,7 @@ const BLOCKING_CALLS: [&str; 23] = [
     "route_batch",
     "route_incremental",
     "prepare",
-    "get_or_prepare",
+    "get_or_prepare_text",
 ];
 
 /// Receivers whose `.lock()` is not a `Mutex` (std stream handles).
@@ -303,8 +303,6 @@ fn lock_class(crate_name: &str, receiver: &str) -> String {
     let class = match (crate_name, receiver) {
         (_, "databases") => "store.registry",
         (_, "handle") => "store.database",
-        ("server", "stripe" | "stripes" | "s") => "server.cache_stripe",
-        ("obs", "shards" | "shard" | "stripe") => "obs.metrics_shard",
         (_, "addr") => "server.addr",
         (_, "ready") => "server.ready_queue",
         ("core", "0") => "core.scratch_pool",

@@ -237,7 +237,7 @@ pub fn policy_for(rel_path: &str) -> Option<FilePolicy> {
 }
 
 /// The crate a workspace-relative path belongs to (lock classes are
-/// namespaced by crate so `stripe` in `obs` and `server` stay distinct).
+/// namespaced by crate so same-named locks in two crates stay distinct).
 pub fn crate_of(rel_path: &str) -> &str {
     let mut components = rel_path.split('/');
     match components.next() {

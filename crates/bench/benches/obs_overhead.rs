@@ -101,7 +101,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // The server-side per-request accounting: sharded registry lookup plus
+    // The server-side per-request accounting: registry lookup (one lock) plus
     // one atomic histogram record.
     let registry = MetricsRegistry::default();
     let mut group = c.benchmark_group("obs_overhead");

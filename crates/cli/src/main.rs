@@ -56,7 +56,7 @@ usage:
   rpq-cli gadget '<regex>'
   rpq-cli figure1
   rpq-cli serve [--port <p>] [--pipe] [--threads <n>] [--cache-capacity <n>]
-          [--cache-shards <n>] [--jobs <n>] [--enumeration-limit <n>]
+          [--jobs <n>] [--enumeration-limit <n>]
           [--store-capacity <n>] [--store-body-limit <bytes>] [--slow-query-log <us>]
           [--shed-queue-depth <n>] [--shed-cost-budget <us>]
   rpq-cli client [--addr <host:port>] prepare '<regex>' [query options]
@@ -81,7 +81,7 @@ serve: NDJSON protocol (prepare/solve/solve_batch/db_*/stats/metrics/shutdown)
        slots only while it answers a request, so idle persistent connections
        never starve new clients. The prepared-query
        cache is keyed by canonicalized language (equivalent regex spellings
-       share one cached plan) and striped over --cache-shards locks.
+       share one cached plan) and holds at most --cache-capacity plans.
        --slow-query-log <us> logs solve-family requests slower than the
        threshold to stderr with their per-phase breakdown
 jobs: worker threads for the per-database half of a batch (default 1);
@@ -386,9 +386,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--threads" => config.threads = parse_number("--threads", iter.next())?,
             "--cache-capacity" => {
                 config.cache_capacity = parse_number("--cache-capacity", iter.next())?;
-            }
-            "--cache-shards" => {
-                config.cache_shards = parse_number("--cache-shards", iter.next())?;
             }
             "--jobs" => config.jobs = parse_number("--jobs", iter.next())?,
             "--enumeration-limit" => {

@@ -251,7 +251,8 @@ pub struct SolveCall<'r> {
     /// The caller's deadline / cost budget.
     pub budget: RouteBudget,
     /// The router resolving the budget (the server's carries an overload
-    /// probe that tightens it while the ready queue is deep).
+    /// probe that tightens it while many complete requests wait for a
+    /// worker slot).
     pub router: &'r Router,
 }
 

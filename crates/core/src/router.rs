@@ -26,9 +26,10 @@
 //! with no limit under the constant [`crate::exact::WORK_CAP`].
 //!
 //! A [`Router`] additionally carries the server's overload hook: when its
-//! queue-depth probe reports a ready queue at or beyond the shed threshold,
-//! the effective budget is tightened so expensive solves shed to cheaper
-//! tiers *before* the queue grows unboundedly.
+//! queue-depth probe reports at least the shed threshold of complete
+//! requests waiting for a worker slot, the effective budget is tightened so
+//! expensive solves shed to cheaper tiers *before* the backlog grows
+//! unboundedly.
 
 use crate::algorithms::{Algorithm, ResilienceOutcome};
 use rpq_graphdb::GraphDb;
@@ -203,8 +204,9 @@ pub struct TieredOutcome {
 /// Dispatch policy shared by every solve entry point: resolves a caller's
 /// [`RouteBudget`] into an effective per-solve limit, optionally tightened
 /// by a server-overload probe. The engine and CLI use
-/// [`Router::default()`]; the server installs a probe reading its
-/// ready-queue depth via [`Router::with_overload_probe`].
+/// [`Router::default()`]; the server installs a probe reading how many
+/// complete requests wait for a worker slot via
+/// [`Router::with_overload_probe`].
 #[derive(Clone, Default)]
 pub struct Router {
     shed_queue_depth: Option<u64>,
@@ -212,8 +214,8 @@ pub struct Router {
     probe: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
 }
 
-/// The default ready-queue depth at which an overloaded server starts
-/// shedding to cheaper tiers.
+/// The default number of complete requests waiting for a worker slot at
+/// which an overloaded server starts shedding to cheaper tiers.
 pub const DEFAULT_SHED_QUEUE_DEPTH: u64 = 32;
 
 /// The default budget (estimated microseconds) imposed on every solve while
@@ -226,9 +228,10 @@ impl Router {
         Router { shed_queue_depth: None, shed_cost_budget_us: 0, probe: None }
     }
 
-    /// Installs an overload probe (e.g. the server's ready-queue depth) with
-    /// the default shed thresholds. While `probe() >=` the shed depth, every
-    /// budget is tightened to at most the shed cost budget.
+    /// Installs an overload probe (e.g. the server's count of complete
+    /// requests waiting for a worker slot) with the default shed thresholds.
+    /// While `probe() >=` the shed depth, every budget is tightened to at
+    /// most the shed cost budget.
     pub fn with_overload_probe(self, probe: Arc<dyn Fn() -> u64 + Send + Sync>) -> Router {
         Router {
             shed_queue_depth: Some(self.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH)),

@@ -13,10 +13,10 @@
 //!   without locks, plus a consistent [`HistogramSnapshot`] for rendering
 //!   p50/p95/p99/max summaries and Prometheus `_bucket`/`_sum`/`_count`
 //!   series.
-//! * [`MetricsRegistry`] — a sharded map from `(verb, family, tier, backend)`
-//!   label keys to shared histograms. Lookups take one short-lived shard lock
-//!   and hand back an [`std::sync::Arc`] the caller records into lock-free;
-//!   hot paths can cache the `Arc` and skip the map entirely.
+//! * [`MetricsRegistry`] — a map from `(verb, family, tier, backend)` label
+//!   keys to shared histograms behind one lock. Lookups hold it for a short
+//!   scan and hand back an [`std::sync::Arc`] the caller records into
+//!   lock-free; hot paths can cache the `Arc` and skip the map entirely.
 //! * [`prom`] — helpers emitting the Prometheus text exposition format
 //!   (`# HELP` / `# TYPE` headers, labeled samples, histogram series).
 
@@ -60,11 +60,16 @@ pub struct PhaseTimer(Option<Instant>);
 /// instrumentation point reduces to one branch, so untraced hot paths pay
 /// (almost) nothing. Enabled traces accumulate `(phase, µs)` spans keyed by
 /// their `&'static` phase name; repeated phases aggregate into one span.
+/// Each phase sums nanoseconds and reads as its whole µs so far, so a phase
+/// made of many sub-µs pieces still adds up.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// When the trace was enabled (`None` = disabled).
     t0: Option<Instant>,
+    /// `(phase, whole µs)`, as [`Trace::spans`] hands them out.
     spans: Vec<(&'static str, u64)>,
+    /// The nanoseconds behind each span, in the same order.
+    nanos: Vec<u64>,
 }
 
 impl Trace {
@@ -75,7 +80,7 @@ impl Trace {
 
     /// A recording trace; [`Trace::seal`] measures the total from this call.
     pub fn enabled() -> Trace {
-        Trace { t0: Some(Instant::now()), spans: Vec::new() }
+        Trace { t0: Some(Instant::now()), spans: Vec::new(), nanos: Vec::new() }
     }
 
     /// Whether spans are being recorded.
@@ -92,28 +97,38 @@ impl Trace {
     /// under `phase`.
     pub fn end(&mut self, timer: PhaseTimer, phase: &'static str) {
         if let Some(t) = timer.0 {
-            self.add(phase, t.elapsed().as_micros() as u64);
+            self.add_nanos(phase, t.elapsed().as_nanos() as u64);
         }
     }
 
     /// Adds `us` microseconds to `phase` (aggregating with any previous
     /// spans of the same phase). No-op when disabled.
     pub fn add(&mut self, phase: &'static str, us: u64) {
+        self.add_nanos(phase, us.saturating_mul(1_000));
+    }
+
+    /// Adds `ns` nanoseconds to `phase`. No-op when disabled.
+    fn add_nanos(&mut self, phase: &'static str, ns: u64) {
         if self.t0.is_none() {
             return;
         }
-        match self.spans.iter_mut().find(|(name, _)| *name == phase) {
-            Some((_, total)) => *total += us,
-            None => self.spans.push((phase, us)),
+        for ((name, us), total) in self.spans.iter_mut().zip(&mut self.nanos) {
+            if *name == phase {
+                *total = total.saturating_add(ns);
+                *us = *total / 1_000;
+                return;
+            }
         }
+        self.spans.push((phase, ns / 1_000));
+        self.nanos.push(ns);
     }
 
     /// Folds another trace's spans into this one (used to merge the
     /// per-worker traces of a parallel batch). The other trace's own clock
     /// is ignored; only its spans transfer.
     pub fn merge(&mut self, other: &Trace) {
-        for &(phase, us) in &other.spans {
-            self.add(phase, us);
+        for (&(phase, _), &ns) in other.spans.iter().zip(&other.nanos) {
+            self.add_nanos(phase, ns);
         }
     }
 
@@ -129,7 +144,8 @@ impl Trace {
         total
     }
 
-    /// The recorded `(phase, µs)` spans, in first-recorded order.
+    /// The recorded `(phase, µs)` spans, in first-recorded order; each
+    /// phase reads its summed nanoseconds truncated to whole µs.
     pub fn spans(&self) -> &[(&'static str, u64)] {
         &self.spans
     }
@@ -236,71 +252,36 @@ impl HistogramSnapshot {
 /// flow-backend names), so keys are cheap to hash and compare.
 pub type MetricsKey = [&'static str; 4];
 
-/// Default shard count of a [`MetricsRegistry`].
-pub const DEFAULT_METRIC_SHARDS: usize = 8;
-
-/// One lock stripe of a [`MetricsRegistry`]: a small unordered key → handle
-/// map (registries hold a handful of label sets, so linear scan wins).
-type MetricsShard = Mutex<Vec<(MetricsKey, Arc<Histogram>)>>;
-
-/// A sharded `(verb, family, tier, backend)` → [`Histogram`] map. The shard
-/// lock is held only for the get-or-create lookup; recording happens on the
-/// returned [`Arc`] without any lock.
-#[derive(Debug)]
+/// A `(verb, family, tier, backend)` → [`Histogram`] map behind one lock: a
+/// small unordered list (registries hold a handful of label sets, so a
+/// linear scan wins). The lock is held only for the get-or-create lookup;
+/// recording happens on the returned [`Arc`] without any lock.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    shards: Vec<MetricsShard>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        MetricsRegistry::new(DEFAULT_METRIC_SHARDS)
-    }
+    histograms: Mutex<Vec<(MetricsKey, Arc<Histogram>)>>,
 }
 
 impl MetricsRegistry {
-    /// A registry with `shards` stripes (at least one).
-    pub fn new(shards: usize) -> MetricsRegistry {
-        let shards = shards.max(1);
-        MetricsRegistry { shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect() }
-    }
-
-    fn shard_of(&self, key: &MetricsKey) -> usize {
-        // FNV-1a over the label bytes (keys are a handful of short names, so
-        // the hash is a few dozen byte ops behind a shard lookup).
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for part in key {
-            for &b in part.as_bytes() {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x1000_0000_01b3);
-            }
-            hash ^= 0xff; // separator, so ("ab","c") ≠ ("a","bc")
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-        (hash % self.shards.len() as u64) as usize
-    }
-
     /// The histogram of `key`, created on first use. The returned handle
     /// records lock-free and may be cached by the caller.
     pub fn histogram(&self, key: MetricsKey) -> Arc<Histogram> {
-        // Recording never panics while holding the shard lock, but recover
-        // from poisoning anyway: metrics must not take down a worker.
-        let mut shard =
-            self.shards[self.shard_of(&key)].lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, h)) = shard.iter().find(|(k, _)| *k == key) {
+        // Recording never panics while holding the lock, but recover from
+        // poisoning anyway: metrics must not take down a worker.
+        let mut histograms = self.histograms.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, h)) = histograms.iter().find(|(k, _)| *k == key) {
             return Arc::clone(h);
         }
         let h = Arc::new(Histogram::new());
-        shard.push((key, Arc::clone(&h)));
+        histograms.push((key, Arc::clone(&h)));
         h
     }
 
     /// Snapshots every histogram, sorted by key for stable rendering.
     pub fn snapshot(&self) -> Vec<(MetricsKey, HistogramSnapshot)> {
-        let mut all: Vec<(MetricsKey, HistogramSnapshot)> = Vec::new();
-        for stripe in &self.shards {
-            let shard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(shard.iter().map(|(k, h)| (*k, h.snapshot())));
-        }
+        let histograms = self.histograms.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut all: Vec<(MetricsKey, HistogramSnapshot)> =
+            histograms.iter().map(|(k, h)| (*k, h.snapshot())).collect();
+        drop(histograms);
         all.sort_by_key(|(key, _)| *key);
         all
     }
@@ -509,6 +490,32 @@ mod tests {
         assert!(spans.iter().any(|(n, _)| *n == "other"), "seal adds the remainder");
         let accounted: u64 = spans.iter().map(|&(_, us)| us).sum();
         assert_eq!(accounted, total.max(accounted), "spans sum to at least the sealed total");
+    }
+
+    #[test]
+    fn sub_microsecond_spans_add_up() {
+        // Each span spins at least 500 ns; truncating each to whole µs
+        // would read 0.
+        let spin = |trace: &mut Trace| {
+            let timer = trace.begin();
+            let start = Instant::now();
+            while start.elapsed() < std::time::Duration::from_nanos(500) {}
+            trace.end(timer, "spin");
+        };
+        let spun = |trace: &Trace| trace.spans().iter().find(|(n, _)| *n == "spin").unwrap().1;
+        let mut trace = Trace::enabled();
+        for _ in 0..1_000 {
+            spin(&mut trace);
+        }
+        assert!(spun(&trace) >= 500, "{:?}", trace.spans());
+        // Merging carries the nanoseconds too.
+        let mut parent = Trace::enabled();
+        for _ in 0..1_000 {
+            let mut worker = Trace::enabled();
+            spin(&mut worker);
+            parent.merge(&worker);
+        }
+        assert!(spun(&parent) >= 500, "{:?}", parent.spans());
     }
 
     #[test]

@@ -18,17 +18,13 @@
 //! the same language prepared with another enumeration limit is a different
 //! entry. Whether a contingency set is extracted is a solve-time flag
 //! (`SolveCall::want_cut`), not part of the key, so value-only and with-cut
-//! requests for the same language share one entry. Eviction is
-//! least-recently-used with a fixed capacity.
+//! requests for the same language share one entry.
 //!
-//! The cache is **sharded into lock stripes** keyed by the language
-//! fingerprint: each stripe has its own mutex and its own LRU region, so
-//! cache hits on different languages never contend on one global lock under
-//! high connection counts. Counters (hits/misses/evictions) are lock-free
-//! atomics; eviction is LRU *within a stripe* (stripe capacities sum to the
-//! configured total), which approximates global LRU the way any striped
-//! cache does. `QueryCache::with_shards(capacity, 1)` recovers exact global
-//! LRU when determinism matters more than throughput.
+//! The whole cache sits behind **one [`Mutex`]**: a lookup holds it for a
+//! hash probe, preparation runs outside it, and the server answers at most
+//! `threads` requests at once. Eviction is exact least-recently-used over
+//! the whole capacity, and the hit/miss/eviction counters live under the
+//! same lock.
 //!
 //! # The spelling index
 //!
@@ -37,28 +33,24 @@
 //! first looks the query up **by its text**: the raw pattern plus `bag`, the
 //! forced algorithm and the effective enumeration limit. A hit there neither
 //! parses nor canonicalizes. On a miss it parses, takes the canonical lookup
-//! above, and remembers the spelling as an alias of the canonical key it led
-//! to. The canonical form stays the cache's identity: an alias points at a
-//! canonical entry, a hit through it is the same plan-cache hit (same plan,
-//! same fingerprint, counted in `hits`), and an alias whose entry was evicted
-//! simply misses. Aliases hold their canonical key weakly, so they keep no
-//! evicted plan or canonical form alive. The index is bounded: patterns
-//! longer than [`MAX_SPELLING_BYTES`] are never remembered, a pattern that
-//! fails to parse is never remembered, and each stripe keeps at most
-//! [`SPELLINGS_PER_PLAN`] spellings per plan slot, dropping those of evicted
-//! plans first and then the least recently used. Spellings are striped by
-//! their own hash, so the index adds no global lock either.
+//! above, and remembers the spelling as one of the spellings of the entry it
+//! led to. The canonical form stays the cache's identity: a spelling points
+//! at a canonical entry, and a hit through it is the same plan-cache hit
+//! (same plan, same fingerprint, counted in `hits`). Each entry lists its own
+//! spellings, and evicting the entry removes them under the same lock, so no
+//! spelling outlives its plan. The index is bounded: patterns longer than
+//! [`MAX_SPELLING_BYTES`] are never remembered, a pattern that fails to
+//! parse or prepare is never remembered, and each entry keeps at most
+//! [`SPELLINGS_PER_PLAN`] spellings, dropping its oldest first — at most
+//! `SPELLINGS_PER_PLAN × capacity` in all.
 
 use rpq_automata::{AutomataError, Language};
 use rpq_obs::Trace;
 use rpq_resilience::algorithms::{Algorithm, ResilienceError};
 use rpq_resilience::engine::{Engine, PreparedQuery, SolveOptions};
 use rpq_resilience::rpq::{Rpq, Semantics};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The collision-free cache key: canonical language + everything else the
 /// plan depends on.
@@ -97,27 +89,106 @@ struct Spelling {
 
 struct Entry {
     prepared: Arc<PreparedQuery>,
-    /// The entry's own key (the map's key), which aliases point at.
+    /// The entry's own key (the map's key), which its spellings point at.
     key: Arc<CacheKey>,
-    last_used: u64,
-}
-
-/// A remembered spelling: the canonical key it parsed to, held weakly so
-/// that evicting the entry frees the key too, and that key's fingerprint.
-struct Alias {
-    key: Weak<CacheKey>,
     fingerprint: u64,
+    /// The spellings remembered for this entry, oldest first (at most
+    /// [`SPELLINGS_PER_PLAN`]); they leave the index with the entry.
+    spellings: Vec<Spelling>,
     last_used: u64,
 }
 
+/// Everything behind the cache's lock.
+#[derive(Default)]
 struct Inner {
     entries: HashMap<Arc<CacheKey>, Entry>,
-    /// Spellings whose hash maps to this stripe (see the module docs).
-    spellings: HashMap<Spelling, Alias>,
+    /// Every remembered spelling, with the key of the entry it parsed to.
+    spellings: HashMap<Spelling, Arc<CacheKey>>,
     tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-/// The result of a cache lookup (see [`QueryCache::get_or_prepare`]).
+impl Inner {
+    /// The plan a remembered spelling points at, touched and counted as a
+    /// hit.
+    fn lookup_spelling(&mut self, spelling: &Spelling) -> Option<CacheLookup> {
+        let entry = self.entries.get_mut(self.spellings.get(spelling)?)?;
+        self.tick += 1;
+        entry.last_used = self.tick;
+        self.hits += 1;
+        let prepared = Arc::clone(&entry.prepared);
+        Some(CacheLookup { prepared, hit: true, fingerprint: entry.fingerprint })
+    }
+
+    /// The plan of `key`, touched; counts the hit or the miss.
+    fn lookup(&mut self, key: &CacheKey) -> Option<Arc<PreparedQuery>> {
+        self.tick += 1;
+        let Some(entry) = self.entries.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        entry.last_used = self.tick;
+        self.hits += 1;
+        Some(Arc::clone(&entry.prepared))
+    }
+
+    /// Inserts a freshly prepared plan, or hands back the incumbent of its
+    /// key. Evicts the least recently used entries, with their spellings,
+    /// to stay within `capacity`.
+    fn insert(
+        &mut self,
+        key: Arc<CacheKey>,
+        fingerprint: u64,
+        prepared: Arc<PreparedQuery>,
+        capacity: usize,
+    ) -> Arc<PreparedQuery> {
+        self.tick += 1;
+        if let Some(existing) = self.entries.get_mut(&key) {
+            // Another thread prepared the same language concurrently; keep
+            // the incumbent so every caller shares one plan.
+            existing.last_used = self.tick;
+            return Arc::clone(&existing.prepared);
+        }
+        while self.entries.len() >= capacity {
+            let oldest =
+                self.entries.values().min_by_key(|e| e.last_used).map(|e| Arc::clone(&e.key));
+            let Some(evicted) = oldest.and_then(|key| self.entries.remove(&key)) else { break };
+            for spelling in &evicted.spellings {
+                self.spellings.remove(spelling);
+            }
+            self.evictions += 1;
+        }
+        let entry = Entry {
+            prepared: Arc::clone(&prepared),
+            key: Arc::clone(&key),
+            fingerprint,
+            spellings: Vec::new(),
+            last_used: self.tick,
+        };
+        self.entries.insert(key, entry);
+        prepared
+    }
+
+    /// Remembers `spelling` (if any) as a spelling of `key`'s entry, dropping
+    /// the entry's oldest one when it already lists [`SPELLINGS_PER_PLAN`].
+    fn remember(&mut self, key: &CacheKey, spelling: Option<Spelling>) {
+        let Some(spelling) = spelling else { return };
+        if self.spellings.contains_key(&spelling) {
+            return;
+        }
+        let Some(entry) = self.entries.get_mut(key) else { return };
+        if entry.spellings.len() >= SPELLINGS_PER_PLAN {
+            let oldest = entry.spellings.remove(0);
+            self.spellings.remove(&oldest);
+        }
+        self.spellings.insert(spelling.clone(), Arc::clone(&entry.key));
+        entry.spellings.push(spelling);
+    }
+}
+
+/// The result of a cache lookup (see [`QueryCache::get_or_prepare_text`]).
 pub struct CacheLookup {
     /// The shared prepared plan.
     pub prepared: Arc<PreparedQuery>,
@@ -137,26 +208,17 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to respect the capacity.
     pub evictions: u64,
-    /// Entries currently cached (summed over all stripes).
+    /// Entries currently cached.
     pub entries: usize,
-    /// The configured total capacity.
+    /// The configured capacity.
     pub capacity: usize,
-    /// The number of lock stripes.
-    pub shards: usize,
 }
-
-/// The default stripe count of [`QueryCache::new`] (clamped to the capacity).
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// The minimum number of slots per stripe: every option-variant of a
-/// language shares its stripe, so stripes must hold a few entries each.
-pub const MIN_STRIPE_CAPACITY: usize = 4;
 
 /// The longest pattern, in bytes, the spelling index remembers; longer
 /// patterns are parsed on every request (their parse dwarfs a lookup).
 pub const MAX_SPELLING_BYTES: usize = 256;
 
-/// The spellings each stripe remembers per plan slot.
+/// The spellings remembered per cached plan.
 pub const SPELLINGS_PER_PLAN: usize = 4;
 
 /// Why [`QueryCache::get_or_prepare_text`] returned no plan.
@@ -168,95 +230,41 @@ pub enum QueryError {
     Prepare(ResilienceError),
 }
 
-/// A thread-safe, lock-striped LRU cache of [`PreparedQuery`] plans keyed by
-/// canonicalized query language (plus semantics and options). See the module
-/// docs for the keying and sharding rules.
+/// A thread-safe LRU cache of [`PreparedQuery`] plans keyed by canonicalized
+/// query language (plus semantics and options), behind one lock. See the
+/// module docs for the keying rules and the spelling index.
 pub struct QueryCache {
     capacity: usize,
-    stripe_capacity: usize,
-    stripes: Vec<Mutex<Inner>>,
-    /// Picks the stripe of a spelling.
-    spelling_hasher: RandomState,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    inner: Mutex<Inner>,
 }
 
 impl QueryCache {
-    /// A cache holding at most `capacity` prepared plans (at least one),
-    /// striped over [`DEFAULT_SHARDS`] locks.
+    /// A cache holding at most `capacity` prepared plans (at least one).
     pub fn new(capacity: usize) -> QueryCache {
-        QueryCache::with_shards(capacity, DEFAULT_SHARDS)
+        QueryCache { capacity: capacity.max(1), inner: Mutex::default() }
     }
 
-    /// A cache with an explicit stripe count. The stripe count is clamped so
-    /// that every stripe gets at least [`MIN_STRIPE_CAPACITY`] slots — all
-    /// option-variants of one language land in the same stripe (they share a
-    /// fingerprint), so tiny stripes would thrash between variants. Each
-    /// stripe gets `capacity.div_ceil(shards)` slots; stripe capacities sum
-    /// to (at least) the requested total.
-    pub fn with_shards(capacity: usize, shards: usize) -> QueryCache {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, (capacity / MIN_STRIPE_CAPACITY).max(1));
-        QueryCache {
-            capacity,
-            stripe_capacity: capacity.div_ceil(shards),
-            stripes: (0..shards)
-                .map(|_| {
-                    Mutex::new(Inner {
-                        entries: HashMap::new(),
-                        spellings: HashMap::new(),
-                        tick: 0,
-                    })
-                })
-                .collect(),
-            spelling_hasher: RandomState::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The stripe a language fingerprint maps to. All keys of one language
-    /// share a stripe regardless of options, so a hot language contends on
-    /// exactly one lock and different languages spread over all of them.
-    fn stripe(&self, fingerprint: u64) -> &Mutex<Inner> {
-        // lint: allow(panic-freedom, modulo of the stripe count is always in range)
-        &self.stripes[(fingerprint % self.stripes.len() as u64) as usize]
-    }
-
-    /// The stripe a spelling is remembered in.
-    fn spelling_stripe(&self, spelling: &Spelling) -> &Mutex<Inner> {
-        let hash = self.spelling_hasher.hash_one(spelling);
-        // lint: allow(panic-freedom, modulo of the stripe count is always in range)
-        &self.stripes[(hash % self.stripes.len() as u64) as usize]
-    }
-
-    /// Returns the cached plan for the query's language (and the engine's
-    /// options), preparing and inserting it on a miss. Preparation runs
-    /// outside every cache lock, so a slow `prepare` never blocks hits on
-    /// other languages; two threads racing on the same new language may both
-    /// prepare, and the first insert wins.
-    pub fn get_or_prepare(
-        &self,
-        engine: &Engine,
-        rpq: &Rpq,
-        forced: Option<Algorithm>,
-    ) -> Result<CacheLookup, ResilienceError> {
-        let lookup = self.get_or_prepare_keyed(engine, rpq, forced, &mut Trace::disabled())?;
-        Ok(lookup.0)
+    /// The cache's lock. A poisoned lock still guards structurally valid
+    /// maps (every mutation under it is panic-free), so recover instead of
+    /// unwinding.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The plan for a query as a request spells it: `pattern` under `bag`
     /// semantics, the engine's options and any `forced` algorithm. A
     /// remembered spelling answers without parsing; otherwise the pattern is
-    /// parsed, looked up (or prepared) by its canonical form as in
-    /// [`QueryCache::get_or_prepare`], and its spelling remembered (see the
-    /// module docs). Traced, a spelling hit records one `cache_lookup` span;
-    /// a miss adds a `query_parse` span, the canonical probe to
-    /// `cache_lookup`, and the engine's own `canonicalize`/`classify`/`plan`
-    /// spans on a canonical miss (a single `plan` span when the algorithm is
-    /// forced, since forced plans skip classification).
+    /// parsed and looked up by its canonical form, prepared and inserted on
+    /// a miss, and its spelling remembered (see the module docs).
+    /// Preparation runs outside the lock, so a slow `prepare` never blocks
+    /// hits on other languages; two threads racing on the same new language
+    /// may both prepare, and the first insert wins.
+    ///
+    /// Traced, a spelling hit records one `cache_lookup` span; a miss adds a
+    /// `query_parse` span, the canonical probe to `cache_lookup`, and the
+    /// engine's own `canonicalize`/`classify`/`plan` spans on a canonical
+    /// miss (a single `plan` span when the algorithm is forced, since forced
+    /// plans skip classification).
     pub fn get_or_prepare_text(
         &self,
         engine: &Engine,
@@ -272,169 +280,59 @@ impl QueryCache {
             forced: forced.map(Algorithm::name),
             enumeration_limit: engine.options().enumeration_limit,
         });
-        if let Some(lookup) = spelling.as_ref().and_then(|spelling| self.lookup_spelling(spelling))
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace.end(probe_timer, "cache_lookup");
+        let hit = spelling.as_ref().and_then(|spelling| self.lock().lookup_spelling(spelling));
+        trace.end(probe_timer, "cache_lookup");
+        if let Some(lookup) = hit {
             return Ok(lookup);
         }
-        trace.end(probe_timer, "cache_lookup");
         let parse_timer = trace.begin();
         let mut rpq = Rpq::new(Language::parse(pattern).map_err(QueryError::Parse)?);
         if bag {
             rpq = rpq.with_bag_semantics();
         }
         trace.end(parse_timer, "query_parse");
-        let (lookup, key) =
-            self.get_or_prepare_keyed(engine, &rpq, forced, trace).map_err(QueryError::Prepare)?;
-        if let Some(spelling) = spelling {
-            self.remember(spelling, &key, lookup.fingerprint);
-        }
-        Ok(lookup)
-    }
-
-    /// The canonical lookup behind both entry points: a hit adds its
-    /// canonicalization and stripe probe to the `cache_lookup` span. Also
-    /// returns the entry's key, for the spelling index.
-    fn get_or_prepare_keyed(
-        &self,
-        engine: &Engine,
-        rpq: &Rpq,
-        forced: Option<Algorithm>,
-        trace: &mut Trace,
-    ) -> Result<(CacheLookup, Arc<CacheKey>), ResilienceError> {
         let lookup_timer = trace.begin();
-        let key = CacheKey::new(rpq, engine.options(), forced);
-        let fingerprint = rpq_automata::Language::fingerprint_of_canonical_form(&key.canonical);
-        if let Some((prepared, key)) = self.lookup(fingerprint, &key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let key = Arc::new(CacheKey::new(&rpq, engine.options(), forced));
+        let fingerprint = Language::fingerprint_of_canonical_form(&key.canonical);
+        let mut inner = self.lock();
+        if let Some(prepared) = inner.lookup(&key) {
+            inner.remember(&key, spelling);
+            drop(inner);
             trace.end(lookup_timer, "cache_lookup");
-            return Ok((CacheLookup { prepared, hit: true, fingerprint }, key));
+            return Ok(CacheLookup { prepared, hit: true, fingerprint });
         }
+        drop(inner);
         trace.end(lookup_timer, "cache_lookup");
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let prepared = Arc::new(match forced {
             Some(algorithm) => {
                 let plan_timer = trace.begin();
-                let prepared = engine.prepare_with(algorithm, rpq)?;
+                let prepared = engine.prepare_with(algorithm, &rpq).map_err(QueryError::Prepare)?;
                 trace.end(plan_timer, "plan");
                 prepared
             }
-            None => engine.prepare_traced(rpq, trace)?,
+            None => engine.prepare_traced(&rpq, trace).map_err(QueryError::Prepare)?,
         });
-        let (prepared, key) = self.insert(fingerprint, key, prepared);
-        Ok((CacheLookup { prepared, hit: false, fingerprint }, key))
+        let mut inner = self.lock();
+        let prepared = inner.insert(Arc::clone(&key), fingerprint, prepared, self.capacity);
+        inner.remember(&key, spelling);
+        Ok(CacheLookup { prepared, hit: false, fingerprint })
     }
 
-    /// The plan a remembered spelling points at, if its entry is still
-    /// cached. The two stripes are locked one after the other, never nested.
-    fn lookup_spelling(&self, spelling: &Spelling) -> Option<CacheLookup> {
-        let (key, fingerprint) = {
-            let mut inner =
-                self.spelling_stripe(spelling).lock().unwrap_or_else(PoisonError::into_inner);
-            inner.tick += 1;
-            let tick = inner.tick;
-            let alias = inner.spellings.get_mut(spelling)?;
-            alias.last_used = tick;
-            (alias.key.upgrade()?, alias.fingerprint)
-        };
-        let (prepared, _) = self.lookup(fingerprint, &key)?;
-        Some(CacheLookup { prepared, hit: true, fingerprint })
-    }
-
-    /// Remembers that `spelling` parses to the entry `key`, making room
-    /// first if the stripe holds its share of spellings: the spellings of
-    /// evicted plans go first, then the least recently used one.
-    fn remember(&self, spelling: Spelling, key: &Arc<CacheKey>, fingerprint: u64) {
-        let cap = self.stripe_capacity * SPELLINGS_PER_PLAN;
-        let mut inner =
-            self.spelling_stripe(&spelling).lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.spellings.contains_key(&spelling) && inner.spellings.len() >= cap {
-            inner.spellings.retain(|_, alias| alias.key.strong_count() > 0);
-            if inner.spellings.len() >= cap {
-                let oldest = (inner.spellings.iter())
-                    .min_by_key(|(_, alias)| alias.last_used)
-                    .map(|(spelling, _)| spelling.clone());
-                if let Some(oldest) = oldest {
-                    inner.spellings.remove(&oldest);
-                }
-            }
-        }
-        let alias = Alias { key: Arc::downgrade(key), fingerprint, last_used: tick };
-        inner.spellings.insert(spelling, alias);
-    }
-
-    /// The entry of `key`, touched: its plan and its key.
-    fn lookup(
-        &self,
-        fingerprint: u64,
-        key: &CacheKey,
-    ) -> Option<(Arc<PreparedQuery>, Arc<CacheKey>)> {
-        // A poisoned stripe still holds a structurally valid map (every
-        // mutation below is panic-free), so recover instead of unwinding.
-        let mut inner = self.stripe(fingerprint).lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.get_mut(key).map(|entry| {
-            entry.last_used = tick;
-            (Arc::clone(&entry.prepared), Arc::clone(&entry.key))
-        })
-    }
-
-    /// Inserts a freshly prepared plan, or hands back the incumbent of its
-    /// key, with the entry's key either way.
-    fn insert(
-        &self,
-        fingerprint: u64,
-        key: CacheKey,
-        prepared: Arc<PreparedQuery>,
-    ) -> (Arc<PreparedQuery>, Arc<CacheKey>) {
-        let mut inner = self.stripe(fingerprint).lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(existing) = inner.entries.get_mut(&key) {
-            // Another thread prepared the same language concurrently; keep
-            // the incumbent so every caller shares one plan.
-            existing.last_used = tick;
-            return (Arc::clone(&existing.prepared), Arc::clone(&existing.key));
-        }
-        while inner.entries.len() >= self.stripe_capacity {
-            let oldest =
-                inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| Arc::clone(k));
-            let Some(oldest) = oldest else { break };
-            inner.entries.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let key = Arc::new(key);
-        let entry =
-            Entry { prepared: Arc::clone(&prepared), key: Arc::clone(&key), last_used: tick };
-        inner.entries.insert(Arc::clone(&key), entry);
-        (prepared, key)
-    }
-
-    /// The spellings remembered across all stripes.
+    /// The spellings remembered.
     #[cfg(test)]
     pub(crate) fn spellings(&self) -> usize {
-        let stripes = self.stripes.iter();
-        stripes.map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).spellings.len()).sum()
+        self.lock().spellings.len()
     }
 
-    /// The current counters (entries summed over all stripes).
+    /// The current counters.
     pub fn stats(&self) -> CacheStats {
-        let entries = self
-            .stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).entries.len())
-            .sum();
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            entries: inner.entries.len(),
             capacity: self.capacity,
-            shards: self.stripes.len(),
         }
     }
 }
@@ -447,12 +345,25 @@ mod tests {
         (QueryCache::new(capacity), Engine::new())
     }
 
+    /// An untraced [`QueryCache::get_or_prepare_text`].
+    fn by_text(
+        cache: &QueryCache,
+        engine: &Engine,
+        pattern: &str,
+        bag: bool,
+        forced: Option<Algorithm>,
+    ) -> CacheLookup {
+        let lookup =
+            cache.get_or_prepare_text(engine, pattern, bag, forced, &mut Trace::disabled());
+        lookup.unwrap()
+    }
+
     #[test]
     fn equivalent_spellings_share_one_entry() {
         let (cache, engine) = cache_and_engine(8);
-        let first = cache.get_or_prepare(&engine, &Rpq::parse("a|b").unwrap(), None).unwrap();
+        let first = by_text(&cache, &engine, "a|b", false, None);
         assert!(!first.hit);
-        let second = cache.get_or_prepare(&engine, &Rpq::parse("b|a").unwrap(), None).unwrap();
+        let second = by_text(&cache, &engine, "b|a", false, None);
         assert!(second.hit);
         assert!(Arc::ptr_eq(&first.prepared, &second.prepared));
         assert_eq!(first.fingerprint, second.fingerprint);
@@ -463,74 +374,46 @@ mod tests {
     #[test]
     fn different_languages_get_different_entries() {
         let (cache, engine) = cache_and_engine(8);
-        cache.get_or_prepare(&engine, &Rpq::parse("a").unwrap(), None).unwrap();
-        assert!(!cache.get_or_prepare(&engine, &Rpq::parse("ab").unwrap(), None).unwrap().hit);
+        by_text(&cache, &engine, "a", false, None);
+        assert!(!by_text(&cache, &engine, "ab", false, None).hit);
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
     fn semantics_options_and_forced_algorithm_split_the_key() {
         let (cache, engine) = cache_and_engine(8);
-        let q = Rpq::parse("ax*b").unwrap();
-        cache.get_or_prepare(&engine, &q, None).unwrap();
+        by_text(&cache, &engine, "ax*b", false, None);
         // Bag semantics: same language, different key.
-        let bag = Rpq::parse("ax*b").unwrap().with_bag_semantics();
-        assert!(!cache.get_or_prepare(&engine, &bag, None).unwrap().hit);
+        assert!(!by_text(&cache, &engine, "ax*b", true, None).hit);
         // Different plan-relevant option: different key.
         let small_limit = Engine::with_options(SolveOptions { enumeration_limit: 4 });
-        assert!(!cache.get_or_prepare(&small_limit, &q, None).unwrap().hit);
+        assert!(!by_text(&cache, &small_limit, "ax*b", false, None).hit);
         // Forced algorithm: different key.
-        assert!(!cache.get_or_prepare(&engine, &q, Some(Algorithm::Local)).unwrap().hit);
+        assert!(!by_text(&cache, &engine, "ax*b", false, Some(Algorithm::Local)).hit);
         // And each of those now hits.
-        assert!(cache.get_or_prepare(&engine, &q, None).unwrap().hit);
-        assert!(cache.get_or_prepare(&small_limit, &q, None).unwrap().hit);
+        assert!(by_text(&cache, &engine, "ax*b", false, None).hit);
+        assert!(by_text(&cache, &small_limit, "ax*b", false, None).hit);
         assert_eq!(cache.stats().entries, 4);
     }
 
     #[test]
-    fn sharding_clamps_and_reports_its_stripe_count() {
-        // Tiny capacities collapse to one stripe (exact global LRU).
-        assert_eq!(QueryCache::new(2).stats().shards, 1);
-        assert_eq!(QueryCache::with_shards(2, 16).stats().shards, 1);
-        // Every stripe keeps at least MIN_STRIPE_CAPACITY slots.
-        assert_eq!(QueryCache::with_shards(16, 16).stats().shards, 16 / MIN_STRIPE_CAPACITY);
-        // The default server configuration really is striped.
-        let default = QueryCache::new(256).stats();
-        assert_eq!(default.shards, DEFAULT_SHARDS);
-        assert_eq!(default.capacity, 256);
-    }
-
-    #[test]
-    fn striped_cache_spreads_languages_and_aggregates_stats() {
-        let (cache, engine) = cache_and_engine(64); // 8 stripes by default
+    fn stats_aggregate_every_language() {
+        let (cache, engine) = cache_and_engine(64);
         let patterns = ["a", "b", "c", "ab", "ax*b", "ab|bc", "abc|be", "ba"];
         for pattern in patterns {
-            assert!(
-                !cache.get_or_prepare(&engine, &Rpq::parse(pattern).unwrap(), None).unwrap().hit
-            );
+            assert!(!by_text(&cache, &engine, pattern, false, None).hit);
         }
-        // Entries are summed over all stripes; every language now hits.
+        // Every language is its own entry and now hits.
         assert_eq!(cache.stats().entries, patterns.len());
         for pattern in patterns {
-            assert!(
-                cache.get_or_prepare(&engine, &Rpq::parse(pattern).unwrap(), None).unwrap().hit
-            );
+            assert!(by_text(&cache, &engine, pattern, false, None).hit);
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (patterns.len() as u64, patterns.len() as u64));
-        // At least two distinct stripes are populated (fingerprints spread).
-        let distinct: std::collections::BTreeSet<u64> = patterns
-            .iter()
-            .map(|p| {
-                let lookup = cache.get_or_prepare(&engine, &Rpq::parse(p).unwrap(), None).unwrap();
-                lookup.fingerprint % stats.shards as u64
-            })
-            .collect();
-        assert!(distinct.len() > 1, "fingerprints must spread over stripes: {distinct:?}");
     }
 
     #[test]
-    fn concurrent_hits_on_distinct_stripes_share_plans() {
+    fn concurrent_lookups_share_one_plan_per_language() {
         let cache = std::sync::Arc::new(QueryCache::new(64));
         let patterns = ["a", "b", "ax*b", "ab|bc"];
         let mut handles = Vec::new();
@@ -539,8 +422,7 @@ mod tests {
                 let cache = std::sync::Arc::clone(&cache);
                 handles.push(std::thread::spawn(move || {
                     let engine = Engine::new();
-                    let rpq = Rpq::parse(pattern).unwrap();
-                    let lookup = cache.get_or_prepare(&engine, &rpq, None).unwrap();
+                    let lookup = by_text(&cache, &engine, pattern, false, None);
                     std::sync::Arc::as_ptr(&lookup.prepared) as usize
                 }));
             }
@@ -559,18 +441,38 @@ mod tests {
 
     #[test]
     fn lru_eviction_drops_the_coldest_entry() {
-        // Capacity 2 collapses to a single stripe: exact global LRU.
         let (cache, engine) = cache_and_engine(2);
-        cache.get_or_prepare(&engine, &Rpq::parse("a").unwrap(), None).unwrap();
-        cache.get_or_prepare(&engine, &Rpq::parse("b").unwrap(), None).unwrap();
+        by_text(&cache, &engine, "a", false, None);
+        by_text(&cache, &engine, "b", false, None);
         // Touch `a` so `b` is the LRU entry.
-        assert!(cache.get_or_prepare(&engine, &Rpq::parse("a").unwrap(), None).unwrap().hit);
-        cache.get_or_prepare(&engine, &Rpq::parse("c").unwrap(), None).unwrap();
+        assert!(by_text(&cache, &engine, "a", false, None).hit);
+        by_text(&cache, &engine, "c", false, None);
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (2, 1));
         // `a` survived, `b` was evicted.
-        assert!(cache.get_or_prepare(&engine, &Rpq::parse("a").unwrap(), None).unwrap().hit);
-        assert!(!cache.get_or_prepare(&engine, &Rpq::parse("b").unwrap(), None).unwrap().hit);
+        assert!(by_text(&cache, &engine, "a", false, None).hit);
+        assert!(!by_text(&cache, &engine, "b", false, None).hit);
+    }
+
+    #[test]
+    fn lru_eviction_is_exact_over_the_whole_capacity() {
+        let (cache, engine) = cache_and_engine(8);
+        let languages = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        for language in languages {
+            by_text(&cache, &engine, language, false, None);
+        }
+        // Touch every language but `d`; a ninth then evicts exactly `d`.
+        for language in languages.iter().filter(|&&l| l != "d") {
+            assert!(by_text(&cache, &engine, language, false, None).hit);
+        }
+        assert!(!by_text(&cache, &engine, "i", false, None).hit);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (8, 1));
+        for language in languages.iter().filter(|&&l| l != "d") {
+            assert!(by_text(&cache, &engine, language, false, None).hit, "{language}");
+        }
+        assert!(by_text(&cache, &engine, "i", false, None).hit);
+        assert!(!by_text(&cache, &engine, "d", false, None).hit);
     }
 
     #[test]
@@ -578,25 +480,14 @@ mod tests {
         // `aa` is not local, so forcing Theorem 3.13 fails to prepare.
         let engine = Engine::new();
         let cache = QueryCache::new(4);
-        let q = Rpq::parse("aa").unwrap();
         let local = Some(Algorithm::Local);
-        assert!(cache.get_or_prepare(&engine, &q, local).is_err());
-        assert!(cache.get_or_prepare(&engine, &q, local).is_err());
+        for _ in 0..2 {
+            let lookup =
+                cache.get_or_prepare_text(&engine, "aa", false, local, &mut Trace::disabled());
+            assert!(lookup.is_err());
+        }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses), (0, 2));
-    }
-
-    /// An untraced [`QueryCache::get_or_prepare_text`].
-    fn by_text(
-        cache: &QueryCache,
-        engine: &Engine,
-        pattern: &str,
-        bag: bool,
-        forced: Option<Algorithm>,
-    ) -> CacheLookup {
-        let lookup =
-            cache.get_or_prepare_text(engine, pattern, bag, forced, &mut Trace::disabled());
-        lookup.unwrap()
     }
 
     #[test]
@@ -678,9 +569,8 @@ mod tests {
 
     #[test]
     fn the_spelling_index_stays_within_its_bound_and_keeps_no_evicted_plan_alive() {
-        // Two stripes of four plans: at most 2 × 4 × SPELLINGS_PER_PLAN
-        // spellings.
-        let (cache, engine) = (QueryCache::with_shards(8, 2), Engine::new());
+        // Eight plans: at most 8 × SPELLINGS_PER_PLAN spellings.
+        let (cache, engine) = cache_and_engine(8);
         let bound = 8 * SPELLINGS_PER_PLAN;
         let first = by_text(&cache, &engine, "a", false, None);
         let first_plan = Arc::downgrade(&first.prepared);
@@ -697,8 +587,43 @@ mod tests {
             assert!(cache.spellings() <= bound, "{i}: {}", cache.spellings());
         }
         assert!(cache.stats().evictions > 0);
-        // The alias of the evicted `a` keeps neither its plan nor its key.
+        // The spelling of the evicted `a` went with it and kept no plan alive.
         assert!(first_plan.upgrade().is_none());
         assert!(!by_text(&cache, &engine, "a", false, None).hit);
+    }
+
+    #[test]
+    fn evicting_a_plan_removes_its_spellings() {
+        let (cache, engine) = cache_and_engine(2);
+        let bound = 2 * SPELLINGS_PER_PLAN;
+        // More spellings of `a` than one plan keeps: the oldest go first.
+        let spellings_of_a: Vec<String> = (0..SPELLINGS_PER_PLAN + 2)
+            .map(|i| format!("{}a{}", "(".repeat(i), ")".repeat(i)))
+            .collect();
+        for spelling in &spellings_of_a {
+            by_text(&cache, &engine, spelling, false, None);
+            assert!(cache.spellings() <= bound);
+        }
+        assert_eq!(cache.spellings(), SPELLINGS_PER_PLAN);
+        let parses = |pattern: &str| {
+            let mut trace = Trace::enabled();
+            let lookup = cache.get_or_prepare_text(&engine, pattern, false, None, &mut trace);
+            assert!(lookup.unwrap().hit, "{pattern}");
+            trace.spans().iter().any(|&(phase, _)| phase == "query_parse")
+        };
+        // The oldest spelling was dropped and is parsed again (which
+        // remembers it anew); the newest answers from the index.
+        assert!(!parses(spellings_of_a.last().unwrap()));
+        assert!(parses(&spellings_of_a[0]));
+        assert_eq!(cache.spellings(), SPELLINGS_PER_PLAN);
+        // `b` is touched last, so `c` evicts `a` — and every spelling of `a`.
+        by_text(&cache, &engine, "b", false, None);
+        by_text(&cache, &engine, "(b)", false, None);
+        assert_eq!(cache.spellings(), SPELLINGS_PER_PLAN + 2);
+        by_text(&cache, &engine, "c", false, None);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.spellings(), 3);
+        assert!(cache.spellings() <= bound);
+        assert!(!by_text(&cache, &engine, spellings_of_a.last().unwrap(), false, None).hit);
     }
 }

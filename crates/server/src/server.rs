@@ -84,7 +84,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Server configuration: worker slots, cache geometry, batch parallelism
+/// Server configuration: worker slots, cache capacity, batch parallelism
 /// and the default [`SolveOptions`] (per-request settings override them, see
 /// [`crate::protocol::QuerySpec`]).
 #[derive(Debug, Clone, Copy)]
@@ -96,8 +96,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Capacity of the shared prepared-query cache.
     pub cache_capacity: usize,
-    /// Lock stripes of the shared cache (see [`QueryCache::with_shards`]).
-    pub cache_shards: usize,
     /// Default worker threads for the per-database half of a `solve_batch`
     /// (the per-request `jobs` setting overrides it; 1 = sequential).
     pub jobs: usize,
@@ -129,7 +127,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 4,
             cache_capacity: 256,
-            cache_shards: crate::cache::DEFAULT_SHARDS,
             jobs: 1,
             options: SolveOptions::default(),
             store: StoreConfig::default(),
@@ -221,7 +218,7 @@ impl ServerState {
             options: config.options,
             threads: config.threads.max(1),
             jobs: config.jobs.clamp(1, MAX_BATCH_JOBS),
-            cache: QueryCache::with_shards(config.cache_capacity, config.cache_shards),
+            cache: QueryCache::new(config.cache_capacity),
             store: Store::new(config.store),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -647,7 +644,7 @@ impl ServerState {
     }
 
     fn handle_stats(&self) -> Json {
-        let CacheStats { hits, misses, evictions, entries, capacity, shards } = self.cache.stats();
+        let CacheStats { hits, misses, evictions, entries, capacity } = self.cache.stats();
         let StoreStats {
             databases,
             named_snapshots,
@@ -709,7 +706,6 @@ impl ServerState {
                     ("evictions", Json::Int(evictions as i128)),
                     ("entries", Json::Int(entries as i128)),
                     ("capacity", Json::Int(capacity as i128)),
-                    ("shards", Json::Int(shards as i128)),
                 ]),
             ),
             (
@@ -1950,7 +1946,6 @@ mod tests {
         assert_eq!(cache.get("hits"), Some(&Json::Int(1)));
         assert_eq!(cache.get("misses"), Some(&Json::Int(1)));
         assert_eq!(cache.get("entries"), Some(&Json::Int(1)));
-        assert!(cache.get("shards").unwrap().as_int().unwrap() >= 1);
         // The pipe/handler path opens no TCP connections: all gauges zero.
         let connections = stats.get("connections").unwrap();
         assert_eq!(connections.get("open"), Some(&Json::Int(0)));

@@ -283,6 +283,41 @@ fn pipe_transcript_matches_the_recorded_responses() {
     assert_eq!(masked, expected);
 }
 
+/// The `→`/`←` pairs of the README's *Hosted snapshot databases* section,
+/// `db_put` through `db_drop`, replayed in order on a fresh server must
+/// answer byte for byte as documented once the timings are masked.
+#[test]
+fn readme_hosted_database_examples_replay_verbatim() {
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split("\n### ")
+        .find(|section| section.starts_with("Hosted snapshot databases"))
+        .expect("the README has a hosted-database section");
+    let mut requests = Vec::new();
+    let mut responses = Vec::new();
+    for line in section.lines() {
+        if let Some(request) = line.strip_prefix("→ ") {
+            requests.push(request);
+        } else if let Some(response) = line.strip_prefix("← ") {
+            responses.push(response);
+            if requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)) {
+                break;
+            }
+        }
+    }
+    assert!(requests.first().is_some_and(|request| request.contains(r#""op":"db_put""#)));
+    assert!(requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)));
+    assert_eq!(requests.len(), responses.len(), "every request has one response");
+    let state = rpq_server::ServerState::new(ServerConfig::default());
+    let mut output = Vec::new();
+    rpq_server::run_pipe(&state, requests.join("\n").as_bytes(), &mut output).unwrap();
+    let got = mask_timings(std::str::from_utf8(&output).unwrap());
+    assert_eq!(got.lines().count(), requests.len());
+    for ((request, got), want) in requests.iter().zip(got.lines()).zip(&responses) {
+        assert_eq!(got, mask_timings(want), "the README's answer to {request}");
+    }
+}
+
 /// A query nested far past `MAX_REGEX_DEPTH` (~12 KB of parentheses, deep
 /// enough to overflow a worker's stack and abort the whole server without
 /// the bound) is an ordinary error response, and the same connection keeps

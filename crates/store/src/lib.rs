@@ -536,8 +536,11 @@ impl Store {
     }
 
     /// Resolves and materializes a snapshot of `name`, returning the
-    /// resolved offset and the (cached) concrete database.
-    pub fn materialize(
+    /// resolved offset and the (cached) concrete database. Solves
+    /// materialize through [`Store::solve`]; this entry point serves the
+    /// tests.
+    #[cfg(test)]
+    fn materialize(
         &self,
         name: &str,
         snapshot: &SnapshotRef,
