@@ -16,8 +16,10 @@
 //! attachment and *is* the source; mirror-wise the end vertex of a
 //! target-side endpoint letter's facts is the target. On `ab|bc` every fact
 //! keeps one vertex of its two (32,770 → 16,386 vertices on the
-//! `engine_solve` benchmark's 16k-fact database), and the cut edges do not
-//! change.
+//! `engine_solve` benchmark's seed-21 16k-fact database, pinned by the
+//! ignored release test
+//! `engine::tests::engine_solve_networks_keep_their_seed_21_sizes`), and the
+//! cut edges do not change.
 //!
 //! The plan also numbers the roles. A solve resolves each fact's role id
 //! once (through an ASCII table, or a sorted fallback for other letters)

@@ -169,9 +169,11 @@ impl ProductFacts for DbFacts<'_> {
 /// would reach the target. The fact edges are the same edges, emitted first
 /// in fact order under the same pruning, so their arena ids and the
 /// extracted cut edges do not change, and the flow core's proxy for `+∞` is
-/// a constant. On the `ab|ad|cd` layered database of
-/// the `engine_solve` benchmark, the network shrinks from 30,942 vertices /
-/// 38,631 edges to 10,074 / 17,763.
+/// a constant. On the seed-21 `ab|ad|cd` layered database of the
+/// `engine_solve` benchmark, the network shrinks from 30,942 vertices /
+/// 38,631 edges to 10,074 / 17,763 (the ignored release test
+/// `engine::tests::engine_solve_networks_keep_their_seed_21_sizes` pins the
+/// latter).
 ///
 /// # One analysis per node signature
 ///

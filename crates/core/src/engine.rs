@@ -938,16 +938,29 @@ mod tests {
         let engine = Engine::new();
         // One batch per product builder: Theorem 3.13 on two local languages,
         // Proposition 7.6, and Theorem 3.13 on the Proposition 7.9 rewriting.
+        // The last batch is bag `ax*b` with multiplicities near `u64::MAX`,
+        // whose finite totals pass 2^62, so its flows run on `u128`
+        // residuals; the others run on `u64` ones.
         let [abc, abcd, abce] = ["abc", "abcd", "abce"].map(Alphabet::from_chars);
         let batch = |build: &dyn Fn(u64) -> GraphDb| (0..32).map(build).collect::<Vec<GraphDb>>();
+        let huge = |seed| {
+            let mut db = flow_instance(4, 4, 2, 3, seed);
+            for id in db.fact_ids().collect::<Vec<_>>() {
+                db.set_multiplicity(id, u64::MAX - u64::from(id.0) - seed);
+            }
+            db
+        };
         let batches = [
-            ("ax*b", batch(&|seed| flow_instance(4, 4, 2, 3, seed))),
-            ("ab|ad|cd", batch(&|seed| layered_instance(&abcd, 4, 6, 2, seed))),
-            ("ab|bc", batch(&|seed| random_labeled_graph(12, 40, &abc, seed))),
-            ("abc|be", batch(&|seed| random_labeled_graph(12, 40, &abce, seed))),
+            ("ax*b", false, batch(&|seed| flow_instance(4, 4, 2, 3, seed))),
+            ("ab|ad|cd", false, batch(&|seed| layered_instance(&abcd, 4, 6, 2, seed))),
+            ("ab|bc", false, batch(&|seed| random_labeled_graph(12, 40, &abc, seed))),
+            ("abc|be", false, batch(&|seed| random_labeled_graph(12, 40, &abce, seed))),
+            ("ax*b", true, batch(&huge)),
         ];
-        for (pattern, dbs) in &batches {
-            let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
+        for (pattern, bag, dbs) in &batches {
+            let rpq = Rpq::parse(pattern).unwrap();
+            let rpq = if *bag { rpq.with_bag_semantics() } else { rpq };
+            let prepared = engine.prepare(&rpq).unwrap();
             let mut scratch = SolveScratch::new();
             let mut trace = Trace::disabled();
             // Warm-up pass: sizes every buffer to the batch's shape.
@@ -955,6 +968,10 @@ mod tests {
                 prepared.solve_using(db, true, 0, &mut scratch, &mut trace).unwrap();
             }
             let signature = scratch.capacity_signature();
+            // The flow scratch signature starts with the `u128` and the
+            // `u64` residuals: only the batch's own width was ever sized.
+            let [wide, narrow, ..] = signature.1;
+            assert_eq!((wide > 0, narrow > 0), (*bag, !*bag), "{pattern}, bag {bag}");
             // Post-warmup: one PreparedQuery solving 32 databases must perform
             // zero scratch reallocations. The capacities stay bit-identical
             // after every solve, so a buffer rebuilt per solve shows on the
@@ -964,9 +981,56 @@ mod tests {
                 assert_eq!(
                     scratch.capacity_signature(),
                     signature,
-                    "{pattern}, database {i}: post-warmup solves must not reallocate scratch buffers"
+                    "{pattern}, bag {bag}, database {i}: post-warmup solves must not reallocate \
+                     scratch buffers"
                 );
             }
+        }
+    }
+
+    /// The four `engine_solve` benchmark databases at seed 21, rebuilt from
+    /// `rpq_graphdb::generate` with the benchmark's seed derivation, build
+    /// networks of exactly these vertices / edges / arcs. The README's
+    /// network table and the `local` and `chain` module docs quote them.
+    #[test]
+    #[ignore = "~90k facts: run in release"]
+    fn engine_solve_networks_keep_their_seed_21_sizes() {
+        use rpq_automata::Alphabet;
+        use rpq_flow::{Capacity, EdgeId};
+        use rpq_graphdb::generate::{flow_instance, layered_instance, random_labeled_graph};
+        /// The benchmark's SplitMix64 stream derivation.
+        fn mix(seed: u64, stream: u64) -> u64 {
+            let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        /// The benchmark's random multigraph of 16,384 facts over `letters`.
+        fn random(letters: &str, seed: u64) -> GraphDb {
+            random_labeled_graph(5_461, 16_384, &Alphabet::from_chars(letters), seed)
+        }
+        type Build = fn(u64) -> GraphDb;
+        let families: [(&str, Build, [usize; 3]); 4] = [
+            ("ax*b", |seed| flow_instance(8, 2_048, 2, 16, seed), [14_494, 29_259, 58_518]),
+            (
+                "ab|ad|cd",
+                |seed| layered_instance(&Alphabet::from_chars("abcd"), 6, 2_730, 2, seed),
+                [10_074, 17_763, 35_526],
+            ),
+            ("ab|bc", |seed| random("abc", seed), [16_386, 27_295, 54_590]),
+            ("abc|be", |seed| random("abce", seed), [4_165, 5_838, 11_676]),
+        ];
+        let engine = Engine::new();
+        for (index, (pattern, build, sizes)) in families.into_iter().enumerate() {
+            let db = build(mix(21, 0x200 + index as u64));
+            let prepared = engine.prepare(&Rpq::parse(pattern).unwrap()).unwrap();
+            let mut scratch = SolveScratch::new();
+            prepared.solve_using(&db, true, 0, &mut scratch, &mut Trace::disabled()).unwrap();
+            let csr = &scratch.csr;
+            let edges = (0..csr.num_edges() as u32).map(EdgeId);
+            let arcs = 2 * edges.filter(|&e| csr.edge_capacity(e) != Capacity::Finite(0)).count();
+            assert_eq!([csr.num_vertices(), csr.num_edges(), arcs], sizes, "{pattern}");
         }
     }
 

@@ -15,6 +15,10 @@
 //!   residual arcs interleaved in the same arrays and paired through an
 //!   explicit `arc_twin` index (an `ai ^ 1` pairing of adjacent arcs does
 //!   not survive the CSR permutation);
+//! * an arc is its `u32` head, its `u32` twin, one forward-arc bit and its
+//!   residual in the scratch: 16 bytes on the narrow path below, 24 on the
+//!   wide one. Capacities stay in the arena, where `edge_arc` finds each
+//!   edge's forward arc;
 //! * [`CsrFlow::max_flow`] runs Dinic over a caller-provided [`FlowScratch`],
 //!   whose buffers are reset — never reallocated — across solves (see
 //!   [`crate::scratch`]), and [`CsrFlow::extract_cut`] reads the cut off its
@@ -39,18 +43,29 @@
 //! value.
 //!
 //! `+∞` has one rule: every infinite edge gets the same fixed proxy
-//! capacity, 2^100, in the arena and in its arcs. The network asserts on
-//! every added or patched capacity that its finite capacities sum below the
-//! proxy, and the reductions stay below 2^97: fact costs are `u64`, there
-//! are fewer than 2^32 facts, and the exchange prices of the Proposition 7.9
-//! rewriting sum to at most its `x` weights. Every finite cut therefore costs
-//! less than the proxy, and a flow that reaches it proves that every cut
-//! uses an infinite edge. Dinic stops there, so a flow value stays below
-//! twice the proxy. The proxy does not depend on the finite capacities, so
-//! a patch or a deletion never moves it under a retained flow.
+//! capacity, 2^100, in the arena. The network asserts on every added or
+//! patched capacity that its finite capacities sum below the proxy, and the
+//! reductions stay below 2^97: fact costs are `u64`, there are fewer than
+//! 2^32 facts, and the exchange prices of the Proposition 7.9 rewriting sum
+//! to at most its `x` weights. Every finite cut therefore costs less than
+//! the proxy, and a flow that reaches it proves that every cut uses an
+//! infinite edge. Dinic stops there, so a flow value stays below twice the
+//! proxy. The proxy does not depend on the finite capacities, so a patch or
+//! a deletion never moves it under a retained flow.
+//!
+//! The residuals have two widths. When the finite capacities sum below
+//! 2^62, [`CsrFlow::max_flow`] runs on `u64` residuals with 2^62 as the
+//! proxy of `+∞`: every finite cut then costs less than it, no residual
+//! exceeds it, and the flow value stays below 2^63. A narrow flow that
+//! reaches 2^62 proves `+∞`, and the solve reruns on `u128` residuals, as do
+//! networks with a larger finite total, so the `+∞` answer always comes from
+//! the 2^100 proxy. The incremental path works at `u128` only:
+//! [`CsrFlow::cancel_flow`], [`CsrFlow::patch_edge_capacity`] and
+//! [`CsrFlow::max_flow_resume`] widen a narrow flow once before they edit it.
 
 use crate::scratch::{FlowScratch, NO_ARC, UNVISITED};
 use std::fmt;
+use std::ops::{AddAssign, SubAssign};
 
 /// Identifier of a vertex of a flow network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,12 +151,51 @@ impl fmt::Display for Capacity {
     }
 }
 
-/// The proxy capacity of every `+∞` edge, in the arena and in its arcs (see
-/// the [module docs](self)). The finite capacities of a network sum below
-/// it.
+/// The proxy capacity of every `+∞` edge, in the arena and on the wide
+/// path (see the [module docs](self)). The finite capacities of a network
+/// sum below it.
 const INFINITE: u128 = 1 << 100;
-/// `arc_edge` sentinel for reverse (residual-only) arcs.
-const NO_EDGE: u32 = u32::MAX;
+/// The `+∞` proxy of the narrow (`u64`) path, taken when the finite
+/// capacities sum below it.
+const NARROW_INFINITE: u64 = 1 << 62;
+
+/// The integer width of a residual graph: `u64` on the narrow path, `u128`
+/// on the wide one (see the [module docs](self)).
+trait Width: Copy + Ord + AddAssign + SubAssign + Into<u128> + TryFrom<u128> {
+    /// Whether a flow of this width lives in [`FlowScratch::narrow`].
+    const NARROW: bool;
+    const ZERO: Self;
+    const MAX: Self;
+    /// The `+∞` proxy at this width.
+    const PROXY: Self;
+    /// This width's residuals in `scratch`.
+    fn residuals(scratch: &mut FlowScratch) -> &mut Vec<Self>;
+    /// An arena capacity at this width. Only [`INFINITE`] exceeds `u64`
+    /// below the narrow finite total, so it alone becomes the proxy.
+    fn from_capacity(cap: u128) -> Self {
+        Self::try_from(cap).unwrap_or(Self::PROXY)
+    }
+}
+
+impl Width for u64 {
+    const NARROW: bool = true;
+    const ZERO: u64 = 0;
+    const MAX: u64 = u64::MAX;
+    const PROXY: u64 = NARROW_INFINITE;
+    fn residuals(scratch: &mut FlowScratch) -> &mut Vec<u64> {
+        &mut scratch.narrow
+    }
+}
+
+impl Width for u128 {
+    const NARROW: bool = false;
+    const ZERO: u128 = 0;
+    const MAX: u128 = u128::MAX;
+    const PROXY: u128 = INFINITE;
+    fn residuals(scratch: &mut FlowScratch) -> &mut Vec<u128> {
+        &mut scratch.wide
+    }
+}
 
 /// The arena encoding of a capacity: a finite value as itself, `+∞` as
 /// [`INFINITE`].
@@ -213,8 +267,8 @@ pub struct CsrFlow {
     cursor: Vec<u32>,
     arc_head: Vec<u32>,
     arc_twin: Vec<u32>,
-    arc_edge: Vec<u32>,
-    arc_cap: Vec<u128>,
+    /// One bit per arc, set for forward arcs (an edge's own direction).
+    arc_forward: Vec<u64>,
     /// Edge → forward-arc index of the last freeze ([`NO_ARC`] for
     /// zero-capacity edges, which produce no arcs); empty after `clear`. The
     /// flow of edge `e` is the residual of `arc_twin[edge_arc[e]]`.
@@ -314,7 +368,7 @@ impl CsrFlow {
 
     /// The capacities of every internal buffer, for asserting that reuse
     /// never reallocates (see [`FlowScratch::capacity_signature`]).
-    pub fn capacity_signature(&self) -> [usize; 10] {
+    pub fn capacity_signature(&self) -> [usize; 9] {
         [
             self.edge_from.capacity(),
             self.edge_to.capacity(),
@@ -323,8 +377,7 @@ impl CsrFlow {
             self.cursor.capacity(),
             self.arc_head.capacity(),
             self.arc_twin.capacity(),
-            self.arc_edge.capacity(),
-            self.arc_cap.capacity(),
+            self.arc_forward.capacity(),
             self.edge_arc.capacity(),
         ]
     }
@@ -359,10 +412,11 @@ impl CsrFlow {
     ) {
         let cap = encode(capacity);
         let e = edge.index();
-        let old = std::mem::replace(&mut self.edge_cap[e], cap);
-        if old == cap {
+        if self.edge_cap[e] == cap {
             return;
         }
+        self.widen(scratch);
+        let old = std::mem::replace(&mut self.edge_cap[e], cap);
         self.retally(old, cap);
         let a = if self.frozen { self.edge_arc[e] } else { NO_ARC };
         if a == NO_ARC {
@@ -370,10 +424,9 @@ impl CsrFlow {
             return;
         }
         let a = a as usize;
-        let flow = scratch.residual[self.arc_twin[a] as usize];
+        let flow = scratch.wide[self.arc_twin[a] as usize];
         debug_assert!(flow <= cap, "cancel the flow above a lowered capacity first");
-        scratch.residual[a] = cap - flow;
-        self.arc_cap[a] = cap;
+        scratch.wide[a] = cap - flow;
     }
 
     /// Compiles the arena into CSR residual adjacency (counting sort by arc
@@ -411,16 +464,13 @@ impl CsrFlow {
         self.arc_head.resize(num_arcs, 0);
         self.arc_twin.clear();
         self.arc_twin.resize(num_arcs, 0);
-        self.arc_edge.clear();
-        self.arc_edge.resize(num_arcs, NO_EDGE);
-        self.arc_cap.clear();
-        self.arc_cap.resize(num_arcs, 0);
+        self.arc_forward.clear();
+        self.arc_forward.resize(num_arcs.div_ceil(64), 0);
         self.edge_arc.clear();
         self.edge_arc.resize(self.edge_from.len(), NO_ARC);
 
         for i in 0..self.edge_from.len() {
-            let cap = self.edge_cap[i];
-            if cap == 0 {
+            if self.edge_cap[i] == 0 {
                 continue;
             }
             let from = self.edge_from[i] as usize;
@@ -430,12 +480,9 @@ impl CsrFlow {
             let reverse = self.cursor[to] as usize;
             self.cursor[to] += 1;
             self.arc_head[forward] = to as u32;
-            self.arc_cap[forward] = cap;
-            self.arc_edge[forward] = i as u32;
             self.arc_twin[forward] = reverse as u32;
+            self.arc_forward[forward / 64] |= 1 << (forward % 64);
             self.arc_head[reverse] = from as u32;
-            self.arc_cap[reverse] = 0;
-            self.arc_edge[reverse] = NO_EDGE;
             self.arc_twin[reverse] = forward as u32;
             self.edge_arc[i] = forward as u32;
         }
@@ -446,6 +493,11 @@ impl CsrFlow {
     #[inline]
     fn arc_range(&self, v: usize) -> std::ops::Range<usize> {
         self.adj_start[v] as usize..self.adj_start[v + 1] as usize
+    }
+
+    /// Whether arc `a` is an edge's forward arc (not a reverse one).
+    fn is_forward(&self, a: usize) -> bool {
+        self.arc_forward[a / 64] >> (a % 64) & 1 != 0
     }
 
     /// Computes a minimum source–target cut: [`max_flow`](CsrFlow::max_flow)
@@ -459,14 +511,67 @@ impl CsrFlow {
     /// returns its value (`Infinite` when every cut uses an infinite edge).
     /// All solver state lives in `scratch`, which is resized (growing only)
     /// and reused across calls; the flow stays there for
-    /// [`extract_cut`](CsrFlow::extract_cut) and for resumes.
+    /// [`extract_cut`](CsrFlow::extract_cut) and for resumes, at the width
+    /// the [module docs](self) give.
     pub fn max_flow(&self, scratch: &mut FlowScratch) -> Capacity {
         assert!(self.frozen, "CsrFlow::max_flow requires freeze()");
         scratch.prepare(self.num_vertices);
-        scratch.residual.clear();
-        scratch.residual.extend_from_slice(&self.arc_cap);
-        scratch.flow = dinic(self, scratch, INFINITE);
+        if self.finite_total < u128::from(NARROW_INFINITE) {
+            self.seed::<u64>(scratch);
+            let flow = self.augment(scratch, NARROW_INFINITE);
+            if flow < NARROW_INFINITE {
+                scratch.flow = flow.into();
+                return Capacity::Finite(scratch.flow);
+            }
+        }
+        self.seed::<u128>(scratch);
+        scratch.flow = self.augment(scratch, INFINITE);
         flow_value(scratch.flow)
+    }
+
+    /// Puts a zero flow of width `W` into `scratch`: every forward arc's
+    /// residual is its edge's capacity, every reverse arc's zero.
+    fn seed<W: Width>(&self, scratch: &mut FlowScratch) {
+        let residual = W::residuals(scratch);
+        residual.clear();
+        residual.resize(self.arc_head.len(), W::ZERO);
+        for (&a, &cap) in self.edge_arc.iter().zip(&self.edge_cap) {
+            if a != NO_ARC {
+                residual[a as usize] = W::from_capacity(cap);
+            }
+        }
+        scratch.is_narrow = W::NARROW;
+        scratch.flow = 0;
+    }
+
+    /// Runs Dinic on the width-`W` residuals of `scratch` and returns the
+    /// flow it adds, at most `limit` plus one path's bottleneck.
+    fn augment<W: Width>(&self, scratch: &mut FlowScratch, limit: W) -> W {
+        let mut residual = std::mem::take(W::residuals(scratch));
+        let added = dinic(self, &mut residual, scratch, limit);
+        *W::residuals(scratch) = residual;
+        added
+    }
+
+    /// Moves a narrow flow into the `u128` residuals; a no-op on a wide one.
+    /// Reads the layout and capacities the narrow solve ran on, so it runs
+    /// before any edit.
+    fn widen(&self, scratch: &mut FlowScratch) {
+        if !scratch.is_narrow {
+            return;
+        }
+        let FlowScratch { wide, narrow, is_narrow, .. } = scratch;
+        *is_narrow = false;
+        wide.clear();
+        wide.resize(narrow.len(), 0);
+        for (&a, &cap) in self.edge_arc.iter().zip(&self.edge_cap) {
+            if a != NO_ARC {
+                let twin = self.arc_twin[a as usize] as usize;
+                let flow = u128::from(narrow[twin]);
+                wide[a as usize] = cap - flow;
+                wide[twin] = flow;
+            }
+        }
     }
 
     /// Continues the maximum flow from the flow `scratch` holds — the one
@@ -482,8 +587,9 @@ impl CsrFlow {
     /// ensures before a capacity is lowered. Do not call `freeze` between a
     /// solve and a resume: it drops the old layout the flow is read from.
     pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> Capacity {
+        self.widen(scratch);
         if !self.frozen {
-            let FlowScratch { residual, carried, flow, .. } = &mut *scratch;
+            let FlowScratch { wide: residual, carried, flow, .. } = &mut *scratch;
             if self.edge_arc.is_empty() {
                 *flow = 0;
             }
@@ -502,24 +608,22 @@ impl CsrFlow {
                     debug_assert_eq!(carried[e], 0, "zero-capacity edge {e} carrying flow");
                     continue;
                 }
-                let a = a as usize;
-                debug_assert!(
-                    carried[e] <= self.arc_cap[a],
-                    "edge {e} carries flow above its capacity"
-                );
-                residual[a] = self.arc_cap[a] - carried[e];
+                let (a, cap) = (a as usize, self.edge_cap[e]);
+                debug_assert!(carried[e] <= cap, "edge {e} carries flow above its capacity");
+                residual[a] = cap - carried[e];
                 residual[self.arc_twin[a] as usize] = carried[e];
             }
         }
         scratch.prepare(self.num_vertices);
-        scratch.flow += dinic(self, scratch, INFINITE.saturating_sub(scratch.flow));
+        scratch.flow += self.augment(scratch, INFINITE.saturating_sub(scratch.flow));
         debug_assert_eq!(self.check_flow_consistency(scratch), Ok(()));
         flow_value(scratch.flow)
     }
 
     /// Verifies the flow `scratch` holds against the frozen network: every
     /// forward arc's residual plus its twin's (the edge's flow) equals the
-    /// arc's capacity, interior vertices conserve flow, and the source's net
+    /// edge's capacity at the flow's width (a narrow flow reads `+∞` as the
+    /// narrow proxy), interior vertices conserve flow, and the source's net
     /// outflow — which must equal the target's net inflow — is exactly the
     /// recorded flow value.
     ///
@@ -527,10 +631,19 @@ impl CsrFlow {
     /// `O(V + E)`; it is meant for `debug_assert!` hooks and churn tests,
     /// not hot paths.
     pub fn check_flow_consistency(&self, scratch: &FlowScratch) -> Result<(), String> {
+        if scratch.is_narrow {
+            self.check_flow(&scratch.narrow, scratch.flow)
+        } else {
+            self.check_flow(&scratch.wide, scratch.flow)
+        }
+    }
+
+    /// [`check_flow_consistency`](CsrFlow::check_flow_consistency) over
+    /// residuals of one width.
+    fn check_flow<W: Width>(&self, residual: &[W], value: u128) -> Result<(), String> {
         if !self.frozen {
             return Err("network is not frozen".to_string());
         }
-        let residual = &scratch.residual;
         if residual.len() != self.arc_head.len() {
             return Err(format!("{} residuals for {} arcs", residual.len(), self.arc_head.len()));
         }
@@ -541,11 +654,11 @@ impl CsrFlow {
                 continue;
             }
             let (a, twin) = (a as usize, self.arc_twin[a as usize] as usize);
-            let flow = residual[twin];
-            if residual[a].checked_add(flow) != Some(self.arc_cap[a]) {
+            let (forward, flow): (u128, u128) = (residual[a].into(), residual[twin].into());
+            let cap: u128 = W::from_capacity(self.edge_cap[e]).into();
+            if forward.checked_add(flow) != Some(cap) {
                 return Err(format!(
-                    "edge {e}: residuals {} and {flow} do not sum to its capacity {}",
-                    residual[a], self.arc_cap[a]
+                    "edge {e}: residuals {forward} and {flow} do not sum to its capacity {cap}"
                 ));
             }
             let (from, to) = (self.edge_from[e] as usize, self.edge_to[e] as usize);
@@ -561,11 +674,11 @@ impl CsrFlow {
         let source_net = outflow[source].checked_sub(inflow[source]);
         let target_net = inflow[target].checked_sub(outflow[target]);
         match (source_net, target_net) {
-            (Some(s), Some(t)) if s == scratch.flow && t == scratch.flow => Ok(()),
+            (Some(s), Some(t)) if s == value && t == value => Ok(()),
             _ => Err(format!(
                 "net source outflow {:?} / target inflow {:?} do not match the \
                  recorded flow value {}",
-                source_net, target_net, scratch.flow
+                source_net, target_net, value
             )),
         }
     }
@@ -638,19 +751,20 @@ impl CsrFlow {
     #[must_use]
     pub fn cancel_flow(&self, edge: EdgeId, keep: u128, scratch: &mut FlowScratch) -> bool {
         assert!(self.frozen, "CsrFlow::cancel_flow requires freeze()");
+        self.widen(scratch);
         let e = edge.index();
         let a = self.edge_arc[e];
         if a == NO_ARC {
             return true; // no arcs, no flow
         }
         let (a, twin) = (a as usize, self.arc_twin[a as usize] as usize);
-        let flow = scratch.residual[twin];
+        let flow = scratch.wide[twin];
         if flow <= keep {
             return true;
         }
         let drain = flow - keep;
-        scratch.residual[a] += drain;
-        scratch.residual[twin] = keep;
+        scratch.wide[a] += drain;
+        scratch.wide[twin] = keep;
         let u = self.edge_from[e] as usize;
         let v = self.edge_to[e] as usize;
         let source = self.source as usize;
@@ -733,9 +847,7 @@ impl CsrFlow {
                 // *into* `w`; either way only forward arcs with positive flow
                 // (the residual of their twin) qualify.
                 let via = if backward { self.arc_twin[b] as usize } else { b };
-                if self.arc_edge[via] == NO_EDGE
-                    || scratch.residual[self.arc_twin[via] as usize] == 0
-                {
+                if !self.is_forward(via) || scratch.wide[self.arc_twin[via] as usize] == 0 {
                     continue;
                 }
                 let next = self.arc_head[b] as usize;
@@ -758,7 +870,7 @@ impl CsrFlow {
         let mut w = stop;
         while w != start {
             let via = scratch.pred[w] as usize;
-            bottleneck = bottleneck.min(scratch.residual[self.arc_twin[via] as usize]);
+            bottleneck = bottleneck.min(scratch.wide[self.arc_twin[via] as usize]);
             scratch.path.push(via as u32);
             // `via` runs w→pred-side when backward (tail is w itself), and
             // pred-side→w when forward; either way the other endpoint is the
@@ -770,7 +882,7 @@ impl CsrFlow {
             };
         }
         debug_assert!(bottleneck > 0);
-        let FlowScratch { path, residual, .. } = &mut *scratch;
+        let FlowScratch { path, wide: residual, .. } = &mut *scratch;
         for &via in path.iter() {
             residual[via as usize] += bottleneck;
             residual[self.arc_twin[via as usize] as usize] -= bottleneck;
@@ -785,31 +897,12 @@ impl CsrFlow {
     /// at the source: Dinic's last level BFS starts at the target, so its
     /// labels are not the source side.
     pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
-        // Vertices reachable from the source in the residual graph. The
-        // inner loop has no data-dependent branch: every arc writes its head
-        // one past the queue's end and moves the end only when the head is
-        // newly reached. Each vertex enters once, so `n + 1` slots suffice.
-        let n = self.num_vertices;
-        let FlowScratch { reachable, queue, residual, .. } = &mut *scratch;
-        reachable.clear();
-        reachable.resize(n, false);
-        queue.clear();
-        queue.resize(n + 1, 0);
-        reachable[self.source as usize] = true;
-        queue[0] = self.source;
-        let (mut head, mut end) = (0, 1);
-        while head < end {
-            let v = queue[head] as usize;
-            head += 1;
-            for ai in self.arc_range(v) {
-                let to = self.arc_head[ai] as usize;
-                let fresh = (residual[ai] > 0) & !reachable[to];
-                queue[end] = to as u32;
-                end += usize::from(fresh);
-                reachable[to] |= fresh;
-            }
+        let FlowScratch { reachable, queue, wide, narrow, is_narrow, .. } = &mut *scratch;
+        if *is_narrow {
+            self.reach_from_source(narrow, reachable, queue);
+        } else {
+            self.reach_from_source(wide, reachable, queue);
         }
-
         scratch.cut_edges.clear();
         let value = flow_value(scratch.flow);
         if value.is_infinite() {
@@ -828,6 +921,37 @@ impl CsrFlow {
         }
         CsrCut { value, cut_edges: &scratch.cut_edges }
     }
+
+    /// Flags the vertices the source reaches in the residual graph. The
+    /// inner loop has no data-dependent branch: every arc writes its head
+    /// one past the queue's end and moves the end only when the head is
+    /// newly reached. Each vertex enters once, so `n + 1` slots suffice.
+    fn reach_from_source<W: Width>(
+        &self,
+        residual: &[W],
+        reachable: &mut Vec<bool>,
+        queue: &mut Vec<u32>,
+    ) {
+        let n = self.num_vertices;
+        reachable.clear();
+        reachable.resize(n, false);
+        queue.clear();
+        queue.resize(n + 1, 0);
+        reachable[self.source as usize] = true;
+        queue[0] = self.source;
+        let (mut head, mut end) = (0, 1);
+        while head < end {
+            let v = queue[head] as usize;
+            head += 1;
+            for ai in self.arc_range(v) {
+                let to = self.arc_head[ai] as usize;
+                let fresh = (residual[ai] > W::ZERO) & !reachable[to];
+                queue[end] = to as u32;
+                end += usize::from(fresh);
+                reachable[to] |= fresh;
+            }
+        }
+    }
 }
 
 /// Dinic's algorithm over the frozen CSR arrays, with **sink-rooted** levels:
@@ -843,12 +967,14 @@ impl CsrFlow {
 /// network that cannot reach the target, and the DFS would walk each of them
 /// before pruning it. The run ends when the BFS no longer reaches the source,
 /// or once it has pushed `limit` units: its callers pass what the flow
-/// lacks to reach the `+∞` proxy, past which the value reads `+∞` anyway.
-fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
+/// lacks to reach the `+∞` proxy of the residuals' width, past which the
+/// value reads `+∞` anyway. `residual` is the scratch's residual graph at
+/// that width, lent out of `s` for the run.
+fn dinic<W: Width>(csr: &CsrFlow, residual: &mut [W], s: &mut FlowScratch, limit: W) -> W {
     let n = csr.num_vertices;
     let source = csr.source as usize;
     let target = csr.target as usize;
-    let mut total: u128 = 0;
+    let mut total = W::ZERO;
     while total < limit {
         // BFS from the target (`level` may be longer than `n` after a bigger
         // instance; only this instance's prefix is live). Arc `ai` out of `w`
@@ -869,7 +995,7 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
             let next_level = s.level[w] + 1;
             for ai in csr.arc_range(w) {
                 let to = csr.arc_head[ai] as usize;
-                if s.level[to] == UNVISITED && s.residual[csr.arc_twin[ai] as usize] > 0 {
+                if s.level[to] == UNVISITED && residual[csr.arc_twin[ai] as usize] > W::ZERO {
                     s.level[to] = next_level;
                     if to == source {
                         break 'bfs;
@@ -889,14 +1015,14 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
         let mut v = source;
         loop {
             if v == target {
-                let mut bottleneck = u128::MAX;
+                let mut bottleneck = W::MAX;
                 for &ai in &s.path {
-                    bottleneck = bottleneck.min(s.residual[ai as usize]);
+                    bottleneck = bottleneck.min(residual[ai as usize]);
                 }
                 for &ai in &s.path {
                     let ai = ai as usize;
-                    s.residual[ai] -= bottleneck;
-                    s.residual[csr.arc_twin[ai] as usize] += bottleneck;
+                    residual[ai] -= bottleneck;
+                    residual[csr.arc_twin[ai] as usize] += bottleneck;
                 }
                 total += bottleneck;
                 if total >= limit {
@@ -904,7 +1030,7 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
                 }
                 // Restart from the tail of the first saturated arc.
                 let mut keep = 0;
-                while keep < s.path.len() && s.residual[s.path[keep] as usize] > 0 {
+                while keep < s.path.len() && residual[s.path[keep] as usize] > W::ZERO {
                     keep += 1;
                 }
                 s.path.truncate(keep);
@@ -921,7 +1047,7 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
             while s.current_arc[v] < end {
                 let ai = s.current_arc[v] as usize;
                 let to = csr.arc_head[ai] as usize;
-                if s.residual[ai] > 0 && s.level[to] == down {
+                if residual[ai] > W::ZERO && s.level[to] == down {
                     s.path.push(ai as u32);
                     v = to;
                     advanced = true;
@@ -948,6 +1074,7 @@ fn dinic(csr: &CsrFlow, s: &mut FlowScratch, limit: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::Strategy;
 
     /// A frozen network on `n` vertices with finite-capacity `edges`.
     fn simple_network(edges: &[(u32, u32, u64)], n: u32, s: u32, t: u32) -> CsrFlow {
@@ -1389,7 +1516,7 @@ mod tests {
         csr.add_edge(s, b, Capacity::Finite(2));
         csr.add_edge(b, t, Capacity::Finite(5));
         assert_eq!(csr.max_flow_resume(&mut scratch), Capacity::Finite(5));
-        assert_eq!(scratch.residual[csr.arc_twin[csr.edge_arc[sa.index()] as usize] as usize], 3);
+        assert_eq!(scratch.wide[csr.arc_twin[csr.edge_arc[sa.index()] as usize] as usize], 3);
         assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
     }
 
@@ -1433,36 +1560,16 @@ mod tests {
 
     #[test]
     fn flow_consistency_checker_accepts_and_rejects() {
-        // Path 0 -> 1 -> 2 with capacities 5 and 3: max flow 3.
+        // Path 0 -> 1 -> 2 with capacities 5 and 3: max flow 3. The cold
+        // solve leaves a narrow flow; widening it must keep every verdict.
         let csr = simple_network(&[(0, 1, 5), (1, 2, 3)], 3, 0, 2);
         let mut scratch = FlowScratch::new();
         csr.max_flow(&mut scratch);
-        assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
-        let [first, second] = [0, 1].map(|e| csr.edge_arc[e] as usize);
-        let reverse = |a: usize| csr.arc_twin[a] as usize;
-        // A residual pair that does not sum to its arc's capacity.
-        let mut broken = scratch.clone();
-        broken.residual[second] += 1;
-        assert!(broken.check_err(&csr).contains("do not sum"));
-        // Conservation broken at vertex 1: the second edge carries 2 of 3.
-        let mut broken = scratch.clone();
-        broken.residual[second] = 1;
-        broken.residual[reverse(second)] = 2;
-        assert!(broken.check_err(&csr).contains("vertex 1"));
-        // A feasible flow with the wrong recorded value.
-        let mut broken = scratch.clone();
-        broken.flow = 2;
-        assert!(broken.check_err(&csr).contains("recorded flow value"));
-        // Zero flow with value zero is feasible too.
-        let mut zero = scratch.clone();
-        zero.residual.copy_from_slice(&csr.arc_cap);
-        zero.flow = 0;
-        assert_eq!(csr.check_flow_consistency(&zero), Ok(()));
-        assert_eq!(zero.residual[reverse(first)], 0);
-        // A residual of another network's size.
-        let mut broken = scratch.clone();
-        broken.residual.pop();
-        assert!(broken.check_err(&csr).contains("residuals for"));
+        assert!(scratch.is_narrow);
+        check_rejections::<u64>(&csr, &scratch);
+        csr.widen(&mut scratch);
+        assert!(!scratch.is_narrow);
+        check_rejections::<u128>(&csr, &scratch);
         // Unfrozen networks cannot be checked (`simple_network` freezes, so
         // build by hand).
         let mut unfrozen = CsrFlow::new();
@@ -1471,6 +1578,36 @@ mod tests {
         unfrozen.set_target(VertexId(1));
         unfrozen.add_edge(a, VertexId(1), Capacity::Finite(1));
         assert!(unfrozen.check_flow_consistency(&scratch).is_err());
+    }
+
+    /// The checker's verdicts on the max flow `scratch` holds at width `W`
+    /// of the 0 -> 1 -> 2 path of capacities 5 and 3, and on broken copies.
+    fn check_rejections<W: Width>(csr: &CsrFlow, scratch: &FlowScratch) {
+        assert_eq!(csr.check_flow_consistency(scratch), Ok(()));
+        let [first, second] = [0, 1].map(|e| csr.edge_arc[e] as usize);
+        let reverse = |a: usize| csr.arc_twin[a] as usize;
+        // A residual pair that does not sum to its arc's capacity.
+        let mut broken = scratch.clone();
+        W::residuals(&mut broken)[second] += W::from_capacity(1);
+        assert!(broken.check_err(csr).contains("do not sum"));
+        // Conservation broken at vertex 1: the second edge carries 2 of 3.
+        let mut broken = scratch.clone();
+        W::residuals(&mut broken)[second] = W::from_capacity(1);
+        W::residuals(&mut broken)[reverse(second)] = W::from_capacity(2);
+        assert!(broken.check_err(csr).contains("vertex 1"));
+        // A feasible flow with the wrong recorded value.
+        let mut broken = scratch.clone();
+        broken.flow = 2;
+        assert!(broken.check_err(csr).contains("recorded flow value"));
+        // Zero flow with value zero is feasible too.
+        let mut zero = scratch.clone();
+        csr.seed::<W>(&mut zero);
+        assert_eq!(csr.check_flow_consistency(&zero), Ok(()));
+        assert!(W::residuals(&mut zero)[reverse(first)] == W::ZERO);
+        // A residual of another network's size.
+        let mut broken = scratch.clone();
+        W::residuals(&mut broken).pop();
+        assert!(broken.check_err(csr).contains("residuals for"));
     }
 
     impl FlowScratch {
@@ -1498,6 +1635,144 @@ mod tests {
         // A tombstone carries no flow, so cancelling it is a no-op.
         assert!(csr.cancel_flow(dead, 0, &mut scratch));
         assert_eq!(scratch.flow, 2);
+    }
+
+    /// Edge flows of the flow `scratch` holds, at whichever width.
+    fn edge_flows(csr: &CsrFlow, scratch: &FlowScratch) -> Vec<u128> {
+        let flow = |a: u32| {
+            let twin = csr.arc_twin[a as usize] as usize;
+            if scratch.is_narrow {
+                scratch.narrow[twin].into()
+            } else {
+                scratch.wide[twin]
+            }
+        };
+        csr.edge_arc.iter().map(|&a| if a == NO_ARC { 0 } else { flow(a) }).collect()
+    }
+
+    /// Random edges on `2..9` vertices: each one zero, infinite, or finite
+    /// below 2^24.
+    fn random_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32, Capacity)>)> {
+        (2..9usize).prop_flat_map(|n| {
+            let edge = (0..n as u32, 0..n as u32, 0..1u64 << 24, 0..8u32);
+            proptest::collection::vec(edge, 0..20).prop_map(move |edges| {
+                let capacity = |c: u64, kind| match kind {
+                    0 => Capacity::Finite(0),
+                    1 => Capacity::Infinite,
+                    _ => Capacity::Finite(c.into()),
+                };
+                (n, edges.into_iter().map(|(a, b, c, kind)| (a, b, capacity(c, kind))).collect())
+            })
+        })
+    }
+
+    /// A frozen network on `vertices` vertices (source 0, target the last)
+    /// with `edges`, every finite capacity multiplied by `scale`, plus an
+    /// isolated ballast edge of capacity `2^22 · scale` on two more
+    /// vertices: a scale of 2^40 lifts the finite total past 2^62.
+    fn scaled(vertices: usize, edges: &[(u32, u32, Capacity)], scale: u128) -> CsrFlow {
+        let last = vertices as u32 - 1;
+        let mut csr = CsrFlow::new();
+        csr.add_vertices(vertices + 2);
+        csr.set_source(VertexId(0));
+        csr.set_target(VertexId(last));
+        for &(from, to, capacity) in edges {
+            let capacity = capacity.finite().map_or(capacity, |c| Capacity::Finite(c * scale));
+            csr.add_edge(VertexId(from), VertexId(to), capacity);
+        }
+        csr.add_edge(VertexId(last + 1), VertexId(last + 2), Capacity::Finite(scale << 22));
+        csr.freeze();
+        csr
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn narrow_and_wide_solves_give_one_answer((vertices, edges) in random_edges()) {
+            // The network as built solves narrow; scaled by 2^40 its finite
+            // total passes 2^62 and it solves wide. Below 2^61 an infinite
+            // arc never bounds a path, so the wide run is the narrow run
+            // scaled: same cut, source side and flow, times 2^40.
+            let scale = 1u128 << 40;
+            let (narrow, wide) = (scaled(vertices, &edges, 1), scaled(vertices, &edges, scale));
+            assert!(wide.finite_total >= u128::from(NARROW_INFINITE));
+            let mut scratch: [FlowScratch; 2] = Default::default();
+            let [at_narrow, at_wide] = &mut scratch;
+            let value = narrow.max_flow(at_narrow);
+            let scaled_value = wide.max_flow(at_wide);
+            assert!(!at_wide.is_narrow);
+            let flows = [edge_flows(&narrow, at_narrow), edge_flows(&wide, at_wide)];
+            let cut = narrow.extract_cut(at_narrow).cut_edges.to_vec();
+            assert_eq!(wide.extract_cut(at_wide).cut_edges, cut);
+            match value {
+                Capacity::Finite(value) => {
+                    assert!(at_narrow.is_narrow);
+                    assert_eq!(scaled_value, Capacity::Finite(value * scale));
+                    assert_eq!(at_narrow.source_side(), at_wide.source_side());
+                    let [flows, scaled_flows] = flows;
+                    assert_eq!(flows.iter().map(|f| f * scale).collect::<Vec<_>>(), scaled_flows);
+                }
+                Capacity::Infinite => {
+                    assert_eq!(scaled_value, Capacity::Infinite);
+                    assert!(cut.is_empty());
+                }
+            }
+        }
+
+        #[test]
+        fn edits_after_a_narrow_solve_match_cold_solves(
+            (vertices, edges) in random_edges(),
+            edits in proptest::collection::vec((proptest::arbitrary::any::<u64>(), 0..1u64 << 24), 1..4),
+        ) {
+            // The cold solve leaves a narrow flow; the first cancellation
+            // widens it, and every resume matches a cold solve of the
+            // edited network in value and cut.
+            let mut csr = scaled(vertices, &edges, 1);
+            let mut scratch = FlowScratch::new();
+            let narrow = !csr.max_flow(&mut scratch).is_infinite();
+            assert_eq!(scratch.is_narrow, narrow);
+            let mut cold = FlowScratch::new();
+            for (pick, cap) in edits {
+                let edge = EdgeId((pick % csr.num_edges() as u64) as u32);
+                assert!(csr.cancel_flow(edge, cap.into(), &mut scratch));
+                assert!(!scratch.is_narrow);
+                csr.patch_edge_capacity(edge, Capacity::Finite(cap.into()), &mut scratch);
+                let value = csr.max_flow_resume(&mut scratch);
+                assert_eq!(csr.check_flow_consistency(&scratch), Ok(()));
+                let mut edited = CsrFlow::new();
+                rebuild_into(&mut edited, &csr);
+                edited.freeze();
+                let expected = edited.min_cut(&mut cold);
+                assert_eq!(value, expected.value);
+                if !value.is_infinite() {
+                    assert_eq!(csr.extract_cut(&mut scratch).cut_edges, expected.cut_edges);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_paths_answer_infinite_on_the_narrow_path() {
+        // Beside finite edges far below 2^62, s -> m -> t is infinite: the
+        // solve starts narrow, reaches the narrow proxy and reruns wide, so
+        // +∞ comes from the 2^100 proxy as on every other path.
+        let mut csr = CsrFlow::new();
+        let [s, m, x, t] = [(); 4].map(|_| csr.add_vertex());
+        csr.set_source(s);
+        csr.set_target(t);
+        csr.add_edge(s, m, Capacity::Infinite);
+        csr.add_edge(m, t, Capacity::Infinite);
+        csr.add_edge(s, x, Capacity::Finite(7));
+        csr.add_edge(x, t, Capacity::Finite(5));
+        csr.freeze();
+        assert!(csr.finite_total < u128::from(NARROW_INFINITE));
+        let mut scratch = FlowScratch::new();
+        let cut = csr.min_cut(&mut scratch);
+        assert_eq!(cut.value, Capacity::Infinite);
+        assert!(cut.cut_edges.is_empty());
+        assert!(!scratch.is_narrow);
+        assert!(scratch.flow >= INFINITE);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   and [`csr::Capacity`] values that are either finite (`u128`) or `+∞` (a
 //!   dedicated variant, so saturation bugs are impossible). Every network is
 //!   built straight into its reusable edge arena and frozen into contiguous
-//!   CSR arrays; [`CsrFlow::check_cut`] certifies any cut against the arena
-//!   alone;
+//!   CSR arrays of `u32` heads and twins plus one forward bit per arc;
+//!   [`CsrFlow::check_cut`] certifies any cut against the arena alone;
 //! * [`scratch::FlowScratch`] — the buffers of a Dinic solve (levels are
 //!   residual distances to the target), reset, never reallocated, across
 //!   solves (every resilience solve runs here). Its residual graph is the
@@ -19,6 +19,9 @@
 //!   arcs first when the network grew. The cut is the unique minimal source
 //!   side of the final residual graph, whichever maximum flow produced it,
 //!   so a cold solve and a resumed one return the same cut edges.
+//!
+//! Residuals are `u64` (16 bytes per arc) when the finite capacities sum
+//! below 2^62, else `u128`; [`csr`] gives the rule and why it is exact.
 
 #![forbid(unsafe_code)]
 pub mod csr;

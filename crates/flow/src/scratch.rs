@@ -12,7 +12,9 @@
 //!
 //! The scratch also holds the flow itself, in one copy: the residual of an
 //! edge's reverse arc is the edge's flow, and `flow` is its value. A
-//! [`crate::csr::CsrFlow::max_flow_resume`] continues from it.
+//! [`crate::csr::CsrFlow::max_flow_resume`] continues from it. It lives in
+//! the `u64` buffer `narrow` or the `u128` buffer `wide`, whichever width
+//! the solve ran at (see [`crate::csr`]); each keeps its allocation.
 
 use crate::csr::EdgeId;
 
@@ -25,10 +27,16 @@ pub(crate) const UNVISITED: u32 = u32::MAX;
 /// [`crate::csr::CsrFlow`]. See the module docs for the reuse contract.
 #[derive(Debug, Clone, Default)]
 pub struct FlowScratch {
-    /// Per-arc residual capacity, and with it the flow: a forward arc's
-    /// flow is the residual of its reverse twin.
-    pub(crate) residual: Vec<u128>,
-    /// The value of the flow `residual` holds.
+    /// Per-arc `u128` residual capacity, and with it the flow: a forward
+    /// arc's flow is the residual of its reverse twin. Holds the flow unless
+    /// `is_narrow` is set.
+    pub(crate) wide: Vec<u128>,
+    /// The same at `u64` width, where the `+∞` proxy is 2^62. Holds the flow
+    /// when `is_narrow` is set.
+    pub(crate) narrow: Vec<u64>,
+    /// Whether `narrow`, not `wide`, holds the flow.
+    pub(crate) is_narrow: bool,
+    /// The value of the flow the residuals hold.
     pub(crate) flow: u128,
     /// Per-edge flows in transit while a resume re-lays the arcs.
     pub(crate) carried: Vec<u128>,
@@ -61,7 +69,7 @@ impl FlowScratch {
     /// Buffers that the solvers fully re-initialize before use (`level`,
     /// `current_arc`, `pred`) are only grown, not rewritten — the solvers
     /// reset exactly the first `vertices` entries themselves. Capacity only
-    /// grows. The residual array holds the flow and is left to the caller.
+    /// grows. The residual arrays hold the flow and are left to the caller.
     pub(crate) fn prepare(&mut self, vertices: usize) {
         if self.level.len() < vertices {
             self.level.resize(vertices, UNVISITED);
@@ -89,9 +97,10 @@ impl FlowScratch {
     /// signatures mean no buffer was reallocated in between — the
     /// zero-post-warmup-reallocation contract of scratch reuse is asserted
     /// with exactly this (see the engine's batch tests).
-    pub fn capacity_signature(&self) -> [usize; 9] {
+    pub fn capacity_signature(&self) -> [usize; 10] {
         [
-            self.residual.capacity(),
+            self.wide.capacity(),
+            self.narrow.capacity(),
             self.carried.capacity(),
             self.level.capacity(),
             self.queue.capacity(),

@@ -283,38 +283,73 @@ fn pipe_transcript_matches_the_recorded_responses() {
     assert_eq!(masked, expected);
 }
 
-/// The `→`/`←` pairs of the README's *Hosted snapshot databases* section,
-/// `db_put` through `db_drop`, replayed in order on a fresh server must
-/// answer byte for byte as documented once the timings are masked.
-#[test]
-fn readme_hosted_database_examples_replay_verbatim() {
+/// The `→`/`←` pairs of the README section `title`, up to the first
+/// request containing `stop` (to the section's end without one). A wrapped
+/// `←` line continues on the indented lines after it; every wrap falls
+/// between JSON tokens, so the pieces join without spaces.
+fn readme_examples(title: &str, stop: Option<&str>) -> (Vec<&'static str>, Vec<String>) {
     let readme = include_str!("../../../README.md");
     let section = readme
         .split("\n### ")
-        .find(|section| section.starts_with("Hosted snapshot databases"))
-        .expect("the README has a hosted-database section");
-    let mut requests = Vec::new();
-    let mut responses = Vec::new();
+        .find(|section| section.starts_with(title))
+        .unwrap_or_else(|| panic!("the README has a section `{title}`"));
+    let mut requests: Vec<&str> = Vec::new();
+    let mut responses: Vec<String> = Vec::new();
+    let mut wrapped = false;
     for line in section.lines() {
-        if let Some(request) = line.strip_prefix("→ ") {
-            requests.push(request);
-        } else if let Some(response) = line.strip_prefix("← ") {
-            responses.push(response);
-            if requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)) {
+        let continued = line.strip_prefix("   ").filter(|_| wrapped);
+        wrapped = false;
+        if let (Some(rest), Some(response)) = (continued, responses.last_mut()) {
+            response.push_str(rest.trim_start());
+            wrapped = true;
+        } else if let Some(request) = line.strip_prefix("→ ") {
+            if stop.is_some_and(|stop| requests.last().is_some_and(|last| last.contains(stop))) {
                 break;
             }
+            requests.push(request);
+        } else if let Some(response) = line.strip_prefix("← ") {
+            responses.push(response.to_string());
+            wrapped = true;
         }
     }
-    assert!(requests.first().is_some_and(|request| request.contains(r#""op":"db_put""#)));
-    assert!(requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)));
     assert_eq!(requests.len(), responses.len(), "every request has one response");
+    (requests, responses)
+}
+
+/// Replays `requests` in order on a fresh server and requires each answer
+/// to be its documented response byte for byte once the timings are masked.
+fn replay_verbatim(requests: &[&str], responses: &[String]) {
     let state = rpq_server::ServerState::new(ServerConfig::default());
     let mut output = Vec::new();
     rpq_server::run_pipe(&state, requests.join("\n").as_bytes(), &mut output).unwrap();
     let got = mask_timings(std::str::from_utf8(&output).unwrap());
     assert_eq!(got.lines().count(), requests.len());
-    for ((request, got), want) in requests.iter().zip(got.lines()).zip(&responses) {
+    for ((request, got), want) in requests.iter().zip(got.lines()).zip(responses) {
         assert_eq!(got, mask_timings(want), "the README's answer to {request}");
+    }
+}
+
+/// The README's *Hosted snapshot databases* examples, `db_put` through
+/// `db_drop`, replay verbatim.
+#[test]
+fn readme_hosted_database_examples_replay_verbatim() {
+    let (requests, responses) =
+        readme_examples("Hosted snapshot databases", Some(r#""op":"db_drop""#));
+    assert!(requests.first().is_some_and(|request| request.contains(r#""op":"db_put""#)));
+    assert!(requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)));
+    replay_verbatim(&requests, &responses);
+}
+
+/// The README's *Wire protocol* examples (`prepare`, `solve` with and
+/// without the cut, `solve_batch`) and its *Deadlines & tiered answers*
+/// examples replay verbatim, each section on a fresh server. Their cuts come
+/// from the flow core's narrow path, so they also pin its wire bytes.
+#[test]
+fn readme_wire_protocol_examples_replay_verbatim() {
+    for (title, count) in [("Wire protocol", 4), ("Deadlines & tiered answers", 3)] {
+        let (requests, responses) = readme_examples(title, None);
+        assert_eq!(requests.len(), count, "{title}");
+        replay_verbatim(&requests, &responses);
     }
 }
 
