@@ -21,7 +21,14 @@
 //!   ([`rpq_flow::CsrFlow::patch_edge_capacity`]), so a delta that only
 //!   patched capacities costs `O(|delta|)` before Dinic starts; only deltas
 //!   that append vertices or edges make the resume pay the `O(V+E)`
-//!   re-lay that carries the flow into the new arcs.
+//!   re-lay that carries the flow into the new arcs;
+//! * **cut** — [`rpq_flow::CsrFlow::extract_cut`] repairs the source side
+//!   the scratch kept from the previous solve, touching only the vertices
+//!   whose tree path the logged residual changes broke, and keeps the
+//!   previous cut edges when no vertex changed side;
+//!   [`IncrementalLocalState::cut_to_facts`] then maps each cut edge to the
+//!   fact id it mapped to last time, checked against the database's fact at
+//!   that id, and hashes the fact's key only when a delete moved the id.
 //!
 //! # Stable layout, grow-only pruning
 //!
@@ -110,6 +117,9 @@ const NO_KEY: u32 = u32::MAX;
 /// A `(block, state)` pair that is not a vertex (yet).
 const NO_VERTEX: u32 = u32::MAX;
 
+/// `edge_fact` sentinel: no fact id remembered for the edge.
+const NO_FACT: FactId = FactId(u32::MAX);
+
 /// The capacity of a deleted fact: its edge stays behind as a tombstone.
 const ZERO: Capacity = Capacity::Finite(0);
 
@@ -168,6 +178,11 @@ pub(crate) struct IncrementalLocalState {
     /// Arena edge → fact key (`NO_KEY` block marks structural edges), for
     /// mapping cut edges back to facts of the *current* database.
     edge_key: Vec<Key>,
+    /// Arena edge → the fact id its key last mapped to ([`NO_FACT`] before
+    /// the first lookup). A hint only: a delete's swap-remove moves ids, so
+    /// [`IncrementalLocalState::cut_to_facts`] trusts it only where the
+    /// database's fact at that id has the edge's key.
+    edge_fact: Vec<FactId>,
     /// Facts with positive capacity, with an edge or parked.
     live_facts: usize,
     /// Facts with capacity 0: tombstoned edges and deleted parked facts.
@@ -290,6 +305,7 @@ impl IncrementalLocalState {
         let e = csr.add_edge(from, to, Capacity::Infinite);
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push((NO_KEY, Letter('\0'), NO_KEY));
+        self.edge_fact.push(NO_FACT);
     }
 
     /// Appends the edge of fact `key` from `u` to `v`.
@@ -297,6 +313,7 @@ impl IncrementalLocalState {
         let e = csr.add_edge(u, v, cap);
         debug_assert_eq!(e.index(), self.edge_key.len());
         self.edge_key.push(key);
+        self.edge_fact.push(NO_FACT);
         self.fact_edges.insert(key, e);
     }
 
@@ -352,6 +369,7 @@ impl IncrementalLocalState {
         self.parked.clear();
         self.parked_at.clear();
         self.edge_key.clear();
+        self.edge_fact.clear();
         self.live_facts = 0;
         self.tombstones = 0;
         csr.clear();
@@ -489,8 +507,10 @@ impl IncrementalLocalState {
     /// Maps the cut of the incremental network back to facts of `db`.
     /// Tombstoned edges crossing the cut cost nothing and are absent from
     /// `db`, so they are skipped; the remaining facts form an optimal
-    /// contingency set.
-    fn cut_to_facts(&self, cut_edges: &[EdgeId], db: &GraphDb) -> Vec<FactId> {
+    /// contingency set. Each edge first tries the fact id it mapped to last
+    /// time, which holds unless a delete moved it, and looks the fact up by
+    /// its key only when the id's fact is not the edge's.
+    fn cut_to_facts(&mut self, cut_edges: &[EdgeId], db: &GraphDb) -> Vec<FactId> {
         // Along one log the store's fold never renumbers a node, so block
         // `b` is usually node `b`: one byte comparison checks it. A put
         // whose letter the automaton does not read makes a node but no
@@ -510,10 +530,15 @@ impl IncrementalLocalState {
             if ub == NO_KEY {
                 continue;
             }
-            let (Some(u), Some(v)) = (node(ub), node(vb)) else {
+            let (Some(source), Some(target)) = (node(ub), node(vb)) else {
                 continue;
             };
-            if let Some(f) = db.find_fact(u, letter, v) {
+            let fact = Fact { source, label: letter, target };
+            let memo = &mut self.edge_fact[e.index()];
+            if memo.index() < db.num_facts() && db.fact(*memo) == fact {
+                facts.push(*memo);
+            } else if let Some(f) = db.find_fact(source, letter, target) {
+                *memo = f;
                 facts.push(f);
             }
         }
@@ -577,7 +602,7 @@ pub(crate) fn solve_incremental_local(
 
     let SolveScratch { csr, flow: flow_scratch, incremental, .. } = scratch;
     // lint: allow(panic-freedom, the branch above just built or patched the state)
-    let state = incremental.as_ref().expect("state was just built or patched");
+    let state = incremental.as_mut().expect("state was just built or patched");
     if mode == SolveMode::Full {
         let freeze_timer = trace.begin();
         csr.freeze();
@@ -610,7 +635,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, IncrementalSolver, LogPosition, SolveCall};
     use rpq_automata::Alphabet;
-    use rpq_graphdb::delta::{materialize, parse_patch};
+    use rpq_graphdb::delta::{changes_from_db, materialize, parse_patch};
     use rpq_graphdb::generate::{flow_instance, layered_instance};
     use std::collections::BTreeSet;
 
@@ -744,6 +769,97 @@ mod tests {
         let s_a_u =
             db.find_fact(db.find_node("s").unwrap(), Letter('a'), db.find_node("u").unwrap());
         assert_eq!(outcome.contingency_set, Some(vec![s_a_u.unwrap()]));
+    }
+
+    /// The sorted fact ids of a contingency set.
+    fn sorted(cut: Option<Vec<FactId>>) -> Option<BTreeSet<FactId>> {
+        cut.map(|c| c.into_iter().collect())
+    }
+
+    #[test]
+    fn toggling_a_cut_fact_repairs_the_retained_source_side() {
+        // A hosted head: the first cut fact of a ~2k-fact `ax*b` database is
+        // deleted and re-inserted in turn, each delta patched in place and
+        // resumed. The cold build's extraction and the first one after it
+        // search the residual graph; the forest repair answers the rest.
+        let db = flow_instance(8, 128, 2, 16, 0x300);
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let fresh = prepared.solve(&db).unwrap();
+        let fact = db.fact(*fresh.contingency_set.unwrap().iter().min().unwrap());
+        let (source, target) = (db.node_name(fact.source), db.node_name(fact.target));
+        let delete = format!("- {source} {} {target}", fact.label);
+        let insert = format!("+ {source} {} {target}", fact.label);
+        let mut log = changes_from_db(&db);
+        let mut solver = IncrementalSolver::new();
+        let call = SolveCall::new(true);
+        let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
+        prepared
+            .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+            .unwrap();
+        for round in 0..40 {
+            let delta = parse_patch(if round % 2 == 0 { &delete } else { &insert }).unwrap();
+            log.extend(delta.iter().cloned());
+            let db = materialize(&log);
+            let (routed, mode) = prepared
+                .route_incremental(
+                    &mut solver,
+                    at(&log),
+                    &db,
+                    Some(&delta),
+                    &call,
+                    &mut Trace::disabled(),
+                )
+                .unwrap();
+            assert_eq!(mode, SolveMode::Incremental, "round {round}");
+            let fresh = prepared.solve(&db).unwrap();
+            assert_eq!(routed.outcome.value, fresh.value, "round {round}");
+            assert_eq!(sorted(routed.outcome.contingency_set), sorted(fresh.contingency_set));
+        }
+        let counts = solver.cut_counts();
+        assert_eq!(counts.repaired + counts.searched, 41);
+        assert!(counts.repaired * 10 >= 9 * 41, "{counts:?}");
+    }
+
+    #[test]
+    fn a_delete_that_moves_a_remembered_fact_id_maps_the_cut_right() {
+        // The cut is {s a u0, s a u1}, and `s a u1` is the last fact (id 4).
+        // One delta deletes the non-cut `x a y` (id 2), so the swap-remove
+        // moves `s a u1` to id 2, and inserts `v a w`, which takes id 4: the
+        // id remembered for `s a u1`'s edge now names another fact.
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let call = SolveCall::new(true);
+        let mut log = parse_patch("+ u0 b t\n+ u1 b t\n+ x a y\n+ s a u0\n+ s a u1\n").unwrap();
+        let solve = |solver: &mut IncrementalSolver, log: &[FactChange], delta| {
+            let db = materialize(log);
+            let at = LogPosition { log: 0, offset: log.len() };
+            let (routed, _) = prepared
+                .route_incremental(solver, at, &db, delta, &call, &mut Trace::disabled())
+                .unwrap();
+            let fresh = prepared.solve(&db).unwrap();
+            assert_eq!(routed.outcome.value, fresh.value);
+            assert_eq!(
+                sorted(routed.outcome.contingency_set.clone()),
+                sorted(fresh.contingency_set)
+            );
+            (routed.outcome.contingency_set.unwrap(), db)
+        };
+        let (cut, db) = solve(&mut solver, &log, None);
+        let last = FactId(4);
+        let s_a_u1 = db.fact(last);
+        assert_eq!(db.node_name(s_a_u1.target), "u1");
+        assert!(cut.contains(&last));
+        let remembered = &solver.scratch.incremental.as_ref().unwrap().edge_fact;
+        assert!(remembered.contains(&last));
+
+        let delta = parse_patch("- x a y\n+ v a w").unwrap();
+        log.extend(delta.iter().cloned());
+        let (cut, db) = solve(&mut solver, &log, Some(delta.as_slice()));
+        assert_eq!(db.fact(FactId(2)), s_a_u1);
+        assert_eq!(db.node_name(db.fact(last).source), "v");
+        let names = |f: FactId| (db.node_name(db.fact(f).source), db.node_name(db.fact(f).target));
+        let cut: BTreeSet<_> = cut.into_iter().map(names).collect();
+        assert_eq!(cut, BTreeSet::from([("s", "u0"), ("s", "u1")]));
     }
 
     #[test]

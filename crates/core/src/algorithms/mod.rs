@@ -145,7 +145,7 @@ impl SolveScratch {
     /// The capacities of every internal buffer. Used to assert the reuse
     /// contract: once warmed up on a batch's shape, further solves must not
     /// change the signature (zero reallocations).
-    pub fn capacity_signature(&self) -> ([usize; 9], [usize; 10], [usize; 17]) {
+    pub fn capacity_signature(&self) -> ([usize; 9], [usize; 12], [usize; 17]) {
         let [buckets, templates, slots, edges] = self.signatures.capacity_signature();
         let [twin, price, restored, exchanges, cut_marks] = self.rewrite.capacity_signature();
         (

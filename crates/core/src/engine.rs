@@ -236,6 +236,12 @@ impl IncrementalSolver {
     pub fn check_consistency(&self) -> Result<(), String> {
         crate::algorithms::incremental::check_consistency(&self.scratch)
     }
+
+    /// How many of this solver's cut extractions repaired the retained
+    /// source side and how many searched the residual graph in full.
+    pub fn cut_counts(&self) -> rpq_flow::CutCounts {
+        self.scratch.flow.cut_counts()
+    }
 }
 
 /// The per-call inputs shared by every solve shape ([`PreparedQuery::route`],

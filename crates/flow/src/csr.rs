@@ -42,6 +42,31 @@
 //! resumed solve therefore return the same cut edges, not only the same
 //! value.
 //!
+//! An incremental caller extracts a cut after each resume, and a 1-fact
+//! patch rarely moves a vertex across it. So a search on wide residuals
+//! (which every resume leaves) records one parent arc per reached vertex, a
+//! BFS forest kept in the scratch, and from then on every residual write of
+//! the resume path logs its arc: [`CsrFlow::cancel_flow`]'s drains,
+//! [`CsrFlow::patch_edge_capacity`] and each path Dinic augments. The next
+//! [`CsrFlow::extract_cut`] repairs the forest. It unmarks the *orphans*,
+//! the heads of logged tree arcs left with no residual and their tree
+//! descendants, then runs one forward search from the orphans that a
+//! positive arc enters from a reached vertex and from the heads of logged
+//! positive arcs with a reached tail. Only logged arcs changed, so every
+//! other vertex keeps a tree path of positive arcs, and every positive arc
+//! that leaves the kept set either enters an orphan, is logged, or starts at
+//! a vertex the search scans: the result is exactly the set the source
+//! reaches, the minimal source side above. When no vertex changed side the
+//! previous cut edges stand; otherwise the edges are rescanned. A re-lay
+//! keys the forest and the log by edge, maps them onto the new arcs, and
+//! logs each parent arc left without residual and each positive arc from
+//! the side to the rest, which only appended edges and capacities patched
+//! while unfrozen can produce. A cold [`CsrFlow::max_flow`], a widening, an
+//! infinite value, a `clear`, a parent edge that lost its arcs, or a log
+//! longer than the vertex count drops the forest, and the next extraction
+//! searches in full. Debug builds check every repaired side and cut against
+//! a full search.
+//!
 //! `+∞` has one rule: every infinite edge gets the same fixed proxy
 //! capacity, 2^100, in the arena. The network asserts on every added or
 //! patched capacity that its finite capacities sum below the proxy, and the
@@ -427,6 +452,7 @@ impl CsrFlow {
         let flow = scratch.wide[self.arc_twin[a] as usize];
         debug_assert!(flow <= cap, "cancel the flow above a lowered capacity first");
         scratch.wide[a] = cap - flow;
+        scratch.log_arc(a);
     }
 
     /// Compiles the arena into CSR residual adjacency (counting sort by arc
@@ -516,6 +542,7 @@ impl CsrFlow {
     pub fn max_flow(&self, scratch: &mut FlowScratch) -> Capacity {
         assert!(self.frozen, "CsrFlow::max_flow requires freeze()");
         scratch.prepare(self.num_vertices);
+        scratch.drop_forest();
         if self.finite_total < u128::from(NARROW_INFINITE) {
             self.seed::<u64>(scratch);
             let flow = self.augment(scratch, NARROW_INFINITE);
@@ -560,6 +587,7 @@ impl CsrFlow {
         if !scratch.is_narrow {
             return;
         }
+        scratch.drop_forest();
         let FlowScratch { wide, narrow, is_narrow, .. } = scratch;
         *is_narrow = false;
         wide.clear();
@@ -586,9 +614,24 @@ impl CsrFlow {
     /// flow must fit its capacity, which [`cancel_flow`](CsrFlow::cancel_flow)
     /// ensures before a capacity is lowered. Do not call `freeze` between a
     /// solve and a resume: it drops the old layout the flow is read from.
+    ///
+    /// A resume keeps the source side of the next
+    /// [`extract_cut`](CsrFlow::extract_cut) for the one after, and logs the
+    /// arcs its augmentations change; a re-lay carries the kept side into
+    /// the new layout.
     pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> Capacity {
         self.widen(scratch);
         if !self.frozen {
+            // A forest is kept for this layout's vertices unless `clear`
+            // dropped the layout.
+            let kept = scratch.forest
+                && !self.edge_arc.is_empty()
+                && scratch.reachable.len() + 1 == self.adj_start.len();
+            if kept {
+                self.key_forest_by_edge(scratch);
+            } else {
+                scratch.drop_forest();
+            }
             let FlowScratch { wide: residual, carried, flow, .. } = &mut *scratch;
             if self.edge_arc.is_empty() {
                 *flow = 0;
@@ -613,11 +656,88 @@ impl CsrFlow {
                 residual[a] = cap - carried[e];
                 residual[self.arc_twin[a] as usize] = carried[e];
             }
+            if kept {
+                self.key_forest_by_arc(scratch);
+            }
         }
         scratch.prepare(self.num_vertices);
         scratch.flow += self.augment(scratch, INFINITE.saturating_sub(scratch.flow));
         debug_assert_eq!(self.check_flow_consistency(scratch), Ok(()));
         flow_value(scratch.flow)
+    }
+
+    /// Re-keys the kept forest and its log by edge before a re-lay: an arc
+    /// becomes twice its edge's index, plus one for a reverse arc. Edge
+    /// indexes survive the re-lay; arc indexes do not.
+    fn key_forest_by_edge(&self, scratch: &mut FlowScratch) {
+        let FlowScratch { reachable, parent, log, queue: key, .. } = scratch;
+        key.clear();
+        key.resize(self.arc_head.len(), NO_ARC);
+        for (e, &a) in self.edge_arc.iter().enumerate() {
+            if a != NO_ARC {
+                key[a as usize] = 2 * e as u32;
+                key[self.arc_twin[a as usize] as usize] = 2 * e as u32 + 1;
+            }
+        }
+        let source = self.source as usize;
+        for (v, (p, &reached)) in parent.iter_mut().zip(reachable.iter()).enumerate() {
+            if reached && v != source {
+                *p = key[*p as usize];
+            }
+        }
+        for a in log.iter_mut() {
+            *a = key[*a as usize];
+        }
+    }
+
+    /// Maps the forest [`key_forest_by_edge`](CsrFlow::key_forest_by_edge)
+    /// keyed by edge onto the new layout's arcs, and logs what the re-lay
+    /// changed: each parent arc left with no residual (a capacity lowered
+    /// while the network was unfrozen), and each positive arc from the side
+    /// to the rest (an appended edge, or a capacity raised meanwhile). The
+    /// appended vertices start outside the side, and the cut edges are
+    /// rescanned. A parent arc whose edge has no arcs any more drops the
+    /// forest.
+    fn key_forest_by_arc(&self, scratch: &mut FlowScratch) {
+        let n = self.num_vertices;
+        let FlowScratch { reachable, parent, log, wide: residual, .. } = &mut *scratch;
+        let arc = |key: u32| match self.edge_arc[(key / 2) as usize] {
+            NO_ARC => NO_ARC,
+            a if key.is_multiple_of(2) => a,
+            a => self.arc_twin[a as usize],
+        };
+        log.retain_mut(|a| {
+            *a = arc(*a);
+            *a != NO_ARC
+        });
+        let source = self.source as usize;
+        let mut lost = false;
+        for (v, (p, &reached)) in parent.iter_mut().zip(reachable.iter()).enumerate() {
+            if reached && v != source {
+                *p = arc(*p);
+                lost |= *p == NO_ARC;
+                if !lost && residual[*p as usize] == 0 {
+                    log.push(*p);
+                }
+            }
+        }
+        if lost {
+            scratch.drop_forest();
+            return;
+        }
+        reachable.resize(n, false);
+        parent.resize(n, NO_ARC);
+        for (e, &a) in self.edge_arc.iter().enumerate() {
+            let (from, to) = (self.edge_from[e] as usize, self.edge_to[e] as usize);
+            if a != NO_ARC && reachable[from] && !reachable[to] && residual[a as usize] > 0 {
+                log.push(a);
+            }
+        }
+        scratch.log_bound = n;
+        scratch.rescan = true;
+        if scratch.log.len() > n {
+            scratch.drop_forest();
+        }
     }
 
     /// Verifies the flow `scratch` holds against the frozen network: every
@@ -765,6 +885,7 @@ impl CsrFlow {
         let drain = flow - keep;
         scratch.wide[a] += drain;
         scratch.wide[twin] = keep;
+        scratch.log_arc(a);
         let u = self.edge_from[e] as usize;
         let v = self.edge_to[e] as usize;
         let source = self.source as usize;
@@ -887,56 +1008,202 @@ impl CsrFlow {
             residual[via as usize] += bottleneck;
             residual[self.arc_twin[via as usize] as usize] -= bottleneck;
         }
+        scratch.log_path();
         Some((stop, bottleneck))
     }
 
     /// Reads the minimum cut off the maximum flow `scratch` holds: the
     /// original edges from the vertices the source reaches in the residual
     /// graph to the rest. The value is `Infinite`, with no cut edges, when
-    /// the flow reaches the proxy capacity of infinite edges. The BFS starts
-    /// at the source: Dinic's last level BFS starts at the target, so its
-    /// labels are not the source side.
+    /// the flow reaches the proxy capacity of infinite edges. The search
+    /// starts at the source: Dinic's last level BFS starts at the target, so
+    /// its labels are not the source side.
+    ///
+    /// On wide residuals, which every resume leaves (see the
+    /// [module docs](self)), the search records a BFS forest (one parent arc
+    /// per reached vertex) in `scratch`, and every later residual write of
+    /// the resume path (cancellations, capacity patches, Dinic's augmenting
+    /// paths) logs its arc there. The next extraction then repairs the
+    /// forest instead of searching again, and keeps the previous cut edges
+    /// when no vertex changed side and no re-lay happened. A re-lay carries the forest over by edge. A cold
+    /// [`max_flow`](CsrFlow::max_flow), a widening, an infinite value, a
+    /// `clear` or a log longer than the vertex count drops the forest, and
+    /// the next extraction searches in full. Either way the source side is
+    /// the set the source reaches in the current residual graph (the
+    /// [module docs](self) say why).
     pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
-        let FlowScratch { reachable, queue, wide, narrow, is_narrow, .. } = &mut *scratch;
-        if *is_narrow {
-            self.reach_from_source(narrow, reachable, queue);
+        let n = self.num_vertices;
+        let moved = if scratch.forest && scratch.reachable.len() == n {
+            scratch.counts.repaired += 1;
+            self.repair_source_side(scratch)
         } else {
-            self.reach_from_source(wide, reachable, queue);
-        }
-        scratch.cut_edges.clear();
+            scratch.counts.searched += 1;
+            let FlowScratch { reachable, queue, wide, narrow, is_narrow, parent, .. } =
+                &mut *scratch;
+            if *is_narrow {
+                self.reach_from_source::<u64, false>(narrow, reachable, queue, parent);
+            } else {
+                self.reach_from_source::<u128, true>(wide, reachable, queue, parent);
+            }
+            scratch.forest = !scratch.is_narrow;
+            scratch.log_bound = n;
+            true
+        };
+        scratch.log.clear();
         let value = flow_value(scratch.flow);
         if value.is_infinite() {
-            return CsrCut { value, cut_edges: &scratch.cut_edges };
+            // The forest stands only beside the cut edges of its side.
+            scratch.drop_forest();
+            scratch.cut_len = 0;
+            return CsrCut { value, cut_edges: &[] };
         }
-
-        // Original edges crossing reachable → unreachable form a minimum cut.
-        // Zero-capacity edges crossing it are included so the returned set is
-        // a genuine separator (they cost nothing).
-        for i in 0..self.edge_from.len() {
-            if scratch.reachable[self.edge_from[i] as usize]
-                && !scratch.reachable[self.edge_to[i] as usize]
-            {
-                scratch.cut_edges.push(EdgeId(i as u32));
-            }
+        if moved || scratch.rescan {
+            self.scan_cut(scratch);
+            scratch.rescan = false;
         }
-        CsrCut { value, cut_edges: &scratch.cut_edges }
+        debug_assert!(
+            !scratch.forest || self.is_searched_cut(scratch),
+            "the repaired source side or cut differs from a full search"
+        );
+        CsrCut { value, cut_edges: &scratch.cut_edges[..scratch.cut_len] }
     }
 
-    /// Flags the vertices the source reaches in the residual graph. The
-    /// inner loop has no data-dependent branch: every arc writes its head
-    /// one past the queue's end and moves the end only when the head is
-    /// newly reached. Each vertex enters once, so `n + 1` slots suffice.
-    fn reach_from_source<W: Width>(
+    /// Collects the original edges from the source side to the rest: a
+    /// minimum cut. Zero-capacity edges crossing it are included so the
+    /// returned set is a genuine separator (they cost nothing). The loop has
+    /// no data-dependent branch: every edge writes its index at the cut's
+    /// end, which moves only when the edge crosses.
+    fn scan_cut(&self, scratch: &mut FlowScratch) {
+        let FlowScratch { reachable, cut_edges, cut_len, .. } = scratch;
+        let m = self.edge_from.len();
+        if cut_edges.len() <= m {
+            cut_edges.resize(m + 1, EdgeId(0));
+        }
+        let mut end = 0;
+        for (i, (&from, &to)) in self.edge_from.iter().zip(&self.edge_to).enumerate() {
+            cut_edges[end] = EdgeId(i as u32);
+            end += usize::from(reachable[from as usize] & !reachable[to as usize]);
+        }
+        *cut_len = end;
+    }
+
+    /// Repairs the retained forest of `scratch` after the residual changes
+    /// its log lists, on the wide residuals, and returns whether any vertex
+    /// changed side.
+    ///
+    /// 1. The *orphans* leave the side: the head of each logged arc (or of
+    ///    its twin) that is its head's parent arc and has no residual left,
+    ///    and that head's tree descendants. A child is the head of an arc out
+    ///    of its parent that is the child's parent arc.
+    /// 2. One forward search marks the vertices not yet reached. It starts
+    ///    from the orphans with a positive arc in from a reached vertex, and
+    ///    from the heads of logged positive arcs whose tail is reached.
+    ///
+    /// Only logged arcs changed residual, so every kept vertex still has its
+    /// tree path of positive arcs, and every positive arc that leaves the
+    /// kept set either starts at a vertex the search scans, enters an
+    /// orphan, or is logged. The result is therefore the set the source
+    /// reaches in the current residual graph, the unique minimal source side
+    /// of the cut contract, with a valid forest for the next repair.
+    fn repair_source_side(&self, scratch: &mut FlowScratch) -> bool {
+        let FlowScratch { wide: residual, reachable, parent, queue, log, .. } = &mut *scratch;
+        let both = |x: u32| [x as usize, self.arc_twin[x as usize] as usize];
+        queue.clear();
+        for a in log.iter().flat_map(|&x| both(x)) {
+            let root = self.arc_head[a] as usize;
+            if !reachable[root] || parent[root] != a as u32 || residual[a] != 0 {
+                continue;
+            }
+            reachable[root] = false;
+            let mut next = queue.len();
+            queue.push(root as u32);
+            while next < queue.len() {
+                let v = queue[next] as usize;
+                next += 1;
+                for b in self.arc_range(v) {
+                    let child = self.arc_head[b] as usize;
+                    if reachable[child] && parent[child] == b as u32 {
+                        reachable[child] = false;
+                        queue.push(child as u32);
+                    }
+                }
+            }
+        }
+        let orphans = queue.len();
+        let mut reach = |v: usize, via: usize, reachable: &mut [bool], queue: &mut Vec<u32>| {
+            reachable[v] = true;
+            parent[v] = via as u32;
+            queue.push(v as u32);
+        };
+        for i in 0..orphans {
+            let v = queue[i] as usize;
+            // The twin of an arc out of `v` is an arc into `v`.
+            let entry = self.arc_range(v).find(|&b| {
+                let into = self.arc_twin[b] as usize;
+                residual[into] > 0 && reachable[self.arc_head[b] as usize]
+            });
+            if let Some(b) = entry {
+                reach(v, self.arc_twin[b] as usize, reachable, queue);
+            }
+        }
+        for a in log.iter().flat_map(|&x| both(x)) {
+            let (tail, head) = (self.arc_head[self.arc_twin[a] as usize], self.arc_head[a]);
+            if residual[a] > 0 && reachable[tail as usize] && !reachable[head as usize] {
+                reach(head as usize, a, reachable, queue);
+            }
+        }
+        let mut next = orphans;
+        while next < queue.len() {
+            let v = queue[next] as usize;
+            next += 1;
+            for a in self.arc_range(v) {
+                let head = self.arc_head[a] as usize;
+                if residual[a] > 0 && !reachable[head] {
+                    reach(head, a, reachable, queue);
+                }
+            }
+        }
+        // Every marked vertex was unreached when marked, so the side is
+        // unchanged exactly when the marks re-reached each orphan and no
+        // other vertex.
+        queue.len() - orphans != orphans || queue[..orphans].iter().any(|&v| !reachable[v as usize])
+    }
+
+    /// Whether the source side and cut edges in `scratch` are those a full
+    /// search of its wide residuals and a scan give: the check of
+    /// [`repair_source_side`](CsrFlow::repair_source_side) in debug builds.
+    fn is_searched_cut(&self, scratch: &FlowScratch) -> bool {
+        let mut searched = FlowScratch::default();
+        let FlowScratch { reachable, queue, parent, .. } = &mut searched;
+        self.reach_from_source::<u128, false>(&scratch.wide, reachable, queue, parent);
+        self.scan_cut(&mut searched);
+        searched.reachable == scratch.reachable
+            && searched.cut_edges[..searched.cut_len] == scratch.cut_edges[..scratch.cut_len]
+    }
+
+    /// Flags the vertices the source reaches in the residual graph, and with
+    /// `TREE` records the arc each was reached by in `parent`. The inner
+    /// loop has no data-dependent branch: every arc writes its head one past
+    /// the queue's end and moves the end only when the head is newly
+    /// reached. Each vertex enters once, so `n + 1` slots suffice.
+    fn reach_from_source<W: Width, const TREE: bool>(
         &self,
         residual: &[W],
         reachable: &mut Vec<bool>,
         queue: &mut Vec<u32>,
+        parent: &mut Vec<u32>,
     ) {
         let n = self.num_vertices;
         reachable.clear();
         reachable.resize(n, false);
         queue.clear();
         queue.resize(n + 1, 0);
+        if TREE {
+            // Only reached vertices' entries are read, and each is written
+            // when its vertex is reached.
+            parent.resize(n, NO_ARC);
+            parent[self.source as usize] = NO_ARC;
+        }
         reachable[self.source as usize] = true;
         queue[0] = self.source;
         let (mut head, mut end) = (0, 1);
@@ -949,6 +1216,9 @@ impl CsrFlow {
                 queue[end] = to as u32;
                 end += usize::from(fresh);
                 reachable[to] |= fresh;
+                if TREE {
+                    parent[to] = if fresh { ai as u32 } else { parent[to] };
+                }
             }
         }
     }
@@ -1024,6 +1294,7 @@ fn dinic<W: Width>(csr: &CsrFlow, residual: &mut [W], s: &mut FlowScratch, limit
                     residual[ai] -= bottleneck;
                     residual[csr.arc_twin[ai] as usize] += bottleneck;
                 }
+                s.log_path();
                 total += bottleneck;
                 if total >= limit {
                     break;
@@ -1074,6 +1345,7 @@ fn dinic<W: Width>(csr: &CsrFlow, residual: &mut [W], s: &mut FlowScratch, limit
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::CutCounts;
     use proptest::strategy::Strategy;
 
     /// A frozen network on `n` vertices with finite-capacity `edges`.
@@ -1750,6 +2022,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One step of a retained-flow session: an edit, then maybe a resume,
+    /// then maybe an extraction. `kind` picks the edit: 0–4 lower or raise
+    /// edge `pick` to `cap` (while a re-lay is pending, a finite edge to no
+    /// lower than its flow, with no cancellation), 5 makes it infinite, 6 appends an edge
+    /// (the next resume re-lays the arcs), 7 solves cold (a narrow flow,
+    /// which the next edit widens).
+    type Step = (u8, u64, u64, bool, bool);
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = (0..8u8, proptest::arbitrary::any::<u64>(), 0..16u64, 0..2u8, 0..3u8);
+        proptest::collection::vec(step, 1..24).prop_map(|steps| {
+            steps.into_iter().map(|(k, p, c, r, x)| (k, p, c, r == 1, x != 0)).collect()
+        })
+    }
+
+    /// The `(value, source side, cut edges)` a cold solve of a rebuilt copy
+    /// of `csr` gives on a fresh scratch; the side only for a finite value.
+    fn cold_cut(csr: &CsrFlow) -> (Capacity, Vec<bool>, Vec<EdgeId>) {
+        let mut copy = CsrFlow::new();
+        rebuild_into(&mut copy, csr);
+        copy.freeze();
+        let mut scratch = FlowScratch::new();
+        let cut = copy.min_cut(&mut scratch);
+        let (value, edges) = (cut.value, cut.cut_edges.to_vec());
+        let side = if value.is_infinite() { Vec::new() } else { scratch.reachable.clone() };
+        (value, side, edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn repaired_source_sides_match_cold_solves(
+            (vertices, edges) in random_edges(),
+            steps in steps(),
+        ) {
+            // After every extraction of a maximum flow, the repaired (or
+            // searched) side and cut equal a cold solve's. An extraction of
+            // a flow that is not maximal yet equals a full search of the
+            // same residuals. Edits pile up between resumes, and those made
+            // while a re-lay is pending reach the residuals only through it.
+            let mut csr = scaled(vertices, &edges, 1);
+            let mut scratch = FlowScratch::new();
+            csr.max_flow(&mut scratch);
+            for (kind, pick, cap, resume, extract) in steps {
+                let edge = EdgeId((pick % csr.num_edges() as u64) as u32);
+                match kind {
+                    0..=4 if csr.frozen => {
+                        assert!(csr.cancel_flow(edge, cap.into(), &mut scratch));
+                        csr.patch_edge_capacity(edge, Capacity::Finite(cap.into()), &mut scratch);
+                    }
+                    0..=4 if csr.edge_capacity(edge).is_infinite() => {}
+                    0..=4 => {
+                        // Half the time exactly the flow: a tree arc that
+                        // carries flow loses its residual in the re-lay.
+                        let flow = edge_flows(&csr, &scratch).get(edge.index()).copied();
+                        let flow = flow.unwrap_or(0);
+                        let cap = if cap < 8 { flow } else { flow.max(cap.into()) };
+                        csr.patch_edge_capacity(edge, Capacity::Finite(cap), &mut scratch);
+                    }
+                    5 => csr.patch_edge_capacity(edge, Capacity::Infinite, &mut scratch),
+                    6 => {
+                        let n = csr.num_vertices() as u64;
+                        let (from, to) = ((pick % n) as u32, (pick / n % n) as u32);
+                        csr.add_edge(VertexId(from), VertexId(to), Capacity::Finite(cap.into()));
+                    }
+                    _ => {
+                        csr.freeze();
+                        csr.max_flow(&mut scratch);
+                    }
+                }
+                let mut maximal = kind == 7;
+                if resume || (extract && !csr.frozen) {
+                    csr.max_flow_resume(&mut scratch);
+                    maximal = true;
+                }
+                if !extract {
+                    continue;
+                }
+                let expected = if maximal {
+                    cold_cut(&csr)
+                } else {
+                    let mut searched = scratch.clone();
+                    searched.drop_forest();
+                    let cut = csr.extract_cut(&mut searched);
+                    let (value, edges) = (cut.value, cut.cut_edges.to_vec());
+                    (value, searched.reachable, edges)
+                };
+                let cut = csr.extract_cut(&mut scratch);
+                let (value, edges) = (cut.value, cut.cut_edges.to_vec());
+                let side = if maximal && value.is_infinite() {
+                    Vec::new()
+                } else {
+                    scratch.reachable.clone()
+                };
+                assert_eq!((value, side, edges), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn resumes_repair_the_source_side_instead_of_searching() {
+        // s -> a -> t and s -> b -> t, each of capacity 1, plus a long
+        // tail of infinite edges behind `a` that the source side contains.
+        // Toggling b -> t off and on resumes the flow each time; after the
+        // first full search every extraction is a repair.
+        let mut csr = CsrFlow::new();
+        let [s, a, b, t] = [(); 4].map(|_| csr.add_vertex());
+        csr.set_source(s);
+        csr.set_target(t);
+        csr.add_edge(s, a, Capacity::Finite(2));
+        csr.add_edge(a, t, Capacity::Finite(1));
+        csr.add_edge(s, b, Capacity::Finite(1));
+        let bt = csr.add_edge(b, t, Capacity::Finite(1));
+        let mut last = a;
+        for _ in 0..64 {
+            let next = csr.add_vertex();
+            csr.add_edge(last, next, Capacity::Infinite);
+            last = next;
+        }
+        csr.freeze();
+        let mut scratch = FlowScratch::new();
+        csr.max_flow(&mut scratch);
+        for round in 0..20u128 {
+            let cap = round % 2;
+            assert!(csr.cancel_flow(bt, cap, &mut scratch));
+            csr.patch_edge_capacity(bt, Capacity::Finite(cap), &mut scratch);
+            csr.max_flow_resume(&mut scratch);
+            let cut = csr.extract_cut(&mut scratch);
+            assert_eq!(cut.value, Capacity::Finite(1 + cap));
+            let (value, side, edges) = cold_cut(&csr);
+            assert_eq!((value, edges), (cut.value, cut.cut_edges.to_vec()));
+            assert_eq!(side, scratch.reachable);
+        }
+        assert_eq!(scratch.cut_counts(), CutCounts { repaired: 19, searched: 1 });
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //!   [`CsrFlow::max_flow_resume`] continues a retained flow, re-laying the
 //!   arcs first when the network grew. The cut is the unique minimal source
 //!   side of the final residual graph, whichever maximum flow produced it,
-//!   so a cold solve and a resumed one return the same cut edges.
+//!   so a cold solve and a resumed one return the same cut edges. Between
+//!   resumes it also keeps the last source side as a BFS forest with a log
+//!   of the arcs whose residual changed since, so the next extraction
+//!   repairs the side instead of searching again ([`FlowScratch::cut_counts`]
+//!   counts both).
 //!
 //! Residuals are `u64` (16 bytes per arc) when the finite capacities sum
 //! below 2^62, else `u128`; [`csr`] gives the rule and why it is exact.
@@ -28,4 +32,4 @@ pub mod csr;
 pub mod scratch;
 
 pub use csr::{Capacity, CsrCut, CsrFlow, EdgeId, VertexId};
-pub use scratch::FlowScratch;
+pub use scratch::{CutCounts, FlowScratch};

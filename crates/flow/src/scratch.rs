@@ -15,6 +15,12 @@
 //! [`crate::csr::CsrFlow::max_flow_resume`] continues from it. It lives in
 //! the `u64` buffer `narrow` or the `u128` buffer `wide`, whichever width
 //! the solve ran at (see [`crate::csr`]); each keeps its allocation.
+//!
+//! Between the solves of an incremental caller the scratch also keeps the
+//! last cut's source side as a BFS forest (`reachable` plus one `parent` arc
+//! per reached vertex) and a log of the arcs whose residual changed since
+//! (see [`crate::csr::CsrFlow::extract_cut`]): the next extraction repairs
+//! the forest instead of searching the whole residual graph again.
 
 use crate::csr::EdgeId;
 
@@ -55,8 +61,41 @@ pub struct FlowScratch {
     pub(crate) pred: Vec<u32>,
     /// Source-side reachability in the residual graph (cut extraction).
     pub(crate) reachable: Vec<bool>,
-    /// The extracted cut edges (valid until the next solve).
+    /// Per reached vertex but the source: the arc its source-side search
+    /// reached it by, while `forest` holds ([`NO_ARC`] at the source).
+    pub(crate) parent: Vec<u32>,
+    /// Whether `reachable` and `parent` form a BFS forest of the residual
+    /// graph of the last extraction, with every arc whose residual changed
+    /// since in `log`, and `cut_edges[..cut_len]` the edges leaving it
+    /// unless `rescan` is set.
+    pub(crate) forest: bool,
+    /// Arcs whose residual (and so their twin's) changed since the last
+    /// extraction, while `forest` holds; at most `log_bound` entries.
+    pub(crate) log: Vec<u32>,
+    /// The log length past which the forest is dropped: the vertex count.
+    pub(crate) log_bound: usize,
+    /// Whether the kept cut edges are stale even where no vertex changes
+    /// side: a re-lay carried the forest over appended edges.
+    pub(crate) rescan: bool,
+    /// Extractions the forest repair answered, and those a full search did.
+    pub(crate) counts: CutCounts,
+    /// Cut-edge buffer: the extracted cut is `cut_edges[..cut_len]` (valid
+    /// until the next solve). The scan writes every edge index one past the
+    /// cut's end, so the buffer keeps one slot per edge plus one.
     pub(crate) cut_edges: Vec<EdgeId>,
+    /// The length of the extracted cut in `cut_edges`.
+    pub(crate) cut_len: usize,
+}
+
+/// How [`crate::csr::CsrFlow::extract_cut`] found the source sides of one
+/// scratch: by repairing the retained forest, or by a full search of the
+/// residual graph. Read it with [`FlowScratch::cut_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CutCounts {
+    /// Extractions answered by the repair of the retained forest.
+    pub repaired: u64,
+    /// Extractions answered by a search from the source.
+    pub searched: u64,
 }
 
 impl FlowScratch {
@@ -93,11 +132,48 @@ impl FlowScratch {
         &self.reachable
     }
 
+    /// How many extractions repaired the retained source side and how many
+    /// searched it in full (see [`CutCounts`]).
+    pub fn cut_counts(&self) -> CutCounts {
+        self.counts
+    }
+
+    /// Drops the retained forest and its log: the next extraction searches
+    /// the residual graph in full.
+    pub(crate) fn drop_forest(&mut self) {
+        self.forest = false;
+        self.log.clear();
+    }
+
+    /// Logs the arcs in `path`, whose residuals an augmentation or a
+    /// cancellation just changed, while a forest is retained; a log past
+    /// its bound drops the forest instead.
+    pub(crate) fn log_path(&mut self) {
+        if self.forest {
+            if self.log.len() + self.path.len() > self.log_bound {
+                self.drop_forest();
+            } else {
+                self.log.extend_from_slice(&self.path);
+            }
+        }
+    }
+
+    /// Logs one arc whose residual changed (see [`FlowScratch::log_path`]).
+    pub(crate) fn log_arc(&mut self, arc: usize) {
+        if self.forest {
+            if self.log.len() >= self.log_bound {
+                self.drop_forest();
+            } else {
+                self.log.push(arc as u32);
+            }
+        }
+    }
+
     /// The capacities of every internal buffer, in a fixed order. Two equal
     /// signatures mean no buffer was reallocated in between — the
     /// zero-post-warmup-reallocation contract of scratch reuse is asserted
     /// with exactly this (see the engine's batch tests).
-    pub fn capacity_signature(&self) -> [usize; 10] {
+    pub fn capacity_signature(&self) -> [usize; 12] {
         [
             self.wide.capacity(),
             self.narrow.capacity(),
@@ -108,6 +184,8 @@ impl FlowScratch {
             self.path.capacity(),
             self.pred.capacity(),
             self.reachable.capacity(),
+            self.parent.capacity(),
+            self.log.capacity(),
             self.cut_edges.capacity(),
         ]
     }

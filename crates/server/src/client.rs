@@ -13,6 +13,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The framed request line (text plus `\n`), reused across requests so
+    /// each goes out in one write.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -24,7 +27,7 @@ impl Client {
         // persistent connection.
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer })
+        Ok(Client { reader: BufReader::new(stream), writer, frame: Vec::new() })
     }
 
     /// Bounds how long [`Client::request`] waits for a response line
@@ -34,11 +37,15 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Sends one raw request line and returns the raw response line.
+    /// Sends one raw request line and returns the raw response line. The
+    /// line and its newline go out in one write: with `TCP_NODELAY` on, a
+    /// separate newline would be a second segment, and the server's line
+    /// reader would wake for the first and wait again for the second.
     pub fn request_line(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.frame.clear();
+        self.frame.extend_from_slice(line.as_bytes());
+        self.frame.push(b'\n');
+        self.writer.write_all(&self.frame)?;
         let mut response = String::new();
         let read = self.reader.read_line(&mut response)?;
         if read == 0 {

@@ -14,6 +14,7 @@
 use std::collections::BTreeSet;
 
 use rpq::automata::alphabet::Letter;
+use rpq::flow::CutCounts;
 use rpq::graphdb::delta::{materialize, FactChange};
 use rpq::resilience::algorithms::Algorithm;
 use rpq::resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveMode};
@@ -61,8 +62,9 @@ fn random_delta(
 
 /// Runs one query family through `rounds` deltas over `nodes` node names,
 /// returning how many snapshots the incremental path actually served (vs
-/// full rebuilds / fallbacks).
-fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> usize {
+/// full rebuilds / fallbacks), and how the solver's cut extractions found
+/// their source sides.
+fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> (usize, CutCounts) {
     let mut query = Rpq::parse(pattern).unwrap();
     if bag {
         query = query.with_bag_semantics();
@@ -129,21 +131,21 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> us
             assert_eq!(oracle.value, fresh.value, "{pattern} round {round}: oracle disagrees");
         }
     }
-    incremental_snapshots
+    (incremental_snapshots, solver.cut_counts())
 }
 
 #[test]
 fn local_queries_survive_two_hundred_random_edits() {
     // The tentpole path: a local language, patched in place per delta.
-    let incremental = churn("ax*b", false, 0x5EED_0001, 200, 8);
+    let (incremental, _) = churn("ax*b", false, 0x5EED_0001, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 snapshots were incremental");
 }
 
 #[test]
 fn local_disjunctions_and_bag_semantics_stay_consistent() {
-    let incremental = churn("ab|ad|cd", false, 0x5EED_0002, 200, 8);
+    let (incremental, _) = churn("ab|ad|cd", false, 0x5EED_0002, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 snapshots were incremental");
-    let incremental = churn("ax*b", true, 0x5EED_0003, 200, 8);
+    let (incremental, _) = churn("ax*b", true, 0x5EED_0003, 200, 8);
     assert!(incremental > 150, "only {incremental}/200 bag snapshots were incremental");
 }
 
@@ -188,14 +190,16 @@ fn alternating_databases_with_no_delta_match_fresh_solves() {
 fn non_local_plan_families_fall_back_to_full_solves() {
     // Chain (Prp 7.6) and one-dangling (Prp 7.9) plans have no patching
     // path: every snapshot must be a full solve, and still agree.
-    assert_eq!(churn("ab|bc", false, 0x5EED_0004, 60, 8), 0);
-    assert_eq!(churn("abc|be", false, 0x5EED_0005, 60, 8), 0);
+    assert_eq!(churn("ab|bc", false, 0x5EED_0004, 60, 8).0, 0);
+    assert_eq!(churn("abc|be", false, 0x5EED_0005, 60, 8).0, 0);
 }
 
 /// The long churn: four local families (bag semantics included), five seeds
 /// each, 1,000 rounds per run. Runs over more node names keep introducing
 /// fresh blocks and fact edges, so the resume often re-lays the arcs and
-/// carries the retained flow. Run in release mode:
+/// carries the retained flow and source side; at least 90% of each run's
+/// cut extractions must repair that side rather than search. Run in release
+/// mode:
 /// `cargo test --release --test incremental_updates -- --ignored`.
 #[test]
 #[ignore]
@@ -203,10 +207,17 @@ fn local_queries_survive_a_thousand_random_edits() {
     for (pattern, bag) in [("ax*b", false), ("ab|ad|cd", false), ("ax*b", true), ("a(b|d)*x", true)]
     {
         for (seed, nodes) in [(1, 8), (2, 16), (3, 64), (4, 256), (5, 1_024)] {
-            let incremental = churn(pattern, bag, 0x5EED_1000 + seed, 1_000, nodes);
+            let (incremental, cuts) = churn(pattern, bag, 0x5EED_1000 + seed, 1_000, nodes);
             assert!(
                 incremental > 900,
                 "{pattern} (bag={bag}) over {nodes} nodes: only {incremental}/1000 incremental"
+            );
+            // The retained source side is repaired, not searched again,
+            // across patches, resumes and re-lays alike.
+            let extractions = cuts.repaired + cuts.searched;
+            assert!(
+                10 * cuts.repaired >= 9 * extractions,
+                "{pattern} (bag={bag}) over {nodes} nodes: {cuts:?}"
             );
         }
     }
