@@ -25,7 +25,8 @@
 //! * **cut** — [`rpq_flow::CsrFlow::extract_cut`] repairs the source side
 //!   the scratch kept from the previous solve, touching only the vertices
 //!   whose tree path the logged residual changes broke, and keeps the
-//!   previous cut edges when no vertex changed side;
+//!   previous cut edges when no vertex changed side (a re-lay drops that
+//!   side, and the extraction after it searches in full);
 //!   [`IncrementalLocalState::cut_to_facts`] then maps each cut edge to the
 //!   fact id it mapped to last time, checked against the database's fact at
 //!   that id, and hashes the fact's key only when a delete moved the id.

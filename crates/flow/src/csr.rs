@@ -57,15 +57,12 @@
 //! that leaves the kept set either enters an orphan, is logged, or starts at
 //! a vertex the search scans: the result is exactly the set the source
 //! reaches, the minimal source side above. When no vertex changed side the
-//! previous cut edges stand; otherwise the edges are rescanned. A re-lay
-//! keys the forest and the log by edge, maps them onto the new arcs, and
-//! logs each parent arc left without residual and each positive arc from
-//! the side to the rest, which only appended edges and capacities patched
-//! while unfrozen can produce. A cold [`CsrFlow::max_flow`], a widening, an
-//! infinite value, a `clear`, a parent edge that lost its arcs, or a log
+//! previous cut edges stand; otherwise the edges are rescanned. A cold
+//! [`CsrFlow::max_flow`], a widening, a re-lay, an infinite value or a log
 //! longer than the vertex count drops the forest, and the next extraction
-//! searches in full. Debug builds check every repaired side and cut against
-//! a full search.
+//! searches in full. So does a repair whose orphans pass half of the side,
+//! since scanning them costs more than the search. Debug builds check every
+//! repaired side and cut against a full search.
 //!
 //! `+∞` has one rule: every infinite edge gets the same fixed proxy
 //! capacity, 2^100, in the arena. The network asserts on every added or
@@ -615,23 +612,14 @@ impl CsrFlow {
     /// ensures before a capacity is lowered. Do not call `freeze` between a
     /// solve and a resume: it drops the old layout the flow is read from.
     ///
-    /// A resume keeps the source side of the next
-    /// [`extract_cut`](CsrFlow::extract_cut) for the one after, and logs the
-    /// arcs its augmentations change; a re-lay carries the kept side into
-    /// the new layout.
+    /// A resume of a frozen network keeps the source side of the last
+    /// [`extract_cut`](CsrFlow::extract_cut) and logs the arcs its
+    /// augmentations change; a re-lay drops that side.
     pub fn max_flow_resume(&mut self, scratch: &mut FlowScratch) -> Capacity {
         self.widen(scratch);
         if !self.frozen {
-            // A forest is kept for this layout's vertices unless `clear`
-            // dropped the layout.
-            let kept = scratch.forest
-                && !self.edge_arc.is_empty()
-                && scratch.reachable.len() + 1 == self.adj_start.len();
-            if kept {
-                self.key_forest_by_edge(scratch);
-            } else {
-                scratch.drop_forest();
-            }
+            scratch.drop_forest();
+            scratch.relaid = true;
             let FlowScratch { wide: residual, carried, flow, .. } = &mut *scratch;
             if self.edge_arc.is_empty() {
                 *flow = 0;
@@ -656,88 +644,11 @@ impl CsrFlow {
                 residual[a] = cap - carried[e];
                 residual[self.arc_twin[a] as usize] = carried[e];
             }
-            if kept {
-                self.key_forest_by_arc(scratch);
-            }
         }
         scratch.prepare(self.num_vertices);
         scratch.flow += self.augment(scratch, INFINITE.saturating_sub(scratch.flow));
         debug_assert_eq!(self.check_flow_consistency(scratch), Ok(()));
         flow_value(scratch.flow)
-    }
-
-    /// Re-keys the kept forest and its log by edge before a re-lay: an arc
-    /// becomes twice its edge's index, plus one for a reverse arc. Edge
-    /// indexes survive the re-lay; arc indexes do not.
-    fn key_forest_by_edge(&self, scratch: &mut FlowScratch) {
-        let FlowScratch { reachable, parent, log, queue: key, .. } = scratch;
-        key.clear();
-        key.resize(self.arc_head.len(), NO_ARC);
-        for (e, &a) in self.edge_arc.iter().enumerate() {
-            if a != NO_ARC {
-                key[a as usize] = 2 * e as u32;
-                key[self.arc_twin[a as usize] as usize] = 2 * e as u32 + 1;
-            }
-        }
-        let source = self.source as usize;
-        for (v, (p, &reached)) in parent.iter_mut().zip(reachable.iter()).enumerate() {
-            if reached && v != source {
-                *p = key[*p as usize];
-            }
-        }
-        for a in log.iter_mut() {
-            *a = key[*a as usize];
-        }
-    }
-
-    /// Maps the forest [`key_forest_by_edge`](CsrFlow::key_forest_by_edge)
-    /// keyed by edge onto the new layout's arcs, and logs what the re-lay
-    /// changed: each parent arc left with no residual (a capacity lowered
-    /// while the network was unfrozen), and each positive arc from the side
-    /// to the rest (an appended edge, or a capacity raised meanwhile). The
-    /// appended vertices start outside the side, and the cut edges are
-    /// rescanned. A parent arc whose edge has no arcs any more drops the
-    /// forest.
-    fn key_forest_by_arc(&self, scratch: &mut FlowScratch) {
-        let n = self.num_vertices;
-        let FlowScratch { reachable, parent, log, wide: residual, .. } = &mut *scratch;
-        let arc = |key: u32| match self.edge_arc[(key / 2) as usize] {
-            NO_ARC => NO_ARC,
-            a if key.is_multiple_of(2) => a,
-            a => self.arc_twin[a as usize],
-        };
-        log.retain_mut(|a| {
-            *a = arc(*a);
-            *a != NO_ARC
-        });
-        let source = self.source as usize;
-        let mut lost = false;
-        for (v, (p, &reached)) in parent.iter_mut().zip(reachable.iter()).enumerate() {
-            if reached && v != source {
-                *p = arc(*p);
-                lost |= *p == NO_ARC;
-                if !lost && residual[*p as usize] == 0 {
-                    log.push(*p);
-                }
-            }
-        }
-        if lost {
-            scratch.drop_forest();
-            return;
-        }
-        reachable.resize(n, false);
-        parent.resize(n, NO_ARC);
-        for (e, &a) in self.edge_arc.iter().enumerate() {
-            let (from, to) = (self.edge_from[e] as usize, self.edge_to[e] as usize);
-            if a != NO_ARC && reachable[from] && !reachable[to] && residual[a as usize] > 0 {
-                log.push(a);
-            }
-        }
-        scratch.log_bound = n;
-        scratch.rescan = true;
-        if scratch.log.len() > n {
-            scratch.drop_forest();
-        }
     }
 
     /// Verifies the flow `scratch` holds against the frozen network: every
@@ -1025,28 +936,33 @@ impl CsrFlow {
     /// the resume path (cancellations, capacity patches, Dinic's augmenting
     /// paths) logs its arc there. The next extraction then repairs the
     /// forest instead of searching again, and keeps the previous cut edges
-    /// when no vertex changed side and no re-lay happened. A re-lay carries the forest over by edge. A cold
-    /// [`max_flow`](CsrFlow::max_flow), a widening, an infinite value, a
-    /// `clear` or a log longer than the vertex count drops the forest, and
-    /// the next extraction searches in full. Either way the source side is
-    /// the set the source reaches in the current residual graph (the
-    /// [module docs](self) say why).
+    /// when no vertex changed side. A cold [`max_flow`](CsrFlow::max_flow),
+    /// a widening, a re-lay, an infinite value or a log longer than the
+    /// vertex count drops the forest, and the next extraction searches in
+    /// full; so does a repair whose orphans pass half of the side. Either
+    /// way the source side is the set the source reaches in the current
+    /// residual graph (the [module docs](self) say why).
     pub fn extract_cut<'s>(&self, scratch: &'s mut FlowScratch) -> CsrCut<'s> {
-        let n = self.num_vertices;
-        let moved = if scratch.forest && scratch.reachable.len() == n {
-            scratch.counts.repaired += 1;
+        let repaired = if scratch.forest && scratch.reachable.len() == self.num_vertices {
             self.repair_source_side(scratch)
         } else {
+            None
+        };
+        let moved = if let Some(moved) = repaired {
+            scratch.counts.repaired += 1;
+            moved
+        } else {
             scratch.counts.searched += 1;
-            let FlowScratch { reachable, queue, wide, narrow, is_narrow, parent, .. } =
+            scratch.counts.relaid += u64::from(scratch.relaid);
+            scratch.relaid = false;
+            let FlowScratch { reachable, queue, wide, narrow, is_narrow, parent, reached, .. } =
                 &mut *scratch;
-            if *is_narrow {
-                self.reach_from_source::<u64, false>(narrow, reachable, queue, parent);
+            *reached = if *is_narrow {
+                self.reach_from_source::<u64, false>(narrow, reachable, queue, parent)
             } else {
-                self.reach_from_source::<u128, true>(wide, reachable, queue, parent);
-            }
+                self.reach_from_source::<u128, true>(wide, reachable, queue, parent)
+            };
             scratch.forest = !scratch.is_narrow;
-            scratch.log_bound = n;
             true
         };
         scratch.log.clear();
@@ -1057,9 +973,8 @@ impl CsrFlow {
             scratch.cut_len = 0;
             return CsrCut { value, cut_edges: &[] };
         }
-        if moved || scratch.rescan {
+        if moved {
             self.scan_cut(scratch);
-            scratch.rescan = false;
         }
         debug_assert!(
             !scratch.forest || self.is_searched_cut(scratch),
@@ -1089,7 +1004,10 @@ impl CsrFlow {
 
     /// Repairs the retained forest of `scratch` after the residual changes
     /// its log lists, on the wide residuals, and returns whether any vertex
-    /// changed side.
+    /// changed side. Returns `None`, with the side left for a full search,
+    /// once the orphans pass half of the side: the repair scans each
+    /// orphan's arcs up to three times, the search each reached vertex's
+    /// once.
     ///
     /// 1. The *orphans* leave the side: the head of each logged arc (or of
     ///    its twin) that is its head's parent arc and has no residual left,
@@ -1105,8 +1023,9 @@ impl CsrFlow {
     /// orphan, or is logged. The result is therefore the set the source
     /// reaches in the current residual graph, the unique minimal source side
     /// of the cut contract, with a valid forest for the next repair.
-    fn repair_source_side(&self, scratch: &mut FlowScratch) -> bool {
-        let FlowScratch { wide: residual, reachable, parent, queue, log, .. } = &mut *scratch;
+    fn repair_source_side(&self, scratch: &mut FlowScratch) -> Option<bool> {
+        let FlowScratch { wide: residual, reachable, parent, queue, log, reached, .. } =
+            &mut *scratch;
         let both = |x: u32| [x as usize, self.arc_twin[x as usize] as usize];
         queue.clear();
         for a in log.iter().flat_map(|&x| both(x)) {
@@ -1118,6 +1037,9 @@ impl CsrFlow {
             let mut next = queue.len();
             queue.push(root as u32);
             while next < queue.len() {
+                if 2 * queue.len() > *reached {
+                    return None;
+                }
                 let v = queue[next] as usize;
                 next += 1;
                 for b in self.arc_range(v) {
@@ -1166,7 +1088,9 @@ impl CsrFlow {
         // Every marked vertex was unreached when marked, so the side is
         // unchanged exactly when the marks re-reached each orphan and no
         // other vertex.
-        queue.len() - orphans != orphans || queue[..orphans].iter().any(|&v| !reachable[v as usize])
+        let marked = queue.len() - orphans;
+        *reached = *reached - orphans + marked;
+        Some(marked != orphans || queue[..orphans].iter().any(|&v| !reachable[v as usize]))
     }
 
     /// Whether the source side and cut edges in `scratch` are those a full
@@ -1175,24 +1099,27 @@ impl CsrFlow {
     fn is_searched_cut(&self, scratch: &FlowScratch) -> bool {
         let mut searched = FlowScratch::default();
         let FlowScratch { reachable, queue, parent, .. } = &mut searched;
-        self.reach_from_source::<u128, false>(&scratch.wide, reachable, queue, parent);
+        let reached =
+            self.reach_from_source::<u128, false>(&scratch.wide, reachable, queue, parent);
         self.scan_cut(&mut searched);
-        searched.reachable == scratch.reachable
+        reached == scratch.reached
+            && searched.reachable == scratch.reachable
             && searched.cut_edges[..searched.cut_len] == scratch.cut_edges[..scratch.cut_len]
     }
 
     /// Flags the vertices the source reaches in the residual graph, and with
-    /// `TREE` records the arc each was reached by in `parent`. The inner
-    /// loop has no data-dependent branch: every arc writes its head one past
-    /// the queue's end and moves the end only when the head is newly
-    /// reached. Each vertex enters once, so `n + 1` slots suffice.
+    /// `TREE` records the arc each was reached by in `parent`; returns how
+    /// many it flagged. The inner loop has no data-dependent branch: every
+    /// arc writes its head one past the queue's end and moves the end only
+    /// when the head is newly reached. Each vertex enters once, so `n + 1`
+    /// slots suffice.
     fn reach_from_source<W: Width, const TREE: bool>(
         &self,
         residual: &[W],
         reachable: &mut Vec<bool>,
         queue: &mut Vec<u32>,
         parent: &mut Vec<u32>,
-    ) {
+    ) -> usize {
         let n = self.num_vertices;
         reachable.clear();
         reachable.resize(n, false);
@@ -1221,6 +1148,7 @@ impl CsrFlow {
                 }
             }
         }
+        end
     }
 }
 
@@ -2158,7 +2086,47 @@ mod tests {
             assert_eq!((value, edges), (cut.value, cut.cut_edges.to_vec()));
             assert_eq!(side, scratch.reachable);
         }
-        assert_eq!(scratch.cut_counts(), CutCounts { repaired: 19, searched: 1 });
+        assert_eq!(scratch.cut_counts(), CutCounts { repaired: 19, searched: 1, relaid: 0 });
+    }
+
+    #[test]
+    fn an_orphaned_majority_falls_back_to_a_full_search() {
+        // s -> a -> t of capacity 1 with a 64-vertex infinite tail behind
+        // `a`, beside s -> b -> t. Zeroing s -> a, the source's tree arc
+        // to `a`, orphans 65 of the 66 reached vertices: past half of the
+        // side, the extraction searches in full. Restoring it re-reaches
+        // the tail from the logged arc, a repair.
+        let mut csr = CsrFlow::new();
+        let [s, a, b, t] = [(); 4].map(|_| csr.add_vertex());
+        csr.set_source(s);
+        csr.set_target(t);
+        let sa = csr.add_edge(s, a, Capacity::Finite(2));
+        csr.add_edge(a, t, Capacity::Finite(1));
+        csr.add_edge(s, b, Capacity::Finite(1));
+        csr.add_edge(b, t, Capacity::Finite(1));
+        let mut last = a;
+        for _ in 0..64 {
+            let next = csr.add_vertex();
+            csr.add_edge(last, next, Capacity::Infinite);
+            last = next;
+        }
+        csr.freeze();
+        let mut scratch = FlowScratch::new();
+        csr.max_flow(&mut scratch);
+        for round in 0..10u128 {
+            let cap = 2 * (round % 2);
+            assert!(csr.cancel_flow(sa, cap, &mut scratch));
+            csr.patch_edge_capacity(sa, Capacity::Finite(cap), &mut scratch);
+            csr.max_flow_resume(&mut scratch);
+            let cut = csr.extract_cut(&mut scratch);
+            assert_eq!(cut.value, Capacity::Finite(1 + cap / 2));
+            let (value, side, edges) = cold_cut(&csr);
+            assert_eq!((value, edges), (cut.value, cut.cut_edges.to_vec()));
+            assert_eq!(side, scratch.reachable);
+            let reached = side.iter().filter(|&&r| r).count();
+            assert_eq!(reached, if cap == 0 { 1 } else { 66 });
+        }
+        assert_eq!(scratch.cut_counts(), CutCounts { repaired: 5, searched: 5, relaid: 0 });
     }
 
     #[test]

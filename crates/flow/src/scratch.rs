@@ -64,19 +64,18 @@ pub struct FlowScratch {
     /// Per reached vertex but the source: the arc its source-side search
     /// reached it by, while `forest` holds ([`NO_ARC`] at the source).
     pub(crate) parent: Vec<u32>,
+    /// How many vertices `reachable` flags, while `forest` holds.
+    pub(crate) reached: usize,
     /// Whether `reachable` and `parent` form a BFS forest of the residual
     /// graph of the last extraction, with every arc whose residual changed
-    /// since in `log`, and `cut_edges[..cut_len]` the edges leaving it
-    /// unless `rescan` is set.
+    /// since in `log`, and `cut_edges[..cut_len]` the edges leaving it.
     pub(crate) forest: bool,
     /// Arcs whose residual (and so their twin's) changed since the last
-    /// extraction, while `forest` holds; at most `log_bound` entries.
+    /// extraction, while `forest` holds; at most one per vertex
+    /// (`reachable.len()`), past which the forest is dropped.
     pub(crate) log: Vec<u32>,
-    /// The log length past which the forest is dropped: the vertex count.
-    pub(crate) log_bound: usize,
-    /// Whether the kept cut edges are stale even where no vertex changes
-    /// side: a re-lay carried the forest over appended edges.
-    pub(crate) rescan: bool,
+    /// Whether the forest was last dropped by a re-lay of the arcs.
+    pub(crate) relaid: bool,
     /// Extractions the forest repair answered, and those a full search did.
     pub(crate) counts: CutCounts,
     /// Cut-edge buffer: the extracted cut is `cut_edges[..cut_len]` (valid
@@ -96,6 +95,9 @@ pub struct CutCounts {
     pub repaired: u64,
     /// Extractions answered by a search from the source.
     pub searched: u64,
+    /// Of the searches, those whose forest was last dropped by a resume
+    /// that re-laid the arcs.
+    pub relaid: u64,
 }
 
 impl FlowScratch {
@@ -142,6 +144,7 @@ impl FlowScratch {
     /// the residual graph in full.
     pub(crate) fn drop_forest(&mut self) {
         self.forest = false;
+        self.relaid = false;
         self.log.clear();
     }
 
@@ -150,7 +153,7 @@ impl FlowScratch {
     /// its bound drops the forest instead.
     pub(crate) fn log_path(&mut self) {
         if self.forest {
-            if self.log.len() + self.path.len() > self.log_bound {
+            if self.log.len() + self.path.len() > self.reachable.len() {
                 self.drop_forest();
             } else {
                 self.log.extend_from_slice(&self.path);
@@ -161,7 +164,7 @@ impl FlowScratch {
     /// Logs one arc whose residual changed (see [`FlowScratch::log_path`]).
     pub(crate) fn log_arc(&mut self, arc: usize) {
         if self.forest {
-            if self.log.len() >= self.log_bound {
+            if self.log.len() >= self.reachable.len() {
                 self.drop_forest();
             } else {
                 self.log.push(arc as u32);
