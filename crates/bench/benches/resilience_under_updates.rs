@@ -17,14 +17,16 @@
 //! while single-fact deltas beat recomputation by well over 2× (measured
 //! ~4–7×). `EXPERIMENTS.md` tracks the numbers and the divisor rationale.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, measure_budget, BenchmarkId, Criterion,
+};
 use rpq_bench::{flow_db_of_size, local_db_of_size};
 use rpq_graphdb::delta::{changes_from_db, materialize, FactChange};
 use rpq_graphdb::GraphDb;
 use rpq_resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveMode};
 use rpq_resilience::obs::Trace;
 use rpq_resilience::rpq::Rpq;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A workload family: display name, query pattern, instance generator.
 type Family = (&'static str, &'static str, fn(usize) -> GraphDb);
@@ -41,6 +43,9 @@ const DELTA_SIZES: &[usize] = &[1, 4, 16, 64, 128, 256];
 /// The largest delta of `DELTA_SIZES` that takes the patch path; the
 /// sanity check asserts every solve's `SolveMode` against it.
 const PATCH_PATH_MAX: usize = 16;
+
+/// Log entries the incremental arm appends before it starts a new log.
+const REBASE_ENTRIES: usize = 1 << 16;
 
 /// An alternating update pair: `del` removes `size` endogenous facts,
 /// `ins` puts them back, together with the two materialized snapshots.
@@ -95,17 +100,16 @@ fn updates_benchmarks(c: &mut Criterion) {
             // Each solve stands one delta further into one log: the ring's
             // snapshots recur, but their log positions keep growing.
             let call = SolveCall::new(false);
-            let incremental = |solver: &mut IncrementalSolver,
-                               offset: &mut usize,
-                               db: &GraphDb,
-                               delta: Option<&[FactChange]>| {
-                *offset += delta.map_or(0, <[FactChange]>::len);
-                let at = LogPosition { log: 0, offset: *offset };
+            let solve = |solver: &mut IncrementalSolver,
+                         (log, entries): (u64, &[FactChange]),
+                         offset: usize,
+                         db: &GraphDb| {
+                let at = LogPosition { log, offset };
                 let routed = prepared.route_incremental(
                     solver,
                     at,
                     db,
-                    delta,
+                    entries,
                     &call,
                     &mut Trace::disabled(),
                 );
@@ -113,34 +117,45 @@ fn updates_benchmarks(c: &mut Criterion) {
                 (tiered.outcome, mode)
             };
             let mut solver = IncrementalSolver::new();
-            let mut offset = pair.log.len();
-            let (outcome, _) = incremental(&mut solver, &mut offset, &pair.full, None);
+            let mut log = pair.log.clone();
+            let (outcome, _) = solve(&mut solver, (0, &log), log.len(), &pair.full);
             assert_eq!(outcome.value, full_value);
             let expected_mode =
                 if size <= PATCH_PATH_MAX { SolveMode::Incremental } else { SolveMode::Full };
-            let (outcome, mode) =
-                incremental(&mut solver, &mut offset, &pair.reduced, Some(&pair.del));
+            log.extend_from_slice(&pair.del);
+            let (outcome, mode) = solve(&mut solver, (0, &log), log.len(), &pair.reduced);
             assert_eq!((outcome.value, mode), (reduced_value, expected_mode), "{family}/{size}");
-            let (outcome, mode) =
-                incremental(&mut solver, &mut offset, &pair.full, Some(&pair.ins));
+            log.extend_from_slice(&pair.ins);
+            let (outcome, mode) = solve(&mut solver, (0, &log), log.len(), &pair.full);
             assert_eq!((outcome.value, mode), (full_value, expected_mode), "{family}/{size}");
 
             // Incremental: the retained network absorbs del + ins per
-            // iteration (two solves), ending back at the full snapshot.
-            group.bench_with_input(BenchmarkId::new("incremental", size), &pair, |b, pair| {
-                let mut solver = IncrementalSolver::new();
-                let mut offset = pair.log.len();
-                incremental(&mut solver, &mut offset, &pair.full, None);
-                b.iter(|| {
-                    black_box(incremental(
-                        &mut solver,
-                        &mut offset,
-                        &pair.reduced,
-                        Some(&pair.del),
-                    ));
-                    black_box(incremental(&mut solver, &mut offset, &pair.full, Some(&pair.ins)));
-                });
-            });
+            // iteration (two solves), ending back at the full snapshot. The
+            // loop times itself, so the log appends stay out of the samples,
+            // and starts a new log (an untimed rebuild) past
+            // `REBASE_ENTRIES` appended entries, which bounds its memory.
+            let (mut solver, mut log, mut id) = (IncrementalSolver::new(), pair.log.clone(), 0);
+            solve(&mut solver, (id, &log), log.len(), &pair.full);
+            let deadline = Instant::now() + measure_budget();
+            let mut samples = Vec::new();
+            loop {
+                if log.len() > pair.log.len() + REBASE_ENTRIES {
+                    log.truncate(pair.log.len());
+                    id += 1;
+                    solve(&mut solver, (id, &log), log.len(), &pair.full);
+                }
+                log.extend_from_slice(&pair.del);
+                let reduced = log.len();
+                log.extend_from_slice(&pair.ins);
+                let start = Instant::now();
+                black_box(solve(&mut solver, (id, &log), reduced, &pair.reduced));
+                black_box(solve(&mut solver, (id, &log), log.len(), &pair.full));
+                samples.push(start.elapsed());
+                if Instant::now() >= deadline || samples.len() >= 1_000 {
+                    break;
+                }
+            }
+            group.record_samples(BenchmarkId::new("incremental", size), samples);
 
             // Recompute: two full solves on the same pre-materialized pair.
             group.bench_with_input(BenchmarkId::new("recompute", size), &pair, |b, pair| {

@@ -86,9 +86,11 @@
 //! The [`crate::engine::IncrementalSolver`] records where its network
 //! stands as a [`crate::engine::LogPosition`]: the identity of a fact log
 //! and an offset into it. A solve at `(log, offset)`
-//! ([`crate::engine::PreparedQuery::route_incremental`]) hands this
-//! module a delta of `n` changes only when the network stands at
-//! `(log, offset - n)`; any other delta arrives as `None` and rebuilds.
+//! ([`crate::engine::PreparedQuery::route_incremental`]) takes the caller's
+//! log and hands this module the entries from the network's offset to
+//! `offset` when the network stands earlier in the same log; a first solve
+//! or another log arrives as `None` and rebuilds, and an older snapshot of
+//! the same log never reaches this module.
 //!
 //! Structural (ε / source / target) and exogenous edges are
 //! `Capacity::Infinite`, as in the batch path. The flow core gives every
@@ -549,8 +551,8 @@ impl IncrementalLocalState {
 
 /// The incremental counterpart of [`super::local::solve_prepared`]: solve
 /// `db` (the materialization of the *current* snapshot), patching the
-/// retained network with `delta` (the changes since the previous solved
-/// snapshot, its lineage already checked; see *Lineage*) when one is
+/// retained network with `delta` (the log entries since the network's
+/// position, which the solver took from the log; see *Lineage*) when one is
 /// available and small enough, rebuilding otherwise. Returns the outcome
 /// and whether the patch path ran.
 pub(crate) fn solve_incremental_local(
@@ -742,25 +744,23 @@ mod tests {
         let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u\n+ v x w\n+ w b t\n").unwrap();
         let call = SolveCall::new(true);
-        let solve =
-            |solver: &mut IncrementalSolver, log: &[FactChange], delta: Option<&[FactChange]>| {
-                let db = materialize(log);
-                let at = LogPosition { log: 7, offset: log.len() };
-                let (routed, mode) = prepared
-                    .route_incremental(solver, at, &db, delta, &call, &mut Trace::disabled())
-                    .unwrap();
-                (routed.outcome, mode, db)
-            };
-        let (outcome, mode, _) = solve(&mut solver, &log, None);
+        let solve = |solver: &mut IncrementalSolver, log: &[FactChange]| {
+            let db = materialize(log);
+            let at = LogPosition { log: 7, offset: log.len() };
+            let (routed, mode) = prepared
+                .route_incremental(solver, at, &db, log, &call, &mut Trace::disabled())
+                .unwrap();
+            (routed.outcome, mode, db)
+        };
+        let (outcome, mode, _) = solve(&mut solver, &log);
         assert_eq!((outcome.value, mode), (ResilienceValue::Finite(0), SolveMode::Full));
         let parked = |solver: &IncrementalSolver| {
             solver.scratch.incremental.as_ref().map(|state| state.parked.len())
         };
         assert_eq!(parked(&solver), Some(2));
 
-        let delta = parse_patch("+ u x v").unwrap();
-        log.extend(delta.iter().cloned());
-        let (outcome, mode, db) = solve(&mut solver, &log, Some(delta.as_slice()));
+        log.extend(parse_patch("+ u x v").unwrap());
+        let (outcome, mode, db) = solve(&mut solver, &log);
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(parked(&solver), Some(0));
         let fresh = prepared.solve(&db).unwrap();
@@ -795,21 +795,13 @@ mod tests {
         let call = SolveCall::new(true);
         let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
         prepared
-            .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
             .unwrap();
         for round in 0..40 {
-            let delta = parse_patch(if round % 2 == 0 { &delete } else { &insert }).unwrap();
-            log.extend(delta.iter().cloned());
+            log.extend(parse_patch(if round % 2 == 0 { &delete } else { &insert }).unwrap());
             let db = materialize(&log);
             let (routed, mode) = prepared
-                .route_incremental(
-                    &mut solver,
-                    at(&log),
-                    &db,
-                    Some(&delta),
-                    &call,
-                    &mut Trace::disabled(),
-                )
+                .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
                 .unwrap();
             assert_eq!(mode, SolveMode::Incremental, "round {round}");
             let fresh = prepared.solve(&db).unwrap();
@@ -831,11 +823,11 @@ mod tests {
         let mut solver = IncrementalSolver::new();
         let call = SolveCall::new(true);
         let mut log = parse_patch("+ u0 b t\n+ u1 b t\n+ x a y\n+ s a u0\n+ s a u1\n").unwrap();
-        let solve = |solver: &mut IncrementalSolver, log: &[FactChange], delta| {
+        let solve = |solver: &mut IncrementalSolver, log: &[FactChange]| {
             let db = materialize(log);
             let at = LogPosition { log: 0, offset: log.len() };
             let (routed, _) = prepared
-                .route_incremental(solver, at, &db, delta, &call, &mut Trace::disabled())
+                .route_incremental(solver, at, &db, log, &call, &mut Trace::disabled())
                 .unwrap();
             let fresh = prepared.solve(&db).unwrap();
             assert_eq!(routed.outcome.value, fresh.value);
@@ -845,7 +837,7 @@ mod tests {
             );
             (routed.outcome.contingency_set.unwrap(), db)
         };
-        let (cut, db) = solve(&mut solver, &log, None);
+        let (cut, db) = solve(&mut solver, &log);
         let last = FactId(4);
         let s_a_u1 = db.fact(last);
         assert_eq!(db.node_name(s_a_u1.target), "u1");
@@ -853,9 +845,8 @@ mod tests {
         let remembered = &solver.scratch.incremental.as_ref().unwrap().edge_fact;
         assert!(remembered.contains(&last));
 
-        let delta = parse_patch("- x a y\n+ v a w").unwrap();
-        log.extend(delta.iter().cloned());
-        let (cut, db) = solve(&mut solver, &log, Some(delta.as_slice()));
+        log.extend(parse_patch("- x a y\n+ v a w").unwrap());
+        let (cut, db) = solve(&mut solver, &log);
         assert_eq!(db.fact(FactId(2)), s_a_u1);
         assert_eq!(db.node_name(db.fact(last).source), "v");
         let names = |f: FactId| (db.node_name(db.fact(f).source), db.node_name(db.fact(f).target));
@@ -873,25 +864,17 @@ mod tests {
         let db = materialize(&log);
         let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
         prepared
-            .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
             .unwrap();
         let size = |solver: &IncrementalSolver| solver.scratch.csr.num_vertices();
         let states = solver.scratch.incremental.as_ref().unwrap().num_states;
         assert!(states > 64, "{states} states");
         assert_eq!(size(&solver), 2 + db.num_nodes() * states);
         for patch in ["+ v B t", "- u A t", "+ w c x", "+ x C t"] {
-            let delta = parse_patch(patch).unwrap();
-            log.extend(delta.iter().cloned());
+            log.extend(parse_patch(patch).unwrap());
             let db = materialize(&log);
             let (routed, mode) = prepared
-                .route_incremental(
-                    &mut solver,
-                    at(&log),
-                    &db,
-                    Some(&delta),
-                    &call,
-                    &mut Trace::disabled(),
-                )
+                .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
                 .unwrap();
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();

@@ -89,9 +89,9 @@ pub struct Engine {
 /// alone, so that solving is purely per-database work.
 #[derive(Debug, Clone)]
 enum Strategy {
-    /// `ε ∈ IF(L)`: the resilience is `+∞` on every database. The tag records
-    /// which algorithm family reported it (for outcome compatibility).
-    EpsilonInfinite { tag: Algorithm },
+    /// `ε ∈ IF(L)`: the resilience is `+∞` on every database, reported as
+    /// [`Algorithm::Local`], the algorithm of every such plan.
+    EpsilonInfinite,
     /// Theorem 3.13 with a prepared RO-εNFA.
     Local { ro: RoEnfa },
     /// Proposition 7.6 with a prepared chain plan.
@@ -172,10 +172,11 @@ impl ScratchPool {
 }
 
 /// How a [`PreparedQuery::route_incremental`] call was satisfied: by patching
-/// the retained flow network of the previous snapshot, or by a full
-/// per-database build (first solve, unsupported plan family, oversized or
-/// missing delta, fallback guards). Surfaced so callers — the store's
-/// `stats`, the benchmarks, the tests — can tell the paths apart.
+/// the retained flow network of an earlier snapshot, or by a full
+/// per-database build (first solve, another log, an older snapshot,
+/// unsupported plan family, oversized delta, fallback guards). Surfaced so
+/// callers — the store's `stats`, the benchmarks, the tests — can tell the
+/// paths apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveMode {
     /// The retained network was patched and the min-cut warm-started.
@@ -201,14 +202,14 @@ pub struct LogPosition {
 /// rather than the plan's pool — because pooled scratches are clobbered by
 /// ordinary solves, which would silently invalidate the retained flow.
 ///
-/// The solver records where the database of its retained network stands.
-/// Every solve names its position, and its delta is checked against it: one
-/// applies only when it continues the same log from that offset, and any
-/// other delta rebuilds.
+/// The solver records where the database of its retained network stands,
+/// and alone decides what a solve does with it: it takes the delta from
+/// that position out of the caller's log itself, so no caller can hand it
+/// a delta that does not continue the network.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     pub(crate) scratch: SolveScratch,
-    /// Where the database of the previous local solve stood.
+    /// Where the database of the last solve that ran the plan stood.
     position: Option<LogPosition>,
 }
 
@@ -216,15 +217,6 @@ impl IncrementalSolver {
     /// A fresh solver with no retained state.
     pub fn new() -> IncrementalSolver {
         IncrementalSolver::default()
-    }
-
-    /// Whether a delta of `len` changes leads from where the retained
-    /// network stands to `at`: from the same log's offset `len` entries
-    /// back.
-    fn continues_to(&self, at: LogPosition, len: usize) -> bool {
-        self.position.is_some_and(|from| {
-            from.log == at.log && from.offset.checked_add(len) == Some(at.offset)
-        })
     }
 
     /// Verifies the retained incremental state against the flow network it
@@ -363,7 +355,7 @@ impl Engine {
         trace.end(classify_timer, "classify");
         if has_epsilon {
             return Ok(prepared(
-                Strategy::EpsilonInfinite { tag: Algorithm::Local },
+                Strategy::EpsilonInfinite,
                 Algorithm::Local,
                 "ε ∈ IF(L): the query holds on every sub-database, resilience is +∞".to_string(),
             ));
@@ -449,7 +441,7 @@ impl Engine {
                     });
                 }
                 if if_language.contains_epsilon() {
-                    Strategy::EpsilonInfinite { tag: Algorithm::Local }
+                    Strategy::EpsilonInfinite
                 } else {
                     Strategy::Local { ro: RoEnfa::for_local_language(&if_language)? }
                 }
@@ -601,70 +593,77 @@ impl PreparedQuery {
     }
 
     /// Routes `db` — the materialization of the *current* snapshot, which
-    /// stands `at` a position of a fact log: `at.offset` entries into the log
-    /// `at.log` — reusing the flow network and maximum flow the `solver`
-    /// retained from the previous snapshot when possible.
+    /// stands `at` a position of a fact log: the first `at.offset` entries
+    /// of `log`, whose identity is `at.log` — reusing the flow network and
+    /// maximum flow the `solver` retained from an earlier snapshot when
+    /// possible. `log` holds at least `at.offset` entries; later ones are
+    /// ignored.
     ///
-    /// `delta` is the fact-change log between the snapshot `solver` solved
-    /// last and this one: `None` when unknown, e.g. on the first solve or
-    /// after a snapshot rollback. A delta of `n` changes is applied only when
-    /// the solver's retained network stands at `at.offset - n` of the same
-    /// log; any other delta — from another log, or starting at another
-    /// offset — rebuilds, so a delta the caller took against the wrong
-    /// database cannot corrupt the answer. When the
-    /// plan is the Theorem 3.13 local reduction, the delta continues the
-    /// retained network's lineage and it is small relative to the database,
-    /// the solve applies the changes as edge-capacity patches and warm-starts
-    /// the min-cut from the retained flow ([`SolveMode::Incremental`]);
-    /// otherwise it falls back to a full build ([`SolveMode::Full`]) — same
-    /// outcome, batch-path speed.
-    /// Outcomes always match a fresh [`PreparedQuery::route`] of the same
-    /// database. A patched solve records `patch_apply`, `flow_resume` (which
-    /// re-lays the arcs when the delta grew the network) and
-    /// `witness_extract` spans; a rebuild records `rebuild`, `csr_freeze`,
-    /// `flow_resume` and `witness_extract`.
+    /// The solver compares `at` with where its retained network stands:
+    ///
+    /// * `at` continues its log: the network is patched with the entries
+    ///   from its position to `at.offset`;
+    /// * `at` is behind its position in the same log (an older snapshot):
+    ///   the solve answers one-shot on a pooled scratch, exactly like
+    ///   [`PreparedQuery::route`], and leaves the retained network where it
+    ///   was for the next forward solve;
+    /// * anything else — the first solve, another log, a log shorter than
+    ///   `at.offset` — rebuilds.
+    ///
+    /// A patch runs only when the plan is the Theorem 3.13 local reduction
+    /// and the delta is small relative to the database: it applies the
+    /// changes as edge-capacity patches and warm-starts the min-cut from the
+    /// retained flow ([`SolveMode::Incremental`]). Otherwise the solve
+    /// falls back to a full build ([`SolveMode::Full`]) — same outcome,
+    /// batch-path speed. Outcomes always match a fresh
+    /// [`PreparedQuery::route`] of the same database. A patched solve
+    /// records `patch_apply`, `flow_resume` (which re-lays the arcs when the
+    /// delta grew the network) and `witness_extract` spans; a rebuild
+    /// records `rebuild`, `csr_freeze`, `flow_resume` and `witness_extract`.
     ///
     /// The budget projection is the *full-build* cost of the planned backend
     /// — an upper bound on the warm-start cost, so a fitting estimate never
     /// risks the deadline. When the estimate does not fit, the solve degrades
     /// to the budgeted search **without touching the solver's retained
-    /// state**: a later unlimited solve still warm-starts from the last full
+    /// state**: a later forward solve still patches from the last full
     /// answer.
     pub fn route_incremental(
         &self,
         solver: &mut IncrementalSolver,
         at: LogPosition,
         db: &GraphDb,
-        delta: Option<&[FactChange]>,
+        log: &[FactChange],
         call: &SolveCall,
         trace: &mut Trace,
     ) -> Result<(TieredOutcome, SolveMode), ResilienceError> {
-        self.route_or_degrade(db, call, trace, |work, trace| match &self.strategy {
-            Strategy::EpsilonInfinite { tag } => Ok((
-                ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None),
-                SolveMode::Incremental,
-            )),
-            Strategy::Local { ro } => {
-                // A delta from another lineage arrives as unknown: rebuild.
-                let delta = delta.filter(|d| solver.continues_to(at, d.len()));
-                solver.position = Some(at);
-                Ok(incremental::solve_incremental_local(
+        let from = solver.position.filter(|from| from.log == at.log).map(|from| from.offset);
+        if from.is_some_and(|from| at.offset < from) {
+            return self.route(db, call, trace).map(|tiered| (tiered, SolveMode::Full));
+        }
+        self.route_or_degrade(db, call, trace, |work, trace| {
+            solver.position = Some(at);
+            match &self.strategy {
+                Strategy::EpsilonInfinite => Ok((
+                    ResilienceOutcome::new(ResilienceValue::Infinite, Algorithm::Local, None),
+                    SolveMode::Incremental,
+                )),
+                Strategy::Local { ro } => Ok(incremental::solve_incremental_local(
                     ro,
                     &self.rpq,
                     db,
-                    delta,
+                    from.and_then(|from| log.get(from..at.offset)),
                     call.want_cut,
                     &mut solver.scratch,
                     trace,
-                ))
-            }
-            _ => {
-                // Non-local plans rebuild per database; drop any retained
-                // state so the scratch is safe to reuse as a plain one.
-                solver.scratch.incremental = None;
-                let outcome =
-                    self.solve_using(db, call.want_cut, work, &mut solver.scratch, trace)?;
-                Ok((outcome, SolveMode::Full))
+                )),
+                _ => {
+                    // Non-local plans rebuild per database; drop any retained
+                    // state so the scratch is safe to reuse as a plain one.
+                    solver.scratch.incremental = None;
+                    let outcome =
+                        self.solve_using(db, call.want_cut, work, &mut solver.scratch, trace)?;
+                    Ok((outcome, SolveMode::Full))
+                }
             }
         })
     }
@@ -702,7 +701,7 @@ impl PreparedQuery {
         let work = work_budget(limit);
         let estimated = match &self.strategy {
             // ε ∈ IF(L) plans answer in constant time whatever the model says.
-            Strategy::EpsilonInfinite { .. } => 0,
+            Strategy::EpsilonInfinite => 0,
             _ => self.report.cost.estimate_us_for(db),
         };
         let fits = limit.is_none_or(|l| estimated <= l);
@@ -750,8 +749,8 @@ impl PreparedQuery {
     ) -> Result<ResilienceOutcome, ResilienceError> {
         let options = &self.options;
         match &self.strategy {
-            Strategy::EpsilonInfinite { tag } => {
-                Ok(ResilienceOutcome::new(ResilienceValue::Infinite, *tag, None))
+            Strategy::EpsilonInfinite => {
+                Ok(ResilienceOutcome::new(ResilienceValue::Infinite, Algorithm::Local, None))
             }
             Strategy::Local { ro } => {
                 Ok(local::solve_prepared(ro, &self.rpq, db, want_cut, scratch, trace))
@@ -829,21 +828,19 @@ mod tests {
     use rpq_automata::Word;
     use rpq_graphdb::generate::word_path;
 
-    /// An unbudgeted incremental solve of a database `offset` entries into
-    /// log 0, unwrapped to its outcome and mode.
+    /// An unbudgeted incremental solve of `db`, the materialization of all
+    /// of `log` (log 0), unwrapped to its outcome and mode.
     fn incremental(
         prepared: &PreparedQuery,
         solver: &mut IncrementalSolver,
-        offset: usize,
+        log: &[FactChange],
         db: &GraphDb,
-        delta: Option<&[FactChange]>,
         want_cut: bool,
     ) -> (ResilienceOutcome, SolveMode) {
         let call = SolveCall::new(want_cut);
-        let at = LogPosition { log: 0, offset };
-        let (tiered, mode) = prepared
-            .route_incremental(solver, at, db, delta, &call, &mut Trace::disabled())
-            .unwrap();
+        let at = LogPosition { log: 0, offset: log.len() };
+        let (tiered, mode) =
+            prepared.route_incremental(solver, at, db, log, &call, &mut Trace::disabled()).unwrap();
         (tiered.outcome, mode)
     }
 
@@ -1172,17 +1169,15 @@ mod tests {
         let mut log = parse_patch("+ s a u\n+ u x v\n+ v x w\n+ w b t\n").unwrap();
         let db = materialize(&log);
         // First solve: nothing retained yet, full build.
-        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, ResilienceValue::Finite(1));
         // Single-fact deltas ride the incremental path and agree with a
         // fresh solve, contingency set included.
         for patch in ["+ u x w", "- u x v", "+ s a v", "- w b t", "+ w b t", "+ v b z"] {
-            let delta = parse_patch(patch).unwrap();
-            log.extend(delta.iter().cloned());
+            log.extend(parse_patch(patch).unwrap());
             let db = materialize(&log);
-            let (out, mode) =
-                incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
+            let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             let fresh = prepared.solve(&db).unwrap();
             assert_eq!(out.value, fresh.value, "{patch}");
@@ -1200,78 +1195,129 @@ mod tests {
         // drops the retained flows — same answer, Full mode.
         let big: String =
             (0..12).map(|i| format!("+ a{i} a b{i}\n+ b{i} x c{i}\n+ c{i} b d{i}\n")).collect();
-        let delta = parse_patch(&big).unwrap();
-        log.extend(delta.iter().cloned());
+        log.extend(parse_patch(&big).unwrap());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), false);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, false);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         assert!(out.contingency_set.is_none());
         // The next small delta bootstraps a fresh retained network (Full)...
-        let delta = parse_patch("- a3 x a4").unwrap();
-        log.extend(delta.iter().cloned());
+        log.extend(parse_patch("- a3 x a4").unwrap());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
         // ...and the one after that patches it incrementally again.
-        let delta = parse_patch("- a5 x a6\n+ a5 x a6").unwrap();
-        log.extend(delta.iter().cloned());
+        log.extend(parse_patch("- a5 x a6\n+ a5 x a6").unwrap());
         let db = materialize(&log);
-        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(mode, SolveMode::Incremental);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
     }
 
     #[test]
-    fn a_delta_from_another_log_or_offset_rebuilds() {
+    fn another_log_rebuilds_and_a_skipped_snapshot_patches() {
         use rpq_graphdb::delta::{materialize, parse_patch};
         let prepared = Engine::new().prepare(&Rpq::parse("ab").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
-        let at = |solver: &mut IncrementalSolver,
-                  log: u64,
-                  offset: usize,
-                  db: &GraphDb,
-                  delta: Option<&[FactChange]>| {
-            let (tiered, mode) = prepared
-                .route_incremental(
-                    solver,
-                    LogPosition { log, offset },
-                    db,
-                    delta,
-                    &SolveCall::new(true),
-                    &mut Trace::disabled(),
-                )
-                .unwrap();
-            (tiered.outcome, mode)
-        };
+        // Solves the materialization of `entries`, the prefix of log `log`
+        // up to the solve's offset, handing the engine `given` as the log.
+        let at =
+            |solver: &mut IncrementalSolver, log, entries: &[FactChange], given: &[FactChange]| {
+                let db = materialize(entries);
+                let position = LogPosition { log, offset: entries.len() };
+                let (tiered, mode) = prepared
+                    .route_incremental(
+                        solver,
+                        position,
+                        &db,
+                        given,
+                        &SolveCall::new(true),
+                        &mut Trace::disabled(),
+                    )
+                    .unwrap();
+                assert_eq!(tiered.outcome.value, prepared.solve(&db).unwrap().value);
+                (tiered.outcome.value, mode)
+            };
         let first = parse_patch("+ s a u\n+ u b t\n").unwrap();
-        let (out, mode) = at(&mut solver, 1, first.len(), &materialize(&first), None);
-        assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Full));
-        // A delta from another log: the fact counts agree, which fooled the
-        // old fact-count guard into answering 1; the lineage forces a
-        // rebuild, which answers 0.
-        let mut other = parse_patch("+ q b r\n+ m a n\n").unwrap();
-        let delta = parse_patch("- p a q").unwrap();
-        other.extend(delta.iter().cloned());
-        let db = materialize(&other);
-        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
-        assert_eq!((out.value, mode), (ResilienceValue::Finite(0), SolveMode::Full));
-        assert_eq!(out.value, prepared.solve(&db).unwrap().value);
-        // The same log, but the delta does not start where the network
-        // stands (an entry is missing): rebuild.
-        let skipped = parse_patch("+ n b x").unwrap();
-        let delta = parse_patch("+ r a q").unwrap();
-        other.extend(skipped.iter().chain(&delta).cloned());
-        let db = materialize(&other);
-        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
-        assert_eq!((out.value, mode), (ResilienceValue::Finite(2), SolveMode::Full));
-        // A delta that continues the log from there is patched.
-        let delta = parse_patch("- m a n").unwrap();
-        other.extend(delta.iter().cloned());
-        let db = materialize(&other);
-        let (out, mode) = at(&mut solver, 2, other.len(), &db, Some(&delta));
-        assert_eq!((out.value, mode), (ResilienceValue::Finite(1), SolveMode::Incremental));
+        let solved = at(&mut solver, 1, &first, &first);
+        assert_eq!(solved, (ResilienceValue::Finite(1), SolveMode::Full));
+        // A position further into another log: the entries since offset 2
+        // of that log delete a fact the network never had, which would
+        // leave its answer at 1; the rebuild answers 0.
+        let mut other = parse_patch("+ q b r\n+ m a n\n- p a q\n").unwrap();
+        let solved = at(&mut solver, 2, &other, &other);
+        assert_eq!(solved, (ResilienceValue::Finite(0), SolveMode::Full));
+        // A solve that skips a snapshot of the same log patches with every
+        // entry since the network's position.
+        other.extend(parse_patch("+ n b x\n+ r a q\n").unwrap());
+        let solved = at(&mut solver, 2, &other, &other);
+        assert_eq!(solved, (ResilienceValue::Finite(2), SolveMode::Incremental));
+        // A log shorter than the position it is named with rebuilds.
+        other.extend(parse_patch("- m a n").unwrap());
+        let solved = at(&mut solver, 2, &other, &other[..other.len() - 1]);
+        assert_eq!(solved.1, SolveMode::Full);
+        // The next entry continues the rebuilt network: patched.
+        other.extend(parse_patch("+ m a n").unwrap());
+        let solved = at(&mut solver, 2, &other, &other);
+        assert_eq!(solved, (ResilienceValue::Finite(2), SolveMode::Incremental));
+    }
+
+    /// Solves `log[..offset]` of log 0 through `solver` under `call`,
+    /// checks the answer against a fresh [`PreparedQuery::route`] of the
+    /// same database and call, and returns its mode.
+    fn routed_at(
+        prepared: &PreparedQuery,
+        solver: &mut IncrementalSolver,
+        log: &[FactChange],
+        offset: usize,
+        call: &SolveCall,
+    ) -> SolveMode {
+        let db = rpq_graphdb::delta::materialize(&log[..offset]);
+        let at = LogPosition { log: 0, offset };
+        let (tiered, mode) =
+            prepared.route_incremental(solver, at, &db, log, call, &mut Trace::disabled()).unwrap();
+        assert_eq!(tiered, prepared.route(&db, call, &mut Trace::disabled()).unwrap());
+        mode
+    }
+
+    #[test]
+    fn a_solve_behind_the_frontier_leaves_the_retained_network_in_place() {
+        use rpq_graphdb::delta::parse_patch;
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let call = SolveCall::new(true);
+        let mut log = parse_patch("+ s a u\n+ u x v\n+ v b t\n+ s a v\n").unwrap();
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 4, &call), SolveMode::Full);
+        log.extend(parse_patch("+ u b t").unwrap());
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 5, &call), SolveMode::Incremental);
+        let frontier = (solver.position, solver.cut_counts());
+        // Offsets 4 and 2 are behind the network: one-shot answers.
+        for offset in [4, 2] {
+            assert_eq!(routed_at(&prepared, &mut solver, &log, offset, &call), SolveMode::Full);
+            assert_eq!((solver.position, solver.cut_counts()), frontier, "offset {offset}");
+        }
+        log.extend(parse_patch("- s a u").unwrap());
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 6, &call), SolveMode::Incremental);
+    }
+
+    #[test]
+    fn a_degraded_solve_leaves_the_retained_network_in_place() {
+        use rpq_graphdb::delta::parse_patch;
+        let prepared = Engine::new().prepare(&Rpq::parse("ax*b").unwrap()).unwrap();
+        let mut solver = IncrementalSolver::new();
+        let call = SolveCall::new(true);
+        // No projected cost fits a zero budget: the exact search answers.
+        let starved = SolveCall { budget: RouteBudget::with_cost_budget_us(0), ..call };
+        let mut log = parse_patch("+ s a u\n+ u x v\n+ v b t\n+ s a v\n").unwrap();
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 4, &call), SolveMode::Full);
+        let frontier = (solver.position, solver.cut_counts());
+        log.extend(parse_patch("+ u b t").unwrap());
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 5, &starved), SolveMode::Full);
+        assert_eq!((solver.position, solver.cut_counts()), frontier);
+        // The next forward solve patches with both entries since offset 4.
+        log.extend(parse_patch("- s a u").unwrap());
+        assert_eq!(routed_at(&prepared, &mut solver, &log, 6, &call), SolveMode::Incremental);
     }
 
     #[test]
@@ -1284,7 +1330,7 @@ mod tests {
         let mut solver = IncrementalSolver::new();
         let mut log = parse_patch("+ s a u 5\n+ u x v 3\n+ v b t 7\n").unwrap();
         let db = materialize(&log);
-        let (out, _) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
+        let (out, _) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(out.value, ResilienceValue::Finite(3));
         for (patch, expected) in [
             ("+ u x v 9", ResilienceValue::Finite(5)),
@@ -1294,11 +1340,9 @@ mod tests {
             ("+ v b t 4", ResilienceValue::Finite(4)),
             ("- u x v", ResilienceValue::Finite(0)),
         ] {
-            let delta = parse_patch(patch).unwrap();
-            log.extend(delta.iter().cloned());
+            log.extend(parse_patch(patch).unwrap());
             let db = materialize(&log);
-            let (out, mode) =
-                incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
+            let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
             assert_eq!(mode, SolveMode::Incremental, "{patch}");
             assert_eq!(out.value, expected, "{patch}");
             // A retained flow reaching the +∞ proxy reads +∞, with no witness.
@@ -1308,14 +1352,15 @@ mod tests {
         // ε ∈ L: constant +∞, no network at all.
         let prepared = engine.prepare(&Rpq::parse("x*").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
-        let (out, mode) = incremental(&prepared, &mut solver, log.len(), &db, None, true);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(mode, SolveMode::Incremental);
         assert!(out.value.is_infinite());
         // Non-local plans run the batch path and report Full.
         let prepared = engine.prepare(&Rpq::parse("ab|bc").unwrap()).unwrap();
         let mut solver = IncrementalSolver::new();
-        let db = materialize(&parse_patch("+ 1 a 2\n+ 2 b 3\n+ 3 c 4\n").unwrap());
-        let (out, mode) = incremental(&prepared, &mut solver, 3, &db, None, true);
+        let log = parse_patch("+ 1 a 2\n+ 2 b 3\n+ 3 c 4\n").unwrap();
+        let db = materialize(&log);
+        let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
         assert_eq!(mode, SolveMode::Full);
         assert_eq!(out.algorithm, Algorithm::BipartiteChain);
         assert_eq!(out.value, prepared.solve(&db).unwrap().value);
@@ -1359,11 +1404,9 @@ mod tests {
                     let (s, l, t) = log[(xorshift(&mut rng) as usize) % log.len()].key();
                     FactChange::Delete { source: s.to_string(), label: l, target: t.to_string() }
                 };
-                let delta = [change];
-                log.extend(delta.iter().cloned());
+                log.push(change);
                 let db = materialize(&log);
-                let (out, mode) =
-                    incremental(&prepared, &mut solver, log.len(), &db, Some(&delta), true);
+                let (out, mode) = incremental(&prepared, &mut solver, &log, &db, true);
                 incremental_seen += (mode == SolveMode::Incremental) as usize;
                 let fresh = prepared.solve(&db).unwrap();
                 assert_eq!(out.value, fresh.value, "{pattern} bag={bag} round {round}");

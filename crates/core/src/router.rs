@@ -203,13 +203,13 @@ pub struct TieredOutcome {
 
 /// Dispatch policy shared by every solve entry point: resolves a caller's
 /// [`RouteBudget`] into an effective per-solve limit, optionally tightened
-/// by a server-overload probe. The engine and CLI use
-/// [`Router::default()`]; the server installs a probe reading how many
-/// complete requests wait for a worker slot via
-/// [`Router::with_overload_probe`].
+/// by a server-overload probe. Unbudgeted calls
+/// ([`crate::engine::SolveCall::new`]) route through [`Router::new`], which
+/// never sheds; the server installs a probe reading how many complete
+/// requests wait for a worker slot via [`Router::with_overload_probe`].
 #[derive(Clone, Default)]
 pub struct Router {
-    shed_queue_depth: Option<u64>,
+    shed_queue_depth: u64,
     shed_cost_budget_us: u64,
     probe: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
 }
@@ -225,32 +225,30 @@ pub const DEFAULT_SHED_COST_BUDGET_US: u64 = 10_000;
 impl Router {
     /// A router that never sheds: budgets pass through untightened.
     pub const fn new() -> Router {
-        Router { shed_queue_depth: None, shed_cost_budget_us: 0, probe: None }
+        Router { shed_queue_depth: 0, shed_cost_budget_us: 0, probe: None }
     }
 
-    /// Installs an overload probe (e.g. the server's count of complete
-    /// requests waiting for a worker slot) with the default shed thresholds.
-    /// While `probe() >=` the shed depth, every budget is tightened to at
-    /// most the shed cost budget.
-    pub fn with_overload_probe(self, probe: Arc<dyn Fn() -> u64 + Send + Sync>) -> Router {
+    /// A router with an overload probe (e.g. the server's count of complete
+    /// requests waiting for a worker slot): while `probe() >= queue_depth`,
+    /// every budget is tightened to at most `cost_budget_us`, raised to 1 µs
+    /// if zero.
+    pub fn with_overload_probe(
+        probe: Arc<dyn Fn() -> u64 + Send + Sync>,
+        queue_depth: u64,
+        cost_budget_us: u64,
+    ) -> Router {
         Router {
-            shed_queue_depth: Some(self.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH)),
-            shed_cost_budget_us: if self.shed_cost_budget_us == 0 {
-                DEFAULT_SHED_COST_BUDGET_US
-            } else {
-                self.shed_cost_budget_us
-            },
+            shed_queue_depth: queue_depth,
+            shed_cost_budget_us: cost_budget_us.max(1),
             probe: Some(probe),
         }
     }
 
-    /// Overrides the shed thresholds (see [`Router::with_overload_probe`]).
-    pub fn with_shed_thresholds(self, queue_depth: u64, cost_budget_us: u64) -> Router {
-        Router {
-            shed_queue_depth: Some(queue_depth),
-            shed_cost_budget_us: cost_budget_us.max(1),
-            probe: self.probe,
-        }
+    /// The shed thresholds: the probe reading at which the router sheds and
+    /// the cost budget (estimated µs) it then imposes. Both are 0 for a
+    /// router without a probe, which never sheds.
+    pub fn shed_thresholds(&self) -> (u64, u64) {
+        (self.shed_queue_depth, self.shed_cost_budget_us)
     }
 
     /// The current reading of the overload probe (`0` without one).
@@ -260,10 +258,7 @@ impl Router {
 
     /// Whether the probe currently reports overload.
     pub fn is_overloaded(&self) -> bool {
-        match (self.probe.as_ref(), self.shed_queue_depth) {
-            (Some(probe), Some(depth)) => probe() >= depth,
-            _ => false,
-        }
+        self.probe.as_ref().is_some_and(|probe| probe() >= self.shed_queue_depth)
     }
 
     /// Resolves a budget into the effective per-solve limit (estimated
@@ -272,7 +267,7 @@ impl Router {
     pub fn effective_limit_us(&self, budget: &RouteBudget) -> (Option<u64>, bool) {
         let limit = budget.limit_us();
         if self.is_overloaded() {
-            let shed = self.shed_cost_budget_us.max(1);
+            let shed = self.shed_cost_budget_us;
             let tightened = limit.map_or(shed, |l| l.min(shed));
             (Some(tightened), tightened < limit.unwrap_or(u64::MAX))
         } else {
@@ -333,9 +328,8 @@ mod tests {
     fn overload_probes_tighten_budgets_at_the_shed_threshold() {
         let depth = Arc::new(AtomicU64::new(0));
         let probe = Arc::clone(&depth);
-        let router = Router::new()
-            .with_overload_probe(Arc::new(move || probe.load(Ordering::Relaxed)))
-            .with_shed_thresholds(4, 2_500);
+        let router =
+            Router::with_overload_probe(Arc::new(move || probe.load(Ordering::Relaxed)), 4, 2_500);
         // Below the threshold: budgets pass through untouched.
         assert_eq!(router.effective_limit_us(&RouteBudget::UNLIMITED), (None, false));
         assert_eq!(

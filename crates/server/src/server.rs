@@ -186,9 +186,6 @@ pub struct ServerState {
     /// Its overload probe reads the slot queue depth: a deep backlog
     /// tightens every budget to the shed cost budget (see [`ServerConfig`]).
     router: Router,
-    /// Configured shed thresholds, kept for the `stats` response.
-    shed_queue_depth: u64,
-    shed_cost_budget_us: u64,
     /// Per-tier routed-solve counters (poly/exact/approx, degradations,
     /// overload sheds) for `stats` and `metrics`.
     route_counters: RouteCounters,
@@ -211,9 +208,11 @@ impl ServerState {
     pub fn new(config: ServerConfig) -> ServerState {
         let connections = Arc::new(ConnectionMetrics::default());
         let probe = Arc::clone(&connections);
-        let router = Router::new()
-            .with_overload_probe(Arc::new(move || probe.queue_depth.load(Ordering::Relaxed)))
-            .with_shed_thresholds(config.shed_queue_depth, config.shed_cost_budget_us);
+        let router = Router::with_overload_probe(
+            Arc::new(move || probe.queue_depth.load(Ordering::Relaxed)),
+            config.shed_queue_depth,
+            config.shed_cost_budget_us,
+        );
         ServerState {
             options: config.options,
             threads: config.threads.max(1),
@@ -232,8 +231,6 @@ impl ServerState {
             shutdown: AtomicBool::new(false),
             connections,
             router,
-            shed_queue_depth: config.shed_queue_depth,
-            shed_cost_budget_us: config.shed_cost_budget_us.max(1),
             route_counters: RouteCounters::default(),
             addr: Mutex::new(None),
             slots: Slots::new(config.threads.max(1)),
@@ -661,6 +658,7 @@ impl ServerState {
             result_misses,
         } = self.store.stats();
         let routed = self.route_counters.snapshot();
+        let (shed_queue_depth, shed_cost_budget_us) = self.router.shed_thresholds();
         let connections = &self.connections;
         Json::object([
             ("ok", Json::Bool(true)),
@@ -736,8 +734,8 @@ impl ServerState {
                     ("overload_sheds", Json::Int(routed.overload_sheds as i128)),
                     ("queue_depth", Json::Int(self.router.queue_depth() as i128)),
                     ("overloaded", Json::Bool(self.router.is_overloaded())),
-                    ("shed_queue_depth", Json::Int(self.shed_queue_depth as i128)),
-                    ("shed_cost_budget_us", Json::Int(self.shed_cost_budget_us as i128)),
+                    ("shed_queue_depth", Json::Int(shed_queue_depth as i128)),
+                    ("shed_cost_budget_us", Json::Int(shed_cost_budget_us as i128)),
                 ]),
             ),
         ])

@@ -330,13 +330,14 @@ fn replay_verbatim(requests: &[&str], responses: &[String]) {
 }
 
 /// The README's *Hosted snapshot databases* examples, `db_put` through
-/// `db_drop`, replay verbatim.
+/// `shutdown`, replay verbatim: the `stats` answer pins the store's
+/// incremental / full solve split of the solves before it.
 #[test]
 fn readme_hosted_database_examples_replay_verbatim() {
-    let (requests, responses) =
-        readme_examples("Hosted snapshot databases", Some(r#""op":"db_drop""#));
+    let (requests, responses) = readme_examples("Hosted snapshot databases", None);
     assert!(requests.first().is_some_and(|request| request.contains(r#""op":"db_put""#)));
-    assert!(requests.last().is_some_and(|request| request.contains(r#""op":"db_drop""#)));
+    assert!(requests.iter().any(|request| request.contains(r#""op":"stats""#)));
+    assert!(requests.last().is_some_and(|request| request.contains(r#""op":"shutdown""#)));
     replay_verbatim(&requests, &responses);
 }
 

@@ -28,10 +28,11 @@
 //!   of a re-read snapshot reuse it, and results never re-read cost no
 //!   rendering;
 //! * `db_solve` binds a query to `(name, snapshot)` and reuses the
-//!   [`IncrementalSolver`] retained per database: consecutive solves at
-//!   advancing snapshots hand the engine exactly the fact delta between
-//!   them, so the flow network is patched and the min-cut warm-started
-//!   instead of rebuilt (see `rpq_resilience::engine`'s incremental path).
+//!   [`IncrementalSolver`] retained per database: each solve hands the
+//!   engine the log and the snapshot's position in it, and a snapshot that
+//!   continues the solver's own position is patched into the flow network
+//!   and the min-cut warm-started instead of rebuilt (see
+//!   `rpq_resilience::engine`'s incremental path).
 //!
 //! The store is thread-safe: a short-lived registry lock hands out per-
 //! database handles, and each database serializes its own operations, so
@@ -159,9 +160,8 @@ struct SolveSession {
     /// identity, so a plan evicted and re-prepared by the server's query
     /// cache simply forces a (correct) full rebuild.
     plan: Arc<PreparedQuery>,
-    /// The snapshot the retained flow network describes.
-    offset: usize,
-    /// The engine-side retained network + flow.
+    /// The engine-side retained network + flow, which records the snapshot
+    /// it describes.
     solver: IncrementalSolver,
 }
 
@@ -226,11 +226,8 @@ struct Database {
     session: Option<SolveSession>,
     /// The identity of the log: the tick of the `db_put` that wrote it,
     /// unique across the store. Incremental solves name their snapshot by
-    /// it, so the engine never patches a network from another log. The
-    /// store keeps that lineage by construction already — `put` drops the
-    /// session, and a session's delta is always `log[session offset..]` —
-    /// so the engine's check never rejects a delta the store sends; it
-    /// makes the contract checked rather than trusted.
+    /// it, so the engine never patches a network with another log's
+    /// entries.
     generation: u64,
 }
 
@@ -561,14 +558,18 @@ impl Store {
     }
 
     /// Solves `prepared` against one snapshot of `name` under `call`'s
-    /// budget (see [`rpq_resilience::router`]), riding the database's
-    /// retained incremental state when the solve continues the same plan at
-    /// the same or a later snapshot, with the cross-snapshot result cache in
-    /// front of the engine. Engine errors come back *inside* the
+    /// budget (see [`rpq_resilience::router`]), with the cross-snapshot
+    /// result cache in front of the engine. A miss makes one
+    /// [`PreparedQuery::route_incremental`] call on the database's retained
+    /// solver (a fresh one for another plan), handing it the log and the
+    /// snapshot's position in it: the engine alone decides whether to patch
+    /// its retained network, rebuild it, or answer an older snapshot
+    /// one-shot. Engine errors come back *inside* the
     /// [`StoreRoute`] together with the resolved snapshot id; only
     /// store-level problems (unknown database / snapshot) are `Err`. When
-    /// `trace` is enabled, snapshot resolution + materialization is recorded
-    /// as a `materialize` span, the result cache's lookup and insert as a
+    /// `trace` is enabled, the database lookup, snapshot resolution,
+    /// materialization and the eviction after the solve are recorded as a
+    /// `materialize` span, the result cache's lookup and insert as a
     /// `result_cache` span, and the engine records its own solve phases.
     ///
     /// `fingerprint` is the query's
@@ -591,12 +592,12 @@ impl Store {
         trace: &mut Trace,
     ) -> Result<StoreRoute, StoreError> {
         let want_cut = call.want_cut;
-        let handle = self.database(name)?;
         let tick = self.next_tick();
         let planned = prepared.plan().algorithm;
         let semantics = prepared.rpq().semantics();
+        let materialize_timer = trace.begin();
+        let handle = self.database(name)?;
         let (offset, graph, built, result) = {
-            let materialize_timer = trace.begin();
             let mut db = handle.lock().unwrap_or_else(|poisoned| recover(&handle, poisoned));
             let offset = db.resolve(name, snapshot)?;
             let (graph, built) = db.materialize_at(offset, tick);
@@ -651,41 +652,14 @@ impl Store {
             trace.end(lookup_timer, "result_cache");
             self.result_misses.fetch_add(1, Ordering::Relaxed);
             let Database { log, session, results, generation, .. } = &mut *db;
-            let result = match session {
-                Some(s) if Arc::ptr_eq(&s.plan, prepared) && s.offset <= offset => {
-                    // lint: allow(panic-freedom, session offsets never pass the resolve-checked head)
-                    let delta = Some(&log[s.offset..offset]);
-                    let (solver, at) = (&mut s.solver, LogPosition { log: *generation, offset });
-                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let result = prepared.route_incremental(solver, at, &graph, delta, call, trace);
-                    // A degraded answer leaves the retained flow parked at
-                    // its old frontier — do not advance past facts the
-                    // network never saw.
-                    if matches!(&result, Ok((t, _)) if !t.degraded) {
-                        s.offset = offset;
-                    }
-                    result
-                }
-                Some(s) if Arc::ptr_eq(&s.plan, prepared) => {
-                    // A solve *behind* the session's frontier (an old
-                    // snapshot): answer one-shot, keep the retained state
-                    // parked at its frontier for the next forward solve.
-                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    prepared.route(&graph, call, trace).map(|t| (t, SolveMode::Full))
-                }
-                _ => {
-                    let mut s = SolveSession {
-                        plan: Arc::clone(prepared),
-                        offset,
-                        solver: IncrementalSolver::new(),
-                    };
-                    let (solver, at) = (&mut s.solver, LogPosition { log: *generation, offset });
-                    // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
-                    let out = prepared.route_incremental(solver, at, &graph, None, call, trace);
-                    *session = Some(s);
-                    out
-                }
-            };
+            session.take_if(|s| !Arc::ptr_eq(&s.plan, prepared));
+            let s = session.get_or_insert_with(|| SolveSession {
+                plan: Arc::clone(prepared),
+                solver: IncrementalSolver::new(),
+            });
+            let at = LogPosition { log: *generation, offset };
+            // lint: allow(lock-discipline, solves serialize per database under its own lock by design)
+            let result = prepared.route_incremental(&mut s.solver, at, &graph, log, call, trace);
             if let Ok((tiered, mode)) = &result {
                 if !tiered.degraded {
                     // Cache (or upgrade) the full-fidelity answer for this
@@ -726,7 +700,9 @@ impl Store {
         if built {
             self.materializations.fetch_add(1, Ordering::Relaxed);
         }
+        let evict_timer = trace.begin();
         self.evict_materializations();
+        trace.end(evict_timer, "materialize");
         match &result {
             Ok((_, SolveMode::Incremental)) => {
                 self.incremental_solves.fetch_add(1, Ordering::Relaxed);

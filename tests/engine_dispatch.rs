@@ -9,6 +9,7 @@ mod common;
 
 use common::FAMILIES;
 use rpq::automata::{Alphabet, Language, Word};
+use rpq::graphdb::delta::changes_from_db;
 use rpq::graphdb::generate::{random_labeled_graph, word_path};
 use rpq::resilience::algorithms::{Algorithm, ResilienceError};
 use rpq::resilience::engine::{Engine, IncrementalSolver, LogPosition, SolveCall, SolveOptions};
@@ -261,9 +262,10 @@ fn every_solve_shape_routes_identically_under_each_budget() {
                 }
                 for (db, expected) in dbs.iter().zip(&single) {
                     let mut solver = IncrementalSolver::new();
-                    let at = LogPosition { log: 0, offset: db.num_facts() };
+                    let log = changes_from_db(db);
+                    let at = LogPosition { log: 0, offset: log.len() };
                     let (tiered, _) = prepared
-                        .route_incremental(&mut solver, at, db, None, &call, &mut Trace::disabled())
+                        .route_incremental(&mut solver, at, db, &log, &call, &mut Trace::disabled())
                         .unwrap();
                     assert_eq!(&tiered, expected, "{pattern}, {budget:?}, incremental");
                 }

@@ -78,14 +78,13 @@ fn churn(pattern: &str, bag: bool, seed: u64, rounds: usize, nodes: usize) -> (u
     // Every label the corpus patterns mention, plus noise letters.
     let labels = ['a', 'b', 'c', 'd', 'e', 'x'];
     for round in 0..rounds {
-        let delta = random_delta(&mut rng, &log, nodes, &labels);
-        log.extend(delta.iter().cloned());
+        log.extend(random_delta(&mut rng, &log, nodes, &labels));
         let db = materialize(&log);
         let want_cut = round % 2 == 0;
         let call = SolveCall::new(want_cut);
         let at = LogPosition { log: 0, offset: log.len() };
         let (routed, mode) = prepared
-            .route_incremental(&mut solver, at, &db, Some(&delta), &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at, &db, &log, &call, &mut Trace::disabled())
             .unwrap_or_else(|e| panic!("{pattern} round {round}: {e}"));
         let incremental = routed.outcome;
         if mode == SolveMode::Incremental {
@@ -152,8 +151,9 @@ fn local_disjunctions_and_bag_semantics_stay_consistent() {
 #[test]
 fn alternating_databases_with_no_delta_match_fresh_solves() {
     // One solver serves two unrelated databases in turn, one log each. Each
-    // switch passes no delta, so every solve rebuilds and must match a fresh
-    // solve. Both logs keep growing between visits.
+    // switch names a position in the other log, which no delta leads to, so
+    // every solve rebuilds and must match a fresh solve. Both logs keep
+    // growing between visits.
     let query = Rpq::parse("ab").unwrap();
     let prepared = Engine::new().prepare(&query).unwrap();
     let mut solver = IncrementalSolver::new();
@@ -166,7 +166,7 @@ fn alternating_databases_with_no_delta_match_fresh_solves() {
         let call = SolveCall::new(true);
         let at = LogPosition { log: (round % 2) as u64, offset: log.len() };
         let (routed, mode) = prepared
-            .route_incremental(&mut solver, at, &db, None, &call, &mut Trace::disabled())
+            .route_incremental(&mut solver, at, &db, log, &call, &mut Trace::disabled())
             .unwrap();
         assert_eq!(mode, SolveMode::Full, "round {round}");
         let fresh = prepared.solve(&db).unwrap();
@@ -254,7 +254,7 @@ fn huge_bag_totals_stay_incremental() {
     let db = materialize(&log);
     let at = |log: &[FactChange]| LogPosition { log: 0, offset: log.len() };
     prepared
-        .route_incremental(&mut solver, at(&log), &db, None, &call, &mut Trace::disabled())
+        .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
         .unwrap();
     let sorted = |set: Option<Vec<_>>| {
         let mut set = set.expect("a finite solve has a witness");
@@ -272,22 +272,14 @@ fn huge_bag_totals_stay_incremental() {
     ];
     let mut value = None;
     for (source, label, target) in deletes {
-        let delta = vec![FactChange::Delete {
+        log.push(FactChange::Delete {
             source: source.into(),
             label: Letter::new(label),
             target: target.into(),
-        }];
-        log.extend(delta.iter().cloned());
+        });
         let db = materialize(&log);
         let (routed, mode) = prepared
-            .route_incremental(
-                &mut solver,
-                at(&log),
-                &db,
-                Some(&delta),
-                &call,
-                &mut Trace::disabled(),
-            )
+            .route_incremental(&mut solver, at(&log), &db, &log, &call, &mut Trace::disabled())
             .unwrap();
         let step = format!("- {source} {label} {target}");
         assert_eq!(mode, SolveMode::Incremental, "{step}");
