@@ -10,7 +10,7 @@
 //! | `panic-freedom`    | no `unwrap`/`expect`/`panic!`/`[idx]` on request paths |
 //! | `lock-discipline`  | lock-order cycles; locks held across solves / blocking I/O |
 //! | `atomic-ordering`  | `Ordering::Relaxed` RMWs whose result is consumed |
-//! | `wire-protocol`    | every `Request` verb documented and counted |
+//! | `wire-protocol`    | every `Request` verb and counter documented, every verb counted |
 //!
 //! Findings print as clickable `file:line: [rule] message` diagnostics.
 //! Deliberate exceptions are annotated in-source with

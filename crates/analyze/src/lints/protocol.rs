@@ -18,6 +18,13 @@
 //! of `outcome_json` / `tiered_outcome_json` — `value`, `bounds`, `tier`,
 //! `degraded`, `route`, …) must each have a backticked README mention, so a
 //! new wire field cannot ship undocumented.
+//!
+//! The same goes for the server's counters, declared once in the table of
+//! `ServerState::counters` (`crates/server/src/server.rs`): every `rpq_*`
+//! Prometheus family there needs a backticked README mention (`` `name` ``
+//! or, labeled, `` `name{label=…}` ``), and every `stats` key (the first
+//! argument of a row, or the name of a row group) a backticked mention or a
+//! `"key":` in a README example.
 
 use crate::lexer::{lex, matching_close, TokKind, Token};
 use crate::{Finding, Rule};
@@ -112,6 +119,29 @@ pub fn response_fields(protocol_src: &str) -> Vec<Verb> {
     fields
 }
 
+/// The literals of the server's counter table, the body of `counters`:
+/// every `rpq_*` string (a Prometheus family) and every other non-empty
+/// string directly after `(` (a `stats` key or object name), in that order.
+pub fn counter_literals(server_src: &str) -> (Vec<Verb>, Vec<Verb>) {
+    let tokens = lex(server_src).tokens;
+    let (mut families, mut keys) = (Vec::new(), Vec::new());
+    let Some(body) = named_fn_body(&tokens, "counters") else { return (families, keys) };
+    for i in body {
+        let TokKind::Str(value) = &tokens[i].kind else { continue };
+        let list = if value.starts_with("rpq_") {
+            &mut families
+        } else if !value.is_empty() && i >= 1 && tokens[i - 1].is_punct('(') {
+            &mut keys
+        } else {
+            continue;
+        };
+        if !list.iter().any(|v: &Verb| v.name == *value) {
+            list.push(Verb { name: value.clone(), line: tokens[i].line });
+        }
+    }
+    (families, keys)
+}
+
 /// Extracts the string entries of the `const VERBS` table in server.rs.
 pub fn verbs_table(server_src: &str) -> Vec<Verb> {
     let tokens = lex(server_src).tokens;
@@ -178,6 +208,26 @@ pub fn check(
                     field.line,
                     Rule::WireProtocol,
                     format!("{kind} `{}` has no backticked README mention", field.name),
+                ));
+            }
+        }
+    }
+    let (families, keys) = server_src.map(counter_literals).unwrap_or_default();
+    for (literals, family) in [(families, true), (keys, false)] {
+        for literal in literals {
+            let name = &literal.name;
+            // Besides `name`: a labeled family's `name{label=…}`, or a
+            // stats key in a README example.
+            let other = if family { format!("`{name}{{") } else { format!("\"{name}\":") };
+            let documented = readme
+                .is_some_and(|text| text.contains(&format!("`{name}`")) || text.contains(&other));
+            if !documented {
+                let kind = if family { "metric family" } else { "stats key" };
+                findings.push(Finding::new(
+                    server_path,
+                    literal.line,
+                    Rule::WireProtocol,
+                    format!("{kind} `{name}` has no README mention"),
                 ));
             }
         }
@@ -296,6 +346,54 @@ mod tests {
         assert!(messages.iter().any(|m| m.contains("`solve_batch` is missing")));
         assert!(messages.iter().any(|m| m.contains("`solve` is missing")));
         assert!(messages.iter().any(|m| m.contains("`retired_verb`")));
+    }
+
+    const COUNTERS: &str = r#"
+        const VERBS: [&str; 3] = ["prepare", "solve", "solve_batch"];
+        fn counters(&self) -> Vec<(&'static str, Vec<Counter>)> {
+            let top = vec![
+                stat("requests", 3).metric("rpq_requests_total", "Requests (any verb)."),
+                stat("threads", 4),
+            ];
+            let tier = |key, value| Counter { label: "tier", ..stat(key, value) };
+            let router = vec![
+                tier("poly", 1),
+                Counter { value: Json::Bool(false), ..stat("overloaded", 0) },
+            ];
+            vec![("", top), ("router", router)]
+        }
+        fn elsewhere() { stat("not_a_counter", 0).metric("rpq_elsewhere", "Not linted.") }
+    "#;
+
+    #[test]
+    fn counter_families_and_stats_keys_are_extracted() {
+        let (families, keys) = counter_literals(COUNTERS);
+        let names = |list: Vec<Verb>| list.into_iter().map(|v| v.name).collect::<Vec<_>>();
+        assert_eq!(names(families), vec!["rpq_requests_total"]);
+        assert_eq!(names(keys), vec!["requests", "threads", "poly", "overloaded", "router"]);
+    }
+
+    #[test]
+    fn undocumented_counters_fire() {
+        let verbs = "`prepare`, `solve`, `solve_batch`.";
+        let clean = format!(
+            "{verbs} `rpq_requests_total`; the `router` object holds `poly` and `overloaded`: \
+             {{\"requests\":3,\"threads\":4}}"
+        );
+        assert!(check("p.rs", PROTOCOL, Some(&clean), "s.rs", Some(COUNTERS)).is_empty());
+        // A labeled mention documents a family too.
+        let labeled = clean.replace("`rpq_requests_total`", "`rpq_requests_total{verb=…}`");
+        assert!(check("p.rs", PROTOCOL, Some(&labeled), "s.rs", Some(COUNTERS)).is_empty());
+        // An example key counts only with its colon; a family needs backticks.
+        let stale =
+            format!("{verbs} rpq_requests_total; `router`, `poly`, `overloaded`, \"threads\"");
+        let findings = check("p.rs", PROTOCOL, Some(&stale), "s.rs", Some(COUNTERS));
+        let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(findings.len(), 3, "{messages:?}");
+        assert!(messages.iter().any(|m| m.contains("metric family `rpq_requests_total`")));
+        assert!(messages.iter().any(|m| m.contains("stats key `requests`")));
+        assert!(messages.iter().any(|m| m.contains("stats key `threads`")));
+        assert!(findings.iter().all(|f| f.file == "s.rs"));
     }
 
     #[test]

@@ -31,8 +31,16 @@ fn dirty_fixture_trips_every_lint() {
     );
     // ticket(): consumed relaxed fetch_add.
     assert_eq!(count(Rule::AtomicOrdering), 1, "{:#?}", report.findings);
-    // `mystery` undocumented + uncounted; `ghost` counted but unparsed.
-    assert_eq!(count(Rule::WireProtocol), 3, "{:#?}", report.findings);
+    // `mystery` undocumented + uncounted; `ghost` counted but unparsed; the
+    // counter table's family `rpq_requests_total` and key `hidden`.
+    assert_eq!(count(Rule::WireProtocol), 5, "{:#?}", report.findings);
+    for counter in ["metric family `rpq_requests_total`", "stats key `hidden`"] {
+        assert!(
+            report.findings.iter().any(|f| f.message.contains(counter)),
+            "{counter} not reported: {:#?}",
+            report.findings
+        );
+    }
     // The reason-less allow above `oops` (and it suppresses nothing).
     assert_eq!(count(Rule::Annotation), 1, "{:#?}", report.findings);
     assert_eq!(report.suppressed, 0);

@@ -136,16 +136,27 @@ impl Trace {
     /// [`Trace::enabled`], records the unattributed remainder as an `other`
     /// span (so the spans always sum to the total for sequential solves),
     /// and returns the total. Returns 0 for disabled traces.
+    ///
+    /// Each phase is booked the whole µs that the running nanosecond sum
+    /// crosses while it is added, `⌊Rᵢ/1000⌋ − ⌊Rᵢ₋₁/1000⌋`, so the phases
+    /// together read `⌊Σns/1000⌋`: truncating each phase on its own would
+    /// lose up to 1 µs per phase into `other`.
     pub fn seal(&mut self) -> u64 {
         let Some(t0) = self.t0 else { return 0 };
         let total = t0.elapsed().as_micros() as u64;
-        let accounted: u64 = self.spans.iter().map(|&(_, us)| us).sum();
-        self.add("other", total.saturating_sub(accounted));
+        let mut running = 0u64;
+        for ((_, us), &ns) in self.spans.iter_mut().zip(&self.nanos) {
+            let before = running / 1_000;
+            running = running.saturating_add(ns);
+            *us = running / 1_000 - before;
+        }
+        self.add("other", total.saturating_sub(running / 1_000));
         total
     }
 
     /// The recorded `(phase, µs)` spans, in first-recorded order; each
-    /// phase reads its summed nanoseconds truncated to whole µs.
+    /// phase reads its summed nanoseconds truncated to whole µs, or, once
+    /// sealed, its share of the running sum (see [`Trace::seal`]).
     pub fn spans(&self) -> &[(&'static str, u64)] {
         &self.spans
     }
@@ -516,6 +527,28 @@ mod tests {
             parent.merge(&worker);
         }
         assert!(spun(&parent) >= 500, "{:?}", parent.spans());
+    }
+
+    #[test]
+    fn sealing_books_sub_microsecond_phases_from_the_running_sum() {
+        // Twenty phases of 900 ns each: truncated one by one they read 0 µs
+        // and all 18 µs would land in `other`.
+        const PHASES: [&str; 20] = [
+            "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9", "p10", "p11", "p12", "p13",
+            "p14", "p15", "p16", "p17", "p18", "p19",
+        ];
+        let mut trace = Trace::enabled();
+        for phase in PHASES {
+            trace.add_nanos(phase, 900);
+        }
+        let start = Instant::now();
+        while start.elapsed() < std::time::Duration::from_micros(50) {}
+        let total = trace.seal();
+        let spans = trace.spans();
+        let phases: u64 = spans.iter().filter(|(n, _)| *n != "other").map(|&(_, us)| us).sum();
+        assert_eq!(phases, 18, "{spans:?}");
+        let all: u64 = spans.iter().map(|&(_, us)| us).sum();
+        assert_eq!(all, total, "the spans still sum to the sealed total: {spans:?}");
     }
 
     #[test]

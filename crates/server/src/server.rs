@@ -59,7 +59,7 @@
 //! before returning, so a client that issues `shutdown` after reading its
 //! response observes a clean exit.
 
-use crate::cache::{CacheLookup, CacheStats, QueryCache, QueryError};
+use crate::cache::{CacheLookup, QueryCache, QueryError};
 use crate::json::Json;
 use crate::protocol::{
     coded_error_response, error_response, plan_json, render_cut, tiered_outcome_json, QuerySpec,
@@ -72,9 +72,7 @@ use rpq_resilience::engine::{Engine, PreparedQuery, SolveCall, SolveMode, SolveO
 use rpq_resilience::router::{
     RouteBudget, Router, TieredOutcome, DEFAULT_SHED_COST_BUDGET_US, DEFAULT_SHED_QUEUE_DEPTH,
 };
-use rpq_store::{
-    AppendResult, SnapshotRef, Store, StoreConfig, StoreError, StoreRoute, StoreStats,
-};
+use rpq_store::{AppendResult, SnapshotRef, Store, StoreConfig, StoreError, StoreRoute};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -640,246 +638,152 @@ impl ServerState {
         Json::object([("ok", Json::Bool(true)), ("databases", Json::Array(databases))])
     }
 
-    fn handle_stats(&self) -> Json {
-        let CacheStats { hits, misses, evictions, entries, capacity } = self.cache.stats();
-        let StoreStats {
-            databases,
-            named_snapshots,
-            materialized,
-            log_entries,
-            log_bytes,
-            incremental_solves,
-            full_solves,
-            materializations,
-            evictions: store_evictions,
-            capacity: store_capacity,
-            max_body_bytes,
-            result_hits,
-            result_misses,
-        } = self.store.stats();
-        let routed = self.route_counters.snapshot();
+    /// Every `stats` value in `stats` order, grouped under its `stats`
+    /// object (`""` for the top level), each with the Prometheus family
+    /// that exports it, if any. The rows of a labeled family are
+    /// consecutive.
+    fn counters(&self) -> Vec<(&'static str, Vec<Counter>)> {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let (cache, store) = (self.cache.stats(), self.store.stats());
+        let (routed, connections) = (self.route_counters.snapshot(), &self.connections);
         let (shed_queue_depth, shed_cost_budget_us) = self.router.shed_thresholds();
-        let connections = &self.connections;
-        Json::object([
-            ("ok", Json::Bool(true)),
-            ("requests", Json::Int(self.requests.load(Ordering::Relaxed) as i128)),
-            ("errors", Json::Int(self.errors.load(Ordering::Relaxed) as i128)),
-            ("panics", Json::Int(self.panics.load(Ordering::Relaxed) as i128)),
-            ("uptime_secs", Json::Int(self.started.elapsed().as_secs() as i128)),
-            ("threads", Json::Int(self.threads as i128)),
-            ("jobs", Json::Int(self.jobs as i128)),
-            (
-                "requests_by_verb",
-                Json::Object(
-                    VERBS
-                        .iter()
-                        .zip(self.by_verb.iter())
-                        .map(|(verb, count)| {
-                            (verb.to_string(), Json::Int(count.load(Ordering::Relaxed) as i128))
-                        })
-                        .collect(),
-                ),
+        let top = vec![
+            stat("requests", load(&self.requests))
+                .metric("rpq_requests_total", "Requests received (any verb)."),
+            stat("errors", load(&self.errors))
+                .metric("rpq_errors_total", "Requests answered with an error."),
+            stat("panics", load(&self.panics)).metric(
+                "rpq_panics_total",
+                "Requests whose handler panicked (answered internal_error).",
             ),
-            (
-                "connections",
-                Json::object([
-                    ("open", Json::Int(connections.open.load(Ordering::Relaxed) as i128)),
-                    ("accepted", Json::Int(connections.accepted.load(Ordering::Relaxed) as i128)),
-                    ("requests", Json::Int(connections.requests.load(Ordering::Relaxed) as i128)),
-                    (
-                        "max_requests",
-                        Json::Int(connections.max_requests.load(Ordering::Relaxed) as i128),
-                    ),
-                    (
-                        "queue_depth",
-                        Json::Int(connections.queue_depth.load(Ordering::Relaxed) as i128),
-                    ),
-                ]),
+            stat("uptime_secs", self.started.elapsed().as_secs())
+                .metric("rpq_uptime_seconds", "Seconds since the server started."),
+            stat("threads", self.threads as u64),
+            stat("jobs", self.jobs as u64),
+        ];
+        let by_verb = VERBS.iter().zip(&self.by_verb).map(|(verb, n)| Counter {
+            label: "verb",
+            ..stat(verb, load(n))
+                .metric("rpq_requests_by_verb_total", "Successfully parsed requests, by wire verb.")
+        });
+        let connections = vec![
+            stat("open", load(&connections.open))
+                .metric("rpq_connections_open", "Currently open TCP connections."),
+            stat("accepted", load(&connections.accepted))
+                .metric("rpq_connections_accepted_total", "TCP connections accepted."),
+            stat("requests", load(&connections.requests)),
+            stat("max_requests", load(&connections.max_requests)),
+            stat("queue_depth", load(&connections.queue_depth))
+                .metric("rpq_ready_queue_depth", "Complete requests waiting for a worker slot."),
+        ];
+        let cache = vec![
+            stat("hits", cache.hits).metric("rpq_cache_hits_total", "Prepared-query cache hits."),
+            stat("misses", cache.misses)
+                .metric("rpq_cache_misses_total", "Prepared-query cache misses."),
+            stat("evictions", cache.evictions)
+                .metric("rpq_cache_evictions_total", "Prepared-query cache evictions."),
+            stat("entries", cache.entries as u64)
+                .metric("rpq_cache_entries", "Prepared-query plans cached."),
+            stat("capacity", cache.capacity as u64),
+        ];
+        let store = vec![
+            stat("databases", store.databases as u64)
+                .metric("rpq_store_databases", "Hosted databases."),
+            stat("named_snapshots", store.named_snapshots as u64)
+                .metric("rpq_store_named_snapshots", "Pinned named snapshots."),
+            stat("materialized", store.materialized as u64)
+                .metric("rpq_store_materialized", "Materialized snapshots held."),
+            stat("log_entries", store.log_entries as u64)
+                .metric("rpq_store_log_entries", "Fact-log entries across databases."),
+            stat("log_bytes", store.log_bytes as u64)
+                .metric("rpq_store_log_bytes", "Fact-log bytes across databases."),
+            stat("incremental_solves", store.incremental_solves).metric(
+                "rpq_store_incremental_solves_total",
+                "Hosted solves answered incrementally.",
             ),
-            (
-                "cache",
-                Json::object([
-                    ("hits", Json::Int(hits as i128)),
-                    ("misses", Json::Int(misses as i128)),
-                    ("evictions", Json::Int(evictions as i128)),
-                    ("entries", Json::Int(entries as i128)),
-                    ("capacity", Json::Int(capacity as i128)),
-                ]),
+            stat("full_solves", store.full_solves)
+                .metric("rpq_store_full_solves_total", "Hosted solves built from scratch."),
+            stat("materializations", store.materializations).metric(
+                "rpq_store_materializations_total",
+                "Snapshot materializations built or advanced from the log.",
             ),
-            (
-                "store",
-                Json::object([
-                    ("databases", Json::Int(databases as i128)),
-                    ("named_snapshots", Json::Int(named_snapshots as i128)),
-                    ("materialized", Json::Int(materialized as i128)),
-                    ("log_entries", Json::Int(log_entries as i128)),
-                    ("log_bytes", Json::Int(log_bytes as i128)),
-                    ("incremental_solves", Json::Int(incremental_solves as i128)),
-                    ("full_solves", Json::Int(full_solves as i128)),
-                    ("materializations", Json::Int(materializations as i128)),
-                    ("evictions", Json::Int(store_evictions as i128)),
-                    ("capacity", Json::Int(store_capacity as i128)),
-                    ("max_body_bytes", Json::Int(max_body_bytes as i128)),
-                    ("result_hits", Json::Int(result_hits as i128)),
-                    ("result_misses", Json::Int(result_misses as i128)),
-                ]),
+            stat("evictions", store.evictions)
+                .metric("rpq_store_evictions_total", "Materialized snapshots evicted."),
+            stat("capacity", store.capacity as u64),
+            stat("max_body_bytes", store.max_body_bytes as u64),
+            stat("result_hits", store.result_hits).metric(
+                "rpq_store_result_cache_hits_total",
+                "Hosted solves answered from the cross-snapshot result cache.",
             ),
-            (
-                "router",
-                Json::object([
-                    ("poly", Json::Int(routed.poly as i128)),
-                    ("exact", Json::Int(routed.exact as i128)),
-                    ("approx", Json::Int(routed.approx as i128)),
-                    ("degraded", Json::Int(routed.degraded as i128)),
-                    ("overload_sheds", Json::Int(routed.overload_sheds as i128)),
-                    ("queue_depth", Json::Int(self.router.queue_depth() as i128)),
-                    ("overloaded", Json::Bool(self.router.is_overloaded())),
-                    ("shed_queue_depth", Json::Int(shed_queue_depth as i128)),
-                    ("shed_cost_budget_us", Json::Int(shed_cost_budget_us as i128)),
-                ]),
+            stat("result_misses", store.result_misses).metric(
+                "rpq_store_result_cache_misses_total",
+                "Hosted solves that missed the cross-snapshot result cache.",
             ),
-        ])
+        ];
+        let tier = |key, value| Counter {
+            label: "tier",
+            ..stat(key, value)
+                .metric("rpq_routed_total", "Routed solves, by the complexity tier that answered.")
+        };
+        let router = vec![
+            tier("poly", routed.poly),
+            tier("exact", routed.exact),
+            tier("approx", routed.approx),
+            stat("degraded", routed.degraded).metric(
+                "rpq_routed_degraded_total",
+                "Routed solves the planned backend did not answer exactly (budgeted search).",
+            ),
+            stat("overload_sheds", routed.overload_sheds).metric(
+                "rpq_overload_sheds_total",
+                "Routed solves whose budget was tightened by overload shedding.",
+            ),
+            stat("queue_depth", self.router.queue_depth()),
+            Counter { value: Json::Bool(self.router.is_overloaded()), ..stat("overloaded", 0) },
+            stat("shed_queue_depth", shed_queue_depth),
+            stat("shed_cost_budget_us", shed_cost_budget_us),
+        ];
+        vec![
+            ("", top),
+            ("requests_by_verb", by_verb.collect()),
+            ("connections", connections),
+            ("cache", cache),
+            ("store", store),
+            ("router", router),
+        ]
+    }
+
+    fn handle_stats(&self) -> Json {
+        let mut fields = vec![("ok".to_string(), Json::Bool(true))];
+        for (object, rows) in self.counters() {
+            let rows = rows.into_iter().map(|row| (row.key.to_string(), row.value));
+            if object.is_empty() {
+                fields.extend(rows);
+            } else {
+                fields.push((object.to_string(), Json::Object(rows.collect())));
+            }
+        }
+        Json::Object(fields)
     }
 
     /// Renders every counter, gauge and latency histogram as Prometheus text
     /// exposition, returned in the `metrics` field of the response.
     fn handle_metrics(&self) -> Json {
         let mut out = String::new();
-        prom::header(&mut out, "rpq_uptime_seconds", "Seconds since the server started.", "gauge");
-        prom::sample(&mut out, "rpq_uptime_seconds", "", self.started.elapsed().as_secs());
-        prom::header(&mut out, "rpq_requests_total", "Requests received (any verb).", "counter");
-        prom::sample(&mut out, "rpq_requests_total", "", self.requests.load(Ordering::Relaxed));
-        prom::header(&mut out, "rpq_errors_total", "Requests answered with an error.", "counter");
-        prom::sample(&mut out, "rpq_errors_total", "", self.errors.load(Ordering::Relaxed));
-        prom::header(
-            &mut out,
-            "rpq_panics_total",
-            "Requests whose handler panicked (answered internal_error).",
-            "counter",
-        );
-        prom::sample(&mut out, "rpq_panics_total", "", self.panics.load(Ordering::Relaxed));
-        prom::header(
-            &mut out,
-            "rpq_requests_by_verb_total",
-            "Successfully parsed requests, by wire verb.",
-            "counter",
-        );
-        for (verb, count) in VERBS.iter().zip(self.by_verb.iter()) {
-            prom::sample(
-                &mut out,
-                "rpq_requests_by_verb_total",
-                &format!("verb=\"{verb}\""),
-                count.load(Ordering::Relaxed),
-            );
+        let mut previous = "";
+        for row in self.counters().into_iter().flat_map(|(_, rows)| rows) {
+            let (Some((name, help)), Json::Int(value)) = (row.family, row.value) else { continue };
+            if name != previous {
+                // Prometheus names every counter, and only counters, `…_total`.
+                let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
+                prom::header(&mut out, name, help, kind);
+                previous = name;
+            }
+            let labels = match row.label {
+                "" => String::new(),
+                label => format!("{label}=\"{}\"", row.key),
+            };
+            prom::sample(&mut out, name, &labels, value as u64);
         }
-        let cache = self.cache.stats();
-        for (name, help, value) in [
-            ("rpq_cache_hits_total", "Prepared-query cache hits.", cache.hits),
-            ("rpq_cache_misses_total", "Prepared-query cache misses.", cache.misses),
-            ("rpq_cache_evictions_total", "Prepared-query cache evictions.", cache.evictions),
-        ] {
-            prom::header(&mut out, name, help, "counter");
-            prom::sample(&mut out, name, "", value);
-        }
-        prom::header(&mut out, "rpq_cache_entries", "Prepared-query plans cached.", "gauge");
-        prom::sample(&mut out, "rpq_cache_entries", "", cache.entries as u64);
-        let store = self.store.stats();
-        for (name, help, value) in [
-            ("rpq_store_databases", "Hosted databases.", store.databases as u64),
-            ("rpq_store_named_snapshots", "Pinned named snapshots.", store.named_snapshots as u64),
-            ("rpq_store_materialized", "Materialized snapshots held.", store.materialized as u64),
-            (
-                "rpq_store_log_entries",
-                "Fact-log entries across databases.",
-                store.log_entries as u64,
-            ),
-            ("rpq_store_log_bytes", "Fact-log bytes across databases.", store.log_bytes as u64),
-        ] {
-            prom::header(&mut out, name, help, "gauge");
-            prom::sample(&mut out, name, "", value);
-        }
-        for (name, help, value) in [
-            (
-                "rpq_store_incremental_solves_total",
-                "Hosted solves answered incrementally.",
-                store.incremental_solves,
-            ),
-            ("rpq_store_full_solves_total", "Hosted solves built from scratch.", store.full_solves),
-            (
-                "rpq_store_materializations_total",
-                "Snapshot materializations built or advanced from the log.",
-                store.materializations,
-            ),
-            ("rpq_store_evictions_total", "Materialized snapshots evicted.", store.evictions),
-            (
-                "rpq_store_result_cache_hits_total",
-                "Hosted solves answered from the cross-snapshot result cache.",
-                store.result_hits,
-            ),
-            (
-                "rpq_store_result_cache_misses_total",
-                "Hosted solves that missed the cross-snapshot result cache.",
-                store.result_misses,
-            ),
-        ] {
-            prom::header(&mut out, name, help, "counter");
-            prom::sample(&mut out, name, "", value);
-        }
-        let routed = self.route_counters.snapshot();
-        prom::header(
-            &mut out,
-            "rpq_routed_total",
-            "Routed solves, by the complexity tier that answered.",
-            "counter",
-        );
-        for (tier, count) in
-            [("poly", routed.poly), ("exact", routed.exact), ("approx", routed.approx)]
-        {
-            prom::sample(&mut out, "rpq_routed_total", &format!("tier=\"{tier}\""), count);
-        }
-        for (name, help, value) in [
-            (
-                "rpq_routed_degraded_total",
-                "Routed solves the planned backend did not answer exactly (budgeted search).",
-                routed.degraded,
-            ),
-            (
-                "rpq_overload_sheds_total",
-                "Routed solves whose budget was tightened by overload shedding.",
-                routed.overload_sheds,
-            ),
-        ] {
-            prom::header(&mut out, name, help, "counter");
-            prom::sample(&mut out, name, "", value);
-        }
-        let connections = &self.connections;
-        for (name, help, value) in [
-            (
-                "rpq_connections_open",
-                "Currently open TCP connections.",
-                connections.open.load(Ordering::Relaxed),
-            ),
-            (
-                "rpq_ready_queue_depth",
-                "Complete requests waiting for a worker slot.",
-                connections.queue_depth.load(Ordering::Relaxed),
-            ),
-        ] {
-            prom::header(&mut out, name, help, "gauge");
-            prom::sample(&mut out, name, "", value);
-        }
-        prom::header(
-            &mut out,
-            "rpq_connections_accepted_total",
-            "TCP connections accepted.",
-            "counter",
-        );
-        prom::sample(
-            &mut out,
-            "rpq_connections_accepted_total",
-            "",
-            connections.accepted.load(Ordering::Relaxed),
-        );
         let latency = self.metrics.snapshot();
         prom::header(
             &mut out,
@@ -973,6 +877,30 @@ fn verb_of(request: &Request) -> &'static str {
         Request::Stats => "stats",
         Request::Metrics => "metrics",
         Request::Shutdown => "shutdown",
+    }
+}
+
+/// One `stats` value and the Prometheus family that exports it, if any.
+struct Counter {
+    key: &'static str,
+    value: Json,
+    /// The exporting family's name and help; a name that ends in `_total`
+    /// is a counter, any other a gauge.
+    family: Option<(&'static str, &'static str)>,
+    /// The label `key` fills in that family (`""`: the family's one
+    /// unlabeled sample).
+    label: &'static str,
+}
+
+/// A count `stats` reports and `metrics` does not.
+fn stat(key: &'static str, value: u64) -> Counter {
+    Counter { key, value: Json::Int(value as i128), family: None, label: "" }
+}
+
+impl Counter {
+    /// The same count, reported by `metrics` too as a sample of `name`.
+    fn metric(self, name: &'static str, help: &'static str) -> Counter {
+        Counter { family: Some((name, help)), ..self }
     }
 }
 

@@ -424,3 +424,139 @@ fn an_endless_request_line_is_cut_off_with_a_typed_error() {
     client.request(&Request::Shutdown).unwrap();
     running.join().unwrap();
 }
+
+/// Every Prometheus family of the `metrics` page, with the `stats` value it
+/// exports: a `.`-separated path, for a labeled family the object whose
+/// keys its label takes, or `""` for a latency family.
+const FAMILY_STATS: [(&str, &str); 31] = [
+    ("rpq_requests_total", "requests"),
+    ("rpq_errors_total", "errors"),
+    ("rpq_panics_total", "panics"),
+    ("rpq_uptime_seconds", "uptime_secs"),
+    ("rpq_requests_by_verb_total", "requests_by_verb"),
+    ("rpq_connections_open", "connections.open"),
+    ("rpq_connections_accepted_total", "connections.accepted"),
+    ("rpq_ready_queue_depth", "connections.queue_depth"),
+    ("rpq_cache_hits_total", "cache.hits"),
+    ("rpq_cache_misses_total", "cache.misses"),
+    ("rpq_cache_evictions_total", "cache.evictions"),
+    ("rpq_cache_entries", "cache.entries"),
+    ("rpq_store_databases", "store.databases"),
+    ("rpq_store_named_snapshots", "store.named_snapshots"),
+    ("rpq_store_materialized", "store.materialized"),
+    ("rpq_store_log_entries", "store.log_entries"),
+    ("rpq_store_log_bytes", "store.log_bytes"),
+    ("rpq_store_incremental_solves_total", "store.incremental_solves"),
+    ("rpq_store_full_solves_total", "store.full_solves"),
+    ("rpq_store_materializations_total", "store.materializations"),
+    ("rpq_store_evictions_total", "store.evictions"),
+    ("rpq_store_result_cache_hits_total", "store.result_hits"),
+    ("rpq_store_result_cache_misses_total", "store.result_misses"),
+    ("rpq_routed_total", "router"),
+    ("rpq_routed_degraded_total", "router.degraded"),
+    ("rpq_overload_sheds_total", "router.overload_sheds"),
+    ("rpq_solve_latency_us", ""),
+    ("rpq_solve_latency_us_p50", ""),
+    ("rpq_solve_latency_us_p95", ""),
+    ("rpq_solve_latency_us_p99", ""),
+    ("rpq_solve_latency_us_max", ""),
+];
+
+/// After requests of every verb over one TCP connection, hosted ones and a
+/// degraded solve included, every counter and gauge sample of `metrics`
+/// equals its `stats` value, and every family has one `# HELP`/`# TYPE`
+/// pair. The latency families have no `stats` value and are only counted.
+#[test]
+fn stats_and_metrics_report_the_same_counters() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let running = server.spawn().unwrap();
+    let mut client = Client::connect(running.addr).unwrap();
+    client.set_read_timeout(Some(RESPONSE_TIMEOUT)).unwrap();
+    for line in [
+        r#"{"op":"prepare","query":"ax*b"}"#,
+        r#"{"op":"solve","query":"ax*b","db":"s a u\nu x v\nv b t\n"}"#,
+        r#"{"op":"solve_batch","query":"a(x)*b","dbs":["s a t\n","s a u\nu b t\n"]}"#,
+        r#"{"op":"solve","query":"aa","db":"1 a 2\n2 a 3\n3 a 4\n","deadline_ms":0}"#,
+        r#"{"op":"db_put","name":"g","db":"s a u\nu x v\nv b t\n"}"#,
+        r#"{"op":"db_snapshot","name":"g","snapshot_name":"v0"}"#,
+        r#"{"op":"db_solve","name":"g","query":"ax*b"}"#,
+        r#"{"op":"db_patch","name":"g","patch":"+ s a v\n- u x v\n"}"#,
+        r#"{"op":"db_solve","name":"g","query":"ax*b"}"#,
+        r#"{"op":"db_solve","name":"g","query":"ax*b","snapshots":["v0",1,"ghost"]}"#,
+        r#"{"op":"db_put","name":"h","db":"s a t\n"}"#,
+        r#"{"op":"db_list"}"#,
+        r#"{"op":"db_drop","name":"h"}"#,
+        r#"{"op":"db_patch","name":"g","patch":"+ v b w\n"}"#,
+        "not json",
+    ] {
+        client.request_line(line).unwrap();
+    }
+    let stats = client.request(&Request::Stats).unwrap();
+    let metrics = client.request(&Request::Metrics).unwrap();
+    client.request(&Request::Shutdown).unwrap();
+    running.join().unwrap();
+    let page = metrics.get("metrics").and_then(Json::as_str).unwrap();
+
+    let mut families = Vec::new();
+    let mut lines = page.lines();
+    while let Some(line) = lines.next() {
+        let Some(help) = line.strip_prefix("# HELP ") else { continue };
+        let name = help.split(' ').next().unwrap();
+        let kind = lines.next().and_then(|l| l.strip_prefix(&format!("# TYPE {name} ")));
+        assert!(kind.is_some(), "`# HELP {name}` is not followed by its `# TYPE`");
+        assert!(!families.contains(&name), "`{name}` has two headers");
+        families.push(name);
+    }
+    assert_eq!(page.matches("# TYPE ").count(), families.len(), "{page}");
+    let mapped: Vec<&str> = FAMILY_STATS.iter().map(|(family, _)| *family).collect();
+    for family in &families {
+        assert!(mapped.contains(family), "`{family}` has no entry in FAMILY_STATS");
+    }
+
+    let mut checked = 0;
+    for line in page.lines().filter(|line| !line.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        let (name, label) = match series.split_once('{') {
+            Some((name, labels)) => (name, Some(labels.trim_end_matches('}'))),
+            None => (series, None),
+        };
+        let Some((_, path)) = FAMILY_STATS.iter().find(|(family, _)| *family == name) else {
+            assert!(name.starts_with("rpq_solve_latency_us"), "sample `{line}` has no family");
+            continue;
+        };
+        if path.is_empty() {
+            continue;
+        }
+        let mut at = &stats;
+        for key in path.split('.') {
+            at = at.get(key).unwrap_or_else(|| panic!("`stats` has no `{path}`: {stats}"));
+        }
+        if let Some(label) = label {
+            let (_, key) = label.split_once('=').unwrap();
+            at = at.get(key.trim_matches('"')).unwrap_or_else(|| panic!("`{line}`: {stats}"));
+        }
+        let want = at.as_int().unwrap();
+        // The `metrics` request is counted before its page is rendered.
+        let want = match (*path, label) {
+            ("requests", _) | (_, Some("verb=\"metrics\"")) => want + 1,
+            _ => want,
+        };
+        let got: i128 = value.parse().unwrap();
+        if *path == "uptime_secs" {
+            assert!((want..=want + 1).contains(&got), "`{line}` against {want}");
+        } else {
+            assert_eq!(got, want, "`{line}` against `stats`: {stats}");
+        }
+        checked += 1;
+    }
+    // 24 unlabeled samples, 12 verbs and 3 tiers.
+    assert_eq!(checked, 39, "{page}");
+    // The requests reached the hosted and degraded paths the families count.
+    let store = stats.get("store").unwrap();
+    for key in ["incremental_solves", "full_solves", "result_hits", "named_snapshots"] {
+        assert!(store.get(key).and_then(Json::as_int).unwrap() > 0, "store.{key}: {stats}");
+    }
+    let router = stats.get("router").unwrap();
+    assert!(router.get("approx").and_then(Json::as_int).unwrap() > 0, "{stats}");
+    assert_eq!(stats.get("connections").unwrap().get("accepted"), Some(&Json::Int(1)));
+}

@@ -718,11 +718,8 @@ impl Store {
     /// count is read from its materialization, so a head not materialized
     /// yet is materialized here, as its next solve would.
     pub fn list(&self) -> Vec<DatabaseInfo> {
-        let handles: Vec<(String, Arc<Mutex<Database>>)> = {
-            let registry = self.databases.lock().unwrap_or_else(PoisonError::into_inner);
-            registry.iter().map(|(n, h)| (n.clone(), Arc::clone(h))).collect()
-        };
-        let mut infos: Vec<DatabaseInfo> = handles
+        let mut infos: Vec<DatabaseInfo> = self
+            .handles()
             .into_iter()
             .map(|(name, handle)| {
                 let tick = self.next_tick();
@@ -753,15 +750,33 @@ impl Store {
         self.databases.lock().unwrap_or_else(PoisonError::into_inner).remove(name).is_some()
     }
 
-    /// Aggregate metrics over all hosted databases.
+    /// Every hosted database's name and handle, read under the registry
+    /// lock and used after it is released.
+    fn handles(&self) -> Vec<(String, Arc<Mutex<Database>>)> {
+        let registry = self.databases.lock().unwrap_or_else(PoisonError::into_inner);
+        registry.iter().map(|(n, h)| (n.clone(), Arc::clone(h))).collect()
+    }
+
+    /// Aggregate metrics over all hosted databases, summed under each
+    /// database's lock. Unlike [`Store::list`] this reads no fact count, so
+    /// it materializes and evicts nothing: observing the store does not
+    /// move its counters.
     pub fn stats(&self) -> StoreStats {
-        let infos = self.list();
+        let handles = self.handles();
+        let (mut named_snapshots, mut materialized, mut log_entries, mut log_bytes) = (0, 0, 0, 0);
+        for (_, handle) in &handles {
+            let db = handle.lock().unwrap_or_else(|poisoned| recover(handle, poisoned));
+            named_snapshots += db.named.len();
+            materialized += db.materialized.len();
+            log_entries += db.log.len();
+            log_bytes += db.log_bytes;
+        }
         StoreStats {
-            databases: infos.len(),
-            named_snapshots: infos.iter().map(|i| i.named.len()).sum(),
-            materialized: infos.iter().map(|i| i.materialized).sum(),
-            log_entries: infos.iter().map(|i| i.log_entries).sum(),
-            log_bytes: infos.iter().map(|i| i.log_bytes).sum(),
+            databases: handles.len(),
+            named_snapshots,
+            materialized,
+            log_entries,
+            log_bytes,
             incremental_solves: self.incremental_solves.load(Ordering::Relaxed),
             full_solves: self.full_solves.load(Ordering::Relaxed),
             materializations: self.materializations.load(Ordering::Relaxed),
@@ -1135,6 +1150,22 @@ mod tests {
         assert!(store.drop_database("b"));
         assert!(!store.drop_database("b"));
         assert_eq!(store.stats().databases, 1);
+    }
+
+    #[test]
+    fn stats_leave_an_unsolved_head_unmaterialized() {
+        let store = Store::new(StoreConfig::default());
+        store.put("g", "s a t\n").unwrap();
+        store.patch("g", "+ s b t\n").unwrap();
+        let first = store.stats();
+        let second = store.stats();
+        // The put's own materialization is all there is.
+        assert_eq!((first.materializations, first.materialized), (0, 1), "{first:?}");
+        assert_eq!(second, first);
+        assert_eq!((first.log_entries, first.databases), (2, 1));
+        // `list` still reads the head's fact count, materializing it.
+        assert_eq!(store.list()[0].facts, 2);
+        assert_eq!(store.stats().materializations, 1);
     }
 
     #[test]
